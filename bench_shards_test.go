@@ -8,8 +8,14 @@
 //
 //	go test -run='^$' -bench=SimCycleShards -benchmem .
 //
+// BenchmarkSimCycleSubsat is the live-network counterpoint. The shard points
+// step a standing deadlock with the detector parked — every header blocked,
+// nothing recovering — which is the best case for change-gated allocation;
+// Subsat runs the same network below saturation with detection and recovery
+// on, where ~10% of headers are blocked and the rest are granted and move.
+//
 // FLEXSIM_BENCH_SHARDS_OUT=BENCH_shards.json go test -run TestEmitShardBench .
-// re-measures all four points with testing.Benchmark and writes the
+// re-measures every point with testing.Benchmark and writes the
 // machine-readable trajectory file (ns/cycle, allocs/op, speedup-vs-1-shard).
 package flexsim_test
 
@@ -58,6 +64,33 @@ func BenchmarkSimCycleShards2(b *testing.B) { benchSimCycleShards(b, 2) }
 func BenchmarkSimCycleShards4(b *testing.B) { benchSimCycleShards(b, 4) }
 func BenchmarkSimCycleShards8(b *testing.B) { benchSimCycleShards(b, 8) }
 
+// subsatNetwork describes BenchmarkSimCycleSubsat's configuration. Two VCs,
+// not one: TFAR with a single VC is past saturation at load 0.3 on this
+// network (99.6% of active messages blocked), with two it is well below.
+const subsatNetwork = "16-ary 2-cube, tfar, 2 VCs, load 0.3, detect every 50, recovery on"
+
+func BenchmarkSimCycleSubsat(b *testing.B) {
+	cfg := sim.Default()
+	cfg.VCs = 2
+	cfg.Load = 0.3
+	cfg.WarmupCycles = 0
+	cfg.MetricsEvery = 0
+	cfg.Shards = 1
+	r, err := sim.NewRunner(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < 2000; i++ { // reach steady occupancy
+		r.StepCycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.StepCycle()
+	}
+}
+
 // shardBenchPoint is one row of BENCH_shards.json.
 type shardBenchPoint struct {
 	Shards      int     `json:"shards"`
@@ -78,11 +111,15 @@ type shardBenchFile struct {
 	NumCPU     int               `json:"num_cpu"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Points     []shardBenchPoint `json:"points"`
+	// Subsat is BenchmarkSimCycleSubsat's row (1 shard, so no speedup).
+	SubsatNetwork string          `json:"subsat_network"`
+	Subsat        shardBenchPoint `json:"subsat"`
 }
 
-// TestEmitShardBench re-measures the four shard points and writes the
-// machine-readable perf trajectory to $FLEXSIM_BENCH_SHARDS_OUT; without the
-// variable it is a no-op, so `go test ./...` never pays the measurement.
+// TestEmitShardBench re-measures the four shard points and the
+// sub-saturation point and writes the machine-readable perf trajectory to
+// $FLEXSIM_BENCH_SHARDS_OUT; without the variable it is a no-op, so
+// `go test ./...` never pays the measurement.
 func TestEmitShardBench(t *testing.T) {
 	out := os.Getenv("FLEXSIM_BENCH_SHARDS_OUT")
 	if out == "" {
@@ -112,6 +149,15 @@ func TestEmitShardBench(t *testing.T) {
 			BytesPerOp:  res.AllocedBytesPerOp(),
 			SpeedupVs1:  base / ns,
 		})
+	}
+	res := testing.Benchmark(BenchmarkSimCycleSubsat)
+	file.SubsatNetwork = subsatNetwork
+	file.Subsat = shardBenchPoint{
+		Shards:      1,
+		NsPerCycle:  float64(res.NsPerOp()),
+		AllocsPerOp: res.AllocsPerOp(),
+		BytesPerOp:  res.AllocedBytesPerOp(),
+		SpeedupVs1:  1,
 	}
 	b, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {

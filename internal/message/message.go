@@ -116,10 +116,13 @@ type Message struct {
 	// Blocked is true when the header sat at the head of its buffer this
 	// cycle, requested an output VC, and every candidate was owned by
 	// another message. Wants then lists the candidate VCs (the dashed
-	// arcs of the channel wait-for graph).
+	// arcs of the channel wait-for graph). WantsGen is the network's fault
+	// generation Wants was routed under: the set stays exact, without
+	// re-routing, until that generation moves or the header does.
 	Blocked      bool
 	BlockedSince int64
 	Wants        []VC
+	WantsGen     uint32
 
 	// Ord and Shard are cycle-scoped scheduling state maintained by the
 	// network's parallel step engine: Ord is the message's position in

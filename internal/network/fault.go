@@ -65,6 +65,13 @@ func (n *Network) ensureFaults() *faultState {
 	return n.faults
 }
 
+// faultSetChanged invalidates what was derived from the old fault set: the
+// detector's change gate and every parked header's candidate set.
+func (n *Network) faultSetChanged() {
+	n.resEpoch++
+	n.faultGen++
+}
+
 // FaultsActive returns the number of currently failed resources (downed
 // links + locked VCs + dead nodes); 0 on a healthy network.
 func (n *Network) FaultsActive() int {
@@ -91,7 +98,7 @@ func (n *Network) SetLinkDown(ch topology.ChannelID) {
 	}
 	f.chDown[ch] = true
 	f.linksDown++
-	n.resEpoch++
+	n.faultSetChanged()
 	for v := 0; v < n.vcs; v++ {
 		if m := n.owner[n.NetVC(ch, v)]; m != nil {
 			n.Kill(m)
@@ -108,7 +115,7 @@ func (n *Network) SetLinkUp(ch topology.ChannelID) {
 	}
 	f.chDown[ch] = false
 	f.linksDown--
-	n.resEpoch++
+	n.faultSetChanged()
 }
 
 // SetVCDown locks virtual channel v of channel ch (a stuck allocator
@@ -122,7 +129,7 @@ func (n *Network) SetVCDown(ch topology.ChannelID, v int) {
 	}
 	f.vcLocked[vc] = true
 	f.vcsLocked++
-	n.resEpoch++
+	n.faultSetChanged()
 	if m := n.owner[vc]; m != nil {
 		n.Kill(m)
 	}
@@ -137,7 +144,7 @@ func (n *Network) SetVCUp(ch topology.ChannelID, v int) {
 	}
 	f.vcLocked[vc] = false
 	f.vcsLocked--
-	n.resEpoch++
+	n.faultSetChanged()
 }
 
 // SetNodeDown fail-stops a router: every incident channel goes dead,
@@ -152,7 +159,7 @@ func (n *Network) SetNodeDown(node int) {
 	}
 	f.nodeDown[node] = true
 	f.nodesDown++
-	n.resEpoch++
+	n.faultSetChanged()
 	for _, m := range n.ActiveMessages() {
 		if m.Status != message.Active && m.Status != message.Recovering {
 			continue
@@ -188,7 +195,7 @@ func (n *Network) SetNodeUp(node int) {
 	}
 	f.nodeDown[node] = false
 	f.nodesDown--
-	n.resEpoch++
+	n.faultSetChanged()
 }
 
 // Kill removes an active or recovering message from the network as a fault
@@ -257,20 +264,20 @@ func (w *worker) dropQueuedDead(m *message.Message, node int) {
 // falls back to any live output except the reverse hop (any output at all
 // if only the reverse survives). It returns the live candidate set; an
 // empty result means the destination is unreachable on the surviving graph
-// and the caller should kill the message as unroutable. The second return
-// is false when the message exhausted its misroute budget.
+// or the message exhausted its misroute budget, and the caller should kill
+// it as unroutable.
 func (w *worker) faultCandidates(m *message.Message, here int, prev topology.ChannelID,
-	cands []routing.Candidate) ([]routing.Candidate, bool) {
+	cands []routing.Candidate) []routing.Candidate {
 	n := w.n
 	f := n.faults
 	cands = routing.FilterAlive(cands, f.alive)
 	if len(cands) > 0 {
-		return cands, true
+		return cands
 	}
 	// Entire minimal set is dead: misroute over the surviving graph, if
 	// the hop budget allows.
 	if len(m.Path)-1 > f.maxHops {
-		return nil, false
+		return nil
 	}
 	w.fbBuf, w.chBuf = routing.Surviving(n.topo, here, prev, n.vcs, f.alive, w.fbBuf[:0], w.chBuf)
 	if len(w.fbBuf) == 0 && prev != topology.None {
@@ -278,5 +285,5 @@ func (w *worker) faultCandidates(m *message.Message, here int, prev topology.Cha
 		// beats dying (the hop budget bounds any ping-pong).
 		w.fbBuf, w.chBuf = routing.Surviving(n.topo, here, topology.None, n.vcs, f.alive, w.fbBuf[:0], w.chBuf)
 	}
-	return w.fbBuf, true
+	return w.fbBuf
 }

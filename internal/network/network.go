@@ -97,6 +97,25 @@ type Network struct {
 	numVCs    int
 	owner     []*message.Message // by VC id; nil = free
 
+	// Geometry and routing specialisation resolved once in New, so the
+	// cycle kernels index tables instead of calling through the topology
+	// and routing interfaces: downstream is Downstream by VC id (-1 for a
+	// mesh's nonexistent edge channels), chDim/chFlags are the topology's
+	// ChannelDim/RouteFlags by channel, and maxDeroutes is the misrouting
+	// budget (0 for every relation but MisroutingFAR).
+	downstream  []int32
+	chDim       []int32
+	chFlags     []uint32
+	maxDeroutes int
+
+	// faultGen counts fault-set mutations (every effective SetLink*,
+	// SetVC*, SetNode* call). A blocked message's candidate set depends
+	// only on its header state, which is frozen while it is blocked, and
+	// on the fault set; Message.WantsGen records the generation Wants was
+	// routed under, so allocate re-routes a parked header only after a
+	// fault mutation or once a wanted VC is free.
+	faultGen uint32
+
 	chRR []int32 // per physical channel: last granted VC index
 	rxRR []int32 // per node: last granted head-VC id (reception arbitration)
 
@@ -232,6 +251,27 @@ func New(p Params) (*Network, error) {
 	}
 	n.numVCs = n.numNetVCs + t.Nodes()
 	n.owner = make([]*message.Message, n.numVCs)
+	n.downstream = make([]int32, n.numVCs)
+	n.chDim = make([]int32, t.NumChannels())
+	n.chFlags = make([]uint32, t.NumChannels())
+	for c := 0; c < t.NumChannels(); c++ {
+		ch := topology.ChannelID(c)
+		dst := int32(-1)
+		if t.ChannelExists(ch) {
+			dst = int32(t.ChannelDst(ch))
+			n.chDim[c] = int32(t.ChannelDim(ch))
+			n.chFlags[c] = t.RouteFlags(ch)
+		}
+		for v := 0; v < p.VCs; v++ {
+			n.downstream[c*p.VCs+v] = dst
+		}
+	}
+	for node := 0; node < t.Nodes(); node++ {
+		n.downstream[n.numNetVCs+node] = int32(node)
+	}
+	if mr, ok := p.Routing.(routing.MisroutingFAR); ok {
+		n.maxDeroutes = mr.MaxDeroutes
+	}
 	for i := range n.rxRR {
 		n.rxRR[i] = -1
 	}
@@ -279,12 +319,7 @@ func (n *Network) VCIndex(vc message.VC) int {
 
 // Downstream returns the node holding vc's edge buffer: the channel's
 // destination for network VCs, the node itself for injection VCs.
-func (n *Network) Downstream(vc message.VC) int {
-	if n.IsInjection(vc) {
-		return int(vc) - n.numNetVCs
-	}
-	return n.topo.ChannelDst(n.VCChannel(vc))
-}
+func (n *Network) Downstream(vc message.VC) int { return int(n.downstream[vc]) }
 
 // NumVCs returns the size of the VC id space (network VCs + injection VCs).
 func (n *Network) NumVCs() int { return n.numVCs }
@@ -513,8 +548,8 @@ func (n *Network) commit(t transfer) {
 		// (dateline crossings on tori, the down-phase commitment on
 		// irregular networks).
 		ch := n.VCChannel(m.Path[i+1])
-		m.CurDim = n.topo.ChannelDim(ch)
-		m.Crossed |= n.topo.RouteFlags(ch)
+		m.CurDim = int(n.chDim[ch])
+		m.Crossed |= n.chFlags[ch]
 	}
 }
 

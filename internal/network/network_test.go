@@ -478,3 +478,30 @@ func TestVCStringForms(t *testing.T) {
 		t.Error("empty network VCString")
 	}
 }
+
+// TestAllocateSteadyStateAllocs: once a TFAR network has wedged and
+// injection has stopped, every header is parked and a cycle must not
+// allocate — no per-header routing.Request, no Wants regrowth, nothing.
+func TestAllocateSteadyStateAllocs(t *testing.T) {
+	topo := topology.MustNew(8, 2, true)
+	n, err := New(Params{Topo: topo, VCs: 1, BufferDepth: 2, Routing: routing.TFAR{}, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(11)
+	for i := 0; i < 1500; i++ {
+		for s := 0; s < topo.Nodes(); s++ {
+			if d := r.Intn(topo.Nodes()); d != s && r.Bernoulli(0.05) {
+				n.Inject(s, d, 32)
+			}
+		}
+		n.Step()
+	}
+	stepN(n, 1000) // injection stopped: whatever can still drain, drains
+	if n.BlockedCount() == 0 || n.BlockedCount() != n.ActiveCount() {
+		t.Fatalf("network not wedged: %d of %d active messages blocked", n.BlockedCount(), n.ActiveCount())
+	}
+	if allocs := testing.AllocsPerRun(200, n.Step); allocs != 0 {
+		t.Errorf("Step on a wedged network allocates %v objects per cycle, want 0", allocs)
+	}
+}

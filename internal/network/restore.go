@@ -14,6 +14,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"flexsim/internal/message"
 )
@@ -49,10 +50,26 @@ type InjectedMessage struct {
 	// Blocked marks the header as blocked in the allocation phase with
 	// Wants as its candidate set (the CWG dashed arcs). Only meaningful
 	// when the header flit sits at the head of its buffer and the message
-	// is not at its destination.
+	// is not at its destination. Wants must be exactly what the routing
+	// relation offers that header, in selection order: the engine does not
+	// re-route a blocked header until a wanted VC frees, so a wrong set
+	// would persist (see WantsMismatchError).
 	Blocked      bool
 	Wants        []message.VC
 	BlockedSince int64
+}
+
+// WantsMismatchError is RestoreState's rejection of a blocked
+// InjectedMessage whose Wants is not the candidate set the routing relation
+// (restricted to the current fault set) offers its header.
+type WantsMismatchError struct {
+	ID   message.ID
+	Got  []message.VC // the caller-supplied Wants
+	Want []message.VC // the routed candidate set; empty if the header is unroutable
+}
+
+func (e *WantsMismatchError) Error() string {
+	return fmt.Sprintf("wants %v disagree with the routing relation's candidates %v", e.Got, e.Want)
 }
 
 // RestoreState replaces the network's entire dynamic state (owner table,
@@ -193,7 +210,7 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 			im.SrcRemaining)
 	}
 	if !n.IsInjection(im.Path[last]) {
-		m.CurDim = n.topo.ChannelDim(n.VCChannel(im.Path[last]))
+		m.CurDim = int(n.chDim[n.VCChannel(im.Path[last])])
 	}
 	if im.Blocked {
 		if m.Occ[last] == 0 || m.Departed[last] != 0 {
@@ -205,9 +222,13 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 		if len(im.Wants) == 0 {
 			return fmt.Errorf("blocked message has an empty candidate set")
 		}
+		m.Wants = n.appendVCs(m.Wants, n.w0.route(m, n.Downstream(im.Path[last])))
+		if !slices.Equal(m.Wants, im.Wants) {
+			return &WantsMismatchError{ID: im.ID, Got: im.Wants, Want: m.Wants}
+		}
 		m.Blocked = true
 		m.BlockedSince = im.BlockedSince
-		m.Wants = append(m.Wants, im.Wants...)
+		m.WantsGen = n.faultGen
 		n.blocked++
 	}
 	if err := m.CheckInvariants(); err != nil {

@@ -33,6 +33,7 @@ package network
 // kernels, so they cannot drift apart.
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"slices"
@@ -154,6 +155,9 @@ type worker struct {
 	rxDirty []int32 // this shard's nodes with pending reception requests
 
 	// Routing scratch (per worker: the allocate kernel runs concurrently).
+	// req is reused for every Candidates call: a per-call Request would
+	// escape through the interface call, one heap object per routed header.
+	req     routing.Request
 	candBuf []routing.Candidate
 	fbBuf   []routing.Candidate
 	chBuf   []topology.ChannelID
@@ -170,12 +174,12 @@ type worker struct {
 // initWorkers builds the stepping machinery for the resolved shard count.
 func (n *Network) initWorkers() {
 	nodes := n.topo.Nodes()
+	req := routing.Request{Topo: n.topo, VCs: n.vcs}
+	n.w0 = &worker{n: n, direct: true, nodeLo: 0, nodeHi: nodes, req: req}
 	if n.shards <= 1 {
-		n.w0 = &worker{n: n, direct: true, nodeLo: 0, nodeHi: nodes}
 		return
 	}
 	s := n.shards
-	n.w0 = &worker{n: n, direct: true, nodeLo: 0, nodeHi: nodes}
 	n.workers = make([]*worker, s)
 	n.shardOfNode = make([]int32, nodes)
 	n.shardOfCh = make([]int32, n.topo.NumChannels())
@@ -187,6 +191,7 @@ func (n *Network) initWorkers() {
 			nodeHi:   (i + 1) * nodes / s,
 			reqOut:   make([][]transfer, s),
 			grantOut: make([][]transfer, s),
+			req:      req,
 		}
 		n.workers[i] = w
 		for node := w.nodeLo; node < w.nodeHi; node++ {
@@ -743,10 +748,22 @@ func (w *worker) startInjections() {
 // marked blocked with its candidate set recorded (the CWG dashed arcs).
 // Shard-local: every candidate VC leaves the header's node, so no other
 // shard competes for it.
+//
+// A header that is already blocked is parked: Wants is its candidate set,
+// exact until the fault set changes, so it is re-routed only once a wanted
+// VC is free or the fault generation has moved. Re-routing a parked header
+// any earlier would rebuild the same Wants and emit nothing.
 func (w *worker) allocate(msgs []*message.Message) {
 	n := w.n
 	for _, m := range msgs {
 		if m.Status != message.Active {
+			continue
+		}
+		if m.Blocked && m.WantsGen == n.faultGen && !n.anyFree(m.Wants) {
+			if n.p.CheckInvariants {
+				w.checkParked(m)
+			}
+			w.d.blocked++
 			continue
 		}
 		last := len(m.Path) - 1
@@ -758,39 +775,18 @@ func (w *worker) allocate(msgs []*message.Message) {
 			continue // ejecting; reception handled by arbitrateAndEject
 		}
 		w.curOrd = m.Ord
-		req := routing.Request{
-			Topo:    n.topo,
-			Node:    here,
-			Dst:     m.Dst,
-			VCs:     n.vcs,
-			CurDim:  m.CurDim,
-			Crossed: m.Crossed,
-			PrevCh:  n.prevChannel(m),
-		}
-		if mr, ok := n.p.Routing.(routing.MisroutingFAR); ok && mr.MaxDeroutes > 0 {
-			req.Deroutes = derouteCount(n.topo, m)
-		}
-		w.candBuf = n.p.Routing.Candidates(&req, w.candBuf[:0])
-		if n.faults != nil {
-			cands, ok := w.faultCandidates(m, here, req.PrevCh, w.candBuf)
-			if !ok || len(cands) == 0 {
-				// No live route to the destination on the surviving
-				// graph (or the misroute budget is spent): drop with
-				// a counted stat instead of spinning forever.
-				w.killUnroutable(m, here)
-				continue
-			}
-			w.candBuf = cands
-		} else if len(w.candBuf) == 0 {
-			// The routing relation itself has no continuation for this
-			// header (a disconnected source/destination pair on a
-			// degraded or irregular graph): same drop-with-stat
-			// semantics as a fault disconnection.
+		cands := w.route(m, here)
+		if len(cands) == 0 {
+			// No continuation: the routing relation has none for this
+			// header (a disconnected pair on a degraded or irregular
+			// graph), nothing live survives the fault set, or the
+			// misroute budget is spent. Drop with a counted stat instead
+			// of spinning forever.
 			w.killUnroutable(m, here)
 			continue
 		}
 		granted := false
-		for _, c := range w.candBuf {
+		for _, c := range cands {
 			vc := n.NetVC(c.Ch, c.VC)
 			if n.owner[vc] == nil {
 				n.owner[vc] = m
@@ -816,15 +812,71 @@ func (w *worker) allocate(msgs []*message.Message) {
 				w.d.epoch++
 				w.emitTrace(trace.Blocked, m.ID, message.NoVC, here)
 			}
-			m.Wants = m.Wants[:0]
-			for _, c := range w.candBuf {
-				m.Wants = append(m.Wants, n.NetVC(c.Ch, c.VC))
-			}
+			m.Wants = n.appendVCs(m.Wants[:0], cands)
+			m.WantsGen = n.faultGen
 			if newly {
 				w.emitRes(ResBlock, m.ID, message.NoVC, m.Wants)
 			}
 			w.d.blocked++
 		}
+	}
+}
+
+// appendVCs appends the VC ids of cands to dst.
+func (n *Network) appendVCs(dst []message.VC, cands []routing.Candidate) []message.VC {
+	for _, c := range cands {
+		dst = append(dst, n.NetVC(c.Ch, c.VC))
+	}
+	return dst
+}
+
+// anyFree reports whether any of vcs is unowned.
+func (n *Network) anyFree(vcs []message.VC) bool {
+	for _, vc := range vcs {
+		if n.owner[vc] == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// route returns the live candidate set for m's header at node here, in
+// selection order: the routing relation's candidates, restricted to the
+// surviving graph when faults are present. Empty means m is unroutable. The
+// result aliases worker scratch and is valid until the next route call.
+func (w *worker) route(m *message.Message, here int) []routing.Candidate {
+	n := w.n
+	req := &w.req
+	req.Node = here
+	req.Dst = m.Dst
+	req.CurDim = m.CurDim
+	req.Crossed = m.Crossed
+	req.PrevCh = n.prevChannel(m)
+	if n.maxDeroutes > 0 {
+		req.Deroutes = derouteCount(n.topo, m)
+	}
+	w.candBuf = n.p.Routing.Candidates(req, w.candBuf[:0])
+	if n.faults == nil {
+		return w.candBuf
+	}
+	return w.faultCandidates(m, here, req.PrevCh, w.candBuf)
+}
+
+// checkParked is the CheckInvariants oracle for allocate's parked fast path:
+// it re-routes a skipped header and requires the identical candidate set,
+// every member still owned. A mismatch means the fast path skipped a header
+// the routing relation would have moved or re-aimed.
+func (w *worker) checkParked(m *message.Message) {
+	n := w.n
+	cands := w.route(m, n.Downstream(m.Path[len(m.Path)-1]))
+	same := len(cands) == len(m.Wants)
+	for i := 0; same && i < len(cands); i++ {
+		vc := n.NetVC(cands[i].Ch, cands[i].VC)
+		same = vc == m.Wants[i] && n.owner[vc] != nil
+	}
+	if !same {
+		panic(fmt.Sprintf("network: cycle %d: allocate parked %v on wants %v, but routing offers %v",
+			n.now, m, m.Wants, cands))
 	}
 }
 

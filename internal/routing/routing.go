@@ -61,7 +61,9 @@ type Algorithm interface {
 	// Candidates appends the ordered candidate set for req to buf and
 	// returns it. An empty result means the header is at its destination
 	// (the network ejects instead of routing) or the request is
-	// malformed.
+	// malformed. Implementations must not retain req: the network reuses
+	// one Request per worker across calls, so the pointer it hands to this
+	// interface method costs no allocation.
 	Candidates(req *Request, buf []Candidate) []Candidate
 	// DeadlockFree reports whether the relation provably avoids deadlock
 	// (used for validation: the detector must never find a knot under a

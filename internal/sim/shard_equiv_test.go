@@ -7,10 +7,15 @@ package sim_test
 // cache key and safe to default from the machine's core count.
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"flexsim/internal/fault"
+	"flexsim/internal/message"
 	"flexsim/internal/obs"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
@@ -136,7 +141,6 @@ func TestShardEquivalence(t *testing.T) {
 		{"misroute-far-invariants", func(c *sim.Config) {
 			c.Routing = "misroute-far"
 			c.VCs = 2
-			c.CheckInvariants = true
 			c.MeasureCycles = 400
 		}, []int{1, 4}},
 	}
@@ -144,8 +148,81 @@ func TestShardEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := equivBase()
 			tc.mut(&cfg)
+			// Every header allocate leaves parked is re-routed by the
+			// oracle and must come out the same.
+			cfg.CheckInvariants = true
 			assertShardEquivalent(t, cfg, tc.shards)
 		})
+	}
+}
+
+// parkedFaultDigest is the SHA-256 of TestParkedHeaderFaultMutation's trace
+// stream and stats.Result as produced by the engine that re-routed every
+// waiting header every cycle (commit f3157a8), before allocation was gated
+// on wait-for-state changes.
+const parkedFaultDigest = "53dd72be874d4f1c22ccb83d6618a2c4f5060ae978b87c790d5cd092abdb9dbe"
+
+// TestParkedHeaderFaultMutation lands fault mutations between cycles on VCs
+// that parked (blocked, not re-routed) headers want: a link down and up, a
+// single-VC lockout and unlock. A parked header's candidate set changes
+// under each of them with no VC being freed, so this is where a stale Wants
+// would show; the outputs must stay byte-identical to the ungated engine's.
+func TestParkedHeaderFaultMutation(t *testing.T) {
+	events := []struct {
+		ev fault.Event
+		// hits must be in a parked header's Wants when ev is applied.
+		hits message.VC
+	}{
+		{fault.Event{Cycle: 350, Kind: fault.LinkDown, Ch: 38}, 76},      // a VC of the downed link
+		{fault.Event{Cycle: 400, Kind: fault.LinkUp, Ch: 38}, 72},        // the misroute fallback around it
+		{fault.Event{Cycle: 500, Kind: fault.VCDown, Ch: 30, VC: 0}, 60}, // the locked VC
+		{fault.Event{Cycle: 550, Kind: fault.VCUp, Ch: 30, VC: 0}, 61},   // its surviving sibling
+	}
+	for _, shards := range []int{1, 4} {
+		cfg := equivBase()
+		cfg.VCs = 2
+		cfg.CheckInvariants = true
+		cfg.Shards = shards
+		log := &eventLog{}
+		cfg.Tracer = log
+		for _, e := range events {
+			cfg.FaultEvents = append(cfg.FaultEvents, e.ev)
+		}
+		r, err := sim.NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		for i := 0; i < cfg.WarmupCycles+cfg.MeasureCycles; i++ {
+			if i == cfg.WarmupCycles {
+				r.StartMeasurement()
+			}
+			r.StepCycle() // applies the fault events due at the new cycle
+			if next < len(events) && r.Net.Now() == events[next].ev.Cycle {
+				parked := slices.ContainsFunc(r.Net.ActiveMessages(), func(m *message.Message) bool {
+					return m.Blocked && slices.Contains(m.Wants, events[next].hits)
+				})
+				if !parked {
+					t.Fatalf("shards=%d: no parked header wants VC %d at cycle %d; the case no longer tests what it claims",
+						shards, events[next].hits, r.Net.Now())
+				}
+				next++
+			}
+		}
+		res := r.Finish()
+		res.DetectBuildTime = stats.Histogram{}
+		res.DetectAnalyzeTime = stats.Histogram{}
+		h := sha256.New()
+		for _, ev := range log.evs {
+			fmt.Fprintf(h, "%+v\n", ev)
+		}
+		if err := json.NewEncoder(h).Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != parkedFaultDigest {
+			t.Errorf("shards=%d: trace+result digest %s, want %s (%d events, %d killed, %d deadlocks)",
+				shards, got, parkedFaultDigest, len(log.evs), res.Killed, res.Deadlocks)
+		}
 	}
 }
 
