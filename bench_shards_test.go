@@ -12,7 +12,8 @@
 // step a standing deadlock with the detector parked — every header blocked,
 // nothing recovering — which is the best case for change-gated allocation;
 // Subsat runs the same network below saturation with detection and recovery
-// on, where ~10% of headers are blocked and the rest are granted and move.
+// on, where ~10% of headers are blocked and the rest are granted and move;
+// BenchmarkSimCycleBignet does the same on the 32-ary 2-cube.
 //
 // FLEXSIM_BENCH_SHARDS_OUT=BENCH_shards.json go test -run TestEmitShardBench .
 // re-measures every point with testing.Benchmark and writes the
@@ -69,10 +70,23 @@ func BenchmarkSimCycleShards8(b *testing.B) { benchSimCycleShards(b, 8) }
 // network (99.6% of active messages blocked), with two it is well below.
 const subsatNetwork = "16-ary 2-cube, tfar, 2 VCs, load 0.3, detect every 50, recovery on"
 
-func BenchmarkSimCycleSubsat(b *testing.B) {
+func BenchmarkSimCycleSubsat(b *testing.B) { benchSimCycleLive(b, 16, 0.3) }
+
+// bignetNetwork describes BenchmarkSimCycleBignet's configuration: the
+// bench's `bignet-run` point. Flits move on 1024 routers, so the cost of
+// flit movement over a large working set shows — the case the wedged shard
+// points cannot see.
+const bignetNetwork = "32-ary 2-cube, tfar, 2 VCs, load 0.4, detect every 50, recovery on"
+
+func BenchmarkSimCycleBignet(b *testing.B) { benchSimCycleLive(b, 32, 0.4) }
+
+// benchSimCycleLive steps a k-ary 2-cube under TFAR with two VCs, detection
+// and recovery on, after 2000 cycles to reach steady occupancy.
+func benchSimCycleLive(b *testing.B, k int, load float64) {
 	cfg := sim.Default()
+	cfg.K = k
 	cfg.VCs = 2
-	cfg.Load = 0.3
+	cfg.Load = load
 	cfg.WarmupCycles = 0
 	cfg.MetricsEvery = 0
 	cfg.Shards = 1
@@ -81,7 +95,7 @@ func BenchmarkSimCycleSubsat(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer r.Close()
-	for i := 0; i < 2000; i++ { // reach steady occupancy
+	for i := 0; i < 2000; i++ {
 		r.StepCycle()
 	}
 	b.ReportAllocs()
@@ -111,13 +125,16 @@ type shardBenchFile struct {
 	NumCPU     int               `json:"num_cpu"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Points     []shardBenchPoint `json:"points"`
-	// Subsat is BenchmarkSimCycleSubsat's row (1 shard, so no speedup).
+	// Subsat and Bignet are BenchmarkSimCycleSubsat's and
+	// BenchmarkSimCycleBignet's rows (1 shard, so no speedup).
 	SubsatNetwork string          `json:"subsat_network"`
 	Subsat        shardBenchPoint `json:"subsat"`
+	BignetNetwork string          `json:"bignet_network"`
+	Bignet        shardBenchPoint `json:"bignet"`
 }
 
-// TestEmitShardBench re-measures the four shard points and the
-// sub-saturation point and writes the machine-readable perf trajectory to
+// TestEmitShardBench re-measures the four shard points and the two live
+// points and writes the machine-readable perf trajectory to
 // $FLEXSIM_BENCH_SHARDS_OUT; without the variable it is a no-op, so
 // `go test ./...` never pays the measurement.
 func TestEmitShardBench(t *testing.T) {
@@ -150,15 +167,18 @@ func TestEmitShardBench(t *testing.T) {
 			SpeedupVs1:  base / ns,
 		})
 	}
-	res := testing.Benchmark(BenchmarkSimCycleSubsat)
-	file.SubsatNetwork = subsatNetwork
-	file.Subsat = shardBenchPoint{
-		Shards:      1,
-		NsPerCycle:  float64(res.NsPerOp()),
-		AllocsPerOp: res.AllocsPerOp(),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		SpeedupVs1:  1,
+	live := func(bench func(*testing.B)) shardBenchPoint {
+		res := testing.Benchmark(bench)
+		return shardBenchPoint{
+			Shards:      1,
+			NsPerCycle:  float64(res.NsPerOp()),
+			AllocsPerOp: res.AllocsPerOp(),
+			BytesPerOp:  res.AllocedBytesPerOp(),
+			SpeedupVs1:  1,
+		}
 	}
+	file.SubsatNetwork, file.Subsat = subsatNetwork, live(BenchmarkSimCycleSubsat)
+	file.BignetNetwork, file.Bignet = bignetNetwork, live(BenchmarkSimCycleBignet)
 	b, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		t.Fatal(err)

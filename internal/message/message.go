@@ -66,6 +66,19 @@ func (s Status) String() string {
 	}
 }
 
+// Hop is one acquired VC and this message's flit counts in its edge buffer.
+// One array of hops per message keeps slot i and i+1 — which every flit
+// movement reads together — on the same cache line.
+type Hop struct {
+	VC VC
+	// Occ is the number of this message's flits currently buffered here.
+	Occ int32
+	// Departed is the number of flits that have left this buffer (forwarded
+	// to the next hop, consumed at the destination, or absorbed). The VC is
+	// releasable once Departed == Len.
+	Departed int32
+}
+
 // Message is one multi-flit message. Fields are exported because the network
 // layer is the mutator and lives in a sibling package; nothing outside
 // internal/ can reach this type.
@@ -82,19 +95,12 @@ type Message struct {
 	InjectTime  int64 // header entered the injection VC
 	DeliverTime int64 // tail consumed (or absorption completed)
 
-	// Path is the chain of VCs acquired, in acquisition order. Path[0] is
-	// the source's injection VC. Path[len-1] is the VC holding (or about
-	// to receive) the header.
-	Path []VC
-	// Occ[i] is the number of this message's flits currently buffered in
-	// Path[i]'s edge buffer.
-	Occ []int32
-	// Departed[i] is the number of flits that have left Path[i]'s buffer
-	// (forwarded to Path[i+1], consumed at the destination, or absorbed).
-	// Path[i] is releasable once Departed[i] == Len.
-	Departed []int32
-	// Released is the count of leading Path entries whose VCs have been
-	// returned to the free pool; Path[Released:] are still owned.
+	// Hops is the chain of VCs acquired, in acquisition order, each with its
+	// buffer state. Hops[0] is the source's injection VC. Hops[len-1] is the
+	// VC holding (or about to receive) the header.
+	Hops []Hop
+	// Released is the count of leading Hops entries whose VCs have been
+	// returned to the free pool; Hops[Released:] are still owned.
 	Released int
 
 	// SrcRemaining counts flits not yet injected (still at the source).
@@ -133,9 +139,10 @@ type Message struct {
 	Shard int32
 }
 
-// New returns a Queued message ready for injection.
-func New(id ID, src, dst, length int, now int64) *Message {
-	return &Message{
+// Make returns a Queued message value ready for injection; the network's
+// slab allocator stores it into a pre-carved slot.
+func Make(id ID, src, dst, length int, now int64) Message {
+	return Message{
 		ID:           id,
 		Src:          src,
 		Dst:          dst,
@@ -147,30 +154,37 @@ func New(id ID, src, dst, length int, now int64) *Message {
 	}
 }
 
+// New returns a heap-allocated Queued message ready for injection.
+func New(id ID, src, dst, length int, now int64) *Message {
+	m := Make(id, src, dst, length, now)
+	return &m
+}
+
 // HeadVC returns the most recently acquired VC (where the header resides or
 // is headed), or NoVC if the message owns nothing.
 func (m *Message) HeadVC() VC {
-	if len(m.Path) == 0 || m.Released == len(m.Path) {
+	if len(m.Hops) == 0 || m.Released == len(m.Hops) {
 		return NoVC
 	}
-	return m.Path[len(m.Path)-1]
+	return m.Hops[len(m.Hops)-1].VC
 }
 
 // Acquire appends vc to the owned chain with empty occupancy.
 func (m *Message) Acquire(vc VC) {
-	m.Path = append(m.Path, vc)
-	m.Occ = append(m.Occ, 0)
-	m.Departed = append(m.Departed, 0)
+	m.Hops = append(m.Hops, Hop{VC: vc})
 }
 
 // OwnedVCs appends the currently owned VCs, in acquisition order, to buf and
 // returns it.
 func (m *Message) OwnedVCs(buf []VC) []VC {
-	return append(buf, m.Path[m.Released:]...)
+	for _, h := range m.Hops[m.Released:] {
+		buf = append(buf, h.VC)
+	}
+	return buf
 }
 
 // OwnedCount returns how many VCs the message currently owns.
-func (m *Message) OwnedCount() int { return len(m.Path) - m.Released }
+func (m *Message) OwnedCount() int { return len(m.Hops) - m.Released }
 
 // InNetwork counts the message's flits currently occupying edge buffers.
 func (m *Message) InNetwork() int {
@@ -182,38 +196,32 @@ func (m *Message) InNetwork() int {
 // under test builds and in property tests.
 func (m *Message) CheckInvariants() error {
 	occ := 0
-	for i, o := range m.Occ {
-		if o < 0 {
+	for i, h := range m.Hops {
+		if h.Occ < 0 {
 			return fmt.Errorf("message %d: negative occupancy at slot %d", m.ID, i)
 		}
-		occ += int(o)
+		occ += int(h.Occ)
 	}
 	if got := m.SrcRemaining + occ + m.Consumed; got != m.Len {
 		return fmt.Errorf("message %d: flit conservation violated: src=%d buffered=%d consumed=%d len=%d",
 			m.ID, m.SrcRemaining, occ, m.Consumed, m.Len)
 	}
-	if m.Released < 0 || m.Released > len(m.Path) {
-		return fmt.Errorf("message %d: released index %d out of range [0,%d]", m.ID, m.Released, len(m.Path))
+	if m.Released < 0 || m.Released > len(m.Hops) {
+		return fmt.Errorf("message %d: released index %d out of range [0,%d]", m.ID, m.Released, len(m.Hops))
 	}
-	for i := 0; i < m.Released; i++ {
-		if m.Departed[i] != int32(m.Len) {
+	for i, h := range m.Hops {
+		d := h.Departed
+		if i < m.Released && d != int32(m.Len) {
 			return fmt.Errorf("message %d: slot %d released with only %d/%d flits departed",
-				m.ID, i, m.Departed[i], m.Len)
+				m.ID, i, d, m.Len)
 		}
-	}
-	for i, d := range m.Departed {
 		if d < 0 || d > int32(m.Len) {
 			return fmt.Errorf("message %d: departed[%d]=%d out of range", m.ID, i, d)
 		}
-		if int(d) < 0 {
-			return fmt.Errorf("message %d: departed[%d] negative", m.ID, i)
-		}
-		if i+1 < len(m.Departed) {
-			// Flits depart slot i before they can depart slot i+1.
-			if m.Departed[i+1] > m.Departed[i] {
-				return fmt.Errorf("message %d: departed not monotone at slot %d (%d < %d)",
-					m.ID, i, m.Departed[i], m.Departed[i+1])
-			}
+		// Flits depart slot i before they can depart slot i+1.
+		if i+1 < len(m.Hops) && m.Hops[i+1].Departed > d {
+			return fmt.Errorf("message %d: departed not monotone at slot %d (%d < %d)",
+				m.ID, i, d, m.Hops[i+1].Departed)
 		}
 	}
 	return nil

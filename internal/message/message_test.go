@@ -57,8 +57,8 @@ func TestAcquireAndOwned(t *testing.T) {
 	if len(owned) != 2 || owned[0] != 6 {
 		t.Fatalf("OwnedVCs after release = %v", owned)
 	}
-	if len(m.Occ) != 3 || len(m.Departed) != 3 {
-		t.Fatal("Occ/Departed not grown with Path")
+	if len(m.Hops) != 3 || m.Hops[2] != (Hop{VC: 7}) {
+		t.Fatalf("Hops = %v, want three empty hops ending in VC 7", m.Hops)
 	}
 }
 
@@ -66,7 +66,7 @@ func TestInNetwork(t *testing.T) {
 	m := New(1, 0, 1, 10, 0)
 	m.Acquire(1)
 	m.SrcRemaining = 6
-	m.Occ[0] = 3
+	m.Hops[0].Occ = 3
 	m.Consumed = 1
 	if got := m.InNetwork(); got != 3 {
 		t.Errorf("InNetwork = %d, want 3", got)
@@ -79,9 +79,9 @@ func TestCheckInvariantsViolations(t *testing.T) {
 		m.Acquire(1)
 		m.Acquire(2)
 		m.SrcRemaining = 4
-		m.Occ[0] = 2
-		m.Occ[1] = 2
-		m.Departed[0] = 2
+		m.Hops[0].Occ = 2
+		m.Hops[1].Occ = 2
+		m.Hops[0].Departed = 2
 		return m
 	}
 	if err := base().CheckInvariants(); err != nil {
@@ -89,7 +89,7 @@ func TestCheckInvariantsViolations(t *testing.T) {
 	}
 
 	m := base()
-	m.Occ[0] = -1
+	m.Hops[0].Occ = -1
 	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "negative occupancy") {
 		t.Errorf("negative occupancy not caught: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestCheckInvariantsViolations(t *testing.T) {
 	}
 
 	m = base()
-	m.Departed[1] = 3 // more than departed from upstream slot
+	m.Hops[1].Departed = 3 // more than departed from upstream slot
 	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "monotone") {
 		t.Errorf("non-monotone departures not caught: %v", err)
 	}

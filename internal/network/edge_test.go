@@ -31,8 +31,8 @@ func TestInjBufferDepthOverride(t *testing.T) {
 		if !m.Blocked {
 			t.Fatal("ring did not deadlock")
 		}
-		if m.Occ[0] != 16 {
-			t.Fatalf("blocked message's injection buffer holds %d flits, want 16", m.Occ[0])
+		if m.Hops[0].Occ != 16 {
+			t.Fatalf("blocked message's injection buffer holds %d flits, want 16", m.Hops[0].Occ)
 		}
 	}
 }

@@ -168,8 +168,8 @@ func (n *Network) SetNodeDown(node int) {
 			n.Kill(m)
 			continue
 		}
-		for i := m.Released; i < len(m.Path); i++ {
-			vc := m.Path[i]
+		for _, h := range m.Hops[m.Released:] {
+			vc := h.VC
 			if n.IsInjection(vc) {
 				if n.Downstream(vc) == node {
 					n.Kill(m)
@@ -217,13 +217,12 @@ func (w *worker) kill(m *message.Message) {
 	if m.Status != message.Active && m.Status != message.Recovering {
 		return
 	}
-	for i := m.Released; i < len(m.Path); i++ {
-		if m.Occ[i] > 0 {
-			w.d.killedFlits += int64(m.Occ[i])
-			m.Consumed += int(m.Occ[i])
-			m.Occ[i] = 0
-		}
-		m.Departed[i] = int32(m.Len)
+	for i := m.Released; i < len(m.Hops); i++ {
+		h := &m.Hops[i]
+		w.d.killedFlits += int64(h.Occ)
+		m.Consumed += int(h.Occ)
+		h.Occ = 0
+		h.Departed = int32(m.Len)
 	}
 	m.Consumed += m.SrcRemaining
 	m.SrcRemaining = 0
@@ -276,7 +275,7 @@ func (w *worker) faultCandidates(m *message.Message, here int, prev topology.Cha
 	}
 	// Entire minimal set is dead: misroute over the surviving graph, if
 	// the hop budget allows.
-	if len(m.Path)-1 > f.maxHops {
+	if len(m.Hops)-1 > f.maxHops {
 		return nil
 	}
 	w.fbBuf, w.chBuf = routing.Surviving(n.topo, here, prev, n.vcs, f.alive, w.fbBuf[:0], w.chBuf)

@@ -25,13 +25,13 @@ func TestLinkDownKillsOccupant(t *testing.T) {
 	n := mustNet(t, topo, 1, 2, routing.DOR{})
 	m := n.Inject(0, 4, 16)
 	// Step until the header holds a network channel VC.
-	for i := 0; i < 50 && (len(m.Path) < 2 || m.Status != message.Active); i++ {
+	for i := 0; i < 50 && (len(m.Hops) < 2 || m.Status != message.Active); i++ {
 		n.Step()
 	}
-	if len(m.Path) < 2 {
+	if len(m.Hops) < 2 {
 		t.Fatal("message never acquired a network VC")
 	}
-	ch := n.VCChannel(m.Path[1])
+	ch := n.VCChannel(m.Hops[1].VC)
 	n.SetLinkDown(ch)
 	if m.Status != message.Killed {
 		t.Fatalf("occupant status = %v, want Killed", m.Status)
@@ -72,7 +72,8 @@ func TestFaultedChannelExcludedFromSupply(t *testing.T) {
 	if m.Status != message.Delivered {
 		t.Fatalf("status = %v, want Delivered", m.Status)
 	}
-	for _, vc := range m.Path {
+	for _, h := range m.Hops {
+		vc := h.VC
 		if !n.IsInjection(vc) && n.VCChannel(vc) == dead {
 			t.Fatal("message routed over the downed channel")
 		}
@@ -110,7 +111,8 @@ func TestVCDownLockout(t *testing.T) {
 		t.Fatalf("status = %v, want Delivered over the surviving VC", m.Status)
 	}
 	used := false
-	for _, vc := range m.Path {
+	for _, h := range m.Hops {
+		vc := h.VC
 		if !n.IsInjection(vc) && n.VCChannel(vc) == ch {
 			if n.VCIndex(vc) != 1 {
 				t.Fatalf("message used locked VC %d of channel %d", n.VCIndex(vc), ch)
@@ -210,7 +212,7 @@ func TestHopBudgetKillsWanderer(t *testing.T) {
 	m := n.Inject(0, 2, 2)
 	stepN(n, 2000)
 	if m.Status == message.Active {
-		t.Fatalf("wanderer still active after 2000 cycles (%d hops)", len(m.Path))
+		t.Fatalf("wanderer still active after 2000 cycles (%d hops)", len(m.Hops))
 	}
 	if m.Status == message.Killed && n.UnroutableCount != 1 {
 		t.Fatalf("wanderer killed but UnroutableCount = %d", n.UnroutableCount)

@@ -29,6 +29,8 @@ package network
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"flexsim/internal/message"
@@ -66,11 +68,21 @@ type Params struct {
 	Tracer trace.Tracer
 }
 
-// transfer is one planned flit movement for the commit phase.
-type transfer struct {
-	msg  *message.Message
-	slot int // move one flit out of Path[slot] into Path[slot+1]
+// maxVCs is the widest physical channel New accepts: a channel's transfer
+// requests are one bit per VC in a single word.
+const maxVCs = 64
+
+// rxRequest is a node's best reception request so far this cycle: the head
+// VC whose round-robin key is smallest.
+type rxRequest struct {
+	key int32
+	vc  message.VC
 }
+
+// rxNone is the reset value of a node's reception request: no head VC asks
+// for the reception port this cycle. Real round-robin keys are in
+// [1, numVCs], far below it.
+var rxNone = rxRequest{key: math.MaxInt32, vc: message.NoVC}
 
 // Network is the simulated network state. A simulation run owns one Network
 // and steps it from a single goroutine; with Shards > 1 the Step call itself
@@ -96,6 +108,11 @@ type Network struct {
 	numNetVCs int
 	numVCs    int
 	owner     []*message.Message // by VC id; nil = free
+	// slotOf is, for an owned VC, its index in the owner's Hops (written
+	// where owner is, by acquire); meaningless for a free VC. With owner it
+	// turns a VC id into the flit movement that fills it, which is what lets
+	// requests and grants travel as bare VC ids.
+	slotOf []int32
 
 	// Geometry and routing specialisation resolved once in New, so the
 	// cycle kernels index tables instead of calling through the topology
@@ -132,11 +149,14 @@ type Network struct {
 	activeByID  []*message.Message
 	activeDirty bool
 
-	// Per-cycle transfer request tables, indexed by physical channel and
-	// by node. Flat slices (not maps) so registration is deterministic,
-	// allocation-free after warm-up, and shard-partitionable.
-	chReqs [][]transfer
-	rxReqs [][]*message.Message
+	// Per-cycle transfer requests, all zero/rxNone between cycles. chReq
+	// holds one word per physical channel: bit v set means VC v's owner has
+	// a flit to move into it (one requester per VC, because a VC has one
+	// owner). rxReq holds per node the reception request that wins so far.
+	chReq []uint64
+	rxReq []rxRequest
+
+	slab msgSlab
 
 	// w0 is the always-direct worker used by the sequential engine and by
 	// between-cycle mutators (Kill, Absorb, fault setters). workers/pool
@@ -196,10 +216,15 @@ func (q *msgQueue) peek() *message.Message {
 	return q.items[q.head]
 }
 
+// pop drops the head. Vacated slots are nilled so the queue never pins a
+// message (and with it a whole slab chunk) past its delivery, and a queue
+// that empties rewinds instead of growing its array one pop at a time.
 func (q *msgQueue) pop() {
+	q.items[q.head] = nil
 	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
+	if q.head == len(q.items) || q.head > 64 && q.head*2 >= len(q.items) {
 		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
 		q.items = q.items[:n]
 		q.head = 0
 	}
@@ -207,13 +232,62 @@ func (q *msgQueue) pop() {
 
 func (q *msgQueue) len() int { return len(q.items) - q.head }
 
+// msgSlab carves Messages and the backing arrays of their Hops and Wants out
+// of per-network chunks, so steady-state injection costs three allocations
+// per chunk instead of four or more per message. Nothing is recycled: a
+// retired message stays valid for whoever still holds it (OnDeliver hooks,
+// workloads), and a chunk is collected once every message carved from it is
+// unreachable. Chunks are sized from the topology, so a 16-router network
+// does not pay for a 1024-router chunk.
+type msgSlab struct {
+	msgs  []message.Message
+	hops  []message.Hop
+	wants []message.VC
+
+	chunkMsgs  int // messages per chunk: one per router, within [64, 1024]
+	hopsPerMsg int // hop chunk = chunkMsgs × (mean minimal path + injection VC)
+	wantsCap   int // per message: channels per router × VCs, the widest candidate set on a regular network
+}
+
+func newMsgSlab(t topology.Network, vcs int) msgSlab {
+	nodes := t.Nodes()
+	return msgSlab{
+		chunkMsgs:  min(max(nodes, 64), 1024),
+		hopsPerMsg: int(math.Ceil(t.AvgDistance())) + 1,
+		wantsCap:   (t.NumChannels() + nodes - 1) / nodes * vcs,
+	}
+}
+
+// alloc stores v in the next message slot and gives it empty Hops of
+// capacity hopCap (the minimal path; a misrouted path appends past it onto
+// the heap) and empty Wants of capacity wantsCap.
+func (s *msgSlab) alloc(v message.Message, hopCap int) *message.Message {
+	if len(s.msgs) == 0 {
+		s.msgs = make([]message.Message, s.chunkMsgs)
+	}
+	if len(s.hops) < hopCap {
+		s.hops = make([]message.Hop, max(s.chunkMsgs*s.hopsPerMsg, hopCap))
+	}
+	if len(s.wants) < s.wantsCap {
+		s.wants = make([]message.VC, s.chunkMsgs*s.wantsCap)
+	}
+	m := &s.msgs[0]
+	s.msgs = s.msgs[1:]
+	*m = v
+	m.Hops = s.hops[:0:hopCap]
+	s.hops = s.hops[hopCap:]
+	m.Wants = s.wants[:0:s.wantsCap]
+	s.wants = s.wants[s.wantsCap:]
+	return m
+}
+
 // New constructs an empty network.
 func New(p Params) (*Network, error) {
 	if p.Topo == nil {
 		return nil, fmt.Errorf("network: nil topology")
 	}
-	if p.VCs < 1 {
-		return nil, fmt.Errorf("network: VCs must be >= 1, got %d", p.VCs)
+	if p.VCs < 1 || p.VCs > maxVCs {
+		return nil, fmt.Errorf("network: VCs must be in [1, %d], got %d", maxVCs, p.VCs)
 	}
 	if p.BufferDepth < 1 {
 		return nil, fmt.Errorf("network: BufferDepth must be >= 1, got %d", p.BufferDepth)
@@ -246,11 +320,13 @@ func New(p Params) (*Network, error) {
 		chRR:      make([]int32, t.NumChannels()),
 		rxRR:      make([]int32, t.Nodes()),
 		queues:    make([]msgQueue, t.Nodes()),
-		chReqs:    make([][]transfer, t.NumChannels()),
-		rxReqs:    make([][]*message.Message, t.Nodes()),
+		chReq:     make([]uint64, t.NumChannels()),
+		rxReq:     make([]rxRequest, t.Nodes()),
+		slab:      newMsgSlab(t, p.VCs),
 	}
 	n.numVCs = n.numNetVCs + t.Nodes()
 	n.owner = make([]*message.Message, n.numVCs)
+	n.slotOf = make([]int32, n.numVCs)
 	n.downstream = make([]int32, n.numVCs)
 	n.chDim = make([]int32, t.NumChannels())
 	n.chFlags = make([]uint32, t.NumChannels())
@@ -274,6 +350,7 @@ func New(p Params) (*Network, error) {
 	}
 	for i := range n.rxRR {
 		n.rxRR[i] = -1
+		n.rxReq[i] = rxNone
 	}
 	for i := range n.chRR {
 		n.chRR[i] = -1
@@ -352,7 +429,7 @@ func (n *Network) VCString(vc message.VC) string {
 
 // Inject enqueues a new message at src's source queue and returns it.
 func (n *Network) Inject(src, dst, length int) *message.Message {
-	m := message.New(n.nextID, src, dst, length, n.now)
+	m := n.slab.alloc(message.Make(n.nextID, src, dst, length, n.now), n.topo.Distance(src, dst)+1)
 	n.nextID++
 	n.queues[src].push(m)
 	n.queued++
@@ -445,7 +522,7 @@ func (n *Network) compactActive() {
 	out := n.active[:0]
 	for _, m := range n.active {
 		done := (m.Status == message.Delivered || m.Status == message.Recovered ||
-			m.Status == message.Killed) && m.Released == len(m.Path)
+			m.Status == message.Killed) && m.Released == len(m.Hops)
 		if !done {
 			out = append(out, m)
 		}
@@ -463,10 +540,9 @@ func (n *Network) compactActive() {
 // prevChannel returns the channel the header last traversed, or
 // topology.None while it is still in the injection VC.
 func (n *Network) prevChannel(m *message.Message) topology.ChannelID {
-	// The header resides in Path[last]; if that is a network VC, its
+	// The header resides in the last hop; if that is a network VC, its
 	// channel is the last traversed one.
-	last := len(m.Path) - 1
-	vc := m.Path[last]
+	vc := m.Hops[len(m.Hops)-1].VC
 	if n.IsInjection(vc) {
 		return topology.None
 	}
@@ -476,7 +552,7 @@ func (n *Network) prevChannel(m *message.Message) topology.ChannelID {
 // derouteCount counts nonminimal hops taken so far (misrouting support).
 func derouteCount(t topology.Network, m *message.Message) int {
 	minimal := t.Distance(m.Src, m.Dst)
-	hops := len(m.Path) - 1 // exclude injection VC
+	hops := len(m.Hops) - 1 // exclude injection VC
 	if hops <= minimal {
 		return 0
 	}
@@ -491,63 +567,52 @@ func (n *Network) bufDepth(vc message.VC) int32 {
 	return n.depth
 }
 
-// arbitrate picks the requester whose target VC index follows the channel's
-// round-robin pointer. The winner is order-independent: every requester
-// targets a distinct VC of the channel, so keys are unique.
-func (n *Network) arbitrate(ch topology.ChannelID, reqs []transfer) transfer {
-	ptr := n.chRR[ch]
-	best := reqs[0]
-	bestKey := int32(1 << 30)
-	for _, r := range reqs {
-		v := int32(n.VCIndex(r.msg.Path[r.slot+1]))
-		key := v - ptr - 1
-		if key < 0 {
-			key += int32(n.vcs)
-		}
-		if key < bestKey {
-			bestKey = key
-			best = r
-		}
-	}
-	return best
+// acquire makes m the owner of vc, appended to its hop chain.
+func (n *Network) acquire(m *message.Message, vc message.VC) {
+	n.owner[vc] = m
+	n.slotOf[vc] = int32(len(m.Hops))
+	m.Acquire(vc)
 }
 
-// arbitrateRx picks the delivering message whose head VC id follows the
-// node's round-robin pointer. Distinct messages hold distinct head VCs, so
-// keys are unique and the winner is order-independent.
-func (n *Network) arbitrateRx(node int, reqs []*message.Message) *message.Message {
-	ptr := n.rxRR[node]
-	best := reqs[0]
-	bestKey := int64(1) << 40
-	for _, m := range reqs {
-		v := int64(m.HeadVC())
-		key := v - int64(ptr)
-		if key <= 0 {
-			key += int64(n.numVCs)
-		}
-		if key < bestKey {
-			bestKey = key
-			best = m
-		}
+// grantVC returns the index of the first requested VC after the round-robin
+// pointer ptr (the last granted index, -1 initially), wrapping around: the
+// requester with the smallest key (v - ptr - 1) mod VCs. reqs is non-zero.
+func grantVC(reqs uint64, ptr int32) int {
+	if above := reqs >> uint(ptr+1); above != 0 {
+		return int(ptr) + 1 + bits.TrailingZeros64(above)
 	}
-	n.rxRR[node] = int32(best.HeadVC())
-	return best
+	return bits.TrailingZeros64(reqs)
 }
 
-// commit moves one flit of t.msg from Path[t.slot] into Path[t.slot+1].
-func (n *Network) commit(t transfer) {
-	m := t.msg
-	i := t.slot
-	headerMove := m.Departed[i+1] == 0 && m.Occ[i+1] == 0
-	m.Occ[i]--
-	m.Departed[i]++
-	m.Occ[i+1]++
+// requestRx asks for node's reception port on behalf of head VC vc, keeping
+// the request only if it beats the node's best so far. The round-robin key is
+// vc's cyclic distance past the pointer (the last granted head VC id, -1
+// initially), in [1, numVCs]; distinct messages hold distinct head VCs, so
+// keys are unique and the running minimum is order-independent.
+func (n *Network) requestRx(node int, vc message.VC) {
+	key := int32(vc) - n.rxRR[node]
+	if key <= 0 {
+		key += int32(n.numVCs)
+	}
+	if key < n.rxReq[node].key {
+		n.rxReq[node] = rxRequest{key: key, vc: vc}
+	}
+}
+
+// commit moves one flit of vc's owner into vc from the hop before it.
+func (n *Network) commit(vc message.VC) {
+	m := n.owner[vc]
+	i := n.slotOf[vc]
+	from, to := &m.Hops[i-1], &m.Hops[i]
+	headerMove := to.Departed == 0 && to.Occ == 0
+	from.Occ--
+	from.Departed++
+	to.Occ++
 	if headerMove {
-		// The header just traversed Path[i+1]'s channel: update the
-		// dimension and route-state bits the routing relation consumes
-		// (dateline crossings on tori, the down-phase commitment on
-		// irregular networks).
-		ch := n.VCChannel(m.Path[i+1])
+		// The header just traversed vc's channel: update the dimension and
+		// route-state bits the routing relation consumes (dateline crossings
+		// on tori, the down-phase commitment on irregular networks).
+		ch := int(vc) / n.vcs
 		m.CurDim = int(n.chDim[ch])
 		m.Crossed |= n.chFlags[ch]
 	}
@@ -582,9 +647,11 @@ func (n *Network) Absorb(m *message.Message) {
 // --- Validation ---------------------------------------------------------------
 
 // CheckInvariants validates global consistency: flit conservation per
-// message, exclusive and consistent VC ownership, and buffer capacity
-// limits. Messages are checked in stable ID order so failure output is
-// reproducible. It is O(active messages × path length).
+// message, exclusive and consistent VC ownership (owner and slot tables
+// against every hop chain), buffer capacity limits, and that the per-cycle
+// request state is back at its reset value (it runs between cycles).
+// Messages are checked in stable ID order so failure output is
+// reproducible. It is O(active messages × path length + channels + nodes).
 func (n *Network) CheckInvariants() error {
 	seen := make(map[message.VC]message.ID, 64)
 	for _, m := range n.ActiveMessages() {
@@ -595,8 +662,8 @@ func (n *Network) CheckInvariants() error {
 		if err := m.CheckInvariants(); err != nil {
 			return err
 		}
-		for i := m.Released; i < len(m.Path); i++ {
-			vc := m.Path[i]
+		for i := m.Released; i < len(m.Hops); i++ {
+			vc := m.Hops[i].VC
 			if prev, dup := seen[vc]; dup {
 				return fmt.Errorf("network: VC %s owned by both msg %d and msg %d",
 					n.VCString(vc), prev, m.ID)
@@ -606,9 +673,13 @@ func (n *Network) CheckInvariants() error {
 				return fmt.Errorf("network: owner table for %s disagrees with msg %d path",
 					n.VCString(vc), m.ID)
 			}
-			if m.Occ[i] > n.bufDepth(vc) {
+			if n.slotOf[vc] != int32(i) {
+				return fmt.Errorf("network: slot table for %s says %d, msg %d holds it at hop %d",
+					n.VCString(vc), n.slotOf[vc], m.ID, i)
+			}
+			if m.Hops[i].Occ > n.bufDepth(vc) {
 				return fmt.Errorf("network: buffer overflow on %s: %d > %d",
-					n.VCString(vc), m.Occ[i], n.bufDepth(vc))
+					n.VCString(vc), m.Hops[i].Occ, n.bufDepth(vc))
 			}
 		}
 	}
@@ -619,6 +690,25 @@ func (n *Network) CheckInvariants() error {
 		if _, ok := seen[message.VC(vc)]; !ok && (m.Status == message.Active || m.Status == message.Recovering) {
 			return fmt.Errorf("network: VC %s owned by msg %d not found on its path range",
 				n.VCString(message.VC(vc)), m.ID)
+		}
+	}
+	for ch, reqs := range n.chReq {
+		if reqs != 0 {
+			return fmt.Errorf("network: channel %s left request bits %#x set",
+				n.topo.ChannelString(topology.ChannelID(ch)), reqs)
+		}
+	}
+	for node, r := range n.rxReq {
+		if r != rxNone {
+			return fmt.Errorf("network: node %d left reception request %+v set", node, r)
+		}
+	}
+	if err := n.w0.checkRxIdle(); err != nil {
+		return err
+	}
+	for _, w := range n.workers {
+		if err := w.checkRxIdle(); err != nil {
+			return err
 		}
 	}
 	return nil

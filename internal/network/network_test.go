@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
 	"flexsim/internal/cwg"
@@ -103,11 +104,11 @@ func TestSingleMessageDelivery(t *testing.T) {
 		t.Fatalf("flit accounting: consumed=%d srcRemaining=%d", m.Consumed, m.SrcRemaining)
 	}
 	// Path: injection VC + 5 network hops.
-	if len(m.Path) != 6 {
-		t.Fatalf("path length = %d, want 6", len(m.Path))
+	if len(m.Hops) != 6 {
+		t.Fatalf("path length = %d, want 6", len(m.Hops))
 	}
-	if m.Released != len(m.Path) {
-		t.Fatalf("released %d of %d VCs", m.Released, len(m.Path))
+	if m.Released != len(m.Hops) {
+		t.Fatalf("released %d of %d VCs", m.Released, len(m.Hops))
 	}
 	if n.ActiveCount() != 0 || n.DeliveredCount != 1 {
 		t.Fatalf("network not drained: active=%d delivered=%d", n.ActiveCount(), n.DeliveredCount)
@@ -128,8 +129,8 @@ func TestSelfAddressedMessage(t *testing.T) {
 	if m.Status != message.Delivered {
 		t.Fatalf("self-addressed message not delivered: %v", m)
 	}
-	if len(m.Path) != 1 {
-		t.Errorf("self delivery used %d VCs, want injection only", len(m.Path))
+	if len(m.Hops) != 1 {
+		t.Errorf("self delivery used %d VCs, want injection only", len(m.Hops))
 	}
 }
 
@@ -330,7 +331,7 @@ func TestInstantAbsorption(t *testing.T) {
 		t.Fatalf("instant absorption incomplete: %v consumed=%d", victim.Status, victim.Consumed)
 	}
 	n.Step() // releasePhase frees the VCs
-	for i := victim.Released; i < len(victim.Path); i++ {
+	for i := victim.Released; i < len(victim.Hops); i++ {
 		t.Fatalf("victim VC slot %d not released", i)
 	}
 	stepN(n, 300)
@@ -442,7 +443,8 @@ func TestDatelineCrossingSetsBit(t *testing.T) {
 	}
 	// The VCs used after the wrap must be the odd class.
 	sawOdd := false
-	for _, vc := range m.Path[1:] {
+	for _, h := range m.Hops[1:] {
+		vc := h.VC
 		if n.VCIndex(vc)%2 == 1 {
 			sawOdd = true
 		}
@@ -503,5 +505,105 @@ func TestAllocateSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, n.Step); allocs != 0 {
 		t.Errorf("Step on a wedged network allocates %v objects per cycle, want 0", allocs)
+	}
+}
+
+// TestMsgQueueDropsDrainedMessages pins the queue's no-retention rule: after
+// every message is popped — through pop's own compactions — no slot of the
+// backing array still points at one, so a delivered message (and the slab
+// chunk it was carved from) is collectable.
+func TestMsgQueueDropsDrainedMessages(t *testing.T) {
+	var q msgQueue
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 500; i++ {
+			q.push(message.New(message.ID(i), 0, 1, 4, 0))
+		}
+		for i := 0; i < 400; i++ { // leave a remainder so compaction moves live entries
+			q.pop()
+		}
+	}
+	for q.len() > 0 {
+		q.pop()
+	}
+	for i, m := range q.items[:cap(q.items)] {
+		if m != nil {
+			t.Fatalf("drained queue still holds message %d in slot %d of %d", m.ID, i, cap(q.items))
+		}
+	}
+}
+
+// TestInjectCarvesFromSlab checks the slab's contract: hop chains get the
+// minimal path's capacity (so a minimally routed message never reallocates),
+// neighbours in a chunk do not share backing storage, and a path longer than
+// the carve just grows onto the heap.
+func TestInjectCarvesFromSlab(t *testing.T) {
+	topo := topology.MustNew(8, 2, true)
+	n := mustNet(t, topo, 2, 2, routing.TFAR{})
+	a := n.Inject(0, topo.Node([]int{3, 2}), 8)
+	b := n.Inject(1, 2, 8)
+	if got, want := cap(a.Hops), 6; got != want {
+		t.Errorf("5-hop message carved %d hops, want %d (path + injection VC)", got, want)
+	}
+	if got, want := cap(a.Wants), 4*2; got != want {
+		t.Errorf("Wants capacity %d, want %d (4 channels per router x 2 VCs)", got, want)
+	}
+	first := &a.Hops[:1][0] // the carve's first element, before anything is acquired
+	stepN(n, 60)
+	if a.Status != message.Delivered || b.Status != message.Delivered {
+		t.Fatalf("statuses %v, %v; want both delivered", a.Status, b.Status)
+	}
+	if len(a.Hops) != 6 || &a.Hops[0] != first {
+		t.Errorf("minimal path reallocated its hop chain (len %d)", len(a.Hops))
+	}
+	if len(b.Hops) != 2 || b.Hops[0].VC != n.InjVC(1) {
+		t.Errorf("neighbour's hop chain corrupted: %+v", b.Hops)
+	}
+	for i := 0; i < 4; i++ { // past the carve: append must move, not overrun b
+		a.Acquire(message.VC(i))
+	}
+	if len(b.Hops) != 2 || b.Hops[0].VC != n.InjVC(1) {
+		t.Errorf("growing one chain past its carve overwrote its neighbour: %+v", b.Hops)
+	}
+}
+
+// TestInjectSteadyStateAllocs runs the 16-ary 2-cube at load 0.3 (TFAR, two
+// VCs: about a tenth of headers blocked, the rest moving) and requires the
+// whole inject-route-deliver life of a message to cost at most 0.05 heap
+// allocations amortised: slab chunks, queue and active-list growth, nothing
+// per message.
+func TestInjectSteadyStateAllocs(t *testing.T) {
+	topo := topology.MustNew(16, 2, true)
+	n, err := New(Params{Topo: topo, VCs: 2, BufferDepth: 2, Routing: routing.TFAR{}, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const msgLen = 32
+	p := 0.3 * topo.CapacityPerNode() / msgLen
+	r := rng.New(3)
+	run := func(cycles int) {
+		for i := 0; i < cycles; i++ {
+			for s := 0; s < topo.Nodes(); s++ {
+				if d := r.Intn(topo.Nodes()); d != s && r.Bernoulli(p) {
+					n.Inject(s, d, msgLen)
+				}
+			}
+			n.Step()
+		}
+	}
+	run(2000) // reach steady occupancy and grow the reusable buffers
+	var before, after runtime.MemStats
+	delivered := n.DeliveredCount
+	runtime.ReadMemStats(&before)
+	run(4000)
+	runtime.ReadMemStats(&after)
+	msgs := n.DeliveredCount - delivered
+	if msgs < 1000 {
+		t.Fatalf("only %d messages delivered in the measured window", msgs)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / float64(msgs)
+	t.Logf("%.4f allocations per delivered message (%d over %d messages)", per, after.Mallocs-before.Mallocs, msgs)
+	if per > 0.05 {
+		t.Errorf("%.3f allocations per delivered message (%d over %d messages), want <= 0.05",
+			per, after.Mallocs-before.Mallocs, msgs)
 	}
 }

@@ -191,9 +191,8 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 		if n.owner[vc] != nil {
 			return fmt.Errorf("VC %s already owned by msg %d", n.VCString(vc), n.owner[vc].ID)
 		}
-		n.owner[vc] = m
-		m.Acquire(vc)
-		m.Occ[i] = im.Occ[i]
+		n.acquire(m, vc)
+		m.Hops[i].Occ = im.Occ[i]
 		// Departed[i] = flits that advanced past slot i (conservation).
 		d := im.Consumed
 		for j := i + 1; j <= last; j++ {
@@ -203,7 +202,7 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 			return fmt.Errorf("slot %d (%s) fully drained: released VCs must be omitted",
 				i, n.VCString(vc))
 		}
-		m.Departed[i] = int32(d)
+		m.Hops[i].Departed = int32(d)
 	}
 	if im.SrcRemaining > 0 && !n.IsInjection(im.Path[0]) {
 		return fmt.Errorf("%d flits remain at the source but the injection VC is released",
@@ -213,7 +212,7 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 		m.CurDim = int(n.chDim[n.VCChannel(im.Path[last])])
 	}
 	if im.Blocked {
-		if m.Occ[last] == 0 || m.Departed[last] != 0 {
+		if m.Hops[last].Occ == 0 || m.Hops[last].Departed != 0 {
 			return fmt.Errorf("blocked header is not at the head of its buffer")
 		}
 		if n.Downstream(im.Path[last]) == im.Dst {

@@ -34,9 +34,9 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -147,12 +147,16 @@ type worker struct {
 	fxMsg  []effect  // message-keyed effects (merge by Ord)
 	fxNode []effect  // node-keyed effects (concatenate in shard order)
 
-	// Mailboxes, indexed by destination shard.
-	reqOut   [][]transfer // planned transfers targeting a remote shard's channel
-	grantOut [][]transfer // granted transfers whose message another shard owns
+	// Mailboxes, indexed by destination shard. A transfer travels as the id
+	// of the VC it fills: owner and slotOf recover the message and hop.
+	reqOut   [][]message.VC // planned transfers targeting a remote shard's channel
+	grantOut [][]message.VC // granted transfers whose message another shard owns
 
 	chDirty []int32 // this shard's channels with pending requests
-	rxDirty []int32 // this shard's nodes with pending reception requests
+	// rxNodes has bit (node - nodeLo) set for each of this shard's nodes
+	// with a pending reception request; scanning it visits them in
+	// ascending node order, the order ejection effects must merge in.
+	rxNodes []uint64
 
 	// Routing scratch (per worker: the allocate kernel runs concurrently).
 	// req is reused for every Candidates call: a per-call Request would
@@ -175,7 +179,8 @@ type worker struct {
 func (n *Network) initWorkers() {
 	nodes := n.topo.Nodes()
 	req := routing.Request{Topo: n.topo, VCs: n.vcs}
-	n.w0 = &worker{n: n, direct: true, nodeLo: 0, nodeHi: nodes, req: req}
+	n.w0 = &worker{n: n, direct: true, nodeLo: 0, nodeHi: nodes, req: req,
+		rxNodes: make([]uint64, (nodes+63)/64)}
 	if n.shards <= 1 {
 		return
 	}
@@ -189,10 +194,11 @@ func (n *Network) initWorkers() {
 			id:       int32(i),
 			nodeLo:   i * nodes / s,
 			nodeHi:   (i + 1) * nodes / s,
-			reqOut:   make([][]transfer, s),
-			grantOut: make([][]transfer, s),
+			reqOut:   make([][]message.VC, s),
+			grantOut: make([][]message.VC, s),
 			req:      req,
 		}
+		w.rxNodes = make([]uint64, (w.nodeHi-w.nodeLo+63)/64)
 		n.workers[i] = w
 		for node := w.nodeLo; node < w.nodeHi; node++ {
 			n.shardOfNode[node] = int32(i)
@@ -614,7 +620,7 @@ func (n *Network) partition() {
 		w.msgs = w.msgs[:0]
 	}
 	for i, m := range n.active {
-		s := n.shardOfNode[n.Downstream(m.Path[len(m.Path)-1])]
+		s := n.shardOfNode[n.downstream[m.Hops[len(m.Hops)-1].VC]]
 		m.Ord = int32(i)
 		m.Shard = s
 		n.workers[s].msgs = append(n.workers[s].msgs, m)
@@ -669,16 +675,16 @@ func (w *worker) absorbFlits(m *message.Message, k int) {
 		}
 		// Find the tail-most occupied slot.
 		i := m.Released
-		for i < len(m.Path) && m.Occ[i] == 0 {
+		for i < len(m.Hops) && m.Hops[i].Occ == 0 {
 			// An owned but empty slot between tail and head can
 			// only be the not-yet-entered head allocation; skip.
 			i++
 		}
-		if i == len(m.Path) {
+		if i == len(m.Hops) {
 			break
 		}
-		m.Occ[i]--
-		m.Departed[i]++
+		m.Hops[i].Occ--
+		m.Hops[i].Departed++
 		m.Consumed++
 		w.d.absorbedFlits++
 		k--
@@ -691,8 +697,8 @@ func (w *worker) absorbFlits(m *message.Message, k int) {
 		// Any owned slots the drain skipped (allocated, never entered)
 		// are releasable now; mark them fully departed so the release
 		// phase frees them.
-		for i := m.Released; i < len(m.Path); i++ {
-			m.Departed[i] = int32(m.Len)
+		for i := m.Released; i < len(m.Hops); i++ {
+			m.Hops[i].Departed = int32(m.Len)
 		}
 	}
 }
@@ -727,8 +733,7 @@ func (w *worker) startInjections() {
 		}
 		q.pop()
 		w.d.queued--
-		n.owner[vc] = m
-		m.Acquire(vc)
+		n.acquire(m, vc)
 		m.Status = message.Active
 		m.InjectTime = n.now
 		if w.direct {
@@ -766,11 +771,11 @@ func (w *worker) allocate(msgs []*message.Message) {
 			w.d.blocked++
 			continue
 		}
-		last := len(m.Path) - 1
-		if m.Departed[last] != 0 || m.Occ[last] == 0 {
+		head := m.Hops[len(m.Hops)-1]
+		if head.Departed != 0 || head.Occ == 0 {
 			continue // header already departed or not yet arrived
 		}
-		here := n.Downstream(m.Path[last])
+		here := int(n.downstream[head.VC])
 		if here == m.Dst {
 			continue // ejecting; reception handled by arbitrateAndEject
 		}
@@ -789,8 +794,7 @@ func (w *worker) allocate(msgs []*message.Message) {
 		for _, c := range cands {
 			vc := n.NetVC(c.Ch, c.VC)
 			if n.owner[vc] == nil {
-				n.owner[vc] = m
-				m.Acquire(vc)
+				n.acquire(m, vc)
 				w.d.epoch++
 				if m.Blocked {
 					w.emitRes(ResUnblock, m.ID, message.NoVC, m.Wants)
@@ -868,7 +872,7 @@ func (w *worker) route(m *message.Message, here int) []routing.Candidate {
 // the routing relation would have moved or re-aimed.
 func (w *worker) checkParked(m *message.Message) {
 	n := w.n
-	cands := w.route(m, n.Downstream(m.Path[len(m.Path)-1]))
+	cands := w.route(m, n.Downstream(m.HeadVC()))
 	same := len(cands) == len(m.Wants)
 	for i := 0; same && i < len(cands); i++ {
 		vc := n.NetVC(cands[i].Ch, cands[i].VC)
@@ -881,46 +885,50 @@ func (w *worker) checkParked(m *message.Message) {
 }
 
 // planTransfers registers this cycle's flit-movement requests from
-// pre-cycle state: per physical channel for link traversals (into the
-// channel owner's request table, or its mailbox when remote) and per node
-// for ejection at the destination (always shard-local: the requester's
-// header is at that node).
+// pre-cycle state: per physical channel for link traversals (a bit in the
+// channel's request word, or the target VC in the channel owner's mailbox
+// when remote) and per node for ejection at the destination (always
+// shard-local: the requester's header is at that node).
 func (w *worker) planTransfers(msgs []*message.Message) {
 	n := w.n
 	for _, m := range msgs {
 		if m.Status != message.Active {
 			continue
 		}
-		last := len(m.Path) - 1
-		for i := m.Released; i <= last; i++ {
-			if m.Occ[i] == 0 {
+		hops := m.Hops
+		last := len(hops) - 1
+		for i := m.Released; i < last; i++ {
+			// Only hop 0 is an injection VC, so next is a network VC.
+			next := hops[i+1]
+			if hops[i].Occ == 0 || next.Occ >= n.depth {
 				continue
 			}
-			if i < last {
-				next := m.Path[i+1]
-				if m.Occ[i+1] < n.bufDepth(next) {
-					ch := n.VCChannel(next)
-					if w.direct || n.shardOfCh[ch] == w.id {
-						if len(n.chReqs[ch]) == 0 {
-							w.chDirty = append(w.chDirty, int32(ch))
-						}
-						n.chReqs[ch] = append(n.chReqs[ch], transfer{msg: m, slot: i})
-					} else {
-						t := n.shardOfCh[ch]
-						w.reqOut[t] = append(w.reqOut[t], transfer{msg: m, slot: i})
-					}
-				}
-			} else if n.Downstream(m.Path[last]) == m.Dst {
-				// Flits at the head buffer of a message whose
-				// header has reached the destination: request
-				// the reception channel.
-				if len(n.rxReqs[m.Dst]) == 0 {
-					w.rxDirty = append(w.rxDirty, int32(m.Dst))
-				}
-				n.rxReqs[m.Dst] = append(n.rxReqs[m.Dst], m)
+			ch := int(next.VC) / n.vcs
+			if w.direct || n.shardOfCh[ch] == w.id {
+				w.requestVC(ch, next.VC)
+			} else {
+				t := n.shardOfCh[ch]
+				w.reqOut[t] = append(w.reqOut[t], next.VC)
 			}
 		}
+		if head := hops[last]; head.Occ > 0 && int(n.downstream[head.VC]) == m.Dst {
+			// Flits at the head buffer of a message whose header has
+			// reached the destination: request the reception channel.
+			n.requestRx(m.Dst, head.VC)
+			b := m.Dst - w.nodeLo
+			w.rxNodes[b>>6] |= 1 << (b & 63)
+		}
 	}
+}
+
+// requestVC sets vc's bit in the request word of ch, one of this shard's
+// channels.
+func (w *worker) requestVC(ch int, vc message.VC) {
+	n := w.n
+	if n.chReq[ch] == 0 {
+		w.chDirty = append(w.chDirty, int32(ch))
+	}
+	n.chReq[ch] |= 1 << (int(vc) - ch*n.vcs)
 }
 
 // arbitrateAndEject grants one transfer per requested physical channel and
@@ -933,60 +941,80 @@ func (w *worker) arbitrateAndEject() {
 	if !w.direct {
 		// Adopt transfer requests other shards planned for our channels.
 		for _, src := range n.workers {
-			in := src.reqOut[w.id]
-			for _, t := range in {
-				ch := n.VCChannel(t.msg.Path[t.slot+1])
-				if len(n.chReqs[ch]) == 0 {
-					w.chDirty = append(w.chDirty, int32(ch))
-				}
-				n.chReqs[ch] = append(n.chReqs[ch], t)
+			for _, vc := range src.reqOut[w.id] {
+				w.requestVC(int(vc)/n.vcs, vc)
 			}
-			clear(in)
-			src.reqOut[w.id] = in[:0]
+			src.reqOut[w.id] = src.reqOut[w.id][:0]
 		}
 	}
 	// Grant per physical channel: round-robin over VC index. Winners are
-	// order-independent (unique keys), so chDirty needs no sorting.
-	for _, ch32 := range w.chDirty {
-		ch := topology.ChannelID(ch32)
-		reqs := n.chReqs[ch]
-		var grant transfer
-		if len(reqs) == 1 {
-			grant = reqs[0]
-		} else {
-			grant = n.arbitrate(ch, reqs)
+	// order-independent (one requester per VC), so chDirty needs no sorting.
+	for _, ch := range w.chDirty {
+		reqs := n.chReq[ch]
+		n.chReq[ch] = 0
+		if n.p.CheckInvariants {
+			n.checkRequests(topology.ChannelID(ch), reqs)
 		}
+		v := grantVC(reqs, n.chRR[ch])
+		n.chRR[ch] = int32(v)
+		vc := n.NetVC(topology.ChannelID(ch), v)
 		if w.direct {
-			n.commit(grant)
+			n.commit(vc)
 		} else {
-			w.grantOut[grant.msg.Shard] = append(w.grantOut[grant.msg.Shard], grant)
+			t := n.owner[vc].Shard
+			w.grantOut[t] = append(w.grantOut[t], vc)
 		}
-		n.chRR[ch] = int32(n.VCIndex(grant.msg.Path[grant.slot+1]))
-		clear(reqs)
-		n.chReqs[ch] = reqs[:0]
 	}
 	w.chDirty = w.chDirty[:0]
-	// Grant reception: round-robin over head VC id per node, in ascending
-	// node order (the deterministic replacement for the old map walk).
-	slices.Sort(w.rxDirty)
-	for _, node32 := range w.rxDirty {
-		node := int(node32)
-		reqs := n.rxReqs[node]
-		m := n.arbitrateRx(node, reqs)
-		w.curOrd = node32
-		w.eject(m)
-		clear(reqs)
-		n.rxReqs[node] = reqs[:0]
+	// Grant reception: the head VC that follows the node's round-robin
+	// pointer, in ascending node order.
+	for i, word := range w.rxNodes {
+		w.rxNodes[i] = 0
+		for ; word != 0; word &= word - 1 {
+			node := w.nodeLo + i<<6 + bits.TrailingZeros64(word)
+			vc := n.rxReq[node].vc
+			n.rxReq[node] = rxNone
+			n.rxRR[node] = int32(vc)
+			w.curOrd = int32(node)
+			w.eject(n.owner[vc])
+		}
 	}
-	w.rxDirty = w.rxDirty[:0]
+}
+
+// checkRequests is the CheckInvariants oracle for the request bits: every
+// VC requesting channel ch must be owned, sit where slotOf says in its
+// owner's hop chain, and have a flit waiting in the hop before it — the
+// requester planTransfers set the bit for, re-derived from owner and slotOf.
+// It reads only what no shard writes during arbitration (ejection touches
+// the head hop and Status, never the hop a transfer leaves).
+func (n *Network) checkRequests(ch topology.ChannelID, reqs uint64) {
+	for ; reqs != 0; reqs &= reqs - 1 {
+		vc := n.NetVC(ch, bits.TrailingZeros64(reqs))
+		m := n.owner[vc]
+		i := int(n.slotOf[vc])
+		if m == nil || i < 1 || i >= len(m.Hops) || m.Hops[i].VC != vc || m.Hops[i-1].Occ == 0 {
+			panic(fmt.Sprintf("network: cycle %d: %s has a transfer request its owner (%v, slot %d) did not make",
+				n.now, n.VCString(vc), m, i))
+		}
+	}
+}
+
+// checkRxIdle reports a reception bitmap word left set between cycles.
+func (w *worker) checkRxIdle() error {
+	for i, word := range w.rxNodes {
+		if word != 0 {
+			return fmt.Errorf("network: shard %d left reception bitmap word %d = %#x", w.id, i, word)
+		}
+	}
+	return nil
 }
 
 // eject consumes one flit of m at its destination.
 func (w *worker) eject(m *message.Message) {
 	n := w.n
-	last := len(m.Path) - 1
-	m.Occ[last]--
-	m.Departed[last]++
+	head := &m.Hops[len(m.Hops)-1]
+	head.Occ--
+	head.Departed++
 	m.Consumed++
 	w.d.deliveredFlits++
 	if m.Consumed == m.Len {
@@ -1010,20 +1038,18 @@ func (w *worker) applyAndRelease(msgs []*message.Message) {
 	n := w.n
 	if !w.direct {
 		for _, src := range n.workers {
-			in := src.grantOut[w.id]
-			for _, g := range in {
-				n.commit(g)
+			for _, vc := range src.grantOut[w.id] {
+				n.commit(vc)
 			}
-			clear(in)
-			src.grantOut[w.id] = in[:0]
+			src.grantOut[w.id] = src.grantOut[w.id][:0]
 		}
 	}
 	// Source flits flow on post-transfer occupancy, so a flit entering the
 	// injection buffer this cycle cannot also traverse a link this cycle:
 	// one flit per cycle (dedicated channel, no arbitration).
 	for _, m := range msgs {
-		if m.Status == message.Active && m.SrcRemaining > 0 && m.Occ[0] < n.inj && m.Released == 0 {
-			m.Occ[0]++
+		if m.Status == message.Active && m.SrcRemaining > 0 && m.Hops[0].Occ < n.inj && m.Released == 0 {
+			m.Hops[0].Occ++
 			m.SrcRemaining--
 			w.d.injectedFlits++
 		}
@@ -1031,14 +1057,15 @@ func (w *worker) applyAndRelease(msgs []*message.Message) {
 	// Release drained VCs and retire completed messages.
 	for _, m := range msgs {
 		w.curOrd = m.Ord
-		for m.Released < len(m.Path) && m.Departed[m.Released] == int32(m.Len) {
-			w.emitRes(ResRelease, m.ID, m.Path[m.Released], nil)
-			n.owner[m.Path[m.Released]] = nil
+		for m.Released < len(m.Hops) && m.Hops[m.Released].Departed == int32(m.Len) {
+			vc := m.Hops[m.Released].VC
+			w.emitRes(ResRelease, m.ID, vc, nil)
+			n.owner[vc] = nil
 			m.Released++
 			w.d.epoch++
 		}
 		if (m.Status == message.Delivered || m.Status == message.Recovered ||
-			m.Status == message.Killed) && m.Released == len(m.Path) {
+			m.Status == message.Killed) && m.Released == len(m.Hops) {
 			w.emitDeliver(m)
 		}
 	}
