@@ -295,19 +295,6 @@ func runSpecFile(ctx context.Context, sweep *flags.Sweep, cache *core.Cache, pro
 		fmt.Fprintln(os.Stderr, "charsweep:", err)
 		return 1
 	}
-	// Prefer the store's bytes for every settled point: decode/re-encode
-	// drift can never creep into the byte-identity contract.
-	if cache != nil {
-		for i := range results {
-			if len(results[i].Result) == 0 {
-				continue
-			}
-			if raw, ok := cache.GetRaw(results[i].Key); ok {
-				results[i].Result = raw
-			}
-		}
-	}
-
 	out := io.Writer(os.Stdout)
 	if sweep.ResultsOut != "" {
 		f, err := os.Create(sweep.ResultsOut)

@@ -1,6 +1,7 @@
 package specv1
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -82,11 +83,16 @@ func DecodeResult(raw json.RawMessage) (*stats.Result, error) {
 // WriteResults writes point results as JSONL, one PointResult per line —
 // the format of sweepd's results endpoint and charsweep's -results-out.
 func WriteResults(w io.Writer, results []PointResult) error {
-	enc := json.NewEncoder(w)
+	// Buffered: one write per 64 KiB, not one per ~2 KB line.
+	bw := bufio.NewWriterSize(w, 1<<16)
+	enc := json.NewEncoder(bw)
 	for i := range results {
 		if err := enc.Encode(&results[i]); err != nil {
 			return fmt.Errorf("specv1: write results: %w", err)
 		}
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("specv1: write results: %w", err)
 	}
 	return nil
 }

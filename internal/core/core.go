@@ -153,8 +153,12 @@ func RunSpec(ctx context.Context, spec *specv1.Spec, opts ...Option) ([]Point, e
 }
 
 // PointResults converts settled sweep points into their wire form, keyed by
-// each configuration's content address. Results are re-encoded canonically;
-// callers holding raw store bytes should prefer those for byte-identity.
+// each configuration's content address. A point that carries the Key and
+// Raw runner.Map gave it (any sweep run with a cache) is reported with
+// exactly those — the store's own bytes, so a cached point costs nothing
+// here and local and service results stay byte-identical. A point built
+// without them (a cacheless sweep, a hand-assembled Point) is keyed and
+// encoded canonically instead.
 func PointResults(configs []Config, points []Point) ([]specv1.PointResult, error) {
 	if len(configs) != len(points) {
 		return nil, fmt.Errorf("core: %d configs for %d points", len(configs), len(points))
@@ -165,7 +169,11 @@ func PointResults(configs []Config, points []Point) ([]specv1.PointResult, error
 			SchemaVersion: specv1.Version,
 			Index:         i,
 			Load:          p.Load,
-			Key:           runner.Key(configs[i]),
+			Key:           p.Key,
+			Result:        p.Raw,
+		}
+		if pr.Key == "" {
+			pr.Key = runner.Key(configs[i])
 		}
 		switch p.Status {
 		case StatusCached:
@@ -180,11 +188,13 @@ func PointResults(configs []Config, points []Point) ([]specv1.PointResult, error
 		if p.Err != nil {
 			pr.Error = p.Err.Error()
 		}
-		raw, err := specv1.EncodeResult(p.Result)
-		if err != nil {
-			return nil, err
+		if pr.Result == nil {
+			raw, err := specv1.EncodeResult(p.Result)
+			if err != nil {
+				return nil, err
+			}
+			pr.Result = raw
 		}
-		pr.Result = raw
 		out[i] = pr
 	}
 	return out, nil

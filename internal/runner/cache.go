@@ -29,6 +29,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -57,14 +59,18 @@ var nonSemantic = map[string]bool{
 	"TraceContext":   true,
 }
 
-// CanonicalConfig returns the canonical JSON encoding of a configuration:
-// every semantic exported field, keyed by field name, with keys sorted —
-// so the encoding (and hence the cache key) is independent of struct field
-// order but sensitive to every value change.
-func CanonicalConfig(c sim.Config) []byte {
-	v := reflect.ValueOf(c)
-	t := v.Type()
-	m := make(map[string]interface{}, t.NumField())
+// canonicalField is one semantic Config field in the canonical encoding.
+type canonicalField struct {
+	key   string // `"Name":`, preceded by "," for all but the first field
+	index int    // position in sim.Config
+}
+
+// canonicalPlan lists the semantic fields of sim.Config sorted by name —
+// the order encoding/json gives map keys, so the encoding is that of a
+// map[name]value without building and sorting one per call.
+var canonicalPlan = func() []canonicalField {
+	t := reflect.TypeOf(sim.Config{})
+	var plan []canonicalField
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if nonSemantic[f.Name] {
@@ -74,15 +80,52 @@ func CanonicalConfig(c sim.Config) []byte {
 		case reflect.Func, reflect.Interface, reflect.Ptr, reflect.Chan:
 			continue
 		}
-		m[f.Name] = v.Field(i).Interface()
+		plan = append(plan, canonicalField{key: f.Name, index: i})
 	}
-	b, err := json.Marshal(m) // map keys marshal sorted
+	sort.Slice(plan, func(i, j int) bool { return plan[i].key < plan[j].key })
+	for i := range plan {
+		plan[i].key = `"` + plan[i].key + `":` // Go identifiers need no escaping
+		if i > 0 {
+			plan[i].key = "," + plan[i].key
+		}
+	}
+	return plan
+}()
+
+// CanonicalConfig returns the canonical JSON encoding of a configuration:
+// every semantic exported field, keyed by field name, with keys sorted —
+// so the encoding (and hence the cache key) is independent of struct field
+// order but sensitive to every value change. Each value is encoded as
+// encoding/json encodes it.
+func CanonicalConfig(c sim.Config) []byte {
+	v := reflect.ValueOf(&c).Elem()
+	b := make([]byte, 0, 1024)
+	b = append(b, '{')
+	for _, f := range canonicalPlan {
+		b = append(b, f.key...)
+		b = appendJSON(b, v.Field(f.index))
+	}
+	return append(b, '}')
+}
+
+// appendJSON appends v's encoding/json encoding: booleans and integers
+// (most of Config) directly, anything else through json.Marshal.
+func appendJSON(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Bool:
+		return strconv.AppendBool(b, v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return strconv.AppendInt(b, v.Int(), 10)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return strconv.AppendUint(b, v.Uint(), 10)
+	}
+	enc, err := json.Marshal(v.Interface())
 	if err != nil {
 		// Config holds only plain scalars and integer slices; encoding
 		// cannot fail short of a programming error.
 		panic(fmt.Sprintf("runner: canonical config encoding failed: %v", err))
 	}
-	return b
+	return append(b, enc...)
 }
 
 // Key returns the content address of a configuration: the hex SHA-256 of
@@ -189,17 +232,25 @@ func (c *Cache) Reload() error {
 // Get returns the cached Result for a configuration, counting the lookup
 // as a hit or miss. The lookup itself is lock-free.
 func (c *Cache) Get(cfg sim.Config) (*stats.Result, bool) {
-	raw, ok := c.GetRaw(Key(cfg))
+	_, res, ok := c.get(Key(cfg))
+	return res, ok
+}
+
+// get returns the store's bytes under key and the Result they decode to.
+// Bytes that do not decode count as one miss, not a hit, and the run
+// recomputes.
+func (c *Cache) get(key string) (json.RawMessage, *stats.Result, bool) {
+	raw, ok := c.GetRaw(key)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	var res stats.Result
 	if err := json.Unmarshal(raw, &res); err != nil {
 		c.hits.Add(-1)
 		c.miss.Add(1)
-		return nil, false
+		return nil, nil, false
 	}
-	return &res, true
+	return raw, &res, true
 }
 
 // GetRaw returns the persisted result bytes under a content address,
@@ -218,12 +269,19 @@ func (c *Cache) GetRaw(key string) (json.RawMessage, bool) {
 // and appends it to the JSONL file. Persistence failures never fail the
 // run; the first one is kept and surfaced by Close.
 func (c *Cache) Put(cfg sim.Config, res *stats.Result) {
+	c.put(Key(cfg), res)
+}
+
+// put encodes res once, persists the bytes under key and returns them (nil
+// when encoding failed).
+func (c *Cache) put(key string, res *stats.Result) json.RawMessage {
 	raw, err := json.Marshal(res)
 	if err != nil {
 		c.note(fmt.Errorf("runner: cache encode: %w", err))
-		return
+		return nil
 	}
-	c.PutRaw(Key(cfg), res.Label, res.Load, raw)
+	c.PutRaw(key, res.Label, res.Load, raw)
+	return raw
 }
 
 // PutRaw records already-encoded result bytes under a content address and

@@ -19,6 +19,7 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -57,6 +58,15 @@ type Point struct {
 	Err error
 	// Status classifies the outcome.
 	Status Status
+	// Key is the configuration's content address (see Key). Map sets it on
+	// every point when a Cache is attached, having hashed the configuration
+	// once for the lookup, the store write and whoever reports the point.
+	Key string
+	// Raw is Result's canonical encoding exactly as the store holds it:
+	// the bytes a cache hit was decoded from, or the bytes a completed run
+	// persisted. Map sets it on Cached and Done points when a Cache is
+	// attached; nil otherwise. Read-only — the store's index shares it.
+	Raw json.RawMessage
 }
 
 // Options tunes Map.
@@ -107,10 +117,12 @@ func Map(ctx context.Context, cfgs []sim.Config, o Options) []Point {
 	pending := make([]int, 0, len(cfgs))
 	for i := range cfgs {
 		if o.Cache != nil {
-			if res, ok := o.Cache.Get(cfgs[i]); ok {
-				settle(i, Point{Index: i, Load: cfgs[i].Load, Result: res, Status: Cached})
+			key := Key(cfgs[i])
+			if raw, res, ok := o.Cache.get(key); ok {
+				settle(i, Point{Index: i, Load: cfgs[i].Load, Result: res, Status: Cached, Key: key, Raw: raw})
 				continue
 			}
+			pts[i].Key = key // for runOne: the one hash serves the store write too
 		}
 		pending = append(pending, i)
 	}
@@ -128,7 +140,7 @@ func Map(ctx context.Context, cfgs []sim.Config, o Options) []Point {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				settle(i, runOne(ctx, i, cfgs[i], o))
+				settle(i, runOne(ctx, i, pts[i].Key, cfgs[i], o))
 			}
 		}()
 	}
@@ -141,9 +153,9 @@ func Map(ctx context.Context, cfgs []sim.Config, o Options) []Point {
 }
 
 // runOne executes one configuration with panic isolation; completed runs
-// are persisted to the cache.
-func runOne(ctx context.Context, i int, cfg sim.Config, o Options) (p Point) {
-	p = Point{Index: i, Load: cfg.Load}
+// are persisted to the cache under key.
+func runOne(ctx context.Context, i int, key string, cfg sim.Config, o Options) (p Point) {
+	p = Point{Index: i, Load: cfg.Load, Key: key}
 	if err := ctx.Err(); err != nil {
 		p.Status, p.Err = Cancelled, err
 		return p
@@ -173,7 +185,7 @@ func runOne(ctx context.Context, i int, cfg sim.Config, o Options) (p Point) {
 	default:
 		p.Result, p.Status = res, Done
 		if o.Cache != nil {
-			o.Cache.Put(cfg, res)
+			p.Raw = o.Cache.put(key, res)
 		}
 	}
 	return p

@@ -1,0 +1,319 @@
+package runner
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"flexsim/internal/api/specv1"
+	"flexsim/internal/fault"
+	"flexsim/internal/sim"
+	"flexsim/internal/stats"
+)
+
+// storeLines returns the result bytes of every line of a store, by key.
+func storeLines(t testing.TB, dir string) map[string]json.RawMessage {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, cacheFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]json.RawMessage{}
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var e entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("store line %s: %v", line, err)
+		}
+		out[e.Key] = e.Result
+	}
+	return out
+}
+
+func neverRun(t *testing.T) func(context.Context, sim.Config) (*stats.Result, error) {
+	return func(_ context.Context, c sim.Config) (*stats.Result, error) {
+		t.Errorf("load %.2f re-ran; it is in the store", c.Load)
+		return fastRun(nil, c)
+	}
+}
+
+// TestMapCarriesKeyAndStoreBytes pins the Point.Key/Raw contract: with a
+// cache, an executed point carries the very bytes it persisted and a served
+// point the very bytes it was decoded from, each under the key Map hashed.
+func TestMapCarriesKeyAndStoreBytes(t *testing.T) {
+	dir := t.TempDir()
+	cfgs := sweepConfigs(5)
+	cache, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := Map(context.Background(), cfgs, Options{Cache: cache, Run: fastRun})
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+	disk := storeLines(t, dir)
+	for i, p := range cold {
+		if p.Status != Done || p.Key != Key(cfgs[i]) {
+			t.Errorf("cold point %d: status %s key %q, want done under %s", i, p.Status, p.Key, Key(cfgs[i]))
+		}
+		if !bytes.Equal(p.Raw, disk[p.Key]) {
+			t.Errorf("cold point %d: Raw is not the line's result bytes:\n raw  %s\n disk %s", i, p.Raw, disk[p.Key])
+		}
+	}
+
+	if cache, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	warm := Map(context.Background(), cfgs, Options{Cache: cache, Run: neverRun(t)})
+	for i, p := range warm {
+		if p.Status != Cached || p.Key != cold[i].Key || !bytes.Equal(p.Raw, disk[p.Key]) {
+			t.Errorf("warm point %d: status %s key %q raw %s; want cached with the store's bytes", i, p.Status, p.Key, p.Raw)
+		}
+		if again, _ := json.Marshal(p.Result); !bytes.Equal(again, p.Raw) {
+			t.Errorf("warm point %d: Result is not what Raw decodes to", i)
+		}
+	}
+	if cache.Hits() != int64(len(cfgs)) || cache.Misses() != 0 {
+		t.Errorf("warm Map: %d hits, %d misses; want %d, 0", cache.Hits(), cache.Misses(), len(cfgs))
+	}
+
+	// Without a cache there is nothing to carry, and nothing is hashed or
+	// encoded on the caller's behalf.
+	for i, p := range Map(context.Background(), cfgs, Options{Run: fastRun}) {
+		if p.Key != "" || p.Raw != nil {
+			t.Errorf("cacheless point %d carries key %q raw %s", i, p.Key, p.Raw)
+		}
+	}
+}
+
+// TestUndecodableEntryIsOneMiss: stored bytes that no longer decode must
+// count as a single miss (not a hit, not a hit and a miss) and recompute.
+func TestUndecodableEntryIsOneMiss(t *testing.T) {
+	dir := t.TempDir()
+	cfgs := sweepConfigs(2)
+	line := fmt.Sprintf(`{"key":%q,"result":{"Cycles":"four hundred"}}`+"\n", Key(cfgs[0]))
+	if err := os.WriteFile(filepath.Join(dir, cacheFile), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	pts := Map(context.Background(), cfgs[:1], Options{Cache: cache, Run: fastRun})
+	if pts[0].Status != Done || pts[0].Result == nil {
+		t.Fatalf("point did not recompute: %+v", pts[0])
+	}
+	if cache.Hits() != 0 || cache.Misses() != 1 {
+		t.Errorf("%d hits, %d misses; want 0, 1", cache.Hits(), cache.Misses())
+	}
+	if raw, ok := cache.GetRaw(pts[0].Key); !ok || !bytes.Equal(raw, pts[0].Raw) {
+		t.Errorf("recomputed result did not replace the bad entry: %s", raw)
+	}
+}
+
+// parentConfigs are the configurations behind testdata/parent_store, a
+// store written by the commit before Point carried Key/Raw (real runs of
+// bench-shaped points: 4-ary 2-cube, DOR1/TFAR1, 100+400 cycles).
+func parentConfigs() []sim.Config {
+	var cfgs []sim.Config
+	for i := 0; i < 4; i++ {
+		c := sim.Default()
+		c.Routing = "dor"
+		if i%2 == 1 {
+			c.Routing = "tfar"
+		}
+		c.K = 4
+		c.Load = float64(5+30*i) / 100
+		c.WarmupCycles, c.MeasureCycles = 100, 400
+		c.Seed = specv1.PointSeed(1997, i)
+		cfgs = append(cfgs, c)
+	}
+	return cfgs
+}
+
+// TestParentWrittenStore is the cross-version round trip: a store the
+// previous version wrote is served byte for byte (same keys, same result
+// bytes), and persisting those results again writes the previous version's
+// lines byte for byte — so old and new processes can share one store.
+func TestParentWrittenStore(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_store", cacheFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, cacheFile), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	disk := storeLines(t, dir)
+	cfgs := parentConfigs()
+	cache, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := Map(context.Background(), cfgs, Options{Cache: cache, Run: neverRun(t)})
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		want, ok := disk[p.Key]
+		if !ok {
+			t.Fatalf("point %d: key %s is not in the parent's store", i, p.Key)
+		}
+		if p.Status != Cached || !bytes.Equal(p.Raw, want) {
+			t.Errorf("point %d: status %s, bytes differ from the parent's: %s", i, p.Status, p.Raw)
+		}
+	}
+
+	rewritten := t.TempDir()
+	if cache, err = Open(rewritten); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		cache.Put(cfgs[i], p.Result)
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(rewritten, cacheFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, fixture) {
+		t.Errorf("re-persisted store differs from the parent's:\n got  %s\n want %s", got, fixture)
+	}
+}
+
+// mapCanonical is the encoding CanonicalConfig is defined by: a map of
+// every semantic field through encoding/json, which sorts the keys.
+func mapCanonical(t *testing.T, c sim.Config) []byte {
+	v := reflect.ValueOf(c)
+	m := map[string]interface{}{}
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Func, reflect.Interface, reflect.Ptr, reflect.Chan:
+			continue
+		}
+		if !nonSemantic[f.Name] {
+			m[f.Name] = v.Field(i).Interface()
+		}
+	}
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCanonicalConfigMatchesMapEncoding holds the planned encoder to that
+// reference on randomized configurations: negative and extreme integers
+// (appended directly), floats either side of encoding/json's exponent
+// thresholds, strings that need escaping and non-empty slices.
+func TestCanonicalConfigMatchesMapEncoding(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 0.5, 0.1 + 0.2, 1e-6, 9.99e-7, 1e-7, 1.5e-9, 1e-10, 1e20, 1e21, 1.7e300,
+		-2.5e-8, 100, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64, 1.0 / 3}
+	strs := []string{"", "dor", "DOR1 uni", `quo"te`, `back\slash`, "<tag>&", "tab\there", "uni\u00e9", "\u2028", "del\x7f", "bad\xff"}
+	ints := []int{0, 1, -1, 16, math.MaxInt32, math.MinInt64, math.MaxInt64}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		c := sim.Default()
+		v := reflect.ValueOf(&c).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Bool:
+				f.SetBool(rng.Intn(2) == 0)
+			case reflect.Int, reflect.Int64:
+				f.SetInt(int64(ints[rng.Intn(len(ints))]))
+			case reflect.Uint64:
+				f.SetUint(rng.Uint64())
+			case reflect.Float64:
+				if rng.Intn(2) == 0 {
+					f.SetFloat(floats[rng.Intn(len(floats))])
+				} else {
+					f.SetFloat(math.Float64frombits(rng.Uint64()&^(0x7ff<<52) | uint64(rng.Intn(0x7ff))<<52)) // any finite float
+				}
+			case reflect.String:
+				f.SetString(strs[rng.Intn(len(strs))])
+			}
+		}
+		if trial%2 == 0 {
+			c.TimeoutThresholds = []int64{16, -32, math.MaxInt64}
+			c.FaultEvents = []fault.Event{{Cycle: 100, Kind: fault.LinkDown, Ch: 3}}
+		}
+		if got, want := CanonicalConfig(c), mapCanonical(t, c); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d:\n got  %s\n want %s", trial, got, want)
+		}
+	}
+}
+
+// benchStore fills a store with n fixture-shaped results (real ones, so a
+// decode costs what a bench point's does) and returns their configurations.
+func benchStore(b *testing.B, n int) (string, []sim.Config) {
+	b.Helper()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_store", cacheFile))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var results []json.RawMessage
+	for _, line := range bytes.Split(bytes.TrimSpace(fixture), []byte("\n")) {
+		var e entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			b.Fatal(err)
+		}
+		results = append(results, e.Result)
+	}
+	dir := b.TempDir()
+	cache, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfgs := make([]sim.Config, n)
+	for i := range cfgs {
+		cfgs[i] = parentConfigs()[i%len(results)]
+		cfgs[i].Seed = uint64(i)
+		cache.PutRaw(Key(cfgs[i]), "", cfgs[i].Load, results[i%len(results)])
+	}
+	if err := cache.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return dir, cfgs
+}
+
+// BenchmarkWarmMap is the runner-layer rung of a warm re-sweep: Map over a
+// store that holds every point (key + lookup + decode per point).
+func BenchmarkWarmMap(b *testing.B) {
+	dir, cfgs := benchStore(b, 256)
+	cache, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cache.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range Map(context.Background(), cfgs, Options{Parallelism: 1, Cache: cache}) {
+			if p.Status != Cached {
+				b.Fatalf("point %d: %s", p.Index, p.Status)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cfgs))/1e3, "µs/point")
+}
+
+var keySink string
+
+func BenchmarkKey(b *testing.B) {
+	c := parentConfigs()[1]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink = Key(c)
+	}
+}

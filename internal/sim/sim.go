@@ -698,10 +698,16 @@ func (r *Runner) Close() { r.Net.Close() }
 
 // Finish folds detector aggregates into the result and returns it, and
 // stops the network's worker pool (stepping past Finish falls back to the
-// sequential engine).
+// sequential engine). The Result is detached: a copy that shares no memory
+// with the Runner, its histograms sized to their samples, so a sweep
+// holding thousands of Results holds ~2 KB each rather than each one's
+// network, detector and wait-for-graph arenas.
 func (r *Runner) Finish() *stats.Result {
 	r.Net.Close()
-	res := &r.res
+	res := new(stats.Result)
+	*res = r.res
+	res.Latency = stats.Histogram{}
+	res.Latency.Merge(&r.res.Latency)
 	res.Cycles = int64(r.Cfg.MeasureCycles)
 	if r.samples > 0 {
 		res.MeanActive = float64(r.sumAct) / float64(r.samples)

@@ -7,6 +7,7 @@ package stats
 // derived.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -117,17 +118,28 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Merge adds other's samples into h.
+// trimmed returns counts without its trailing empty buckets.
+func trimmed(counts []int64) []int64 {
+	for len(counts) > 0 && counts[len(counts)-1] == 0 {
+		counts = counts[:len(counts)-1]
+	}
+	return counts
+}
+
+// Merge adds other's samples into h. Only other's occupied range is
+// copied, so merging into a zero Histogram yields a copy no larger than
+// its samples need, however far other was pre-grown.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.total == 0 {
 		return
 	}
-	if len(other.counts) > len(h.counts) {
-		grown := make([]int64, len(other.counts))
+	counts := trimmed(other.counts)
+	if len(counts) > len(h.counts) {
+		grown := make([]int64, len(counts))
 		copy(grown, h.counts)
 		h.counts = grown
 	}
-	for b, c := range other.counts {
+	for b, c := range counts {
 		h.counts[b] += c
 	}
 	h.total += other.total
@@ -150,24 +162,107 @@ type histogramJSON struct {
 // trimmed so that Grow pre-allocation never changes the encoding and a
 // decode/re-encode round trip is byte-identical.
 func (h Histogram) MarshalJSON() ([]byte, error) {
-	counts := h.counts
-	for len(counts) > 0 && counts[len(counts)-1] == 0 {
-		counts = counts[:len(counts)-1]
-	}
-	return json.Marshal(histogramJSON{Counts: counts, Total: h.total, Sum: h.sum, Max: h.max})
+	return json.Marshal(histogramJSON{Counts: trimmed(h.counts), Total: h.total, Sum: h.sum, Max: h.max})
 }
 
-// UnmarshalJSON decodes a histogram previously encoded with MarshalJSON.
+// UnmarshalJSON decodes a histogram. The form MarshalJSON emits,
+//
+//	{"counts":[i,...],"total":i,"sum":i,"max":i}
+//
+// — every member optional but in that order, counts non-empty, no
+// whitespace, each i a JSON integer within int64 — is parsed in one pass
+// with counts allocated at its final size: a stored Result holds three of
+// these and they are most of its decode. Any other input goes to
+// encoding/json unchanged, so the accepted language, the decoded value and
+// the errors are encoding/json's.
 func (h *Histogram) UnmarshalJSON(b []byte) error {
-	var w histogramJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
+	w, ok := parseCanonical(b)
+	if !ok {
+		w = histogramJSON{}
+		if err := json.Unmarshal(b, &w); err != nil {
+			return err
+		}
 	}
-	h.counts = w.Counts
-	h.total = w.Total
-	h.sum = w.Sum
-	h.max = w.Max
+	h.counts, h.total, h.sum, h.max = w.Counts, w.Total, w.Sum, w.Max
 	return nil
+}
+
+// parseCanonical parses the form described at UnmarshalJSON, reporting
+// false for anything outside it.
+func parseCanonical(b []byte) (w histogramJSON, ok bool) {
+	b, ok = bytes.CutPrefix(b, []byte("{"))
+	if !ok {
+		return w, false
+	}
+	first := true // no member read yet, so the next has no leading comma
+	if rest, found := bytes.CutPrefix(b, []byte(`"counts":[`)); found {
+		end := bytes.IndexByte(rest, ']')
+		if end < 0 {
+			return w, false
+		}
+		w.Counts = make([]int64, bytes.Count(rest[:end], []byte{','})+1)
+		for i := range w.Counts {
+			if w.Counts[i], rest, ok = cutInt(rest); !ok {
+				return w, false
+			}
+			stop := byte(',')
+			if i == len(w.Counts)-1 {
+				stop = ']'
+			}
+			if len(rest) == 0 || rest[0] != stop {
+				return w, false
+			}
+			rest = rest[1:]
+		}
+		b, first = rest, false
+	}
+	for _, m := range [...]struct {
+		key string
+		dst *int64
+	}{{`,"total":`, &w.Total}, {`,"sum":`, &w.Sum}, {`,"max":`, &w.Max}} {
+		key := m.key
+		if first {
+			key = key[1:]
+		}
+		rest, found := bytes.CutPrefix(b, []byte(key))
+		if !found {
+			continue
+		}
+		if *m.dst, b, ok = cutInt(rest); !ok {
+			return w, false
+		}
+		first = false
+	}
+	return w, len(b) == 1 && b[0] == '}'
+}
+
+// cutInt parses a leading JSON integer (-?(0|[1-9][0-9]*)) that fits an
+// int64 and returns what follows it.
+func cutInt(b []byte) (v int64, rest []byte, ok bool) {
+	i := 0
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if i-start == 19 { // more digits than MaxInt64 has: u would wrap
+			return 0, nil, false
+		}
+		u = u*10 + uint64(b[i]-'0')
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	if n := i - start; n == 0 || (n > 1 && b[start] == '0') || u > limit {
+		return 0, nil, false
+	}
+	if neg {
+		return -int64(u), b[i:], true
+	}
+	return int64(u), b[i:], true
 }
 
 // String summarizes the distribution.

@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -215,4 +218,112 @@ func TestHistogramJSONEmpty(t *testing.T) {
 	if back.Count() != 1 {
 		t.Errorf("decoded histogram unusable: %s", back.String())
 	}
+}
+
+// TestHistogramMergeCopiesOccupiedRange: Merge into a zero Histogram is how
+// a finished run's Result is detached from its simulator, so the copy must
+// be sized to the samples, not to the source's Grow pre-allocation.
+func TestHistogramMergeCopiesOccupiedRange(t *testing.T) {
+	var src Histogram
+	src.Grow(1e9) // the detector's pass timers: 502 buckets
+	for v := int64(100); v < 108; v++ {
+		src.Observe(v)
+	}
+	var dst Histogram
+	dst.Merge(&src)
+	if want := bucketOf(107) + 1; len(dst.counts) != want || cap(dst.counts) != want {
+		t.Errorf("merged copy has %d buckets (cap %d) for samples up to bucket %d; source has %d",
+			len(dst.counts), cap(dst.counts), want-1, len(src.counts))
+	}
+	a, _ := json.Marshal(src)
+	b, _ := json.Marshal(dst)
+	if string(a) != string(b) {
+		t.Errorf("merged copy encodes differently:\n src %s\n dst %s", a, b)
+	}
+}
+
+// storeFixture is a store written by the commit before the one-pass decoder
+// (see the runner package's cross-version test): four bench-shaped results,
+// three histograms each.
+const storeFixture = "../runner/testdata/parent_store/results.jsonl"
+
+// FuzzHistogramJSON holds the one-pass decoder to encoding/json, which it
+// replaced: on every input both must fail or both succeed with the same
+// value, and whatever MarshalJSON produces must be inside the one-pass
+// grammar and decode/re-encode byte-identically.
+func FuzzHistogramJSON(f *testing.F) {
+	store, err := os.ReadFile(storeFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(store), []byte("\n")) {
+		var e struct {
+			Result struct{ Latency, DetectBuildTime, DetectAnalyzeTime json.RawMessage }
+		}
+		if err := json.Unmarshal(line, &e); err != nil {
+			f.Fatal(err)
+		}
+		for _, h := range []json.RawMessage{e.Result.Latency, e.Result.DetectBuildTime, e.Result.DetectAnalyzeTime} {
+			if len(h) == 0 {
+				f.Fatalf("fixture line without three histograms: %s", line)
+			}
+			f.Add([]byte(h))
+		}
+	}
+	for _, s := range []string{
+		`{}`, `null`, ``, `{`, `[]`, `0`, `"x"`, `{"counts":[1,2,3],"total":6,"sum":3,"max":2}`,
+		`{"counts":[5]}`, `{"total":7}`, `{"sum":7}`, `{"max":7}`, `{"total":7,"max":3}`, `{"counts":[1],"max":3}`,
+		`{"counts":[]}`, `{"counts":null}`, `{"counts":[],"total":1}`, `{"total":0,"sum":0,"max":0}`,
+		`{"counts":[01],"total":1}`, `{"counts":[1],"total":007}`, `{"counts":[-0,-1],"total":-3}`,
+		`{"counts":[-],"total":1}`, `{"counts":[1,],"total":1}`, `{"counts":[,1]}`, `{"counts":[1 2]}`,
+		`{"total":9223372036854775807}`, `{"total":9223372036854775808}`,
+		`{"total":-9223372036854775808}`, `{"total":-9223372036854775809}`,
+		`{"total":18446744073709551616}`, `{"total":99999999999999999999999}`,
+		`{"counts":[1e2],"total":1}`, `{"counts":[1.0]}`, `{"total":1.5}`, `{"total":1E+2}`, `{"total":"1"}`, `{"total":true}`,
+		` {"total":1}`, `{"total":1} `, `{ "total":1}`, `{"total": 1}`, `{"total":1 ,"sum":2}`, "{\"counts\":[1,\n2]}",
+		`{"sum":1,"total":2}`, `{"max":1,"counts":[2]}`, `{"total":1,"total":2}`, `{"counts":[1],"counts":[2,3]}`,
+		`{"Total":1}`, `{"TOTAL":1,"total":2}`, `{"extra":1}`, `{"counts":[1],"extra":{"a":[1,2]},"total":1}`,
+		`{"total":1,}`, `{,"total":1}`, `{"total":1}}`, `{"total":1}x`, `{"total"}`, `{"total":}`, `{"total":1`,
+		`{"counts":[1,2`, `{"counts":[1,2]`, `{"counts":[1,2],`, `{"counts":[1,2],"total"`, `{"counts":[[1]]}`,
+		`{"counts":[1],"total":1,"sum":2,"max":3,"more":4}`, `{"counts":{"a":1}}`, `{"counts":"1,2"}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Histogram
+		gotErr := got.UnmarshalJSON(data)
+		var w histogramJSON
+		wantErr := json.Unmarshal(data, &w)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%q: one-pass error %v, encoding/json error %v", data, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			if !reflect.DeepEqual(got, Histogram{}) {
+				t.Fatalf("%q: rejected, yet the histogram was written: %+v", data, got)
+			}
+			return
+		}
+		want := Histogram{counts: w.Counts, total: w.Total, sum: w.Sum, max: w.Max}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: one-pass %+v, encoding/json %+v", data, got, want)
+		}
+		enc, err := got.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, ok := parseCanonical(enc)
+		if !ok {
+			t.Fatalf("MarshalJSON output %s is outside the one-pass grammar", enc)
+		}
+		if cap(fast.Counts) != len(fast.Counts) {
+			t.Errorf("%s: counts decoded with cap %d for %d buckets", enc, cap(fast.Counts), len(fast.Counts))
+		}
+		var back Histogram
+		if err := back.UnmarshalJSON(enc); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := back.MarshalJSON(); !bytes.Equal(enc, again) {
+			t.Fatalf("%q: re-encode drifted:\n first %s\n again %s", data, enc, again)
+		}
+	})
 }
