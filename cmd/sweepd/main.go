@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"flexsim/cmd/internal/flags"
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/obs"
 	"flexsim/internal/obs/fleettrace"
 	"flexsim/internal/runner"
@@ -40,7 +41,16 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+// closeLog closes the store or the span log as run returns. A write that
+// failed earlier surfaces here: report it and fail the process.
+func closeLog(close func() error, code *int) {
+	if err := close(); err != nil {
+		fmt.Fprintln(os.Stderr, "sweepd:", err)
+		*code = 1
+	}
+}
+
+func run() (code int) {
 	var (
 		httpAddr    = flag.String("http", "127.0.0.1:8600", "serve the sweep API (plus /metrics, /healthz, /progress) on this address")
 		store       = flag.String("store", "sweep.store", "shared content-addressed result store directory")
@@ -64,7 +74,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		return 1
 	}
-	defer cache.Close()
+	defer closeLog(cache.Close, &code)
 
 	ctx, cancel := flags.SignalContext(0)
 	defer cancel()
@@ -108,17 +118,15 @@ func run() int {
 	// Fleet tracing and scheduler telemetry are always collected on the
 	// coordinator; the span-log JSONL and Perfetto timeline are written only
 	// when their flags name a destination.
-	var spansFile *os.File
+	var spans *jsonlog.Log
 	if *fleetSpans != "" {
-		f, err := os.OpenFile(*fleetSpans, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+		if spans, err = jsonlog.Open(*fleetSpans); err != nil {
 			fmt.Fprintln(os.Stderr, "sweepd:", err)
 			return 1
 		}
-		spansFile = f
-		defer spansFile.Close()
+		defer closeLog(spans.Close, &code)
 	}
-	fleetLog := fleettrace.NewLog(spansFile)
+	fleetLog := fleettrace.NewLog(spans)
 	fleetMetrics := obs.NewFleetMetrics()
 
 	progress := obs.NewSweepProgress(nil)
@@ -174,9 +182,6 @@ func run() int {
 	logf("draining (grace %v)...", *drainGrace)
 	svc.Drain(*drainGrace)
 	logf("drained")
-	if err := fleetLog.Err(); err != nil {
-		logf("fleet span log: %v", err)
-	}
 	if *fleetPerf != "" {
 		f, err := os.Create(*fleetPerf)
 		if err != nil {

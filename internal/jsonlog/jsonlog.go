@@ -1,0 +1,117 @@
+// Package jsonlog is the one append-only JSONL file under the result store,
+// the coordinator journal and the fleet span log. DESIGN.md, "Append-only
+// logs", states the rule the three share: one write(2) per record on an
+// O_APPEND descriptor, a torn tail healed by the next Append, complete lines
+// only from Scan. A torn tail is never an error: unterminated it is not
+// delivered, healed it is a line that does not decode, which all three
+// callers skip.
+//
+// The residual case: a live appender cannot see another process tear the
+// tail after its own first Append, so its next record is lost to the glued
+// line. Only the multi-writer store can hit that, and it costs one
+// recomputed point; the journal and the span log have one writer.
+package jsonlog
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"slices"
+	"sync"
+)
+
+// Log is one open JSONL file. All methods are safe for concurrent use.
+type Log struct {
+	f *os.File
+
+	mu    sync.Mutex // Append, Scan (held across fn) and Close
+	clean bool       // the file was seen to end in '\n' and no write of ours failed since
+	err   error      // first Append or Close failure
+	off   int64      // Scan has consumed [0, off): complete lines only
+}
+
+// Open opens path for appending and scanning, creating it if needed.
+func Open(path string) (*Log, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &Log{f: f}, nil
+}
+
+// Append writes record and a terminating '\n' as one write. record must not
+// contain a newline. The first failure is kept for Close.
+func (l *Log) Append(record []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	err := l.append(record)
+	l.clean = err == nil
+	if l.err == nil {
+		l.err = err
+	}
+	return err
+}
+
+func (l *Log) append(record []byte) error {
+	line := make([]byte, 0, len(record)+2)
+	if !l.clean {
+		if torn, err := l.tornTail(); err != nil {
+			return err
+		} else if torn {
+			line = append(line, '\n')
+		}
+	}
+	line = append(append(line, record...), '\n')
+	_, err := l.f.Write(line) // non-nil on a short write
+	return err
+}
+
+// tornTail reports whether the file is non-empty and does not end in '\n'.
+func (l *Log) tornTail() (bool, error) {
+	fi, err := l.f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return false, err
+	}
+	var last [1]byte
+	_, err = l.f.ReadAt(last[:], fi.Size()-1)
+	return last[0] != '\n', err
+}
+
+// Scan calls fn with each complete line (without its '\n') appended since
+// the last Scan reached — by this handle or any other process. The slice is
+// only lent: it is overwritten after fn returns. fn must not call l.
+func (l *Log) Scan(fn func(line []byte)) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	buf := make([]byte, 0, 1<<16)
+	for {
+		buf = slices.Grow(buf, 1) // a line longer than the buffer: no cap, grow
+		n, err := l.f.ReadAt(buf[len(buf):cap(buf)], l.off+int64(len(buf)))
+		buf = buf[:len(buf)+n]
+		rest := buf
+		for i := bytes.IndexByte(rest, '\n'); i >= 0; i = bytes.IndexByte(rest, '\n') {
+			fn(rest[:i:i])
+			rest = rest[i+1:]
+		}
+		l.off += int64(len(buf) - len(rest))
+		buf = buf[:copy(buf, rest)]
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// Close closes the file and returns the first error the handle saw.
+// Closing twice is harmless.
+func (l *Log) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.f.Close(); err != nil && !errors.Is(err, os.ErrClosed) && l.err == nil {
+		l.err = err
+	}
+	return l.err
+}

@@ -13,7 +13,6 @@ import (
 
 	"flexsim/internal/cwg"
 	"flexsim/internal/detect"
-	"flexsim/internal/message"
 	"flexsim/internal/network"
 )
 
@@ -81,15 +80,4 @@ func (r *Repro) Replay() (*Replay, error) {
 	g := cwg.NewBuilder(sy.net.TotalVCs()).Build(sy.det.Snapshot())
 	an := g.Analyze(cwg.Options{CountKnotCycles: true})
 	return &Replay{Net: sy.net, Detector: sy.det, Graph: g, Analysis: an}, nil
-}
-
-// VCLabel returns a labeling function for DOT output on the replayed
-// network ("c3v1" for network VCs, "inj2" for injection VCs).
-func (rp *Replay) VCLabel() func(message.VC) string {
-	return func(vc message.VC) string {
-		if rp.Net.IsInjection(vc) {
-			return fmt.Sprintf("inj%d", rp.Net.Downstream(vc))
-		}
-		return fmt.Sprintf("c%dv%d", rp.Net.VCChannel(vc), rp.Net.VCIndex(vc))
-	}
 }

@@ -144,9 +144,6 @@ func (l *ResourceLog) MinReplayCycle() int64 {
 // All subsequent epoch-bumping mutations are recorded into it.
 func (n *Network) SetResourceLog(l *ResourceLog) { n.resLog = l }
 
-// ResourceLogAttached returns the attached log, or nil.
-func (n *Network) ResourceLogAttached() *ResourceLog { return n.resLog }
-
 // logRes records one mutation when forensics is attached; one nil check
 // otherwise.
 func (n *Network) logRes(kind ResKind, id message.ID, vc message.VC, wants []message.VC) {

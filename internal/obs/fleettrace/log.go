@@ -2,8 +2,8 @@ package fleettrace
 
 // The coordinator-side span log. Every scheduler transition of every point
 // appends one Record — to the in-memory log (the Perfetto export reads it
-// back) and, when a writer is attached, as one JSONL line written
-// immediately (a crashed coordinator loses at most the line in flight).
+// back) and, when a sink is attached, as one line of a jsonlog.Log
+// (DESIGN.md, "Append-only logs").
 //
 // Record taxonomy (kind / state):
 //
@@ -24,10 +24,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/trace"
 )
 
@@ -64,26 +64,18 @@ func (r Record) Terminal() bool {
 // concurrent use from worker loops.
 type Log struct {
 	mu      sync.Mutex
-	w       io.Writer // optional JSONL sink
-	werr    error
+	sink    *jsonlog.Log // optional
 	start   time.Time
 	records []Record
 	// open span starts, keyed by sweep\x00point(\x00attempt).
 	openUS map[string]int64
 }
 
-// NewLog returns a span log appending JSONL lines to w (nil = in-memory
-// only; the Perfetto export still works).
-func NewLog(w io.Writer) *Log {
-	return &Log{w: w, start: time.Now(), openUS: make(map[string]int64)}
-}
-
-// Err returns the first JSONL write error, if any (recording continues in
-// memory regardless).
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.werr
+// NewLog returns a span log appending JSONL lines to sink (nil = in-memory
+// only; the Perfetto export still works). The caller closes sink, and
+// learns of a failed append there; recording continues in memory regardless.
+func NewLog(sink *jsonlog.Log) *Log {
+	return &Log{sink: sink, start: time.Now(), openUS: make(map[string]int64)}
 }
 
 // Records returns a snapshot of every record so far.
@@ -106,16 +98,9 @@ func attemptKey(sweep string, point, attempt int) string {
 // append records one line under the lock.
 func (l *Log) append(r Record) {
 	l.records = append(l.records, r)
-	if l.w == nil || l.werr != nil {
-		return
-	}
-	line, err := json.Marshal(r)
-	if err != nil {
-		l.werr = err
-		return
-	}
-	if _, err := l.w.Write(append(line, '\n')); err != nil {
-		l.werr = err
+	if l.sink != nil {
+		line, _ := json.Marshal(r) // ints and strings: cannot fail
+		l.sink.Append(line)        // a failure is kept for the sink's Close
 	}
 }
 
@@ -200,17 +185,18 @@ func (l *Log) Steal(sweep, traceID string, point, attempt int, worker, from stri
 	})
 }
 
-// ReadRecords decodes a span-log JSONL stream (tolerating a torn final
-// line, like every other JSONL reader in the repo).
-func ReadRecords(r io.Reader) ([]Record, error) {
-	dec := json.NewDecoder(r)
+// ReadRecords decodes the span-log lines log.Scan delivers, skipping lines
+// that are not records.
+func ReadRecords(log *jsonlog.Log) ([]Record, error) {
 	var out []Record
-	for dec.More() {
+	err := log.Scan(func(line []byte) {
 		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			return out, fmt.Errorf("fleettrace: read records: %w", err)
+		if json.Unmarshal(line, &rec) == nil {
+			out = append(out, rec)
 		}
-		out = append(out, rec)
+	})
+	if err != nil {
+		return out, fmt.Errorf("fleettrace: read records: %w", err)
 	}
 	return out, nil
 }
@@ -263,10 +249,4 @@ func (l *Log) WritePerfetto(w io.Writer) error {
 		}
 	}
 	return p.Close()
-}
-
-// SortRecords orders records by timestamp. The log appends in time order
-// already; merges of several processes' JSONL files want this.
-func SortRecords(records []Record) {
-	sort.SliceStable(records, func(i, j int) bool { return records[i].TS < records[j].TS })
 }

@@ -3,9 +3,24 @@ package fleettrace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"flexsim/internal/jsonlog"
 )
+
+// openSink opens a span-log file in a fresh directory.
+func openSink(t *testing.T) (*jsonlog.Log, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	sink, err := jsonlog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sink.Close() })
+	return sink, path
+}
 
 // replayLifecycle drives one point through queued -> attempt 1 retry ->
 // steal -> attempt 2 done, the shape every log test wants.
@@ -20,13 +35,10 @@ func replayLifecycle(l *Log, sweep, traceID string) {
 }
 
 func TestLogRecordsLifecycle(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLog(&buf)
+	sink, _ := openSink(t)
+	l := NewLog(sink)
 	tr := MintTraceID("s1-aaaa")
 	replayLifecycle(l, "s1-aaaa", tr)
-	if err := l.Err(); err != nil {
-		t.Fatal(err)
-	}
 
 	recs := l.Records()
 	wantStates := []string{"queued", "running", "retry", "steal", "running", "done", "done"}
@@ -59,7 +71,7 @@ func TestLogRecordsLifecycle(t *testing.T) {
 	}
 
 	// The JSONL stream reads back the same records.
-	back, err := ReadRecords(&buf)
+	back, err := ReadRecords(sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,27 +89,53 @@ func TestLogNilWriterInMemory(t *testing.T) {
 	l := NewLog(nil)
 	tr := MintTraceID("s2-bbbb")
 	replayLifecycle(l, "s2-bbbb", tr)
-	if err := l.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if len(l.Records()) != 7 {
 		t.Fatalf("in-memory log: %d records", len(l.Records()))
 	}
 }
 
-func TestReadRecordsToleratesTornTail(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLog(&buf)
+// tornLog writes one point's two records to a fresh span log and then half a
+// line, as a coordinator killed mid-write leaves it.
+func tornLog(t *testing.T) (*jsonlog.Log, string) {
+	t.Helper()
+	sink, path := openSink(t)
+	l := NewLog(sink)
 	tr := MintTraceID("s3-cccc")
 	l.PointQueued("s3-cccc", tr, 0)
 	l.PointSettled("s3-cccc", tr, 0, "done", "w1", "", "")
-	torn := buf.String() + `{"ts_us":12,"trace":"` // crash mid-line
-	recs, err := ReadRecords(strings.NewReader(torn))
-	if err == nil {
-		t.Fatal("torn tail: want error reporting the tear")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("torn tail: %d whole records recovered, want 2", len(recs))
+	defer f.Close()
+	if _, err := f.WriteString(`{"ts_us":12,"trace":"`); err != nil {
+		t.Fatal(err)
+	}
+	return sink, path
+}
+
+func TestReadRecordsToleratesTornTail(t *testing.T) {
+	sink, _ := tornLog(t)
+	recs, err := ReadRecords(sink)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("torn tail: %d records, err %v; want the 2 whole ones and no error", len(recs), err)
+	}
+}
+
+// TestAppendAfterTornTail: the first record a restarted coordinator appends
+// is its own line, not glued to the torn bytes and lost with them.
+func TestAppendAfterTornTail(t *testing.T) {
+	_, path := tornLog(t)
+	sink, err := jsonlog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	l := NewLog(sink)
+	l.PointQueued("s3-cccc", MintTraceID("s3-cccc"), 1)
+	recs, err := ReadRecords(sink)
+	if err != nil || len(recs) != 3 || recs[2].Point != 1 || recs[2].State != "queued" {
+		t.Fatalf("after restart: err %v, records %+v; want the 2 old ones and the new one", err, recs)
 	}
 }
 

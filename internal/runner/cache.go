@@ -6,26 +6,15 @@ package runner
 // sim.Config and persists completed Points as JSONL, letting an interrupted
 // or repeated sweep skip every configuration it has already finished.
 //
-// The store is safe for concurrent multi-process appenders — a sweep
-// coordinator and its worker fleet all Open the same directory:
-//
-//   - Writes are single-record appends: each Put marshals one complete
-//     JSONL line and issues exactly one write(2) on an O_APPEND descriptor,
-//     so concurrent appenders never interleave bytes within a record and a
-//     crash loses at most the line being written.
-//   - Reads are lock-free: Get/GetRaw load from an immutable-keyed
-//     sync.Map behind an atomic pointer; no Get ever contends with a Put or
-//     a Reload.
-//   - Reload incrementally scans lines other processes have appended since
-//     the last load, never consuming a partial (in-flight) final line, so a
-//     coordinator can adopt its workers' completions at any time.
+// The file is a jsonlog.Log, which is what makes one directory safe for a
+// coordinator and its worker fleet to Open at once (DESIGN.md, "Append-only
+// logs"); lookups are lock-free loads from a sync.Map behind an atomic
+// pointer and never contend with a Put or a Reload.
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
 )
@@ -147,10 +137,11 @@ type entry struct {
 // Cache is a disk-backed result cache shared by concurrent readers within
 // a process and concurrent appender processes on one filesystem. Open
 // loads every previously persisted complete line into memory; Put appends
-// one JSONL record per completed run with a single write; Reload picks up
-// records appended by other processes since the last load.
+// one JSONL record per completed run; Reload picks up records appended by
+// other processes since the last load.
 type Cache struct {
 	dir  string
+	log  *jsonlog.Log
 	hits atomic.Int64
 	miss atomic.Int64
 
@@ -158,12 +149,7 @@ type Cache struct {
 	// Lookups are lock-free loads; Forget swaps in a fresh map.
 	entries atomic.Pointer[sync.Map]
 
-	// mu serializes writers and loaders: Put's append, Reload's scan, the
-	// read offset, and the first persistence error.
-	mu  sync.Mutex
-	f   *os.File
-	off int64 // bytes of cacheFile consumed by Open/Reload (complete lines only)
-	err error // first persistence failure, reported at Close
+	err atomic.Pointer[error] // first persistence failure, reported at Close
 }
 
 // Open creates dir if needed and loads the persisted results.
@@ -171,62 +157,34 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: cache dir: %w", err)
 	}
-	c := &Cache{dir: dir}
+	log, err := jsonlog.Open(filepath.Join(dir, cacheFile))
+	if err != nil {
+		return nil, fmt.Errorf("runner: cache open: %w", err)
+	}
+	c := &Cache{dir: dir, log: log}
 	c.entries.Store(&sync.Map{})
 	if err := c.Reload(); err != nil {
+		log.Close()
 		return nil, err
 	}
-	f, err := os.OpenFile(c.path(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("runner: cache append: %w", err)
-	}
-	c.mu.Lock()
-	c.f = f
-	c.mu.Unlock()
 	return c, nil
 }
 
-func (c *Cache) path() string { return filepath.Join(c.dir, cacheFile) }
-
-// Reload scans records appended to the store since the last Open/Reload —
-// by this process or any other — into the in-memory index. A partial final
-// line (an append still in flight in another process) is left unconsumed
-// for the next Reload. Torn or foreign complete lines are skipped; those
-// runs simply recompute.
+// Reload indexes the records appended to the store since the last
+// Open/Reload, by this process or any other. Torn or foreign lines are
+// skipped; those runs simply recompute.
 func (c *Cache) Reload() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, err := os.Open(c.path())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("runner: cache open: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(c.off, io.SeekStart); err != nil {
-		return fmt.Errorf("runner: cache seek: %w", err)
-	}
 	m := c.entries.Load()
-	r := bufio.NewReaderSize(f, 1<<16)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == nil {
-			c.off += int64(len(line))
-			var e entry
-			if json.Unmarshal(line, &e) != nil || e.Key == "" || len(e.Result) == 0 {
-				continue // torn or foreign line; recompute that run
-			}
+	err := c.log.Scan(func(line []byte) {
+		var e entry
+		if json.Unmarshal(line, &e) == nil && e.Key != "" && len(e.Result) > 0 {
 			m.Store(e.Key, e.Result)
-			continue
 		}
-		if err == io.EOF {
-			// Any bytes before EOF lack a trailing newline: an append in
-			// flight. Leave them for the next Reload.
-			return nil
-		}
-		return fmt.Errorf("runner: cache read %s: %w", c.path(), err)
+	})
+	if err != nil {
+		return fmt.Errorf("runner: cache read: %w", err)
 	}
+	return nil
 }
 
 // Get returns the cached Result for a configuration, counting the lookup
@@ -280,29 +238,24 @@ func (c *Cache) put(key string, res *stats.Result) json.RawMessage {
 		c.note(fmt.Errorf("runner: cache encode: %w", err))
 		return nil
 	}
-	c.PutRaw(key, res.Label, res.Load, raw)
+	c.PutRaw(key, res.Label, res.Load, raw) // a failure is kept for Close
 	return raw
 }
 
 // PutRaw records already-encoded result bytes under a content address and
 // appends them to the store — the byte-preserving path a coordinator uses
-// to persist a worker's response verbatim. The record is written with a
-// single append so concurrent processes never interleave within it.
-func (c *Cache) PutRaw(key, label string, load float64, raw json.RawMessage) {
+// to persist a worker's response verbatim. An error means the bytes are
+// served from memory but are not in the store; it is also kept for Close.
+func (c *Cache) PutRaw(key, label string, load float64, raw json.RawMessage) error {
 	line, err := json.Marshal(entry{Key: key, Label: label, Load: load, Result: raw})
 	if err != nil {
-		c.note(fmt.Errorf("runner: cache encode: %w", err))
-		return
+		return c.note(fmt.Errorf("runner: cache encode: %w", err))
 	}
-	line = append(line, '\n')
 	c.entries.Load().Store(key, raw)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f != nil {
-		if _, err := c.f.Write(line); err != nil && c.err == nil {
-			c.err = fmt.Errorf("runner: cache write: %w", err)
-		}
+	if err := c.log.Append(line); err != nil {
+		return c.note(fmt.Errorf("runner: cache write: %w", err))
 	}
+	return nil
 }
 
 // AdoptRaw records result bytes in the in-memory index without appending
@@ -312,12 +265,10 @@ func (c *Cache) AdoptRaw(key string, raw json.RawMessage) {
 	c.entries.Load().Store(key, raw)
 }
 
-func (c *Cache) note(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.mu.Unlock()
+// note keeps err if it is the first persistence failure, and returns it.
+func (c *Cache) note(err error) error {
+	c.err.CompareAndSwap(nil, &err)
+	return err
 }
 
 // Forget drops the in-memory index so every configuration recomputes (and
@@ -340,16 +291,14 @@ func (c *Cache) Misses() int64 { return c.miss.Load() }
 // Dir returns the cache directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// Close flushes and closes the persistence file, returning the first
-// persistence error encountered.
+// Close closes the persistence file, returning the first persistence error
+// encountered. Closing twice is harmless.
 func (c *Cache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f != nil {
-		if err := c.f.Close(); err != nil && c.err == nil {
-			c.err = fmt.Errorf("runner: cache close: %w", err)
-		}
-		c.f = nil
+	if err := c.log.Close(); err != nil {
+		c.note(fmt.Errorf("runner: cache close: %w", err))
 	}
-	return c.err
+	if err := c.err.Load(); err != nil {
+		return *err
+	}
+	return nil
 }

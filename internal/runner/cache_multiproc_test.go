@@ -231,3 +231,58 @@ func TestCacheAdoptRaw(t *testing.T) {
 		t.Fatalf("AdoptRaw appended %d bytes to the store", fi.Size())
 	}
 }
+
+// TestCachePutAfterTornTail: a process killed mid-Put leaves half a line.
+// The next process's first Put must not be glued to it — the parent wrote
+// `{"key":"…{"key":…}` there, one undecodable line, and the reopened store
+// served 1 of the 2 results.
+func TestCachePutAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, cacheFile), []byte(`{"key":"abc","res`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfgs := sweepConfigs(2)
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		c.Put(cfg, &stats.Result{Label: cfg.Label, Seed: uint64(i)})
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, cfg := range cfgs {
+		if res, ok := c.Get(cfg); !ok || res.Seed != uint64(i) {
+			t.Fatalf("result %d not served after reopen (Len %d of 2)", i, c.Len())
+		}
+	}
+}
+
+// TestCachePutRawReportsFailure: an append the store did not take is an
+// error to the caller and again at Close, while the bytes stay served from
+// memory.
+func TestCachePutRawReportsFailure(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.log.Close() // the descriptor goes away under the cache, as a full disk would fail the write
+	raw := json.RawMessage(`{"Label":"x"}`)
+	perr := c.PutRaw("k", "x", 0.1, raw)
+	if perr == nil {
+		t.Fatal("PutRaw on a dead descriptor reported success")
+	}
+	if got, ok := c.GetRaw("k"); !ok || string(got) != string(raw) {
+		t.Fatal("failed PutRaw dropped the bytes from memory")
+	}
+	if cerr := c.Close(); cerr != perr {
+		t.Fatalf("Close = %v, want the first failure %v", cerr, perr)
+	}
+}

@@ -264,3 +264,46 @@ func TestFleetByteIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetWorkerStoreWriteFails: a worker whose store append fails (a full
+// disk; here, a descriptor closed under it) must answer persisted=false, so
+// the coordinator writes the bytes itself. The parent answered true, the
+// coordinator adopted without writing, and the journaled completion had no
+// bytes in the store.
+func TestFleetWorkerStoreWriteFails(t *testing.T) {
+	storeDir := t.TempDir()
+	workerCache, err := runner.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workerCache.Close() // every append now fails
+	wk := &Worker{Name: "w1", Cache: workerCache, Run: stubRun}
+	wsrv, err := obs.Serve("127.0.0.1:0", obs.WithHandler("/api/v1/", wk.Handler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wsrv.Close()
+
+	base := "http://" + wsrv.Addr()
+	probe := sim.Quick()
+	probe.Label = "probe"
+	if r := newHTTPExec(base, 0).run(context.Background(), probe); r.status != specv1.StatusDone || r.persisted {
+		t.Fatalf("worker with a dead store answered status %q, persisted %v", r.status, r.persisted)
+	}
+
+	s, err := New(Config{Cache: openCache(t, storeDir), Fleet: []string{base}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Submit(testSpec("dead-store", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = awaitDone(t, s, st.ID); st.Done != 2 {
+		t.Fatalf("fleet sweep: %+v", st)
+	}
+	s.Close()
+	if n := openCache(t, storeDir).Len(); n != 2 {
+		t.Fatalf("store holds %d of the sweep's 2 results after the coordinator settled them", n)
+	}
+}

@@ -206,8 +206,8 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if wk.Cache != nil {
-			wk.Cache.PutRaw(key, cfg.Label, cfg.Load, raw)
-			resp.Persisted = true
+			// Not persisted: the coordinator writes the bytes itself.
+			resp.Persisted = wk.Cache.PutRaw(key, cfg.Label, cfg.Load, raw) == nil
 		}
 		resp.Status = specv1.StatusDone
 		resp.Result = raw

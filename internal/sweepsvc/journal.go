@@ -8,13 +8,11 @@ package sweepsvc
 // journaled. Result payloads never live here; the store owns them.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 
 	"flexsim/internal/api/specv1"
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/obs/fleettrace"
 )
 
@@ -37,45 +35,10 @@ type journalRecord struct {
 	Error   string        `json:"error,omitempty"`
 }
 
-// journal appends records with single writes on an O_APPEND descriptor
-// (crash loses at most the line in flight; a torn tail is skipped on
-// replay).
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("sweepsvc: journal: %w", err)
-	}
-	return &journal{f: f}, nil
-}
-
-func (j *journal) append(rec journalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("sweepsvc: journal encode: %w", err)
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("sweepsvc: journal write: %w", err)
-	}
-	return nil
-}
-
-func (j *journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
-
-// journalRec appends a record to the journal, if one is attached. Journal
-// failures degrade restart fidelity, not the running sweep: they are logged
-// and the in-memory state stays authoritative.
+// journalRec appends a record to the journal (a jsonlog.Log; DESIGN.md,
+// "Append-only logs"), if one is attached. Journal failures degrade restart
+// fidelity, not the running sweep: they are logged and the in-memory state
+// stays authoritative.
 func (s *Service) journalRec(rec journalRecord) {
 	s.mu.Lock()
 	j := s.journal
@@ -83,80 +46,77 @@ func (s *Service) journalRec(rec journalRecord) {
 	if j == nil {
 		return
 	}
-	if err := j.append(rec); err != nil {
-		s.logf("%v", err)
+	line, err := json.Marshal(rec)
+	if err == nil {
+		err = j.Append(line)
+	}
+	if err != nil {
+		s.logf("journal: %v", err)
 	}
 }
 
-// replayJournal rebuilds sweeps from a previous process's journal. Completed
-// done/cached points whose bytes are no longer in the store fall back to
-// unsettled (they re-run); a torn final line is skipped.
-func (s *Service) replayJournal(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("sweepsvc: journal open: %w", err)
+// replayRecord applies one line of a previous process's journal. Torn or
+// foreign lines are skipped; a done/cached completion whose bytes are no
+// longer in the store is dropped, so the point re-runs.
+func (s *Service) replayRecord(line []byte) {
+	var rec journalRecord
+	if json.Unmarshal(line, &rec) != nil {
+		return
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		var rec journalRecord
-		if json.Unmarshal(sc.Bytes(), &rec) != nil {
-			continue // torn or foreign line
+	switch rec.Type {
+	case "sweep":
+		if rec.Spec == nil || rec.ID == "" {
+			return
 		}
-		switch rec.Type {
-		case "sweep":
-			if rec.Spec == nil || rec.ID == "" {
-				continue
+		if _, exists := s.sweeps[rec.ID]; exists {
+			return
+		}
+		sw, err := s.newSweep(rec.ID, rec.Spec)
+		if err != nil {
+			s.logf("journal: sweep %s unreplayable: %v", rec.ID, err)
+			return
+		}
+		s.sweeps[rec.ID] = sw
+		s.order = append(s.order, rec.ID)
+		s.replayedSweeps++
+		var seq int
+		if _, err := fmt.Sscanf(rec.ID, "s%d-", &seq); err == nil && seq > s.seq {
+			s.seq = seq
+		}
+	case "point":
+		sw := s.sweeps[rec.Sweep]
+		if sw == nil || rec.Index < 0 || rec.Index >= len(sw.results) || sw.results[rec.Index] != nil {
+			return
+		}
+		pr := &specv1.PointResult{
+			SchemaVersion: specv1.Version, Index: rec.Index,
+			Load: sw.configs[rec.Index].Load, Status: rec.Status,
+			Key: rec.Key, Worker: rec.Worker, Attempts: rec.Attempt, Error: rec.Error,
+		}
+		if rec.Status == specv1.StatusDone || rec.Status == specv1.StatusCached {
+			raw, ok := s.cfg.Cache.GetRaw(rec.Key)
+			if !ok {
+				return
 			}
-			if _, exists := s.sweeps[rec.ID]; exists {
-				continue
-			}
-			sw, err := s.newSweep(rec.ID, rec.Spec)
-			if err != nil {
-				s.logf("journal: sweep %s unreplayable: %v", rec.ID, err)
-				continue
-			}
-			s.sweeps[rec.ID] = sw
-			s.order = append(s.order, rec.ID)
-			s.replayedSweeps++
-			var seq int
-			if _, err := fmt.Sscanf(rec.ID, "s%d-", &seq); err == nil && seq > s.seq {
-				s.seq = seq
-			}
-		case "point":
-			sw := s.sweeps[rec.Sweep]
-			if sw == nil || rec.Index < 0 || rec.Index >= len(sw.results) || sw.results[rec.Index] != nil {
-				continue
-			}
-			pr := &specv1.PointResult{
-				SchemaVersion: specv1.Version, Index: rec.Index,
-				Load: sw.configs[rec.Index].Load, Status: rec.Status,
-				Key: rec.Key, Worker: rec.Worker, Attempts: rec.Attempt, Error: rec.Error,
-			}
-			if rec.Status == specv1.StatusDone || rec.Status == specv1.StatusCached {
-				raw, ok := s.cfg.Cache.GetRaw(rec.Key)
-				if !ok {
-					continue // result bytes lost; the point re-runs
-				}
-				pr.Result = raw
-			}
-			sw.results[rec.Index] = pr
-			sw.settled++
-			s.replayedPoints++
-			// A replayed completion lands on the same deterministic span the
-			// original execution settled; cause "replay" marks that the
-			// execution happened in a prior process (no attempt spans here).
-			if tr := s.cfg.Trace; tr != nil {
-				pr.Trace = fleettrace.PointContext(sw.traceID, rec.Index).Traceparent()
-				tr.PointSettled(sw.id, sw.traceID, rec.Index, string(rec.Status), rec.Worker, "replay", rec.Error)
-			}
+			pr.Result = raw
+		}
+		sw.results[rec.Index] = pr
+		sw.settled++
+		s.replayedPoints++
+		// A replayed completion lands on the same deterministic span the
+		// original execution settled; cause "replay" marks that the
+		// execution happened in a prior process (no attempt spans here).
+		if tr := s.cfg.Trace; tr != nil {
+			pr.Trace = fleettrace.PointContext(sw.traceID, rec.Index).Traceparent()
+			tr.PointSettled(sw.id, sw.traceID, rec.Index, string(rec.Status), rec.Worker, "replay", rec.Error)
 		}
 	}
-	if err := sc.Err(); err != nil {
+}
+
+// replayJournal rebuilds sweeps from the journal a previous process left and
+// re-enqueues their unsettled points.
+func (s *Service) replayJournal(j *jsonlog.Log) error {
+	if err := j.Scan(s.replayRecord); err != nil {
 		return fmt.Errorf("sweepsvc: journal read: %w", err)
 	}
 

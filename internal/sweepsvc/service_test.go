@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -296,6 +297,55 @@ func TestRestartResume(t *testing.T) {
 		if len(pr.Result) == 0 {
 			t.Fatalf("point %d settled without result bytes: %+v", pr.Index, pr)
 		}
+	}
+}
+
+// TestRestartAfterTornJournal: a coordinator killed mid-append leaves half a
+// journal line. The next coordinator's first record — the sweep submission —
+// must not be glued to it: the parent wrote `{"type":"poi{"type":"sweep",…`,
+// and the coordinator after that answered "no such sweep" for a sweep its
+// predecessor had accepted and finished.
+func TestRestartAfterTornJournal(t *testing.T) {
+	dir := t.TempDir()
+	journalPath := filepath.Join(dir, "journal.jsonl")
+	cacheDir := filepath.Join(dir, "store")
+	if err := os.WriteFile(journalPath, []byte(`{"type":"poi`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const total = 3
+
+	s1, err := New(Config{Cache: openCache(t, cacheDir), JournalPath: journalPath, LocalWorkers: 1, Run: stubRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit(testSpec("torn", total))
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitDone(t, s1, st.ID)
+	s1.Close()
+
+	var execs atomic.Int64
+	s2, err := New(Config{
+		Cache: openCache(t, cacheDir), JournalPath: journalPath, LocalWorkers: 1,
+		Run: func(ctx context.Context, cfg sim.Config) (*stats.Result, error) {
+			execs.Add(1)
+			return stubRun(ctx, cfg)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	st2, err := s2.Status(st.ID)
+	if err != nil {
+		t.Fatalf("restarted coordinator lost the sweep: %v", err)
+	}
+	if sweeps, settled, requeued := s2.ReplayStatus(); sweeps != 1 || settled != total || requeued != 0 {
+		t.Fatalf("replay: %d sweep(s), %d settled, %d requeued; want 1, %d, 0", sweeps, settled, requeued, total)
+	}
+	if st2.Settled() != total || execs.Load() != 0 {
+		t.Fatalf("replayed sweep: %+v after %d re-execution(s); want %d settled, none re-run", st2, execs.Load(), total)
 	}
 }
 

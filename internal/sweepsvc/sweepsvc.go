@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"flexsim/internal/api/specv1"
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/obs"
 	"flexsim/internal/obs/fleettrace"
 	"flexsim/internal/runner"
@@ -120,7 +121,7 @@ type Service struct {
 	seq     int
 	sweeps  map[string]*sweep
 	order   []string
-	journal *journal
+	journal *jsonlog.Log
 	closed  bool
 
 	// Journal replay summary, written once in New (single-threaded) and
@@ -171,11 +172,12 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if cfg.JournalPath != "" {
-		if err := s.replayJournal(cfg.JournalPath); err != nil {
-			return nil, err
-		}
-		j, err := openJournal(cfg.JournalPath)
+		j, err := jsonlog.Open(cfg.JournalPath)
 		if err != nil {
+			return nil, fmt.Errorf("sweepsvc: journal: %w", err)
+		}
+		if err := s.replayJournal(j); err != nil {
+			j.Close()
 			return nil, err
 		}
 		s.journal = j
@@ -450,8 +452,8 @@ func (s *Service) workerLoop(ex executor) {
 			if m := s.cfg.Metrics; m != nil {
 				m.QueueAdd(1)
 			}
-			s.queue.pushFront(t)
 			s.logf("worker %s: point %s[%d] requeued (%s, attempt %d); gating on health", ex.name(), t.sw.id, t.index, cause, t.attempts)
+			s.queue.pushFront(t) // t belongs to the next worker from here on
 			ex.await(s.ctx)
 		}
 	}
@@ -610,8 +612,8 @@ func (s *Service) settle(sw *sweep, index int, pr *specv1.PointResult, adopted b
 	if len(pr.Result) > 0 && (pr.Status == specv1.StatusDone || pr.Status == specv1.StatusCached) {
 		if adopted {
 			s.cfg.Cache.AdoptRaw(pr.Key, pr.Result)
-		} else {
-			s.cfg.Cache.PutRaw(pr.Key, sw.configs[index].Label, pr.Load, pr.Result)
+		} else if err := s.cfg.Cache.PutRaw(pr.Key, sw.configs[index].Label, pr.Load, pr.Result); err != nil {
+			s.logf("%v", err)
 		}
 	}
 	if tr := s.cfg.Trace; tr != nil {
