@@ -125,7 +125,15 @@ type Message struct {
 	// arcs of the channel wait-for graph). WantsGen is the network's fault
 	// generation Wants was routed under: the set stays exact, without
 	// re-routing, until that generation moves or the header does.
-	Blocked      bool
+	Blocked bool
+	// Frozen marks an Active worm the network's last plan walk found unable
+	// to move a flit: no hop pair could transfer, no flit was due at the
+	// reception port and none at the source. Every transfer is between two
+	// hops of one worm, so it stays that way until the worm acquires a VC;
+	// the network sets it in the plan walk, clears it in acquire, and skips
+	// the walk, source streaming and the release scan while it holds.
+	// Meaningless once Status leaves Active.
+	Frozen       bool
 	BlockedSince int64
 	Wants        []VC
 	WantsGen     uint32

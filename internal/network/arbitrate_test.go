@@ -177,9 +177,9 @@ func TestNewRejectsTooManyVCs(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsCoversRequestTables corrupts each table the request
-// bits added and requires CheckInvariants (or the mid-cycle request oracle)
-// to name it.
+// TestCheckInvariantsCoversRequestTables corrupts each table and bitmap the
+// request bits and the work-skipping scans added and requires CheckInvariants
+// (or the mid-cycle oracle that owns it) to name it.
 func TestCheckInvariantsCoversRequestTables(t *testing.T) {
 	build := func() (*Network, *message.Message) {
 		n := mustNet(t, topology.MustNew(4, 2, true), 2, 2, routing.TFAR{})
@@ -199,6 +199,15 @@ func TestCheckInvariantsCoversRequestTables(t *testing.T) {
 		{"chReq", func(n *Network, m *message.Message) { n.chReq[3] = 2 }, "request bits"},
 		{"rxReq", func(n *Network, m *message.Message) { n.rxReq[7] = rxRequest{key: 1, vc: 0} }, "reception request"},
 		{"rxNodes", func(n *Network, m *message.Message) { n.w0.rxNodes[0] = 1 << 9 }, "reception bitmap"},
+		{"chBits", func(n *Network, m *message.Message) { n.w0.chBits[0] = 1 << 3 }, "channel bitmap"},
+		{"qNodes set on an empty queue", func(n *Network, m *message.Message) {
+			w := n.queueWorker(5)
+			w.qNodes[0] |= 1 << (5 - w.nodeLo)
+		}, "queue bitmap"},
+		{"qNodes clear on a waiting queue", func(n *Network, m *message.Message) {
+			n.Inject(0, 10, 16) // node 0's injection VC is still m's, so this one waits
+			n.queueWorker(0).qNodes[0] &^= 1
+		}, "queue bitmap"},
 	}
 	for _, c := range cases {
 		n, m := build()
@@ -211,17 +220,34 @@ func TestCheckInvariantsCoversRequestTables(t *testing.T) {
 		}
 	}
 
+	wantPanic := func(what, naming string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), naming) {
+				t.Errorf("%s: recovered %v, want a panic naming %q", what, r, naming)
+			}
+		}()
+		f()
+	}
+
 	// A request bit whose VC nobody owns: the arbiter's oracle must refuse it.
 	n, _ := build()
 	var free message.VC
 	for n.owner[free] != nil {
 		free++
 	}
-	ch := n.VCChannel(free)
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "transfer request") {
-			t.Errorf("stray request bit: recovered %v, want the request oracle's panic", r)
-		}
-	}()
-	n.checkRequests(ch, 1<<uint(n.VCIndex(free)))
+	wantPanic("stray request bit", "transfer request", func() {
+		n.checkRequests(n.VCChannel(free), 1<<uint(n.VCIndex(free)))
+	})
+
+	// A worm marked frozen while a hop pair can still transfer: the next
+	// walk skips it, and the frozen-worm oracle must refuse that. (The kernel
+	// is called on the direct worker so the panic lands on this goroutine
+	// whatever FLEXSIM_SHARDS says.)
+	n, m := build()
+	if m.Frozen {
+		t.Fatalf("%v is frozen six cycles after injection; the case needs a moving worm", m)
+	}
+	m.Frozen = true
+	wantPanic("hand-set Frozen", "marked frozen but can move", func() { n.w0.allocatePlan(n.active) })
 }

@@ -117,10 +117,13 @@ type Network struct {
 	// Geometry and routing specialisation resolved once in New, so the
 	// cycle kernels index tables instead of calling through the topology
 	// and routing interfaces: downstream is Downstream by VC id (-1 for a
-	// mesh's nonexistent edge channels), chDim/chFlags are the topology's
-	// ChannelDim/RouteFlags by channel, and maxDeroutes is the misrouting
-	// budget (0 for every relation but MisroutingFAR).
+	// mesh's nonexistent edge channels), chOf the physical channel by VC id
+	// (-1 for an injection VC) so no kernel divides by the VC count,
+	// chDim/chFlags are the topology's ChannelDim/RouteFlags by channel, and
+	// maxDeroutes is the misrouting budget (0 for every relation but
+	// MisroutingFAR).
 	downstream  []int32
+	chOf        []int32
 	chDim       []int32
 	chFlags     []uint32
 	maxDeroutes int
@@ -141,6 +144,7 @@ type Network struct {
 	nextID  message.ID
 	queued  int // total messages waiting in source queues
 	blocked int // active messages blocked as of the last allocation phase
+	retired int // messages retired since the last compactActive
 
 	// activeByID is the lazily rebuilt ID-sorted view of active, returned
 	// by ActiveMessages so observers iterate in a stable order regardless
@@ -183,8 +187,8 @@ type Network struct {
 	resLog *ResourceLog
 
 	// eng, if attached, accumulates engine telemetry (see telemetry.go);
-	// Step then runs profiled duplicates of the step drivers. nil costs
-	// one branch per cycle.
+	// Step then stamps each phase group. nil costs a few branches per
+	// cycle.
 	eng *EngineStats
 
 	// Counters (monotonic).
@@ -328,6 +332,7 @@ func New(p Params) (*Network, error) {
 	n.owner = make([]*message.Message, n.numVCs)
 	n.slotOf = make([]int32, n.numVCs)
 	n.downstream = make([]int32, n.numVCs)
+	n.chOf = make([]int32, n.numVCs)
 	n.chDim = make([]int32, t.NumChannels())
 	n.chFlags = make([]uint32, t.NumChannels())
 	for c := 0; c < t.NumChannels(); c++ {
@@ -340,10 +345,12 @@ func New(p Params) (*Network, error) {
 		}
 		for v := 0; v < p.VCs; v++ {
 			n.downstream[c*p.VCs+v] = dst
+			n.chOf[c*p.VCs+v] = int32(c)
 		}
 	}
 	for node := 0; node < t.Nodes(); node++ {
 		n.downstream[n.numNetVCs+node] = int32(node)
+		n.chOf[n.numNetVCs+node] = -1
 	}
 	if mr, ok := p.Routing.(routing.MisroutingFAR); ok {
 		n.maxDeroutes = mr.MaxDeroutes
@@ -431,8 +438,7 @@ func (n *Network) VCString(vc message.VC) string {
 func (n *Network) Inject(src, dst, length int) *message.Message {
 	m := n.slab.alloc(message.Make(n.nextID, src, dst, length, n.now), n.topo.Distance(src, dst)+1)
 	n.nextID++
-	n.queues[src].push(m)
-	n.queued++
+	n.enqueue(src, m)
 	n.trace(trace.Queued, m.ID, message.NoVC, src)
 	return m
 }
@@ -500,14 +506,12 @@ func (n *Network) Topology() topology.Network { return n.topo }
 func (n *Network) Step() {
 	n.now++
 	switch {
-	case n.eng != nil && n.pool != nil:
-		n.stepParallelProfiled()
+	case n.pool == nil:
+		n.stepSequential(n.eng)
 	case n.eng != nil:
-		n.stepSequentialProfiled()
-	case n.pool != nil:
-		n.stepParallel()
+		n.stepParallelProfiled()
 	default:
-		n.stepSequential()
+		n.stepParallel()
 	}
 	if n.p.CheckInvariants {
 		if err := n.CheckInvariants(); err != nil {
@@ -516,25 +520,30 @@ func (n *Network) Step() {
 	}
 }
 
-// compactActive removes retired messages (delivered, recovered or killed,
-// with every owned VC released), preserving the order of the survivors.
+// retired reports whether m is finished — delivered, recovered or killed —
+// with every owned VC released.
+func retired(m *message.Message) bool {
+	return (m.Status == message.Delivered || m.Status == message.Recovered ||
+		m.Status == message.Killed) && m.Released == len(m.Hops)
+}
+
+// compactActive removes the messages the release phase retired, preserving
+// the order of the survivors. Most cycles retire nothing and skip the pass.
 func (n *Network) compactActive() {
+	if n.retired == 0 {
+		return
+	}
+	n.retired = 0
 	out := n.active[:0]
 	for _, m := range n.active {
-		done := (m.Status == message.Delivered || m.Status == message.Recovered ||
-			m.Status == message.Killed) && m.Released == len(m.Hops)
-		if !done {
+		if !retired(m) {
 			out = append(out, m)
 		}
 	}
-	if len(out) != len(n.active) {
-		n.activeDirty = true
-	}
 	// Zero the tail so retired messages become collectable.
-	for i := len(out); i < len(n.active); i++ {
-		n.active[i] = nil
-	}
+	clear(n.active[len(out):])
 	n.active = out
+	n.activeDirty = true
 }
 
 // prevChannel returns the channel the header last traversed, or
@@ -567,11 +576,14 @@ func (n *Network) bufDepth(vc message.VC) int32 {
 	return n.depth
 }
 
-// acquire makes m the owner of vc, appended to its hop chain.
+// acquire makes m the owner of vc, appended to its hop chain. A new empty
+// hop is the one thing that can make a frozen worm movable again (see
+// worker.plan), so this is where Frozen is cleared.
 func (n *Network) acquire(m *message.Message, vc message.VC) {
 	n.owner[vc] = m
 	n.slotOf[vc] = int32(len(m.Hops))
 	m.Acquire(vc)
+	m.Frozen = false
 }
 
 // grantVC returns the index of the first requested VC after the round-robin
@@ -612,7 +624,7 @@ func (n *Network) commit(vc message.VC) {
 		// The header just traversed vc's channel: update the dimension and
 		// route-state bits the routing relation consumes (dateline crossings
 		// on tori, the down-phase commitment on irregular networks).
-		ch := int(vc) / n.vcs
+		ch := n.chOf[vc]
 		m.CurDim = int(n.chDim[ch])
 		m.Crossed |= n.chFlags[ch]
 	}
@@ -648,8 +660,9 @@ func (n *Network) Absorb(m *message.Message) {
 
 // CheckInvariants validates global consistency: flit conservation per
 // message, exclusive and consistent VC ownership (owner and slot tables
-// against every hop chain), buffer capacity limits, and that the per-cycle
-// request state is back at its reset value (it runs between cycles).
+// against every hop chain), buffer capacity limits, that the per-cycle
+// request state is back at its reset value (it runs between cycles), and
+// that the queue bitmap marks exactly the non-empty source queues.
 // Messages are checked in stable ID order so failure output is
 // reproducible. It is O(active messages × path length + channels + nodes).
 func (n *Network) CheckInvariants() error {
@@ -703,12 +716,20 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("network: node %d left reception request %+v set", node, r)
 		}
 	}
-	if err := n.w0.checkRxIdle(); err != nil {
+	if err := n.w0.checkBitmapsIdle(); err != nil {
 		return err
 	}
 	for _, w := range n.workers {
-		if err := w.checkRxIdle(); err != nil {
+		if err := w.checkBitmapsIdle(); err != nil {
 			return err
+		}
+	}
+	for node := range n.queues {
+		w := n.queueWorker(node)
+		b := node - w.nodeLo
+		if marked, queued := w.qNodes[b>>6]>>(b&63)&1 != 0, n.queues[node].len() > 0; marked != queued {
+			return fmt.Errorf("network: queue bitmap says node %d queued=%v, its source queue holds %d",
+				node, marked, n.queues[node].len())
 		}
 	}
 	return nil

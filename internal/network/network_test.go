@@ -278,6 +278,13 @@ func TestDeterministicRingDeadlock(t *testing.T) {
 	if n.BlockedCount() != 4 {
 		t.Fatalf("wedged network unblocked itself: %d", n.BlockedCount())
 	}
+	// ... and nothing in it is walked any more: a worm whose every buffer is
+	// full behind a blocked header is frozen until it acquires a VC.
+	for _, m := range n.ActiveMessages() {
+		if !m.Frozen {
+			t.Errorf("%v is not frozen in a wedged network (hops %+v)", m, m.Hops)
+		}
+	}
 }
 
 func TestRecoveryResolvesDeadlock(t *testing.T) {

@@ -109,6 +109,10 @@ func (n *Network) clearDynamic(now int64) {
 	for i := range n.queues {
 		n.queues[i] = msgQueue{}
 	}
+	clear(n.w0.qNodes)
+	for _, w := range n.workers {
+		clear(w.qNodes)
+	}
 	for i := range n.active {
 		n.active[i] = nil
 	}
@@ -152,9 +156,7 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 		if im.Blocked {
 			return fmt.Errorf("queued message cannot be blocked")
 		}
-		m := message.New(im.ID, im.Src, im.Dst, im.Len, n.now)
-		n.queues[im.Src].push(m)
-		n.queued++
+		n.enqueue(im.Src, message.New(im.ID, im.Src, im.Dst, im.Len, n.now))
 		return nil
 	}
 	if len(im.Occ) != len(im.Path) {

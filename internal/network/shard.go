@@ -89,6 +89,7 @@ type deltas struct {
 	epoch   uint64
 	queued  int
 	blocked int // flushed explicitly after the allocate phase, not by flushCounters
+	retired int // messages the release phase retired: compactActive has work
 
 	injectedFlits  int64
 	deliveredFlits int64
@@ -152,11 +153,18 @@ type worker struct {
 	reqOut   [][]message.VC // planned transfers targeting a remote shard's channel
 	grantOut [][]message.VC // granted transfers whose message another shard owns
 
-	chDirty []int32 // this shard's channels with pending requests
-	// rxNodes has bit (node - nodeLo) set for each of this shard's nodes
-	// with a pending reception request; scanning it visits them in
-	// ascending node order, the order ejection effects must merge in.
+	// Three bitmaps say where this shard has work, so a phase scans set bits
+	// instead of every channel or node. chBits has bit ch set for each of
+	// the shard's channels with a pending transfer request; rxNodes and
+	// qNodes are indexed (node - nodeLo) — per worker, because two shards
+	// whose boundary is not a multiple of 64 would otherwise share a word —
+	// and mark a pending reception request and a non-empty source queue.
+	// Scanning them visits nodes in ascending order, the order ejection and
+	// injection effects must merge in. chBits and rxNodes are zero between
+	// cycles; qNodes persists with the queues.
+	chBits  []uint64
 	rxNodes []uint64
+	qNodes  []uint64
 
 	// Routing scratch (per worker: the allocate kernel runs concurrently).
 	// req is reused for every Candidates call: a per-call Request would
@@ -179,8 +187,11 @@ type worker struct {
 func (n *Network) initWorkers() {
 	nodes := n.topo.Nodes()
 	req := routing.Request{Topo: n.topo, VCs: n.vcs}
+	chWords := (n.topo.NumChannels() + 63) / 64
 	n.w0 = &worker{n: n, direct: true, nodeLo: 0, nodeHi: nodes, req: req,
-		rxNodes: make([]uint64, (nodes+63)/64)}
+		chBits:  make([]uint64, chWords),
+		rxNodes: make([]uint64, (nodes+63)/64),
+		qNodes:  make([]uint64, (nodes+63)/64)}
 	if n.shards <= 1 {
 		return
 	}
@@ -198,7 +209,9 @@ func (n *Network) initWorkers() {
 			grantOut: make([][]message.VC, s),
 			req:      req,
 		}
+		w.chBits = make([]uint64, chWords)
 		w.rxNodes = make([]uint64, (w.nodeHi-w.nodeLo+63)/64)
+		w.qNodes = make([]uint64, len(w.rxNodes))
 		n.workers[i] = w
 		for node := w.nodeLo; node < w.nodeHi; node++ {
 			n.shardOfNode[node] = int32(i)
@@ -220,6 +233,30 @@ func (n *Network) Close() {
 	}
 	n.pool.close()
 	n.pool = nil
+	// The sequential worker scans the source queues from here on.
+	for node := range n.queues {
+		if n.queues[node].len() > 0 {
+			n.w0.qNodes[node>>6] |= 1 << (node & 63)
+		}
+	}
+}
+
+// queueWorker returns the worker whose startInjections scans node's source
+// queue, and with it owns the node's bit in qNodes.
+func (n *Network) queueWorker(node int) *worker {
+	if n.pool == nil {
+		return n.w0
+	}
+	return n.workers[n.shardOfNode[node]]
+}
+
+// enqueue appends m to node's source queue.
+func (n *Network) enqueue(node int, m *message.Message) {
+	n.queues[node].push(m)
+	n.queued++
+	w := n.queueWorker(node)
+	b := node - w.nodeLo
+	w.qNodes[b>>6] |= 1 << (b & 63)
 }
 
 // --- Worker pool -------------------------------------------------------------
@@ -323,6 +360,7 @@ func (w *worker) flushCounters() {
 	n.KilledCount += d.killedCount
 	n.KilledFlits += d.killedFlits
 	n.UnroutableCount += d.unroutableCount
+	n.retired += d.retired
 	*d = deltas{blocked: d.blocked}
 }
 
@@ -397,20 +435,30 @@ func (n *Network) mergeNodeEffects() {
 // --- Step drivers ------------------------------------------------------------
 
 // stepSequential runs the cycle on the single direct worker: kernels apply
-// every effect inline, exactly the classic one-goroutine engine.
-func (n *Network) stepSequential() {
+// every effect inline, exactly the classic one-goroutine engine. With es
+// attached the same four phase groups the parallel launches run are timed as
+// shard 0; barrier stall and mailbox traffic are structurally zero in direct
+// mode, and the phase split still answers "where does a cycle go".
+func (n *Network) stepSequential(es *EngineStats) {
 	w := n.w0
+	t := es.start()
 	w.drainRecovering(n.active)
 	w.startInjections()
+	t = es.lap(0, t)
 	w.d.blocked = 0
-	w.allocate(n.active)
+	w.allocatePlan(n.active)
 	n.blocked = w.d.blocked
 	w.d.blocked = 0
-	w.planTransfers(n.active)
+	t = es.lap(1, t)
 	w.arbitrateAndEject()
+	t = es.lap(2, t)
 	w.applyAndRelease(n.active)
-	n.compactActive()
 	w.flushCounters()
+	n.compactActive()
+	es.lap(3, t)
+	if es != nil {
+		es.Cycles++
+	}
 }
 
 // Kernels for the four parallel launches. Package-level so handing them to
@@ -426,8 +474,7 @@ func stageDrainInject(w *worker) {
 func stageAllocPlan(w *worker) {
 	w.buf = &w.fxMsg
 	w.d.blocked = 0
-	w.allocate(w.msgs)
-	w.planTransfers(w.msgs)
+	w.allocatePlan(w.msgs)
 }
 
 func stageArbEject(w *worker) {
@@ -474,19 +521,20 @@ func (n *Network) stepParallel() {
 	// drained VCs and retire completed messages.
 	n.pool.runStage(stageApplyRelease)
 	n.mergeMsgEffects()
-	n.compactActive()
 
 	for _, w := range n.workers {
 		w.flushCounters()
 	}
+	n.compactActive()
 }
 
 // --- Profiled step drivers ---------------------------------------------------
 //
-// Exact duplicates of stepSequential/stepParallel with time.Now stamps
-// around each launch and mailbox/effect counting between barriers. Kept
-// separate so the unprofiled drivers stay byte-identical: a run without
-// telemetry pays one nil check in Step and nothing else.
+// An exact duplicate of stepParallel with time.Now stamps around each launch
+// and mailbox/effect counting between barriers. Kept separate so the
+// unprofiled parallel driver stays byte-identical: a run without telemetry
+// pays one nil check in Step and nothing else. (The sequential driver is one
+// function with a nil-able *EngineStats.)
 
 // Profiled stage kernels: the unprofiled kernel bracketed by a clock. Two
 // time.Now calls per worker per launch (~50ns) against kernel times in the
@@ -515,34 +563,6 @@ func stageApplyReleaseProfiled(w *worker) {
 	t0 := time.Now()
 	stageApplyRelease(w)
 	w.phaseNs[3] = int64(time.Since(t0))
-}
-
-// stepSequentialProfiled is stepSequential with the same four phase groups
-// timed as shard 0. Barrier stall and mailbox traffic are structurally zero
-// in direct mode; the phase split still answers "where does a cycle go".
-func (n *Network) stepSequentialProfiled() {
-	es := n.eng
-	w := n.w0
-	t0 := time.Now()
-	w.drainRecovering(n.active)
-	w.startInjections()
-	es.recordDirect(0, int64(time.Since(t0)))
-	t0 = time.Now()
-	w.d.blocked = 0
-	w.allocate(n.active)
-	n.blocked = w.d.blocked
-	w.d.blocked = 0
-	w.planTransfers(n.active)
-	es.recordDirect(1, int64(time.Since(t0)))
-	t0 = time.Now()
-	w.arbitrateAndEject()
-	es.recordDirect(2, int64(time.Since(t0)))
-	t0 = time.Now()
-	w.applyAndRelease(n.active)
-	n.compactActive()
-	w.flushCounters()
-	es.recordDirect(3, int64(time.Since(t0)))
-	es.Cycles++
 }
 
 // fxLens sums the workers' pending message- and node-keyed effect buffers
@@ -604,11 +624,11 @@ func (n *Network) stepParallelProfiled() {
 	n.mergeMsgEffects()
 	es.MergeNs += int64(time.Since(t0))
 	es.MsgEffects += fm
-	n.compactActive()
 
 	for _, w := range n.workers {
 		w.flushCounters()
 	}
+	n.compactActive()
 	es.Cycles++
 }
 
@@ -704,61 +724,74 @@ func (w *worker) absorbFlits(m *message.Message, k int) {
 }
 
 // startInjections moves queued messages of the shard's nodes into free
-// injection VCs. Node-keyed: effects merge in node order.
+// injection VCs, visiting only nodes with a non-empty queue. Node-keyed:
+// effects merge in node order.
 func (w *worker) startInjections() {
 	n := w.n
-	for node := w.nodeLo; node < w.nodeHi; node++ {
-		q := &n.queues[node]
-		m := q.peek()
-		if m == nil {
-			continue
-		}
-		w.curOrd = int32(node)
-		if n.faults != nil {
-			if n.faults.nodeDown[node] {
-				continue // a dead router injects nothing
+	for i, word := range w.qNodes {
+		for ; word != 0; word &= word - 1 {
+			node := w.nodeLo + i<<6 + bits.TrailingZeros64(word)
+			q := &n.queues[node]
+			m := q.peek()
+			w.curOrd = int32(node)
+			if n.faults != nil {
+				if n.faults.nodeDown[node] {
+					continue // a dead router injects nothing
+				}
+				if n.faults.nodeDown[m.Dst] {
+					// Destination is down: drop rather than inject a
+					// message that can never be consumed.
+					w.dequeue(q, node)
+					w.dropQueuedDead(m, node)
+					continue
+				}
 			}
-			if n.faults.nodeDown[m.Dst] {
-				// Destination is down: drop rather than inject a
-				// message that can never be consumed.
-				q.pop()
-				w.d.queued--
-				w.dropQueuedDead(m, node)
+			vc := n.InjVC(node)
+			if n.owner[vc] != nil {
 				continue
 			}
+			w.dequeue(q, node)
+			n.acquire(m, vc)
+			m.Status = message.Active
+			m.InjectTime = n.now
+			if w.direct {
+				n.active = append(n.active, m)
+				n.activeDirty = true
+			} else {
+				w.injected = append(w.injected, m)
+			}
+			w.d.epoch++
+			w.emitRes(ResAcquire, m.ID, vc, nil)
+			w.emitTrace(trace.Injected, m.ID, vc, node)
 		}
-		vc := n.InjVC(node)
-		if n.owner[vc] != nil {
-			continue
-		}
-		q.pop()
-		w.d.queued--
-		n.acquire(m, vc)
-		m.Status = message.Active
-		m.InjectTime = n.now
-		if w.direct {
-			n.active = append(n.active, m)
-			n.activeDirty = true
-		} else {
-			w.injected = append(w.injected, m)
-		}
-		w.d.epoch++
-		w.emitRes(ResAcquire, m.ID, vc, nil)
-		w.emitTrace(trace.Injected, m.ID, vc, node)
 	}
 }
 
-// allocate routes every header sitting at the head of its buffer and tries
-// to allocate the first free candidate VC; failing that the message is
-// marked blocked with its candidate set recorded (the CWG dashed arcs).
-// Shard-local: every candidate VC leaves the header's node, so no other
-// shard competes for it.
+// dequeue pops the head of node's source queue q, clearing the node's qNodes
+// bit when that empties it.
+func (w *worker) dequeue(q *msgQueue, node int) {
+	q.pop()
+	w.d.queued--
+	if q.len() == 0 {
+		b := node - w.nodeLo
+		w.qNodes[b>>6] &^= 1 << (b & 63)
+	}
+}
+
+// allocatePlan is the per-worm half of a cycle before arbitration, one pass
+// over the active list: VC allocation for the header, then the worm's
+// flit-movement requests. Per-message interleaving is safe because plan reads
+// only the worm's own hops and writes only request state, while allocate
+// reads only the owner table and the fault set — so the events come out in
+// the order two separate passes would emit them.
 //
 // A header that is already blocked is parked: Wants is its candidate set,
 // exact until the fault set changes, so it is re-routed only once a wanted
 // VC is free or the fault generation has moved. Re-routing a parked header
-// any earlier would rebuild the same Wants and emit nothing.
-func (w *worker) allocate(msgs []*message.Message) {
+// any earlier would rebuild the same Wants and emit nothing. A frozen worm
+// (see plan) skips the walk the same way, but not the parked check: the
+// blocked count and wake-on-free need it.
+func (w *worker) allocatePlan(msgs []*message.Message) {
 	n := w.n
 	for _, m := range msgs {
 		if m.Status != message.Active {
@@ -769,61 +802,79 @@ func (w *worker) allocate(msgs []*message.Message) {
 				w.checkParked(m)
 			}
 			w.d.blocked++
+		} else {
+			w.allocate(m)
+			if m.Status != message.Active {
+				continue // killed as unroutable
+			}
+		}
+		if m.Frozen {
+			if n.p.CheckInvariants {
+				w.checkFrozen(m)
+			}
 			continue
 		}
-		head := m.Hops[len(m.Hops)-1]
-		if head.Departed != 0 || head.Occ == 0 {
-			continue // header already departed or not yet arrived
-		}
-		here := int(n.downstream[head.VC])
-		if here == m.Dst {
-			continue // ejecting; reception handled by arbitrateAndEject
-		}
-		w.curOrd = m.Ord
-		cands := w.route(m, here)
-		if len(cands) == 0 {
-			// No continuation: the routing relation has none for this
-			// header (a disconnected pair on a degraded or irregular
-			// graph), nothing live survives the fault set, or the
-			// misroute budget is spent. Drop with a counted stat instead
-			// of spinning forever.
-			w.killUnroutable(m, here)
-			continue
-		}
-		granted := false
-		for _, c := range cands {
-			vc := n.NetVC(c.Ch, c.VC)
-			if n.owner[vc] == nil {
-				n.acquire(m, vc)
-				w.d.epoch++
-				if m.Blocked {
-					w.emitRes(ResUnblock, m.ID, message.NoVC, m.Wants)
-					m.Blocked = false
-					m.Wants = m.Wants[:0]
-					w.emitTrace(trace.Unblocked, m.ID, vc, here)
-				}
-				w.emitRes(ResAcquire, m.ID, vc, nil)
-				w.emitTrace(trace.Allocated, m.ID, vc, here)
-				granted = true
-				break
-			}
-		}
-		if !granted {
-			newly := !m.Blocked
-			if newly {
-				m.Blocked = true
-				m.BlockedSince = n.now
-				w.d.epoch++
-				w.emitTrace(trace.Blocked, m.ID, message.NoVC, here)
-			}
-			m.Wants = n.appendVCs(m.Wants[:0], cands)
-			m.WantsGen = n.faultGen
-			if newly {
-				w.emitRes(ResBlock, m.ID, message.NoVC, m.Wants)
-			}
-			w.d.blocked++
+		if !w.plan(m) {
+			m.Frozen = true
 		}
 	}
+}
+
+// allocate routes m's header if it sits at the head of its buffer and tries
+// to allocate the first free candidate VC; failing that the message is
+// marked blocked with its candidate set recorded (the CWG dashed arcs).
+// Shard-local: every candidate VC leaves the header's node, so no other
+// shard competes for it.
+func (w *worker) allocate(m *message.Message) {
+	n := w.n
+	head := m.Hops[len(m.Hops)-1]
+	if head.Departed != 0 || head.Occ == 0 {
+		return // header already departed or not yet arrived
+	}
+	here := int(n.downstream[head.VC])
+	if here == m.Dst {
+		return // ejecting; reception handled by arbitrateAndEject
+	}
+	w.curOrd = m.Ord
+	cands := w.route(m, here)
+	if len(cands) == 0 {
+		// No continuation: the routing relation has none for this
+		// header (a disconnected pair on a degraded or irregular
+		// graph), nothing live survives the fault set, or the
+		// misroute budget is spent. Drop with a counted stat instead
+		// of spinning forever.
+		w.killUnroutable(m, here)
+		return
+	}
+	for _, c := range cands {
+		vc := n.NetVC(c.Ch, c.VC)
+		if n.owner[vc] == nil {
+			n.acquire(m, vc)
+			w.d.epoch++
+			if m.Blocked {
+				w.emitRes(ResUnblock, m.ID, message.NoVC, m.Wants)
+				m.Blocked = false
+				m.Wants = m.Wants[:0]
+				w.emitTrace(trace.Unblocked, m.ID, vc, here)
+			}
+			w.emitRes(ResAcquire, m.ID, vc, nil)
+			w.emitTrace(trace.Allocated, m.ID, vc, here)
+			return
+		}
+	}
+	newly := !m.Blocked
+	if newly {
+		m.Blocked = true
+		m.BlockedSince = n.now
+		w.d.epoch++
+		w.emitTrace(trace.Blocked, m.ID, message.NoVC, here)
+	}
+	m.Wants = n.appendVCs(m.Wants[:0], cands)
+	m.WantsGen = n.faultGen
+	if newly {
+		w.emitRes(ResBlock, m.ID, message.NoVC, m.Wants)
+	}
+	w.d.blocked++
 }
 
 // appendVCs appends the VC ids of cands to dst.
@@ -884,51 +935,81 @@ func (w *worker) checkParked(m *message.Message) {
 	}
 }
 
-// planTransfers registers this cycle's flit-movement requests from
-// pre-cycle state: per physical channel for link traversals (a bit in the
-// channel's request word, or the target VC in the channel owner's mailbox
-// when remote) and per node for ejection at the destination (always
-// shard-local: the requester's header is at that node).
-func (w *worker) planTransfers(msgs []*message.Message) {
+// plan registers m's flit-movement requests for this cycle from pre-cycle
+// state: per physical channel for link traversals (a bit in the channel's
+// request word, or the target VC in the channel owner's mailbox when remote)
+// and per node for ejection at the destination (always shard-local: the
+// requester's header is at that node). It reports whether m can move at all
+// — a request made, or a source flit due in applyAndRelease.
+//
+// A worm for which it reports false is frozen. Every transfer is between two
+// hops of the same worm, a worm with no request gets no commit and no
+// ejection, so none of its Occ or Departed counts change and nothing is
+// released: the next walk would find the same. Only a new hop changes that,
+// and acquire clears the flag. Absorb and the fault kills change Status
+// instead, which every skip tests first.
+//
+// The pair loop computes eligibility from sign bits and ORs it in whether it
+// is 0 or 1: an `if` here is data-dependent and mispredicts on every live
+// worm, and that — not the frozen worms — was the walk's cost.
+func (w *worker) plan(m *message.Message) bool {
 	n := w.n
-	for _, m := range msgs {
-		if m.Status != message.Active {
-			continue
+	depth, vcs, local := n.depth, int32(n.vcs), w.direct
+	hops := m.Hops[m.Released:]
+	var live uint64
+	occ := hops[0].Occ
+	// Only hop 0 is an injection VC, so next is a network VC.
+	for _, next := range hops[1:] {
+		// occ > 0 && next.Occ < depth
+		e := uint64(uint32(-occ)>>31) & uint64(uint32(next.Occ-depth)>>31)
+		occ = next.Occ
+		live |= e
+		ch := n.chOf[next.VC]
+		if local || n.shardOfCh[ch] == w.id {
+			n.chReq[ch] |= e << (uint32(int32(next.VC)-ch*vcs) & 63)
+			w.chBits[ch>>6] |= e << (uint32(ch) & 63)
+		} else if e != 0 {
+			t := n.shardOfCh[ch]
+			w.reqOut[t] = append(w.reqOut[t], next.VC)
 		}
-		hops := m.Hops
-		last := len(hops) - 1
-		for i := m.Released; i < last; i++ {
-			// Only hop 0 is an injection VC, so next is a network VC.
-			next := hops[i+1]
-			if hops[i].Occ == 0 || next.Occ >= n.depth {
-				continue
-			}
-			ch := int(next.VC) / n.vcs
-			if w.direct || n.shardOfCh[ch] == w.id {
-				w.requestVC(ch, next.VC)
-			} else {
-				t := n.shardOfCh[ch]
-				w.reqOut[t] = append(w.reqOut[t], next.VC)
-			}
-		}
-		if head := hops[last]; head.Occ > 0 && int(n.downstream[head.VC]) == m.Dst {
-			// Flits at the head buffer of a message whose header has
-			// reached the destination: request the reception channel.
-			n.requestRx(m.Dst, head.VC)
-			b := m.Dst - w.nodeLo
-			w.rxNodes[b>>6] |= 1 << (b & 63)
-		}
+	}
+	if head := hops[len(hops)-1]; head.Occ > 0 && int(n.downstream[head.VC]) == m.Dst {
+		// Flits at the head buffer of a message whose header has
+		// reached the destination: request the reception channel.
+		n.requestRx(m.Dst, head.VC)
+		b := m.Dst - w.nodeLo
+		w.rxNodes[b>>6] |= 1 << (b & 63)
+		return true
+	}
+	return live != 0 || w.sourceFlitDue(m)
+}
+
+// sourceFlitDue reports whether m's source streams a flit into the injection
+// buffer this cycle: one is left, the buffer has room and is still owned.
+func (w *worker) sourceFlitDue(m *message.Message) bool {
+	return m.SrcRemaining > 0 && m.Hops[0].Occ < w.n.inj && m.Released == 0
+}
+
+// checkFrozen is the CheckInvariants oracle for the frozen-worm gate: it
+// re-runs the full walk on a worm the gate skipped — which registers nothing
+// if the gate is right — and requires that it still finds no eligible pair,
+// no reception request and no source flit due, and that the release scan the
+// gate also skips would free nothing.
+func (w *worker) checkFrozen(m *message.Message) {
+	if w.plan(m) || m.Hops[m.Released].Departed == int32(m.Len) {
+		panic(fmt.Sprintf("network: cycle %d: %v is marked frozen but can move (released %d, hops %+v)",
+			w.n.now, m, m.Released, m.Hops))
 	}
 }
 
-// requestVC sets vc's bit in the request word of ch, one of this shard's
-// channels.
-func (w *worker) requestVC(ch int, vc message.VC) {
+// requestVC sets vc's bit in the request word of its channel, one of this
+// shard's: the conditional form of plan's OR, for requests adopted from a
+// mailbox.
+func (w *worker) requestVC(vc message.VC) {
 	n := w.n
-	if n.chReq[ch] == 0 {
-		w.chDirty = append(w.chDirty, int32(ch))
-	}
+	ch := int(n.chOf[vc])
 	n.chReq[ch] |= 1 << (int(vc) - ch*n.vcs)
+	w.chBits[ch>>6] |= 1 << (ch & 63)
 }
 
 // arbitrateAndEject grants one transfer per requested physical channel and
@@ -942,30 +1023,34 @@ func (w *worker) arbitrateAndEject() {
 		// Adopt transfer requests other shards planned for our channels.
 		for _, src := range n.workers {
 			for _, vc := range src.reqOut[w.id] {
-				w.requestVC(int(vc)/n.vcs, vc)
+				w.requestVC(vc)
 			}
 			src.reqOut[w.id] = src.reqOut[w.id][:0]
 		}
 	}
 	// Grant per physical channel: round-robin over VC index. Winners are
-	// order-independent (one requester per VC), so chDirty needs no sorting.
-	for _, ch := range w.chDirty {
-		reqs := n.chReq[ch]
-		n.chReq[ch] = 0
-		if n.p.CheckInvariants {
-			n.checkRequests(topology.ChannelID(ch), reqs)
-		}
-		v := grantVC(reqs, n.chRR[ch])
-		n.chRR[ch] = int32(v)
-		vc := n.NetVC(topology.ChannelID(ch), v)
-		if w.direct {
-			n.commit(vc)
-		} else {
-			t := n.owner[vc].Shard
-			w.grantOut[t] = append(w.grantOut[t], vc)
+	// order-independent (one requester per VC), so the scan's ascending
+	// channel order is as good as any.
+	for i, word := range w.chBits {
+		w.chBits[i] = 0
+		for ; word != 0; word &= word - 1 {
+			ch := i<<6 + bits.TrailingZeros64(word)
+			reqs := n.chReq[ch]
+			n.chReq[ch] = 0
+			if n.p.CheckInvariants {
+				n.checkRequests(topology.ChannelID(ch), reqs)
+			}
+			v := grantVC(reqs, n.chRR[ch])
+			n.chRR[ch] = int32(v)
+			vc := n.NetVC(topology.ChannelID(ch), v)
+			if w.direct {
+				n.commit(vc)
+			} else {
+				t := n.owner[vc].Shard
+				w.grantOut[t] = append(w.grantOut[t], vc)
+			}
 		}
 	}
-	w.chDirty = w.chDirty[:0]
 	// Grant reception: the head VC that follows the node's round-robin
 	// pointer, in ascending node order.
 	for i, word := range w.rxNodes {
@@ -984,7 +1069,7 @@ func (w *worker) arbitrateAndEject() {
 // checkRequests is the CheckInvariants oracle for the request bits: every
 // VC requesting channel ch must be owned, sit where slotOf says in its
 // owner's hop chain, and have a flit waiting in the hop before it — the
-// requester planTransfers set the bit for, re-derived from owner and slotOf.
+// requester plan set the bit for, re-derived from owner and slotOf.
 // It reads only what no shard writes during arbitration (ejection touches
 // the head hop and Status, never the hop a transfer leaves).
 func (n *Network) checkRequests(ch topology.ChannelID, reqs uint64) {
@@ -999,8 +1084,14 @@ func (n *Network) checkRequests(ch topology.ChannelID, reqs uint64) {
 	}
 }
 
-// checkRxIdle reports a reception bitmap word left set between cycles.
-func (w *worker) checkRxIdle() error {
+// checkBitmapsIdle reports a channel or reception bitmap word left set
+// between cycles.
+func (w *worker) checkBitmapsIdle() error {
+	for i, word := range w.chBits {
+		if word != 0 {
+			return fmt.Errorf("network: shard %d left channel bitmap word %d = %#x", w.id, i, word)
+		}
+	}
 	for i, word := range w.rxNodes {
 		if word != 0 {
 			return fmt.Errorf("network: shard %d left reception bitmap word %d = %#x", w.id, i, word)
@@ -1031,9 +1122,10 @@ func (w *worker) eject(m *message.Message) {
 	}
 }
 
-// applyAndRelease commits granted transfers for this shard's messages,
-// streams source flits into injection buffers, then frees VCs whose
-// buffers the tail has fully drained and retires completed messages.
+// applyAndRelease commits granted transfers for this shard's messages, then
+// in one pass per message streams its source flit into the injection buffer,
+// frees the VCs whose buffers the tail has fully drained and retires it when
+// complete. A frozen worm has nothing to stream or release (see plan).
 func (w *worker) applyAndRelease(msgs []*message.Message) {
 	n := w.n
 	if !w.direct {
@@ -1044,18 +1136,21 @@ func (w *worker) applyAndRelease(msgs []*message.Message) {
 			src.grantOut[w.id] = src.grantOut[w.id][:0]
 		}
 	}
-	// Source flits flow on post-transfer occupancy, so a flit entering the
-	// injection buffer this cycle cannot also traverse a link this cycle:
-	// one flit per cycle (dedicated channel, no arbitration).
 	for _, m := range msgs {
-		if m.Status == message.Active && m.SrcRemaining > 0 && m.Hops[0].Occ < n.inj && m.Released == 0 {
-			m.Hops[0].Occ++
-			m.SrcRemaining--
-			w.d.injectedFlits++
+		if m.Status == message.Active {
+			if m.Frozen {
+				continue
+			}
+			// Source flits flow on post-transfer occupancy, so a flit
+			// entering the injection buffer this cycle cannot also traverse
+			// a link this cycle: one flit per cycle (dedicated channel, no
+			// arbitration).
+			if w.sourceFlitDue(m) {
+				m.Hops[0].Occ++
+				m.SrcRemaining--
+				w.d.injectedFlits++
+			}
 		}
-	}
-	// Release drained VCs and retire completed messages.
-	for _, m := range msgs {
 		w.curOrd = m.Ord
 		for m.Released < len(m.Hops) && m.Hops[m.Released].Departed == int32(m.Len) {
 			vc := m.Hops[m.Released].VC
@@ -1064,8 +1159,8 @@ func (w *worker) applyAndRelease(msgs []*message.Message) {
 			m.Released++
 			w.d.epoch++
 		}
-		if (m.Status == message.Delivered || m.Status == message.Recovered ||
-			m.Status == message.Killed) && m.Released == len(m.Hops) {
+		if retired(m) {
+			w.d.retired++
 			w.emitDeliver(m)
 		}
 	}

@@ -5,11 +5,11 @@ package network
 // mailbox traffic matrices and effect-buffer/merge cost counters.
 //
 // The stats attach to a Network via SetEngineStats; when attached, Step
-// dispatches to profiled duplicates of the step drivers (see shard.go) that
-// stamp time.Now around each of the four barrier-separated launches and
-// count mailbox/effect traffic between them. When detached (the default)
-// the drivers are byte-identical to the unprofiled engine — the disabled
-// hot path pays a single nil check per cycle and zero allocations.
+// stamps time.Now around each of the four barrier-separated launches (the
+// sequential driver through a nil-able probe, the parallel one through a
+// profiled duplicate in shard.go that also counts mailbox/effect traffic
+// between barriers). When detached (the default) the disabled hot path pays
+// nil checks and zero allocations.
 //
 // Determinism contract: every *count* in EngineStats (mailbox matrices,
 // effect totals, cycles) is exact and identical across runs of the same
@@ -17,7 +17,10 @@ package network
 // therefore excluded from golden comparisons and the content-addressed
 // cache key (sim.Config.ProfileEngine is in runner's nonSemantic set).
 
-import "slices"
+import (
+	"slices"
+	"time"
+)
 
 // EnginePhases is the number of barrier-separated launches per cycle.
 const EnginePhases = 4
@@ -190,11 +193,27 @@ func (es *EngineStats) recordLaunch(phase int, workers []*worker) {
 	es.StallNs[phase] += max - durs[len(durs)/2]
 }
 
-// recordDirect folds one sequential-engine phase group: all time on shard
-// 0, barrier wall equal to the kernel time, no stall or idle.
-func (es *EngineStats) recordDirect(phase int, ns int64) {
+// start and lap are the sequential engine's probe, no-ops on nil stats so one
+// driver serves both: start stamps the beginning of a cycle, lap folds the
+// time since the last stamp into a phase group — all of it on shard 0,
+// barrier wall equal to the kernel time, no stall or idle — and returns the
+// next stamp.
+func (es *EngineStats) start() time.Time {
+	if es == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (es *EngineStats) lap(phase int, since time.Time) time.Time {
+	if es == nil {
+		return since
+	}
+	now := time.Now()
+	ns := int64(now.Sub(since))
 	es.PhaseNs[0][phase] += ns
 	es.WallNs[phase] += ns
+	return now
 }
 
 // countReqMail tallies the reqOut mailboxes planned by the alloc+plan
@@ -220,8 +239,8 @@ func (es *EngineStats) countGrantMail(workers []*worker) {
 }
 
 // SetEngineStats attaches (or with nil detaches) engine telemetry. The
-// stats are sized to the network's resolved shard count; attaching switches
-// Step onto the profiled drivers until detached.
+// stats are sized to the network's resolved shard count; Step profiles every
+// cycle until they are detached.
 func (n *Network) SetEngineStats(es *EngineStats) {
 	if es != nil {
 		es.SizeTo(n.shards)

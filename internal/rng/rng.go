@@ -106,6 +106,33 @@ func (r *Source) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
+// FirstBelow draws up to max values and returns the index of the first whose
+// top 53 bits are below thresh, or max if none is; draws after the hit are
+// not made. With thresh = ceil(p·2⁵³) the test is exactly Float64() < p —
+// both sides are exact in float64 — so a scan for the first success among
+// max Bernoulli(p) trials, 0 < p < 1, consumes the stream draw for draw as a
+// loop of Bernoulli calls would, with the generator state in registers.
+func (r *Source) FirstBelow(thresh uint64, max int) int {
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	i := 0
+	for i < max {
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if result>>11 < thresh {
+			break
+		}
+		i++
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	return i
+}
+
 // Perm returns a pseudo-random permutation of [0, n) using Fisher–Yates.
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)

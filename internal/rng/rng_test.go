@@ -183,3 +183,68 @@ func TestSplitDecorrelated(t *testing.T) {
 		t.Fatalf("Split stream matched parent %d times", same)
 	}
 }
+
+// firstBernoulli is the loop FirstBelow replaces: up to max Bernoulli(p)
+// trials, stopping at the first success.
+func firstBernoulli(r *Source, p float64, max int) int {
+	for i := 0; i < max; i++ {
+		if r.Bernoulli(p) {
+			return i
+		}
+	}
+	return max
+}
+
+// belowThresh is the FirstBelow threshold under which a draw is a
+// Bernoulli(p) success, 0 < p < 1.
+func belowThresh(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// TestFirstBelowMatchesBernoulli pins FirstBelow's stream identity at the
+// edges of the threshold conversion: the smallest and largest representable
+// probabilities, a few ordinary ones (0.003125 is the paper's load 0.1 on the
+// 16-ary 2-cube), and scans of no, one and many trials. The index and the
+// generator state must equal a loop of Bernoulli(p) on a twin source, scan
+// after scan.
+func TestFirstBelowMatchesBernoulli(t *testing.T) {
+	probs := []float64{0x1p-53, 1e-9, 0.003125, 0.25, 0.5, 1 - 0x1p-53}
+	for _, p := range probs {
+		for _, max := range []int{0, 1, 256} {
+			a, b := New(17), New(17)
+			for scan := 0; scan < 2000; scan++ {
+				got, want := a.FirstBelow(belowThresh(p), max), firstBernoulli(b, p, max)
+				if got != want || *a != *b {
+					t.Fatalf("p=%g max=%d scan %d: FirstBelow = %d with state %x, Bernoulli loop = %d with state %x",
+						p, max, scan, got, *a, want, *b)
+				}
+			}
+		}
+	}
+	// The extremes really are extremes: 2⁻⁵³ succeeds only on a draw whose
+	// top 53 bits are all zero, 1−2⁻⁵³ fails only when they are all one.
+	if belowThresh(0x1p-53) != 1 || belowThresh(1-0x1p-53) != 1<<53-1 {
+		t.Fatalf("thresholds %d, %d; want 1 and 2^53-1", belowThresh(0x1p-53), belowThresh(1-0x1p-53))
+	}
+}
+
+// FuzzFirstBelow checks the same identity for arbitrary seeds, probabilities
+// (any float64 bit pattern that lands in (0,1)) and scan lengths.
+func FuzzFirstBelow(f *testing.F) {
+	f.Add(uint64(1), math.Float64bits(0.003125), uint16(256))
+	f.Add(uint64(2), math.Float64bits(0x1p-53), uint16(1000))
+	f.Add(uint64(3), math.Float64bits(1-0x1p-53), uint16(7))
+	f.Add(uint64(4), math.Float64bits(0x1p-1074), uint16(64))
+	f.Fuzz(func(t *testing.T, seed, pBits uint64, max uint16) {
+		p := math.Float64frombits(pBits)
+		if !(p > 0 && p < 1) {
+			t.Skip()
+		}
+		a, b := New(seed), New(seed)
+		for scan := 0; scan < 4; scan++ {
+			got, want := a.FirstBelow(belowThresh(p), int(max)), firstBernoulli(b, p, int(max))
+			if got != want || *a != *b {
+				t.Fatalf("seed %d p=%g max=%d scan %d: FirstBelow = %d with state %x, Bernoulli loop = %d with state %x",
+					seed, p, max, scan, got, *a, want, *b)
+			}
+		}
+	})
+}

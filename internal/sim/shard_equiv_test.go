@@ -149,7 +149,8 @@ func TestShardEquivalence(t *testing.T) {
 			cfg := equivBase()
 			tc.mut(&cfg)
 			// Every header allocate leaves parked is re-routed by the
-			// oracle and must come out the same.
+			// oracle and must come out the same; every worm the frozen
+			// gate skips is re-walked and must still be unable to move.
 			cfg.CheckInvariants = true
 			assertShardEquivalent(t, cfg, tc.shards)
 		})
@@ -222,6 +223,141 @@ func TestParkedHeaderFaultMutation(t *testing.T) {
 		if got := fmt.Sprintf("%x", h.Sum(nil)); got != parkedFaultDigest {
 			t.Errorf("shards=%d: trace+result digest %s, want %s (%d events, %d killed, %d deadlocks)",
 				shards, got, parkedFaultDigest, len(log.evs), res.Killed, res.Deadlocks)
+		}
+	}
+}
+
+// frozenFaultDigest is the SHA-256 of TestFrozenWormFaultMutation's trace
+// stream and stats.Result as produced by the engine that walked every worm
+// every cycle (commit f0d971d), before the frozen-worm gate.
+const frozenFaultDigest = "587f067601e5ee081c7261e4610c08830e7a748ec66438eceed94d003f6e13f9"
+
+// TestFrozenWormFaultMutation wedges TFAR with one VC and lands, between
+// cycles, every mutation that reaches a worm without going through acquire
+// on worms the frozen-worm gate is skipping: a detector-style Absorb, a link
+// failure under one (it is killed), that link's repair and a single-VC
+// lockout and unlock in front of others (their candidate sets change with no
+// VC being freed). A skip that outlived any of them would show as a lost
+// release, a late wake-up or a stale Wants; the outputs must stay
+// byte-identical to the ungated engine's.
+func TestFrozenWormFaultMutation(t *testing.T) {
+	type kind int
+	const (
+		absorb kind = iota // Absorb vc's owner
+		linkDown
+		linkUp
+		vcDown
+		vcUp
+	)
+	// TFAR has one VC here, so a network VC id is its channel id.
+	script := []struct {
+		cycle int64
+		kind  kind
+		vc    message.VC
+	}{
+		{310, absorb, 36},
+		{365, linkDown, 54},
+		{385, linkUp, 54},
+		{420, vcDown, 48},
+		{440, vcUp, 48},
+	}
+	for _, shards := range []int{1, 4} {
+		cfg := equivBase()
+		cfg.VCs = 1
+		cfg.CheckInvariants = true
+		cfg.Shards = shards
+		log := &eventLog{}
+		cfg.Tracer = log
+		r, err := sim.NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := r.Net
+		// frozenWaiters lists the frozen worms with a blocked header.
+		frozenWaiters := func() []*message.Message {
+			var ms []*message.Message
+			for _, m := range net.ActiveMessages() {
+				if m.Status == message.Active && m.Frozen && m.Blocked {
+					ms = append(ms, m)
+				}
+			}
+			return ms
+		}
+		next := 0
+		// reached, set by a repair, is checked one cycle later: some worm that
+		// was frozen at the repair must have the repaired VC back in its
+		// candidate set, or have been granted it.
+		var reached func()
+		for i := 0; i < cfg.WarmupCycles+cfg.MeasureCycles; i++ {
+			if i == cfg.WarmupCycles {
+				r.StartMeasurement()
+			}
+			r.StepCycle()
+			if reached != nil {
+				reached()
+				reached = nil
+			}
+			if next == len(script) || net.Now() != script[next].cycle {
+				continue
+			}
+			st := script[next]
+			next++
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("shards=%d cycle %d: %s; the case no longer tests what it claims",
+					shards, st.cycle, fmt.Sprintf(format, args...))
+			}
+			owner := net.Owner(st.vc)
+			wanted := slices.ContainsFunc(frozenWaiters(), func(m *message.Message) bool {
+				return slices.Contains(m.Wants, st.vc)
+			})
+			switch st.kind {
+			case absorb, linkDown:
+				if owner == nil || owner.Status != message.Active || !owner.Frozen {
+					fail("VC %d is not held by a frozen worm (owner %v)", st.vc, owner)
+				}
+				if st.kind == absorb {
+					net.Absorb(owner)
+				} else {
+					net.SetLinkDown(net.VCChannel(st.vc))
+				}
+			case vcDown:
+				if !wanted {
+					fail("no frozen worm wants VC %d", st.vc)
+				}
+				net.SetVCDown(net.VCChannel(st.vc), 0)
+			case linkUp, vcUp:
+				if st.kind == linkUp {
+					net.SetLinkUp(net.VCChannel(st.vc))
+				} else {
+					net.SetVCUp(net.VCChannel(st.vc), 0)
+				}
+				before := frozenWaiters()
+				reached = func() {
+					if !slices.ContainsFunc(before, func(m *message.Message) bool {
+						return slices.Contains(m.Wants, st.vc) || m.HeadVC() == st.vc
+					}) {
+						fail("the repair of VC %d reached none of the %d worms frozen at the time", st.vc, len(before))
+					}
+				}
+			}
+		}
+		if next != len(script) {
+			t.Fatalf("shards=%d: only %d of %d mutations applied", shards, next, len(script))
+		}
+		res := r.Finish()
+		res.DetectBuildTime = stats.Histogram{}
+		res.DetectAnalyzeTime = stats.Histogram{}
+		h := sha256.New()
+		for _, ev := range log.evs {
+			fmt.Fprintf(h, "%+v\n", ev)
+		}
+		if err := json.NewEncoder(h).Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != frozenFaultDigest {
+			t.Errorf("shards=%d: trace+result digest %s, want %s (%d events, %d killed, %d recovered, %d deadlocks)",
+				shards, got, frozenFaultDigest, len(log.evs), res.Killed, res.Recovered, res.Deadlocks)
 		}
 	}
 }

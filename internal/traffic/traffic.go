@@ -9,6 +9,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -279,6 +280,7 @@ type Process struct {
 	lengths LengthDist
 	nodes   int
 	prob    float64
+	thresh  uint64 // ceil(prob·2⁵³): a draw's top 53 bits below it is a success
 	r       *rng.Source
 
 	// Generated counts messages handed to inject (self-addressed draws
@@ -290,23 +292,34 @@ type Process struct {
 // NewProcess builds an injection process at the given normalized load with
 // message lengths drawn from dist (the mean length normalizes the rate).
 func NewProcess(t topology.Network, p Pattern, load float64, dist LengthDist, r *rng.Source) *Process {
-	return &Process{
+	proc := &Process{
 		pattern: p,
 		lengths: dist,
 		nodes:   t.Nodes(),
 		prob:    load * t.CapacityPerNode() / dist.Mean(),
 		r:       r,
 	}
+	if proc.prob > 0 && proc.prob < 1 {
+		proc.thresh = uint64(math.Ceil(proc.prob * (1 << 53)))
+	}
+	return proc
 }
 
 // MessageProb returns the per-node per-cycle generation probability.
 func (p *Process) MessageProb() float64 { return p.prob }
 
-// Generate draws this cycle's new messages and hands them to inject.
+// Generate draws this cycle's new messages and hands them to inject: one
+// Bernoulli(prob) trial per node in node order, scanned for its successes.
 func (p *Process) Generate(inject func(src, dst, length int)) {
-	for src := 0; src < p.nodes; src++ {
-		if !p.r.Bernoulli(p.prob) {
-			continue
+	if p.prob <= 0 {
+		return
+	}
+	for src := 0; ; src++ {
+		if p.prob < 1 {
+			src += p.r.FirstBelow(p.thresh, p.nodes-src)
+		}
+		if src >= p.nodes {
+			return
 		}
 		dst := p.pattern.Dest(src, p.r)
 		if dst == src {

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"flexsim/internal/rng"
@@ -236,6 +237,81 @@ func TestProcessZeroLoad(t *testing.T) {
 	p.Generate(func(src, dst, length int) { t.Fatal("zero load injected") })
 	if p.Generated != 0 {
 		t.Fatal("Generated nonzero at zero load")
+	}
+}
+
+// generatePerNode is Generate as it was before it scanned for successes with
+// rng.FirstBelow: one Bernoulli call per node. It is the reference the scan
+// must match draw for draw.
+func generatePerNode(p *Process, inject func(src, dst, length int)) {
+	for src := 0; src < p.nodes; src++ {
+		if !p.r.Bernoulli(p.prob) {
+			continue
+		}
+		dst := p.pattern.Dest(src, p.r)
+		if dst == src {
+			continue
+		}
+		length := p.lengths.Sample(p.r)
+		p.Generated++
+		p.GeneratedFlits += int64(length)
+		inject(src, dst, length)
+	}
+}
+
+// TestGenerateStreamUnchanged runs Generate and the per-node reference on
+// twin sources and requires the same (src, dst, len) sequence, counters and
+// final generator state — for patterns and length distributions that draw
+// between the Bernoulli trials, and for loads on both sides of the
+// probability's clamps, where no trial draws at all.
+func TestGenerateStreamUnchanged(t *testing.T) {
+	topo := torus16()
+	type msg struct{ src, dst, length int }
+	patterns := []Pattern{NewUniform(topo), NewHotSpot(topo, []int{3, 200}, 0.3)}
+	dists := []LengthDist{Fixed(32), Bimodal{Short: 4, Long: 64, ShortFrac: 0.7}, Fixed(1)}
+	regimes := map[string]bool{}
+	for _, pat := range patterns {
+		for _, dist := range dists {
+			for _, load := range []float64{0, 0.1, 0.9, 50} {
+				ra, rb := rng.New(23), rng.New(23)
+				a := NewProcess(topo, pat, load, dist, ra)
+				b := NewProcess(topo, pat, load, dist, rb)
+				var got, want []msg
+				for cycle := 0; cycle < 300; cycle++ {
+					a.Generate(func(src, dst, length int) { got = append(got, msg{src, dst, length}) })
+					generatePerNode(b, func(src, dst, length int) { want = append(want, msg{src, dst, length}) })
+				}
+				name := pat.Name() + "/" + dist.Name()
+				if !slices.Equal(got, want) {
+					t.Errorf("%s load %g (p=%g): %d messages, reference %d, or a different sequence",
+						name, load, a.MessageProb(), len(got), len(want))
+				}
+				if *ra != *rb {
+					t.Errorf("%s load %g (p=%g): generator state diverged from the reference", name, load, a.MessageProb())
+				}
+				if a.Generated != b.Generated || a.GeneratedFlits != b.GeneratedFlits {
+					t.Errorf("%s load %g: counters %d/%d, reference %d/%d",
+						name, load, a.Generated, a.GeneratedFlits, b.Generated, b.GeneratedFlits)
+				}
+				switch p := a.MessageProb(); {
+				case p <= 0:
+					regimes["p=0"] = true
+					if len(got) != 0 || *ra != *rng.New(23) {
+						t.Errorf("%s: p=0 generated %d messages or drew from the generator", name, len(got))
+					}
+				case p < 1:
+					regimes["0<p<1"] = true
+				default:
+					regimes["p>=1"] = true
+					if _, uniform := pat.(Uniform); uniform && len(got) != 300*topo.Nodes() {
+						t.Errorf("%s: p=%g generated %d messages, want one per node per cycle", name, p, len(got))
+					}
+				}
+			}
+		}
+	}
+	if len(regimes) != 3 {
+		t.Errorf("loads covered only %v of p=0, 0<p<1, p>=1", regimes)
 	}
 }
 
