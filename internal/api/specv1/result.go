@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/stats"
 )
 
@@ -80,14 +82,44 @@ func DecodeResult(raw json.RawMessage) (*stats.Result, error) {
 	return &res, nil
 }
 
+// appendJSON appends the line json.Marshal(pr) would produce, copying the
+// result payload instead of re-compacting it.
+func (pr *PointResult) appendJSON(b []byte) ([]byte, error) {
+	str := func(name, s string) { // an omitempty string member
+		if s != "" {
+			b = jsonlog.AppendString(append(b, name...), s)
+		}
+	}
+	b = strconv.AppendInt(append(b, `{"schema_version":`...), int64(pr.SchemaVersion), 10)
+	b = strconv.AppendInt(append(b, `,"index":`...), int64(pr.Index), 10)
+	b, err := jsonlog.AppendFloat(append(b, `,"load":`...), pr.Load)
+	b = jsonlog.AppendString(append(b, `,"status":`...), string(pr.Status))
+	str(`,"key":`, pr.Key)
+	str(`,"worker":`, pr.Worker)
+	if pr.Attempts != 0 {
+		b = strconv.AppendInt(append(b, `,"attempts":`...), int64(pr.Attempts), 10)
+	}
+	str(`,"trace":`, pr.Trace)
+	str(`,"error":`, pr.Error)
+	if err == nil && len(pr.Result) > 0 {
+		b, err = jsonlog.AppendRaw(append(b, `,"result":`...), pr.Result)
+	}
+	return append(b, '}'), err
+}
+
 // WriteResults writes point results as JSONL, one PointResult per line —
 // the format of sweepd's results endpoint and charsweep's -results-out.
 func WriteResults(w io.Writer, results []PointResult) error {
 	// Buffered: one write per 64 KiB, not one per ~2 KB line.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for i := range results {
-		if err := enc.Encode(&results[i]); err != nil {
+		var err error
+		if line, err = results[i].appendJSON(line[:0]); err == nil {
+			line = append(line, '\n')
+			_, err = bw.Write(line)
+		}
+		if err != nil {
 			return fmt.Errorf("specv1: write results: %w", err)
 		}
 	}

@@ -1,7 +1,12 @@
 package specv1
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,6 +38,57 @@ func TestWriteResultsReportsFlushError(t *testing.T) {
 	if err := WriteResults(&sb, results); err != nil || !strings.HasSuffix(sb.String(), "}\n") {
 		t.Errorf("WriteResults = %v, wrote %q", err, sb.String())
 	}
+}
+
+// TestSpliceMatchesJSON: WriteResults builds each line around the payload's
+// own bytes; the stream must be json.Encoder's byte for byte — every
+// omitempty member either way, strings that need escaping, loads either side
+// of the exponent thresholds, payloads that must be compacted or HTML-escaped
+// — and fail exactly when the encoder would.
+func TestSpliceMatchesJSON(t *testing.T) {
+	texts := []string{"", "w1", "127.0.0.1:8611", `quo"te`, "naïve", "<a&b>", "panic: x\n\tat y", "bad\xff"}
+	loads := []float64{0, 0.05, 0.5, 1e-7, 1e21, 5e-324, -1.0 / 3, math.NaN()}
+	payloads := []string{"", `{"x":1}`, `{ "x" : 1 }`, "{\"x\":\"a b\"}\n", `{"x":"<b>&"}`, `{"x":"\u2028"}`, "{\"x\":\"\u2028\"}", `{"x":"\""}`,
+		"{\"x\":\"raw\nnewline\"}", `null`, `{"a":tru}`, `{"x":1}}`}
+	n := 0
+	for i, text := range texts {
+		for j, load := range loads {
+			for k, payload := range payloads {
+				pr := PointResult{SchemaVersion: Version, Index: n, Load: load, Status: Status(texts[(i+1)%len(texts)]),
+					Key: texts[(i+j)%len(texts)], Worker: text, Attempts: (j + k) % 3, Trace: texts[(i+k)%len(texts)],
+					Error: texts[(j+k)%len(texts)], Result: json.RawMessage(payload)}
+				n++
+				var want, got bytes.Buffer
+				werr := json.NewEncoder(&want).Encode(&pr)
+				err := WriteResults(&got, []PointResult{pr})
+				if (err == nil) != (werr == nil) || err == nil && !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("WriteResults(%+v) = %q, %v; json.Encoder %q, %v", pr, got.Bytes(), err, want.Bytes(), werr)
+				}
+			}
+		}
+	}
+	if f := reflect.TypeOf(PointResult{}).NumField(); f != 10 {
+		t.Fatalf("PointResult has %d fields; appendJSON and this test know 10", f)
+	}
+}
+
+// BenchmarkWriteResults is the wire writer over store-shaped payloads.
+func BenchmarkWriteResults(b *testing.B) {
+	raw, err := EncodeResult(benchResult())
+	if err != nil {
+		b.Fatal(err)
+	}
+	results := make([]PointResult, 256)
+	for i := range results {
+		results[i] = PointResult{SchemaVersion: Version, Index: i, Load: 0.35, Status: StatusCached, Key: "fd0d070ddc9de7102ca9716e3ee489526aec387bafdea097bd9e81bd56b89523", Result: raw}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := WriteResults(io.Discard, results); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(results))/1e3, "µs/point")
 }
 
 // benchResult is shaped like a benchmark point's result (4-ary 2-cube, 400

@@ -29,6 +29,7 @@ type Log struct {
 	clean bool       // the file was seen to end in '\n' and no write of ours failed since
 	err   error      // first Append or Close failure
 	off   int64      // Scan has consumed [0, off): complete lines only
+	buf   []byte     // Scan's read buffer, kept between calls
 }
 
 // Open opens path for appending and scanning, creating it if needed.
@@ -79,30 +80,47 @@ func (l *Log) tornTail() (bool, error) {
 }
 
 // Scan calls fn with each complete line (without its '\n') appended since
-// the last Scan reached — by this handle or any other process. The slice is
-// only lent: it is overwritten after fn returns. fn must not call l.
-func (l *Log) Scan(fn func(line []byte)) error {
+// the last Scan reached — by this handle or any other process — and the
+// line's offset in the file. The file is only ever appended to, so
+// [off, off+len(line)) names those bytes for as long as it exists: a caller
+// may keep the pair and ReadAt it later instead of copying the line. The
+// slice is only lent: it is overwritten after fn returns. fn must not call
+// Append, Scan or Close.
+func (l *Log) Scan(fn func(off int64, line []byte)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	buf := make([]byte, 0, 1<<16)
+	if l.buf == nil {
+		l.buf = make([]byte, 0, 1<<16)
+	}
+	buf := l.buf[:0]
 	for {
 		buf = slices.Grow(buf, 1) // a line longer than the buffer: no cap, grow
 		n, err := l.f.ReadAt(buf[len(buf):cap(buf)], l.off+int64(len(buf)))
 		buf = buf[:len(buf)+n]
 		rest := buf
 		for i := bytes.IndexByte(rest, '\n'); i >= 0; i = bytes.IndexByte(rest, '\n') {
-			fn(rest[:i:i])
+			fn(l.off+int64(len(buf)-len(rest)), rest[:i:i])
 			rest = rest[i+1:]
 		}
 		l.off += int64(len(buf) - len(rest))
 		buf = buf[:copy(buf, rest)]
 		if err == io.EOF {
+			if l.buf = buf; cap(buf) > 1<<20 {
+				l.buf = nil // one giant line must not pin its size for good
+			}
 			return nil
 		}
 		if err != nil {
 			return err
 		}
 	}
+}
+
+// ReadAt reads len(p) bytes at offset off of the file (pread on the shared
+// descriptor: no lock, safe beside Append and Scan). Fewer bytes than asked
+// for is an error, as for os.File.ReadAt.
+func (l *Log) ReadAt(p []byte, off int64) (int, error) {
+	return l.f.ReadAt(p, off)
 }
 
 // Close closes the file and returns the first error the handle saw.

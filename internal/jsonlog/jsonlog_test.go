@@ -22,7 +22,7 @@ func open(t testing.TB, path string) *Log {
 func lines(t testing.TB, l *Log) []string {
 	t.Helper()
 	var out []string
-	if err := l.Scan(func(line []byte) { out = append(out, string(line)) }); err != nil {
+	if err := l.Scan(func(_ int64, line []byte) { out = append(out, string(line)) }); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -89,7 +89,7 @@ func TestLargeRecord(t *testing.T) {
 		}
 	}
 	var got [][]byte
-	if err := l.Scan(func(line []byte) { got = append(got, bytes.Clone(line)) }); err != nil {
+	if err := l.Scan(func(_ int64, line []byte) { got = append(got, bytes.Clone(line)) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || string(got[0]) != "before" || !bytes.Equal(got[1], big) || string(got[2]) != "after" {
@@ -131,7 +131,7 @@ func TestConcurrentAppendAndScan(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := l.Scan(func([]byte) {}); err != nil {
+				if err := l.Scan(func(int64, []byte) {}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -179,9 +179,17 @@ func FuzzScan(f *testing.F) {
 			if _, err := w.Write(piece); err != nil {
 				t.Fatal(err)
 			}
-			err := l.Scan(func(line []byte) {
+			err := l.Scan(func(off int64, line []byte) {
 				if bytes.IndexByte(line, '\n') >= 0 {
 					t.Fatalf("delivered line holds a newline: %q", line)
+				}
+				// The offset names the line in the file, now and later.
+				if int(off) != len(delivered) {
+					t.Fatalf("line %q delivered at offset %d, want %d", line, off, len(delivered))
+				}
+				at := make([]byte, len(line))
+				if _, err := l.ReadAt(at, off); err != nil || !bytes.Equal(at, line) {
+					t.Fatalf("ReadAt(%d) = %q, %v; want the line %q", off, at, err, line)
 				}
 				delivered = append(append(delivered, line...), '\n')
 			})
@@ -202,7 +210,7 @@ func FuzzScan(f *testing.F) {
 		}
 		var last []byte
 		n := 0
-		if err := open(t, path).Scan(func(line []byte) { last = bytes.Clone(line); n++ }); err != nil {
+		if err := open(t, path).Scan(func(_ int64, line []byte) { last = bytes.Clone(line); n++ }); err != nil {
 			t.Fatal(err)
 		}
 		if n == 0 || !bytes.Equal(last, record) {

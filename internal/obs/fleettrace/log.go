@@ -189,7 +189,7 @@ func (l *Log) Steal(sweep, traceID string, point, attempt int, worker, from stri
 // that are not records.
 func ReadRecords(log *jsonlog.Log) ([]Record, error) {
 	var out []Record
-	err := log.Scan(func(line []byte) {
+	err := log.Scan(func(_ int64, line []byte) {
 		var rec Record
 		if json.Unmarshal(line, &rec) == nil {
 			out = append(out, rec)

@@ -11,6 +11,7 @@ package runner
 // logs"); lookups are lock-free loads from a sync.Map behind an atomic
 // pointer and never contend with a Put or a Reload.
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -126,7 +127,9 @@ func Key(c sim.Config) string {
 }
 
 // entry is one persisted line: the config's content address, a small human
-// echo, and the completed Result.
+// echo, and the completed Result. PutRaw writes it with appendEntry and
+// Reload reads it back with splitEntry; the struct is what both must agree
+// with encoding/json on, and what a line in any other shape decodes into.
 type entry struct {
 	Key    string          `json:"key"`
 	Label  string          `json:"label,omitempty"`
@@ -134,25 +137,109 @@ type entry struct {
 	Result json.RawMessage `json:"result"`
 }
 
+// appendEntry appends the line json.Marshal(entry{key, label, load, raw})
+// would produce, copying raw instead of re-compacting it.
+func appendEntry(b []byte, key, label string, load float64, raw json.RawMessage) (_ []byte, err error) {
+	b = jsonlog.AppendString(append(b, `{"key":`...), key)
+	if label != "" {
+		b = jsonlog.AppendString(append(b, `,"label":`...), label)
+	}
+	if load != 0 {
+		b, err = jsonlog.AppendFloat(append(b, `,"load":`...), load)
+	}
+	if err == nil {
+		b, err = jsonlog.AppendRaw(append(b, `,"result":`...), raw)
+	}
+	return append(b, '}'), err
+}
+
+// splitEntry recognises the line appendEntry writes by reading only its
+// envelope — {"key":"<plain>"[,"label":"<plain>"][,"load":<number>],"result":{…}}
+// with nothing escaped and no whitespace — and returns the key and the
+// result object's bytes within line, without looking inside them; payload
+// is nil for any other line, which is json.Unmarshal's to judge. It is
+// strict so that validating the payload is all that is left: if payload is
+// one valid JSON value, the line is valid JSON that json.Unmarshal decodes
+// into an entry with this key and these bytes as Result.
+func splitEntry(line []byte) (key, payload []byte) {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"key":"`))
+	n := plainLen(rest)
+	if !ok || n <= 0 {
+		return nil, nil
+	}
+	key, rest = rest[:n], rest[n+1:]
+	if r, ok := bytes.CutPrefix(rest, []byte(`,"label":"`)); ok {
+		if n = plainLen(r); n < 0 {
+			return nil, nil
+		}
+		rest = r[n+1:]
+	}
+	if r, ok := bytes.CutPrefix(rest, []byte(`,"load":`)); ok {
+		// Only the number appendEntry writes for the value is taken: that
+		// one is in JSON's grammar and in float64's range.
+		n = max(bytes.IndexByte(r, ','), 0)
+		f, err := strconv.ParseFloat(string(r[:n]), 64)
+		if b, ferr := jsonlog.AppendFloat(make([]byte, 0, 32), f); err != nil || ferr != nil || !bytes.Equal(b, r[:n]) {
+			return nil, nil
+		}
+		rest = r[n:]
+	}
+	if !bytes.HasPrefix(rest, []byte(`,"result":{`)) || !bytes.HasSuffix(rest, []byte(`}}`)) {
+		return nil, nil
+	}
+	return key, rest[len(`,"result":`) : len(rest)-1]
+}
+
+// plainLen returns the length of the JSON string body at the start of b —
+// up to its closing quote — if every byte of it is ASCII that stands for
+// itself (no escape, no control byte), and -1 otherwise.
+func plainLen(b []byte) int {
+	for i, c := range b {
+		if c == '"' {
+			return i
+		}
+		if c < 0x20 || c >= 0x80 || c == '\\' {
+			return -1
+		}
+	}
+	return -1
+}
+
+// span locates a result payload in the store file: n bytes at offset off.
+// The file is append-only and never rewritten, so a span stays good for as
+// long as the file does.
+type span struct {
+	off int64
+	n   int
+}
+
 // Cache is a disk-backed result cache shared by concurrent readers within
 // a process and concurrent appender processes on one filesystem. Open
-// loads every previously persisted complete line into memory; Put appends
-// one JSONL record per completed run; Reload picks up records appended by
-// other processes since the last load.
+// indexes every previously persisted complete line; Put appends one JSONL
+// record per completed run; Reload picks up records appended by other
+// processes since the last load.
+//
+// The store's bytes are opaque to the index. A line is located, not
+// decoded: the index keeps where its result sits in the file, and the first
+// lookup of the key reads those bytes, validates them once and keeps them
+// (DESIGN.md, "Validation on first hit"). Bytes that do not validate are
+// one miss; the entry is dropped and the run recomputes.
 type Cache struct {
 	dir  string
 	log  *jsonlog.Log
 	hits atomic.Int64
 	miss atomic.Int64
 
-	// entries points at the in-memory index (key → raw Result JSON).
-	// Lookups are lock-free loads; Forget swaps in a fresh map.
+	// entries points at the in-memory index: key → json.RawMessage (bytes
+	// known valid: this handle's Put, an AdoptRaw, a validated hit) or span
+	// (a line some process appended, not yet looked at). Lookups are
+	// lock-free loads; Forget swaps in a fresh map.
 	entries atomic.Pointer[sync.Map]
 
 	err atomic.Pointer[error] // first persistence failure, reported at Close
 }
 
-// Open creates dir if needed and loads the persisted results.
+// Open creates dir if needed and indexes the persisted results.
 func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: cache dir: %w", err)
@@ -171,14 +258,30 @@ func Open(dir string) (*Cache, error) {
 }
 
 // Reload indexes the records appended to the store since the last
-// Open/Reload, by this process or any other. Torn or foreign lines are
-// skipped; those runs simply recompute.
+// Open/Reload, by this process or any other. A line in the shape PutRaw
+// writes is indexed by position without reading its payload; any other
+// line is decoded, and skipped if it does not decode (torn or foreign:
+// those runs simply recompute). The last line of a key wins, except that
+// bytes already in memory are never given up for a line on disk.
 func (c *Cache) Reload() error {
 	m := c.entries.Load()
-	err := c.log.Scan(func(line []byte) {
-		var e entry
-		if json.Unmarshal(line, &e) == nil && e.Key != "" && len(e.Result) > 0 {
-			m.Store(e.Key, e.Result)
+	err := c.log.Scan(func(off int64, line []byte) {
+		key, payload := splitEntry(line)
+		var v any
+		if payload != nil {
+			v = span{off + int64(len(line)-1-len(payload)), len(payload)}
+		} else {
+			var e entry
+			if json.Unmarshal(line, &e) != nil || e.Key == "" || len(e.Result) == 0 {
+				return
+			}
+			key, v = []byte(e.Key), e.Result
+		}
+		k := string(key)
+		if old, loaded := m.LoadOrStore(k, v); loaded {
+			if sp, unread := old.(span); unread {
+				m.CompareAndSwap(k, sp, v)
+			}
 		}
 	})
 	if err != nil {
@@ -195,17 +298,11 @@ func (c *Cache) Get(cfg sim.Config) (*stats.Result, bool) {
 }
 
 // get returns the store's bytes under key and the Result they decode to.
-// Bytes that do not decode count as one miss, not a hit, and the run
-// recomputes.
+// Bytes that do not decode count as one miss, and the run recomputes.
 func (c *Cache) get(key string) (json.RawMessage, *stats.Result, bool) {
-	raw, ok := c.GetRaw(key)
-	if !ok {
-		return nil, nil, false
-	}
 	var res stats.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		c.hits.Add(-1)
-		c.miss.Add(1)
+	raw, ok := c.lookup(key, &res)
+	if !ok {
 		return nil, nil, false
 	}
 	return raw, &res, true
@@ -214,13 +311,43 @@ func (c *Cache) get(key string) (json.RawMessage, *stats.Result, bool) {
 // GetRaw returns the persisted result bytes under a content address,
 // counting the lookup as a hit or miss. Lock-free.
 func (c *Cache) GetRaw(key string) (json.RawMessage, bool) {
-	v, ok := c.entries.Load().Load(key)
+	return c.lookup(key, nil)
+}
+
+// lookup returns the bytes under key and counts the hit or miss. Bytes
+// still on disk are read and validated here, on their first use, then kept:
+// decoding them into res is the validation when the caller wants the Result
+// anyway, json.Valid otherwise. A short read (the file was truncated under
+// us) or bytes that fail is a miss, and the entry is dropped so that the
+// re-run's Put serves from memory.
+func (c *Cache) lookup(key string, res *stats.Result) (json.RawMessage, bool) {
+	m := c.entries.Load()
+	v, ok := m.Load(key)
+	raw, _ := v.(json.RawMessage)
+	sp, unread := v.(span)
+	if unread {
+		raw = make(json.RawMessage, sp.n)
+		_, err := c.log.ReadAt(raw, sp.off)
+		ok = err == nil
+	}
+	switch {
+	case !ok:
+	case res != nil:
+		ok = json.Unmarshal(raw, res) == nil
+	case unread:
+		ok = json.Valid(raw)
+	}
+	if unread && ok {
+		m.CompareAndSwap(key, sp, raw)
+	} else if unread {
+		m.CompareAndDelete(key, sp)
+	}
 	if !ok {
 		c.miss.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
-	return v.(json.RawMessage), true
+	return raw, true
 }
 
 // Put records a completed Result under the configuration's content address
@@ -247,7 +374,7 @@ func (c *Cache) put(key string, res *stats.Result) json.RawMessage {
 // to persist a worker's response verbatim. An error means the bytes are
 // served from memory but are not in the store; it is also kept for Close.
 func (c *Cache) PutRaw(key, label string, load float64, raw json.RawMessage) error {
-	line, err := json.Marshal(entry{Key: key, Label: label, Load: load, Result: raw})
+	line, err := appendEntry(make([]byte, 0, len(key)+len(label)+len(raw)+64), key, label, load, raw)
 	if err != nil {
 		return c.note(fmt.Errorf("runner: cache encode: %w", err))
 	}
@@ -277,7 +404,9 @@ func (c *Cache) Forget() {
 	c.entries.Store(&sync.Map{})
 }
 
-// Len returns the number of distinct cached configurations.
+// Len returns the number of distinct keys indexed. A line counts from the
+// Reload that found it, so one whose payload turns out corrupt counts until
+// its first lookup drops it.
 func (c *Cache) Len() int {
 	n := 0
 	c.entries.Load().Range(func(_, _ interface{}) bool { n++; return true })

@@ -22,10 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"flexsim/internal/api/specv1"
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/runner"
 	"flexsim/internal/sim"
 )
@@ -34,6 +36,39 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// appendRunResponse appends the line json.Marshal(resp) would produce,
+// copying the result payload instead of re-compacting it.
+func appendRunResponse(b []byte, resp *specv1.RunResponse) (_ []byte, err error) {
+	str := func(name, s string) { // an omitempty string member
+		if s != "" {
+			b = jsonlog.AppendString(append(b, name...), s)
+		}
+	}
+	b = strconv.AppendInt(append(b, `{"schema_version":`...), int64(resp.SchemaVersion), 10)
+	b = jsonlog.AppendString(append(b, `,"status":`...), string(resp.Status))
+	str(`,"worker":`, resp.Worker)
+	if resp.Persisted {
+		b = append(b, `,"persisted":true`...)
+	}
+	str(`,"trace":`, resp.Trace)
+	str(`,"error":`, resp.Error)
+	if len(resp.Result) > 0 {
+		b, err = jsonlog.AppendRaw(append(b, `,"result":`...), resp.Result)
+	}
+	return append(b, '}'), err
+}
+
+// writeRunResponse is writeJSON(w, 200, resp) byte for byte, through
+// appendRunResponse. As there, a payload that does not encode leaves the
+// body empty, which the coordinator takes for a torn response and retries.
+func writeRunResponse(w http.ResponseWriter, resp *specv1.RunResponse) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if body, err := appendRunResponse(make([]byte, 0, len(resp.Result)+256), resp); err == nil {
+		w.Write(append(body, '\n'))
+	}
 }
 
 // APIHandler returns the coordinator's HTTP API, for mounting on the shared
@@ -184,7 +219,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 				resp.Status = specv1.StatusCached
 				resp.Persisted = true
 				resp.Result = raw
-				writeJSON(w, http.StatusOK, &resp)
+				writeRunResponse(w, &resp)
 				return
 			}
 		}
@@ -225,5 +260,5 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 			resp.Error = p.Err.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, &resp)
+	writeRunResponse(w, &resp)
 }

@@ -1,7 +1,11 @@
 package sweepsvc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -90,5 +94,32 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 	if err := c.Watch(ctx, "nope", nil); err == nil {
 		t.Fatal("watch of unknown sweep succeeded")
+	}
+}
+
+// TestSpliceMatchesJSON: the worker builds its response around the result's
+// own bytes; what goes on the wire must be what writeJSON sent — every
+// omitempty member either way, names and errors that need escaping, payloads
+// that must be compacted or HTML-escaped — and the body must stay empty
+// exactly when the encoder would have refused the payload.
+func TestSpliceMatchesJSON(t *testing.T) {
+	texts := []string{"", "w1", "127.0.0.1:8611", `quo"te`, "naïve", "<a&b>", "run panicked: x\n\tat y", "bad\xff"}
+	payloads := []string{"", `{"x":1}`, `{ "x" : 1 }`, "{\"x\":\"a b\"}\n", `{"x":"<b>&"}`, `{"x":"\u2028"}`, "{\"x\":\"\u2028\"}", `{"x":"\""}`,
+		"{\"x\":\"raw\nnewline\"}", `null`, `{"a":tru}`, `{"x":1}}`}
+	for i, text := range texts {
+		for j, payload := range payloads {
+			resp := specv1.RunResponse{SchemaVersion: specv1.Version, Status: specv1.Status(texts[(i+1)%len(texts)]), Worker: text,
+				Persisted: (i+j)%2 == 0, Trace: texts[(i+j)%len(texts)], Error: texts[(i+2*j)%len(texts)], Result: json.RawMessage(payload)}
+			want, got := httptest.NewRecorder(), httptest.NewRecorder()
+			writeJSON(want, 200, &resp)
+			writeRunResponse(got, &resp)
+			if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("writeRunResponse(%+v) = %d %v %q; writeJSON %d %v %q", resp,
+					got.Code, got.Header(), got.Body.Bytes(), want.Code, want.Header(), want.Body.Bytes())
+			}
+		}
+	}
+	if f := reflect.TypeOf(specv1.RunResponse{}).NumField(); f != 7 {
+		t.Fatalf("RunResponse has %d fields; appendRunResponse and this test know 7", f)
 	}
 }

@@ -58,7 +58,7 @@ func (s *Service) journalRec(rec journalRecord) {
 // replayRecord applies one line of a previous process's journal. Torn or
 // foreign lines are skipped; a done/cached completion whose bytes are no
 // longer in the store is dropped, so the point re-runs.
-func (s *Service) replayRecord(line []byte) {
+func (s *Service) replayRecord(_ int64, line []byte) {
 	var rec journalRecord
 	if json.Unmarshal(line, &rec) != nil {
 		return
@@ -100,8 +100,7 @@ func (s *Service) replayRecord(line []byte) {
 			}
 			pr.Result = raw
 		}
-		sw.results[rec.Index] = pr
-		sw.settled++
+		sw.recordLocked(pr) // replay is single-threaded: New has started no goroutine yet
 		s.replayedPoints++
 		// A replayed completion lands on the same deterministic span the
 		// original execution settled; cause "replay" marks that the

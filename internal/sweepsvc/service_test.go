@@ -349,6 +349,96 @@ func TestRestartAfterTornJournal(t *testing.T) {
 	}
 }
 
+// TestStatusCountsMatchResults: a status is read off counters kept as points
+// settle, not recounted from the results. After a sweep that settles points
+// every way — served from the store, failed, executed, replayed from the
+// journal by a restarted coordinator, executed after the restart — the
+// counters must be what a recount of the results gives.
+func TestStatusCountsMatchResults(t *testing.T) {
+	dir := t.TempDir()
+	journalPath := filepath.Join(dir, "journal.jsonl")
+	cacheDir := filepath.Join(dir, "store")
+	const total, cached, beforeRestart = 8, 2, 5
+
+	check := func(s *Service, id string, want specv1.SweepStatus) {
+		t.Helper()
+		st, err := s.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := s.Results(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recount specv1.SweepStatus
+		for _, pr := range results {
+			switch pr.Status {
+			case specv1.StatusCached:
+				recount.Cached++
+			case specv1.StatusFailed:
+				recount.Failed++
+			case specv1.StatusCancelled:
+				recount.Cancelled++
+			default:
+				recount.Done++
+			}
+		}
+		for _, c := range [][3]int{{st.Done, recount.Done, want.Done}, {st.Cached, recount.Cached, want.Cached},
+			{st.Failed, recount.Failed, want.Failed}, {st.Cancelled, recount.Cancelled, want.Cancelled}} {
+			if c[0] != c[1] || c[0] != c[2] {
+				t.Fatalf("status %+v; recount of %d results %+v; want %+v", st, len(results), recount, want)
+			}
+		}
+	}
+
+	var execs atomic.Int64
+	run := func(ctx context.Context, cfg sim.Config) (*stats.Result, error) {
+		if cfg.Load > 0.25 && cfg.Load < 0.35 {
+			return nil, errors.New("synthetic config error")
+		}
+		if execs.Add(1) > beforeRestart-cached-1 {
+			<-ctx.Done() // in flight at shutdown
+			return nil, ctx.Err()
+		}
+		return stubRun(ctx, cfg)
+	}
+	s1, err := New(Config{Cache: openCache(t, cacheDir), JournalPath: journalPath, LocalWorkers: 1, Run: stubRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit(testSpec("mixed", cached))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := st.ID
+	awaitDone(t, s1, first)
+	s1.Close()
+
+	s2, err := New(Config{Cache: openCache(t, cacheDir), JournalPath: journalPath, LocalWorkers: 1, Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = s2.Submit(testSpec("mixed", total)); err != nil {
+		t.Fatal(err)
+	}
+	id := st.ID
+	waitFor(t, func() bool {
+		st, err := s2.Status(id)
+		return err == nil && st.Settled() >= beforeRestart
+	})
+	check(s2, id, specv1.SweepStatus{Done: 2, Cached: cached, Failed: 1})
+	s2.Close()
+
+	s3, err := New(Config{Cache: openCache(t, cacheDir), JournalPath: journalPath, LocalWorkers: 2, Run: stubRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	check(s3, first, specv1.SweepStatus{Done: cached}) // the first sweep, all replayed
+	awaitDone(t, s3, id)
+	check(s3, id, specv1.SweepStatus{Done: total - cached - 1, Cached: cached, Failed: 1})
+}
+
 // TestDrainRefusesSubmissions: a draining service refuses new sweeps but
 // lets in-flight points finish within the grace period.
 func TestDrainRefusesSubmissions(t *testing.T) {

@@ -151,6 +151,9 @@ type sweep struct {
 	mu          sync.Mutex
 	results     []*specv1.PointResult // index-aligned; nil = unsettled
 	settled     int
+	cached      int // settled with that status, as are failed and cancelled; the rest are done
+	failed      int
+	cancelled   int
 	running     int
 	retries     int
 	stolen      int
@@ -653,8 +656,7 @@ func (sw *sweep) finish(pr *specv1.PointResult) {
 		sw.mu.Unlock()
 		return
 	}
-	sw.results[pr.Index] = pr
-	sw.settled++
+	sw.recordLocked(pr)
 	st := sw.statusLocked()
 	pev := *pr
 	pev.Result = nil // point events carry metadata; payloads come from /results
@@ -678,6 +680,21 @@ func (sw *sweep) finish(pr *specv1.PointResult) {
 	}
 }
 
+// recordLocked stores a point that has reached its final state and counts
+// it: live settles and the journal replay both come through here.
+func (sw *sweep) recordLocked(pr *specv1.PointResult) {
+	sw.results[pr.Index] = pr
+	sw.settled++
+	switch pr.Status {
+	case specv1.StatusCached:
+		sw.cached++
+	case specv1.StatusFailed:
+		sw.failed++
+	case specv1.StatusCancelled:
+		sw.cancelled++
+	}
+}
+
 // broadcastLocked sends an event to every subscriber without blocking: a
 // subscriber that has fallen 64 events behind misses it (channel closure is
 // the terminal signal).
@@ -694,27 +711,14 @@ func (sw *sweep) statusLocked() *specv1.SweepStatus {
 	st := &specv1.SweepStatus{
 		SchemaVersion: specv1.Version, ID: sw.id, Name: sw.name,
 		State: specv1.SweepRunning, Total: len(sw.configs),
+		Done:   sw.settled - sw.cached - sw.failed - sw.cancelled,
+		Cached: sw.cached, Failed: sw.failed, Cancelled: sw.cancelled,
 		Running: sw.running, Retries: sw.retries, Stolen: sw.stolen,
 	}
 	if len(sw.retryCauses) > 0 {
 		st.RetryCauses = make(map[string]int, len(sw.retryCauses))
 		for c, n := range sw.retryCauses {
 			st.RetryCauses[c] = n
-		}
-	}
-	for _, pr := range sw.results {
-		if pr == nil {
-			continue
-		}
-		switch pr.Status {
-		case specv1.StatusCached:
-			st.Cached++
-		case specv1.StatusFailed:
-			st.Failed++
-		case specv1.StatusCancelled:
-			st.Cancelled++
-		default:
-			st.Done++
 		}
 	}
 	st.Pending = st.Total - st.Settled() - st.Running
