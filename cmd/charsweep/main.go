@@ -29,6 +29,7 @@ import (
 	"flexsim/internal/experiments"
 	"flexsim/internal/obs"
 	"flexsim/internal/prof"
+	"flexsim/internal/sim"
 	"flexsim/internal/stats"
 )
 
@@ -36,10 +37,14 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	sweep := flags.BindSweep(flag.CommandLine)
 	common := flags.BindCommon(flag.CommandLine)
 	flag.Parse()
+	if name := specOwned(sweep); name != "" {
+		fmt.Fprintf(os.Stderr, "charsweep: -%s cannot be combined with -spec: the spec file owns what each point simulates\n", name)
+		return 2
+	}
 
 	ctx, cancel := flags.SignalContext(common.Timeout)
 	defer cancel()
@@ -81,38 +86,22 @@ func run() int {
 			cache.Dir(), cache.Len())
 	}
 
-	sink, sinkClose, err := common.OpenMetricsSink()
+	inst, finish, err := common.Instrumentation(true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charsweep:", err)
 		return 1
 	}
-	if sink != nil {
-		opts.MetricsSink = sink
-		opts.MetricsEvery = common.MetricsEvery
-	}
-	opts.ForensicsDepth = common.ForensicsDepth
-	opts.SpansPath = flags.PerRunPath(common.SpansOut)
-	opts.HeatmapPath = flags.PerRunPath(common.HeatmapOut)
-	engProf := common.EngineProfileSink()
-	if engProf != nil {
-		opts.ProfileEngine = true
-		opts.EngineSink = engProf
-	}
+	defer func() {
+		if err := finish(); err != nil {
+			fmt.Fprintln(os.Stderr, "charsweep:", err)
+			code = 1
+		}
+	}()
+	opts.Instrumentation = inst
 	var progress *obs.SweepProgress
 	if common.HTTPAddr != "" {
 		progress = obs.NewSweepProgress(ids)
-		opts.OnPoint = func(p core.Point) {
-			switch p.Status {
-			case core.StatusCached:
-				progress.RunCached()
-			case core.StatusFailed:
-				progress.RunFailed()
-			case core.StatusCancelled:
-				progress.RunCancelled()
-			default:
-				progress.RunDone()
-			}
-		}
+		opts.OnPoint = func(p core.Point) { countPoint(progress, p) }
 		srv, err := obs.Serve(common.HTTPAddr, obs.WithSweep(progress))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "charsweep:", err)
@@ -124,17 +113,11 @@ func run() int {
 
 	interrupted := false
 	if sweep.Spec != "" {
-		code := runSpecFile(ctx, sweep, cache, progress)
+		code := runSpecFile(ctx, sweep, inst, cache, progress)
 		if cache != nil {
 			fmt.Fprintf(os.Stderr, "charsweep: cache: %d hits, %d misses (%d run(s) now on disk)\n",
 				cache.Hits(), cache.Misses(), cache.Len())
 			if err := cache.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "charsweep:", err)
-				return 1
-			}
-		}
-		if sinkClose != nil {
-			if err := sinkClose(); err != nil {
 				fmt.Fprintln(os.Stderr, "charsweep:", err)
 				return 1
 			}
@@ -212,21 +195,6 @@ func run() int {
 			return 1
 		}
 	}
-	if engProf != nil {
-		if err := common.WriteEngineProfile(engProf); err != nil {
-			fmt.Fprintln(os.Stderr, "charsweep:", err)
-			return 1
-		}
-		if common.ProfileEngineOut != "" {
-			fmt.Fprintf(os.Stderr, "charsweep: wrote engine profile to %s\n", common.ProfileEngineOut)
-		}
-	}
-	if sinkClose != nil {
-		if err := sinkClose(); err != nil {
-			fmt.Fprintln(os.Stderr, "charsweep:", err)
-			return 1
-		}
-	}
 	if interrupted {
 		what := "re-run"
 		if cache != nil {
@@ -237,12 +205,49 @@ func run() int {
 	return 0
 }
 
+// countPoint feeds one settled point to the live /progress view.
+func countPoint(progress *obs.SweepProgress, p core.Point) {
+	switch p.Status {
+	case core.StatusCached:
+		progress.RunCached()
+	case core.StatusFailed:
+		progress.RunFailed()
+	case core.StatusCancelled:
+		progress.RunCancelled()
+	default:
+		progress.RunDone()
+	}
+}
+
+// specOwned names the first flag set on the command line that -spec cannot
+// honour: a spec file fixes every point's physics (seeds, loads, windows,
+// fault schedule), so a flag that would change it — which -experiment mode
+// folds into the configurations it builds — is refused instead of being
+// silently dropped. It returns "" without -spec or when none is set.
+func specOwned(sweep *flags.Sweep) string {
+	if sweep.Spec == "" {
+		return ""
+	}
+	owned := map[string]bool{
+		"experiment": true, "quick": true, "seed": true, "loads": true,
+		"fault-link-mttf": true, "fault-repair": true, "fault-seed": true, "fault-schedule": true,
+	}
+	var name string
+	flag.Visit(func(f *flag.Flag) {
+		if name == "" && owned[f.Name] && f.Value.String() != f.DefValue {
+			name = f.Name
+		}
+	})
+	return name
+}
+
 // runSpecFile executes a specv1 sweep spec with the local runner and emits
 // the sweep service's wire format (PointResult JSONL). With -cache-dir
 // pointed at a sweep service's shared store, every point already completed
 // there is served from it and the emitted result bytes are byte-identical
-// to the service's results for the same spec.
-func runSpecFile(ctx context.Context, sweep *flags.Sweep, cache *core.Cache, progress *obs.SweepProgress) int {
+// to the service's results for the same spec. inst is attached to every
+// point; it is not hashed, so it changes no key and no result byte.
+func runSpecFile(ctx context.Context, sweep *flags.Sweep, inst sim.Instrumentation, cache *core.Cache, progress *obs.SweepProgress) int {
 	in := io.Reader(os.Stdin)
 	if sweep.Spec != "-" {
 		f, err := os.Open(sweep.Spec)
@@ -265,32 +270,19 @@ func runSpecFile(ctx context.Context, sweep *flags.Sweep, cache *core.Cache, pro
 	}
 	if progress != nil {
 		progress.Start(spec.Name)
-		copts = append(copts, core.WithOnDone(func(_ int, p core.Point) {
-			switch p.Status {
-			case core.StatusCached:
-				progress.RunCached()
-			case core.StatusFailed:
-				progress.RunFailed()
-			case core.StatusCancelled:
-				progress.RunCancelled()
-			default:
-				progress.RunDone()
-			}
-		}))
+		copts = append(copts, core.WithOnDone(func(_ int, p core.Point) { countPoint(progress, p) }))
 	}
 
 	start := time.Now()
-	pts, err := core.RunSpec(ctx, spec, copts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "charsweep:", err)
-		return 1
-	}
 	configs, err := spec.Configs()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charsweep:", err)
 		return 1
 	}
-	results, err := core.PointResults(configs, pts)
+	for i := range configs {
+		configs[i].Instrumentation = inst
+	}
+	results, err := core.PointResults(configs, core.RunAll(ctx, configs, copts...))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charsweep:", err)
 		return 1

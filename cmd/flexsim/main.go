@@ -28,7 +28,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	cfg := core.DefaultConfig()
 	extras := flags.BindConfig(flag.CommandLine, &cfg)
 	common := flags.BindCommon(flag.CommandLine)
@@ -41,6 +41,19 @@ func run() int {
 
 	ctx, cancel := flags.SignalContext(common.Timeout)
 	defer cancel()
+
+	inst, finish, err := common.Instrumentation(false)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flexsim:", err)
+		return 1
+	}
+	defer func() {
+		if err := finish(); err != nil {
+			fmt.Fprintln(os.Stderr, "flexsim:", err)
+			code = 1
+		}
+	}()
+	cfg.Instrumentation = inst
 
 	var tracers trace.Multi
 	var ring *trace.Ring
@@ -76,37 +89,6 @@ func run() int {
 		cfg.Tracer = tracers[0]
 	default:
 		cfg.Tracer = tracers
-	}
-	var spansFile *os.File
-	if common.SpansOut != "" {
-		f, err := os.Create(common.SpansOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexsim:", err)
-			return 1
-		}
-		spansFile = f
-		cfg.Spans = trace.NewPerfetto(f)
-	}
-	var heatmap *obs.Heatmap
-	if common.HeatmapOut != "" {
-		heatmap = &obs.Heatmap{}
-		cfg.Heatmap = heatmap
-	}
-	cfg.ForensicsDepth = common.ForensicsDepth
-	engProf := common.EngineProfileSink()
-	if engProf != nil {
-		cfg.ProfileEngine = true
-		cfg.EngineSink = engProf
-	}
-
-	sink, sinkClose, err := common.OpenMetricsSink()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexsim:", err)
-		return 1
-	}
-	if sink != nil {
-		cfg.MetricsSink = sink
-		cfg.MetricsEvery = common.MetricsEvery
 	}
 	if common.HTTPAddr != "" {
 		live := &obs.Live{}
@@ -228,47 +210,13 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "flexsim: wrote %d incident(s) to %s\n", incidents.Len(), extras.IncidentsOut)
 	}
-	if spansFile != nil {
-		werr := cfg.Spans.Close()
-		if cerr := spansFile.Close(); werr == nil {
-			werr = cerr
+	if p.Status != core.StatusCached {
+		// A cached result ran nothing, so it wrote no artifact.
+		if common.SpansOut != "" {
+			fmt.Fprintf(os.Stderr, "flexsim: wrote Perfetto trace to %s (load in ui.perfetto.dev)\n", common.SpansOut)
 		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "flexsim:", werr)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "flexsim: wrote Perfetto trace to %s (load in ui.perfetto.dev)\n", common.SpansOut)
-	}
-	if heatmap != nil {
-		f, err := os.Create(common.HeatmapOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexsim:", err)
-			return 1
-		}
-		werr := heatmap.WriteCSV(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "flexsim:", werr)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "flexsim: wrote %d-VC heatmap to %s (%d samples)\n",
-			heatmap.VCs(), common.HeatmapOut, heatmap.Samples())
-	}
-	if engProf != nil {
-		if err := common.WriteEngineProfile(engProf); err != nil {
-			fmt.Fprintln(os.Stderr, "flexsim:", err)
-			return 1
-		}
-		if common.ProfileEngineOut != "" {
-			fmt.Fprintf(os.Stderr, "flexsim: wrote engine profile to %s\n", common.ProfileEngineOut)
-		}
-	}
-	if sinkClose != nil {
-		if err := sinkClose(); err != nil {
-			fmt.Fprintln(os.Stderr, "flexsim:", err)
-			return 1
+		if common.HeatmapOut != "" {
+			fmt.Fprintf(os.Stderr, "flexsim: wrote VC heatmap to %s\n", common.HeatmapOut)
 		}
 	}
 	if jsonTrace != nil {

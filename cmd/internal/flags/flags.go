@@ -245,10 +245,6 @@ var ConfigDefs = []Def[configTarget]{
 		func(fs *flag.FlagSet, t configTarget, usage string) {
 			fs.StringVar(&t.X.FaultSchedule, "fault-schedule", "", usage)
 		}},
-	{"shards", shardsUsage,
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.Shards, "shards", sim.AutoShards, usage)
-		}},
 }
 
 // Fault-injection flag help, shared verbatim by both CLIs.
@@ -257,7 +253,6 @@ const (
 	faultRepairUsage   = "repair failed links after this many cycles (0 = failures are permanent)"
 	faultSeedUsage     = "seed for the generated fault schedule (0 = derive from -seed)"
 	faultScheduleUsage = "inject the fault events in this JSONL schedule file (composable with -fault-link-mttf)"
-	shardsUsage        = "parallel cycle-engine shards per run: 1 = sequential, -1 = auto (min(GOMAXPROCS, routers/4)); results are bit-identical for any value"
 )
 
 // LoadFaultSchedule parses the -fault-schedule file (when set) into the
@@ -318,7 +313,6 @@ type Sweep struct {
 	Parallel      int
 	Seed          uint64
 	Loads         string
-	Shards        int
 	FaultSeed     uint64
 	FaultLinkMTTF int
 	FaultRepair   int
@@ -359,10 +353,6 @@ var SweepDefs = []Def[*Sweep]{
 		func(fs *flag.FlagSet, s *Sweep, usage string) {
 			fs.StringVar(&s.FaultSchedule, "fault-schedule", "", usage)
 		}},
-	{"shards", shardsUsage,
-		func(fs *flag.FlagSet, s *Sweep, usage string) {
-			fs.IntVar(&s.Shards, "shards", sim.AutoShards, usage)
-		}},
 }
 
 // BindSweep registers the experiment-harness table on fs.
@@ -376,10 +366,10 @@ func BindSweep(fs *flag.FlagSet) *Sweep {
 
 // Options converts the parsed sweep flags into experiment options (loads
 // parsing can fail; the execution-side fields — Context, Cache, OnPoint,
-// metrics — are wired by the caller).
+// Instrumentation — are wired by the caller).
 func (s *Sweep) Options() (experiments.Options, error) {
 	o := experiments.Options{
-		Quick: s.Quick, Parallelism: s.Parallel, Seed: s.Seed, Shards: s.Shards,
+		Quick: s.Quick, Parallelism: s.Parallel, Seed: s.Seed,
 		FaultSeed: s.FaultSeed, FaultLinkMTTF: s.FaultLinkMTTF, FaultRepair: s.FaultRepair,
 	}
 	loads, err := specv1.ParseLoads(s.Loads)
@@ -425,22 +415,65 @@ func (v *Values) OpenCache() (*runner.Cache, error) {
 	return c, nil
 }
 
-// EngineProfileSink returns the engine-telemetry aggregator selected by
-// -profile-engine/-profile-engine-out, or nil when profiling is off. The
-// returned profile is concurrency-safe, so charsweep shares one across all
-// runs of a sweep.
-func (v *Values) EngineProfileSink() *obs.EngineProfile {
-	if !v.ProfileEngine && v.ProfileEngineOut == "" {
-		return nil
+// Instrumentation builds what the observability flags select — the one
+// place either CLI turns -metrics-out/-metrics-every, -spans-out,
+// -heatmap-out, -forensics-depth and -profile-engine/-profile-engine-out
+// into a sim.Instrumentation, creating the metrics file. perRun is set by a
+// caller that runs more than one simulation with the value: the artifact
+// paths then get a "*" (which sim expands to a per-run stem) so concurrent
+// runs do not clobber each other; the metrics sink and the engine profile
+// are concurrency-safe and shared. The returned function ends the
+// instrumented work: it renders the engine report (text to stderr, JSON to
+// -profile-engine-out) and flushes and closes the metrics file.
+func (v *Values) Instrumentation(perRun bool) (sim.Instrumentation, func() error, error) {
+	in := sim.Instrumentation{
+		ForensicsDepth: v.ForensicsDepth,
+		SpansPath:      v.SpansOut,
+		HeatmapPath:    v.HeatmapOut,
 	}
-	return &obs.EngineProfile{}
+	if perRun {
+		in.SpansPath, in.HeatmapPath = perRunPath(in.SpansPath), perRunPath(in.HeatmapPath)
+	}
+	var prof *obs.EngineProfile
+	if v.ProfileEngine || v.ProfileEngineOut != "" {
+		prof = &obs.EngineProfile{}
+		in.ProfileEngine, in.EngineSink = true, prof
+	}
+	closeSink := func() error { return nil }
+	if v.MetricsOut != "" {
+		f, err := os.Create(v.MetricsOut)
+		if err != nil {
+			return in, nil, err
+		}
+		sink, flush := obs.SinkFor(v.MetricsOut, f)
+		in.MetricsSink, in.MetricsEvery = sink, v.MetricsEvery
+		closeSink = func() error { return closeAfter(f, flush()) }
+	}
+	return in, func() error {
+		var err error
+		if prof != nil {
+			err = v.writeEngineProfile(prof.Report())
+		}
+		if cerr := closeSink(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }
 
-// WriteEngineProfile renders the end-of-run engine report: the text table
+// closeAfter closes f and returns werr, the error of the write before it,
+// or else the close's own.
+func closeAfter(f *os.File, werr error) error {
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
+}
+
+// writeEngineProfile renders the end-of-run engine report: the text table
 // to stderr, and — when -profile-engine-out is set — the JSON form to that
 // file.
-func (v *Values) WriteEngineProfile(p *obs.EngineProfile) error {
-	rep := p.Report()
+func (v *Values) writeEngineProfile(rep *obs.EngineReport) error {
 	if err := rep.WriteText(os.Stderr); err != nil {
 		return err
 	}
@@ -451,18 +484,17 @@ func (v *Values) WriteEngineProfile(p *obs.EngineProfile) error {
 	if err != nil {
 		return err
 	}
-	werr := rep.WriteJSON(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	if err := closeAfter(f, rep.WriteJSON(f)); err != nil {
+		return err
 	}
-	return werr
+	fmt.Fprintf(os.Stderr, "engine profile written to %s\n", v.ProfileEngineOut)
+	return nil
 }
 
-// PerRunPath makes an artifact path safe for a multi-run sweep: if the
+// perRunPath makes an artifact path safe for a multi-run sweep: if the
 // path has no "*" placeholder (which sim expands to a per-run stem), one
-// is inserted before the extension so concurrent runs do not clobber each
-// other. Empty paths pass through.
-func PerRunPath(path string) string {
+// is inserted before the extension. Empty paths pass through.
+func perRunPath(path string) string {
 	if path == "" || strings.Contains(path, "*") {
 		return path
 	}
@@ -470,26 +502,4 @@ func PerRunPath(path string) string {
 		return path[:dot] + "-*" + path[dot:]
 	}
 	return path + "-*"
-}
-
-// OpenMetricsSink creates the -metrics-out sink. The returned close
-// function flushes and closes the file; both are nil when the flag is
-// unset.
-func (v *Values) OpenMetricsSink() (obs.RunSink, func() error, error) {
-	if v.MetricsOut == "" {
-		return nil, nil, nil
-	}
-	f, err := os.Create(v.MetricsOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	sink, errf := obs.SinkFor(v.MetricsOut, f)
-	closer := func() error {
-		werr := errf()
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		return werr
-	}
-	return sink, closer, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,7 +26,6 @@ func TestBindFlexsimSurface(t *testing.T) {
 		"-uni", "-no-recover", "-census",
 		"-spans-out", "trace.json", "-forensics-depth", "4096", "-heatmap-out", "heat.csv",
 		"-profile-engine", "-profile-engine-out", "engine.json",
-		"-shards", "4",
 		"-timeout", "90s", "-cache-dir", "/tmp/c", "-resume=false",
 	})
 	if err != nil {
@@ -39,17 +39,20 @@ func TestBindFlexsimSurface(t *testing.T) {
 	if v.ForensicsDepth != 4096 {
 		t.Errorf("ForensicsDepth = %d, want 4096", v.ForensicsDepth)
 	}
-	if cfg.Shards != 4 {
-		t.Errorf("Shards = %d, want 4", cfg.Shards)
-	}
 	if v.SpansOut != "trace.json" || v.HeatmapOut != "heat.csv" {
 		t.Errorf("observability outputs misbound: %+v", v)
 	}
 	if !v.ProfileEngine || v.ProfileEngineOut != "engine.json" {
 		t.Errorf("engine profiling flags misbound: %+v", v)
 	}
-	if v.EngineProfileSink() == nil {
-		t.Error("EngineProfileSink() = nil with -profile-engine set")
+	// A single run owns its artifact paths as given.
+	in, _, err := v.Instrumentation(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.SpansPath != "trace.json" || in.HeatmapPath != "heat.csv" || in.ForensicsDepth != 4096 ||
+		!in.ProfileEngine || in.EngineSink == nil || in.MetricsSink != nil || in.MetricsEvery != 0 {
+		t.Errorf("Instrumentation(false) = %+v", in)
 	}
 	if cfg.Bidirectional || cfg.Recover || !cfg.CycleCensus {
 		t.Errorf("inverted extras misapplied: Bidirectional=%v Recover=%v Census=%v",
@@ -84,11 +87,13 @@ func TestBindCharsweepSurface(t *testing.T) {
 	if v.SpansOut != "traces/run.json" || v.HeatmapOut != "heat.csv" || v.ForensicsDepth != 1024 {
 		t.Errorf("observability flags misbound: %+v", v)
 	}
-	if got := PerRunPath(v.SpansOut); got != "traces/run-*.json" {
-		t.Errorf("PerRunPath(%q) = %q", v.SpansOut, got)
+	in, _, err := v.Instrumentation(true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v.EngineProfileSink() == nil {
-		t.Error("EngineProfileSink() = nil with -profile-engine set")
+	if in.SpansPath != "traces/run-*.json" || in.HeatmapPath != "heat-*.csv" || in.ForensicsDepth != 1024 ||
+		!in.ProfileEngine || in.EngineSink == nil {
+		t.Errorf("Instrumentation(true) = %+v", in)
 	}
 	if !v.Resume {
 		t.Errorf("resume must default to true")
@@ -103,11 +108,59 @@ func TestBindCharsweepSurface(t *testing.T) {
 	if !opts.Quick || opts.Parallelism != 4 {
 		t.Errorf("options miswired: %+v", opts)
 	}
-	if s.Shards != sim.AutoShards || opts.Shards != sim.AutoShards {
-		t.Errorf("-shards must default to auto: flag %d, options %d", s.Shards, opts.Shards)
-	}
 	if v.Timeout != time.Minute {
 		t.Errorf("timeout = %v", v.Timeout)
+	}
+}
+
+// TestNoShardsFlag: the shard count is execution strategy and no CLI flag
+// selects it. A configuration bound from no flags leaves Shards zero, which
+// is the sequential engine whatever GOMAXPROCS is; an integer FLEXSIM_SHARDS
+// is the one override, and "auto" is as unparsable as any other word.
+func TestNoShardsFlag(t *testing.T) {
+	flex := flag.NewFlagSet("flexsim", flag.ContinueOnError)
+	cfg := sim.Default()
+	BindConfig(flex, &cfg)
+	common := BindCommon(flex)
+	sweepFS := flag.NewFlagSet("charsweep", flag.ContinueOnError)
+	s := BindSweep(sweepFS)
+	BindCommon(sweepFS)
+	if flex.Lookup("shards") != nil || sweepFS.Lookup("shards") != nil {
+		t.Fatal("-shards is registered")
+	}
+	if err := flex.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sweepFS.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := common.Instrumentation(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := s.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Shards != 0 || in.Shards != 0 || opts.Instrumentation.Shards != 0 {
+		t.Fatalf("Shards bound from no flags: config %d, instrumentation %d, options %d",
+			cfg.Shards, in.Shards, opts.Instrumentation.Shards)
+	}
+	cfg.K, cfg.WarmupCycles, cfg.MeasureCycles = 4, 0, 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, c := range []struct {
+		env  string
+		want int
+	}{{"", 1}, {"4", 4}, {"auto", 1}, {"2.5", 1}} {
+		t.Setenv("FLEXSIM_SHARDS", c.env)
+		r, err := sim.NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Net.Shards(); got != c.want {
+			t.Errorf("FLEXSIM_SHARDS=%q: %d shard(s), want %d", c.env, got, c.want)
+		}
+		r.Close()
 	}
 }
 

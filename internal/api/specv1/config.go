@@ -5,17 +5,19 @@ import (
 	"flexsim/internal/sim"
 )
 
-// PointConfig is the wire form of one simulation point: every *semantic*
-// field of sim.Config — the fields that participate in the content-addressed
-// cache key — with explicit snake_case JSON names. Runtime plumbing (sinks,
-// tracers, shard counts, artifact paths) deliberately has no wire form: an
-// execution service chooses those per process, not per request, so two
-// clients submitting the same physics always hit the same cache entry.
+// PointConfig is the wire form of one simulation point: sim.Spec — the
+// fields that participate in the content-addressed cache key — with explicit
+// snake_case JSON names. sim.Instrumentation (sinks, tracers, shard counts,
+// artifact paths) deliberately has no wire form: an execution service
+// chooses those per process, not per request, so two clients submitting the
+// same physics always hit the same cache entry.
 //
-// The FieldCoverage test pins the contract: any sim.Config field that
-// influences runner.Key must survive a FromSim/ToSim round trip, so adding a
-// semantic field to sim.Config without extending this struct fails the
-// build's tests rather than silently dropping the field on the wire.
+// FromSim and ToSim are Go struct conversions, which ignore tags but demand
+// the same field names and types in the same order: a field added to
+// sim.Spec and not here (or the reverse) does not compile, so no semantic
+// field can silently fail to travel. It is a second struct and not an alias
+// of sim.Spec so that the v1 wire names live in this package, beside the
+// decoders and goldens that pin them, and sim stays free of wire concerns.
 type PointConfig struct {
 	// Topology.
 	K              int  `json:"k"`
@@ -73,49 +75,10 @@ type PointConfig struct {
 	Label string `json:"label,omitempty"`
 }
 
-// FromSim captures the semantic fields of a simulation configuration into
-// the wire form, dropping runtime plumbing (which has no wire equivalent).
-func FromSim(c sim.Config) PointConfig {
-	return PointConfig{
-		K: c.K, N: c.N, Bidirectional: c.Bidirectional, Mesh: c.Mesh,
-		IrregularNodes: c.IrregularNodes, IrregularLinks: c.IrregularLinks,
-		VCs: c.VCs, BufferDepth: c.BufferDepth,
-		MsgLen: c.MsgLen, MsgLenShort: c.MsgLenShort, ShortFrac: c.ShortFrac,
-		Routing: c.Routing, Traffic: c.Traffic, HotspotFrac: c.HotspotFrac, Load: c.Load,
-		Workload: c.Workload, WorkloadPhases: c.WorkloadPhases, ComputeDelay: c.ComputeDelay,
-		Seed: c.Seed, WarmupCycles: c.WarmupCycles, MeasureCycles: c.MeasureCycles,
-		FaultSeed: c.FaultSeed, FaultLinkMTTF: c.FaultLinkMTTF, FaultRepair: c.FaultRepair,
-		FaultEvents: c.FaultEvents,
-		DetectEvery: c.DetectEvery, VictimPolicy: c.VictimPolicy,
-		Recover: c.Recover, KnotCycles: c.KnotCycles, CycleCensus: c.CycleCensus,
-		MaxCycles: c.MaxCycles, MaxWork: c.MaxWork,
-		RecoveryDrainRate: c.RecoveryDrainRate, KeepEvents: c.KeepEvents,
-		TimeoutThresholds: c.TimeoutThresholds,
-		CheckInvariants:   c.CheckInvariants,
-		Label:             c.Label,
-	}
-}
+// FromSim captures a configuration's Spec in the wire form; its
+// Instrumentation has no wire equivalent and is dropped.
+func FromSim(c sim.Config) PointConfig { return PointConfig(c.Spec) }
 
-// ToSim expands the wire form into a runnable simulation configuration.
-// Runtime plumbing fields (sinks, tracers, shard count, artifact paths) are
-// left zero; the executing process attaches its own.
-func (p PointConfig) ToSim() sim.Config {
-	return sim.Config{
-		K: p.K, N: p.N, Bidirectional: p.Bidirectional, Mesh: p.Mesh,
-		IrregularNodes: p.IrregularNodes, IrregularLinks: p.IrregularLinks,
-		VCs: p.VCs, BufferDepth: p.BufferDepth,
-		MsgLen: p.MsgLen, MsgLenShort: p.MsgLenShort, ShortFrac: p.ShortFrac,
-		Routing: p.Routing, Traffic: p.Traffic, HotspotFrac: p.HotspotFrac, Load: p.Load,
-		Workload: p.Workload, WorkloadPhases: p.WorkloadPhases, ComputeDelay: p.ComputeDelay,
-		Seed: p.Seed, WarmupCycles: p.WarmupCycles, MeasureCycles: p.MeasureCycles,
-		FaultSeed: p.FaultSeed, FaultLinkMTTF: p.FaultLinkMTTF, FaultRepair: p.FaultRepair,
-		FaultEvents: p.FaultEvents,
-		DetectEvery: p.DetectEvery, VictimPolicy: p.VictimPolicy,
-		Recover: p.Recover, KnotCycles: p.KnotCycles, CycleCensus: p.CycleCensus,
-		MaxCycles: p.MaxCycles, MaxWork: p.MaxWork,
-		RecoveryDrainRate: p.RecoveryDrainRate, KeepEvents: p.KeepEvents,
-		TimeoutThresholds: p.TimeoutThresholds,
-		CheckInvariants:   p.CheckInvariants,
-		Label:             p.Label,
-	}
-}
+// ToSim expands the wire form into a runnable simulation configuration with
+// zero Instrumentation; the executing process attaches its own.
+func (p PointConfig) ToSim() sim.Config { return sim.Config{Spec: sim.Spec(p)} }

@@ -6,9 +6,9 @@
 //   - Every message carries "schema_version": 1 and decodes strictly — an
 //     unknown field or a missing/mismatched version is an error, not a
 //     silent drop — so client/server skew fails fast at the boundary.
-//   - PointConfig carries exactly the semantic fields of sim.Config (the
-//     fields behind the content-addressed cache key), with explicit
-//     snake_case names; runtime plumbing never travels.
+//   - PointConfig is sim.Spec (the fields behind the content-addressed cache
+//     key) under explicit snake_case names; sim.Instrumentation never
+//     travels.
 //   - The result payload inside PointResult is the simulator's canonical
 //     stats.Result encoding — the same bytes the content-addressed store
 //     has persisted since the cache was introduced — so results served from

@@ -20,7 +20,7 @@ import (
 	"flexsim/internal/api/specv1"
 	"flexsim/internal/core"
 	"flexsim/internal/fault"
-	"flexsim/internal/obs"
+	"flexsim/internal/sim"
 	"flexsim/internal/stats"
 )
 
@@ -36,10 +36,6 @@ type Options struct {
 	Seed uint64
 	// Loads overrides the default load sweep.
 	Loads []float64
-	// Shards sets the parallel cycle-engine shard count for every run
-	// (see sim.Config.Shards); results are identical for any value, so it
-	// is execution tuning, not part of the experiment.
-	Shards int
 	// Context cancels the experiment's simulation runs (nil = Background).
 	// A cancelled experiment returns an error wrapping the context's; its
 	// completed runs are already persisted when a Cache is attached.
@@ -53,22 +49,12 @@ type Options struct {
 	// it must be concurrency-safe. charsweep feeds its live progress view
 	// with it.
 	OnPoint func(p core.Point)
-	// MetricsEvery/MetricsSink enable interval metrics on every run of the
-	// experiment (see sim.Config); the sink must be concurrency-safe.
-	MetricsEvery int
-	MetricsSink  obs.RunSink
-	// ProfileEngine/EngineSink enable the parallel cycle engine's telemetry
-	// on every run (see sim.Config); the sink must be concurrency-safe
-	// (obs.EngineProfile is), and cached runs contribute nothing to it.
-	ProfileEngine bool
-	EngineSink    obs.EngineSink
-	// ForensicsDepth/SpansPath/HeatmapPath apply the corresponding
-	// observability artifacts to every run (see sim.Config — the paths
-	// should contain a "*" so each run writes its own file; charsweep
-	// inserts one).
-	ForensicsDepth int
-	SpansPath      string
-	HeatmapPath    string
+	// Instrumentation is attached to every run of the experiment (see
+	// sim.Instrumentation). Its sinks are shared by concurrent runs and must
+	// be concurrency-safe (obs.EngineProfile and the obs file sinks are); its
+	// SpansPath/HeatmapPath should contain a "*" so each run writes its own
+	// file. A cached run contributes nothing to any of it.
+	Instrumentation sim.Instrumentation
 	// FaultSeed/FaultLinkMTTF/FaultRepair/FaultEvents apply a fault
 	// schedule to every run of the experiment (see sim.Config) — the
 	// -fault-* flags. The faulty experiment sets its own per-point values
@@ -90,14 +76,7 @@ func (o Options) base() core.Config {
 	if o.Seed != 0 {
 		c.Seed = o.Seed
 	}
-	c.Shards = o.Shards
-	c.MetricsEvery = o.MetricsEvery
-	c.MetricsSink = o.MetricsSink
-	c.ProfileEngine = o.ProfileEngine
-	c.EngineSink = o.EngineSink
-	c.ForensicsDepth = o.ForensicsDepth
-	c.SpansPath = o.SpansPath
-	c.HeatmapPath = o.HeatmapPath
+	c.Instrumentation = o.Instrumentation
 	c.FaultSeed = o.FaultSeed
 	c.FaultLinkMTTF = o.FaultLinkMTTF
 	c.FaultRepair = o.FaultRepair

@@ -129,7 +129,7 @@ func (c Config) build() (*system, error) {
 		VCs:         c.VCs,
 		BufferDepth: c.BufferDepth,
 		Routing:     algo,
-		Shards:      1, // explicit: keep FLEXSIM_SHARDS from touching the harness
+		Shards:      1, // explicit: 0 would let FLEXSIM_SHARDS pick the harness's engine
 	})
 	if err != nil {
 		return nil, err

@@ -57,10 +57,10 @@ type Params struct {
 	// during deadlock recovery; 0 means instantaneous absorption.
 	RecoveryDrainRate int
 	// Shards is the number of parallel workers stepping the network.
-	// 1 runs the sequential engine; AutoShards (-1) picks
-	// min(GOMAXPROCS, nodes/4); 0 consults the FLEXSIM_SHARDS environment
-	// variable and falls back to 1. The value is clamped to [1, nodes].
-	// Shard count never changes simulation results — only wall-clock time.
+	// 1 runs the sequential engine; 0 takes an integer FLEXSIM_SHARDS
+	// environment variable and falls back to 1. The value is clamped to
+	// [1, nodes]. Shard count never changes simulation results — only
+	// wall-clock time.
 	Shards int
 	// CheckInvariants enables per-cycle validation (tests only; costly).
 	CheckInvariants bool
@@ -505,13 +505,10 @@ func (n *Network) Topology() topology.Network { return n.topo }
 // identical either way.
 func (n *Network) Step() {
 	n.now++
-	switch {
-	case n.pool == nil:
+	if n.pool == nil {
 		n.stepSequential(n.eng)
-	case n.eng != nil:
-		n.stepParallelProfiled()
-	default:
-		n.stepParallel()
+	} else {
+		n.stepParallel(n.eng)
 	}
 	if n.p.CheckInvariants {
 		if err := n.CheckInvariants(); err != nil {

@@ -36,10 +36,8 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
 	"flexsim/internal/message"
 	"flexsim/internal/routing"
@@ -47,30 +45,18 @@ import (
 	"flexsim/internal/trace"
 )
 
-// AutoShards selects min(GOMAXPROCS, nodes/4) workers at construction.
-const AutoShards = -1
-
-// shardsEnv overrides a zero Params.Shards; it holds a shard count or
-// "auto". CI uses it to force the parallel engine under -race without
-// threading a flag through every test helper.
+// shardsEnv holds the shard count of a network built with a zero
+// Params.Shards; anything but an integer is ignored. CI uses it to force the
+// parallel engine under -race without threading a knob through every test
+// helper, and it is the one way to ask a CLI for that engine.
 const shardsEnv = "FLEXSIM_SHARDS"
 
 // resolveShards turns the requested shard count into the effective one.
 func resolveShards(req, nodes int) int {
 	s := req
 	if s == 0 {
-		if v := os.Getenv(shardsEnv); v != "" {
-			if v == "auto" {
-				s = AutoShards
-			} else if k, err := strconv.Atoi(v); err == nil {
-				s = k
-			}
-		}
-	}
-	if s < 0 { // AutoShards
-		s = runtime.GOMAXPROCS(0)
-		if q := nodes / 4; s > q {
-			s = q
+		if k, err := strconv.Atoi(os.Getenv(shardsEnv)); err == nil {
+			s = k
 		}
 	}
 	if s < 1 {
@@ -175,9 +161,9 @@ type worker struct {
 	chBuf   []topology.ChannelID
 
 	// phaseNs holds this cycle's measured kernel durations, one per
-	// launch; written by the worker goroutine inside the profiled stage
-	// kernels, read by the coordinator after the barrier (the pool's
-	// WaitGroup orders the accesses). Untouched when telemetry is off.
+	// launch; written by the worker goroutine inside the stage kernels,
+	// read by the coordinator after the barrier (the pool's WaitGroup
+	// orders the accesses). Zero when telemetry is off.
 	phaseNs [EnginePhases]int64
 
 	d deltas
@@ -462,50 +448,66 @@ func (n *Network) stepSequential(es *EngineStats) {
 }
 
 // Kernels for the four parallel launches. Package-level so handing them to
-// the pool allocates nothing.
+// the pool allocates nothing. Each stamps its own duration into phaseNs
+// through the nil-able probe: one predictable branch per worker per launch
+// when telemetry is off.
 
 func stageDrainInject(w *worker) {
+	t := w.n.eng.start()
 	w.buf = &w.fxMsg
 	w.drainRecovering(w.msgs)
 	w.buf = &w.fxNode
 	w.startInjections()
+	w.phaseNs[0] = w.n.eng.since(t)
 }
 
 func stageAllocPlan(w *worker) {
+	t := w.n.eng.start()
 	w.buf = &w.fxMsg
 	w.d.blocked = 0
 	w.allocatePlan(w.msgs)
+	w.phaseNs[1] = w.n.eng.since(t)
 }
 
 func stageArbEject(w *worker) {
+	t := w.n.eng.start()
 	w.buf = &w.fxNode
 	w.arbitrateAndEject()
+	w.phaseNs[2] = w.n.eng.since(t)
 }
 
 func stageApplyRelease(w *worker) {
+	t := w.n.eng.start()
 	w.buf = &w.fxMsg
 	w.applyAndRelease(w.msgs)
+	w.phaseNs[3] = w.n.eng.since(t)
 }
 
 // stepParallel runs the cycle as four barrier-separated launches over the
 // worker pool, merging buffered effects and exchanging mailboxes between
-// launches on the coordinator goroutine.
-func (n *Network) stepParallel() {
+// launches on the coordinator goroutine. With es attached, each barrier's
+// worker durations, the mailboxes while they are full and the coordinator's
+// merge/absorb time are folded into it (launched/merged are no-ops on nil).
+func (n *Network) stepParallel(es *EngineStats) {
 	n.partition()
 
 	// Launch 1: recovery drain (message-keyed) + injection starts
 	// (node-keyed). Sequential order is all drain events then all
 	// injection events, so merge fxMsg before fxNode.
 	n.pool.runStage(stageDrainInject)
+	t := es.launched(0, n.workers)
 	n.mergeMsgEffects()
 	n.absorbInjected()
 	n.mergeNodeEffects()
+	es.merged(t)
 
 	// Launch 2: VC allocation + transfer planning (both message-keyed;
 	// allocation conflicts are shard-local, remote transfer requests go
 	// to the reqOut mailboxes).
 	n.pool.runStage(stageAllocPlan)
+	t = es.launched(1, n.workers)
 	n.mergeMsgEffects()
+	es.merged(t)
 	n.blocked = 0
 	for _, w := range n.workers {
 		n.blocked += w.d.blocked
@@ -515,121 +517,24 @@ func (n *Network) stepParallel() {
 	// Launch 3: per-channel and per-node arbitration + ejection. Grants
 	// whose message another shard owns go to the grantOut mailboxes.
 	n.pool.runStage(stageArbEject)
+	t = es.launched(2, n.workers)
 	n.mergeNodeEffects()
+	es.merged(t)
 
 	// Launch 4: commit granted transfers, stream source flits, release
 	// drained VCs and retire completed messages.
 	n.pool.runStage(stageApplyRelease)
+	t = es.launched(3, n.workers)
 	n.mergeMsgEffects()
+	es.merged(t)
 
 	for _, w := range n.workers {
 		w.flushCounters()
 	}
 	n.compactActive()
-}
-
-// --- Profiled step drivers ---------------------------------------------------
-//
-// An exact duplicate of stepParallel with time.Now stamps around each launch
-// and mailbox/effect counting between barriers. Kept separate so the
-// unprofiled parallel driver stays byte-identical: a run without telemetry
-// pays one nil check in Step and nothing else. (The sequential driver is one
-// function with a nil-able *EngineStats.)
-
-// Profiled stage kernels: the unprofiled kernel bracketed by a clock. Two
-// time.Now calls per worker per launch (~50ns) against kernel times in the
-// microseconds; package-level so handing them to the pool allocates
-// nothing.
-
-func stageDrainInjectProfiled(w *worker) {
-	t0 := time.Now()
-	stageDrainInject(w)
-	w.phaseNs[0] = int64(time.Since(t0))
-}
-
-func stageAllocPlanProfiled(w *worker) {
-	t0 := time.Now()
-	stageAllocPlan(w)
-	w.phaseNs[1] = int64(time.Since(t0))
-}
-
-func stageArbEjectProfiled(w *worker) {
-	t0 := time.Now()
-	stageArbEject(w)
-	w.phaseNs[2] = int64(time.Since(t0))
-}
-
-func stageApplyReleaseProfiled(w *worker) {
-	t0 := time.Now()
-	stageApplyRelease(w)
-	w.phaseNs[3] = int64(time.Since(t0))
-}
-
-// fxLens sums the workers' pending message- and node-keyed effect buffers
-// (counted before the merges clear them).
-func (n *Network) fxLens() (msg, node int64) {
-	for _, w := range n.workers {
-		msg += int64(len(w.fxMsg))
-		node += int64(len(w.fxNode))
+	if es != nil {
+		es.Cycles++
 	}
-	return
-}
-
-// stepParallelProfiled mirrors stepParallel launch for launch, folding each
-// barrier's worker durations into the attached EngineStats, tallying the
-// mailboxes while they are full, and charging coordinator merge/absorb work
-// to MergeNs.
-func (n *Network) stepParallelProfiled() {
-	es := n.eng
-	n.partition()
-
-	n.pool.runStage(stageDrainInjectProfiled)
-	es.recordLaunch(0, n.workers)
-	fm, fn := n.fxLens()
-	t0 := time.Now()
-	n.mergeMsgEffects()
-	n.absorbInjected()
-	n.mergeNodeEffects()
-	es.MergeNs += int64(time.Since(t0))
-	es.MsgEffects += fm
-	es.NodeEffects += fn
-
-	n.pool.runStage(stageAllocPlanProfiled)
-	es.recordLaunch(1, n.workers)
-	es.countReqMail(n.workers)
-	fm, _ = n.fxLens()
-	t0 = time.Now()
-	n.mergeMsgEffects()
-	es.MergeNs += int64(time.Since(t0))
-	es.MsgEffects += fm
-	n.blocked = 0
-	for _, w := range n.workers {
-		n.blocked += w.d.blocked
-		w.d.blocked = 0
-	}
-
-	n.pool.runStage(stageArbEjectProfiled)
-	es.recordLaunch(2, n.workers)
-	es.countGrantMail(n.workers)
-	_, fn = n.fxLens()
-	t0 = time.Now()
-	n.mergeNodeEffects()
-	es.MergeNs += int64(time.Since(t0))
-	es.NodeEffects += fn
-
-	n.pool.runStage(stageApplyReleaseProfiled)
-	es.recordLaunch(3, n.workers)
-	fm, _ = n.fxLens()
-	t0 = time.Now()
-	n.mergeMsgEffects()
-	es.MergeNs += int64(time.Since(t0))
-	es.MsgEffects += fm
-
-	for _, w := range n.workers {
-		w.flushCounters()
-	}
-	n.compactActive()
-	es.Cycles++
 }
 
 // partition assigns every active message to the shard owning its header

@@ -22,25 +22,14 @@ func newShardedNet(t *testing.T, shards int) *Network {
 
 func TestResolveShards(t *testing.T) {
 	t.Setenv(shardsEnv, "") // CI forces the env var; empty must read as unset
-	cases := []struct {
-		req, nodes, want int
-	}{
+	for _, c := range []struct{ req, nodes, want int }{
 		{1, 16, 1},
 		{4, 16, 4},
-		{0, 16, 1},    // unset, no env
+		{0, 16, 1},    // unset, no env: sequential whatever GOMAXPROCS is
 		{100, 16, 16}, // clamped to nodes
-		{-5, 16, 1},   // negative = auto; capped by nodes/4 then GOMAXPROCS
-	}
-	for _, c := range cases {
-		got := resolveShards(c.req, c.nodes)
-		if c.req == -5 {
-			// Auto depends on GOMAXPROCS; only check the bounds.
-			if got < 1 || got > c.nodes/4 {
-				t.Errorf("resolveShards(auto, %d) = %d, want in [1, %d]", c.nodes, got, c.nodes/4)
-			}
-			continue
-		}
-		if got != c.want {
+		{-1, 16, 1},   // no sentinel: anything below 1 is 1
+	} {
+		if got := resolveShards(c.req, c.nodes); got != c.want {
 			t.Errorf("resolveShards(%d, %d) = %d, want %d", c.req, c.nodes, got, c.want)
 		}
 	}
@@ -51,13 +40,11 @@ func TestResolveShards(t *testing.T) {
 	if got := resolveShards(2, 16); got != 2 {
 		t.Errorf("explicit Shards must beat the environment, got %d", got)
 	}
-	t.Setenv(shardsEnv, "auto")
-	if got := resolveShards(0, 64); got < 1 || got > 16 {
-		t.Errorf("resolveShards(0, 64) with %s=auto = %d, want in [1, 16]", shardsEnv, got)
-	}
-	t.Setenv(shardsEnv, "nonsense")
-	if got := resolveShards(0, 16); got != 1 {
-		t.Errorf("resolveShards must ignore an unparsable %s, got %d", shardsEnv, got)
+	for _, v := range []string{"auto", "nonsense", "4x", "99999999999999999999"} {
+		t.Setenv(shardsEnv, v)
+		if got := resolveShards(0, 64); got != 1 {
+			t.Errorf("resolveShards must ignore a non-integer %s=%q, got %d", shardsEnv, v, got)
+		}
 	}
 }
 

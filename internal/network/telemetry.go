@@ -5,17 +5,16 @@ package network
 // mailbox traffic matrices and effect-buffer/merge cost counters.
 //
 // The stats attach to a Network via SetEngineStats; when attached, Step
-// stamps time.Now around each of the four barrier-separated launches (the
-// sequential driver through a nil-able probe, the parallel one through a
-// profiled duplicate in shard.go that also counts mailbox/effect traffic
-// between barriers). When detached (the default) the disabled hot path pays
-// nil checks and zero allocations.
+// stamps time.Now around each of the four barrier-separated launches and the
+// parallel driver also counts mailbox/effect traffic between barriers, all
+// through the nil-able probe below, so each engine has one driver. When
+// detached (the default) the hot path pays nil checks and zero allocations.
 //
 // Determinism contract: every *count* in EngineStats (mailbox matrices,
 // effect totals, cycles) is exact and identical across runs of the same
 // configuration; the nanosecond fields are wall-clock measurements and are
 // therefore excluded from golden comparisons and the content-addressed
-// cache key (sim.Config.ProfileEngine is in runner's nonSemantic set).
+// cache key (ProfileEngine is a field of sim.Instrumentation, not sim.Spec).
 
 import (
 	"slices"
@@ -193,11 +192,11 @@ func (es *EngineStats) recordLaunch(phase int, workers []*worker) {
 	es.StallNs[phase] += max - durs[len(durs)/2]
 }
 
-// start and lap are the sequential engine's probe, no-ops on nil stats so one
-// driver serves both: start stamps the beginning of a cycle, lap folds the
-// time since the last stamp into a phase group — all of it on shard 0,
-// barrier wall equal to the kernel time, no stall or idle — and returns the
-// next stamp.
+// The probe: every method below is a no-op on nil stats, so one driver per
+// engine serves profiled and unprofiled runs. start stamps the beginning of
+// a cycle or kernel. lap is the sequential engine's: it folds the time since
+// the last stamp into a phase group — all of it on shard 0, barrier wall
+// equal to the kernel time, no stall or idle — and returns the next stamp.
 func (es *EngineStats) start() time.Time {
 	if es == nil {
 		return time.Time{}
@@ -216,25 +215,47 @@ func (es *EngineStats) lap(phase int, since time.Time) time.Time {
 	return now
 }
 
-// countReqMail tallies the reqOut mailboxes planned by the alloc+plan
-// launch, before arbitrateAndEject drains them.
-func (es *EngineStats) countReqMail(workers []*worker) {
-	for _, w := range workers {
-		row := es.ReqTransfers[int(w.id)*es.Shards:]
-		for dst, out := range w.reqOut {
-			row[dst] += int64(len(out))
-		}
+// since is a pool worker's half of the probe: the kernel's duration, for
+// the coordinator to fold after the barrier.
+func (es *EngineStats) since(t time.Time) int64 {
+	if es == nil {
+		return 0
 	}
+	return int64(time.Since(t))
 }
 
-// countGrantMail tallies the grantOut mailboxes produced by arbitration,
-// before applyAndRelease drains them.
-func (es *EngineStats) countGrantMail(workers []*worker) {
+// launched is the coordinator's half, called after each barrier: it folds
+// the launch's worker durations, tallies the mailboxes and effect buffers
+// while they are full — reqOut is planned by alloc+plan and drained by
+// arb+eject, grantOut produced there and drained by apply+release, and a
+// buffer no kernel of this launch wrote is empty — and returns the stamp
+// merged charges the coordinator's merge/absorb time from.
+func (es *EngineStats) launched(phase int, workers []*worker) time.Time {
+	if es == nil {
+		return time.Time{}
+	}
+	es.recordLaunch(phase, workers)
 	for _, w := range workers {
-		row := es.GrantTransfers[int(w.id)*es.Shards:]
-		for dst, out := range w.grantOut {
-			row[dst] += int64(len(out))
+		switch row := int(w.id) * es.Shards; phase {
+		case 1:
+			for dst, out := range w.reqOut {
+				es.ReqTransfers[row+dst] += int64(len(out))
+			}
+		case 2:
+			for dst, out := range w.grantOut {
+				es.GrantTransfers[row+dst] += int64(len(out))
+			}
 		}
+		es.MsgEffects += int64(len(w.fxMsg))
+		es.NodeEffects += int64(len(w.fxNode))
+	}
+	return time.Now()
+}
+
+// merged charges the coordinator's time since launched's stamp to MergeNs.
+func (es *EngineStats) merged(since time.Time) {
+	if es != nil {
+		es.MergeNs += int64(time.Since(since))
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -23,8 +22,7 @@ import (
 
 // EngineSink receives a finished run's engine telemetry. Implementations
 // must be safe for concurrent use (sweeps flush many runs from worker
-// goroutines). Interface-typed fields are excluded from the content-
-// addressed cache key automatically.
+// goroutines).
 type EngineSink interface {
 	EngineRun(meta RunMeta, es *network.EngineStats)
 }
@@ -142,8 +140,7 @@ type EngineReport struct {
 	NodeEffects int64 `json:"node_effects"`
 	MergeNs     int64 `json:"merge_ns"`
 
-	// SuggestedShards is a heuristic: shrink when workers mostly idle,
-	// grow when they never do and cores remain.
+	// SuggestedShards is a heuristic: shrink when workers mostly idle.
 	SuggestedShards int      `json:"suggested_shards"`
 	Notes           []string `json:"notes,omitempty"`
 }
@@ -227,32 +224,23 @@ func unflatten(flat []int64, s int) [][]int64 {
 	return m
 }
 
-// suggestShards applies the imbalance heuristic: workers idle more than a
-// quarter of the time → the partition is too fine (or too skewed) for the
-// work, halve it; workers essentially never idle and cores remain → the
-// engine is compute-bound, double it. Anything between keeps the current
-// count.
+// shardingNote is what every measurement so far says about the parallel
+// engine; a report that suggests a shard count says it too.
+const shardingNote = "sharding has not beaten 1 shard on any measured machine class (BENCH_shards.json)"
+
+// suggestShards reads the imbalance: a single shard has nothing to
+// rebalance; workers idle more than a quarter of the time → the partition
+// is too fine (or too skewed) for the work, halve it; anything else keeps
+// the current count. It never suggests growing.
 func suggestShards(shards int, idleFrac float64, stallNs, wallNs int64) (int, []string) {
-	var notes []string
-	cores := runtime.GOMAXPROCS(0)
-	switch {
-	case shards == 1:
-		if cores > 1 {
-			notes = append(notes, fmt.Sprintf(
-				"single-shard run: no barrier or mailbox costs to profile; try -shards %d to measure scaling", min(cores, 4)))
-			return min(cores, 4), notes
-		}
-		notes = append(notes, "single-shard run on a single-core machine: nothing to rebalance")
-		return 1, notes
-	case idleFrac > 0.25:
-		s := max(1, shards/2)
+	if shards == 1 {
+		return 1, []string{"single-shard run: no barrier or mailbox costs to profile; FLEXSIM_SHARDS=N selects the parallel engine, but " + shardingNote}
+	}
+	notes := []string{shardingNote}
+	if idleFrac > 0.25 {
 		notes = append(notes, fmt.Sprintf(
 			"workers idle %.0f%% of barrier time: partition too fine for the offered work", idleFrac*100))
-		return s, notes
-	case idleFrac < 0.05 && shards < cores:
-		notes = append(notes, fmt.Sprintf(
-			"workers idle %.0f%% of barrier time with %d cores unused: engine looks compute-bound", idleFrac*100, cores-shards))
-		return min(2*shards, cores), notes
+		return shards / 2, notes
 	}
 	if wallNs > 0 && float64(stallNs)/float64(wallNs) > 0.2 {
 		notes = append(notes, fmt.Sprintf(

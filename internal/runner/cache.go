@@ -32,46 +32,23 @@ import (
 // cacheFile is the JSONL file holding one completed Point per line.
 const cacheFile = "results.jsonl"
 
-// nonSemantic names Config fields that never influence the measured Result
-// (observability cadence and rendering switches, and the shard count — an
-// execution strategy the parallel engine guarantees is result-invariant);
-// they are excluded from the cache key so toggling instrumentation or
-// re-running on a different core count does not invalidate finished runs.
-// Fields of func/interface/pointer kind (Tracer, MetricsSink, MetricsLive,
-// Incidents) are runtime plumbing and are skipped by kind.
-var nonSemantic = map[string]bool{
-	"MetricsEvery":   true,
-	"IncidentDOT":    true,
-	"ForensicsDepth": true,
-	"Shards":         true,
-	"ProfileEngine":  true,
-	"SpansPath":      true,
-	"HeatmapPath":    true,
-	"TraceContext":   true,
-}
-
-// canonicalField is one semantic Config field in the canonical encoding.
+// canonicalField is one sim.Spec field in the canonical encoding.
 type canonicalField struct {
 	key   string // `"Name":`, preceded by "," for all but the first field
-	index int    // position in sim.Config
+	index int    // position in sim.Spec
 }
 
-// canonicalPlan lists the semantic fields of sim.Config sorted by name —
-// the order encoding/json gives map keys, so the encoding is that of a
-// map[name]value without building and sorting one per call.
+// canonicalPlan lists the fields of sim.Spec sorted by name — the order
+// encoding/json gives map keys, so the encoding is that of a map[name]value
+// without building and sorting one per call. What is semantic is decided by
+// the type: sim.Instrumentation (observability and the shard count, which
+// never change a Result) is not walked, so toggling it or re-running on a
+// different core count does not invalidate finished runs.
 var canonicalPlan = func() []canonicalField {
-	t := reflect.TypeOf(sim.Config{})
-	var plan []canonicalField
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if nonSemantic[f.Name] {
-			continue
-		}
-		switch f.Type.Kind() {
-		case reflect.Func, reflect.Interface, reflect.Ptr, reflect.Chan:
-			continue
-		}
-		plan = append(plan, canonicalField{key: f.Name, index: i})
+	t := reflect.TypeOf(sim.Spec{})
+	plan := make([]canonicalField, t.NumField())
+	for i := range plan {
+		plan[i] = canonicalField{key: t.Field(i).Name, index: i}
 	}
 	sort.Slice(plan, func(i, j int) bool { return plan[i].key < plan[j].key })
 	for i := range plan {
@@ -84,12 +61,12 @@ var canonicalPlan = func() []canonicalField {
 }()
 
 // CanonicalConfig returns the canonical JSON encoding of a configuration:
-// every semantic exported field, keyed by field name, with keys sorted —
-// so the encoding (and hence the cache key) is independent of struct field
-// order but sensitive to every value change. Each value is encoded as
+// every field of its Spec, keyed by field name, with keys sorted — so the
+// encoding (and hence the cache key) is independent of struct field order
+// but sensitive to every value change. Each value is encoded as
 // encoding/json encodes it.
 func CanonicalConfig(c sim.Config) []byte {
-	v := reflect.ValueOf(&c).Elem()
+	v := reflect.ValueOf(&c.Spec).Elem()
 	b := make([]byte, 0, 1024)
 	b = append(b, '{')
 	for _, f := range canonicalPlan {

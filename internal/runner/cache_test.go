@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"flexsim/internal/fault"
@@ -73,27 +74,37 @@ func TestKeySensitivity(t *testing.T) {
 }
 
 // TestKeyIgnoresObservability: toggling instrumentation must not invalidate
-// cached results — tracers, sinks and metrics cadence do not affect the
-// measured Result.
+// cached results, and that is decided by type, not by a list of names: every
+// field of sim.Instrumentation — whatever is added to it — set to a non-zero
+// value leaves the key at the golden.
 func TestKeyIgnoresObservability(t *testing.T) {
-	base := sim.Default()
-	want := Key(base)
-
-	c := base
-	c.MetricsEvery = 10
-	c.IncidentDOT = true
-	c.MetricsSink = obs.NewCSVSink(&bytes.Buffer{})
-	c.Incidents = &obs.IncidentLog{}
-	c.ForensicsDepth = 1 << 16
-	c.Spans = trace.NewPerfetto(&bytes.Buffer{})
-	c.Heatmap = &obs.Heatmap{}
-	c.ProfileEngine = true
-	c.EngineSink = &obs.EngineProfile{}
-	c.SpansPath = "trace-*.json"
-	c.HeatmapPath = "heat-*.csv"
-	c.TraceContext = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
-	if got := Key(c); got != want {
-		t.Errorf("observability fields changed the key: got %s, want %s", got, want)
+	stubs := []any{&trace.Ring{}, obs.NewCSVSink(&bytes.Buffer{}), &obs.EngineProfile{}}
+	c := sim.Default()
+	v := reflect.ValueOf(&c.Instrumentation).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(1 << 16)
+		case reflect.String:
+			f.SetString("artifact-*.json")
+		case reflect.Ptr:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Interface:
+			for _, stub := range stubs {
+				if reflect.TypeOf(stub).Implements(f.Type()) {
+					f.Set(reflect.ValueOf(stub))
+				}
+			}
+		}
+		if f.IsZero() {
+			t.Fatalf("no non-zero value for sim.Instrumentation.%s: teach this test its type", v.Type().Field(i).Name)
+		}
+	}
+	if got := Key(c); got != goldenKey {
+		t.Errorf("instrumentation changed the key: got %s, want golden %s", got, goldenKey)
 	}
 }
 
@@ -104,7 +115,7 @@ func TestKeyIgnoresObservability(t *testing.T) {
 // invalidate caches written before it existed.
 func TestKeyIgnoresShards(t *testing.T) {
 	base := sim.Default()
-	for _, s := range []int{0, 1, 2, 8, sim.AutoShards} {
+	for _, s := range []int{0, 1, 2, 8} {
 		c := base
 		c.Shards = s
 		if got := Key(c); got != goldenKey {
@@ -114,8 +125,8 @@ func TestKeyIgnoresShards(t *testing.T) {
 }
 
 // TestResumeAcrossShards: a sweep finished at one shard count must be served
-// entirely from cache when re-run at another (-resume with a different
-// -shards value).
+// entirely from cache when re-run at another (-resume under a different
+// FLEXSIM_SHARDS).
 func TestResumeAcrossShards(t *testing.T) {
 	dir := t.TempDir()
 	cfgs := sweepConfigs(3)

@@ -193,19 +193,13 @@ func TestParentWrittenStore(t *testing.T) {
 }
 
 // mapCanonical is the encoding CanonicalConfig is defined by: a map of
-// every semantic field through encoding/json, which sorts the keys.
+// every field of the configuration's Spec through encoding/json, which sorts
+// the keys.
 func mapCanonical(t *testing.T, c sim.Config) []byte {
-	v := reflect.ValueOf(c)
+	v := reflect.ValueOf(c.Spec)
 	m := map[string]interface{}{}
 	for i := 0; i < v.NumField(); i++ {
-		f := v.Type().Field(i)
-		switch f.Type.Kind() {
-		case reflect.Func, reflect.Interface, reflect.Ptr, reflect.Chan:
-			continue
-		}
-		if !nonSemantic[f.Name] {
-			m[f.Name] = v.Field(i).Interface()
-		}
+		m[v.Type().Field(i).Name] = v.Field(i).Interface()
 	}
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -226,7 +220,7 @@ func TestCanonicalConfigMatchesMapEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
 		c := sim.Default()
-		v := reflect.ValueOf(&c).Elem()
+		v := reflect.ValueOf(&c.Spec).Elem()
 		for i := 0; i < v.NumField(); i++ {
 			switch f := v.Field(i); f.Kind() {
 			case reflect.Bool:

@@ -163,7 +163,7 @@ func (c *capture) Run(meta obs.RunMeta, rec *obs.Recorder) {
 // TestExpandRunPath: the "*" placeholder expands to a filesystem-safe
 // run stem; paths without one pass through untouched.
 func TestExpandRunPath(t *testing.T) {
-	c := Config{Label: "uniform/dor", Seed: 7, Load: 0.6}
+	c := Config{Spec: Spec{Label: "uniform/dor", Seed: 7, Load: 0.6}}
 	if got := expandRunPath("out/run-*.json", c); got != "out/run-uniform-dor-s7-l0.6.json" {
 		t.Errorf("expandRunPath = %q", got)
 	}

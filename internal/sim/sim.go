@@ -5,11 +5,12 @@
 // report a stats.Result.
 //
 // The cycle loop is driven from a single goroutine and fully deterministic
-// per seed; Config.Shards > 1 parallelizes the inside of each network step
-// across a worker pool without changing any result bit (see
-// internal/network's parallel cycle engine), while run-level parallelism
-// belongs one level up (core.LoadSweep runs independent points on separate
-// goroutines).
+// per seed. Parallelism belongs one level up: core.LoadSweep runs
+// independent points on separate goroutines. Instrumentation.Shards > 1 (or,
+// when it is zero, an integer FLEXSIM_SHARDS) steps the inside of each
+// network cycle on a worker pool instead, without changing any result bit;
+// that engine has not beaten one shard on any measured machine
+// (BENCH_shards.json), so nothing selects it by default.
 package sim
 
 import (
@@ -32,9 +33,20 @@ import (
 	"flexsim/internal/workload"
 )
 
-// Config describes one simulation run. The zero value is not runnable; use
-// Default() and override.
+// Config describes one simulation run: what to simulate (Spec) and how to
+// run and observe it (Instrumentation). Both are embedded, so their fields
+// read as Config's own. The zero value is not runnable; use Default() and
+// override.
 type Config struct {
+	Spec
+	Instrumentation
+}
+
+// Spec is the physics of a run: exactly the fields that determine its
+// stats.Result. It is what runner.Key hashes and — converted to
+// specv1.PointConfig, which has the same fields in the same order under
+// wire names — what travels to a sweep service.
+type Spec struct {
 	// Topology.
 	K             int
 	N             int
@@ -84,12 +96,6 @@ type Config struct {
 	Seed          uint64
 	WarmupCycles  int
 	MeasureCycles int
-	// Shards is the number of worker-pool shards stepping the network in
-	// parallel: 1 = sequential, AutoShards (-1) = min(GOMAXPROCS,
-	// nodes/4), 0 = consult FLEXSIM_SHARDS then default to 1. Shard count
-	// never changes results — it is execution strategy, not physics — and
-	// is therefore excluded from the content-addressed cache key.
-	Shards int
 
 	// Fault injection (see the fault package). FaultEvents is an explicit
 	// schedule (e.g. parsed from a -fault-schedule file). FaultLinkMTTF,
@@ -99,9 +105,8 @@ type Config struct {
 	// whole run. Generation draws from rng.Stream(seed, "fault") — a
 	// stream derived from the seed value alone — so attaching a schedule
 	// never perturbs traffic or workload draws. FaultSeed overrides the
-	// stream seed (0 = use Seed). All four fields are semantic: they fold
-	// into the content-addressed cache key, so a changed schedule is a
-	// different cache entry.
+	// stream seed (0 = use Seed). A changed schedule is a different cache
+	// entry, like any other Spec field.
 	FaultSeed     uint64
 	FaultLinkMTTF int
 	FaultRepair   int
@@ -125,19 +130,31 @@ type Config struct {
 	// Validation.
 	CheckInvariants bool
 
+	// Label for result tables; defaults to "<routing><vcs>".
+	Label string
+}
+
+// Instrumentation is how a run is executed and observed. No field changes a
+// stats.Result bit, so none is hashed into the cache key or has a wire form:
+// toggling any of them, or re-running at another shard count, is served by
+// the same cache entry. All hooks are optional and nil-guarded; the zero
+// value runs the bare cycle loop on the sequential engine.
+type Instrumentation struct {
+	// Shards is the number of worker-pool shards stepping the network in
+	// parallel: 0 = an integer FLEXSIM_SHARDS if set, else 1 (sequential).
+	Shards int
+
 	// Tracer, if non-nil, receives message lifecycle events from the
 	// network (see the trace package).
 	Tracer trace.Tracer
 
-	// Observability (see the obs package). All hooks are optional and
-	// nil-guarded; when unset the cycle loop is identical to a run without
-	// them. MetricsEvery > 0 (or a non-nil MetricsLive) samples interval
-	// gauges every MetricsEvery cycles (0 with MetricsLive set = the obs
-	// default cadence) into a Recorder, flushed to MetricsSink at Finish.
-	// MetricsLive additionally mirrors each sample into atomics for a live
-	// /metrics endpoint. Incidents wires a deadlock post-mortem log as the
-	// detector's observer; IncidentDOT adds a knot-subgraph DOT snapshot to
-	// each incident.
+	// Interval metrics (see the obs package). MetricsEvery > 0 (or a
+	// non-nil MetricsLive) samples interval gauges every MetricsEvery cycles
+	// (0 with MetricsLive set = the obs default cadence) into a Recorder,
+	// flushed to MetricsSink at Finish. MetricsLive additionally mirrors
+	// each sample into atomics for a live /metrics endpoint. Incidents wires
+	// a deadlock post-mortem log as the detector's observer; IncidentDOT
+	// adds a knot-subgraph DOT snapshot to each incident.
 	MetricsEvery int
 	MetricsSink  obs.RunSink
 	MetricsLive  *obs.Live
@@ -148,49 +165,42 @@ type Config struct {
 	// timeline: per-message lifecycle spans derived from the trace stream
 	// plus a detector track of pass spans. sim joins it into the tracer
 	// fan-out and wires the detector's OnPass hook; the caller must Close
-	// it after the run to terminate the JSON array. Pointer-typed, so it is
-	// excluded from the content-addressed cache key.
+	// it after the run to terminate the JSON array.
 	Spans *trace.PerfettoWriter
-	// ForensicsDepth > 0 attaches a resource-event ring of that many
-	// events to the network and a FormationAnalyzer (Runner.Forensics);
-	// when Incidents is also set, every incident gains replayed formation
-	// metrics. Observability-only: excluded from the cache key.
-	ForensicsDepth int
-	// Heatmap, if non-nil, accumulates per-VC occupancy/block counts on
-	// the metrics cadence (forcing a recorder even when MetricsEvery is 0).
-	// Pointer-typed, so it is excluded from the cache key.
-	Heatmap *obs.Heatmap
-
-	// ProfileEngine enables the parallel cycle engine's telemetry
-	// (network.EngineStats): per-shard per-phase kernel timings, barrier
-	// stall/idle accounting, the cross-shard mailbox traffic matrix and
-	// effect-buffer counters. The profiled step path is selected once at
-	// attach time, so disabled runs execute the unmodified engine.
-	// Observability-only: excluded from the cache key (nonSemantic).
-	ProfileEngine bool
-	// EngineSink, if non-nil, receives the run's accumulated engine
-	// telemetry at Finish and implies ProfileEngine. Interface-typed, so it
-	// is excluded from the cache key by kind.
-	EngineSink obs.EngineSink
 	// SpansPath, when nonempty, has the run open (and close) its own
 	// Perfetto writer on this file — the file-owning form of Spans for
 	// batch callers that cannot share one writer across runs. A "*" in the
 	// path expands to "<label>-s<seed>-l<load>" so sweeps write one file
-	// per run. Observability-only: excluded from the cache key.
+	// per run.
 	SpansPath string
-	// HeatmapPath is the file-owning form of Heatmap: the run allocates a
-	// heatmap and writes its CSV there when finished. "*" expands as in
-	// SpansPath. Observability-only: excluded from the cache key.
-	HeatmapPath string
 	// TraceContext, when nonempty, is the fleet span this run executes
 	// under (W3C traceparent form, minted by the sweep coordinator). It is
 	// stamped into the run's Perfetto artifact so per-run timelines join
 	// the coordinator's fleet timeline by trace and span ID.
-	// Observability-only: excluded from the cache key.
 	TraceContext string
 
-	// Label for result tables; defaults to "<routing><vcs>".
-	Label string
+	// Heatmap, if non-nil, accumulates per-VC occupancy/block counts on
+	// the metrics cadence (forcing a recorder even when MetricsEvery is 0).
+	Heatmap *obs.Heatmap
+	// HeatmapPath is the file-owning form of Heatmap: the run allocates a
+	// heatmap and writes its CSV there when finished. "*" expands as in
+	// SpansPath.
+	HeatmapPath string
+
+	// ForensicsDepth > 0 attaches a resource-event ring of that many
+	// events to the network and a FormationAnalyzer (Runner.Forensics);
+	// when Incidents is also set, every incident gains replayed formation
+	// metrics.
+	ForensicsDepth int
+
+	// ProfileEngine attaches the cycle engine's telemetry
+	// (network.EngineStats): per-shard per-phase kernel timings, barrier
+	// stall/idle accounting, the cross-shard mailbox traffic matrix and
+	// effect-buffer counters. Unprofiled runs pay nil checks only.
+	ProfileEngine bool
+	// EngineSink, if non-nil, receives the run's accumulated engine
+	// telemetry at Finish and implies ProfileEngine.
+	EngineSink obs.EngineSink
 }
 
 // Default returns the paper's default configuration: 16-ary 2-cube,
@@ -198,7 +208,7 @@ type Config struct {
 // TFAR, detector every 50 cycles with oldest-blocked victim recovery, 30 000
 // measured cycles.
 func Default() Config {
-	return Config{
+	return Config{Spec: Spec{
 		K: 16, N: 2, Bidirectional: true,
 		VCs: 1, BufferDepth: 2, MsgLen: 32,
 		Routing: "tfar", Traffic: "uniform",
@@ -208,7 +218,7 @@ func Default() Config {
 		DetectEvery: 50, VictimPolicy: "oldest",
 		Recover: true, KnotCycles: true,
 		RecoveryDrainRate: 1,
-	}
+	}}
 }
 
 // Quick returns a scaled-down configuration (8-ary 2-cube, short windows)
@@ -687,9 +697,6 @@ func (r *Runner) StartMeasurement() {
 	r.res.QueuedStart = r.Net.QueuedCount()
 	r.measuring = true
 }
-
-// AutoShards mirrors network.AutoShards for Config.Shards.
-const AutoShards = network.AutoShards
 
 // Close releases the network's worker pool (a no-op for sequential runs).
 // Finish calls it; only callers that step a Runner manually and abandon it

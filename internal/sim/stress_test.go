@@ -18,7 +18,7 @@ func TestRandomConfigStress(t *testing.T) {
 	routings := []string{"dor", "tfar", "tfar-turnfirst", "dateline-dor", "duato-far", "misroute-far"}
 	traffics := []string{"uniform", "transpose", "hotspot", "tornado", "neighbor"}
 	for trial := 0; trial < 40; trial++ {
-		c := Config{
+		c := Config{Spec: Spec{
 			K:                 []int{2, 3, 4, 8}[r.Intn(4)],
 			N:                 1 + r.Intn(3),
 			Bidirectional:     r.Intn(3) > 0,
@@ -40,7 +40,7 @@ func TestRandomConfigStress(t *testing.T) {
 			MaxWork:           200000,
 			RecoveryDrainRate: r.Intn(3),
 			CheckInvariants:   true,
-		}
+		}}
 		// Mesh and irregular variants where legal.
 		switch r.Intn(5) {
 		case 0:
