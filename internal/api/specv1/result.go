@@ -76,7 +76,7 @@ func DecodeResult(raw json.RawMessage) (*stats.Result, error) {
 		return nil, nil
 	}
 	var res stats.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
+	if err := stats.DecodeResult(raw, &res); err != nil {
 		return nil, fmt.Errorf("specv1: decode result: %w", err)
 	}
 	return &res, nil

@@ -129,6 +129,30 @@ func plainString(raw []byte, i int) int {
 	return -1
 }
 
+// NumberLen returns the length of the JSON number b starts with, or -1 if
+// it starts with none. What follows the number is the caller's to check.
+func NumberLen(b []byte) int {
+	if len(b) == 0 {
+		return -1
+	}
+	return number(b, 0)
+}
+
+// PlainLen returns the length of the JSON string body at the start of b —
+// up to its closing quote — if every byte of it is ASCII that stands for
+// itself (no escape, no control byte), and -1 otherwise.
+func PlainLen(b []byte) int {
+	for i, c := range b {
+		if c == '"' {
+			return i
+		}
+		if c < 0x20 || c >= 0x80 || c == '\\' {
+			return -1
+		}
+	}
+	return -1
+}
+
 // number returns the index after the JSON number at raw[i], or -1.
 func number(raw []byte, i int) int {
 	if raw[i] == '-' {

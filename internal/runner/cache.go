@@ -140,13 +140,13 @@ func appendEntry(b []byte, key, label string, load float64, raw json.RawMessage)
 // into an entry with this key and these bytes as Result.
 func splitEntry(line []byte) (key, payload []byte) {
 	rest, ok := bytes.CutPrefix(line, []byte(`{"key":"`))
-	n := plainLen(rest)
+	n := jsonlog.PlainLen(rest)
 	if !ok || n <= 0 {
 		return nil, nil
 	}
 	key, rest = rest[:n], rest[n+1:]
 	if r, ok := bytes.CutPrefix(rest, []byte(`,"label":"`)); ok {
-		if n = plainLen(r); n < 0 {
+		if n = jsonlog.PlainLen(r); n < 0 {
 			return nil, nil
 		}
 		rest = r[n+1:]
@@ -165,21 +165,6 @@ func splitEntry(line []byte) (key, payload []byte) {
 		return nil, nil
 	}
 	return key, rest[len(`,"result":`) : len(rest)-1]
-}
-
-// plainLen returns the length of the JSON string body at the start of b —
-// up to its closing quote — if every byte of it is ASCII that stands for
-// itself (no escape, no control byte), and -1 otherwise.
-func plainLen(b []byte) int {
-	for i, c := range b {
-		if c == '"' {
-			return i
-		}
-		if c < 0x20 || c >= 0x80 || c == '\\' {
-			return -1
-		}
-	}
-	return -1
 }
 
 // span locates a result payload in the store file: n bytes at offset off.
@@ -310,7 +295,7 @@ func (c *Cache) lookup(key string, res *stats.Result) (json.RawMessage, bool) {
 	switch {
 	case !ok:
 	case res != nil:
-		ok = json.Unmarshal(raw, res) == nil
+		ok = stats.DecodeResult(raw, res) == nil
 	case unread:
 		ok = json.Valid(raw)
 	}

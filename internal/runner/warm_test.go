@@ -120,6 +120,89 @@ func TestUndecodableEntryIsOneMiss(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalEntryStillHits: the store decodes with stats.DecodeResult,
+// whose one-pass parser takes only json.Marshal's own form. A line some other
+// writer produced — members reordered, spaced out, the label escaped — must
+// still be a hit by every door, decode to the same Result, and be served byte
+// for byte as stored; and a payload the parser reads almost to the end before
+// refusing is one miss that shows the caller nothing of what was read.
+func TestNonCanonicalEntryStillHits(t *testing.T) {
+	cfg := sweepConfigs(1)[0]
+	key := Key(cfg)
+	run := &stats.Result{Label: "dor1", Load: cfg.Load, Cycles: 100, Seed: 1e19, Saturated: true, Delivered: 7, MeanActive: 0.905}
+	for i := int64(0); i < 20; i++ {
+		run.Latency.Observe(30 + 3*i)
+		run.DetectAnalyzeTime.Observe(400 + 90*i)
+	}
+	canon, err := json.Marshal(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want stats.Result // what the canonical bytes decode to
+	var members map[string]json.RawMessage
+	if json.Unmarshal(canon, &want) != nil || json.Unmarshal(canon, &members) != nil {
+		t.Fatalf("canonical bytes do not decode: %s", canon)
+	}
+	members["Label"] = json.RawMessage(`"\u0064or1"`)
+	odd := []byte("{")
+	for typ, i := reflect.TypeOf(want), len(members)-1; i >= 0; i-- {
+		odd = fmt.Appendf(odd, "  %q : %s ,", typ.Field(i).Name, members[typ.Field(i).Name])
+	}
+	odd[len(odd)-1] = '}'
+	line := fmt.Sprintf(`{"key":%q,"label":"dor1","load":%v,"result":%s}`, key, cfg.Load, odd)
+	if _, payload := splitEntry([]byte(line)); !bytes.Equal(payload, odd) {
+		t.Fatalf("the line is not in PutRaw's shape, so no lookup would start from a span: %s", line)
+	}
+	served := func(t *testing.T, c *Cache, raw json.RawMessage, res *stats.Result) {
+		t.Helper()
+		if !bytes.Equal(raw, odd) {
+			t.Errorf("served %s\n stored %s", raw, odd)
+		}
+		if res != nil && !reflect.DeepEqual(*res, want) {
+			t.Errorf("decoded %+v\n the canonical bytes decode to %+v", *res, want)
+		}
+		wantCounts(t, c, 1, 0, 1)
+	}
+	for name, lookup := range map[string]func(*testing.T, *Cache){
+		"Get": func(t *testing.T, c *Cache) {
+			res, ok := c.Get(cfg)
+			if !ok {
+				t.Fatal("miss")
+			}
+			served(t, c, odd, res)
+		},
+		"Map": func(t *testing.T, c *Cache) {
+			p := Map(context.Background(), []sim.Config{cfg}, Options{Cache: c, Run: neverRun(t)})[0]
+			if p.Status != Cached {
+				t.Fatalf("settled %s", p.Status)
+			}
+			served(t, c, p.Raw, p.Result)
+		},
+		"GetRaw": func(t *testing.T, c *Cache) {
+			raw, _ := c.GetRaw(key)
+			served(t, c, raw, nil)
+		},
+	} {
+		t.Run(name, func(t *testing.T) { // a fresh handle each: every lookup is the first, off a span
+			dir := t.TempDir()
+			writeStore(t, dir, line)
+			lookup(t, openStore(t, dir))
+		})
+	}
+
+	// Canonical up to one byte inside the last histogram.
+	bad := bytes.Clone(canon)
+	bad[bytes.LastIndex(bad, []byte(`"max":`))+len(`"max"`)] = ';'
+	dir := t.TempDir()
+	writeStore(t, dir, fmt.Sprintf(`{"key":%q,"label":"dor1","load":%v,"result":%s}`, key, cfg.Load, bad))
+	c := openStore(t, dir)
+	seen := stats.Result{Label: "the caller's"}
+	if raw, ok := c.lookup(key, &seen); ok || !reflect.DeepEqual(seen, stats.Result{Label: "the caller's"}) {
+		t.Errorf("lookup = %s, %v and left %+v", raw, ok, seen)
+	}
+	wantCounts(t, c, 0, 1, 0)
+}
+
 // parentConfigs are the configurations behind testdata/parent_store, a
 // store written by the commit before Point carried Key/Raw (real runs of
 // bench-shaped points: 4-ary 2-cube, DOR1/TFAR1, 100+400 cycles).
