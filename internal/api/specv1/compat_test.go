@@ -90,10 +90,8 @@ func TestCompatTraceFieldsRoundTrip(t *testing.T) {
 	st := &SweepStatus{SchemaVersion: 1, ID: "s1", State: SweepRunning,
 		Retries: 2, Stolen: 1, RetryCauses: map[string]int{"worker-death": 2}}
 	b, _ = json.Marshal(st)
-	var gotS SweepStatus
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&gotS); err != nil || gotS.Stolen != 1 || gotS.RetryCauses["worker-death"] != 2 {
+	gotS, err := DecodeStatus(bytes.NewReader(b))
+	if err != nil || gotS.Stolen != 1 || gotS.RetryCauses["worker-death"] != 2 {
 		t.Fatalf("sweep status round-trip: %+v, %v", gotS, err)
 	}
 }

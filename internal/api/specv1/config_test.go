@@ -31,15 +31,15 @@ func TestFieldCoverage(t *testing.T) {
 		if key == baseKey {
 			t.Errorf("sim.Spec.%s does not change the cache key", typ.Field(i).Name)
 		}
-		wire, err := json.Marshal(FromSim(mutated))
+		wire, err := json.Marshal(RunRequest{SchemaVersion: Version, Config: FromSim(mutated)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back PointConfig
-		if err := decodeStrict(bytes.NewReader(wire), &back); err != nil {
+		back, err := DecodeRunRequest(bytes.NewReader(wire))
+		if err != nil {
 			t.Fatalf("sim.Spec.%s: %v", typ.Field(i).Name, err)
 		}
-		if got := runner.Key(back.ToSim()); got != key {
+		if got := runner.Key(back.Config.ToSim()); got != key {
 			t.Errorf("sim.Spec.%s does not survive the wire (key %s != %s); check its PointConfig tag",
 				typ.Field(i).Name, got[:12], key[:12])
 		}

@@ -129,20 +129,25 @@ func WriteResults(w io.Writer, results []PointResult) error {
 	return nil
 }
 
-// ReadResults strictly decodes a JSONL stream of point results.
+// ReadResults strictly decodes a JSONL stream of point results to its end:
+// anything else in it is an error, not a shorter slice. Payloads alias one buffer.
 func ReadResults(r io.Reader) ([]PointResult, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("specv1: read results: %w", err)
+	}
 	var out []PointResult
-	for dec.More() {
-		var pr PointResult
-		if err := dec.Decode(&pr); err != nil {
-			return nil, fmt.Errorf("specv1: read results: %w", err)
+	for i := skipSpace(data, 0); i < len(data); i = skipSpace(data, i) {
+		out = append(out, PointResult{})
+		pr := &out[len(out)-1]
+		n, err := decodeValue(data[i:], pr)
+		if err != nil {
+			return nil, fmt.Errorf("specv1: read results: after %d results: %w", len(out)-1, err)
 		}
 		if pr.SchemaVersion != Version {
 			return nil, fmt.Errorf("specv1: result schema_version %d, want %d", pr.SchemaVersion, Version)
 		}
-		out = append(out, pr)
+		i += n
 	}
 	return out, nil
 }
@@ -162,14 +167,7 @@ type RunRequest struct {
 
 // DecodeRunRequest strictly decodes a worker run request.
 func DecodeRunRequest(r io.Reader) (*RunRequest, error) {
-	var req RunRequest
-	if err := decodeStrict(r, &req); err != nil {
-		return nil, fmt.Errorf("specv1: run request: %w", err)
-	}
-	if req.SchemaVersion != Version {
-		return nil, fmt.Errorf("specv1: run request schema_version %d, want %d", req.SchemaVersion, Version)
-	}
-	return &req, nil
+	return decodeStrict(r, "run request", func(m *RunRequest) int { return m.SchemaVersion })
 }
 
 // RunResponse is a fleet worker's answer to a RunRequest.
@@ -190,14 +188,11 @@ type RunResponse struct {
 
 // DecodeRunResponse strictly decodes a worker run response.
 func DecodeRunResponse(r io.Reader) (*RunResponse, error) {
-	var resp RunResponse
-	if err := decodeStrict(r, &resp); err != nil {
-		return nil, fmt.Errorf("specv1: run response: %w", err)
+	resp, err := decodeStrict(r, "run response", func(m *RunResponse) int { return m.SchemaVersion })
+	if err == nil {
+		resp.Result = bytes.Clone(resp.Result) // a coordinator keeps it: without the read buffer it aliases
 	}
-	if resp.SchemaVersion != Version {
-		return nil, fmt.Errorf("specv1: run response schema_version %d, want %d", resp.SchemaVersion, Version)
-	}
-	return &resp, nil
+	return resp, err
 }
 
 // SweepState is a sweep's lifecycle state on the coordinator.
@@ -238,10 +233,26 @@ type SweepStatus struct {
 // Settled returns the number of points that reached a final state.
 func (s *SweepStatus) Settled() int { return s.Done + s.Cached + s.Failed + s.Cancelled }
 
+// DecodeStatus strictly decodes a sweep status.
+func DecodeStatus(r io.Reader) (*SweepStatus, error) {
+	return decodeStrict(r, "sweep status", func(m *SweepStatus) int { return m.SchemaVersion })
+}
+
 // SweepList is the coordinator's sweep index.
 type SweepList struct {
 	SchemaVersion int           `json:"schema_version"`
 	Sweeps        []SweepStatus `json:"sweeps"`
+}
+
+// DecodeList strictly decodes a sweep index and the statuses in it.
+func DecodeList(r io.Reader) (*SweepList, error) {
+	list, err := decodeStrict(r, "sweep list", func(m *SweepList) int { return m.SchemaVersion })
+	for i := 0; err == nil && i < len(list.Sweeps); i++ {
+		if v := list.Sweeps[i].SchemaVersion; v != Version {
+			return nil, fmt.Errorf("specv1: sweep status schema_version %d, want %d", v, Version)
+		}
+	}
+	return list, err
 }
 
 // Event is one server-sent event on a sweep's event stream.
@@ -265,9 +276,5 @@ type Event struct {
 
 // DecodeEvent strictly decodes one event payload.
 func DecodeEvent(data []byte) (*Event, error) {
-	var ev Event
-	if err := decodeStrict(bytes.NewReader(data), &ev); err != nil {
-		return nil, fmt.Errorf("specv1: event: %w", err)
-	}
-	return &ev, nil
+	return decodeStrict[Event](bytes.NewReader(data), "event", nil) // reading data copies it: ev aliases nothing of the caller's
 }

@@ -4,8 +4,9 @@
 // by three rules:
 //
 //   - Every message carries "schema_version": 1 and decodes strictly — an
-//     unknown field or a missing/mismatched version is an error, not a
-//     silent drop — so client/server skew fails fast at the boundary.
+//     unknown field, a missing/mismatched version or anything after the value
+//     is an error, not a silent drop — so client/server skew fails fast at the
+//     boundary. Every decoder, sweepsvc's client's too, is decodeStrict's.
 //   - PointConfig is sim.Spec (the fields behind the content-addressed cache
 //     key) under explicit snake_case names; sim.Instrumentation never
 //     travels.
@@ -22,10 +23,12 @@
 package specv1
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"strconv"
 	"strings"
@@ -154,14 +157,14 @@ func ParseLoads(s string) ([]float64, error) {
 // DecodeSpec strictly decodes a v1 sweep spec: unknown fields anywhere in
 // the document and schema-version mismatches are errors.
 func DecodeSpec(r io.Reader) (*Spec, error) {
-	var s Spec
-	if err := decodeStrict(r, &s); err != nil {
-		return nil, fmt.Errorf("specv1: spec: %w", err)
+	s, err := decodeStrict[Spec](r, "spec", nil) // Validate checks the version
+	if err == nil {
+		err = s.Validate()
 	}
-	if err := s.Validate(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
 }
 
 // EncodeSpec renders the spec as indented JSON (the file form sweepctl
@@ -172,16 +175,40 @@ func EncodeSpec(w io.Writer, s *Spec) error {
 	return enc.Encode(s)
 }
 
-// decodeStrict decodes exactly one JSON value with unknown fields
-// disallowed and rejects trailing garbage.
-func decodeStrict(r io.Reader, v interface{}) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
+// decodeStrict reads r to its end and decodes the one JSON value in it as a
+// T: an unknown field, anything but whitespace after the value, or a version
+// (if T has one) not ours is an error. Every decoder is it or ReadResults.
+func decodeStrict[T any](r io.Reader, what string, version func(*T) int) (*T, error) {
+	v := new(T)
+	data, err := readAll(r)
+	if err == nil {
+		var n int
+		if n, err = decodeValue(data, v); err == nil && skipSpace(data, n) < len(data) {
+			err = errors.New("trailing data after JSON value")
+		}
 	}
-	if dec.More() {
-		return errors.New("trailing data after JSON value")
+	if err != nil {
+		return nil, fmt.Errorf("specv1: %s: %w", what, err)
 	}
-	return nil
+	if version != nil && version(v) != Version {
+		return nil, fmt.Errorf("specv1: %s schema_version %d, want %d", what, version(v), Version)
+	}
+	return v, nil
+}
+
+// readAll is io.ReadAll with the buffer sized up front when r says what it
+// holds (a file, a bytes.Reader), not grown from 512 bytes copy by copy.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 0
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil {
+			size = int(fi.Size())
+		}
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }

@@ -130,6 +130,13 @@ func TestDecodeSpecStrict(t *testing.T) {
 		{"trailing garbage",
 			`{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5]} {"x":1}`,
 			"trailing"},
+		// A closing delimiter is not "no more values": TestStrictMeansToTheEnd
+		// has the full table, for every decoder and both decode paths.
+		{"trailing }", `{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5]}}`, "trailing"},
+		{"trailing ]", `{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5]}]`, "trailing"},
+		{"trailing ] junk", `{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5]} ] junk`, "trailing"},
+		{"trailing x", `{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5]}x`, "trailing"},
+		{"trailing null", `{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5]} null`, "trailing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -129,6 +129,10 @@ func plainString(raw []byte, i int) int {
 	return -1
 }
 
+// VerbatimLen returns the length of the JSON value b starts with if verbatim
+// accepts it — a json.RawMessage decoded from it holds those bytes — else -1.
+func VerbatimLen(b []byte) int { return value(b, 0, 0) }
+
 // NumberLen returns the length of the JSON number b starts with, or -1 if
 // it starts with none. What follows the number is the caller's to check.
 func NumberLen(b []byte) int {
@@ -188,4 +192,44 @@ func digits(raw []byte, i int) int {
 		return -1
 	}
 	return i
+}
+
+// CutInt parses a leading JSON integer (-?(0|[1-9][0-9]*)) that fits an
+// int64 and returns what follows it.
+func CutInt(b []byte) (v int64, rest []byte, ok bool) {
+	i := 0
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if i-start == 19 { // more digits than MaxInt64 has: u would wrap
+			return 0, nil, false
+		}
+		u = u*10 + uint64(b[i]-'0')
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	if n := i - start; n == 0 || (n > 1 && b[start] == '0') || u > limit {
+		return 0, nil, false
+	}
+	if neg {
+		return -int64(u), b[i:], true
+	}
+	return int64(u), b[i:], true
+}
+
+// CutUint is CutInt for an unsigned field, (0|[1-9][0-9]*) within uint64 —
+// all twenty digits of it, which half of all 64-bit seeds have.
+func CutUint(b []byte) (u uint64, rest []byte, ok bool) {
+	n := 0
+	for n < len(b) && b[n]-'0' <= 9 {
+		n++
+	}
+	u, err := strconv.ParseUint(string(b[:n]), 10, 64) // refuses "" and a value that would wrap
+	return u, b[n:], err == nil && (n == 1 || b[0] != '0')
 }

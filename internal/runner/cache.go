@@ -66,7 +66,7 @@ var canonicalPlan = func() []canonicalField {
 // but sensitive to every value change. Each value is encoded as
 // encoding/json encodes it.
 func CanonicalConfig(c sim.Config) []byte {
-	v := reflect.ValueOf(&c.Spec).Elem()
+	v := reflect.ValueOf(c.Spec)
 	b := make([]byte, 0, 1024)
 	b = append(b, '{')
 	for _, f := range canonicalPlan {
@@ -76,8 +76,8 @@ func CanonicalConfig(c sim.Config) []byte {
 	return append(b, '}')
 }
 
-// appendJSON appends v's encoding/json encoding: booleans and integers
-// (most of Config) directly, anything else through json.Marshal.
+// appendJSON appends v's encoding/json encoding: scalars and nil slices (all
+// of a Spec without fault events or thresholds) directly, else json.Marshal.
 func appendJSON(b []byte, v reflect.Value) []byte {
 	switch v.Kind() {
 	case reflect.Bool:
@@ -86,6 +86,16 @@ func appendJSON(b []byte, v reflect.Value) []byte {
 		return strconv.AppendInt(b, v.Int(), 10)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		return strconv.AppendUint(b, v.Uint(), 10)
+	case reflect.String:
+		return jsonlog.AppendString(b, v.String())
+	case reflect.Float64:
+		if enc, err := jsonlog.AppendFloat(b, v.Float()); err == nil {
+			return enc
+		}
+	case reflect.Slice:
+		if v.IsNil() {
+			return append(b, "null"...)
+		}
 	}
 	enc, err := json.Marshal(v.Interface())
 	if err != nil {

@@ -322,13 +322,38 @@ func TestCanonicalConfigMatchesMapEncoding(t *testing.T) {
 				f.SetString(strs[rng.Intn(len(strs))])
 			}
 		}
-		if trial%2 == 0 {
+		switch trial % 3 { // populated, empty and (as Default leaves them) nil slices
+		case 0:
 			c.TimeoutThresholds = []int64{16, -32, math.MaxInt64}
 			c.FaultEvents = []fault.Event{{Cycle: 100, Kind: fault.LinkDown, Ch: 3}}
+		case 1:
+			c.TimeoutThresholds, c.FaultEvents = []int64{}, []fault.Event{}
 		}
 		if got, want := CanonicalConfig(c), mapCanonical(t, c); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d:\n got  %s\n want %s", trial, got, want)
 		}
+	}
+	// The values appendJSON writes itself, at encoding/json's own thresholds.
+	for _, label := range []string{`a<b`, `say "hi"`, "naïve", "ok"} {
+		for _, load := range []float64{1e-7, 1e21, 0.35} {
+			for _, thresholds := range [][]int64{nil, {}, {16, 64}} {
+				c := sim.Default()
+				c.Label, c.Load, c.TimeoutThresholds = label, load, thresholds
+				if got, want := CanonicalConfig(c), mapCanonical(t, c); !bytes.Equal(got, want) {
+					t.Fatalf("label %q, load %v, thresholds %v:\n got  %s\n want %s", label, load, thresholds, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestKeyAllocs pins the planned encoder: the configuration's copy, the
+// encoding, and the digest's two. Through json.Marshal a key took 24, so a
+// field kind that slid back to it fails here.
+func TestKeyAllocs(t *testing.T) {
+	c := parentConfigs()[1]
+	if allocs := testing.AllocsPerRun(100, func() { keySink = Key(c) }); allocs > 5 {
+		t.Errorf("hashing a configuration allocated %.0f times, want at most 5", allocs)
 	}
 }
 

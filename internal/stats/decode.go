@@ -3,7 +3,6 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strconv"
 
 	"flexsim/internal/jsonlog"
@@ -79,14 +78,14 @@ func parseResult(b []byte, r *Result) bool {
 			v, err := strconv.ParseFloat(string(b[:m]), 64)
 			*dst, b, ok = v, b[m:], err == nil
 		case *int64:
-			*dst, b, ok = cutInt(b)
+			*dst, b, ok = jsonlog.CutInt(b)
 		case *int:
 			var v int64
-			v, b, ok = cutInt(b)
+			v, b, ok = jsonlog.CutInt(b)
 			*dst = int(v)
 			ok = ok && int64(*dst) == v
 		case *uint64:
-			*dst, b, ok = cutUint(b)
+			*dst, b, ok = jsonlog.CutUint(b)
 		case *bool:
 			if *dst = b[0] == 't'; *dst {
 				b, ok = bytes.CutPrefix(b, []byte("true"))
@@ -105,21 +104,4 @@ func parseResult(b []byte, r *Result) bool {
 		}
 	}
 	return len(b) == 1 && b[0] == '}'
-}
-
-// cutUint is cutInt for an unsigned field, (0|[1-9][0-9]*) within uint64 —
-// all twenty digits of it, which half of all 64-bit seeds have.
-func cutUint(b []byte) (u uint64, rest []byte, ok bool) {
-	i := 0
-	for ; i < len(b) && b[i]-'0' <= 9; i++ {
-		d := uint64(b[i] - '0')
-		if i >= 19 && (i > 19 || u > (math.MaxUint64-d)/10) { // u would wrap
-			return 0, nil, false
-		}
-		u = u*10 + d
-	}
-	if i == 0 || (i > 1 && b[0] == '0') {
-		return 0, nil, false
-	}
-	return u, b[i:], true
 }

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"flexsim/internal/jsonlog"
 )
 
 // Histogram is a log-bucketed histogram of non-negative integer samples.
@@ -202,7 +204,7 @@ func parseCanonical(b []byte) (w histogramJSON, ok bool) {
 		}
 		w.Counts = make([]int64, bytes.Count(rest[:end], []byte{','})+1)
 		for i := range w.Counts {
-			if w.Counts[i], rest, ok = cutInt(rest); !ok {
+			if w.Counts[i], rest, ok = jsonlog.CutInt(rest); !ok {
 				return w, false
 			}
 			stop := byte(',')
@@ -228,41 +230,12 @@ func parseCanonical(b []byte) (w histogramJSON, ok bool) {
 		if !found {
 			continue
 		}
-		if *m.dst, b, ok = cutInt(rest); !ok {
+		if *m.dst, b, ok = jsonlog.CutInt(rest); !ok {
 			return w, false
 		}
 		first = false
 	}
 	return w, len(b) == 1 && b[0] == '}'
-}
-
-// cutInt parses a leading JSON integer (-?(0|[1-9][0-9]*)) that fits an
-// int64 and returns what follows it.
-func cutInt(b []byte) (v int64, rest []byte, ok bool) {
-	i := 0
-	neg := len(b) > 0 && b[0] == '-'
-	if neg {
-		i++
-	}
-	start := i
-	var u uint64
-	for ; i < len(b) && b[i]-'0' <= 9; i++ {
-		if i-start == 19 { // more digits than MaxInt64 has: u would wrap
-			return 0, nil, false
-		}
-		u = u*10 + uint64(b[i]-'0')
-	}
-	limit := uint64(math.MaxInt64)
-	if neg {
-		limit++
-	}
-	if n := i - start; n == 0 || (n > 1 && b[start] == '0') || u > limit {
-		return 0, nil, false
-	}
-	if neg {
-		return -int64(u), b[i:], true
-	}
-	return int64(u), b[i:], true
 }
 
 // String summarizes the distribution.

@@ -8,7 +8,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -49,78 +48,46 @@ func (c *Client) Submit(ctx context.Context, spec *specv1.Spec) (*specv1.SweepSt
 	if err := specv1.EncodeSpec(&body, spec); err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/api/v1/sweeps"), &body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp, http.StatusCreated); err != nil {
-		return nil, err
-	}
-	var st specv1.SweepStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("sweepd: decode status: %w", err)
-	}
-	return &st, nil
+	return call(ctx, c, http.MethodPost, "/api/v1/sweeps", &body, http.StatusCreated, specv1.DecodeStatus)
 }
 
 // Status fetches one sweep's progress.
 func (c *Client) Status(ctx context.Context, id string) (*specv1.SweepStatus, error) {
-	var st specv1.SweepStatus
-	if err := c.getJSON(ctx, "/api/v1/sweeps/"+id, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call(ctx, c, http.MethodGet, "/api/v1/sweeps/"+id, nil, http.StatusOK, specv1.DecodeStatus)
 }
 
 // List fetches the coordinator's sweep index.
 func (c *Client) List(ctx context.Context) (*specv1.SweepList, error) {
-	var list specv1.SweepList
-	if err := c.getJSON(ctx, "/api/v1/sweeps", &list); err != nil {
-		return nil, err
-	}
-	return &list, nil
-}
-
-func (c *Client) getJSON(ctx context.Context, path string, v interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp, http.StatusOK); err != nil {
-		return err
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return fmt.Errorf("sweepd: decode %s: %w", path, err)
-	}
-	return nil
+	return call(ctx, c, http.MethodGet, "/api/v1/sweeps", nil, http.StatusOK, specv1.DecodeList)
 }
 
 // Results fetches a sweep's settled points (with result payloads).
 func (c *Client) Results(ctx context.Context, id string) ([]specv1.PointResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/api/v1/sweeps/"+id+"/results"), nil)
+	return call(ctx, c, http.MethodGet, "/api/v1/sweeps/"+id+"/results", nil, http.StatusOK, specv1.ReadResults)
+}
+
+// call sends one request (a JSON body, or none) and decodes the answer's body
+// with one of specv1's strict decoders.
+func call[T any](ctx context.Context, c *Client, method, path string, body io.Reader, want int, decode func(io.Reader) (T, error)) (v T, err error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.url(path), body)
 	if err != nil {
-		return nil, err
+		return v, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.client().Do(req)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	defer resp.Body.Close()
-	if err := checkStatus(resp, http.StatusOK); err != nil {
-		return nil, err
+	if err := checkStatus(resp, want); err != nil {
+		return v, err
 	}
-	return specv1.ReadResults(resp.Body)
+	if v, err = decode(resp.Body); err != nil {
+		err = fmt.Errorf("sweepd: decode %s: %w", path, err)
+	}
+	return v, err
 }
 
 // Watch subscribes to a sweep's SSE stream, invoking fn for every event

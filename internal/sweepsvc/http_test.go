@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,6 +97,42 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 	if err := c.Watch(ctx, "nope", nil); err == nil {
 		t.Fatal("watch of unknown sweep succeeded")
+	}
+}
+
+// TestClientDecodesStrictly: skew fails at the boundary in both directions —
+// the client refuses a status or an index from another schema version, with a
+// member it does not know, or with anything after it, exactly as the
+// coordinator refuses such a spec.
+func TestClientDecodesStrictly(t *testing.T) {
+	status := `{"schema_version":1,"id":"s1","state":"done","points_total":1,"points_done":1,"points_cached":0,"points_failed":0,"points_cancelled":0,"points_running":0,"points_pending":0}`
+	for name, body := range map[string]string{
+		"another version": strings.Replace(status, `"schema_version":1`, `"schema_version":2`, 1),
+		"no version":      strings.Replace(status, `"schema_version":1,`, ``, 1),
+		"unknown member":  strings.Replace(status, `"id":"s1"`, `"id":"s1","eta_s":3`, 1),
+		"trailing":        status + "}",
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				w.WriteHeader(http.StatusCreated)
+			}
+			out := body
+			if r.URL.Path == "/api/v1/sweeps" && r.Method == http.MethodGet {
+				out = `{"schema_version":1,"sweeps":[` + body + `]}`
+			}
+			io.WriteString(w, out)
+		}))
+		c := &Client{Base: srv.URL}
+		if st, err := c.Submit(context.Background(), testSpec("strict", 1)); err == nil {
+			t.Errorf("%s: Submit accepted %+v", name, st)
+		}
+		if st, err := c.Status(context.Background(), "s1"); err == nil {
+			t.Errorf("%s: Status accepted %+v", name, st)
+		}
+		if list, err := c.List(context.Background()); err == nil {
+			t.Errorf("%s: List accepted %+v", name, list)
+		}
+		srv.Close()
 	}
 }
 
