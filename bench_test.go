@@ -272,8 +272,9 @@ func BenchmarkCWGBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild compares the two snapshot-to-graph construction paths on
-// the same saturated snapshot: the legacy allocating cwg.Build against a
+// BenchmarkBuild compares the two ways to reach the one construction path
+// on the same saturated snapshot: cwg.Build, a throwaway Builder per
+// snapshot ("legacy": the sub-benchmark's name predates that), against a
 // pooled Builder whose arenas are reused across iterations. The pooled path
 // is the one Detector uses in steady state.
 func BenchmarkBuild(b *testing.B) {

@@ -1,21 +1,19 @@
 package cwg
 
-// Pooled, dense CWG construction for the periodic-detection hot path.
+// Pooled, dense CWG construction: the one construction path.
 //
-// The package-level Build allocates a fresh graph per snapshot and resolves
-// VC ids through a map — fine for hand-built scenarios, pure overhead when a
-// detector rebuilds the CWG every 50 cycles over a fixed VC universe. A
-// Builder instead keys vertices through a dense epoch-stamped array indexed
-// by the network's global VC numbering (see network.TotalVCs) and reuses
+// A detector rebuilds the CWG every 50 cycles over a fixed VC universe, so
+// a Builder keys vertices through a dense epoch-stamped array indexed by
+// the network's global VC numbering (see network.TotalVCs) and reuses
 // every piece of backing storage across invocations: the vertex, owner and
 // adjacency-header slices, plus a single flat edge slice that the per-vertex
 // adjacency lists are carved from (offsets + exact capacities). After the
 // first few snapshots warm the arenas, Builder.Build performs zero heap
 // allocations.
 //
-// Vertex numbering, adjacency order and therefore every analysis result are
-// identical to Build's — the fuzzer in fuzz_test.go enforces byte-for-byte
-// equivalence on random snapshots.
+// Vertices are numbered in first-encounter order and edges emitted in
+// message order; the fuzzer in fuzz_test.go holds both, and every analysis
+// result, to a map-indexed reference construction on random snapshots.
 
 import "flexsim/internal/message"
 
@@ -81,8 +79,8 @@ func NewBuilder(totalVCs int) *Builder {
 // Build constructs the CWG for a snapshot into the builder's pooled
 // storage and returns it. The returned graph, including every slice
 // reachable from it and its analysis results that alias scratch, is valid
-// only until the next Build call on this builder. Semantics are identical
-// to the package-level Build.
+// only until the next Build call on this builder. Messages with no owned
+// VCs are ignored (they hold no resources and cannot participate).
 func (b *Builder) Build(msgs []Msg) *Graph {
 	g := &b.g
 	g.msgs = msgs
@@ -91,8 +89,8 @@ func (b *Builder) Build(msgs []Msg) *Graph {
 	b.deg = b.deg[:0]
 	b.tbl.epoch++
 
-	// Pass 1: assign dense vertex indices in first-encounter order (the
-	// same order Build assigns them) and count out-degrees.
+	// Pass 1: assign dense vertex indices in first-encounter order and
+	// count out-degrees.
 	for mi := range msgs {
 		m := &msgs[mi]
 		if len(m.Owned) == 0 {
@@ -132,7 +130,7 @@ func (b *Builder) Build(msgs []Msg) *Graph {
 		run = end
 	}
 
-	// Pass 2: emit edges in the same order Build does.
+	// Pass 2: emit edges in message order.
 	for mi := range msgs {
 		m := &msgs[mi]
 		if len(m.Owned) == 0 {

@@ -27,11 +27,11 @@
 //     wait on a VC owned by a deadlock-set message — they cannot proceed
 //     until recovery, but removing them would not resolve the deadlock.
 //
-// Construction comes in two flavors: Build allocates a fresh graph per
-// snapshot (hand-built scenarios, tests), while Builder reuses all backing
-// storage across snapshots and indexes vertices through a dense array keyed
-// by the network's global VC numbering, so the periodic-detection hot path
-// runs without heap allocations (see Builder).
+// There is one construction path: a Builder indexes vertices through a
+// dense array keyed by the network's global VC numbering and reuses all
+// backing storage across snapshots, so the periodic-detection hot path runs
+// without heap allocations. Build is a throwaway Builder for one snapshot
+// (hand-built scenarios, tests, one-shot tools).
 //
 // The package is pure graph theory: it depends only on the message package
 // for VC/ID types and can be exercised with hand-built scenarios (the
@@ -63,67 +63,23 @@ type Msg struct {
 type Graph struct {
 	msgs []Msg
 
-	verts []message.VC         // dense index -> VC id
-	index map[message.VC]int32 // VC id -> dense index (Build path)
-	tbl   *vcTable             // VC id -> dense index (Builder path)
-	adj   [][]int32            // out-edges
-	owner []int32              // dense vertex -> index into msgs, -1 if free
+	verts []message.VC // dense index -> VC id
+	tbl   *vcTable     // VC id -> dense index, the Builder's
+	adj   [][]int32    // out-edges
+	owner []int32      // dense vertex -> index into msgs, -1 if free
 
-	edges int // cached arc count; -1 = not yet counted
+	edges int // arc count
 
 	sc *scratch // analysis scratch, lazily allocated, reused across calls
 }
 
-// Build constructs the CWG for a snapshot of messages. Messages with no
-// owned VCs are ignored (they hold no resources and cannot participate).
-func Build(msgs []Msg) *Graph {
-	g := &Graph{
-		msgs:  msgs,
-		index: make(map[message.VC]int32),
-		edges: -1,
-	}
-	vertex := func(vc message.VC) int32 {
-		if i, ok := g.index[vc]; ok {
-			return i
-		}
-		i := int32(len(g.verts))
-		g.index[vc] = i
-		g.verts = append(g.verts, vc)
-		g.adj = append(g.adj, nil)
-		g.owner = append(g.owner, -1)
-		return i
-	}
-	for mi := range msgs {
-		m := &msgs[mi]
-		if len(m.Owned) == 0 {
-			continue
-		}
-		prev := vertex(m.Owned[0])
-		g.owner[prev] = int32(mi)
-		for _, vc := range m.Owned[1:] {
-			v := vertex(vc)
-			g.owner[v] = int32(mi)
-			g.adj[prev] = append(g.adj[prev], v)
-			prev = v
-		}
-		if m.Blocked {
-			for _, vc := range m.Wants {
-				g.adj[prev] = append(g.adj[prev], vertex(vc))
-			}
-		}
-	}
-	return g
-}
+// Build constructs the CWG for a snapshot of messages in storage of its
+// own. Messages with no owned VCs are ignored (they hold no resources and
+// cannot participate). VC ids must be non-negative.
+func Build(msgs []Msg) *Graph { return NewBuilder(0).Build(msgs) }
 
-// vertexOf returns the dense vertex index of vc, whichever construction
-// path built the graph.
-func (g *Graph) vertexOf(vc message.VC) (int32, bool) {
-	if g.tbl != nil {
-		return g.tbl.lookup(vc)
-	}
-	i, ok := g.index[vc]
-	return i, ok
-}
+// vertexOf returns the dense vertex index of vc.
+func (g *Graph) vertexOf(vc message.VC) (int32, bool) { return g.tbl.lookup(vc) }
 
 // scratch returns the graph's analysis scratch, allocating it on first use.
 func (g *Graph) scratch() *scratch {
@@ -137,17 +93,7 @@ func (g *Graph) scratch() *scratch {
 func (g *Graph) NumVertices() int { return len(g.verts) }
 
 // NumEdges returns the number of arcs (solid + dashed).
-func (g *Graph) NumEdges() int {
-	if g.edges >= 0 {
-		return g.edges
-	}
-	n := 0
-	for _, a := range g.adj {
-		n += len(a)
-	}
-	g.edges = n
-	return n
-}
+func (g *Graph) NumEdges() int { return g.edges }
 
 // VCs returns the VC ids of the graph's vertices (dense order).
 func (g *Graph) VCs() []message.VC { return g.verts }

@@ -100,12 +100,58 @@ func snapshotFromBytes(data []byte) []Msg {
 	return msgs
 }
 
+// referenceBuild is the construction Build used before it became a
+// throwaway Builder: vertices numbered through a map in first-encounter
+// order, adjacency appended edge by edge. It shares no construction code
+// with Builder.Build; only the finished VC -> vertex map is copied into a
+// vcTable, which is what a Graph looks vertices up in.
+func referenceBuild(msgs []Msg) *Graph {
+	g := &Graph{msgs: msgs, tbl: &vcTable{epoch: 1}}
+	index := make(map[message.VC]int32)
+	vertex := func(vc message.VC) int32 {
+		if i, ok := index[vc]; ok {
+			return i
+		}
+		i := int32(len(g.verts))
+		index[vc] = i
+		g.tbl.assign(vc, i)
+		g.verts = append(g.verts, vc)
+		g.adj = append(g.adj, nil)
+		g.owner = append(g.owner, -1)
+		return i
+	}
+	edge := func(from, to int32) {
+		g.adj[from] = append(g.adj[from], to)
+		g.edges++
+	}
+	for mi := range msgs {
+		m := &msgs[mi]
+		if len(m.Owned) == 0 {
+			continue
+		}
+		prev := vertex(m.Owned[0])
+		g.owner[prev] = int32(mi)
+		for _, vc := range m.Owned[1:] {
+			v := vertex(vc)
+			g.owner[v] = int32(mi)
+			edge(prev, v)
+			prev = v
+		}
+		if m.Blocked {
+			for _, vc := range m.Wants {
+				edge(prev, vertex(vc))
+			}
+		}
+	}
+	return g
+}
+
 // FuzzBuildEquivalence cross-validates the three detection paths on random
 // snapshots: the pooled/dense Builder must produce analyses identical to
-// the allocating Build path, and the Tarjan-based knot finder must agree
-// with the naive per-vertex-reachability knot definition. It also rebuilds
-// through the same Builder with interleaved foreign snapshots to prove the
-// reused arenas carry no state between builds.
+// the map-indexed reference construction, and the Tarjan-based knot finder
+// must agree with the naive per-vertex-reachability knot definition. It
+// also rebuilds through the same Builder with interleaved foreign snapshots
+// to prove the reused arenas carry no state between builds.
 func FuzzBuildEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0x00, 0x01, 0x05, 0x01, 0x00}) // 2-message swap knot
@@ -117,7 +163,7 @@ func FuzzBuildEquivalence(f *testing.F) {
 		}
 		msgs := snapshotFromBytes(data)
 		opts := Options{CountKnotCycles: true, CountTotalCycles: true}
-		legacy := Build(msgs)
+		legacy := referenceBuild(msgs)
 		want := legacy.Analyze(opts)
 
 		b := NewBuilder(24)

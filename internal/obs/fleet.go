@@ -5,12 +5,10 @@ package obs
 // cause, per-worker throughput and busy fraction, store hit ratio, and a
 // settled-point latency histogram — exposed as flexsweep_* gauges on the
 // shared /metrics endpoint. All mutators are called from coordinator worker
-// loops; readers (the Prometheus handler) snapshot under the same lock.
+// loops; the reader (expose) formats into memory under the same lock.
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,77 +133,32 @@ func (m *FleetMetrics) HitRatio() float64 {
 	return float64(cached) / float64(total)
 }
 
-// WritePrometheus renders the fleet gauges in Prometheus text format, with
-// label sets in sorted order so the exposition is deterministic.
-func (m *FleetMetrics) WritePrometheus(w io.Writer) error {
+// WritePrometheus renders the fleet gauges in Prometheus text format.
+func (m *FleetMetrics) WritePrometheus(w io.Writer) error { return writeExposition(w, m) }
+
+func (m *FleetMetrics) expose(e *exposition) {
 	done, cached, failed := m.Settled()
-	if _, err := fmt.Fprintf(w,
-		"# HELP flexsweep_queue_depth Points waiting in the coordinator work queue.\n# TYPE flexsweep_queue_depth gauge\nflexsweep_queue_depth %d\n"+
-			"# HELP flexsweep_inflight Point attempts currently executing on workers.\n# TYPE flexsweep_inflight gauge\nflexsweep_inflight %d\n"+
-			"# HELP flexsweep_steals_total Points picked up by a different worker than their previous attempt.\n# TYPE flexsweep_steals_total counter\nflexsweep_steals_total %d\n"+
-			"# HELP flexsweep_points_total Points settled, by terminal status.\n# TYPE flexsweep_points_total counter\n"+
-			"flexsweep_points_total{status=\"cached\"} %d\nflexsweep_points_total{status=\"done\"} %d\nflexsweep_points_total{status=\"failed\"} %d\n"+
-			"# HELP flexsweep_store_hit_ratio Fraction of settled points served from the shared store.\n# TYPE flexsweep_store_hit_ratio gauge\nflexsweep_store_hit_ratio %.6f\n",
-		m.QueueDepth(), m.InFlight(), m.Steals(), cached, done, failed, m.HitRatio()); err != nil {
-		return err
-	}
+	scalar(e, "flexsweep_queue_depth", "gauge", "Points waiting in the coordinator work queue.", m.QueueDepth())
+	scalar(e, "flexsweep_inflight", "gauge", "Point attempts currently executing on workers.", m.InFlight())
+	scalar(e, "flexsweep_steals_total", "counter", "Points picked up by a different worker than their previous attempt.", m.Steals())
+	vec(e, "flexsweep_points_total", "counter", "Points settled, by terminal status.", "status",
+		map[string]int64{"cached": cached, "done": done, "failed": failed})
+	scalar(e, "flexsweep_store_hit_ratio", "gauge", "Fraction of settled points served from the shared store.", m.HitRatio())
 
 	m.mu.Lock()
-	causes := make([]string, 0, len(m.retries))
-	for c := range m.retries {
-		causes = append(causes, c)
-	}
-	sort.Strings(causes)
-	retryLines := make([]string, 0, len(causes))
-	for _, c := range causes {
-		retryLines = append(retryLines, fmt.Sprintf("flexsweep_retries_total{cause=%q} %d\n", c, m.retries[c]))
-	}
-	names := make([]string, 0, len(m.workers))
-	for n := range m.workers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	defer m.mu.Unlock()
+	vec(e, "flexsweep_retries_total", "counter", "Point re-executions, by failure cause.", "cause", m.retries)
+	points, busy, rate := map[string]int64{}, map[string]float64{}, map[string]float64{}
 	elapsed := time.Since(m.start)
-	workerLines := make([]string, 0, 3*len(names))
-	for _, n := range names {
-		wk := m.workers[n]
-		busyFrac, perSec := 0.0, 0.0
+	for name, wk := range m.workers {
+		points[name], busy[name], rate[name] = wk.points, 0, 0
 		if elapsed > 0 {
-			busyFrac = float64(wk.busyNS) / float64(elapsed.Nanoseconds())
-			perSec = float64(wk.points) / elapsed.Seconds()
-		}
-		workerLines = append(workerLines,
-			fmt.Sprintf("flexsweep_worker_points_total{worker=%q} %d\n", n, wk.points),
-			fmt.Sprintf("flexsweep_worker_busy_fraction{worker=%q} %.6f\n", n, busyFrac),
-			fmt.Sprintf("flexsweep_worker_points_per_second{worker=%q} %.6f\n", n, perSec))
-	}
-	count, sum := m.latency.Count(), int64(float64(m.latency.Count())*m.latency.Mean())
-	p50, p95, p99 := m.latency.Quantile(0.50), m.latency.Quantile(0.95), m.latency.Quantile(0.99)
-	m.mu.Unlock()
-
-	if _, err := fmt.Fprintf(w, "# HELP flexsweep_retries_total Point re-executions, by failure cause.\n# TYPE flexsweep_retries_total counter\n"); err != nil {
-		return err
-	}
-	for _, line := range retryLines {
-		if _, err := io.WriteString(w, line); err != nil {
-			return err
+			busy[name] = float64(wk.busyNS) / float64(elapsed.Nanoseconds())
+			rate[name] = float64(wk.points) / elapsed.Seconds()
 		}
 	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP flexsweep_worker_points_total Points settled per worker.\n# TYPE flexsweep_worker_points_total counter\n"+
-			"# HELP flexsweep_worker_busy_fraction Fraction of wall time each worker spent executing.\n# TYPE flexsweep_worker_busy_fraction gauge\n"+
-			"# HELP flexsweep_worker_points_per_second Settled points per second per worker.\n# TYPE flexsweep_worker_points_per_second gauge\n"); err != nil {
-		return err
-	}
-	for _, line := range workerLines {
-		if _, err := io.WriteString(w, line); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w,
-		"# HELP flexsweep_point_latency_ms Queue-to-settle point latency in milliseconds.\n# TYPE flexsweep_point_latency_ms summary\n"+
-			"flexsweep_point_latency_ms{quantile=\"0.5\"} %d\nflexsweep_point_latency_ms{quantile=\"0.95\"} %d\nflexsweep_point_latency_ms{quantile=\"0.99\"} %d\n"+
-			"flexsweep_point_latency_ms_sum %d\nflexsweep_point_latency_ms_count %d\n",
-		p50, p95, p99, sum, count)
-	return err
+	vec(e, "flexsweep_worker_points_total", "counter", "Points settled per worker.", "worker", points)
+	vec(e, "flexsweep_worker_busy_fraction", "gauge", "Fraction of wall time each worker spent executing.", "worker", busy)
+	vec(e, "flexsweep_worker_points_per_second", "gauge", "Settled points per second per worker.", "worker", rate)
+	e.summary("flexsweep_point_latency_ms", "Queue-to-settle point latency in milliseconds.", &m.latency)
 }

@@ -1,105 +1,39 @@
 package obs
 
 import (
-	"fmt"
 	"io"
-	"sync/atomic"
+	"sync"
 )
 
-// Live mirrors the latest interval sample in atomics so an HTTP handler can
-// read a consistent-enough view while the single-goroutine cycle loop keeps
-// running. Store is one atomic write per gauge on the sampling cadence —
-// nothing touches the per-cycle hot path.
+// Live holds the latest interval sample so an HTTP handler can read it
+// while the single-goroutine cycle loop keeps running. Store is one
+// uncontended lock and a struct copy on the sampling cadence — nothing
+// touches the per-cycle hot path — and a reader never sees half a sample.
 type Live struct {
-	cycle       atomic.Int64
-	active      atomic.Int64
-	blocked     atomic.Int64
-	queued      atomic.Int64
-	flits       atomic.Int64
-	delivered   atomic.Int64
-	recovered   atomic.Int64
-	generated   atomic.Int64
-	deadlocks   atomic.Int64
-	invocations atomic.Int64
-	gated       atomic.Int64
-	faults      atomic.Int64
-	killed      atomic.Int64
-	engBusy     atomic.Int64
-	engStall    atomic.Int64
-	engXShard   atomic.Int64
+	mu sync.Mutex
+	g  Gauges
 }
 
 // Store publishes a sample.
 func (l *Live) Store(g Gauges) {
-	l.cycle.Store(g.Cycle)
-	l.active.Store(int64(g.Active))
-	l.blocked.Store(int64(g.Blocked))
-	l.queued.Store(int64(g.Queued))
-	l.flits.Store(g.Flits)
-	l.delivered.Store(g.Delivered)
-	l.recovered.Store(g.Recovered)
-	l.generated.Store(g.Generated)
-	l.deadlocks.Store(g.Deadlocks)
-	l.invocations.Store(g.Invocations)
-	l.gated.Store(g.Gated)
-	l.faults.Store(int64(g.FaultsActive))
-	l.killed.Store(g.MsgsKilled)
-	l.engBusy.Store(g.EngineBusyNs)
-	l.engStall.Store(g.EngineStallNs)
-	l.engXShard.Store(g.EngineCrossShard)
+	l.mu.Lock()
+	l.g = g
+	l.mu.Unlock()
 }
 
 // Snapshot returns the most recently published sample.
 func (l *Live) Snapshot() Gauges {
-	return Gauges{
-		Cycle:            l.cycle.Load(),
-		Active:           int(l.active.Load()),
-		Blocked:          int(l.blocked.Load()),
-		Queued:           int(l.queued.Load()),
-		Flits:            l.flits.Load(),
-		Delivered:        l.delivered.Load(),
-		Recovered:        l.recovered.Load(),
-		Generated:        l.generated.Load(),
-		Deadlocks:        l.deadlocks.Load(),
-		Invocations:      l.invocations.Load(),
-		Gated:            l.gated.Load(),
-		FaultsActive:     int(l.faults.Load()),
-		MsgsKilled:       l.killed.Load(),
-		EngineBusyNs:     l.engBusy.Load(),
-		EngineStallNs:    l.engStall.Load(),
-		EngineCrossShard: l.engXShard.Load(),
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.g
 }
 
 // WritePrometheus renders the sample in Prometheus text exposition format.
-func (l *Live) WritePrometheus(w io.Writer) error {
+func (l *Live) WritePrometheus(w io.Writer) error { return writeExposition(w, l) }
+
+func (l *Live) expose(e *exposition) {
 	g := l.Snapshot()
-	metrics := []struct {
-		name, help, typ string
-		value           int64
-	}{
-		{"flexsim_cycle", "Current simulation cycle.", "gauge", g.Cycle},
-		{"flexsim_active_messages", "Messages holding network resources.", "gauge", int64(g.Active)},
-		{"flexsim_blocked_messages", "Active messages blocked at the header.", "gauge", int64(g.Blocked)},
-		{"flexsim_queued_messages", "Messages waiting in source queues.", "gauge", int64(g.Queued)},
-		{"flexsim_flits_in_network", "Flits resident in edge buffers.", "gauge", g.Flits},
-		{"flexsim_delivered_messages_total", "Messages delivered since run start.", "counter", g.Delivered},
-		{"flexsim_recovered_messages_total", "Deadlock victims absorbed since run start.", "counter", g.Recovered},
-		{"flexsim_generated_messages_total", "Messages generated since run start.", "counter", g.Generated},
-		{"flexsim_deadlocks_total", "Deadlocks detected (since measurement start).", "counter", g.Deadlocks},
-		{"flexsim_detector_invocations_total", "Detector passes (since measurement start).", "counter", g.Invocations},
-		{"flexsim_detector_gated_total", "Detector passes skipped by change-gating.", "counter", g.Gated},
-		{"flexsim_faults_active", "Currently failed resources (links, VCs, nodes).", "gauge", int64(g.FaultsActive)},
-		{"flexsim_fault_killed_messages_total", "Messages removed by fault injection.", "counter", g.MsgsKilled},
-		{"flexsim_engine_busy_ns_total", "Engine kernel wall time across shards and phases (requires engine profiling).", "counter", g.EngineBusyNs},
-		{"flexsim_engine_stall_ns_total", "Barrier stall (slowest minus median shard) across launches.", "counter", g.EngineStallNs},
-		{"flexsim_engine_cross_shard_total", "Cross-shard mailbox transfers (requests plus grants).", "counter", g.EngineCrossShard},
+	for _, d := range gauges {
+		scalar(e, d.name, d.typ, d.help, d.get(&g))
 	}
-	for _, m := range metrics {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			m.name, m.help, m.name, m.typ, m.name, m.value); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -5,7 +5,7 @@
 // inspectable evidence, in three pillars:
 //
 //   - Interval metrics: a Recorder samples occupancy/backlog/deadlock
-//     gauges every N cycles into a compact columnar buffer, exported as
+//     gauges every N cycles into an append-only buffer, exported as
 //     CSV or JSONL (one row per sample, tagged with the run's label, seed
 //     and load), so "% blocked vs. time leading into a deadlock" becomes a
 //     plottable series.
@@ -16,9 +16,9 @@
 //     drain duration, the last K trace events and an optional DOT snapshot
 //     of the knot subgraph — written as JSONL.
 //
-//   - Live introspection: Live holds the latest sample in atomics, and
-//     Server exposes it as Prometheus-style text at /metrics (plus
-//     /healthz and a JSON sweep-progress view for long charsweep runs).
+//   - Live introspection: Live holds the latest sample, and Server exposes
+//     it as Prometheus text at /metrics (plus /healthz and a JSON
+//     sweep-progress view for long charsweep runs).
 //
 // Every hook into the cycle loop is a nil-guarded single branch, so the
 // allocation-free detection hot path keeps 0 allocs/op when observability
@@ -63,4 +63,36 @@ type Gauges struct {
 	EngineBusyNs     int64
 	EngineStallNs    int64
 	EngineCrossShard int64
+}
+
+// gauge declares one field of Gauges for export, and is the only place the
+// package names it: the CSV/JSONL schema and rows and the flexsim_*
+// exposition are loops over gauges, in this order. (Live and the Recorder
+// store the struct itself.) TestGaugeDeclaredOnce fails for a field
+// without a declaration.
+type gauge struct {
+	col  string // CSV column and JSONL key
+	name string // Prometheus family
+	typ  string // "counter" or "gauge"
+	help string
+	get  func(*Gauges) int64
+}
+
+var gauges = [...]gauge{
+	{"cycle", "flexsim_cycle", "gauge", "Current simulation cycle.", func(g *Gauges) int64 { return g.Cycle }},
+	{"active", "flexsim_active_messages", "gauge", "Messages holding network resources.", func(g *Gauges) int64 { return int64(g.Active) }},
+	{"blocked", "flexsim_blocked_messages", "gauge", "Active messages blocked at the header.", func(g *Gauges) int64 { return int64(g.Blocked) }},
+	{"queued", "flexsim_queued_messages", "gauge", "Messages waiting in source queues.", func(g *Gauges) int64 { return int64(g.Queued) }},
+	{"flits", "flexsim_flits_in_network", "gauge", "Flits resident in edge buffers.", func(g *Gauges) int64 { return g.Flits }},
+	{"delivered", "flexsim_delivered_messages_total", "counter", "Messages delivered since run start.", func(g *Gauges) int64 { return g.Delivered }},
+	{"recovered", "flexsim_recovered_messages_total", "counter", "Deadlock victims absorbed since run start.", func(g *Gauges) int64 { return g.Recovered }},
+	{"generated", "flexsim_generated_messages_total", "counter", "Messages generated since run start.", func(g *Gauges) int64 { return g.Generated }},
+	{"deadlocks", "flexsim_deadlocks_total", "counter", "Deadlocks detected (since measurement start).", func(g *Gauges) int64 { return g.Deadlocks }},
+	{"invocations", "flexsim_detector_invocations_total", "counter", "Detector passes (since measurement start).", func(g *Gauges) int64 { return g.Invocations }},
+	{"gated", "flexsim_detector_gated_total", "counter", "Detector passes skipped by change-gating.", func(g *Gauges) int64 { return g.Gated }},
+	{"faults_active", "flexsim_faults_active", "gauge", "Currently failed resources (links, VCs, nodes).", func(g *Gauges) int64 { return int64(g.FaultsActive) }},
+	{"msgs_killed_by_fault", "flexsim_fault_killed_messages_total", "counter", "Messages removed by fault injection.", func(g *Gauges) int64 { return g.MsgsKilled }},
+	{"eng_busy_ns", "flexsim_engine_busy_ns_total", "counter", "Engine kernel wall time across shards and phases (requires engine profiling).", func(g *Gauges) int64 { return g.EngineBusyNs }},
+	{"eng_stall_ns", "flexsim_engine_stall_ns_total", "counter", "Barrier stall (slowest minus median shard) across launches.", func(g *Gauges) int64 { return g.EngineStallNs }},
+	{"eng_xshard", "flexsim_engine_cross_shard_total", "counter", "Cross-shard mailbox transfers (requests plus grants).", func(g *Gauges) int64 { return g.EngineCrossShard }},
 }

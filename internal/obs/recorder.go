@@ -3,35 +3,21 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 )
 
-// Recorder accumulates interval samples in a columnar buffer (one slice per
-// gauge) — compact, cache-friendly, and append-only, so a multi-hour sweep
-// run records millions of samples without per-sample allocation beyond
-// amortized slice growth. A Recorder belongs to one run and is not safe for
-// concurrent use; cross-run aggregation happens in a RunSink.
+// Recorder accumulates one run's interval samples, append-only, so a
+// multi-hour sweep run records millions of samples without per-sample
+// allocation beyond amortized slice growth. A Recorder belongs to one run
+// and is not safe for concurrent use; cross-run aggregation happens in a
+// RunSink.
 type Recorder struct {
 	// Every is the sampling period in cycles.
 	Every int
 
-	cycle       []int64
-	active      []int32
-	blocked     []int32
-	queued      []int32
-	flits       []int64
-	delivered   []int64
-	recovered   []int64
-	generated   []int64
-	deadlocks   []int64
-	invocations []int64
-	gated       []int64
-	faults      []int32
-	killed      []int64
-	engBusy     []int64
-	engStall    []int64
-	engXShard   []int64
+	samples []Gauges
 }
 
 // DefaultEvery is the sampling cadence used when a caller enables metrics
@@ -48,49 +34,13 @@ func NewRecorder(every int) *Recorder {
 }
 
 // Record appends one sample.
-func (r *Recorder) Record(g Gauges) {
-	r.cycle = append(r.cycle, g.Cycle)
-	r.active = append(r.active, int32(g.Active))
-	r.blocked = append(r.blocked, int32(g.Blocked))
-	r.queued = append(r.queued, int32(g.Queued))
-	r.flits = append(r.flits, g.Flits)
-	r.delivered = append(r.delivered, g.Delivered)
-	r.recovered = append(r.recovered, g.Recovered)
-	r.generated = append(r.generated, g.Generated)
-	r.deadlocks = append(r.deadlocks, g.Deadlocks)
-	r.invocations = append(r.invocations, g.Invocations)
-	r.gated = append(r.gated, g.Gated)
-	r.faults = append(r.faults, int32(g.FaultsActive))
-	r.killed = append(r.killed, g.MsgsKilled)
-	r.engBusy = append(r.engBusy, g.EngineBusyNs)
-	r.engStall = append(r.engStall, g.EngineStallNs)
-	r.engXShard = append(r.engXShard, g.EngineCrossShard)
-}
+func (r *Recorder) Record(g Gauges) { r.samples = append(r.samples, g) }
 
 // Len returns the number of recorded samples.
-func (r *Recorder) Len() int { return len(r.cycle) }
+func (r *Recorder) Len() int { return len(r.samples) }
 
 // At returns sample i.
-func (r *Recorder) At(i int) Gauges {
-	return Gauges{
-		Cycle:            r.cycle[i],
-		Active:           int(r.active[i]),
-		Blocked:          int(r.blocked[i]),
-		Queued:           int(r.queued[i]),
-		Flits:            r.flits[i],
-		Delivered:        r.delivered[i],
-		Recovered:        r.recovered[i],
-		Generated:        r.generated[i],
-		Deadlocks:        r.deadlocks[i],
-		Invocations:      r.invocations[i],
-		Gated:            r.gated[i],
-		FaultsActive:     int(r.faults[i]),
-		MsgsKilled:       r.killed[i],
-		EngineBusyNs:     r.engBusy[i],
-		EngineStallNs:    r.engStall[i],
-		EngineCrossShard: r.engXShard[i],
-	}
-}
+func (r *Recorder) At(i int) Gauges { return r.samples[i] }
 
 // RunMeta identifies the run a recorded series belongs to.
 type RunMeta struct {
@@ -106,58 +56,66 @@ type RunSink interface {
 	Run(meta RunMeta, rec *Recorder)
 }
 
-// metricsColumns is the stable schema of the exported series; changing it
-// is a breaking change for downstream tooling (golden-file tested).
-var metricsColumns = []string{
-	"label", "seed", "load", "cycle", "active", "blocked", "queued",
-	"flits", "delivered", "recovered", "generated",
-	"deadlocks", "invocations", "gated",
-	"faults_active", "msgs_killed_by_fault",
-	"eng_busy_ns", "eng_stall_ns", "eng_xshard",
+// metricsColumns is the stable schema of the exported series: the run's
+// identity, then every declared gauge. Changing it is a breaking change for
+// downstream tooling (golden-file tested).
+var metricsColumns = func() []string {
+	cols := []string{"label", "seed", "load"}
+	for _, d := range gauges {
+		cols = append(cols, d.col)
+	}
+	return cols
+}()
+
+// rowWriter is the locked writer with a sticky error under both series sinks.
+type rowWriter struct {
+	mu     sync.Mutex
+	w      io.Writer
+	err    error
+	header string // written before the first rows, then cleared
 }
 
-// CSVSink writes every flushed run as CSV rows under a single header.
-type CSVSink struct {
-	mu          sync.Mutex
-	w           io.Writer
-	err         error
-	wroteHeader bool
-}
-
-// NewCSVSink returns a CSV sink writing to w.
-func NewCSVSink(w io.Writer) *CSVSink { return &CSVSink{w: w} }
-
-// Run implements RunSink.
-func (s *CSVSink) Run(meta RunMeta, rec *Recorder) {
+// flush writes one run's rendered rows, unless an earlier write failed.
+func (s *rowWriter) flush(rows []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return
 	}
-	var b strings.Builder
-	if !s.wroteHeader {
-		b.WriteString(strings.Join(metricsColumns, ","))
-		b.WriteByte('\n')
-		s.wroteHeader = true
+	if s.header != "" {
+		rows = append([]byte(s.header), rows...)
+		s.header = ""
 	}
-	for i := 0; i < rec.Len(); i++ {
-		g := rec.At(i)
-		fmt.Fprintf(&b, "%s,%d,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			csvEscape(meta.Label), meta.Seed, meta.Load, g.Cycle,
-			g.Active, g.Blocked, g.Queued, g.Flits,
-			g.Delivered, g.Recovered, g.Generated,
-			g.Deadlocks, g.Invocations, g.Gated,
-			g.FaultsActive, g.MsgsKilled,
-			g.EngineBusyNs, g.EngineStallNs, g.EngineCrossShard)
-	}
-	_, s.err = io.WriteString(s.w, b.String())
+	_, s.err = s.w.Write(rows)
 }
 
 // Err returns the first write error, if any.
-func (s *CSVSink) Err() error {
+func (s *rowWriter) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
+}
+
+// CSVSink writes every flushed run as CSV rows under a single header.
+type CSVSink struct{ rowWriter }
+
+// NewCSVSink returns a CSV sink writing to w.
+func NewCSVSink(w io.Writer) *CSVSink {
+	return &CSVSink{rowWriter{w: w, header: strings.Join(metricsColumns, ",") + "\n"}}
+}
+
+// Run implements RunSink.
+func (s *CSVSink) Run(meta RunMeta, rec *Recorder) {
+	run := fmt.Sprintf("%s,%d,%g", csvEscape(meta.Label), meta.Seed, meta.Load)
+	var b []byte
+	for i := range rec.samples {
+		b = append(b, run...)
+		for _, d := range gauges {
+			b = strconv.AppendInt(append(b, ','), d.get(&rec.samples[i]), 10)
+		}
+		b = append(b, '\n')
+	}
+	s.flush(b)
 }
 
 // csvEscape quotes a label containing CSV metacharacters (RFC 4180).
@@ -169,42 +127,23 @@ func csvEscape(s string) string {
 }
 
 // JSONLSink writes every flushed run as one JSON object per sample.
-type JSONLSink struct {
-	mu  sync.Mutex
-	w   io.Writer
-	err error
-}
+type JSONLSink struct{ rowWriter }
 
 // NewJSONLSink returns a JSONL sink writing to w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
+func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{rowWriter{w: w}} }
 
 // Run implements RunSink.
 func (s *JSONLSink) Run(meta RunMeta, rec *Recorder) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
+	run := fmt.Sprintf(`{"label":%q,"seed":%d,"load":%g`, meta.Label, meta.Seed, meta.Load)
+	var b []byte
+	for i := range rec.samples {
+		b = append(b, run...)
+		for _, d := range gauges {
+			b = strconv.AppendInt(append(b, `,"`+d.col+`":`...), d.get(&rec.samples[i]), 10)
+		}
+		b = append(b, "}\n"...)
 	}
-	var b strings.Builder
-	for i := 0; i < rec.Len(); i++ {
-		g := rec.At(i)
-		fmt.Fprintf(&b, `{"label":%q,"seed":%d,"load":%g,"cycle":%d,"active":%d,"blocked":%d,"queued":%d,"flits":%d,"delivered":%d,"recovered":%d,"generated":%d,"deadlocks":%d,"invocations":%d,"gated":%d,"faults_active":%d,"msgs_killed_by_fault":%d,"eng_busy_ns":%d,"eng_stall_ns":%d,"eng_xshard":%d}`,
-			meta.Label, meta.Seed, meta.Load, g.Cycle,
-			g.Active, g.Blocked, g.Queued, g.Flits,
-			g.Delivered, g.Recovered, g.Generated,
-			g.Deadlocks, g.Invocations, g.Gated,
-			g.FaultsActive, g.MsgsKilled,
-			g.EngineBusyNs, g.EngineStallNs, g.EngineCrossShard)
-		b.WriteByte('\n')
-	}
-	_, s.err = io.WriteString(s.w, b.String())
-}
-
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	s.flush(b)
 }
 
 // SinkFor chooses a sink by file extension: ".jsonl"/".json" produce JSONL,

@@ -25,11 +25,10 @@ import (
 type ServerOption func(*serverConfig)
 
 type serverConfig struct {
-	live   *Live
-	sweep  *SweepProgress
-	fleet  *FleetMetrics
-	health func(io.Writer)
-	extra  []route
+	metrics []exposer // what /metrics renders, in option order
+	sweep   *SweepProgress
+	health  func(io.Writer)
+	extra   []route
 }
 
 type route struct {
@@ -39,19 +38,19 @@ type route struct {
 
 // WithLive attaches live run gauges to /metrics.
 func WithLive(l *Live) ServerOption {
-	return func(c *serverConfig) { c.live = l }
+	return func(c *serverConfig) { c.metrics = append(c.metrics, l) }
 }
 
 // WithSweep attaches sweep progress: counters on /metrics and the JSON
 // view on /progress.
 func WithSweep(p *SweepProgress) ServerOption {
-	return func(c *serverConfig) { c.sweep = p }
+	return func(c *serverConfig) { c.sweep, c.metrics = p, append(c.metrics, p) }
 }
 
 // WithFleet attaches fleet scheduler telemetry (flexsweep_* gauges) to
 // /metrics.
 func WithFleet(m *FleetMetrics) ServerOption {
-	return func(c *serverConfig) { c.fleet = m }
+	return func(c *serverConfig) { c.metrics = append(c.metrics, m) }
 }
 
 // WithHealth appends process-specific detail lines to /healthz after the
@@ -68,8 +67,9 @@ func WithHandler(pattern string, h http.Handler) ServerOption {
 	return func(c *serverConfig) { c.extra = append(c.extra, route{pattern, h}) }
 }
 
-// NewMux builds the shared introspection mux. Either source may be absent;
-// the handlers render whatever is attached.
+// NewMux builds the shared introspection mux. /metrics is one exposition
+// over whatever WithLive, WithSweep and WithFleet attached, in option
+// order; with none attached it is empty.
 func NewMux(opts ...ServerOption) *http.ServeMux {
 	var c serverConfig
 	for _, o := range opts {
@@ -88,17 +88,7 @@ func NewMux(opts ...ServerOption) *http.ServeMux {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if c.live != nil {
-			if err := c.live.WritePrometheus(w); err != nil {
-				return
-			}
-		}
-		if c.sweep != nil {
-			c.sweep.WritePrometheus(w)
-		}
-		if c.fleet != nil {
-			c.fleet.WritePrometheus(w)
-		}
+		writeExposition(w, c.metrics...) // a failed write is the client gone
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		if c.sweep == nil {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -67,18 +66,6 @@ func (p *SweepProgress) RunFailed() { p.runsFailed.Add(1) }
 // started).
 func (p *SweepProgress) RunCancelled() { p.runsCancelled.Add(1) }
 
-// RunsDone returns the number of completed simulation runs.
-func (p *SweepProgress) RunsDone() int64 { return p.runsDone.Load() }
-
-// RunsCached returns the number of cache-served runs.
-func (p *SweepProgress) RunsCached() int64 { return p.runsCached.Load() }
-
-// RunsFailed returns the number of failed runs.
-func (p *SweepProgress) RunsFailed() int64 { return p.runsFailed.Load() }
-
-// RunsCancelled returns the number of cancelled runs.
-func (p *SweepProgress) RunsCancelled() int64 { return p.runsCancelled.Load() }
-
 // Start marks an experiment as running.
 func (p *SweepProgress) Start(id string) { p.setState(id, Running, 0) }
 
@@ -132,19 +119,18 @@ func (p *SweepProgress) WriteJSON(w io.Writer) error {
 		RunsCached      int64              `json:"runs_cached"`
 		RunsFailed      int64              `json:"runs_failed"`
 		RunsCancelled   int64              `json:"runs_cancelled"`
-	}{exps, done, len(exps), p.RunsDone(), p.RunsCached(), p.RunsFailed(), p.RunsCancelled()})
+	}{exps, done, len(exps), p.runsDone.Load(), p.runsCached.Load(), p.runsFailed.Load(), p.runsCancelled.Load()})
 }
 
 // WritePrometheus renders sweep counters in Prometheus text format.
-func (p *SweepProgress) WritePrometheus(w io.Writer) error {
+func (p *SweepProgress) WritePrometheus(w io.Writer) error { return writeExposition(w, p) }
+
+func (p *SweepProgress) expose(e *exposition) {
 	exps, done := p.snapshot()
-	_, err := fmt.Fprintf(w,
-		"# HELP flexsim_sweep_experiments_total Experiments in this sweep.\n# TYPE flexsim_sweep_experiments_total gauge\nflexsim_sweep_experiments_total %d\n"+
-			"# HELP flexsim_sweep_experiments_done Experiments completed.\n# TYPE flexsim_sweep_experiments_done gauge\nflexsim_sweep_experiments_done %d\n"+
-			"# HELP flexsim_sweep_runs_done_total Simulation runs completed.\n# TYPE flexsim_sweep_runs_done_total counter\nflexsim_sweep_runs_done_total %d\n"+
-			"# HELP flexsim_sweep_runs_cached_total Simulation runs served from the result cache.\n# TYPE flexsim_sweep_runs_cached_total counter\nflexsim_sweep_runs_cached_total %d\n"+
-			"# HELP flexsim_sweep_runs_failed_total Simulation runs failed.\n# TYPE flexsim_sweep_runs_failed_total counter\nflexsim_sweep_runs_failed_total %d\n"+
-			"# HELP flexsim_sweep_runs_cancelled_total Simulation runs cancelled.\n# TYPE flexsim_sweep_runs_cancelled_total counter\nflexsim_sweep_runs_cancelled_total %d\n",
-		len(exps), done, p.RunsDone(), p.RunsCached(), p.RunsFailed(), p.RunsCancelled())
-	return err
+	scalar(e, "flexsim_sweep_experiments_total", "gauge", "Experiments in this sweep.", int64(len(exps)))
+	scalar(e, "flexsim_sweep_experiments_done", "gauge", "Experiments completed.", int64(done))
+	scalar(e, "flexsim_sweep_runs_done_total", "counter", "Simulation runs completed.", p.runsDone.Load())
+	scalar(e, "flexsim_sweep_runs_cached_total", "counter", "Simulation runs served from the result cache.", p.runsCached.Load())
+	scalar(e, "flexsim_sweep_runs_failed_total", "counter", "Simulation runs failed.", p.runsFailed.Load())
+	scalar(e, "flexsim_sweep_runs_cancelled_total", "counter", "Simulation runs cancelled.", p.runsCancelled.Load())
 }

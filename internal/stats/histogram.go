@@ -82,6 +82,9 @@ func (h *Histogram) Grow(max int64) {
 // Count returns the number of samples.
 func (h *Histogram) Count() int64 { return h.total }
 
+// Sum returns the exact sum of the samples.
+func (h *Histogram) Sum() int64 { return h.sum }
+
 // Mean returns the exact sample mean.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {

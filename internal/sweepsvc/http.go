@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -31,6 +32,35 @@ import (
 	"flexsim/internal/runner"
 	"flexsim/internal/sim"
 )
+
+// A request body is bounded before its decoder, which buffers to EOF, sees
+// it. The largest spec the benchmark posts is ~3 MiB (2 000 explicit
+// points); a run request is one point.
+const (
+	maxSpecBytes       = 64 << 20
+	maxRunRequestBytes = 8 << 20
+)
+
+// decodeBody decodes r's body, or answers for it and returns nil: 413 for a
+// body that declares more than max bytes (refused unread) or runs past max,
+// 400 for one that does not decode.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, max int64, decode func(io.Reader) (*T, error)) *T {
+	if r.ContentLength > max {
+		http.Error(w, fmt.Sprintf("request body of %d bytes is over the %d-byte bound", r.ContentLength, max), http.StatusRequestEntityTooLarge)
+		return nil
+	}
+	v, err := decode(http.MaxBytesReader(w, r.Body, max))
+	if err == nil {
+		return v
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), code)
+	return nil
+}
 
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
@@ -84,9 +114,8 @@ func (s *Service) APIHandler() http.Handler {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := specv1.DecodeSpec(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	spec := decodeBody(w, r, maxSpecBytes, specv1.DecodeSpec)
+	if spec == nil {
 		return
 	}
 	st, err := s.Submit(spec)
@@ -197,9 +226,8 @@ func (wk *Worker) Handler() http.Handler {
 }
 
 func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, err := specv1.DecodeRunRequest(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	req := decodeBody(w, r, maxRunRequestBytes, specv1.DecodeRunRequest)
+	if req == nil {
 		return
 	}
 	cfg := req.Config.ToSim()

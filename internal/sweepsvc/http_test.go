@@ -162,3 +162,54 @@ func TestSpliceMatchesJSON(t *testing.T) {
 		t.Fatalf("RunResponse has %d fields; appendRunResponse and this test know 7", f)
 	}
 }
+
+// blanks is an endless stream of JSON whitespace: a body of it is refused
+// by its length or not at all.
+type blanks struct{}
+
+func (blanks) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// postBlanks posts n blanks, with or without saying how many are coming.
+func postBlanks(h http.Handler, path string, n int64, declared bool) int {
+	req := httptest.NewRequest("POST", path, io.LimitReader(blanks{}, n))
+	if declared {
+		req.ContentLength = n
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Code
+}
+
+// TestSubmitBodyBounded: a spec that declares more than maxSpecBytes is 413
+// before a byte of it is read (the body here would be 64 MiB in memory).
+func TestSubmitBodyBounded(t *testing.T) {
+	s, err := New(Config{Cache: openCache(t, t.TempDir()), LocalWorkers: 1, Run: stubRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if code := postBlanks(s.APIHandler(), "/api/v1/sweeps", maxSpecBytes+1, true); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec: %d, want 413", code)
+	}
+	if code := postBlanks(s.APIHandler(), "/api/v1/sweeps", 16, true); code != http.StatusBadRequest {
+		t.Errorf("blank spec: %d, want 400", code)
+	}
+}
+
+// TestRunBodyBounded: a run request of undeclared length is cut off at
+// maxRunRequestBytes and answered 413, not read to its end and called
+// malformed.
+func TestRunBodyBounded(t *testing.T) {
+	wk := &Worker{Name: "w", Run: stubRun}
+	if code := postBlanks(wk.Handler(), "/api/v1/run", maxRunRequestBytes+1, false); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized run request: %d, want 413", code)
+	}
+	if code := postBlanks(wk.Handler(), "/api/v1/run", 16, false); code != http.StatusBadRequest {
+		t.Errorf("blank run request: %d, want 400", code)
+	}
+}
