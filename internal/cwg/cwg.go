@@ -41,7 +41,7 @@ package cwg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"flexsim/internal/message"
@@ -71,6 +71,14 @@ type Graph struct {
 	edges int // arc count
 
 	sc *scratch // analysis scratch, lazily allocated, reused across calls
+
+	// sccValid says sc.comp and ncomp hold this build's strongly connected
+	// components: knot search and the cycle census both start from them, and
+	// one Analyze runs both. Builder.Build clears it. tarjanRuns counts the
+	// computations, for the test that holds a pass to one.
+	sccValid   bool
+	ncomp      int
+	tarjanRuns int
 }
 
 // Build constructs the CWG for a snapshot of messages in storage of its
@@ -202,7 +210,8 @@ type scratch struct {
 	stack           []int32
 	frames          []frame
 
-	// condensation (FindKnots, countAll)
+	// condensation: terminal and hasEdge are tarjan's, the rest FindKnots'
+	// and countAll's own
 	terminal, hasEdge []bool
 	compCnt, compOff  []int32
 	compMem           []int32
@@ -283,24 +292,7 @@ func (sc *scratch) marks(nVerts, nMsgs int) (vMark, mMark []int64, epoch int64) 
 func (g *Graph) FindKnots() [][]int32 {
 	comp, ncomp := g.tarjan()
 	sc := g.scratch()
-	sc.terminal = growBool(sc.terminal, ncomp)
-	sc.hasEdge = growBool(sc.hasEdge, ncomp)
 	terminal, hasEdge := sc.terminal, sc.hasEdge
-	for i := 0; i < ncomp; i++ {
-		terminal[i] = true
-		hasEdge[i] = false
-	}
-	for u := range g.adj {
-		cu := comp[u]
-		for _, v := range g.adj[u] {
-			cv := comp[v]
-			if cu != cv {
-				terminal[cu] = false
-			} else {
-				hasEdge[cu] = true
-			}
-		}
-	}
 	sc.compCnt = growI32(sc.compCnt, ncomp)
 	compSlot := sc.compCnt
 	nk := 0
@@ -324,12 +316,18 @@ func (g *Graph) FindKnots() [][]int32 {
 	return members
 }
 
-// tarjan computes strongly connected components iteratively and returns the
-// component id per vertex and the number of components. The returned slice
-// is scratch storage, valid until the next analysis call on this graph.
+// tarjan returns the component id per vertex and the number of strongly
+// connected components, computing them (iteratively) on the first call after
+// a Build, and with them the condensation's two facts per component:
+// sc.terminal (no edge leaves it) and sc.hasEdge (an edge stays inside it).
+// All three are scratch storage, valid until the next Build.
 func (g *Graph) tarjan() (comp []int32, ncomp int) {
 	n := len(g.verts)
 	sc := g.scratch()
+	if g.sccValid {
+		return sc.comp, g.ncomp
+	}
+	g.tarjanRuns++
 	sc.comp = growI32(sc.comp, n)
 	sc.low = growI32(sc.low, n)
 	sc.disc = growI32(sc.disc, n)
@@ -396,6 +394,24 @@ func (g *Graph) tarjan() (comp []int32, ncomp int) {
 	}
 	sc.stack = stack[:0]
 	sc.frames = frames[:0]
+	sc.terminal = growBool(sc.terminal, ncomp)
+	sc.hasEdge = growBool(sc.hasEdge, ncomp)
+	terminal, hasEdge := sc.terminal, sc.hasEdge
+	for i := 0; i < ncomp; i++ {
+		terminal[i] = true
+		hasEdge[i] = false
+	}
+	for u := range g.adj {
+		cu := comp[u]
+		for _, v := range g.adj[u] {
+			if cu != comp[v] {
+				terminal[cu] = false
+			} else {
+				hasEdge[cu] = true
+			}
+		}
+	}
+	g.sccValid, g.ncomp = true, ncomp
 	return comp, ncomp
 }
 
@@ -435,9 +451,9 @@ func (g *Graph) classify(knot []int32, opts Options) Deadlock {
 			d.ResourceSet = append(d.ResourceSet, g.msgs[o].Owned...)
 		}
 	}
-	sortVCs(d.KnotVCs)
-	sortIDs(d.DeadlockSet)
-	sortVCs(d.ResourceSet)
+	slices.Sort(d.KnotVCs)
+	slices.Sort(d.DeadlockSet)
+	slices.Sort(d.ResourceSet)
 
 	// Dependent messages: blocked, outside the set, waiting on a VC owned
 	// by a set member. Every owned VC is a graph vertex, so set-owned
@@ -459,7 +475,7 @@ func (g *Graph) classify(knot []int32, opts Options) Deadlock {
 			}
 		}
 	}
-	sortIDs(d.Dependent)
+	slices.Sort(d.Dependent)
 
 	if opts.CountKnotCycles {
 		c := newCounter(opts, g.scratch())
@@ -474,14 +490,6 @@ func (g *Graph) classify(knot []int32, opts Options) Deadlock {
 		d.Kind = MultiCycle
 	}
 	return d
-}
-
-func sortVCs(s []message.VC) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-func sortIDs(s []message.ID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // DOT renders the graph in Graphviz format. label renders a VC id (pass nil

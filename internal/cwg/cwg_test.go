@@ -472,3 +472,43 @@ func TestKnotIsTerminalSCCProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeComputesComponentsOnce pins the SCC cache: a pass that finds
+// knots and runs the census computes the components once, a second Build
+// into the same builder discards them, and FindKnots alone still works.
+func TestAnalyzeComputesComponentsOnce(t *testing.T) {
+	opts := Options{CountTotalCycles: true, CountKnotCycles: true}
+	a, b := PaperFig3(), CheckedRingKnot()
+	bld := NewBuilder(0)
+
+	g := bld.Build(a)
+	anA := g.Analyze(opts)
+	if g.tarjanRuns != 1 {
+		t.Fatalf("one Analyze with both censuses ran Tarjan %d times, want 1", g.tarjanRuns)
+	}
+	if want := Build(a).Analyze(opts); !reflect.DeepEqual(anA, want) {
+		t.Fatalf("analysis of A through the builder %+v, fresh %+v", anA, want)
+	}
+	g.FindKnots()
+	if g.tarjanRuns != 1 {
+		t.Fatalf("FindKnots after Analyze on the same build recomputed the components (%d runs)", g.tarjanRuns)
+	}
+
+	// B into the same builder: A's components must not answer for it.
+	g = bld.Build(b)
+	knots := g.FindKnots()
+	if g.tarjanRuns != 2 {
+		t.Fatalf("FindKnots after a second Build: %d Tarjan runs in all, want 2", g.tarjanRuns)
+	}
+	if want := Build(b).FindKnots(); !sameKnotSets(knots, want) || len(knots) == 0 {
+		t.Fatalf("knots of B after analysing A in the same builder %v, fresh build %v", knots, want)
+	}
+	if anB, want := g.Analyze(opts), Build(b).Analyze(opts); !reflect.DeepEqual(anB, want) || g.tarjanRuns != 2 {
+		t.Fatalf("analysis of B %+v (after %d runs), fresh %+v", anB, g.tarjanRuns, want)
+	}
+
+	// FindKnots alone, on a graph nothing has analysed.
+	if knots := Build(a).FindKnots(); !sameKnotSets(knots, Build(a).NaiveKnots()) {
+		t.Fatalf("FindKnots alone %v, naive definition %v", knots, Build(a).NaiveKnots())
+	}
+}

@@ -44,20 +44,9 @@ func (c *counter) countAll(g *Graph) (int, bool) {
 	sc := c.sc
 	// Only components with an internal edge can contain cycles; bucket
 	// their members (in ascending vertex order) into one flat slice.
-	sc.hasEdge = growBool(sc.hasEdge, ncomp)
 	sc.compCnt = growI32(sc.compCnt, ncomp)
 	hasEdge, cnt := sc.hasEdge, sc.compCnt
-	for i := 0; i < ncomp; i++ {
-		hasEdge[i] = false
-		cnt[i] = 0
-	}
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
-			if comp[v] == comp[u] {
-				hasEdge[comp[u]] = true
-			}
-		}
-	}
+	clear(cnt)
 	n := len(g.verts)
 	sc.compOff = growI32(sc.compOff, ncomp+1)
 	sc.compMem = growI32(sc.compMem, n)

@@ -177,6 +177,14 @@ func TestNewRejectsTooManyVCs(t *testing.T) {
 	}
 }
 
+// flipQueueBit inverts node's bit in the queue bitmap of the worker that
+// scans it.
+func flipQueueBit(n *Network, node int) {
+	w := n.queueWorker(node)
+	b := node - w.nodeLo
+	w.qNodes[b>>6] ^= 1 << (b & 63)
+}
+
 // TestCheckInvariantsCoversRequestTables corrupts each table and bitmap the
 // request bits and the work-skipping scans added and requires CheckInvariants
 // (or the mid-cycle oracle that owns it) to name it.
@@ -200,13 +208,23 @@ func TestCheckInvariantsCoversRequestTables(t *testing.T) {
 		{"rxReq", func(n *Network, m *message.Message) { n.rxReq[7] = rxRequest{key: 1, vc: 0} }, "reception request"},
 		{"rxNodes", func(n *Network, m *message.Message) { n.w0.rxNodes[0] = 1 << 9 }, "reception bitmap"},
 		{"chBits", func(n *Network, m *message.Message) { n.w0.chBits[0] = 1 << 3 }, "channel bitmap"},
-		{"qNodes set on an empty queue", func(n *Network, m *message.Message) {
-			w := n.queueWorker(5)
-			w.qNodes[0] |= 1 << (5 - w.nodeLo)
+		{"qNodes set on an empty queue", func(n *Network, m *message.Message) { flipQueueBit(n, 5) }, "queue bitmap"},
+		{"qNodes clear on a waiting queue whose injection VC is free", func(n *Network, m *message.Message) {
+			n.Inject(5, 10, 16)
+			flipQueueBit(n, 5)
 		}, "queue bitmap"},
-		{"qNodes clear on a waiting queue", func(n *Network, m *message.Message) {
-			n.Inject(0, 10, 16) // node 0's injection VC is still m's, so this one waits
-			n.queueWorker(0).qNodes[0] &^= 1
+		{"qNodes flipped on a waiting queue whose injection VC is owned", func(n *Network, m *message.Message) {
+			// Node 0's injection VC is still m's, so this one waits: unmarked
+			// on the sequential engine until the VC is released, marked on
+			// the sharded one. Either way the other value is the illegal one.
+			n.Inject(0, 10, 16)
+			if err := n.CheckInvariants(); err != nil {
+				t.Errorf("queue waiting behind an owned injection VC rejected: %v", err)
+			}
+			if marked := n.queueWorker(0).qNodes[0]&1 != 0; marked != (n.pool != nil) {
+				t.Errorf("node 0 marked=%v behind an owned injection VC, sharded=%v", marked, n.pool != nil)
+			}
+			flipQueueBit(n, 0)
 		}, "queue bitmap"},
 	}
 	for _, c := range cases {

@@ -61,6 +61,7 @@ func (n *Network) ensureFaults() *faultState {
 				!f.vcLocked[int(ch)*n.vcs+v]
 		}
 		n.faults = f
+		n.markQueues() // every waiting queue is scanned from here on
 	}
 	return n.faults
 }

@@ -350,7 +350,7 @@ func New(p Params) (*Network, error) {
 	}
 	for node := 0; node < t.Nodes(); node++ {
 		n.downstream[n.numNetVCs+node] = int32(node)
-		n.chOf[n.numNetVCs+node] = -1
+		n.chOf[n.numNetVCs+node] = int32(topology.None)
 	}
 	if mr, ok := p.Routing.(routing.MisroutingFAR); ok {
 		n.maxDeroutes = mr.MaxDeroutes
@@ -547,12 +547,8 @@ func (n *Network) compactActive() {
 // topology.None while it is still in the injection VC.
 func (n *Network) prevChannel(m *message.Message) topology.ChannelID {
 	// The header resides in the last hop; if that is a network VC, its
-	// channel is the last traversed one.
-	vc := m.Hops[len(m.Hops)-1].VC
-	if n.IsInjection(vc) {
-		return topology.None
-	}
-	return n.VCChannel(vc)
+	// channel is the last traversed one. chOf holds None for an injection VC.
+	return topology.ChannelID(n.chOf[m.Hops[len(m.Hops)-1].VC])
 }
 
 // derouteCount counts nonminimal hops taken so far (misrouting support).
@@ -659,7 +655,10 @@ func (n *Network) Absorb(m *message.Message) {
 // message, exclusive and consistent VC ownership (owner and slot tables
 // against every hop chain), buffer capacity limits, that the per-cycle
 // request state is back at its reset value (it runs between cycles), and
-// that the queue bitmap marks exactly the non-empty source queues.
+// that the queue bitmap marks exactly the source queues startInjections has
+// to scan: on the sequential engine the non-empty ones whose injection VC is
+// free, every non-empty one once a fault set exists; on the sharded engine
+// every non-empty one.
 // Messages are checked in stable ID order so failure output is
 // reproducible. It is O(active messages × path length + channels + nodes).
 func (n *Network) CheckInvariants() error {
@@ -724,9 +723,12 @@ func (n *Network) CheckInvariants() error {
 	for node := range n.queues {
 		w := n.queueWorker(node)
 		b := node - w.nodeLo
-		if marked, queued := w.qNodes[b>>6]>>(b&63)&1 != 0, n.queues[node].len() > 0; marked != queued {
-			return fmt.Errorf("network: queue bitmap says node %d queued=%v, its source queue holds %d",
-				node, marked, n.queues[node].len())
+		queued := n.queues[node].len()
+		free := n.owner[n.InjVC(node)] == nil
+		scan := queued > 0 && (free || n.faults != nil || n.pool != nil)
+		if marked := w.qNodes[b>>6]>>(b&63)&1 != 0; marked != scan {
+			return fmt.Errorf("network: queue bitmap says node %d scan=%v, its source queue holds %d (injection VC free=%v, fault set=%v, sharded=%v)",
+				node, marked, queued, free, n.faults != nil, n.pool != nil)
 		}
 	}
 	return nil

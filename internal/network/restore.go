@@ -93,6 +93,7 @@ func (n *Network) RestoreState(now int64, msgs []InjectedMessage) error {
 		}
 	}
 	n.nextID = maxID + 1
+	n.markQueues() // a queue may have been filled before its injection VC was taken
 	if err := n.CheckInvariants(); err != nil {
 		n.clearDynamic(now)
 		return fmt.Errorf("network: restored state invalid: %w", err)
@@ -109,10 +110,7 @@ func (n *Network) clearDynamic(now int64) {
 	for i := range n.queues {
 		n.queues[i] = msgQueue{}
 	}
-	clear(n.w0.qNodes)
-	for _, w := range n.workers {
-		clear(w.qNodes)
-	}
+	n.markQueues()
 	for i := range n.active {
 		n.active[i] = nil
 	}

@@ -144,10 +144,10 @@ type worker struct {
 	// the shard's channels with a pending transfer request; rxNodes and
 	// qNodes are indexed (node - nodeLo) — per worker, because two shards
 	// whose boundary is not a multiple of 64 would otherwise share a word —
-	// and mark a pending reception request and a non-empty source queue.
-	// Scanning them visits nodes in ascending order, the order ejection and
-	// injection effects must merge in. chBits and rxNodes are zero between
-	// cycles; qNodes persists with the queues.
+	// and mark a pending reception request and a source queue to scan (see
+	// scanQueue). Scanning them visits nodes in ascending order, the order
+	// ejection and injection effects must merge in. chBits and rxNodes are
+	// zero between cycles; qNodes persists with the queues.
 	chBits  []uint64
 	rxNodes []uint64
 	qNodes  []uint64
@@ -220,11 +220,7 @@ func (n *Network) Close() {
 	n.pool.close()
 	n.pool = nil
 	// The sequential worker scans the source queues from here on.
-	for node := range n.queues {
-		if n.queues[node].len() > 0 {
-			n.w0.qNodes[node>>6] |= 1 << (node & 63)
-		}
-	}
+	n.markQueues()
 }
 
 // queueWorker returns the worker whose startInjections scans node's source
@@ -236,13 +232,47 @@ func (n *Network) queueWorker(node int) *worker {
 	return n.workers[n.shardOfNode[node]]
 }
 
+// scanQueue reports whether startInjections has to visit node's source queue
+// when it holds something; the node's bit in qNodes is set exactly when both
+// hold. On a healthy sequential engine that is while the injection VC is
+// free: an owned one admits nothing until applyAndRelease frees it, which
+// marks the node again, so saturation does not pay for a scan of every
+// backlogged node. A fault set makes every waiting queue worth the visit (a
+// dead destination's message is dropped at the queue head whatever the
+// injection VC is doing), and the sharded engine visits them all because the
+// VC is released on the worm's shard and only the node's may write the bit.
+func (n *Network) scanQueue(node int) bool {
+	return n.owner[n.InjVC(node)] == nil || n.faults != nil || n.pool != nil
+}
+
+// markQueue sets node's bit in qNodes.
+func (n *Network) markQueue(node int) {
+	w := n.queueWorker(node)
+	b := node - w.nodeLo
+	w.qNodes[b>>6] |= 1 << (b & 63)
+}
+
+// markQueues rebuilds qNodes from the queues, for the moments scanQueue's
+// answer changes under every node at once.
+func (n *Network) markQueues() {
+	clear(n.w0.qNodes)
+	for _, w := range n.workers {
+		clear(w.qNodes)
+	}
+	for node := range n.queues {
+		if n.queues[node].len() > 0 && n.scanQueue(node) {
+			n.markQueue(node)
+		}
+	}
+}
+
 // enqueue appends m to node's source queue.
 func (n *Network) enqueue(node int, m *message.Message) {
 	n.queues[node].push(m)
 	n.queued++
-	w := n.queueWorker(node)
-	b := node - w.nodeLo
-	w.qNodes[b>>6] |= 1 << (b & 63)
+	if n.scanQueue(node) {
+		n.markQueue(node)
+	}
 }
 
 // --- Worker pool -------------------------------------------------------------
@@ -629,8 +659,8 @@ func (w *worker) absorbFlits(m *message.Message, k int) {
 }
 
 // startInjections moves queued messages of the shard's nodes into free
-// injection VCs, visiting only nodes with a non-empty queue. Node-keyed:
-// effects merge in node order.
+// injection VCs, visiting only the nodes qNodes marks. Node-keyed: effects
+// merge in node order.
 func (w *worker) startInjections() {
 	n := w.n
 	for i, word := range w.qNodes {
@@ -655,8 +685,8 @@ func (w *worker) startInjections() {
 			if n.owner[vc] != nil {
 				continue
 			}
-			w.dequeue(q, node)
 			n.acquire(m, vc)
+			w.dequeue(q, node)
 			m.Status = message.Active
 			m.InjectTime = n.now
 			if w.direct {
@@ -673,11 +703,11 @@ func (w *worker) startInjections() {
 }
 
 // dequeue pops the head of node's source queue q, clearing the node's qNodes
-// bit when that empties it.
+// bit when that empties it or the head just took the injection VC.
 func (w *worker) dequeue(q *msgQueue, node int) {
 	q.pop()
 	w.d.queued--
-	if q.len() == 0 {
+	if q.len() == 0 || !w.n.scanQueue(node) {
 		b := node - w.nodeLo
 		w.qNodes[b>>6] &^= 1 << (b & 63)
 	}
@@ -1061,6 +1091,11 @@ func (w *worker) applyAndRelease(msgs []*message.Message) {
 			vc := m.Hops[m.Released].VC
 			w.emitRes(ResRelease, m.ID, vc, nil)
 			n.owner[vc] = nil
+			if w.direct && n.IsInjection(vc) && n.queues[m.Src].len() > 0 {
+				// The sequential engine stopped scanning this queue when
+				// the VC was taken (see scanQueue).
+				n.markQueue(m.Src)
+			}
 			m.Released++
 			w.d.epoch++
 		}

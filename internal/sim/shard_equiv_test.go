@@ -19,6 +19,7 @@ import (
 	"flexsim/internal/obs"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
+	"flexsim/internal/topology"
 	"flexsim/internal/trace"
 )
 
@@ -157,6 +158,23 @@ func TestShardEquivalence(t *testing.T) {
 	}
 }
 
+// traceResultDigest is the SHA-256 of a trace stream followed by the run's
+// stats.Result with its two wall-clock histograms zeroed: what the
+// fault-mutation tests below pin to a digest taken on an older engine.
+func traceResultDigest(t *testing.T, evs []trace.Event, res *stats.Result) string {
+	t.Helper()
+	res.DetectBuildTime = stats.Histogram{}
+	res.DetectAnalyzeTime = stats.Histogram{}
+	h := sha256.New()
+	for _, ev := range evs {
+		fmt.Fprintf(h, "%+v\n", ev)
+	}
+	if err := json.NewEncoder(h).Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // parkedFaultDigest is the SHA-256 of TestParkedHeaderFaultMutation's trace
 // stream and stats.Result as produced by the engine that re-routed every
 // waiting header every cycle (commit f3157a8), before allocation was gated
@@ -211,16 +229,7 @@ func TestParkedHeaderFaultMutation(t *testing.T) {
 			}
 		}
 		res := r.Finish()
-		res.DetectBuildTime = stats.Histogram{}
-		res.DetectAnalyzeTime = stats.Histogram{}
-		h := sha256.New()
-		for _, ev := range log.evs {
-			fmt.Fprintf(h, "%+v\n", ev)
-		}
-		if err := json.NewEncoder(h).Encode(res); err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)); got != parkedFaultDigest {
+		if got := traceResultDigest(t, log.evs, res); got != parkedFaultDigest {
 			t.Errorf("shards=%d: trace+result digest %s, want %s (%d events, %d killed, %d deadlocks)",
 				shards, got, parkedFaultDigest, len(log.evs), res.Killed, res.Deadlocks)
 		}
@@ -346,18 +355,173 @@ func TestFrozenWormFaultMutation(t *testing.T) {
 			t.Fatalf("shards=%d: only %d of %d mutations applied", shards, next, len(script))
 		}
 		res := r.Finish()
-		res.DetectBuildTime = stats.Histogram{}
-		res.DetectAnalyzeTime = stats.Histogram{}
-		h := sha256.New()
-		for _, ev := range log.evs {
-			fmt.Fprintf(h, "%+v\n", ev)
-		}
-		if err := json.NewEncoder(h).Encode(res); err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)); got != frozenFaultDigest {
+		if got := traceResultDigest(t, log.evs, res); got != frozenFaultDigest {
 			t.Errorf("shards=%d: trace+result digest %s, want %s (%d events, %d killed, %d recovered, %d deadlocks)",
 				shards, got, frozenFaultDigest, len(log.evs), res.Killed, res.Recovered, res.Deadlocks)
+		}
+	}
+}
+
+// injectionGateDigest is the SHA-256 of TestInjectionGateFaultMutation's
+// trace stream and stats.Result as produced by the engine that visited every
+// non-empty source queue every cycle (commit d6ce13a), before the sequential
+// engine stopped scanning queues behind an owned injection VC.
+const injectionGateDigest = "97c821155cfb88dabba6979a64b4aa285d808528972ee5d06ab8793a57137276"
+
+// TestInjectionGateFaultMutation saturates DOR with one VC until most nodes
+// are backlogged behind an owned injection VC — the queues the sequential
+// engine no longer scans — and lands, between cycles, every mutation that
+// frees such a VC or needs such a queue looked at: an Absorb of a worm still
+// holding its injection VC (the release must mark the node again), the
+// failure of a waiting queue head's destination (the first fault: from it on
+// every waiting queue is scanned, and the head is dropped on the next cycle,
+// injection VC owned or not), the failure of a backlogged source, and a link
+// failure and repair under a worm. The outputs must stay byte-identical to
+// the engine that scanned every queue.
+func TestInjectionGateFaultMutation(t *testing.T) {
+	type kind int
+	const (
+		absorb      kind = iota // Absorb the first worm holding the injection VC of a backlogged node
+		headDstDown             // SetNodeDown(arg): a waiting queue head is addressed to arg
+		sourceDown              // SetNodeDown(arg): arg is backlogged behind its owned injection VC
+		linkDown                // SetLinkDown(arg): a worm holds the link's VC
+		linkUp
+	)
+	script := []struct {
+		cycle int64
+		kind  kind
+		arg   int
+	}{
+		{300, absorb, 0},
+		{340, headDstDown, 6},
+		{380, sourceDown, 9},
+		{420, linkDown, 7},
+		{460, linkUp, 7},
+	}
+	for _, shards := range []int{1, 4} {
+		cfg := equivBase()
+		cfg.Routing = "dor"
+		cfg.VCs = 1
+		cfg.CheckInvariants = true
+		cfg.Shards = shards
+		log := &eventLog{}
+		cfg.Tracer = log
+		r, err := sim.NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := r.Net
+		nodes := net.Topology().Nodes()
+		// The source queues, rebuilt from the trace: a Queued event enters
+		// one, an Injected event leaves it, and so does a Killed event for a
+		// message still in one (a queue head dropped for its dead
+		// destination).
+		backlog := make([]int, nodes)
+		queuedAt := map[message.ID]int{}
+		seen := 0
+		// update folds the new events in and returns the nodes whose queue
+		// head was dropped.
+		update := func() (dropped []int) {
+			for _, ev := range log.evs[seen:] {
+				node, waiting := queuedAt[ev.Msg]
+				switch {
+				case ev.Kind == trace.Queued:
+					backlog[ev.Node]++
+					queuedAt[ev.Msg] = ev.Node
+				case waiting && (ev.Kind == trace.Injected || ev.Kind == trace.Killed):
+					backlog[node]--
+					delete(queuedAt, ev.Msg)
+					if ev.Kind == trace.Killed {
+						dropped = append(dropped, node)
+					}
+				}
+			}
+			seen = len(log.evs)
+			return dropped
+		}
+		gated := func(node int) bool { return backlog[node] > 0 && net.Owner(net.InjVC(node)) != nil }
+		next := 0
+		// reached, set by a mutation, checks the next cycle's queue drops.
+		var reached func(dropped []int)
+		for i := 0; i < cfg.WarmupCycles+cfg.MeasureCycles; i++ {
+			if i == cfg.WarmupCycles {
+				r.StartMeasurement()
+			}
+			r.StepCycle()
+			dropped := update()
+			if reached != nil {
+				reached(dropped)
+				reached = nil
+			}
+			if next == len(script) || net.Now() != script[next].cycle {
+				continue
+			}
+			st := script[next]
+			next++
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("shards=%d cycle %d: %s; the case no longer tests what it claims",
+					shards, st.cycle, fmt.Sprintf(format, args...))
+			}
+			switch st.kind {
+			case absorb:
+				behind := 0
+				for node := 0; node < nodes; node++ {
+					if gated(node) {
+						behind++
+					}
+				}
+				if 2*behind <= nodes {
+					fail("only %d of %d nodes are backlogged behind an owned injection VC", behind, nodes)
+				}
+				i := slices.IndexFunc(net.ActiveMessages(), func(m *message.Message) bool {
+					return m.Status == message.Active && m.Released == 0 && gated(m.Src)
+				})
+				if i < 0 {
+					fail("no worm holds the injection VC of a backlogged node")
+				}
+				m := net.ActiveMessages()[i]
+				if net.Owner(net.InjVC(m.Src)) != m {
+					fail("%v does not own its source's injection VC", m)
+				}
+				net.Absorb(m)
+			case headDstDown:
+				if net.FaultsActive() != 0 {
+					fail("a fault set already exists")
+				}
+				var owned []int
+				for node := 0; node < nodes; node++ {
+					if gated(node) {
+						owned = append(owned, node)
+					}
+				}
+				net.SetNodeDown(st.arg)
+				reached = func(dropped []int) {
+					if !slices.ContainsFunc(dropped, func(node int) bool { return slices.Contains(owned, node) }) {
+						fail("no queue head behind an owned injection VC was dropped the cycle after node %d failed", st.arg)
+					}
+				}
+			case sourceDown:
+				if !gated(st.arg) {
+					fail("node %d is not backlogged behind an owned injection VC", st.arg)
+				}
+				net.SetNodeDown(st.arg)
+			case linkDown:
+				if net.Owner(net.NetVC(topology.ChannelID(st.arg), 0)) == nil {
+					fail("no worm holds channel %d", st.arg)
+				}
+				net.SetLinkDown(topology.ChannelID(st.arg))
+			case linkUp:
+				net.SetLinkUp(topology.ChannelID(st.arg))
+			}
+		}
+		if next != len(script) {
+			t.Fatalf("shards=%d: only %d of %d mutations applied", shards, next, len(script))
+		}
+		res := r.Finish()
+		if got := traceResultDigest(t, log.evs, res); got != injectionGateDigest {
+			t.Errorf("shards=%d: trace+result digest %s, want %s (%d events, %d killed, %d recovered, %d deadlocks)",
+				shards, got, injectionGateDigest, len(log.evs), res.Killed, res.Recovered, res.Deadlocks)
 		}
 	}
 }

@@ -51,6 +51,10 @@ type Torus struct {
 	nodes         int
 	dirs          int   // 1 or 2
 	strides       []int // strides[d] = k^d, for coordinate math
+	// coords[node*n+d] is node's coordinate along dimension d. Routing asks
+	// for coordinates on every header move; reading them here instead of
+	// computing node / k^d % k keeps division out of the cycle.
+	coords []int32
 }
 
 // New constructs a k-ary n-cube torus. k must be at least 2 and n at least 1.
@@ -99,8 +103,20 @@ func build(k, n int, bidirectional, wrap bool) (*Torus, error) {
 	if bidirectional {
 		dirs = 2
 	}
+	// Node ids count in base k, dimension 0 fastest: each row is the one
+	// before it plus one, with carry.
+	coords := make([]int32, nodes*n)
+	for i := n; i < len(coords); i += n {
+		c := coords[i : i+n]
+		copy(c, coords[i-n:i])
+		d := 0
+		for ; int(c[d]) == k-1; d++ {
+			c[d] = 0
+		}
+		c[d]++
+	}
 	return &Torus{k: k, n: n, bidirectional: bidirectional, wrap: wrap,
-		nodes: nodes, dirs: dirs, strides: strides}, nil
+		nodes: nodes, dirs: dirs, strides: strides, coords: coords}, nil
 }
 
 // MustNew is New but panics on error; intended for tests and examples with
@@ -150,7 +166,7 @@ func (t *Torus) Coord(node int, buf []int) []int {
 // CoordOf returns the coordinate of node along dimension dim without
 // materializing the full coordinate vector.
 func (t *Torus) CoordOf(node, dim int) int {
-	return node / t.strides[dim] % t.k
+	return int(t.coords[node*t.n+dim])
 }
 
 // Node returns the node id with the given coordinates. Coordinates are
@@ -218,7 +234,7 @@ func (t *Torus) ChannelExists(c ChannelID) bool {
 	if t.wrap {
 		return true
 	}
-	coord := t.CoordOf(t.ChannelSrc(c), t.ChannelDim(c))
+	coord := t.channelCoord(c)
 	if t.ChannelDir(c) == Plus {
 		return coord != t.k-1
 	}
@@ -241,7 +257,12 @@ func (t *Torus) ChannelSrc(c ChannelID) int { return int(c) / (t.n * t.dirs) }
 func (t *Torus) ChannelDim(c ChannelID) int { return int(c) / t.dirs % t.n }
 
 // ChannelDir returns the direction the channel travels in.
-func (t *Torus) ChannelDir(c ChannelID) Direction { return Direction(int(c) % t.dirs) }
+func (t *Torus) ChannelDir(c ChannelID) Direction { return Direction(int(c) & (t.dirs - 1)) }
+
+// channelCoord returns the coordinate of the channel's source node along the
+// channel's dimension: a channel id is (node*n+dim)*dirs + dir, so dropping
+// the direction leaves the index into coords.
+func (t *Torus) channelCoord(c ChannelID) int { return int(t.coords[int(c)>>(t.dirs-1)]) }
 
 // ChannelDst returns the node the channel arrives at.
 func (t *Torus) ChannelDst(c ChannelID) int {
@@ -276,7 +297,7 @@ func (t *Torus) CrossesDateline(c ChannelID) bool {
 	if !t.wrap {
 		return false // meshes have no wraparound links
 	}
-	coord := t.CoordOf(t.ChannelSrc(c), t.ChannelDim(c))
+	coord := t.channelCoord(c)
 	if t.ChannelDir(c) == Plus {
 		return coord == t.k-1
 	}
