@@ -17,7 +17,9 @@
 //
 // FLEXSIM_BENCH_SHARDS_OUT=BENCH_shards.json go test -run TestEmitShardBench .
 // re-measures every point with testing.Benchmark and writes the
-// machine-readable trajectory file (ns/cycle, allocs/op, speedup-vs-1-shard).
+// machine-readable trajectory file (ns/cycle, allocs/op, speedup-vs-1-shard);
+// FLEXSIM_BENCH_COMPARE=1 go test -run TestBenchCompare . holds Shards1
+// against it.
 package flexsim_test
 
 import (
@@ -187,4 +189,57 @@ func TestEmitShardBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", out)
+}
+
+// TestBenchCompare is the CI bench-compare gate: with FLEXSIM_BENCH_COMPARE=1
+// it re-measures the obs-off 1-shard cycle and compares it against the
+// baseline file ($FLEXSIM_BENCH_BASELINE, default BENCH_shards.json).
+// Allocations are deterministic, so any allocs/op growth fails on every
+// machine; the >5% ns/cycle gate applies only when the baseline came from
+// the same machine class (equal GOARCH and CPU count) — wall-clock numbers
+// from a different machine are not comparable and are only logged.
+func TestBenchCompare(t *testing.T) {
+	if os.Getenv("FLEXSIM_BENCH_COMPARE") == "" {
+		t.Skip("set FLEXSIM_BENCH_COMPARE=1 to run the bench-compare gate")
+	}
+	path := os.Getenv("FLEXSIM_BENCH_BASELINE")
+	if path == "" {
+		path = "BENCH_shards.json"
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("bench baseline: %v", err)
+	}
+	var base shardBenchFile
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatalf("bench baseline %s: %v", path, err)
+	}
+	var ref *shardBenchPoint
+	for i := range base.Points {
+		if base.Points[i].Shards == 1 {
+			ref = &base.Points[i]
+		}
+	}
+	if ref == nil {
+		t.Fatalf("baseline %s has no 1-shard point", path)
+	}
+
+	res := testing.Benchmark(func(b *testing.B) { benchSimCycleShards(b, 1) })
+	ns := float64(res.NsPerOp())
+	t.Logf("obs-off SimCycleShards1: %.0f ns/cycle, %d allocs/op (baseline %.0f ns, %d allocs from %s/%d-cpu)",
+		ns, res.AllocsPerOp(), ref.NsPerCycle, ref.AllocsPerOp, base.GOARCH, base.NumCPU)
+
+	if res.AllocsPerOp() > ref.AllocsPerOp {
+		t.Errorf("allocs/op grew: %d > baseline %d — the disabled hot path is no longer allocation-identical",
+			res.AllocsPerOp(), ref.AllocsPerOp)
+	}
+	sameMachine := base.GOARCH == runtime.GOARCH && base.NumCPU == runtime.NumCPU()
+	if !sameMachine {
+		t.Logf("baseline machine differs (%s/%d-cpu vs %s/%d-cpu); ns gate skipped, allocs gate enforced",
+			base.GOARCH, base.NumCPU, runtime.GOARCH, runtime.NumCPU())
+		return
+	}
+	if ns > 1.05*ref.NsPerCycle {
+		t.Errorf("obs-off SimCycleShards1 regressed >5%%: %.0f ns/cycle vs baseline %.0f", ns, ref.NsPerCycle)
+	}
 }

@@ -28,22 +28,19 @@ import (
 // Values holds the flags shared by both CLIs: run control (timeout), the
 // content-addressed result cache (-cache-dir/-resume), interval metrics,
 // the observability artifacts (Perfetto spans, VC heatmap, formation
-// forensics, engine profiling), the HTTP introspection endpoint, and
-// profiling.
+// forensics), the HTTP introspection endpoint, and profiling.
 type Values struct {
-	Timeout          time.Duration
-	CacheDir         string
-	Resume           bool
-	MetricsOut       string
-	MetricsEvery     int
-	SpansOut         string
-	HeatmapOut       string
-	ForensicsDepth   int
-	ProfileEngine    bool
-	ProfileEngineOut string
-	HTTPAddr         string
-	CPUProfile       string
-	MemProfile       string
+	Timeout        time.Duration
+	CacheDir       string
+	Resume         bool
+	MetricsOut     string
+	MetricsEvery   int
+	SpansOut       string
+	HeatmapOut     string
+	ForensicsDepth int
+	HTTPAddr       string
+	CPUProfile     string
+	MemProfile     string
 }
 
 // Def is one row of a flag table: the flag's name, its help text, and the
@@ -68,21 +65,13 @@ var Common = []Def[*Values]{
 		func(fs *flag.FlagSet, v *Values, usage string) {
 			fs.IntVar(&v.MetricsEvery, "metrics-every", obs.DefaultEvery, usage)
 		}},
-	{"spans-out", "write each run as a Chrome trace-event (Perfetto) JSON file of per-message spans, detector passes and engine worker lanes (charsweep writes one file per run)",
+	{"spans-out", "write each run as a Chrome trace-event (Perfetto) JSON file of per-message spans and detector passes (charsweep writes one file per run)",
 		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.SpansOut, "spans-out", "", usage) }},
 	{"heatmap-out", "write a per-VC occupancy/block heatmap CSV after each run (charsweep writes one file per run)",
 		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.HeatmapOut, "heatmap-out", "", usage) }},
 	{"forensics-depth", "resource-event ring size for deadlock formation replay (0 = off; incidents gain formation metrics)",
 		func(fs *flag.FlagSet, v *Values, usage string) {
 			fs.IntVar(&v.ForensicsDepth, "forensics-depth", 0, usage)
-		}},
-	{"profile-engine", "profile the parallel cycle engine (per-shard phase timings, barrier stalls, cross-shard traffic) and print an imbalance report to stderr",
-		func(fs *flag.FlagSet, v *Values, usage string) {
-			fs.BoolVar(&v.ProfileEngine, "profile-engine", false, usage)
-		}},
-	{"profile-engine-out", "write the engine profile report as JSON to this file (implies -profile-engine)",
-		func(fs *flag.FlagSet, v *Values, usage string) {
-			fs.StringVar(&v.ProfileEngineOut, "profile-engine-out", "", usage)
 		}},
 	{"http", "serve /metrics, /healthz and /progress on this address while running",
 		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.HTTPAddr, "http", "", usage) }},
@@ -417,14 +406,12 @@ func (v *Values) OpenCache() (*runner.Cache, error) {
 
 // Instrumentation builds what the observability flags select — the one
 // place either CLI turns -metrics-out/-metrics-every, -spans-out,
-// -heatmap-out, -forensics-depth and -profile-engine/-profile-engine-out
-// into a sim.Instrumentation, creating the metrics file. perRun is set by a
-// caller that runs more than one simulation with the value: the artifact
-// paths then get a "*" (which sim expands to a per-run stem) so concurrent
-// runs do not clobber each other; the metrics sink and the engine profile
-// are concurrency-safe and shared. The returned function ends the
-// instrumented work: it renders the engine report (text to stderr, JSON to
-// -profile-engine-out) and flushes and closes the metrics file.
+// -heatmap-out and -forensics-depth into a sim.Instrumentation, creating the
+// metrics file. perRun is set by a caller that runs more than one simulation
+// with the value: the artifact paths then get a "*" (which sim expands to a
+// per-run stem) so concurrent runs do not clobber each other; the metrics
+// sink is concurrency-safe and shared. The returned function ends the
+// instrumented work: it flushes and closes the metrics file.
 func (v *Values) Instrumentation(perRun bool) (sim.Instrumentation, func() error, error) {
 	in := sim.Instrumentation{
 		ForensicsDepth: v.ForensicsDepth,
@@ -434,61 +421,22 @@ func (v *Values) Instrumentation(perRun bool) (sim.Instrumentation, func() error
 	if perRun {
 		in.SpansPath, in.HeatmapPath = perRunPath(in.SpansPath), perRunPath(in.HeatmapPath)
 	}
-	var prof *obs.EngineProfile
-	if v.ProfileEngine || v.ProfileEngineOut != "" {
-		prof = &obs.EngineProfile{}
-		in.ProfileEngine, in.EngineSink = true, prof
+	if v.MetricsOut == "" {
+		return in, func() error { return nil }, nil
 	}
-	closeSink := func() error { return nil }
-	if v.MetricsOut != "" {
-		f, err := os.Create(v.MetricsOut)
-		if err != nil {
-			return in, nil, err
-		}
-		sink, flush := obs.SinkFor(v.MetricsOut, f)
-		in.MetricsSink, in.MetricsEvery = sink, v.MetricsEvery
-		closeSink = func() error { return closeAfter(f, flush()) }
-	}
-	return in, func() error {
-		var err error
-		if prof != nil {
-			err = v.writeEngineProfile(prof.Report())
-		}
-		if cerr := closeSink(); err == nil {
-			err = cerr
-		}
-		return err
-	}, nil
-}
-
-// closeAfter closes f and returns werr, the error of the write before it,
-// or else the close's own.
-func closeAfter(f *os.File, werr error) error {
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// writeEngineProfile renders the end-of-run engine report: the text table
-// to stderr, and — when -profile-engine-out is set — the JSON form to that
-// file.
-func (v *Values) writeEngineProfile(rep *obs.EngineReport) error {
-	if err := rep.WriteText(os.Stderr); err != nil {
-		return err
-	}
-	if v.ProfileEngineOut == "" {
-		return nil
-	}
-	f, err := os.Create(v.ProfileEngineOut)
+	f, err := os.Create(v.MetricsOut)
 	if err != nil {
-		return err
+		return in, nil, err
 	}
-	if err := closeAfter(f, rep.WriteJSON(f)); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "engine profile written to %s\n", v.ProfileEngineOut)
-	return nil
+	sink, flush := obs.SinkFor(v.MetricsOut, f)
+	in.MetricsSink, in.MetricsEvery = sink, v.MetricsEvery
+	return in, func() error {
+		werr := flush()
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
+		}
+		return werr
+	}, nil
 }
 
 // perRunPath makes an artifact path safe for a multi-run sweep: if the

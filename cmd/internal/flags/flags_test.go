@@ -25,7 +25,6 @@ func TestBindFlexsimSurface(t *testing.T) {
 		"-k", "8", "-vcs", "3", "-routing", "dor", "-load", "0.9",
 		"-uni", "-no-recover", "-census",
 		"-spans-out", "trace.json", "-forensics-depth", "4096", "-heatmap-out", "heat.csv",
-		"-profile-engine", "-profile-engine-out", "engine.json",
 		"-timeout", "90s", "-cache-dir", "/tmp/c", "-resume=false",
 	})
 	if err != nil {
@@ -42,16 +41,13 @@ func TestBindFlexsimSurface(t *testing.T) {
 	if v.SpansOut != "trace.json" || v.HeatmapOut != "heat.csv" {
 		t.Errorf("observability outputs misbound: %+v", v)
 	}
-	if !v.ProfileEngine || v.ProfileEngineOut != "engine.json" {
-		t.Errorf("engine profiling flags misbound: %+v", v)
-	}
 	// A single run owns its artifact paths as given.
 	in, _, err := v.Instrumentation(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if in.SpansPath != "trace.json" || in.HeatmapPath != "heat.csv" || in.ForensicsDepth != 4096 ||
-		!in.ProfileEngine || in.EngineSink == nil || in.MetricsSink != nil || in.MetricsEvery != 0 {
+		in.ProfileEngine || in.MetricsSink != nil || in.MetricsEvery != 0 {
 		t.Errorf("Instrumentation(false) = %+v", in)
 	}
 	if cfg.Bidirectional || cfg.Recover || !cfg.CycleCensus {
@@ -74,7 +70,6 @@ func TestBindCharsweepSurface(t *testing.T) {
 		"-experiment", "fig5", "-quick", "-loads", "0.2, 0.6,1.0",
 		"-parallel", "4", "-timeout", "1m",
 		"-spans-out", "traces/run.json", "-heatmap-out", "heat.csv", "-forensics-depth", "1024",
-		"-profile-engine",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +87,7 @@ func TestBindCharsweepSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	if in.SpansPath != "traces/run-*.json" || in.HeatmapPath != "heat-*.csv" || in.ForensicsDepth != 1024 ||
-		!in.ProfileEngine || in.EngineSink == nil {
+		in.ProfileEngine {
 		t.Errorf("Instrumentation(true) = %+v", in)
 	}
 	if !v.Resume {

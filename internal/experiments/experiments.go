@@ -51,7 +51,7 @@ type Options struct {
 	OnPoint func(p core.Point)
 	// Instrumentation is attached to every run of the experiment (see
 	// sim.Instrumentation). Its sinks are shared by concurrent runs and must
-	// be concurrency-safe (obs.EngineProfile and the obs file sinks are); its
+	// be concurrency-safe (the obs file sinks are); its
 	// SpansPath/HeatmapPath should contain a "*" so each run writes its own
 	// file. A cached run contributes nothing to any of it.
 	Instrumentation sim.Instrumentation

@@ -1,15 +1,10 @@
 // Package jsonlog is the one append-only JSONL file under the result store,
 // the coordinator journal and the fleet span log. DESIGN.md, "Append-only
 // logs", states the rule the three share: one write(2) per record on an
-// O_APPEND descriptor, a torn tail healed by the next Append, complete lines
-// only from Scan. A torn tail is never an error: unterminated it is not
-// delivered, healed it is a line that does not decode, which all three
-// callers skip.
-//
-// The residual case: a live appender cannot see another process tear the
-// tail after its own first Append, so its next record is lost to the glued
-// line. Only the multi-writer store can hit that, and it costs one
-// recomputed point; the journal and the span log have one writer.
+// O_APPEND descriptor under an exclusive flock, a torn tail healed by the
+// next Append, complete lines only from Scan. A torn tail is never an error:
+// unterminated it is not delivered, healed it is a line that does not
+// decode, which all three callers skip.
 package jsonlog
 
 import (
@@ -19,17 +14,17 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"syscall"
 )
 
 // Log is one open JSONL file. All methods are safe for concurrent use.
 type Log struct {
 	f *os.File
 
-	mu    sync.Mutex // Append, Scan (held across fn) and Close
-	clean bool       // the file was seen to end in '\n' and no write of ours failed since
-	err   error      // first Append or Close failure
-	off   int64      // Scan has consumed [0, off): complete lines only
-	buf   []byte     // Scan's read buffer, kept between calls
+	mu  sync.Mutex // Append, Scan (held across fn) and Close
+	err error      // first Append or Close failure
+	off int64      // Scan has consumed [0, off): complete lines only
+	buf []byte     // Scan's read buffer, kept between calls
 }
 
 // Open opens path for appending and scanning, creating it if needed.
@@ -47,21 +42,27 @@ func (l *Log) Append(record []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	err := l.append(record)
-	l.clean = err == nil
 	if l.err == nil {
 		l.err = err
 	}
 	return err
 }
 
+// append holds an exclusive flock on the file across the tail check and the
+// write. Every appender takes it, so an unterminated tail seen under it is a
+// tear, never another handle's line in flight; a writer that dies holding it
+// releases it with its descriptor.
 func (l *Log) append(record []byte) error {
+	fd := int(l.f.Fd())
+	if err := syscall.Flock(fd, syscall.LOCK_EX); err != nil {
+		return &os.PathError{Op: "flock", Path: l.f.Name(), Err: err}
+	}
+	defer syscall.Flock(fd, syscall.LOCK_UN)
 	line := make([]byte, 0, len(record)+2)
-	if !l.clean {
-		if torn, err := l.tornTail(); err != nil {
-			return err
-		} else if torn {
-			line = append(line, '\n')
-		}
+	if torn, err := l.tornTail(); err != nil {
+		return err
+	} else if torn {
+		line = append(line, '\n')
 	}
 	line = append(append(line, record...), '\n')
 	_, err := l.f.Write(line) // non-nil on a short write

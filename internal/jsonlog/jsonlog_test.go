@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func open(t testing.TB, path string) *Log {
@@ -97,8 +99,47 @@ func TestLargeRecord(t *testing.T) {
 	}
 }
 
-// TestAppendErrorKeptForClose: a failed append is returned, makes the next
-// append re-check the tail, and is what Close reports.
+// TestAppendWaitsForLockedWriter: a line another descriptor is still
+// writing under the lock is not a tear. Healing it would split the record
+// (TestCacheMultiProcessAppend's blank line); Append must wait for the lock
+// and then find a terminated tail.
+func TestAppendWaitsForLockedWriter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	w, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := syscall.Flock(int(w.Fd()), syscall.LOCK_EX); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteString(`{"half":`); err != nil {
+		t.Fatal(err)
+	}
+	l := open(t, path)
+	done := make(chan error, 1)
+	go func() { done <- l.Append([]byte(`{"b":2}`)) }()
+	select {
+	case err := <-done:
+		t.Fatalf("Append did not wait for the writer holding the lock (err %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if _, err := w.WriteString("1}\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Flock(int(w.Fd()), syscall.LOCK_UN); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "{\"half\":1}\n{\"b\":2}\n" {
+		t.Fatalf("file bytes: %q, want exactly the two records", b)
+	}
+}
+
+// TestAppendErrorKeptForClose: a failed append is returned and is what
+// Close reports.
 func TestAppendErrorKeptForClose(t *testing.T) {
 	l := open(t, filepath.Join(t.TempDir(), "log.jsonl"))
 	if err := l.Append([]byte("a")); err != nil {
@@ -108,9 +149,6 @@ func TestAppendErrorKeptForClose(t *testing.T) {
 	err := l.Append([]byte("b"))
 	if err == nil {
 		t.Fatal("append on a closed descriptor succeeded")
-	}
-	if l.clean {
-		t.Fatal("a failed append left the handle trusting the tail")
 	}
 	if cerr := l.Close(); cerr != err {
 		t.Fatalf("Close = %v, want the append's %v", cerr, err)

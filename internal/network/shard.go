@@ -453,7 +453,7 @@ func (n *Network) mergeNodeEffects() {
 // stepSequential runs the cycle on the single direct worker: kernels apply
 // every effect inline, exactly the classic one-goroutine engine. With es
 // attached the same four phase groups the parallel launches run are timed as
-// shard 0; barrier stall and mailbox traffic are structurally zero in direct
+// shard 0; barrier idle and mailbox traffic are structurally zero in direct
 // mode, and the phase split still answers "where does a cycle go".
 func (n *Network) stepSequential(es *EngineStats) {
 	w := n.w0
@@ -472,9 +472,6 @@ func (n *Network) stepSequential(es *EngineStats) {
 	w.flushCounters()
 	n.compactActive()
 	es.lap(3, t)
-	if es != nil {
-		es.Cycles++
-	}
 }
 
 // Kernels for the four parallel launches. Package-level so handing them to
@@ -516,8 +513,8 @@ func stageApplyRelease(w *worker) {
 // stepParallel runs the cycle as four barrier-separated launches over the
 // worker pool, merging buffered effects and exchanging mailboxes between
 // launches on the coordinator goroutine. With es attached, each barrier's
-// worker durations, the mailboxes while they are full and the coordinator's
-// merge/absorb time are folded into it (launched/merged are no-ops on nil).
+// worker durations and the mailboxes while they are full are folded into it
+// (launched is a no-op on nil).
 func (n *Network) stepParallel(es *EngineStats) {
 	n.partition()
 
@@ -525,19 +522,17 @@ func (n *Network) stepParallel(es *EngineStats) {
 	// (node-keyed). Sequential order is all drain events then all
 	// injection events, so merge fxMsg before fxNode.
 	n.pool.runStage(stageDrainInject)
-	t := es.launched(0, n.workers)
+	es.launched(0, n.workers)
 	n.mergeMsgEffects()
 	n.absorbInjected()
 	n.mergeNodeEffects()
-	es.merged(t)
 
 	// Launch 2: VC allocation + transfer planning (both message-keyed;
 	// allocation conflicts are shard-local, remote transfer requests go
 	// to the reqOut mailboxes).
 	n.pool.runStage(stageAllocPlan)
-	t = es.launched(1, n.workers)
+	es.launched(1, n.workers)
 	n.mergeMsgEffects()
-	es.merged(t)
 	n.blocked = 0
 	for _, w := range n.workers {
 		n.blocked += w.d.blocked
@@ -547,24 +542,19 @@ func (n *Network) stepParallel(es *EngineStats) {
 	// Launch 3: per-channel and per-node arbitration + ejection. Grants
 	// whose message another shard owns go to the grantOut mailboxes.
 	n.pool.runStage(stageArbEject)
-	t = es.launched(2, n.workers)
+	es.launched(2, n.workers)
 	n.mergeNodeEffects()
-	es.merged(t)
 
 	// Launch 4: commit granted transfers, stream source flits, release
 	// drained VCs and retire completed messages.
 	n.pool.runStage(stageApplyRelease)
-	t = es.launched(3, n.workers)
+	es.launched(3, n.workers)
 	n.mergeMsgEffects()
-	es.merged(t)
 
 	for _, w := range n.workers {
 		w.flushCounters()
 	}
 	n.compactActive()
-	if es != nil {
-		es.Cycles++
-	}
 }
 
 // partition assigns every active message to the shard owning its header

@@ -54,15 +54,6 @@ type Gauges struct {
 	// messages fault injection removed from the network.
 	FaultsActive int
 	MsgsKilled   int64
-	// Engine telemetry (zero unless engine profiling is enabled — see
-	// sim.Config.ProfileEngine). EngineBusyNs is cumulative kernel wall
-	// time across shards and phases and EngineStallNs the cumulative
-	// slowest-minus-median barrier stall; both are wall-clock measurements
-	// and therefore nondeterministic. EngineCrossShard is the cumulative
-	// cross-shard mailbox transfer count — exact and deterministic.
-	EngineBusyNs     int64
-	EngineStallNs    int64
-	EngineCrossShard int64
 }
 
 // gauge declares one field of Gauges for export, and is the only place the
@@ -92,7 +83,4 @@ var gauges = [...]gauge{
 	{"gated", "flexsim_detector_gated_total", "counter", "Detector passes skipped by change-gating.", func(g *Gauges) int64 { return g.Gated }},
 	{"faults_active", "flexsim_faults_active", "gauge", "Currently failed resources (links, VCs, nodes).", func(g *Gauges) int64 { return int64(g.FaultsActive) }},
 	{"msgs_killed_by_fault", "flexsim_fault_killed_messages_total", "counter", "Messages removed by fault injection.", func(g *Gauges) int64 { return g.MsgsKilled }},
-	{"eng_busy_ns", "flexsim_engine_busy_ns_total", "counter", "Engine kernel wall time across shards and phases (requires engine profiling).", func(g *Gauges) int64 { return g.EngineBusyNs }},
-	{"eng_stall_ns", "flexsim_engine_stall_ns_total", "counter", "Barrier stall (slowest minus median shard) across launches.", func(g *Gauges) int64 { return g.EngineStallNs }},
-	{"eng_xshard", "flexsim_engine_cross_shard_total", "counter", "Cross-shard mailbox transfers (requests plus grants).", func(g *Gauges) int64 { return g.EngineCrossShard }},
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -64,6 +65,24 @@ func TestCSVSinkSchemaAndQuoting(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[2], "plain,10,1,100,10,3,7,120,40,2,50,2,20,5") {
 		t.Errorf("plain row = %q", lines[2])
+	}
+}
+
+// TestResultsSampleHeader: the committed sample series has the header the
+// CSV sink writes today, so a column change cannot leave it stale (the
+// command that regenerates it is in results/README.md).
+func TestResultsSampleHeader(t *testing.T) {
+	data, err := os.ReadFile("../../results/quick-metrics.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	r := NewRecorder(100)
+	r.Record(sample(100))
+	NewCSVSink(&b).Run(RunMeta{}, r)
+	want, _, _ := strings.Cut(b.String(), "\n")
+	if got, _, _ := strings.Cut(string(data), "\n"); got != want {
+		t.Errorf("results/quick-metrics.csv header\n  %s\nwant the CSV sink's\n  %s\nregenerate it with the command in results/README.md", got, want)
 	}
 }
 

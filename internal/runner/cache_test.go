@@ -78,7 +78,7 @@ func TestKeySensitivity(t *testing.T) {
 // field of sim.Instrumentation — whatever is added to it — set to a non-zero
 // value leaves the key at the golden.
 func TestKeyIgnoresObservability(t *testing.T) {
-	stubs := []any{&trace.Ring{}, obs.NewCSVSink(&bytes.Buffer{}), &obs.EngineProfile{}}
+	stubs := []any{&trace.Ring{}, obs.NewCSVSink(&bytes.Buffer{})}
 	c := sim.Default()
 	v := reflect.ValueOf(&c.Instrumentation).Elem()
 	for i := 0; i < v.NumField(); i++ {

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"flexsim/internal/obs"
 )
 
 // profCfg is a small 4-shard configuration that drives enough traffic for
@@ -22,33 +20,16 @@ func profCfg() Config {
 	return c
 }
 
-// TestRunProfileEngine: the full -profile-engine path — ProfileEngine with
-// an EngineSink plus run-owned Perfetto and heatmap files — produces a
-// populated report, a valid pid-3 engine lane, and the heatmap CSV.
-func TestRunProfileEngine(t *testing.T) {
+// TestRunOwnedArtifacts: run-owned Perfetto and heatmap files expand their
+// "*" to one file each, the trace a valid array with no engine (pid 3)
+// events and the heatmap a CSV with its header.
+func TestRunOwnedArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	prof := &obs.EngineProfile{}
 	c := profCfg()
-	c.ProfileEngine = true
-	c.EngineSink = prof
 	c.SpansPath = filepath.Join(dir, "trace-*.json")
 	c.HeatmapPath = filepath.Join(dir, "heat-*.csv")
 	if _, err := Run(c); err != nil {
 		t.Fatal(err)
-	}
-
-	rep := prof.Report()
-	if rep.Runs != 1 || rep.Shards != 4 {
-		t.Fatalf("report header: %d runs, %d shards", rep.Runs, rep.Shards)
-	}
-	if rep.Cycles != 450 {
-		t.Errorf("Cycles = %d, want 450 (warmup+measure)", rep.Cycles)
-	}
-	if rep.BusyNs <= 0 || rep.WallNs <= 0 {
-		t.Errorf("no engine time recorded: busy %d, wall %d", rep.BusyNs, rep.WallNs)
-	}
-	if rep.CrossShardGrants == 0 {
-		t.Error("no cross-shard grants in a 4-shard all-shard-pair run")
 	}
 
 	matches, err := filepath.Glob(filepath.Join(dir, "trace-*.json"))
@@ -63,14 +44,10 @@ func TestRunProfileEngine(t *testing.T) {
 	if err := json.Unmarshal(raw, &events); err != nil {
 		t.Fatalf("spans file is not a JSON array: %v", err)
 	}
-	engine := 0
 	for _, e := range events {
-		if e["pid"].(float64) == 3 && e["ph"] == "X" {
-			engine++
+		if e["pid"].(float64) == 3 {
+			t.Fatalf("engine lane event in the Perfetto export: %v", e)
 		}
-	}
-	if engine == 0 {
-		t.Error("no pid-3 engine slices in the Perfetto export")
 	}
 
 	heat, err := filepath.Glob(filepath.Join(dir, "heat-*.csv"))
@@ -86,77 +63,33 @@ func TestRunProfileEngine(t *testing.T) {
 	}
 }
 
-// TestRunProfileEngineSequential: ProfileEngine on a 1-shard run uses the
-// profiled sequential driver — phase timings accrue to shard 0 with no
-// cross-shard traffic — and results are identical to an unprofiled run.
+// TestRunProfileEngineSequential: ProfileEngine attaches the engine's
+// telemetry — phase time accrues on a 1-shard run — and does not change the
+// Result.
 func TestRunProfileEngineSequential(t *testing.T) {
-	prof := &obs.EngineProfile{}
-	c := profCfg()
-	c.Shards = 1
-	c.ProfileEngine = true
-	c.EngineSink = prof
-	res, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := prof.Report()
-	if rep.Shards != 1 || rep.BusyNs <= 0 {
-		t.Fatalf("sequential profile: %d shards, busy %d", rep.Shards, rep.BusyNs)
-	}
-	if rep.CrossShardRequests != 0 || rep.CrossShardGrants != 0 {
-		t.Errorf("sequential run moved cross-shard traffic: %d/%d",
-			rep.CrossShardRequests, rep.CrossShardGrants)
-	}
-
-	plain := profCfg()
-	plain.Shards = 1
-	base, err := Run(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != base.Delivered || res.Deadlocks != base.Deadlocks {
-		t.Errorf("profiling changed results: %d/%d delivered, %d/%d deadlocks",
-			res.Delivered, base.Delivered, res.Deadlocks, base.Deadlocks)
-	}
-}
-
-// TestEngineGaugesInMetrics: with ProfileEngine on, interval samples carry
-// nonzero engine gauges; with it off, the columns stay exactly zero (the
-// shard-determinism CI diff depends on that).
-func TestEngineGaugesInMetrics(t *testing.T) {
-	run := func(profile bool) []obs.Gauges {
-		rec := &capture{}
+	run := func(profile bool) (*Runner, int64, int64, int64) {
 		c := profCfg()
+		c.Shards = 1
 		c.ProfileEngine = profile
-		c.MetricsEvery = 100
-		c.MetricsSink = rec
-		if _, err := Run(c); err != nil {
+		r, err := NewRunner(c)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return rec.samples
+		res := r.Run()
+		return r, res.Delivered, res.Deadlocks, res.SumLatency
 	}
-	var busy, stall, xshard int64
-	for _, g := range run(true) {
-		busy += g.EngineBusyNs
-		stall += g.EngineStallNs
-		xshard += g.EngineCrossShard
+	r, d1, k1, l1 := run(true)
+	es := r.Net.EngineStatsAttached()
+	if es == nil || es.Shards != 1 || es.TotalWallNs() <= 0 {
+		t.Fatalf("profiled run attached %+v, want 1-shard stats with phase time", es)
 	}
-	if busy == 0 || xshard == 0 {
-		t.Errorf("profiled run recorded busy=%d stall=%d xshard=%d", busy, stall, xshard)
+	plain, d0, k0, l0 := run(false)
+	if plain.Net.EngineStatsAttached() != nil {
+		t.Error("unprofiled run attached engine stats")
 	}
-	for _, g := range run(false) {
-		if g.EngineBusyNs != 0 || g.EngineStallNs != 0 || g.EngineCrossShard != 0 {
-			t.Fatalf("unprofiled run leaked engine gauges: %+v", g)
-		}
-	}
-}
-
-// capture is a RunSink retaining every sample for assertions.
-type capture struct{ samples []obs.Gauges }
-
-func (c *capture) Run(meta obs.RunMeta, rec *obs.Recorder) {
-	for i := 0; i < rec.Len(); i++ {
-		c.samples = append(c.samples, rec.At(i))
+	if d1 != d0 || k1 != k0 || l1 != l0 {
+		t.Errorf("profiling changed results: delivered %d/%d, deadlocks %d/%d, latency sum %d/%d",
+			d1, d0, k1, k0, l1, l0)
 	}
 }
 

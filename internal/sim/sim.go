@@ -194,13 +194,10 @@ type Instrumentation struct {
 	ForensicsDepth int
 
 	// ProfileEngine attaches the cycle engine's telemetry
-	// (network.EngineStats): per-shard per-phase kernel timings, barrier
-	// stall/idle accounting, the cross-shard mailbox traffic matrix and
-	// effect-buffer counters. Unprofiled runs pay nil checks only.
+	// (network.EngineStats, read back through Net.EngineStatsAttached):
+	// per-shard per-phase kernel timings, barrier idle time and the
+	// cross-shard mailbox count. Unprofiled runs pay nil checks only.
 	ProfileEngine bool
-	// EngineSink, if non-nil, receives the run's accumulated engine
-	// telemetry at Finish and implies ProfileEngine.
-	EngineSink obs.EngineSink
 }
 
 // Default returns the paper's default configuration: 16-ary 2-cube,
@@ -256,9 +253,6 @@ type Runner struct {
 	res        stats.Result
 	rec        *obs.Recorder
 	faultEvery int64 // fault-tick cadence (DetectEvery); 0 when no schedule
-	// engPrev snapshots the engine telemetry at the previous metrics sample
-	// so Perfetto engine intervals render per-interval deltas.
-	engPrev *engineSnapshot
 	// artifacts closes run-owned observability outputs (SpansPath /
 	// HeatmapPath files); CloseArtifacts drains it.
 	artifacts []func() error
@@ -355,7 +349,7 @@ func NewRunner(c Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.ProfileEngine || c.EngineSink != nil {
+	if c.ProfileEngine {
 		net.SetEngineStats(&network.EngineStats{})
 	}
 	pat, err := traffic.ByName(c.Traffic, topo, c.HotspotFrac)
@@ -460,10 +454,7 @@ func NewRunner(c Config) (*Runner, error) {
 			c.Incidents.Formation = r.Forensics
 		}
 	}
-	if c.MetricsEvery > 0 || c.MetricsLive != nil || c.Heatmap != nil ||
-		(c.Spans != nil && net.EngineStatsAttached() != nil) {
-		// The last clause forces a sampling cadence so engine profiling can
-		// emit Perfetto interval slices even without interval metrics.
+	if c.MetricsEvery > 0 || c.MetricsLive != nil || c.Heatmap != nil {
 		r.rec = obs.NewRecorder(c.MetricsEvery)
 	}
 	r.artifacts = artifacts
@@ -571,17 +562,6 @@ func (r *Runner) sampleMetrics() {
 		FaultsActive: r.Net.FaultsActive(),
 		MsgsKilled:   r.Net.KilledCount,
 	}
-	if es := r.Net.EngineStatsAttached(); es != nil {
-		// Cumulative counters; the ns values are wall-clock and therefore
-		// nondeterministic — they are recorded and exposed but never fold
-		// into goldens or the cache key. The transfer counts are exact.
-		g.EngineBusyNs = es.BusyNs()
-		g.EngineStallNs = es.TotalStallNs()
-		g.EngineCrossShard = es.CrossShardTransfers()
-		if r.Cfg.Spans != nil {
-			r.emitEngineSpans(es)
-		}
-	}
 	r.rec.Record(g)
 	if r.Cfg.MetricsLive != nil {
 		r.Cfg.MetricsLive.Store(g)
@@ -589,45 +569,6 @@ func (r *Runner) sampleMetrics() {
 	if r.Cfg.Heatmap != nil {
 		r.Cfg.Heatmap.Sample(r.Net)
 	}
-}
-
-// engineSnapshot is the per-shard telemetry state at the previous metrics
-// sample; emitEngineSpans diffs against it to render interval slices.
-type engineSnapshot struct {
-	cycle int64
-	phase [][network.EnginePhases]int64
-	wall  [network.EnginePhases]int64
-}
-
-// emitEngineSpans renders each worker's share of the elapsed metrics
-// interval on the Perfetto engine track: per-phase busy slices plus a
-// barrier-wait slice covering the gap to the interval's slowest worker.
-func (r *Runner) emitEngineSpans(es *network.EngineStats) {
-	now := r.Net.Now()
-	if r.engPrev == nil {
-		r.engPrev = &engineSnapshot{phase: make([][network.EnginePhases]int64, len(es.PhaseNs))}
-	}
-	prev := r.engPrev
-	var wallDelta int64
-	for ph := 0; ph < network.EnginePhases; ph++ {
-		wallDelta += es.WallNs[ph] - prev.wall[ph]
-		prev.wall[ph] = es.WallNs[ph]
-	}
-	for s := range es.PhaseNs {
-		var phases [network.EnginePhases]int64
-		var busy int64
-		for ph := 0; ph < network.EnginePhases; ph++ {
-			phases[ph] = es.PhaseNs[s][ph] - prev.phase[s][ph]
-			busy += phases[ph]
-		}
-		wait := wallDelta - busy
-		if wait < 0 {
-			wait = 0
-		}
-		r.Cfg.Spans.EngineInterval(s, prev.cycle, now, network.EnginePhaseNames[:], phases[:], wait)
-		prev.phase[s] = es.PhaseNs[s]
-	}
-	prev.cycle = now
 }
 
 // Run executes warmup then measurement and returns the result. Program-
@@ -761,10 +702,6 @@ func (r *Runner) Finish() *stats.Result {
 	res.Unroutable = r.Net.UnroutableCount
 	if r.rec != nil && r.Cfg.MetricsSink != nil {
 		r.Cfg.MetricsSink.Run(obs.RunMeta{Label: res.Label, Seed: r.Cfg.Seed, Load: res.Load}, r.rec)
-	}
-	if r.Cfg.EngineSink != nil {
-		r.Cfg.EngineSink.EngineRun(obs.RunMeta{Label: res.Label, Seed: r.Cfg.Seed, Load: res.Load},
-			r.Net.EngineStatsAttached())
 	}
 	return res
 }

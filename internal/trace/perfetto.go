@@ -10,15 +10,15 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
-// Trace-event process IDs: one synthetic process per track family.
+// Trace-event process IDs: one synthetic process per track family. They are
+// part of the export's format (CI selects the fleet lane by pid 4), so a
+// retired one is not reused or renumbered.
 const (
 	perfettoMessagesPID = 1
 	perfettoDetectorPID = 2
-	perfettoEnginePID   = 3
 	perfettoFleetPID    = 4
 )
 
@@ -51,13 +51,9 @@ type PerfettoWriter struct {
 	tr     spanTracker
 	closed bool
 
-	// engTids tracks which engine-worker threads (pid 3) have emitted
-	// their thread metadata; the engine process metadata rides along with
-	// the first of them. Lazily allocated: runs without engine profiling
-	// never touch it.
-	engTids map[int]bool
-	// fleetTids likewise for fleet-worker threads (pid 4); only the sweep
-	// coordinator's fleet timeline export touches it.
+	// fleetTids tracks which fleet-worker threads (pid 4) have emitted
+	// their thread metadata; only the sweep coordinator's fleet timeline
+	// export touches it.
 	fleetTids map[int64]bool
 }
 
@@ -161,56 +157,6 @@ func (p *PerfettoWriter) DetectorPass(cycle, buildNs, analyzeNs int64, deadlocks
 	})
 }
 
-// EngineInterval renders one engine worker's share of a metrics interval
-// as phase slices on the engine track (pid 3, one thread per worker):
-// the interval [fromCycle, toCycle) is subdivided proportionally to the
-// measured per-phase nanoseconds, with the worker's barrier wait rendered
-// as a closing "barrier-wait" slice. Slices on a thread tile the interval
-// without overlap, so they nest cleanly next to the message (pid 1) and
-// detector (pid 2) tracks. Each slice's args carry the actual measured
-// nanoseconds; phaseNames and phaseNs must have equal length.
-func (p *PerfettoWriter) EngineInterval(shard int, fromCycle, toCycle int64, phaseNames []string, phaseNs []int64, waitNs int64) {
-	if p.closed || toCycle <= fromCycle {
-		return
-	}
-	var total int64
-	for _, ns := range phaseNs {
-		total += ns
-	}
-	if waitNs > 0 {
-		total += waitNs
-	}
-	if total <= 0 {
-		return
-	}
-	if toCycle > p.tr.last {
-		p.tr.last = toCycle
-	}
-	p.engineThreadMeta(shard)
-	span := toCycle - fromCycle
-	var cum int64
-	pos := fromCycle
-	emit := func(name string, ns int64) {
-		if ns <= 0 {
-			return
-		}
-		cum += ns
-		end := fromCycle + cum*span/total
-		dur := end - pos
-		p.write(perfettoEvent{
-			Name: name, Cat: "engine", Ph: "X",
-			Ts: pos, Dur: &dur,
-			Pid: perfettoEnginePID, Tid: int64(shard),
-			Args: map[string]any{"ns": ns},
-		})
-		pos = end
-	}
-	for i, name := range phaseNames {
-		emit(name, phaseNs[i])
-	}
-	emit("barrier-wait", waitNs)
-}
-
 // TraceContext stamps the trace with the fleet span context this run
 // executes under (a W3C traceparent minted by the sweep coordinator), as a
 // metadata event. A per-run artifact produced by a fleet worker is thereby
@@ -265,22 +211,6 @@ func (p *PerfettoWriter) FleetInstant(tid int64, name string, ts int64, args map
 	}
 	p.write(perfettoEvent{Name: name, Cat: "fleet", Ph: "i",
 		Ts: ts, Pid: perfettoFleetPID, Tid: tid, S: "t", Args: args})
-}
-
-// engineThreadMeta emits the engine process metadata (once) and the worker
-// thread metadata (once per shard) ahead of the shard's first slice.
-func (p *PerfettoWriter) engineThreadMeta(shard int) {
-	if p.engTids[shard] {
-		return
-	}
-	if p.engTids == nil {
-		p.engTids = make(map[int]bool)
-		p.write(perfettoEvent{Name: "process_name", Ph: "M", Pid: perfettoEnginePID,
-			Args: map[string]any{"name": "engine"}})
-	}
-	p.engTids[shard] = true
-	p.write(perfettoEvent{Name: "thread_name", Ph: "M", Pid: perfettoEnginePID, Tid: int64(shard),
-		Args: map[string]any{"name": fmt.Sprintf("worker %d", shard)}})
 }
 
 // Close force-closes spans still open at the last traced cycle, terminates

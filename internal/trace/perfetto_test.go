@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -74,6 +75,36 @@ func TestPerfettoValidTrace(t *testing.T) {
 				t.Errorf("blocked span timing = ts %v dur %v", e["ts"], e["dur"])
 			}
 		}
+	}
+}
+
+// TestPerfettoProcessMetadata: the message (pid 1), detector (pid 2) and
+// fleet (pid 4) tracks coexist in one valid array, each named by exactly one
+// process_name record, and no other process appears.
+func TestPerfettoProcessMetadata(t *testing.T) {
+	var b strings.Builder
+	p := NewPerfetto(&b)
+	p.Trace(ev(0, Injected, 1, 0))
+	p.Trace(ev(80, Delivered, 1, 5))
+	p.DetectorPass(50, 1200, 300, 0, false)
+	p.FleetThread(0, "w1")
+	p.FleetThread(1, "w2")
+	p.FleetThread(0, "w1")
+	p.FleetSlice(0, "attempt", 10, 5, nil)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	procs := map[float64]int{}
+	for _, e := range decodePerfetto(t, b.String()) {
+		if e["name"] == "process_name" {
+			procs[e["pid"].(float64)]++
+		} else if pid := e["pid"].(float64); pid != perfettoMessagesPID && pid != perfettoDetectorPID && pid != perfettoFleetPID {
+			t.Errorf("event on unknown pid %v: %v", pid, e)
+		}
+	}
+	want := map[float64]int{perfettoMessagesPID: 1, perfettoDetectorPID: 1, perfettoFleetPID: 1}
+	if !maps.Equal(procs, want) {
+		t.Errorf("process_name records by pid = %v, want %v", procs, want)
 	}
 }
 
