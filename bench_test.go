@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"testing"
 
-	"flexsim/internal/core"
+	"flexsim/internal/api/specv1"
 	"flexsim/internal/cwg"
 	"flexsim/internal/detect"
 	"flexsim/internal/experiments"
@@ -19,6 +19,7 @@ import (
 	"flexsim/internal/obs"
 	"flexsim/internal/rng"
 	"flexsim/internal/routing"
+	"flexsim/internal/runner"
 	"flexsim/internal/sim"
 	"flexsim/internal/topology"
 )
@@ -53,9 +54,13 @@ func BenchmarkFig5a(b *testing.B) { benchFig5Panel(b, false) }
 func BenchmarkFig5b(b *testing.B) { benchFig5Panel(b, true) }
 
 func benchFig5Panel(b *testing.B, setSizes bool) {
+	fig5, err := experiments.ByName("fig5")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig5(benchOpts())
+		tables, err := fig5(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -456,15 +461,15 @@ func BenchmarkRecoveryPolicies(b *testing.B) {
 
 // BenchmarkLoadSweepParallel measures the sweep harness itself.
 func BenchmarkLoadSweepParallel(b *testing.B) {
-	cfg := core.QuickConfig()
+	cfg := sim.Quick()
 	cfg.K = 4
 	cfg.WarmupCycles = 100
 	cfg.MeasureCycles = 300
-	loads := core.Loads(0.2, 1.0, 0.2)
+	cfgs := specv1.ExpandLoads(cfg, specv1.Loads(0.2, 1.0, 0.2))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pts := core.LoadSweep(context.Background(), cfg, loads)
-		if err := core.FirstError(pts); err != nil {
+		pts := runner.Map(context.Background(), cfgs, runner.Options{})
+		if err := runner.FirstError(pts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,9 +18,10 @@ import (
 	"os"
 
 	"flexsim/cmd/internal/flags"
-	"flexsim/internal/core"
 	"flexsim/internal/obs"
 	"flexsim/internal/prof"
+	"flexsim/internal/runner"
+	"flexsim/internal/sim"
 	"flexsim/internal/trace"
 )
 
@@ -29,7 +30,7 @@ func main() {
 }
 
 func run() (code int) {
-	cfg := core.DefaultConfig()
+	cfg := sim.Default()
 	extras := flags.BindConfig(flag.CommandLine, &cfg)
 	common := flags.BindCommon(flag.CommandLine)
 	flag.Parse()
@@ -125,11 +126,7 @@ func run() (code int) {
 	// One engine for both paths: the single run goes through the same
 	// resilient scheduler the sweeps use, so cancellation, panic isolation
 	// and the result cache behave identically everywhere.
-	var runOpts []core.Option
-	if cache != nil {
-		runOpts = append(runOpts, core.WithCache(cache))
-	}
-	p := core.RunAll(ctx, []core.Config{cfg}, runOpts...)[0]
+	p := runner.Map(ctx, []sim.Config{cfg}, runner.Options{Cache: cache})[0]
 	if cache != nil {
 		if err := cache.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "flexsim:", err)
@@ -141,9 +138,9 @@ func run() (code int) {
 		return 1
 	}
 	switch {
-	case p.Status == core.StatusCached:
+	case p.Status == runner.Cached:
 		fmt.Fprintf(os.Stderr, "flexsim: result served from cache %s (key %s...)\n",
-			cache.Dir(), core.CacheKey(cfg)[:12])
+			cache.Dir(), runner.Key(cfg)[:12])
 	case res.Interrupted:
 		fmt.Fprintf(os.Stderr, "flexsim: interrupted — partial results over %d measured cycles\n",
 			res.Cycles)
@@ -210,7 +207,7 @@ func run() (code int) {
 		}
 		fmt.Fprintf(os.Stderr, "flexsim: wrote %d incident(s) to %s\n", incidents.Len(), extras.IncidentsOut)
 	}
-	if p.Status != core.StatusCached {
+	if p.Status != runner.Cached {
 		// A cached result ran nothing, so it wrote no artifact.
 		if common.SpansOut != "" {
 			fmt.Fprintf(os.Stderr, "flexsim: wrote Perfetto trace to %s (load in ui.perfetto.dev)\n", common.SpansOut)

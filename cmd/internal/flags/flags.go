@@ -1,10 +1,10 @@
 // Package flags is the single flag-definition table shared by the flexsim
 // and charsweep CLIs. Each flag is declared exactly once — name, usage and
-// the binding into sim.Config / experiments.Options — so the two commands
-// cannot drift: both gain the resilient-execution flags (-timeout,
-// -cache-dir, -resume) and the observability flags from the same table,
-// and flexsim's configuration surface is one table instead of dozens of
-// hand-rolled flag.* calls.
+// the binding into sim.Config, experiments.Options (what a study plans) or
+// Sweep (how charsweep runs it) — so the two commands cannot drift: both
+// gain the resilient-execution flags (-timeout, -cache-dir, -resume) and
+// the observability flags from the same table, and flexsim's configuration
+// surface is one table instead of dozens of hand-rolled flag.* calls.
 package flags
 
 import (
@@ -354,11 +354,11 @@ func BindSweep(fs *flag.FlagSet) *Sweep {
 }
 
 // Options converts the parsed sweep flags into experiment options (loads
-// parsing can fail; the execution-side fields — Context, Cache, OnPoint,
-// Instrumentation — are wired by the caller).
+// parsing can fail; Instrumentation is wired by the caller, and -parallel
+// stays with the caller's run path).
 func (s *Sweep) Options() (experiments.Options, error) {
 	o := experiments.Options{
-		Quick: s.Quick, Parallelism: s.Parallel, Seed: s.Seed,
+		Quick: s.Quick, Seed: s.Seed,
 		FaultSeed: s.FaultSeed, FaultLinkMTTF: s.FaultLinkMTTF, FaultRepair: s.FaultRepair,
 	}
 	loads, err := specv1.ParseLoads(s.Loads)

@@ -100,7 +100,7 @@ func TestBindCharsweepSurface(t *testing.T) {
 	if len(opts.Loads) != 3 || opts.Loads[0] != 0.2 || opts.Loads[2] != 1.0 {
 		t.Errorf("loads parsed as %v", opts.Loads)
 	}
-	if !opts.Quick || opts.Parallelism != 4 {
+	if !opts.Quick {
 		t.Errorf("options miswired: %+v", opts)
 	}
 	if v.Timeout != time.Minute {

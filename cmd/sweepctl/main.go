@@ -1,6 +1,6 @@
 // Command sweepctl is the sweep service client.
 //
-//	sweepctl mkspec -experiment fig5 -quick > spec.json   # spec from an experiment
+//	sweepctl mkspec -experiment fig5 -quick > spec.json   # a study's plan
 //	sweepctl submit -f spec.json                          # fire and forget
 //	sweepctl submit -f spec.json -watch                   # follow to completion
 //	sweepctl list                                         # all sweeps
@@ -45,7 +45,7 @@ commands:
   results  print a sweep's results as specv1 JSONL
   watch    stream a sweep's events until it settles
   list     print every sweep's status
-  mkspec   print the specv1 spec for an experiment
+  mkspec   print the specv1 spec a study plans
   health   check the coordinator's /healthz
 
 run "sweepctl <command> -h" for the command's flags`)
@@ -291,17 +291,15 @@ func cmdMkspec(args []string) error {
 	seed := fs.Uint64("seed", 0, "seed offset (0 = default)")
 	fs.Parse(args)
 
-	if _, err := experiments.ByName(*experiment); err != nil {
-		names := experiments.Names()
-		sort.Strings(names)
-		return fmt.Errorf("%v (known: %s)", err, strings.Join(names, ", "))
+	study, err := experiments.StudyByName(*experiment)
+	if err != nil {
+		return err
 	}
 	loadVals, err := specv1.ParseLoads(*loads)
 	if err != nil {
 		return err
 	}
-	spec := experiments.Spec(*experiment, experiments.Options{Quick: *quick, Seed: *seed, Loads: loadVals})
-	return specv1.EncodeSpec(os.Stdout, spec)
+	return specv1.EncodeSpec(os.Stdout, study.Plan(experiments.Options{Quick: *quick, Seed: *seed, Loads: loadVals}))
 }
 
 func cmdHealth(args []string) error {

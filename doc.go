@@ -4,11 +4,13 @@
 //
 // The library lives under internal/; entry points:
 //
-//   - internal/core: public facade (Config, Run, context-first RunAll/LoadSweep)
+//   - internal/sim: one simulation (Config, Run, RunContext)
 //   - internal/runner: resilient execution engine (cancellation, panic
 //     isolation, content-addressed result caching for resume)
+//   - internal/api/specv1: versioned sweep specs and point results
 //   - internal/cwg: channel wait-for graphs and knot-based deadlock theory
-//   - internal/experiments: regenerates every figure of the paper
+//   - internal/experiments: every figure of the paper as a plan (a specv1
+//     spec) and a tabulator
 //   - cmd/flexsim, cmd/charsweep, cmd/cwgviz: command-line tools
 //   - examples/: runnable demonstrations
 //

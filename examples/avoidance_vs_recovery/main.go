@@ -18,7 +18,9 @@ import (
 	"os"
 	"os/signal"
 
-	"flexsim/internal/core"
+	"flexsim/internal/runner"
+	"flexsim/internal/sim"
+	"flexsim/internal/stats"
 )
 
 func main() {
@@ -42,22 +44,22 @@ func main() {
 	defer stop()
 
 	for _, load := range []float64{0.5, 0.9} {
-		table := core.Table{
+		table := stats.Table{
 			Title: fmt.Sprintf("avoidance vs recovery at load %.1f (8-ary 2-cube, 32-flit messages)", load),
 			Headers: []string{"variant", "deadlocks", "ndl", "throughput",
 				"latency", "pct_blocked"},
 		}
-		var cfgs []core.Config
+		var cfgs []sim.Config
 		for _, v := range variants {
-			cfg := core.QuickConfig()
+			cfg := sim.Quick()
 			cfg.Routing = v.routing
 			cfg.VCs = v.vcs
 			cfg.Load = load
 			cfg.Label = v.label
 			cfgs = append(cfgs, cfg)
 		}
-		points := core.RunAll(ctx, cfgs)
-		if err := core.FirstError(points); err != nil {
+		points := runner.Map(ctx, cfgs, runner.Options{})
+		if err := runner.FirstError(points); err != nil {
 			fmt.Fprintln(os.Stderr, "avoidance_vs_recovery:", err)
 			os.Exit(1)
 		}

@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"os"
 
-	"flexsim/internal/core"
+	"flexsim/internal/runner"
+	"flexsim/internal/sim"
+	"flexsim/internal/stats"
 )
 
 func main() {
@@ -24,10 +26,10 @@ func main() {
 	)
 	fractions := []float64{0, 0.02, 0.05, 0.10, 0.20}
 
-	var cfgs []core.Config
+	var cfgs []sim.Config
 	for _, f := range fractions {
 		for r := 0; r < replicates; r++ {
-			cfg := core.QuickConfig()
+			cfg := sim.Quick()
 			cfg.Routing = "tfar"
 			cfg.VCs = 2
 			cfg.Load = load
@@ -43,13 +45,13 @@ func main() {
 		}
 	}
 
-	points := core.RunAll(context.Background(), cfgs)
-	if err := core.FirstError(points); err != nil {
+	points := runner.Map(context.Background(), cfgs, runner.Options{})
+	if err := runner.FirstError(points); err != nil {
 		fmt.Fprintln(os.Stderr, "faulty:", err)
 		os.Exit(1)
 	}
 
-	table := core.Table{
+	table := stats.Table{
 		Title: fmt.Sprintf("deadlock probability vs failed-link fraction (TFAR/2VC, load %.2g, repair %d)",
 			load, repair),
 		Headers: []string{"failed_frac", "p_deadlock", "ndl", "killed_frac", "unroutable", "latency"},

@@ -12,22 +12,24 @@ import (
 	"fmt"
 	"os"
 
-	"flexsim/internal/core"
+	"flexsim/internal/runner"
+	"flexsim/internal/sim"
+	"flexsim/internal/stats"
 )
 
 func main() {
-	base := core.QuickConfig()
+	base := sim.Quick()
 	base.Routing = "dor"
 	base.VCs = 1
 	base.Load = 0.9
 
-	table := core.Table{
+	table := stats.Table{
 		Title: "non-uniform traffic under DOR1 at load 0.9",
 		Headers: []string{"pattern", "deadlocks", "ndl", "mean_dlset",
 			"throughput", "pct_blocked"},
 	}
 
-	var cfgs []core.Config
+	var cfgs []sim.Config
 	labels := []string{}
 	add := func(label, pattern string, frac float64) {
 		c := base
@@ -46,8 +48,8 @@ func main() {
 	add("perfect-shuffle", "shuffle", 0)
 	add("tornado", "tornado", 0)
 
-	points := core.RunAll(context.Background(), cfgs)
-	if err := core.FirstError(points); err != nil {
+	points := runner.Map(context.Background(), cfgs, runner.Options{})
+	if err := runner.FirstError(points); err != nil {
 		fmt.Fprintln(os.Stderr, "hotspot:", err)
 		os.Exit(1)
 	}

@@ -11,19 +11,20 @@ import (
 	"fmt"
 	"os"
 
-	"flexsim/internal/core"
 	"flexsim/internal/cwg"
 	"flexsim/internal/message"
+	"flexsim/internal/runner"
 	"flexsim/internal/sim"
+	"flexsim/internal/stats"
 )
 
 func main() {
-	table := core.Table{
+	table := stats.Table{
 		Title: "irregular 32-switch networks at load 1.0",
 		Headers: []string{"routing", "extra_links", "deadlocks", "ndl",
 			"throughput", "latency"},
 	}
-	var cfgs []core.Config
+	var cfgs []sim.Config
 	type meta struct {
 		alg   string
 		extra int
@@ -31,7 +32,7 @@ func main() {
 	var metas []meta
 	for _, alg := range []string{"min-adaptive", "updown"} {
 		for _, extra := range []int{6, 16, 32} {
-			cfg := core.QuickConfig()
+			cfg := sim.Quick()
 			cfg.IrregularNodes = 32
 			cfg.IrregularLinks = extra
 			cfg.Routing = alg
@@ -41,8 +42,8 @@ func main() {
 			metas = append(metas, meta{alg, extra})
 		}
 	}
-	points := core.RunAll(context.Background(), cfgs)
-	if err := core.FirstError(points); err != nil {
+	points := runner.Map(context.Background(), cfgs, runner.Options{})
+	if err := runner.FirstError(points); err != nil {
 		fmt.Fprintln(os.Stderr, "irregular:", err)
 		os.Exit(1)
 	}
@@ -58,7 +59,7 @@ func main() {
 	}
 
 	// Hunt down one real deadlock and dissect it.
-	cfg := core.QuickConfig()
+	cfg := sim.Quick()
 	cfg.IrregularNodes = 32
 	cfg.IrregularLinks = 8
 	cfg.Routing = "min-adaptive"

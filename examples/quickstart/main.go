@@ -10,18 +10,21 @@ import (
 	"os"
 	"os/signal"
 
-	"flexsim/internal/core"
+	"flexsim/internal/api/specv1"
+	"flexsim/internal/runner"
+	"flexsim/internal/sim"
+	"flexsim/internal/stats"
 )
 
 func main() {
 	// One run: 8-ary 2-cube, DOR, one virtual channel — the paper's most
 	// deadlock-prone bidirectional configuration.
-	cfg := core.QuickConfig()
+	cfg := sim.Quick()
 	cfg.Routing = "dor"
 	cfg.VCs = 1
 	cfg.Load = 0.8
 
-	res, err := core.Run(cfg)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
@@ -38,13 +41,13 @@ func main() {
 	// process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	loads := core.Loads(0.2, 1.2, 0.2)
-	points := core.LoadSweep(ctx, cfg, loads)
-	if err := core.FirstError(points); err != nil {
+	loads := specv1.Loads(0.2, 1.2, 0.2)
+	points := runner.Map(ctx, specv1.ExpandLoads(cfg, loads), runner.Options{})
+	if err := runner.FirstError(points); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
-	table := core.Table{
+	table := stats.Table{
 		Title:   "DOR, 1 VC: deadlocks vs offered load",
 		Headers: []string{"load", "normalized_deadlocks", "throughput", "saturated"},
 	}
@@ -55,10 +58,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("saturation begins at load %.2g\n", core.SaturationLoad(points))
+	fmt.Printf("saturation begins at load %.2g\n", runner.SaturationLoad(points))
 }
 
-func kind(res *core.Result) string {
+func kind(res *stats.Result) string {
 	if res.MultiCycle == 0 {
 		return "single-cycle"
 	}

@@ -9,6 +9,8 @@ import (
 	"strconv"
 
 	"flexsim/internal/jsonlog"
+	"flexsim/internal/runner"
+	"flexsim/internal/sim"
 	"flexsim/internal/stats"
 )
 
@@ -54,6 +56,54 @@ type PointResult struct {
 	Trace  string          `json:"trace,omitempty"`
 	Error  string          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
+}
+
+// PointResults converts settled sweep points into their wire form, keyed by
+// each configuration's content address. A point that carries the Key and
+// Raw runner.Map gave it (any sweep run with a cache) is reported with
+// exactly those — the store's own bytes, so a cached point costs nothing
+// here and local and service results stay byte-identical. A point built
+// without them (a cacheless sweep, a hand-assembled Point) is keyed and
+// encoded canonically instead.
+func PointResults(configs []sim.Config, points []runner.Point) ([]PointResult, error) {
+	if len(configs) != len(points) {
+		return nil, fmt.Errorf("specv1: %d configs for %d points", len(configs), len(points))
+	}
+	out := make([]PointResult, len(points))
+	for i, p := range points {
+		pr := PointResult{
+			SchemaVersion: Version,
+			Index:         i,
+			Load:          p.Load,
+			Key:           p.Key,
+			Result:        p.Raw,
+		}
+		if pr.Key == "" {
+			pr.Key = runner.Key(configs[i])
+		}
+		switch p.Status {
+		case runner.Cached:
+			pr.Status = StatusCached
+		case runner.Failed:
+			pr.Status = StatusFailed
+		case runner.Cancelled:
+			pr.Status = StatusCancelled
+		default:
+			pr.Status = StatusDone
+		}
+		if p.Err != nil {
+			pr.Error = p.Err.Error()
+		}
+		if pr.Result == nil {
+			raw, err := EncodeResult(p.Result)
+			if err != nil {
+				return nil, err
+			}
+			pr.Result = raw
+		}
+		out[i] = pr
+	}
+	return out, nil
 }
 
 // EncodeResult produces the canonical wire encoding of a simulation result:

@@ -105,9 +105,9 @@ func LoadSpec(name string, base sim.Config, loads []float64) *Spec {
 
 // ExpandLoads enumerates a load sweep over base: one configuration per
 // load, each with a deterministic per-point seed derived from the base seed
-// and the point index. This is the v1 expansion rule shared by
-// core.LoadSweep and the sweep service; changing it would re-key every
-// cached sweep result.
+// and the point index. This is the v1 expansion rule shared by a Base+Loads
+// spec, every load sweep an experiment plans and the sweep service;
+// changing it would re-key every cached sweep result.
 func ExpandLoads(base sim.Config, loads []float64) []sim.Config {
 	cfgs := make([]sim.Config, len(loads))
 	for i, l := range loads {

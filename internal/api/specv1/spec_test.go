@@ -3,6 +3,7 @@ package specv1
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -188,6 +189,35 @@ func TestLoads(t *testing.T) {
 	want := []float64{0.1, 0.2, 0.3}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Loads = %v, want %v", got, want)
+	}
+}
+
+// TestLoadsRangeAndDegenerate covers a five-point range, where float
+// accumulation must not drop the endpoint, and a range with lo == hi.
+func TestLoadsRangeAndDegenerate(t *testing.T) {
+	got := Loads(0.1, 0.5, 0.1)
+	want := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	if len(got) != len(want) {
+		t.Fatalf("Loads = %v, want %v", got, want)
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Fatalf("Loads[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if got := Loads(0.5, 0.5, 0.1); len(got) != 1 {
+		t.Errorf("degenerate Loads = %v", got)
+	}
+}
+
+func TestPointSeedDistinct(t *testing.T) {
+	seen := map[uint64]bool{}
+	for i := 0; i < 1000; i++ {
+		s := PointSeed(1, i)
+		if seen[s] {
+			t.Fatalf("PointSeed collision at %d", i)
+		}
+		seen[s] = true
 	}
 }
 

@@ -3,61 +3,25 @@ package core
 import (
 	"bytes"
 	"context"
-	"math"
 	"testing"
 
 	"flexsim/internal/api/specv1"
+	"flexsim/internal/runner"
+	"flexsim/internal/sim"
 )
 
-func tiny() Config {
-	c := QuickConfig()
+func tiny() sim.Config {
+	c := sim.Quick()
 	c.K = 4
 	c.WarmupCycles = 100
 	c.MeasureCycles = 400
 	return c
 }
 
-func TestLoads(t *testing.T) {
-	got := Loads(0.1, 0.5, 0.1)
-	want := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	if len(got) != len(want) {
-		t.Fatalf("Loads = %v, want %v", got, want)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("Loads[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if got := Loads(0.5, 0.5, 0.1); len(got) != 1 {
-		t.Errorf("degenerate Loads = %v", got)
-	}
-}
-
-func TestRunAndMustRun(t *testing.T) {
-	res, err := Run(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered == 0 {
-		t.Fatal("nothing delivered")
-	}
-	if MustRun(tiny()).Delivered == 0 {
-		t.Fatal("MustRun delivered nothing")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRun on invalid config did not panic")
-		}
-	}()
-	bad := tiny()
-	bad.Routing = "nope"
-	MustRun(bad)
-}
-
 func TestLoadSweepOrderAndDeterminism(t *testing.T) {
 	loads := []float64{0.2, 0.6, 1.0}
-	a := LoadSweep(context.Background(), tiny(), loads, WithParallelism(2))
-	b := LoadSweep(context.Background(), tiny(), loads, WithParallelism(3)) // different parallelism, same results
+	a := RunAll(context.Background(), specv1.ExpandLoads(tiny(), loads), WithParallelism(2))
+	b := RunAll(context.Background(), specv1.ExpandLoads(tiny(), loads), WithParallelism(3)) // different parallelism, same results
 	if err := FirstError(a); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +40,7 @@ func TestLoadSweepOrderAndDeterminism(t *testing.T) {
 }
 
 func TestLoadSweepSeedsDecorrelated(t *testing.T) {
-	pts := LoadSweep(context.Background(), tiny(), []float64{0.5, 0.5}, WithParallelism(1))
+	pts := RunAll(context.Background(), specv1.ExpandLoads(tiny(), []float64{0.5, 0.5}), WithParallelism(1))
 	if pts[0].Result.Seed == pts[1].Result.Seed {
 		t.Error("sweep points share a seed")
 	}
@@ -86,7 +50,7 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 	good := tiny()
 	bad := tiny()
 	bad.Routing = "nope"
-	pts := RunAll(context.Background(), []Config{good, bad})
+	pts := RunAll(context.Background(), []sim.Config{good, bad})
 	if pts[0].Err != nil {
 		t.Errorf("good config errored: %v", pts[0].Err)
 	}
@@ -95,33 +59,6 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 	}
 	if FirstError(pts) == nil {
 		t.Error("FirstError missed the failure")
-	}
-}
-
-func TestSaturationLoad(t *testing.T) {
-	cfg := tiny()
-	cfg.Routing = "dor"
-	pts := LoadSweep(context.Background(), cfg, []float64{0.1, 1.5})
-	if err := FirstError(pts); err != nil {
-		t.Fatal(err)
-	}
-	sat := SaturationLoad(pts)
-	if sat != 1.5 {
-		t.Errorf("SaturationLoad = %v, want 1.5 (0.1 unsaturated)", sat)
-	}
-	if s := SaturationLoad(pts[:1]); !math.IsInf(s, 1) {
-		t.Errorf("all-unsaturated SaturationLoad = %v, want +Inf", s)
-	}
-}
-
-func TestPointSeedDistinct(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		s := specv1.PointSeed(1, i)
-		if seen[s] {
-			t.Fatalf("PointSeed collision at %d", i)
-		}
-		seen[s] = true
 	}
 }
 
@@ -137,9 +74,9 @@ func TestRunSpecMatchesLoadSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := LoadSweep(context.Background(), base, loads)
+	local := RunAll(context.Background(), specv1.ExpandLoads(base, loads))
 	if len(viaSpec) != len(local) {
-		t.Fatalf("RunSpec %d points, LoadSweep %d", len(viaSpec), len(local))
+		t.Fatalf("RunSpec %d points, load sweep %d", len(viaSpec), len(local))
 	}
 	for i := range local {
 		if viaSpec[i].Result.Seed != local[i].Result.Seed {
@@ -159,7 +96,7 @@ func TestRunSpecMatchesLoadSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, pr := range prs {
-		if pr.Key != CacheKey(cfgs[i]) {
+		if pr.Key != runner.Key(cfgs[i]) {
 			t.Errorf("point %d: wire key %s != cache key", i, pr.Key)
 		}
 		if pr.Status != specv1.StatusDone || len(pr.Result) == 0 {
@@ -172,7 +109,7 @@ func TestRunSpecMatchesLoadSweep(t *testing.T) {
 // spec, convert the points to their wire form.
 func specRun(t *testing.T, dir string, spec *specv1.Spec) (*Cache, []Point, []specv1.PointResult) {
 	t.Helper()
-	cache, err := OpenCache(dir)
+	cache, err := runner.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +181,15 @@ func TestSpecStoreRoundTrip(t *testing.T) {
 // benchmark's traced harness builds them so) carry no Key or Raw and are
 // keyed and encoded here.
 func TestPointResultsHandBuiltPoints(t *testing.T) {
-	cfgs := []Config{tiny(), tiny()}
+	cfgs := []sim.Config{tiny(), tiny()}
 	cfgs[1].Load = 0.7
 	pts := make([]Point, len(cfgs))
 	for i, c := range cfgs {
-		pts[i] = Point{Index: i, Load: c.Load, Result: MustRun(c), Status: StatusDone}
+		res, err := sim.Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = Point{Index: i, Load: c.Load, Result: res, Status: StatusDone}
 	}
 	prs, err := PointResults(cfgs, pts)
 	if err != nil {
@@ -259,7 +200,7 @@ func TestPointResultsHandBuiltPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pr.Key != CacheKey(cfgs[i]) || !bytes.Equal(pr.Result, want) {
+		if pr.Key != runner.Key(cfgs[i]) || !bytes.Equal(pr.Result, want) {
 			t.Errorf("point %d: key %s, result %s", i, pr.Key, pr.Result)
 		}
 	}

@@ -20,6 +20,9 @@ import (
 // messages than are ever in true deadlock (precision near zero), and even
 // long timeouts cannot reach high precision because congestion blocking
 // dominates — while long timeouts also delay recovery (recall drops).
+//
+// It is a Func, not a Study: the scores live in the detector's statistics,
+// which no stats.Result carries, so its runs cannot be served from a store.
 func TimeoutApprox(o Options) ([]*stats.Table, error) {
 	thresholds := []int64{25, 50, 100, 200, 400, 800}
 	load := 1.0

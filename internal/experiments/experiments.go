@@ -10,50 +10,45 @@
 // depend on the substrate; the shapes — who deadlocks more, by roughly what
 // factor, where the crossovers fall — are the reproduction target (recorded
 // in EXPERIMENTS.md).
+//
+// A simulation study is declared data: its Plan is a specv1 spec, and its
+// Tabulate turns that spec's results into tables. Running the plan is the
+// caller's job — charsweep runs it with a result store and /progress, a
+// sweep service runs it on a fleet — so the same figure can be computed in
+// one place and tabulated in another.
 package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"flexsim/internal/api/specv1"
-	"flexsim/internal/core"
 	"flexsim/internal/fault"
+	"flexsim/internal/runner"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
 )
 
-// Options controls an experiment run.
+// Options selects what an experiment simulates. How its runs execute —
+// parallelism, the result store, progress, cancellation — belongs to
+// whoever runs the plan.
 type Options struct {
 	// Quick scales everything down (8-ary 2-cube, short windows, fewer
 	// load points) for tests and benchmarks; the full configuration
 	// matches the paper (16-ary 2-cube, 30 000 measured cycles).
 	Quick bool
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
 	// Seed offsets all run seeds.
 	Seed uint64
 	// Loads overrides the default load sweep.
 	Loads []float64
-	// Context cancels the experiment's simulation runs (nil = Background).
-	// A cancelled experiment returns an error wrapping the context's; its
-	// completed runs are already persisted when a Cache is attached.
-	Context context.Context
-	// Cache, if non-nil, skips configurations whose results are already
-	// persisted and records new completions (see core.OpenCache) — the
-	// -cache-dir/-resume machinery.
-	Cache *core.Cache
-	// OnPoint, if non-nil, is called as each simulation point settles —
-	// completed, cached, failed or cancelled — from worker goroutines, so
-	// it must be concurrency-safe. charsweep feeds its live progress view
-	// with it.
-	OnPoint func(p core.Point)
-	// Instrumentation is attached to every run of the experiment (see
+	// Instrumentation is attached to every run a Func makes (see
 	// sim.Instrumentation). Its sinks are shared by concurrent runs and must
 	// be concurrency-safe (the obs file sinks are); its
 	// SpansPath/HeatmapPath should contain a "*" so each run writes its own
-	// file. A cached run contributes nothing to any of it.
+	// file. A plan carries none: whoever runs it attaches its own.
 	Instrumentation sim.Instrumentation
 	// FaultSeed/FaultLinkMTTF/FaultRepair/FaultEvents apply a fault
 	// schedule to every run of the experiment (see sim.Config) — the
@@ -66,12 +61,12 @@ type Options struct {
 }
 
 // base returns the starting configuration for the options.
-func (o Options) base() core.Config {
-	var c core.Config
+func (o Options) base() sim.Config {
+	var c sim.Config
 	if o.Quick {
-		c = core.QuickConfig()
+		c = sim.Quick()
 	} else {
-		c = core.DefaultConfig()
+		c = sim.Default()
 	}
 	if o.Seed != 0 {
 		c.Seed = o.Seed
@@ -84,46 +79,6 @@ func (o Options) base() core.Config {
 	return c
 }
 
-// ctx returns the option's context, defaulting to Background.
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
-}
-
-// runOpts translates the options into sweep options for the core API.
-func (o Options) runOpts() []core.Option {
-	opts := []core.Option{core.WithParallelism(o.Parallelism)}
-	if o.Cache != nil {
-		opts = append(opts, core.WithCache(o.Cache))
-	}
-	if o.OnPoint != nil {
-		f := o.OnPoint
-		opts = append(opts, core.WithOnDone(func(_ int, p core.Point) { f(p) }))
-	}
-	return opts
-}
-
-// finish distinguishes cancellation from per-run failure: a cancelled
-// context is reported as such (the caller can resume from the cache), and
-// any other per-point error fails the experiment.
-func (o Options) finish(pts []core.Point) ([]core.Point, error) {
-	if err := o.ctx().Err(); err != nil {
-		return nil, fmt.Errorf("experiments: cancelled: %w", err)
-	}
-	if err := core.FirstError(pts); err != nil {
-		return nil, err
-	}
-	return pts, nil
-}
-
-// runAll executes every configuration with the option's parallelism, cache
-// and progress notification, failing on the first per-run error.
-func (o Options) runAll(cfgs []core.Config) ([]core.Point, error) {
-	return o.finish(core.RunAll(o.ctx(), cfgs, o.runOpts()...))
-}
-
 // loads returns the load sweep for the options.
 func (o Options) loads() []float64 {
 	if len(o.Loads) > 0 {
@@ -132,15 +87,18 @@ func (o Options) loads() []float64 {
 	if o.Quick {
 		return []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2}
 	}
-	return core.Loads(0.1, 1.3, 0.1)
+	return specv1.Loads(0.1, 1.3, 0.1)
 }
 
-// Spec renders the option's base configuration crossed with its load axis
-// as a versioned sweep spec — the form sweepctl mkspec writes and a sweep
-// service executes. The expansion rule (specv1.ExpandLoads) matches
-// core.LoadSweep, so a service-run spec shares cache keys with local sweeps.
-func Spec(name string, o Options) *specv1.Spec {
-	return specv1.LoadSpec(name, o.base(), o.loads())
+// sweeps crosses each base configuration with the option's loads, in order,
+// seeding every point by specv1.ExpandLoads' rule — the one the store's keys
+// were made with.
+func (o Options) sweeps(bases ...sim.Config) []sim.Config {
+	var cfgs []sim.Config
+	for _, b := range bases {
+		cfgs = append(cfgs, specv1.ExpandLoads(b, o.loads())...)
+	}
+	return cfgs
 }
 
 // Census enumeration caps: the paper reports "hundreds of thousands" of
@@ -155,24 +113,96 @@ const (
 // Func runs one experiment and returns its tables.
 type Func func(Options) ([]*stats.Table, error)
 
-// registry maps experiment ids to their generators.
-var registry = map[string]Func{
-	"fig5":      Fig5,
-	"fig6":      Fig6,
-	"fig7":      Fig7,
-	"fig8":      Fig8,
-	"degree":    NodeDegree,
-	"traffic":   TrafficPatterns,
-	"perf":      Performance,
-	"ablate":    Ablations,
-	"approx":    TimeoutApprox,
-	"mesh":      MeshStudy,
-	"hybrid":    HybridLength,
-	"irregular": IrregularStudy,
-	"program":   ProgramDriven,
-	"faulty":    FaultStudy,
-	"verify":    Verify,
+// Study is one simulation study: the configurations it runs, and the tables
+// it reads from their results.
+type Study struct {
+	name    string
+	configs func(Options) []sim.Config
+	// tables reads the study's points, decoded in plan order, none failed.
+	tables func(cfgs []sim.Config, pts []runner.Point) []*stats.Table
 }
+
+// Plan lists the study's points under o as a spec named after the study:
+// explicit configurations, labels and seeds, ready for charsweep -spec or
+// a sweep service. Instrumentation does not travel in a spec.
+func (s *Study) Plan(o Options) *specv1.Spec {
+	cfgs := s.configs(o)
+	spec := &specv1.Spec{SchemaVersion: specv1.Version, Name: s.name, Points: make([]specv1.PointConfig, len(cfgs))}
+	for i, c := range cfgs {
+		spec.Points[i] = specv1.FromSim(c)
+	}
+	return spec
+}
+
+// Tabulate builds the study's tables from the results of its plan — one
+// result per point, in index order — wherever they were computed. It
+// simulates nothing. A point that did not complete fails the study with its
+// error, named by its load.
+func (s *Study) Tabulate(spec *specv1.Spec, results []specv1.PointResult) ([]*stats.Table, error) {
+	cfgs, err := spec.Configs()
+	if err != nil {
+		return nil, err
+	}
+	if len(results) != len(cfgs) {
+		return nil, fmt.Errorf("experiments: %s: %d results for %d points", s.name, len(results), len(cfgs))
+	}
+	pts := make([]runner.Point, len(results))
+	for i, pr := range results {
+		if pr.Index != i {
+			return nil, fmt.Errorf("experiments: %s: result %d is point %d; want results in index order", s.name, i, pr.Index)
+		}
+		pts[i] = runner.Point{Index: i, Load: pr.Load}
+		switch {
+		case pr.Status == specv1.StatusFailed || pr.Status == specv1.StatusCancelled:
+			pts[i].Err = errors.New(pr.Error)
+		default:
+			pts[i].Result = new(stats.Result)
+			pts[i].Err = stats.DecodeResult(pr.Result, pts[i].Result)
+		}
+	}
+	if err := runner.FirstError(pts); err != nil {
+		return nil, err
+	}
+	return s.tables(cfgs, pts), nil
+}
+
+// Run is the study as a Func: it runs every point of the plan in this
+// process, in parallel and without a result store, and tabulates them.
+func (s *Study) Run(o Options) ([]*stats.Table, error) {
+	cfgs := s.configs(o) // the plan's points, with o's instrumentation attached
+	results, err := specv1.PointResults(cfgs, runner.Map(context.Background(), cfgs, runner.Options{}))
+	if err != nil {
+		return nil, err
+	}
+	return s.Tabulate(s.Plan(o), results)
+}
+
+// studies are the simulation studies, in no particular order.
+var studies = []*Study{
+	{"fig5", fig5Configs, fig5Tables},
+	{"fig6", fig6Configs, fig6Tables},
+	{"fig7", fig7Configs, fig7Tables},
+	{"fig8", fig8Configs, fig8Tables},
+	{"degree", degreeConfigs, degreeTables},
+	{"traffic", trafficConfigs, trafficTables},
+	{"perf", perfConfigs, perfTables},
+	{"ablate", ablateConfigs, ablateTables},
+	{"mesh", meshConfigs, meshTables},
+	{"hybrid", hybridConfigs, hybridTables},
+	{"irregular", irregularConfigs, irregularTables},
+	{"faulty", faultyConfigs, faultyTables},
+	{"program", programConfigs, programTables},
+}
+
+// registry maps experiment ids to their generators: every study's Run, and
+// the two experiments that are not sweeps.
+var registry = func() map[string]Func {
+	r := map[string]Func{"approx": TimeoutApprox, "verify": Verify}
+	for _, s := range studies {
+		r[s.name] = s.Run
+	}
+	return r
+}()
 
 // ByName returns the experiment registered under id.
 func ByName(id string) (Func, error) {
@@ -181,6 +211,21 @@ func ByName(id string) (Func, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, Names())
 	}
 	return f, nil
+}
+
+// StudyByName returns the simulation study registered under id. approx
+// (which reads detector state no result carries) and verify (model
+// checking) are experiments but not sweeps: they have no plan.
+func StudyByName(id string) (*Study, error) {
+	for _, s := range studies {
+		if s.name == id {
+			return s, nil
+		}
+	}
+	if _, err := ByName(id); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("experiments: %s is not a sweep: it has no plan to run elsewhere", id)
 }
 
 // Names returns the registered experiment ids, sorted.
@@ -193,42 +238,68 @@ func Names() []string {
 	return names
 }
 
-// sweep runs base over the option's loads and returns the points, failing
-// on the first per-point error.
-func sweep(o Options, base core.Config) ([]core.Point, error) {
-	return o.finish(core.LoadSweep(o.ctx(), base, o.loads(), o.runOpts()...))
+// curve is one configuration of a load sweep and its points.
+type curve struct {
+	cfg sim.Config
+	pts []runner.Point
+}
+
+// curves splits planned load sweeps back into their configurations: runs of
+// consecutive points under one label.
+func curves(cfgs []sim.Config, pts []runner.Point) []curve {
+	var out []curve
+	for i, c := range cfgs {
+		if i == 0 || c.Label != cfgs[i-1].Label {
+			out = append(out, curve{cfg: c})
+		}
+		out[len(out)-1].pts = append(out[len(out)-1].pts, pts[i])
+	}
+	return out
+}
+
+// ndlByLoad is a table of normalized deadlocks with one row per load and
+// one column per curve.
+func ndlByLoad(title string, all []curve) *stats.Table {
+	t := stats.NewTable(title, "load")
+	for _, c := range all {
+		t.Headers = append(t.Headers, "ndl_"+c.cfg.Label)
+	}
+	for i, p := range all[0].pts {
+		row := []interface{}{p.Load}
+		for _, c := range all {
+			row = append(row, c.pts[i].Result.NormalizedDeadlocks())
+		}
+		t.AddRow(row...)
+	}
+	return t
 }
 
 // satNote annotates a table with a configuration's saturation load.
-func satNote(t *stats.Table, label string, pts []core.Point) {
+func satNote(t *stats.Table, label string, pts []runner.Point) {
 	t.AddNote("%s saturates at load %.3g (paper marks this with a vertical dashed line)",
-		label, core.SaturationLoad(pts))
+		label, runner.SaturationLoad(pts))
 }
 
-// Fig5 — effect of physical links (bidirectionality): DOR with 1 VC on uni-
-// and bidirectional tori. Fig. 5a plots normalized deadlocks vs load;
+// Fig. 5 — effect of physical links (bidirectionality): DOR with 1 VC on
+// uni- and bidirectional tori. Fig. 5a plots normalized deadlocks vs load;
 // Fig. 5b plots deadlock set size vs load. Expected shape: the uni-torus
 // suffers far more deadlocks with smaller deadlock sets (its minimal
 // deadlock set is 2 messages vs 3 for the bi-torus).
-func Fig5(o Options) ([]*stats.Table, error) {
-	uniCfg := o.base()
-	uniCfg.Routing = "dor"
-	uniCfg.VCs = 1
-	uniCfg.Bidirectional = false
-	uniCfg.Label = "DOR1 uni"
-	biCfg := uniCfg
-	biCfg.Bidirectional = true
-	biCfg.Label = "DOR1 bi"
+func fig5Configs(o Options) []sim.Config {
+	uni := o.base()
+	uni.Routing = "dor"
+	uni.VCs = 1
+	uni.Bidirectional = false
+	uni.Label = "DOR1 uni"
+	bi := uni
+	bi.Bidirectional = true
+	bi.Label = "DOR1 bi"
+	return o.sweeps(uni, bi)
+}
 
-	uni, err := sweep(o, uniCfg)
-	if err != nil {
-		return nil, err
-	}
-	bi, err := sweep(o, biCfg)
-	if err != nil {
-		return nil, err
-	}
-
+func fig5Tables(cfgs []sim.Config, pts []runner.Point) []*stats.Table {
+	c := curves(cfgs, pts)
+	uni, bi := c[0].pts, c[1].pts
 	a := stats.NewTable("Fig 5a: normalized deadlocks vs load (DOR, 1 VC)",
 		"load", "ndl_uni", "ndl_bi", "sat_uni", "sat_bi")
 	b := stats.NewTable("Fig 5b: deadlock set size vs load (DOR, 1 VC)",
@@ -242,37 +313,33 @@ func Fig5(o Options) ([]*stats.Table, error) {
 	satNote(a, "bi", bi)
 	a.AddNote("expected shape: uni >> bi normalized deadlocks; both single-cycle only")
 	b.AddNote("expected shape: uni deadlock sets smaller (minimum 2 msgs) than bi (minimum 3)")
-	return []*stats.Table{a, b}, nil
+	return []*stats.Table{a, b}
 }
 
-// Fig6 — effect of adaptivity: DOR vs TFAR, 1 VC, bidirectional, with the
+// Fig. 6 — effect of adaptivity: DOR vs TFAR, 1 VC, bidirectional, with the
 // resource-dependency-cycle census enabled. Fig. 6a plots normalized
 // deadlocks and cycles vs load; Fig. 6b plots deadlock and resource set
 // sizes. Expected shape: TFAR suffers no deadlocks below saturation but its
 // deadlocks are multi-cycle with set sizes 5-7x and resource sets 7-10x
 // DOR's; under DOR every CWG cycle is a knot, so its cycle and deadlock
 // curves coincide.
-func Fig6(o Options) ([]*stats.Table, error) {
-	dorCfg := o.base()
-	dorCfg.Routing = "dor"
-	dorCfg.VCs = 1
-	dorCfg.CycleCensus = true
-	dorCfg.MaxCycles = censusCycleCap
-	dorCfg.MaxWork = censusWorkCap
-	dorCfg.Label = "DOR1"
-	tfarCfg := dorCfg
-	tfarCfg.Routing = "tfar"
-	tfarCfg.Label = "TFAR1"
+func fig6Configs(o Options) []sim.Config {
+	dor := o.base()
+	dor.Routing = "dor"
+	dor.VCs = 1
+	dor.CycleCensus = true
+	dor.MaxCycles = censusCycleCap
+	dor.MaxWork = censusWorkCap
+	dor.Label = "DOR1"
+	tfar := dor
+	tfar.Routing = "tfar"
+	tfar.Label = "TFAR1"
+	return o.sweeps(dor, tfar)
+}
 
-	dor, err := sweep(o, dorCfg)
-	if err != nil {
-		return nil, err
-	}
-	tfar, err := sweep(o, tfarCfg)
-	if err != nil {
-		return nil, err
-	}
-
+func fig6Tables(cfgs []sim.Config, pts []runner.Point) []*stats.Table {
+	c := curves(cfgs, pts)
+	dor, tfar := c[0].pts, c[1].pts
 	a := stats.NewTable("Fig 6a: normalized deadlocks and cycles vs load (1 VC)",
 		"load", "ndl_dor", "ncyc_dor", "ndl_tfar", "ncyc_tfar")
 	b := stats.NewTable("Fig 6b: deadlock and resource set size vs load (1 VC)",
@@ -289,21 +356,17 @@ func Fig6(o Options) ([]*stats.Table, error) {
 	satNote(a, "TFAR1", tfar)
 	a.AddNote("expected shape: under DOR1 every cycle is a knot (cycles == deadlocks); TFAR1 forms many cyclic non-deadlocks")
 	b.AddNote("expected shape: TFAR deadlock sets 5-7x and resource sets 7-10x DOR's; knot cycle density 10x+")
-	return []*stats.Table{a, b}, nil
+	return []*stats.Table{a, b}
 }
 
-// Fig7 — effect of virtual channels: DOR and TFAR with 1-4 VCs, census
+// Fig. 7 — effect of virtual channels: DOR and TFAR with 1-4 VCs, census
 // enabled. Fig. 7a plots normalized deadlocks (only DOR1, DOR2 and TFAR1
 // ever deadlock); Fig. 7b plots the cycle census vs percent of messages
 // blocked. Expected shape: DOR2 deadlocks only around saturation; DOR3+,
 // TFAR2+ never deadlock; VCs delay the congestion/cycle explosion to higher
 // loads.
-func Fig7(o Options) ([]*stats.Table, error) {
-	type cfgPts struct {
-		label string
-		pts   []core.Point
-	}
-	var all []cfgPts
+func fig7Configs(o Options) []sim.Config {
+	var bases []sim.Config
 	for _, alg := range []string{"dor", "tfar"} {
 		for vcs := 1; vcs <= 4; vcs++ {
 			c := o.base()
@@ -313,33 +376,22 @@ func Fig7(o Options) ([]*stats.Table, error) {
 			c.MaxCycles = censusCycleCap
 			c.MaxWork = censusWorkCap
 			c.Label = fmt.Sprintf("%s%d", upper(alg), vcs)
-			pts, err := sweep(o, c)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, cfgPts{label: c.Label, pts: pts})
+			bases = append(bases, c)
 		}
 	}
+	return o.sweeps(bases...)
+}
 
-	a := stats.NewTable("Fig 7a: normalized deadlocks vs load (1-4 VCs)")
-	a.Headers = append(a.Headers, "load")
-	for _, c := range all {
-		a.Headers = append(a.Headers, "ndl_"+c.label)
-	}
-	for i := range all[0].pts {
-		row := []interface{}{all[0].pts[i].Load}
-		for _, c := range all {
-			row = append(row, c.pts[i].Result.NormalizedDeadlocks())
-		}
-		a.AddRow(row...)
-	}
+func fig7Tables(cfgs []sim.Config, pts []runner.Point) []*stats.Table {
+	all := curves(cfgs, pts)
+	a := ndlByLoad("Fig 7a: normalized deadlocks vs load (1-4 VCs)", all)
 	for _, c := range all {
 		total := int64(0)
 		for _, p := range c.pts {
 			total += p.Result.Deadlocks
 		}
 		if total == 0 {
-			a.AddNote("%s: no deadlocks detected at any load (omitted from the paper's plot)", c.label)
+			a.AddNote("%s: no deadlocks detected at any load (omitted from the paper's plot)", c.cfg.Label)
 		}
 	}
 	a.AddNote("expected shape: only DOR1, DOR2 (near saturation) and TFAR1 deadlock; 3 VCs (DOR) / 2 VCs (TFAR) eliminate all deadlocks")
@@ -349,63 +401,56 @@ func Fig7(o Options) ([]*stats.Table, error) {
 	for _, c := range all {
 		for _, p := range c.pts {
 			r := p.Result
-			b.AddRow(c.label, r.Load, 100*r.BlockedFraction(), r.MeanCensusCycles(),
+			b.AddRow(c.cfg.Label, r.Load, 100*r.BlockedFraction(), r.MeanCensusCycles(),
 				r.MaxCycles, r.CensusCapped)
 		}
 	}
 	b.AddNote("expected shape: added VCs push cycle formation to higher loads, then cycles grow explosively at saturation")
-	return []*stats.Table{a, b}, nil
+	return []*stats.Table{a, b}
 }
 
-// Fig8 — effect of buffer depth: TFAR, 1 VC, buffer depths 2-32 flits
+// Fig. 8 — effect of buffer depth: TFAR, 1 VC, buffer depths 2-32 flits
 // (depth 32 = message length = virtual cut-through). Fig. 8a plots
 // normalized deadlocks vs load; Fig. 8b normalizes by messages resident in
 // the network. Expected shape: larger buffers raise the saturation load
 // (message compaction) and virtual cut-through yields the fewest deadlocks.
-func Fig8(o Options) ([]*stats.Table, error) {
-	depths := []int{2, 4, 6, 8, 16, 32}
-	a := stats.NewTable("Fig 8a: normalized deadlocks vs load (TFAR, 1 VC, buffer depth sweep)")
-	b := stats.NewTable("Fig 8b: deadlocks vs messages in network",
-		"buffer", "load", "mean_msgs_in_net", "ndl", "dl_per_msg_in_net")
-	a.Headers = append(a.Headers, "load")
-	var cols [][]core.Point
-	for _, d := range depths {
+func fig8Configs(o Options) []sim.Config {
+	var bases []sim.Config
+	for _, d := range []int{2, 4, 6, 8, 16, 32} {
 		c := o.base()
 		c.Routing = "tfar"
 		c.VCs = 1
 		c.BufferDepth = d
 		c.Label = fmt.Sprintf("buf%d", d)
-		pts, err := sweep(o, c)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, pts)
-		a.Headers = append(a.Headers, fmt.Sprintf("ndl_buf%d", d))
-		satNote(a, c.Label, pts)
-		for _, p := range pts {
-			r := p.Result
-			b.AddRow(d, r.Load, r.MeanActive, r.NormalizedDeadlocks(), r.DeadlocksPerInNetworkMsg())
-		}
+		bases = append(bases, c)
 	}
-	for i := range cols[0] {
-		row := []interface{}{cols[0][i].Load}
-		for _, pts := range cols {
-			row = append(row, pts[i].Result.NormalizedDeadlocks())
+	return o.sweeps(bases...)
+}
+
+func fig8Tables(cfgs []sim.Config, pts []runner.Point) []*stats.Table {
+	all := curves(cfgs, pts)
+	a := ndlByLoad("Fig 8a: normalized deadlocks vs load (TFAR, 1 VC, buffer depth sweep)", all)
+	b := stats.NewTable("Fig 8b: deadlocks vs messages in network",
+		"buffer", "load", "mean_msgs_in_net", "ndl", "dl_per_msg_in_net")
+	for _, c := range all {
+		satNote(a, c.cfg.Label, c.pts)
+		for _, p := range c.pts {
+			r := p.Result
+			b.AddRow(c.cfg.BufferDepth, r.Load, r.MeanActive, r.NormalizedDeadlocks(), r.DeadlocksPerInNetworkMsg())
 		}
-		a.AddRow(row...)
 	}
 	a.AddNote("expected shape: depth 32 (virtual cut-through, buffer == message) yields the fewest deadlocks; larger buffers saturate at higher loads")
 	b.AddNote("expected shape: per message in the network, small buffers deadlock substantially more (each message needs more simultaneous channels)")
-	return []*stats.Table{a, b}, nil
+	return []*stats.Table{a, b}
 }
 
-// NodeDegree — Sec. 3.5: TFAR with 1 VC on a 2-D vs a 4-D torus with the
+// Sec. 3.5 — node degree: TFAR with 1 VC on a 2-D vs a 4-D torus with the
 // same node count (16-ary 2-cube vs 4-ary 4-cube; quick mode uses 8-ary
 // 2-cube vs 4-ary 3-cube at 64 nodes). Loads are normalized per topology
 // (capacity accounts for link count and average distance). Expected shape:
 // the high-degree network suffers far fewer deadlocks (<1% of the 2-D
 // count before saturation), all single-cycle.
-func NodeDegree(o Options) ([]*stats.Table, error) {
+func degreeConfigs(o Options) []sim.Config {
 	low := o.base()
 	low.Routing = "tfar"
 	low.VCs = 1
@@ -417,45 +462,38 @@ func NodeDegree(o Options) ([]*stats.Table, error) {
 		high.K, high.N = 4, 4
 	}
 	high.Label = fmt.Sprintf("%d-ary %d-cube", high.K, high.N)
+	return o.sweeps(low, high)
+}
 
-	lo, err := sweep(o, low)
-	if err != nil {
-		return nil, err
-	}
-	hi, err := sweep(o, high)
-	if err != nil {
-		return nil, err
-	}
+func degreeTables(cfgs []sim.Config, pts []runner.Point) []*stats.Table {
+	c := curves(cfgs, pts)
+	low, high := c[0].cfg.Label, c[1].cfg.Label
 	t := stats.NewTable("Sec 3.5: node degree (TFAR, 1 VC)",
-		"load", "ndl_"+low.Label, "ndl_"+high.Label,
-		"dl_"+low.Label, "dl_"+high.Label, "multi_"+high.Label)
-	for i := range lo {
-		l, h := lo[i].Result, hi[i].Result
+		"load", "ndl_"+low, "ndl_"+high, "dl_"+low, "dl_"+high, "multi_"+high)
+	for i := range c[0].pts {
+		l, h := c[0].pts[i].Result, c[1].pts[i].Result
 		t.AddRow(l.Load, l.NormalizedDeadlocks(), h.NormalizedDeadlocks(),
 			l.Deadlocks, h.Deadlocks, h.MultiCycle)
 	}
-	satNote(t, low.Label, lo)
-	satNote(t, high.Label, hi)
+	satNote(t, low, c[0].pts)
+	satNote(t, high, c[1].pts)
 	t.AddNote("expected shape: the higher-degree torus has far fewer deadlocks, and those few are single-cycle")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// TrafficPatterns — Sec. 3.6: non-uniform traffic (bit-reversal, transpose,
-// perfect-shuffle, hot-spot) vs uniform under DOR1 and TFAR1 at a
-// saturating load. Expected shape: deadlock frequency and characteristics
-// within ~10% of uniform, except DOR under permutations whose source/
-// destination pairs cannot circularly overlap.
-func TrafficPatterns(o Options) ([]*stats.Table, error) {
-	patterns := []string{"uniform", "bitrev", "transpose", "shuffle", "hotspot"}
+// Sec. 3.6 — non-uniform traffic (bit-reversal, transpose, perfect-shuffle,
+// hot-spot) vs uniform under DOR1 and TFAR1 at a saturating load (the last
+// of -loads, default 1.0). Expected shape: deadlock frequency and
+// characteristics within ~10% of uniform, except DOR under permutations
+// whose source/destination pairs cannot circularly overlap.
+func trafficConfigs(o Options) []sim.Config {
 	load := 1.0
 	if len(o.Loads) > 0 {
 		load = o.Loads[len(o.Loads)-1]
 	}
-	t := stats.NewTable(fmt.Sprintf("Sec 3.6: traffic patterns at load %.2f", load),
-		"pattern", "routing", "ndl", "deadlocks", "mean_dlset", "mean_rset", "mean_knotcyc", "sat")
-	var cfgs []core.Config
+	var cfgs []sim.Config
 	for _, alg := range []string{"dor", "tfar"} {
-		for _, pat := range patterns {
+		for _, pat := range []string{"uniform", "bitrev", "transpose", "shuffle", "hotspot"} {
 			c := o.base()
 			c.Routing = alg
 			c.VCs = 1
@@ -465,26 +503,26 @@ func TrafficPatterns(o Options) ([]*stats.Table, error) {
 			cfgs = append(cfgs, c)
 		}
 	}
-	pts, err := o.runAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cfgs
+}
+
+func trafficTables(cfgs []sim.Config, pts []runner.Point) []*stats.Table {
+	t := stats.NewTable(fmt.Sprintf("Sec 3.6: traffic patterns at load %.2f", cfgs[0].Load),
+		"pattern", "routing", "ndl", "deadlocks", "mean_dlset", "mean_rset", "mean_knotcyc", "sat")
 	for i, p := range pts {
 		r := p.Result
 		t.AddRow(cfgs[i].Traffic, cfgs[i].Routing, r.NormalizedDeadlocks(), r.Deadlocks,
 			r.MeanDeadlockSet(), r.MeanResourceSet(), r.MeanKnotCycles(), r.Saturated)
 	}
 	t.AddNote("expected shape: non-uniform patterns within ~10%% of uniform, except DOR under permutations lacking circular overlap")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// Performance — supplementary: throughput and latency vs load for the four
-// main configurations, giving the saturation context the paper's dashed
+// Supplementary — throughput and latency vs load for the four main
+// configurations, giving the saturation context the paper's dashed
 // vertical lines encode.
-func Performance(o Options) ([]*stats.Table, error) {
-	t := stats.NewTable("Supplementary: throughput/latency vs load",
-		"config", "load", "throughput", "offered", "latency", "lat_p95", "lat_p99", "pct_blocked",
-		"det_build_us", "det_build_p95_us", "det_analyze_us", "det_analyze_p95_us", "sat")
+func perfConfigs(o Options) []sim.Config {
+	var bases []sim.Config
 	for _, spec := range []struct {
 		alg string
 		vcs int
@@ -493,13 +531,19 @@ func Performance(o Options) ([]*stats.Table, error) {
 		c.Routing = spec.alg
 		c.VCs = spec.vcs
 		c.Label = fmt.Sprintf("%s%d", upper(spec.alg), spec.vcs)
-		pts, err := sweep(o, c)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pts {
+		bases = append(bases, c)
+	}
+	return o.sweeps(bases...)
+}
+
+func perfTables(cfgs []sim.Config, pts []runner.Point) []*stats.Table {
+	t := stats.NewTable("Supplementary: throughput/latency vs load",
+		"config", "load", "throughput", "offered", "latency", "lat_p95", "lat_p99", "pct_blocked",
+		"det_build_us", "det_build_p95_us", "det_analyze_us", "det_analyze_p95_us", "sat")
+	for _, c := range curves(cfgs, pts) {
+		for _, p := range c.pts {
 			r := p.Result
-			t.AddRow(c.Label, r.Load, r.Throughput(), r.OfferedRate(), r.MeanLatency(),
+			t.AddRow(c.cfg.Label, r.Load, r.Throughput(), r.OfferedRate(), r.MeanLatency(),
 				r.Latency.Quantile(0.95), r.Latency.Quantile(0.99),
 				100*r.BlockedFraction(),
 				r.DetectBuildTime.Mean()/1e3, float64(r.DetectBuildTime.Quantile(0.95))/1e3,
@@ -508,61 +552,45 @@ func Performance(o Options) ([]*stats.Table, error) {
 		}
 	}
 	t.AddNote("expected shape: DOR sustains higher post-saturation throughput than TFAR1 despite more (smaller) deadlocks")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
 // Ablations — supplementary design-choice studies from DESIGN.md: recovery
-// victim policy and misrouting, at a deep-saturation load with TFAR1.
-func Ablations(o Options) ([]*stats.Table, error) {
-	load := 1.0
-	t := stats.NewTable(fmt.Sprintf("Ablation: victim policy and misrouting (TFAR1, load %.2f)", load),
-		"variant", "ndl", "deadlocks", "throughput", "latency", "recovered")
-	var cfgs []core.Config
-	for _, pol := range []string{"oldest", "most", "fewest", "random"} {
+// victim policy, misrouting and the recovery drain rate, at a
+// deep-saturation load with TFAR1.
+func ablateConfigs(o Options) []sim.Config {
+	variant := func(label string, set func(*sim.Config)) sim.Config {
 		c := o.base()
 		c.Routing = "tfar"
 		c.VCs = 1
-		c.Load = load
-		c.VictimPolicy = pol
-		c.Label = "victim=" + pol
-		cfgs = append(cfgs, c)
+		c.Load = 1.0
+		c.Label = label
+		set(&c)
+		return c
+	}
+	var cfgs []sim.Config
+	for _, pol := range []string{"oldest", "most", "fewest", "random"} {
+		cfgs = append(cfgs, variant("victim="+pol, func(c *sim.Config) { c.VictimPolicy = pol }))
 	}
 	for _, alg := range []string{"tfar", "misroute-far"} {
-		c := o.base()
-		c.Routing = alg
-		c.VCs = 1
-		c.Load = load
-		c.Label = "routing=" + alg
-		cfgs = append(cfgs, c)
+		cfgs = append(cfgs, variant("routing="+alg, func(c *sim.Config) { c.Routing = alg }))
 	}
 	// Instant vs flit-by-flit recovery drain.
 	for _, rate := range []int{0, 1, 4} {
-		c := o.base()
-		c.Routing = "tfar"
-		c.VCs = 1
-		c.Load = load
-		c.RecoveryDrainRate = rate
-		c.Label = fmt.Sprintf("drain=%d", rate)
-		cfgs = append(cfgs, c)
+		cfgs = append(cfgs, variant(fmt.Sprintf("drain=%d", rate), func(c *sim.Config) { c.RecoveryDrainRate = rate }))
 	}
-	pts, err := o.runAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cfgs
+}
+
+func ablateTables(cfgs []sim.Config, pts []runner.Point) []*stats.Table {
+	t := stats.NewTable(fmt.Sprintf("Ablation: victim policy and misrouting (TFAR1, load %.2f)", cfgs[0].Load),
+		"variant", "ndl", "deadlocks", "throughput", "latency", "recovered")
 	for i, p := range pts {
 		r := p.Result
 		t.AddRow(cfgs[i].Label, r.NormalizedDeadlocks(), r.Deadlocks, r.Throughput(),
 			r.MeanLatency(), r.Recovered)
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-func upper(s string) string {
-	out := []byte(s)
-	for i, c := range out {
-		if c >= 'a' && c <= 'z' {
-			out[i] = c - 'a' + 'A'
-		}
-	}
-	return string(out)
-}
+func upper(s string) string { return strings.ToUpper(s) }

@@ -1,11 +1,12 @@
 package experiments
 
 import (
-	"flexsim/internal/core"
+	"flexsim/internal/runner"
+	"flexsim/internal/sim"
 	"flexsim/internal/stats"
 )
 
-// MeshStudy — supplementary: the same radix as a mesh instead of a torus.
+// Mesh — supplementary: the same radix as a mesh instead of a torus.
 // Removing the wraparound links removes the dependency cycles DOR needs, so
 // DOR on a mesh is provably deadlock-free with one VC — the detector must
 // observe zero knots — while unrestricted minimal adaptive routing (TFAR)
@@ -13,21 +14,16 @@ import (
 // (negative-first, and west-first on 2-D) restore freedom with partial
 // adaptivity and must also show zero. This reproduces the theory context the
 // paper builds on (Dally/Seitz; Glass & Ni's turn model, reference [2]).
-func MeshStudy(o Options) ([]*stats.Table, error) {
-	t := stats.NewTable("Supplementary: mesh vs torus (1 VC)",
-		"topology", "routing", "load", "ndl", "deadlocks", "throughput", "pct_blocked")
-	type spec struct {
+func meshConfigs(o Options) []sim.Config {
+	var cfgs []sim.Config
+	for _, s := range []struct {
 		mesh    bool
 		routing string
-	}
-	specs := []spec{
+	}{
 		{false, "dor"}, {true, "dor"},
 		{false, "tfar"}, {true, "tfar"},
 		{true, "negative-first"}, {true, "west-first"},
-	}
-	var cfgs []core.Config
-	var labels []spec
-	for _, s := range specs {
+	} {
 		for _, load := range []float64{0.6, 1.0} {
 			c := o.base()
 			c.Mesh = s.mesh
@@ -35,23 +31,24 @@ func MeshStudy(o Options) ([]*stats.Table, error) {
 			c.VCs = 1
 			c.Load = load
 			cfgs = append(cfgs, c)
-			labels = append(labels, s)
 		}
 	}
-	pts, err := o.runAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cfgs
+}
+
+func meshTables(cfgs []sim.Config, pts []runner.Point) []*stats.Table {
+	t := stats.NewTable("Supplementary: mesh vs torus (1 VC)",
+		"topology", "routing", "load", "ndl", "deadlocks", "throughput", "pct_blocked")
 	for i, p := range pts {
 		topoName := "torus"
-		if labels[i].mesh {
+		if cfgs[i].Mesh {
 			topoName = "mesh"
 		}
 		r := p.Result
-		t.AddRow(topoName, labels[i].routing, r.Load, r.NormalizedDeadlocks(),
+		t.AddRow(topoName, cfgs[i].Routing, r.Load, r.NormalizedDeadlocks(),
 			r.Deadlocks, r.Throughput(), 100*r.BlockedFraction())
 	}
 	t.AddNote("expected shape: mesh DOR, negative-first and west-first show exactly 0 deadlocks;")
 	t.AddNote("torus DOR and both TFAR variants can deadlock")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }

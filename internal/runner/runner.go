@@ -13,14 +13,15 @@
 //     under the SHA-256 of its canonically encoded configuration, so an
 //     interrupted or repeated sweep skips every already-finished run.
 //
-// core.RunAll/LoadSweep, the experiment harness and both CLIs all delegate
-// here; there is exactly one worker pool in the codebase.
+// Both CLIs, the experiments' in-process runs and the sweep service's
+// workers all call Map; there is exactly one worker pool in the codebase.
 package runner
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -67,6 +68,27 @@ type Point struct {
 	// persisted. Map sets it on Cached and Done points when a Cache is
 	// attached; nil otherwise. Read-only — the store's index shares it.
 	Raw json.RawMessage
+}
+
+// FirstError returns the first error among points, annotated with its load.
+func FirstError(points []Point) error {
+	for _, p := range points {
+		if p.Err != nil {
+			return fmt.Errorf("load %.3f: %w", p.Load, p.Err)
+		}
+	}
+	return nil
+}
+
+// SaturationLoad returns the lowest load whose run saturated, or +Inf if
+// none did (the paper marks it as a vertical dashed line).
+func SaturationLoad(points []Point) float64 {
+	for _, p := range points {
+		if p.Err == nil && p.Result.Saturated {
+			return p.Load
+		}
+	}
+	return math.Inf(1)
 }
 
 // Options tunes Map.

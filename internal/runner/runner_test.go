@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -184,6 +185,29 @@ func TestMapPreCancelled(t *testing.T) {
 		if p.Status != Cancelled || p.Result != nil || !errors.Is(p.Err, context.Canceled) {
 			t.Errorf("point %d: %+v, want cancelled with nil result", i, p)
 		}
+	}
+}
+
+// TestSaturationLoad: a real DOR sweep saturates at its deep load and not at
+// its light one; with no saturated point the answer is +Inf.
+func TestSaturationLoad(t *testing.T) {
+	var cfgs []sim.Config
+	for _, load := range []float64{0.1, 1.5} {
+		c := sim.Quick()
+		c.K, c.WarmupCycles, c.MeasureCycles = 4, 100, 400
+		c.Routing = "dor"
+		c.Load = load
+		cfgs = append(cfgs, c)
+	}
+	pts := Map(context.Background(), cfgs, Options{})
+	if err := FirstError(pts); err != nil {
+		t.Fatal(err)
+	}
+	if sat := SaturationLoad(pts); sat != 1.5 {
+		t.Errorf("SaturationLoad = %v, want 1.5 (0.1 unsaturated)", sat)
+	}
+	if s := SaturationLoad(pts[:1]); !math.IsInf(s, 1) {
+		t.Errorf("all-unsaturated SaturationLoad = %v, want +Inf", s)
 	}
 }
 

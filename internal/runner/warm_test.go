@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"testing"
 
-	"flexsim/internal/api/specv1"
 	"flexsim/internal/fault"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
@@ -205,10 +204,12 @@ func TestNonCanonicalEntryStillHits(t *testing.T) {
 
 // parentConfigs are the configurations behind testdata/parent_store, a
 // store written by the commit before Point carried Key/Raw (real runs of
-// bench-shaped points: 4-ary 2-cube, DOR1/TFAR1, 100+400 cycles).
+// bench-shaped points: 4-ary 2-cube, DOR1/TFAR1, 100+400 cycles). The seeds
+// are specv1.PointSeed(1997, i), written out: specv1 imports this package.
 func parentConfigs() []sim.Config {
+	seeds := []uint64{9804167865927158697, 7972408045597865681, 15373383990895559250, 2698086259567085596}
 	var cfgs []sim.Config
-	for i := 0; i < 4; i++ {
+	for i, seed := range seeds {
 		c := sim.Default()
 		c.Routing = "dor"
 		if i%2 == 1 {
@@ -217,7 +218,7 @@ func parentConfigs() []sim.Config {
 		c.K = 4
 		c.Load = float64(5+30*i) / 100
 		c.WarmupCycles, c.MeasureCycles = 100, 400
-		c.Seed = specv1.PointSeed(1997, i)
+		c.Seed = seed
 		cfgs = append(cfgs, c)
 	}
 	return cfgs
