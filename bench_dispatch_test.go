@@ -1,14 +1,9 @@
-// Coordinator dispatch benchmarks: the per-point cost of the sweep
-// service's queue -> worker -> settle path, with fleet tracing off and on.
+// Coordinator dispatch benchmark: the per-point cost of the sweep service's
+// queue -> worker -> settle path, trace contexts, scheduler metrics and
+// events included (there is no tracing-off path). TestBenchCompareDispatch
+// holds its allocations to the committed BENCH_dispatch.json baseline.
 //
-//   - BenchmarkDispatch is the tracing-OFF path: it must stay
-//     allocation-identical to the pre-tracing coordinator (the committed
-//     BENCH_dispatch.json baseline); TestBenchCompare enforces that.
-//
-//   - BenchmarkDispatchTraced attaches the fleet span log and scheduler
-//     metrics; the delta is the price of -fleet-spans, not of the default.
-//
-//     go test -run='^$' -bench=Dispatch -benchmem .
+//	go test -run='^$' -bench=Dispatch -benchmem .
 package flexsim_test
 
 import (
@@ -19,35 +14,28 @@ import (
 	"testing"
 
 	"flexsim/internal/api/specv1"
-	"flexsim/internal/obs"
-	"flexsim/internal/obs/fleettrace"
 	"flexsim/internal/runner"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
 	"flexsim/internal/sweepsvc"
 )
 
-// benchDispatch pushes b.N distinct points through one coordinator with a
-// single in-process worker and a stub executor, so the measured cost is
+// BenchmarkDispatch pushes b.N distinct points through one coordinator with
+// a single in-process worker and a stub executor, so the measured cost is
 // scheduling, settlement and store persistence — not simulation.
-func benchDispatch(b *testing.B, traced bool) {
+func BenchmarkDispatch(b *testing.B) {
 	cache, err := runner.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cache.Close()
-	cfg := sweepsvc.Config{
+	s, err := sweepsvc.New(sweepsvc.Config{
 		Cache:        cache,
 		LocalWorkers: 1,
 		Run: func(_ context.Context, c sim.Config) (*stats.Result, error) {
 			return &stats.Result{Label: c.Label, Load: c.Load, Seed: c.Seed}, nil
 		},
-	}
-	if traced {
-		cfg.Trace = fleettrace.NewLog(nil) // in-memory span log
-		cfg.Metrics = obs.NewFleetMetrics()
-	}
-	s, err := sweepsvc.New(cfg)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,48 +74,35 @@ func benchDispatch(b *testing.B, traced bool) {
 	}
 }
 
-// BenchmarkDispatch: the tracing-off dispatch path (the default).
-func BenchmarkDispatch(b *testing.B) { benchDispatch(b, false) }
-
-// BenchmarkDispatchTraced: span log + scheduler metrics attached. The delta
-// against BenchmarkDispatch is the price of -fleet-spans.
-func BenchmarkDispatchTraced(b *testing.B) { benchDispatch(b, true) }
-
 // dispatchBenchFile is the BENCH_dispatch.json envelope: the committed
-// tracing-off baseline the bench-compare gate holds the coordinator to.
+// baseline the bench-compare gate holds the coordinator to.
 type dispatchBenchFile struct {
-	Benchmark    string  `json:"benchmark"`
-	GoVersion    string  `json:"go_version"`
-	GOOS         string  `json:"goos"`
-	GOARCH       string  `json:"goarch"`
-	NumCPU       int     `json:"num_cpu"`
-	OffNsPerOp   float64 `json:"off_ns_per_op"`
-	OffAllocs    int64   `json:"off_allocs_per_op"`
-	OnNsPerOp    float64 `json:"on_ns_per_op"`
-	OnAllocs     int64   `json:"on_allocs_per_op"`
-	OverheadFrac float64 `json:"overhead_frac"`
+	Benchmark string  `json:"benchmark"`
+	GoVersion string  `json:"go_version"`
+	GOOS      string  `json:"goos"`
+	GOARCH    string  `json:"goarch"`
+	NumCPU    int     `json:"num_cpu"`
+	NsPerOp   float64 `json:"ns_per_op"`
+	Allocs    int64   `json:"allocs_per_op"`
 }
 
-// TestEmitDispatchBench measures the tracing-off and tracing-on dispatch
-// paths and writes BENCH_dispatch.json to $FLEXSIM_BENCH_DISPATCH_OUT;
-// without the variable it is a no-op.
+// TestEmitDispatchBench measures the dispatch path and writes
+// BENCH_dispatch.json to $FLEXSIM_BENCH_DISPATCH_OUT; without the variable
+// it is a no-op.
 func TestEmitDispatchBench(t *testing.T) {
 	out := os.Getenv("FLEXSIM_BENCH_DISPATCH_OUT")
 	if out == "" {
 		t.Skip("set FLEXSIM_BENCH_DISPATCH_OUT to write BENCH_dispatch.json")
 	}
-	off := testing.Benchmark(func(b *testing.B) { benchDispatch(b, false) })
-	on := testing.Benchmark(func(b *testing.B) { benchDispatch(b, true) })
-	offNs, onNs := float64(off.NsPerOp()), float64(on.NsPerOp())
+	res := testing.Benchmark(BenchmarkDispatch)
 	file := dispatchBenchFile{
-		Benchmark:  "BenchmarkDispatch",
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		OffNsPerOp: offNs, OffAllocs: off.AllocsPerOp(),
-		OnNsPerOp: onNs, OnAllocs: on.AllocsPerOp(),
-		OverheadFrac: (onNs - offNs) / offNs,
+		Benchmark: "BenchmarkDispatch",
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+		NsPerOp:   float64(res.NsPerOp()),
+		Allocs:    res.AllocsPerOp(),
 	}
 	b, err := json.MarshalIndent(&file, "", "  ")
 	if err != nil {
@@ -140,8 +115,8 @@ func TestEmitDispatchBench(t *testing.T) {
 }
 
 // TestBenchCompareDispatch is the dispatch half of the CI bench-compare
-// gate (FLEXSIM_BENCH_COMPARE=1): the tracing-off dispatch path must stay
-// allocation-identical to the committed BENCH_dispatch.json baseline.
+// gate (FLEXSIM_BENCH_COMPARE=1): the dispatch path may not allocate more
+// than the committed BENCH_dispatch.json baseline.
 // Dispatch wall-clock is dominated by store I/O and too noisy to gate; it
 // is logged for the record on every machine.
 func TestBenchCompareDispatch(t *testing.T) {
@@ -160,11 +135,10 @@ func TestBenchCompareDispatch(t *testing.T) {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		t.Fatalf("dispatch bench baseline %s: %v", path, err)
 	}
-	res := testing.Benchmark(func(b *testing.B) { benchDispatch(b, false) })
-	t.Logf("tracing-off Dispatch: %d ns/op, %d allocs/op (baseline %.0f ns, %d allocs from %s/%d-cpu)",
-		res.NsPerOp(), res.AllocsPerOp(), base.OffNsPerOp, base.OffAllocs, base.GOARCH, base.NumCPU)
-	if res.AllocsPerOp() > base.OffAllocs {
-		t.Errorf("dispatch allocs/op grew: %d > baseline %d — the tracing-off path is no longer allocation-identical",
-			res.AllocsPerOp(), base.OffAllocs)
+	res := testing.Benchmark(BenchmarkDispatch)
+	t.Logf("Dispatch: %d ns/op, %d allocs/op (baseline %.0f ns, %d allocs from %s/%d-cpu)",
+		res.NsPerOp(), res.AllocsPerOp(), base.NsPerOp, base.Allocs, base.GOARCH, base.NumCPU)
+	if res.AllocsPerOp() > base.Allocs {
+		t.Errorf("dispatch allocs/op grew: %d > baseline %d", res.AllocsPerOp(), base.Allocs)
 	}
 }

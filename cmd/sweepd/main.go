@@ -13,11 +13,12 @@
 // computed anywhere is served everywhere — including to a later local
 // charsweep run pointed at the same directory.
 //
-// The coordinator journals submissions and completions (-journal), so a
-// restarted sweepd resumes unfinished sweeps without re-executing completed
-// points. SIGINT/SIGTERM drains gracefully: submissions are refused,
-// in-flight points get -drain-grace to finish, and the journal resumes the
-// rest on the next start.
+// The coordinator journals submissions and every scheduler transition
+// (-journal), so a restarted sweepd resumes unfinished sweeps without
+// re-executing completed points; the same file is the fleet span log that
+// -fleet-perfetto renders at drain. SIGINT/SIGTERM drains gracefully:
+// submissions are refused, in-flight points get -drain-grace to finish, and
+// the journal resumes the rest on the next start.
 package main
 
 import (
@@ -41,15 +42,6 @@ func main() {
 	os.Exit(run())
 }
 
-// closeLog closes the store or the span log as run returns. A write that
-// failed earlier surfaces here: report it and fail the process.
-func closeLog(close func() error, code *int) {
-	if err := close(); err != nil {
-		fmt.Fprintln(os.Stderr, "sweepd:", err)
-		*code = 1
-	}
-}
-
 func run() (code int) {
 	var (
 		httpAddr    = flag.String("http", "127.0.0.1:8600", "serve the sweep API (plus /metrics, /healthz, /progress) on this address")
@@ -63,18 +55,27 @@ func run() (code int) {
 		pointTO     = flag.Duration("point-timeout", 0, "per-point execution timeout (0 = unbounded)")
 		healthEvery = flag.Duration("health-every", 0, "poll period when gating an unhealthy fleet worker on /healthz (0 = 250ms)")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "grace for in-flight points when draining on SIGINT/SIGTERM")
-		fleetSpans  = flag.String("fleet-spans", "", "coordinator: append the fleet span log (scheduler JSONL, one record per point transition) to this file")
-		fleetPerf   = flag.String("fleet-perfetto", "", "coordinator: write the fleet Perfetto timeline (one thread per worker, one slice per attempt) here at drain")
+		fleetPerf   = flag.String("fleet-perfetto", "", "coordinator: at drain, render the journal here as the fleet Perfetto timeline (one thread per worker, one slice per attempt)")
 		spansOut    = flag.String("spans-out", "", "worker: per-run Perfetto timeline path (\"*\" expands to <label>-s<seed>-l<load>)")
 	)
 	flag.Parse()
+	if *fleetPerf != "" && *journal == "none" {
+		fmt.Fprintln(os.Stderr, "sweepd: -fleet-perfetto reads the timeline from the journal; it cannot be used with -journal none")
+		return 2
+	}
 
 	cache, err := runner.Open(*store)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		return 1
 	}
-	defer closeLog(cache.Close, &code)
+	defer func() {
+		// A store write that failed earlier surfaces here: fail the process.
+		if err := cache.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "sweepd:", err)
+			code = 1
+		}
+	}()
 
 	ctx, cancel := flags.SignalContext(0)
 	defer cancel()
@@ -115,20 +116,6 @@ func run() (code int) {
 		}
 	}
 
-	// Fleet tracing and scheduler telemetry are always collected on the
-	// coordinator; the span-log JSONL and Perfetto timeline are written only
-	// when their flags name a destination.
-	var spans *jsonlog.Log
-	if *fleetSpans != "" {
-		if spans, err = jsonlog.Open(*fleetSpans); err != nil {
-			fmt.Fprintln(os.Stderr, "sweepd:", err)
-			return 1
-		}
-		defer closeLog(spans.Close, &code)
-	}
-	fleetLog := fleettrace.NewLog(spans)
-	fleetMetrics := obs.NewFleetMetrics()
-
 	progress := obs.NewSweepProgress(nil)
 	svc, err := sweepsvc.New(sweepsvc.Config{
 		Cache:        cache,
@@ -139,8 +126,6 @@ func run() (code int) {
 		PointTimeout: *pointTO,
 		HealthEvery:  *healthEvery,
 		Progress:     progress,
-		Trace:        fleetLog,
-		Metrics:      fleetMetrics,
 		Logf:         logf,
 	})
 	if err != nil {
@@ -157,7 +142,7 @@ func run() (code int) {
 		fmt.Fprintf(w, "journal: %s\nreplay: %d sweep(s), %d settled, %d requeued\n", jp, sweeps, settled, requeued)
 	}
 	srv, err := obs.Serve(*httpAddr,
-		obs.WithSweep(progress), obs.WithFleet(fleetMetrics), obs.WithHealth(health),
+		obs.WithSweep(progress), obs.WithFleet(svc.Metrics()), obs.WithHealth(health),
 		obs.WithHandler("/api/v1/", svc.APIHandler()))
 	if err != nil {
 		svc.Close()
@@ -183,20 +168,36 @@ func run() (code int) {
 	svc.Drain(*drainGrace)
 	logf("drained")
 	if *fleetPerf != "" {
-		f, err := os.Create(*fleetPerf)
-		if err != nil {
+		if err := writeTimeline(*fleetPerf, journalPath); err != nil {
 			logf("fleet perfetto: %v", err)
-			return 1
-		}
-		werr := fleetLog.WritePerfetto(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			logf("fleet perfetto: %v", werr)
 			return 1
 		}
 		logf("fleet timeline written to %s", *fleetPerf)
 	}
 	return 0
+}
+
+// writeTimeline renders the journal at journalPath as the fleet Perfetto
+// timeline at path.
+func writeTimeline(path, journalPath string) error {
+	j, err := jsonlog.Open(journalPath)
+	if err != nil {
+		return err
+	}
+	records, err := fleettrace.ReadRecords(j)
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = fleettrace.WritePerfetto(f, records)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

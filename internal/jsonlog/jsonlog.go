@@ -1,10 +1,10 @@
-// Package jsonlog is the one append-only JSONL file under the result store,
-// the coordinator journal and the fleet span log. DESIGN.md, "Append-only
-// logs", states the rule the three share: one write(2) per record on an
-// O_APPEND descriptor under an exclusive flock, a torn tail healed by the
-// next Append, complete lines only from Scan. A torn tail is never an error:
-// unterminated it is not delivered, healed it is a line that does not
-// decode, which all three callers skip.
+// Package jsonlog is the one append-only JSONL file under the result store
+// and the coordinator journal (which is also the fleet span log). DESIGN.md,
+// "Append-only logs", states the rule the two share: one write(2) per record
+// on an O_APPEND descriptor under an exclusive flock, a torn tail healed by
+// the next Append, complete lines only from Scan. A torn tail is never an
+// error: unterminated it is not delivered, healed it is a line that does not
+// decode, which both callers skip.
 package jsonlog
 
 import (

@@ -29,14 +29,13 @@ func goldenSweep() *obs.SweepProgress {
 }
 
 func goldenFleet() *obs.FleetMetrics {
-	m := obs.NewFleetMetrics()
-	m.QueueAdd(4)
+	m := obs.NewFleetMetrics(func() int { return 4 })
 	m.RunStart("w2")
-	m.RunEnd("w2", 3*time.Millisecond)
+	m.RunEnd("w2")
 	m.RunStart("w1")
-	m.RunEnd("w1", 2*time.Millisecond)
+	m.RunEnd("w1")
 	m.RunStart("w1")
-	m.RunEnd("w1", 2*time.Millisecond)
+	m.RunEnd("w1")
 	m.RunStart("w2")
 	m.Retry("worker-death")
 	m.Retry("5xx")

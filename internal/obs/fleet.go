@@ -18,14 +18,18 @@ import (
 
 // fleetWorker accumulates one worker's contribution.
 type fleetWorker struct {
-	points int64
+	points  int64
+	running int64
+	// busyNS sums the end of every finished attempt minus the start of every
+	// attempt, in nanoseconds since the epoch: each running attempt adds the
+	// current time on read.
 	busyNS int64
 }
 
 // FleetMetrics is the coordinator's scheduler telemetry. The zero value is
 // not ready; use NewFleetMetrics.
 type FleetMetrics struct {
-	queueDepth atomic.Int64
+	queueDepth func() int
 	inFlight   atomic.Int64
 	steals     atomic.Int64
 	done       atomic.Int64
@@ -40,36 +44,49 @@ type FleetMetrics struct {
 }
 
 // NewFleetMetrics returns scheduler telemetry anchored at now (busy
-// fractions and points/sec are measured against this epoch).
-func NewFleetMetrics() *FleetMetrics {
+// fractions and points/sec are measured against this epoch) that reads the
+// work queue's length from queueDepth.
+func NewFleetMetrics(queueDepth func() int) *FleetMetrics {
 	return &FleetMetrics{
-		start:   time.Now(),
-		retries: make(map[string]int64),
-		workers: make(map[string]*fleetWorker),
+		queueDepth: queueDepth,
+		start:      time.Now(),
+		retries:    make(map[string]int64),
+		workers:    make(map[string]*fleetWorker),
 	}
 }
 
-// QueueAdd moves the work-queue depth gauge (push +1, pop -1).
-func (m *FleetMetrics) QueueAdd(delta int) { m.queueDepth.Add(int64(delta)) }
-
 // QueueDepth returns the current work-queue depth.
-func (m *FleetMetrics) QueueDepth() int64 { return m.queueDepth.Load() }
+func (m *FleetMetrics) QueueDepth() int64 { return int64(m.queueDepth()) }
 
 // RunStart marks one execution attempt entering a worker.
-func (m *FleetMetrics) RunStart(worker string) { m.inFlight.Add(1) }
+func (m *FleetMetrics) RunStart(worker string) {
+	m.inFlight.Add(1)
+	m.mu.Lock()
+	w := m.worker(worker)
+	w.running++
+	w.busyNS -= time.Since(m.start).Nanoseconds()
+	m.mu.Unlock()
+}
 
-// RunEnd marks the attempt leaving the worker after busy wall time.
-func (m *FleetMetrics) RunEnd(worker string, busy time.Duration) {
+// RunEnd marks the attempt leaving the worker.
+func (m *FleetMetrics) RunEnd(worker string) {
 	m.inFlight.Add(-1)
 	m.mu.Lock()
-	w := m.workers[worker]
+	w := m.worker(worker)
+	w.running--
+	w.points++
+	w.busyNS += time.Since(m.start).Nanoseconds()
+	m.mu.Unlock()
+}
+
+// worker returns worker's accumulator, under m.mu.
+func (m *FleetMetrics) worker(name string) *fleetWorker {
+	w := m.workers[name]
 	if w == nil {
 		w = &fleetWorker{}
-		m.workers[worker] = w
+		m.workers[name] = w
 	}
-	w.points++
-	w.busyNS += busy.Nanoseconds()
-	m.mu.Unlock()
+	return w
 }
 
 // InFlight returns the number of attempts currently executing.
@@ -153,7 +170,7 @@ func (m *FleetMetrics) expose(e *exposition) {
 	for name, wk := range m.workers {
 		points[name], busy[name], rate[name] = wk.points, 0, 0
 		if elapsed > 0 {
-			busy[name] = float64(wk.busyNS) / float64(elapsed.Nanoseconds())
+			busy[name] = float64(wk.busyNS+wk.running*elapsed.Nanoseconds()) / float64(elapsed.Nanoseconds())
 			rate[name] = float64(wk.points) / elapsed.Seconds()
 		}
 	}

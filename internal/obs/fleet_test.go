@@ -9,13 +9,11 @@ import (
 )
 
 func TestFleetMetricsCounters(t *testing.T) {
-	m := NewFleetMetrics()
-	m.QueueAdd(3)
-	m.QueueAdd(-1)
+	m := NewFleetMetrics(func() int { return 2 })
 	m.RunStart("w1")
-	m.RunEnd("w1", 5*time.Millisecond)
+	m.RunEnd("w1")
 	m.RunStart("w2")
-	m.RunEnd("w2", 10*time.Millisecond)
+	m.RunEnd("w2")
 	m.Retry("worker-death")
 	m.Retry("worker-death")
 	m.Retry("5xx")
@@ -48,10 +46,9 @@ func TestFleetMetricsCounters(t *testing.T) {
 }
 
 func TestFleetMetricsPrometheus(t *testing.T) {
-	m := NewFleetMetrics()
-	m.QueueAdd(1)
+	m := NewFleetMetrics(func() int { return 1 })
 	m.RunStart("w1")
-	m.RunEnd("w1", time.Millisecond)
+	m.RunEnd("w1")
 	m.Retry("worker-death")
 	m.PointSettled("done", 7*time.Millisecond)
 
@@ -99,7 +96,7 @@ func TestFleetMetricsPrometheus(t *testing.T) {
 }
 
 func TestMuxWithFleetAndHealth(t *testing.T) {
-	m := NewFleetMetrics()
+	m := NewFleetMetrics(func() int { return 0 })
 	m.Retry("worker-death")
 	srv, err := Serve("127.0.0.1:0",
 		WithFleet(m),

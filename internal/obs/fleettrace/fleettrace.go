@@ -1,18 +1,16 @@
 // Package fleettrace is distributed tracing for the sweep service fleet:
 // a W3C-traceparent-style trace context minted by the coordinator — one
 // trace ID per sweep, one span ID per point attempt — propagated over the
-// specv1 wire to fleet workers and into per-run artifacts, plus a
-// coordinator-side span log that records every point's path through the
-// scheduler (queued, scheduled-on-worker, attempt k, retry with cause,
-// settle) as JSONL and renders the whole distributed sweep as a single
-// Perfetto timeline: one thread per worker, one slice per attempt, instant
-// events for retries and steals.
+// specv1 wire to fleet workers and into per-run artifacts, plus the record
+// type of the coordinator journal, which is the fleet span log: every
+// point's path through the scheduler (attempt k on a worker, retry with
+// cause, steal, settle), rendered as a single Perfetto timeline with one
+// thread per worker, one slice per attempt and instant events for retries
+// and steals.
 //
 // IDs are minted deterministically from the sweep ID and point/attempt
 // indices, so a restarted coordinator resumes a sweep under the same trace
-// ID and a replayed completion lands on the same span the original
-// execution would have — the journal and the span log agree by
-// construction, not by persistence.
+// ID and the journal need not store them.
 package fleettrace
 
 import (

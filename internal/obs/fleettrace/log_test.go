@@ -10,10 +10,10 @@ import (
 	"flexsim/internal/jsonlog"
 )
 
-// openSink opens a span-log file in a fresh directory.
+// openSink opens a journal file in a fresh directory.
 func openSink(t *testing.T) (*jsonlog.Log, string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	sink, err := jsonlog.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -22,93 +22,47 @@ func openSink(t *testing.T) (*jsonlog.Log, string) {
 	return sink, path
 }
 
-// replayLifecycle drives one point through queued -> attempt 1 retry ->
-// steal -> attempt 2 done, the shape every log test wants.
-func replayLifecycle(l *Log, sweep, traceID string) {
-	l.PointQueued(sweep, traceID, 0)
-	l.AttemptStart(sweep, traceID, 0, 1, "w1")
-	l.AttemptEnd(sweep, traceID, 0, 1, "w1", "retry", "worker-death", "conn refused")
-	l.Steal(sweep, traceID, 0, 2, "w2", "w1")
-	l.AttemptStart(sweep, traceID, 0, 2, "w2")
-	l.AttemptEnd(sweep, traceID, 0, 2, "w2", "done", "", "")
-	l.PointSettled(sweep, traceID, 0, "done", "w2", "", "")
-}
-
-func TestLogRecordsLifecycle(t *testing.T) {
-	sink, _ := openSink(t)
-	l := NewLog(sink)
-	tr := MintTraceID("s1-aaaa")
-	replayLifecycle(l, "s1-aaaa", tr)
-
-	recs := l.Records()
-	wantStates := []string{"queued", "running", "retry", "steal", "running", "done", "done"}
-	if len(recs) != len(wantStates) {
-		t.Fatalf("got %d records, want %d: %+v", len(recs), len(wantStates), recs)
-	}
-	for i, want := range wantStates {
-		if recs[i].State != want {
-			t.Errorf("record %d: state %q, want %q", i, recs[i].State, want)
+// appendRecords appends each record as one journal line.
+func appendRecords(t *testing.T, sink *jsonlog.Log, recs ...Record) {
+	t.Helper()
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if recs[i].Trace != tr {
-			t.Errorf("record %d: trace %q, want %q", i, recs[i].Trace, tr)
-		}
-	}
-	// The retry record carries its cause and closes attempt 1's span.
-	retry := recs[2]
-	if retry.Cause != "worker-death" || retry.Attempt != 1 || retry.Kind != "attempt" {
-		t.Fatalf("retry record: %+v", retry)
-	}
-	if retry.Span != MintSpanID(tr, 0, 1) || retry.Parent != MintSpanID(tr, 0, 0) {
-		t.Fatalf("retry span linkage: %+v", retry)
-	}
-	// The terminal point record closes the root span across the whole path.
-	final := recs[len(recs)-1]
-	if final.Kind != "point" || !final.Terminal() || final.Span != MintSpanID(tr, 0, 0) {
-		t.Fatalf("final record: %+v", final)
-	}
-	if final.DurUS < recs[0].TS-recs[0].TS { // non-negative by construction
-		t.Fatalf("final duration negative: %+v", final)
-	}
-
-	// The JSONL stream reads back the same records.
-	back, err := ReadRecords(sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(recs) {
-		t.Fatalf("JSONL round trip: %d records, want %d", len(back), len(recs))
-	}
-	for i := range back {
-		if back[i] != recs[i] {
-			t.Fatalf("record %d differs after round trip: %+v vs %+v", i, back[i], recs[i])
+		if err := sink.Append(line); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-func TestLogNilWriterInMemory(t *testing.T) {
-	l := NewLog(nil)
-	tr := MintTraceID("s2-bbbb")
-	replayLifecycle(l, "s2-bbbb", tr)
-	if len(l.Records()) != 7 {
-		t.Fatalf("in-memory log: %d records", len(l.Records()))
+// lifecycle is point 0's path through the scheduler — attempt 1 on w1
+// fails retryably, w2 steals it and settles it — and point 1, served from
+// the store at submit, with microsecond stamps.
+func lifecycle(sweep string) []Record {
+	return []Record{
+		{TS: 100, Kind: "sweep", Sweep: sweep, Name: "demo"},
+		{TS: 110, Kind: "attempt", State: "running", Sweep: sweep, Point: 0, Attempt: 1, Worker: "w1"},
+		{TS: 120, Kind: "point", State: "cached", Sweep: sweep, Point: 1},
+		{TS: 150, Kind: "attempt", State: "retry", Sweep: sweep, Point: 0, Attempt: 1, Worker: "w1", Cause: "worker-death"},
+		{TS: 160, Kind: "event", State: "steal", Sweep: sweep, Point: 0, Attempt: 2, Worker: "w2", Cause: "w1"},
+		{TS: 160, Kind: "attempt", State: "running", Sweep: sweep, Point: 0, Attempt: 2, Worker: "w2"},
+		{TS: 200, Kind: "point", State: "done", Sweep: sweep, Point: 0, Attempt: 2, Worker: "w2"},
 	}
 }
 
-// tornLog writes one point's two records to a fresh span log and then half a
-// line, as a coordinator killed mid-write leaves it.
+// tornLog writes two records to a fresh journal and then half a line, as a
+// coordinator killed mid-write leaves it.
 func tornLog(t *testing.T) (*jsonlog.Log, string) {
 	t.Helper()
 	sink, path := openSink(t)
-	l := NewLog(sink)
-	tr := MintTraceID("s3-cccc")
-	l.PointQueued("s3-cccc", tr, 0)
-	l.PointSettled("s3-cccc", tr, 0, "done", "w1", "", "")
+	appendRecords(t, sink, lifecycle("s3-cccc")[:2]...)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.WriteString(`{"ts_us":12,"trace":"`); err != nil {
+	if _, err := f.WriteString(`{"ts_us":12,"kind":"`); err != nil {
 		t.Fatal(err)
 	}
 	return sink, path
@@ -123,7 +77,8 @@ func TestReadRecordsToleratesTornTail(t *testing.T) {
 }
 
 // TestAppendAfterTornTail: the first record a restarted coordinator appends
-// is its own line, not glued to the torn bytes and lost with them.
+// is its own line, not glued to the torn bytes and lost with them; a line
+// of an older journal format is skipped like the tear.
 func TestAppendAfterTornTail(t *testing.T) {
 	_, path := tornLog(t)
 	sink, err := jsonlog.Open(path)
@@ -131,26 +86,23 @@ func TestAppendAfterTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	l := NewLog(sink)
-	l.PointQueued("s3-cccc", MintTraceID("s3-cccc"), 1)
+	if err := sink.Append([]byte(`{"type":"assign","sweep":"s3-cccc","index":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	appendRecords(t, sink, Record{TS: 300, Kind: "attempt", State: "running", Sweep: "s3-cccc", Point: 1, Attempt: 1, Worker: "w1"})
 	recs, err := ReadRecords(sink)
-	if err != nil || len(recs) != 3 || recs[2].Point != 1 || recs[2].State != "queued" {
+	if err != nil || len(recs) != 3 || recs[2].Point != 1 || recs[2].State != "running" {
 		t.Fatalf("after restart: err %v, records %+v; want the 2 old ones and the new one", err, recs)
 	}
 }
 
-// TestWritePerfetto pins the structure of the fleet timeline export: a
-// valid JSON array with one fleet process, one thread per worker, complete
-// slices for closed attempts, instants for retries and steals.
+// TestWritePerfetto pins the structure of the fleet timeline: a valid JSON
+// array with one fleet process, one thread per worker, a complete slice per
+// closed attempt running from its attempt/running record to the record that
+// ends it, instants for retries and steals.
 func TestWritePerfetto(t *testing.T) {
-	l := NewLog(nil)
-	tr := MintTraceID("s4-dddd")
-	replayLifecycle(l, "s4-dddd", tr)
-	// A second point replayed from a journal.
-	l.PointSettled("s4-dddd", tr, 1, "cached", "", "replay", "")
-
 	var buf bytes.Buffer
-	if err := l.WritePerfetto(&buf); err != nil {
+	if err := WritePerfetto(&buf, lifecycle("s4-dddd")); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -180,21 +132,30 @@ func TestWritePerfetto(t *testing.T) {
 	if !foundFleet {
 		t.Fatalf("no fleet process metadata in %s", buf.String())
 	}
-	// Threads: w1, w2 and the coordinator (for the replayed point).
-	if len(threads) != 3 {
-		t.Fatalf("got %d fleet threads, want 3: %+v", len(threads), threads)
+	// Threads: w1 and w2; the point served from the store draws nothing.
+	if len(threads) != 2 {
+		t.Fatalf("got %d fleet threads, want 2: %+v", len(threads), threads)
 	}
-	// Slices: attempt 1 (retry) and attempt 2 (done).
-	if len(slices) != 2 {
-		t.Fatalf("got %d attempt slices, want 2: %+v", len(slices), slices)
+	// Slices: attempt 1 (110 to its retry at 150) and attempt 2 (160 to the
+	// terminal record at 200).
+	tr := MintTraceID("s4-dddd")
+	want := []struct {
+		ts, dur float64
+		state   string
+		attempt int
+	}{{110, 40, "retry", 1}, {160, 40, "done", 2}}
+	if len(slices) != len(want) {
+		t.Fatalf("got %d attempt slices, want %d: %+v", len(slices), len(want), slices)
 	}
-	for _, s := range slices {
+	for i, s := range slices {
 		args := s["args"].(map[string]any)
-		if args["trace"] != tr {
-			t.Errorf("slice args missing trace: %+v", s)
+		w := want[i]
+		if s["ts"] != w.ts || s["dur"] != w.dur || args["state"] != w.state ||
+			args["trace"] != tr || args["span"] != MintSpanID(tr, 0, w.attempt) {
+			t.Errorf("slice %d: %+v, want ts %v dur %v state %s on attempt %d's span", i, s, w.ts, w.dur, w.state, w.attempt)
 		}
 	}
-	// Instants: retry, steal, replayed.
+	// Instants: retry and steal.
 	names := map[string]bool{}
 	for _, in := range instants {
 		names[in["name"].(string)] = true
@@ -202,7 +163,7 @@ func TestWritePerfetto(t *testing.T) {
 			t.Errorf("instant %v not thread-scoped", in["name"])
 		}
 	}
-	for _, want := range []string{"retry: worker-death", "steal", "replayed"} {
+	for _, want := range []string{"retry: worker-death", "steal"} {
 		if !names[want] {
 			t.Errorf("missing instant %q (got %v)", want, names)
 		}

@@ -5,8 +5,8 @@
 // report a stats.Result.
 //
 // The cycle loop is driven from a single goroutine and fully deterministic
-// per seed. Parallelism belongs one level up: core.LoadSweep runs
-// independent points on separate goroutines. Instrumentation.Shards > 1 (or,
+// per seed. Parallelism belongs one level up: runner.Map runs independent
+// points on separate goroutines. Instrumentation.Shards > 1 (or,
 // when it is zero, an integer FLEXSIM_SHARDS) steps the inside of each
 // network cycle on a worker pool instead, without changing any result bit;
 // that engine has not beaten one shard on any measured machine

@@ -107,8 +107,8 @@ func newHTTPExec(base string, healthEvery time.Duration) *httpExec {
 
 func (e *httpExec) name() string { return e.base }
 
-func (e *httpExec) run(ctx context.Context, cfg sim.Config) execResult {
-	req := specv1.RunRequest{SchemaVersion: specv1.Version, Config: specv1.FromSim(cfg), Trace: cfg.TraceContext}
+func (e *httpExec) run(ctx context.Context, point sim.Config) execResult {
+	req := specv1.RunRequest{SchemaVersion: specv1.Version, Config: specv1.FromSim(point), Trace: point.TraceContext}
 	if deadline, ok := ctx.Deadline(); ok {
 		req.TimeoutMS = time.Until(deadline).Milliseconds()
 	}

@@ -230,13 +230,13 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	if req == nil {
 		return
 	}
-	cfg := req.Config.ToSim()
-	key := runner.Key(cfg)
+	point := req.Config.ToSim()
+	key := runner.Key(point)
 	// The trace context and spans path are observability-only (excluded
 	// from the cache key): set after Key so they cannot perturb dedupe.
-	cfg.TraceContext = req.Trace
+	point.TraceContext = req.Trace
 	if wk.SpansPath != "" {
-		cfg.SpansPath = wk.SpansPath
+		point.SpansPath = wk.SpansPath
 	}
 	resp := specv1.RunResponse{SchemaVersion: specv1.Version, Worker: wk.Name, Trace: req.Trace}
 	if wk.Cache != nil {
@@ -259,7 +259,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	wk.executions.Add(1)
-	p := runner.Map(ctx, []sim.Config{cfg}, runner.Options{Parallelism: 1, Run: wk.Run})[0]
+	p := runner.Map(ctx, []sim.Config{point}, runner.Options{Parallelism: 1, Run: wk.Run})[0]
 	switch p.Status {
 	case runner.Done:
 		raw, err := specv1.EncodeResult(p.Result)
@@ -270,7 +270,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		if wk.Cache != nil {
 			// Not persisted: the coordinator writes the bytes itself.
-			resp.Persisted = wk.Cache.PutRaw(key, cfg.Label, cfg.Load, raw) == nil
+			resp.Persisted = wk.Cache.PutRaw(key, point.Label, point.Load, raw) == nil
 		}
 		resp.Status = specv1.StatusDone
 		resp.Result = raw

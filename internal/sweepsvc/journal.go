@@ -1,45 +1,54 @@
 package sweepsvc
 
-// The journal is the coordinator's idempotent-restart record: one JSONL
-// line per sweep submission, point assignment and point completion. On New
-// the journal is replayed — completed points are rebuilt from the shared
-// store by content address, unfinished ones re-enter the queue — so a
-// restarted coordinator never re-executes a point whose completion was
-// journaled. Result payloads never live here; the store owns them.
+// The journal is the coordinator's idempotent-restart record and the fleet
+// span log in one: a fleettrace.Record line per sweep submission and per
+// scheduler transition of a point. On New the journal is replayed — points
+// with a terminal record are rebuilt from the shared store by content
+// address, the rest re-enter the queue — so a restarted coordinator never
+// re-executes a point whose completion was journaled. Result payloads never
+// live here; the store owns them.
 
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"flexsim/internal/api/specv1"
 	"flexsim/internal/jsonlog"
 	"flexsim/internal/obs/fleettrace"
 )
 
-// journalRecord is one journal line.
-type journalRecord struct {
-	Type string `json:"type"` // "sweep", "assign", "point"
-
-	// Sweep submission (type "sweep").
-	ID   string       `json:"id,omitempty"`
-	Name string       `json:"name,omitempty"`
-	Spec *specv1.Spec `json:"spec,omitempty"`
-
-	// Point assignment/completion (types "assign", "point").
-	Sweep   string        `json:"sweep,omitempty"`
-	Index   int           `json:"index,omitempty"`
-	Attempt int           `json:"attempt,omitempty"`
-	Worker  string        `json:"worker,omitempty"`
-	Status  specv1.Status `json:"status,omitempty"`
-	Key     string        `json:"key,omitempty"`
-	Error   string        `json:"error,omitempty"`
+// record is the one sink of a scheduler transition. It stamps rec, appends
+// it to the journal, and feeds the fleet metrics from it; a retry or steal
+// also moves the sweep's counters and is broadcast to its watchers.
+func (s *Service) record(sw *sweep, rec fleettrace.Record) {
+	now := time.Now()
+	rec.TS, rec.Sweep = now.UnixMicro(), sw.id
+	s.append(rec)
+	m := s.metrics
+	switch {
+	case rec.Kind == "attempt" && rec.State == "running":
+		m.RunStart(rec.Worker)
+	case rec.Kind == "attempt" && rec.State == "retry":
+		m.RunEnd(rec.Worker)
+		m.Retry(rec.Cause)
+		sw.retryOrSteal(rec)
+	case rec.Kind == "event" && rec.State == "steal":
+		m.Steal()
+		sw.retryOrSteal(rec)
+	case rec.Kind == "point":
+		if rec.Worker != "" {
+			m.RunEnd(rec.Worker)
+		}
+		m.PointSettled(rec.State, now.Sub(sw.started))
+	}
 }
 
-// journalRec appends a record to the journal (a jsonlog.Log; DESIGN.md,
-// "Append-only logs"), if one is attached. Journal failures degrade restart
-// fidelity, not the running sweep: they are logged and the in-memory state
-// stays authoritative.
-func (s *Service) journalRec(rec journalRecord) {
+// append writes rec to the journal (a jsonlog.Log; DESIGN.md, "Append-only
+// logs"), if one is attached. Journal failures degrade restart fidelity, not
+// the running sweep: they are logged and the in-memory state stays
+// authoritative.
+func (s *Service) append(rec fleettrace.Record) {
 	s.mu.Lock()
 	j := s.journal
 	s.mu.Unlock()
@@ -55,46 +64,48 @@ func (s *Service) journalRec(rec journalRecord) {
 	}
 }
 
-// replayRecord applies one line of a previous process's journal. Torn or
-// foreign lines are skipped; a done/cached completion whose bytes are no
-// longer in the store is dropped, so the point re-runs.
+// replayRecord applies one line of a previous process's journal. Torn lines
+// and those of an older format are skipped; a done/cached completion whose
+// bytes are no longer in the store is dropped, so the point re-runs.
 func (s *Service) replayRecord(_ int64, line []byte) {
-	var rec journalRecord
+	var rec fleettrace.Record
 	if json.Unmarshal(line, &rec) != nil {
 		return
 	}
-	switch rec.Type {
-	case "sweep":
-		if rec.Spec == nil || rec.ID == "" {
+	switch {
+	case rec.Kind == "sweep":
+		if rec.Spec == nil || rec.Sweep == "" {
 			return
 		}
-		if _, exists := s.sweeps[rec.ID]; exists {
+		if _, exists := s.sweeps[rec.Sweep]; exists {
 			return
 		}
-		sw, err := s.newSweep(rec.ID, rec.Spec)
+		sw, err := s.newSweep(rec.Sweep, rec.Spec)
 		if err != nil {
-			s.logf("journal: sweep %s unreplayable: %v", rec.ID, err)
+			s.logf("journal: sweep %s unreplayable: %v", rec.Sweep, err)
 			return
 		}
-		s.sweeps[rec.ID] = sw
-		s.order = append(s.order, rec.ID)
+		sw.started = time.UnixMicro(rec.TS)
+		s.sweeps[rec.Sweep] = sw
+		s.order = append(s.order, rec.Sweep)
 		s.replayedSweeps++
 		var seq int
-		if _, err := fmt.Sscanf(rec.ID, "s%d-", &seq); err == nil && seq > s.seq {
+		if _, err := fmt.Sscanf(rec.Sweep, "s%d-", &seq); err == nil && seq > s.seq {
 			s.seq = seq
 		}
-	case "point":
+	case rec.Kind == "point" && rec.Terminal():
 		sw := s.sweeps[rec.Sweep]
-		if sw == nil || rec.Index < 0 || rec.Index >= len(sw.results) || sw.results[rec.Index] != nil {
+		if sw == nil || rec.Point < 0 || rec.Point >= len(sw.results) || sw.results[rec.Point] != nil {
 			return
 		}
 		pr := &specv1.PointResult{
-			SchemaVersion: specv1.Version, Index: rec.Index,
-			Load: sw.configs[rec.Index].Load, Status: rec.Status,
-			Key: rec.Key, Worker: rec.Worker, Attempts: rec.Attempt, Error: rec.Error,
+			SchemaVersion: specv1.Version, Index: rec.Point, Load: sw.configs[rec.Point].Load,
+			Status: specv1.Status(rec.State), Key: sw.keys[rec.Point], Worker: rec.Worker,
+			Attempts: rec.Attempt, Error: rec.Error,
+			Trace: fleettrace.PointContext(sw.traceID, rec.Point).Traceparent(),
 		}
-		if rec.Status == specv1.StatusDone || rec.Status == specv1.StatusCached {
-			raw, ok := s.cfg.Cache.GetRaw(rec.Key)
+		if pr.Status == specv1.StatusDone || pr.Status == specv1.StatusCached {
+			raw, ok := s.cfg.Cache.GetRaw(pr.Key)
 			if !ok {
 				return
 			}
@@ -102,13 +113,6 @@ func (s *Service) replayRecord(_ int64, line []byte) {
 		}
 		sw.recordLocked(pr) // replay is single-threaded: New has started no goroutine yet
 		s.replayedPoints++
-		// A replayed completion lands on the same deterministic span the
-		// original execution settled; cause "replay" marks that the
-		// execution happened in a prior process (no attempt spans here).
-		if tr := s.cfg.Trace; tr != nil {
-			pr.Trace = fleettrace.PointContext(sw.traceID, rec.Index).Traceparent()
-			tr.PointSettled(sw.id, sw.traceID, rec.Index, string(rec.Status), rec.Worker, "replay", rec.Error)
-		}
 	}
 }
 
@@ -126,12 +130,6 @@ func (s *Service) replayJournal(j *jsonlog.Log) error {
 		resumed := 0
 		for i := range sw.configs {
 			if sw.results[i] == nil {
-				if tr := s.cfg.Trace; tr != nil {
-					tr.PointQueued(sw.id, sw.traceID, i)
-				}
-				if m := s.cfg.Metrics; m != nil {
-					m.QueueAdd(1)
-				}
 				s.queue.push(&task{sw: sw, index: i})
 				resumed++
 			}

@@ -15,10 +15,12 @@
 //     store (runner.Cache): a point whose configuration is already persisted
 //     settles as cached without executing, whether it completed in a prior
 //     sweep, a prior process, or on a fleet worker sharing the store.
-//   - Every submission and point completion is journaled, so a restarted
-//     coordinator resumes unfinished sweeps exactly where they stopped:
-//     completed points are served from the store, unfinished ones re-enter
-//     the queue, and nothing executes twice.
+//   - Every submission and scheduler transition is journaled, so a
+//     restarted coordinator resumes unfinished sweeps exactly where they
+//     stopped: completed points are served from the store, unfinished ones
+//     re-enter the queue, and nothing executes twice. The journal is also
+//     the fleet span log, and the scheduler metrics and retry/steal events
+//     are fed from the same records.
 //   - Drain stops the service gracefully: submissions are refused, queued
 //     points are dropped (the journal resumes them), and in-flight points
 //     get a grace period to finish before being cancelled.
@@ -67,8 +69,9 @@ type Config struct {
 	// fleet mode every worker opens the same directory; the store's
 	// single-write appends keep concurrent processes safe.
 	Cache *runner.Cache
-	// JournalPath persists submissions and completions for idempotent
-	// restart ("" = no journal; sweeps die with the process).
+	// JournalPath persists submissions and scheduler transitions for
+	// idempotent restart and the fleet timeline ("" = no journal; sweeps die
+	// with the process).
 	JournalPath string
 	// LocalWorkers is the number of in-process executors (0 = GOMAXPROCS
 	// when Fleet is empty, else none).
@@ -90,16 +93,6 @@ type Config struct {
 	// Progress, if non-nil, receives per-run counters and per-sweep states
 	// for the shared /progress endpoint.
 	Progress *obs.SweepProgress
-	// Trace, if non-nil, receives the fleet span log: every point's path
-	// through the scheduler (queued, attempt on worker, retry with cause,
-	// steal, settle), with trace contexts minted per sweep and propagated
-	// to workers on the wire. Nil (the default) leaves the dispatch path
-	// untouched.
-	Trace *fleettrace.Log
-	// Metrics, if non-nil, receives fleet scheduler telemetry (queue depth,
-	// in-flight, retries by cause, steals, per-worker throughput) for the
-	// shared /metrics endpoint.
-	Metrics *obs.FleetMetrics
 	// Logf, if non-nil, receives operational log lines.
 	Logf func(format string, args ...interface{})
 }
@@ -110,6 +103,7 @@ type Config struct {
 type Service struct {
 	cfg        Config
 	maxRetries int
+	metrics    *obs.FleetMetrics
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -139,14 +133,12 @@ type sweep struct {
 	spec    *specv1.Spec
 	configs []sim.Config
 	keys    []string
+	// started is when the sweep was submitted (on replay, its journal
+	// record's time): every point's queue time.
 	started time.Time
 	// traceID is the sweep's fleet trace ID, minted deterministically from
 	// the sweep id (so a restarted coordinator resumes the same trace).
 	traceID string
-	// queuedAt is index-aligned with configs: when the point entered the
-	// queue (zero for journal-replayed points). Written before the point is
-	// queued, read at settle; the queue's mutex orders the two.
-	queuedAt []time.Time
 
 	mu          sync.Mutex
 	results     []*specv1.PointResult // index-aligned; nil = unsettled
@@ -157,7 +149,7 @@ type sweep struct {
 	running     int
 	retries     int
 	stolen      int
-	retryCauses map[string]int // lazily allocated on first tagged retry
+	retryCauses map[string]int // lazily allocated on first retry
 	subs        map[chan specv1.Event]struct{}
 }
 
@@ -168,6 +160,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, errors.New("sweepsvc: Config.Cache (the shared result store) is required")
 	}
 	s := &Service{cfg: cfg, maxRetries: cfg.MaxRetries, sweeps: make(map[string]*sweep), queue: newWorkQueue()}
+	s.metrics = obs.NewFleetMetrics(s.queue.len)
 	if s.maxRetries == 0 {
 		s.maxRetries = 2
 	} else if s.maxRetries < 0 {
@@ -214,6 +207,10 @@ func (s *Service) logf(format string, args ...interface{}) {
 	}
 }
 
+// Metrics returns the scheduler telemetry, for the shared mux:
+// obs.Serve(addr, obs.WithFleet(svc.Metrics()), ...).
+func (s *Service) Metrics() *obs.FleetMetrics { return s.metrics }
+
 // Submit registers a sweep: points with a stored result settle instantly as
 // cached, the rest are queued. The returned status is the post-dedupe
 // snapshot.
@@ -238,23 +235,16 @@ func (s *Service) Submit(spec *specv1.Spec) (*specv1.SweepStatus, error) {
 	s.mu.Unlock()
 	// Journaled before any point is queued, so no completion record can
 	// precede its sweep record.
-	s.journalRec(journalRecord{Type: "sweep", ID: id, Name: spec.Name, Spec: spec})
+	s.record(sw, fleettrace.Record{Kind: "sweep", Name: spec.Name, Spec: spec})
 	if s.cfg.Progress != nil {
 		s.cfg.Progress.Start(id)
 	}
 	s.logf("sweep %s: %d point(s) submitted", id, len(sw.configs))
 
 	for i := range sw.configs {
-		sw.queuedAt[i] = time.Now()
-		if tr := s.cfg.Trace; tr != nil {
-			tr.PointQueued(sw.id, sw.traceID, i)
-		}
 		if raw, ok := s.cfg.Cache.GetRaw(sw.keys[i]); ok {
-			s.settle(sw, i, &specv1.PointResult{Status: specv1.StatusCached, Result: raw}, true)
+			s.settle(sw, i, "", &specv1.PointResult{Status: specv1.StatusCached, Result: raw}, true)
 			continue
-		}
-		if m := s.cfg.Metrics; m != nil {
-			m.QueueAdd(1)
 		}
 		s.queue.push(&task{sw: sw, index: i})
 	}
@@ -275,12 +265,11 @@ func (s *Service) newSweep(id string, spec *specv1.Spec) (*sweep, error) {
 	}
 	sw := &sweep{
 		svc: s, id: id, name: spec.Name, spec: spec, configs: configs,
-		keys:     make([]string, len(configs)),
-		results:  make([]*specv1.PointResult, len(configs)),
-		queuedAt: make([]time.Time, len(configs)),
-		subs:     make(map[chan specv1.Event]struct{}),
-		started:  time.Now(),
-		traceID:  fleettrace.MintTraceID(id),
+		keys:    make([]string, len(configs)),
+		results: make([]*specv1.PointResult, len(configs)),
+		subs:    make(map[chan specv1.Event]struct{}),
+		started: time.Now(),
+		traceID: fleettrace.MintTraceID(id),
 	}
 	for i, c := range configs {
 		sw.keys[i] = runner.Key(c)
@@ -448,13 +437,7 @@ func (s *Service) workerLoop(ex executor) {
 		if !ok {
 			return
 		}
-		if m := s.cfg.Metrics; m != nil {
-			m.QueueAdd(-1)
-		}
 		if retry, cause := s.runTask(ex, t); retry {
-			if m := s.cfg.Metrics; m != nil {
-				m.QueueAdd(1)
-			}
 			s.logf("worker %s: point %s[%d] requeued (%s, attempt %d); gating on health", ex.name(), t.sw.id, t.index, cause, t.attempts)
 			s.queue.pushFront(t) // t belongs to the next worker from here on
 			ex.await(s.ctx)
@@ -473,39 +456,28 @@ func (s *Service) runTask(ex executor, t *task) (retry bool, cause string) {
 	// Another sweep — or another worker's retry — may have completed this
 	// configuration since it was queued: the shared store is the authority.
 	if raw, ok := s.cfg.Cache.GetRaw(sw.keys[i]); ok {
-		s.settle(sw, i, &specv1.PointResult{Status: specv1.StatusCached, Attempts: t.attempts, Result: raw}, true)
+		s.settle(sw, i, "", &specv1.PointResult{Status: specv1.StatusCached, Attempts: t.attempts, Result: raw}, true)
 		return false, ""
 	}
 
 	t.attempts++
-	if t.lastWorker != "" && t.lastWorker != ex.name() {
+	worker := ex.name()
+	if t.lastWorker != "" && t.lastWorker != worker {
 		// A retried point landed on a different worker than its previous
 		// attempt: a steal, in the pull-queue sense.
-		s.noteSteal(sw, i, t.attempts, ex.name(), t.lastWorker)
+		s.record(sw, fleettrace.Record{Kind: "event", State: "steal", Point: i, Attempt: t.attempts, Worker: worker, Cause: t.lastWorker})
 	}
-	t.lastWorker = ex.name()
+	t.lastWorker = worker
 	sw.markRunning(+1)
-	s.journalRec(journalRecord{Type: "assign", Sweep: sw.id, Index: i, Attempt: t.attempts, Worker: ex.name()})
-	if tr := s.cfg.Trace; tr != nil {
-		tr.AttemptStart(sw.id, sw.traceID, i, t.attempts, ex.name())
-	}
-	if m := s.cfg.Metrics; m != nil {
-		m.RunStart(ex.name())
-	}
+	s.record(sw, fleettrace.Record{Kind: "attempt", State: "running", Point: i, Attempt: t.attempts, Worker: worker})
 	ctx, cancel := s.ctx, context.CancelFunc(func() {})
 	if s.cfg.PointTimeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.PointTimeout)
 	}
-	cfg := sw.configs[i]
-	if s.cfg.Trace != nil {
-		cfg.TraceContext = fleettrace.AttemptContext(sw.traceID, i, t.attempts).Traceparent()
-	}
-	start := time.Now()
-	r := ex.run(ctx, cfg)
+	point := sw.configs[i]
+	point.TraceContext = fleettrace.AttemptContext(sw.traceID, i, t.attempts).Traceparent()
+	r := ex.run(ctx, point)
 	cancel()
-	if m := s.cfg.Metrics; m != nil {
-		m.RunEnd(ex.name(), time.Since(start))
-	}
 	sw.markRunning(-1)
 
 	if r.status == specv1.StatusCancelled || r.retryable {
@@ -524,11 +496,11 @@ func (s *Service) runTask(ex executor, t *task) (retry bool, cause string) {
 	switch {
 	case r.retryable:
 		if t.attempts <= s.maxRetries {
-			s.noteRetry(sw, i, t.attempts, &r)
+			s.record(sw, fleettrace.Record{Kind: "attempt", State: "retry", Point: i, Attempt: t.attempts,
+				Worker: worker, Cause: r.cause, Error: r.err.Error()})
 			return true, r.cause
 		}
-		s.attemptEnd(sw, i, t.attempts, r.worker, "failed", r.cause, r.err)
-		s.settle(sw, i, &specv1.PointResult{
+		s.settle(sw, i, worker, &specv1.PointResult{
 			Status: specv1.StatusFailed, Worker: r.worker, Attempts: t.attempts,
 			Error: fmt.Sprintf("%v (after %d attempt(s))", r.err, t.attempts),
 		}, false)
@@ -537,81 +509,26 @@ func (s *Service) runTask(ex executor, t *task) (retry bool, cause string) {
 		if r.err != nil {
 			msg = r.err.Error()
 		}
-		s.attemptEnd(sw, i, t.attempts, r.worker, "failed", "", r.err)
-		s.settle(sw, i, &specv1.PointResult{Status: specv1.StatusFailed, Worker: r.worker, Attempts: t.attempts, Error: msg}, false)
+		s.settle(sw, i, worker, &specv1.PointResult{Status: specv1.StatusFailed, Worker: r.worker, Attempts: t.attempts, Error: msg}, false)
 	default:
-		s.attemptEnd(sw, i, t.attempts, r.worker, string(r.status), "", nil)
-		s.settle(sw, i, &specv1.PointResult{Status: r.status, Worker: r.worker, Attempts: t.attempts, Result: r.raw}, r.persisted)
+		s.settle(sw, i, worker, &specv1.PointResult{Status: r.status, Worker: r.worker, Attempts: t.attempts, Result: r.raw}, r.persisted)
 	}
 	return false, ""
 }
 
-// attemptEnd closes the attempt's span in the fleet span log, if attached.
-func (s *Service) attemptEnd(sw *sweep, index, attempt int, worker, state, cause string, err error) {
-	tr := s.cfg.Trace
-	if tr == nil {
-		return
-	}
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	tr.AttemptEnd(sw.id, sw.traceID, index, attempt, worker, state, cause, msg)
-}
-
-// noteRetry accounts one retryable attempt failure: span log, scheduler
-// metrics, the sweep's per-cause counters, and a non-terminal "retry" event
-// for watchers.
-func (s *Service) noteRetry(sw *sweep, index, attempt int, r *execResult) {
-	sw.addRetry(r.cause)
-	s.attemptEnd(sw, index, attempt, r.worker, "retry", r.cause, r.err)
-	if m := s.cfg.Metrics; m != nil {
-		m.Retry(r.cause)
-	}
-	ev := specv1.Event{Type: "retry", Sweep: sw.id, Cause: r.cause,
-		Point: &specv1.PointResult{
-			SchemaVersion: specv1.Version, Index: index, Load: sw.configs[index].Load,
-			Status: specv1.StatusRetrying, Worker: r.worker, Attempts: attempt,
-		}}
-	if s.cfg.Trace != nil {
-		ev.Trace = fleettrace.AttemptContext(sw.traceID, index, attempt).Traceparent()
-	}
-	sw.notify(ev)
-}
-
-// noteSteal accounts one steal: a retried point picked up by worker after
-// its previous attempt ran on prev.
-func (s *Service) noteSteal(sw *sweep, index, attempt int, worker, prev string) {
-	sw.mu.Lock()
-	sw.stolen++
-	sw.mu.Unlock()
-	if tr := s.cfg.Trace; tr != nil {
-		tr.Steal(sw.id, sw.traceID, index, attempt, worker, prev)
-	}
-	if m := s.cfg.Metrics; m != nil {
-		m.Steal()
-	}
-	ev := specv1.Event{Type: "steal", Sweep: sw.id, Cause: prev,
-		Point: &specv1.PointResult{
-			SchemaVersion: specv1.Version, Index: index, Load: sw.configs[index].Load,
-			Status: specv1.StatusRetrying, Worker: worker, Attempts: attempt,
-		}}
-	if s.cfg.Trace != nil {
-		ev.Trace = fleettrace.AttemptContext(sw.traceID, index, attempt).Traceparent()
-	}
-	sw.notify(ev)
-}
-
 // settle finalizes one point: persists (or adopts) its result bytes in the
-// shared store, journals the completion, feeds the progress counters, and
-// notifies subscribers — emitting the terminal done event when the sweep's
-// last point settles. adopted marks result bytes already present in the
-// store (a cache hit, or a fleet worker that persisted before responding).
-func (s *Service) settle(sw *sweep, index int, pr *specv1.PointResult, adopted bool) {
+// shared store, records the terminal transition, feeds the progress
+// counters, and notifies subscribers — emitting the terminal done event when
+// the sweep's last point settles. worker names the executor whose attempt
+// this ends ("" for a point served from the store); adopted marks result
+// bytes already present in the store (a cache hit, or a fleet worker that
+// persisted before responding).
+func (s *Service) settle(sw *sweep, index int, worker string, pr *specv1.PointResult, adopted bool) {
 	pr.SchemaVersion = specv1.Version
 	pr.Index = index
 	pr.Load = sw.configs[index].Load
 	pr.Key = sw.keys[index]
+	pr.Trace = fleettrace.PointContext(sw.traceID, index).Traceparent()
 	if len(pr.Result) > 0 && (pr.Status == specv1.StatusDone || pr.Status == specv1.StatusCached) {
 		if adopted {
 			s.cfg.Cache.AdoptRaw(pr.Key, pr.Result)
@@ -619,21 +536,8 @@ func (s *Service) settle(sw *sweep, index int, pr *specv1.PointResult, adopted b
 			s.logf("%v", err)
 		}
 	}
-	if tr := s.cfg.Trace; tr != nil {
-		pr.Trace = fleettrace.PointContext(sw.traceID, index).Traceparent()
-		tr.PointSettled(sw.id, sw.traceID, index, string(pr.Status), pr.Worker, "", pr.Error)
-	}
-	if m := s.cfg.Metrics; m != nil {
-		var latency time.Duration
-		if qt := sw.queuedAt[index]; !qt.IsZero() {
-			latency = time.Since(qt)
-		}
-		m.PointSettled(string(pr.Status), latency)
-	}
-	s.journalRec(journalRecord{
-		Type: "point", Sweep: sw.id, Index: index, Status: pr.Status,
-		Key: pr.Key, Worker: pr.Worker, Attempt: pr.Attempts, Error: pr.Error,
-	})
+	s.record(sw, fleettrace.Record{Kind: "point", State: string(pr.Status), Point: index,
+		Attempt: pr.Attempts, Worker: worker, Error: pr.Error})
 	if p := s.cfg.Progress; p != nil {
 		switch pr.Status {
 		case specv1.StatusCached:
@@ -740,23 +644,27 @@ func (sw *sweep) markRunning(delta int) {
 	sw.mu.Unlock()
 }
 
-func (sw *sweep) addRetry(cause string) {
+// retryOrSteal counts a retry or steal record on the sweep and broadcasts it
+// to subscribers as a non-terminal event of the same name.
+func (sw *sweep) retryOrSteal(rec fleettrace.Record) {
+	ev := specv1.Event{Type: rec.State, Sweep: sw.id, Cause: rec.Cause,
+		Trace: fleettrace.AttemptContext(sw.traceID, rec.Point, rec.Attempt).Traceparent(),
+		Point: &specv1.PointResult{
+			SchemaVersion: specv1.Version, Index: rec.Point, Load: sw.configs[rec.Point].Load,
+			Status: specv1.StatusRetrying, Worker: rec.Worker, Attempts: rec.Attempt,
+		}}
 	sw.mu.Lock()
-	sw.retries++
-	if cause != "" {
+	defer sw.mu.Unlock()
+	if rec.State == "steal" {
+		sw.stolen++
+	} else {
+		sw.retries++
 		if sw.retryCauses == nil {
 			sw.retryCauses = make(map[string]int)
 		}
-		sw.retryCauses[cause]++
+		sw.retryCauses[rec.Cause]++
 	}
-	sw.mu.Unlock()
-}
-
-// notify broadcasts one non-terminal event (retry, steal) to subscribers.
-func (sw *sweep) notify(ev specv1.Event) {
-	sw.mu.Lock()
 	sw.broadcastLocked(ev)
-	sw.mu.Unlock()
 }
 
 // task is one queued point execution.
@@ -803,6 +711,12 @@ func (q *workQueue) pushFront(t *task) {
 	}
 	q.items = append([]*task{t}, q.items...)
 	q.cond.Signal()
+}
+
+func (q *workQueue) len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.items)
 }
 
 func (q *workQueue) pop() (*task, bool) {

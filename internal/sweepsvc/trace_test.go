@@ -1,21 +1,27 @@
 package sweepsvc
 
-// Fleet-tracing tests: span-log wiring through dispatch/retry/steal, trace
-// propagation into results, scheduler metrics, journal-replay spans, and
-// the SSE fan-out contract under a slow subscriber.
+// Fleet-tracing tests: the journal as the span log through
+// dispatch/retry/steal and restart, trace propagation into results,
+// scheduler metrics, worker naming, and the SSE fan-out contract under a slow
+// subscriber.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"flexsim/internal/api/specv1"
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/obs"
 	"flexsim/internal/obs/fleettrace"
 	"flexsim/internal/sim"
@@ -34,14 +40,11 @@ func (f *fakeExec) run(_ context.Context, cfg sim.Config) execResult {
 	return f.fn(cfg)
 }
 
-// traceService builds a service with an in-memory span log and fleet
-// metrics attached.
-func traceService(t *testing.T, cfg Config) (*Service, *fleettrace.Log, *obs.FleetMetrics) {
+// traceService builds a service journaling to a fresh file and returns it
+// with a reader of that journal.
+func traceService(t *testing.T, cfg Config) (*Service, func() []fleettrace.Record) {
 	t.Helper()
-	log := fleettrace.NewLog(nil)
-	metrics := obs.NewFleetMetrics()
-	cfg.Trace = log
-	cfg.Metrics = metrics
+	cfg.JournalPath = filepath.Join(t.TempDir(), "journal.jsonl")
 	if cfg.Cache == nil {
 		cfg.Cache = openCache(t, t.TempDir())
 	}
@@ -56,14 +59,35 @@ func traceService(t *testing.T, cfg Config) (*Service, *fleettrace.Log, *obs.Fle
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	return s, log, metrics
+	return s, func() []fleettrace.Record { return journalRecords(t, cfg.JournalPath) }
+}
+
+// journalRecords reads every record of the journal at path.
+func journalRecords(t *testing.T, path string) []fleettrace.Record {
+	t.Helper()
+	j, err := jsonlog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	recs, err := fleettrace.ReadRecords(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// pointKey names one point of one sweep in the journal.
+type pointKey struct {
+	sweep string
+	point int
 }
 
 // TestTraceHappyPath: every settled point carries its root-span traceparent,
-// and the span log holds a queued record, attempt spans and a terminal
-// record per point.
+// and the journal holds the sweep record and, per executed point, exactly
+// an attempt/running line and a terminal point line.
 func TestTraceHappyPath(t *testing.T) {
-	s, log, metrics := traceService(t, Config{})
+	s, records := traceService(t, Config{})
 	st, err := s.Submit(testSpec("trace-happy", 3))
 	if err != nil {
 		t.Fatal(err)
@@ -82,39 +106,64 @@ func TestTraceHappyPath(t *testing.T) {
 		}
 	}
 
-	queued, terminal, attempts := 0, 0, 0
-	for _, r := range log.Records() {
-		if r.Trace != wantTrace {
-			t.Fatalf("record on foreign trace: %+v", r)
-		}
-		switch {
-		case r.Kind == "point" && r.State == "queued":
-			queued++
-		case r.Kind == "point" && r.Terminal():
-			terminal++
-		case r.Kind == "attempt" && r.Terminal():
-			attempts++
-		}
+	recs := records()
+	if len(recs) != 1+2*3 || recs[0].Kind != "sweep" || recs[0].Sweep != st.ID || recs[0].Spec == nil {
+		t.Fatalf("journal: want the sweep record and two lines per point, got %+v", recs)
 	}
-	if queued != 3 || terminal != 3 || attempts != 3 {
-		t.Fatalf("span log: %d queued, %d terminal, %d attempts; want 3/3/3\n%+v", queued, terminal, attempts, log.Records())
+	lines := map[int][]string{}
+	for _, r := range recs[1:] {
+		lines[r.Point] = append(lines[r.Point], r.Kind+"/"+r.State)
+	}
+	for i := 0; i < 3; i++ {
+		if got := lines[i]; len(got) != 2 || got[0] != "attempt/running" || got[1] != "point/done" {
+			t.Errorf("point %d journal lines %v, want [attempt/running point/done]", i, got)
+		}
 	}
 
-	done, _, _ := metrics.Settled()
+	done, _, _ := s.Metrics().Settled()
 	if done != 3 {
 		t.Errorf("metrics: %d done, want 3", done)
 	}
-	if metrics.QueueDepth() != 0 {
-		t.Errorf("metrics: queue depth %d after drain, want 0", metrics.QueueDepth())
+	if s.Metrics().QueueDepth() != 0 || s.Metrics().InFlight() != 0 {
+		t.Errorf("metrics: queue depth %d, in flight %d after the sweep, want 0", s.Metrics().QueueDepth(), s.Metrics().InFlight())
 	}
+}
+
+// retryThenSteal drives point i of sw through a worker-death retry on
+// w-dead and a done second attempt on w-ok, as a coordinator's worker loops
+// would, and returns the trace context the second attempt executed under.
+// Each executor reports a name of its own, as a fleet worker does.
+func retryThenSteal(t *testing.T, s *Service, sw *sweep, i int) string {
+	t.Helper()
+	tk := &task{sw: sw, index: i}
+	dead := &fakeExec{id: "w-dead", fn: func(sim.Config) execResult {
+		return execResult{status: specv1.StatusFailed, err: errors.New("conn refused"),
+			worker: "dead-self", retryable: true, cause: causeWorkerDeath}
+	}}
+	if retry, cause := s.runTask(dead, tk); !retry || cause != causeWorkerDeath {
+		t.Fatalf("first attempt: retry=%v cause=%q, want true/worker-death", retry, cause)
+	}
+	var gotCtx string
+	ok := &fakeExec{id: "w-ok", fn: func(c sim.Config) execResult {
+		gotCtx = c.TraceContext
+		raw, err := specv1.EncodeResult(stubResult(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return execResult{status: specv1.StatusDone, raw: raw, worker: "ok-self"}
+	}}
+	if retry, _ := s.runTask(ok, tk); retry {
+		t.Fatal("second attempt should settle")
+	}
+	return gotCtx
 }
 
 // TestTraceRetryAndSteal drives one point through a retryable failure on
 // worker A and a successful second attempt on worker B, asserting the
-// retry/steal span records, cause-tagged counters, and the non-terminal
+// retry/steal records, cause-tagged counters, and the non-terminal
 // retry/steal events subscribers see.
 func TestTraceRetryAndSteal(t *testing.T) {
-	s, log, metrics := traceService(t, Config{})
+	s, records := traceService(t, Config{})
 	sw, err := s.newSweep("s77-feed", testSpec("trace-steal", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -123,67 +172,51 @@ func TestTraceRetryAndSteal(t *testing.T) {
 	ch := make(chan specv1.Event, 16)
 	sw.subs[ch] = struct{}{}
 
-	task := &task{sw: sw, index: 0}
-	dead := &fakeExec{id: "w-dead", fn: func(sim.Config) execResult {
-		return execResult{status: specv1.StatusFailed, err: errors.New("conn refused"),
-			worker: "w-dead", retryable: true, cause: causeWorkerDeath}
-	}}
-	retry, cause := s.runTask(dead, task)
-	if !retry || cause != causeWorkerDeath {
-		t.Fatalf("first attempt: retry=%v cause=%q, want true/worker-death", retry, cause)
-	}
-
-	var gotCtx string
-	ok := &fakeExec{id: "w-ok", fn: func(cfg sim.Config) execResult {
-		gotCtx = cfg.TraceContext
-		raw, err := specv1.EncodeResult(stubResult(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return execResult{status: specv1.StatusDone, raw: raw, worker: "w-ok"}
-	}}
-	retry, _ = s.runTask(ok, task)
-	if retry {
-		t.Fatal("second attempt should settle")
-	}
-
 	// The executed config carried the attempt's span context.
-	wantCtx := fleettrace.AttemptContext(sw.traceID, 0, 2).Traceparent()
-	if gotCtx != wantCtx {
+	gotCtx := retryThenSteal(t, s, sw, 0)
+	if wantCtx := fleettrace.AttemptContext(sw.traceID, 0, 2).Traceparent(); gotCtx != wantCtx {
 		t.Errorf("propagated trace context %q, want %q", gotCtx, wantCtx)
 	}
 
-	// Span log: attempt-1 retry with cause, steal on w-ok, attempt-2 done.
-	var sawRetry, sawSteal, sawDone bool
-	for _, r := range log.Records() {
+	// Journal: attempt-1 retry with cause, steal on w-ok, a done terminal
+	// line; every record names the executor, not the name it reports.
+	var states []string
+	for _, r := range records() {
+		states = append(states, r.Kind+"/"+r.State)
 		switch {
 		case r.Kind == "attempt" && r.State == "retry":
-			sawRetry = true
-			if r.Cause != causeWorkerDeath || r.Worker != "w-dead" || r.Attempt != 1 {
+			if r.Cause != causeWorkerDeath || r.Worker != "w-dead" || r.Attempt != 1 || r.Error != "conn refused" {
 				t.Errorf("retry record: %+v", r)
 			}
 		case r.Kind == "event" && r.State == "steal":
-			sawSteal = true
 			if r.Worker != "w-ok" || r.Cause != "w-dead" || r.Attempt != 2 {
 				t.Errorf("steal record: %+v", r)
 			}
-		case r.Kind == "attempt" && r.State == "done":
-			sawDone = true
+		case r.Kind == "point":
+			if r.Worker != "w-ok" || r.Attempt != 2 {
+				t.Errorf("terminal record: %+v", r)
+			}
 		}
 	}
-	if !sawRetry || !sawSteal || !sawDone {
-		t.Fatalf("span log missing retry/steal/done: %+v", log.Records())
+	want := "[attempt/running attempt/retry event/steal attempt/running point/done]"
+	if got := fmt.Sprint(states); got != want {
+		t.Fatalf("journal %s, want %s", got, want)
 	}
 
-	if metrics.Retries()[causeWorkerDeath] != 1 || metrics.Steals() != 1 {
-		t.Errorf("metrics: retries %v steals %d", metrics.Retries(), metrics.Steals())
+	m := s.Metrics()
+	if m.Retries()[causeWorkerDeath] != 1 || m.Steals() != 1 || m.InFlight() != 0 {
+		t.Errorf("metrics: retries %v steals %d in flight %d", m.Retries(), m.Steals(), m.InFlight())
 	}
 
 	sw.mu.Lock()
 	st := sw.statusLocked()
+	pr := sw.results[0]
 	sw.mu.Unlock()
 	if st.Retries != 1 || st.Stolen != 1 || st.RetryCauses[causeWorkerDeath] != 1 {
 		t.Errorf("status: %+v", st)
+	}
+	if pr.Worker != "ok-self" {
+		t.Errorf("result worker %q, want the name the worker reported", pr.Worker)
 	}
 
 	// Subscribers got non-terminal retry and steal events with causes.
@@ -206,8 +239,8 @@ func TestTraceRetryAndSteal(t *testing.T) {
 	if evSteal == nil || evSteal.Cause != "w-dead" || evSteal.Point.Worker != "w-ok" {
 		t.Fatalf("steal event: %+v", evSteal)
 	}
-	if evRetry.Trace == "" {
-		t.Error("retry event missing trace context")
+	if evRetry.Trace != fleettrace.AttemptContext(sw.traceID, 0, 1).Traceparent() {
+		t.Errorf("retry event trace context %q", evRetry.Trace)
 	}
 }
 
@@ -215,7 +248,7 @@ func TestTraceRetryAndSteal(t *testing.T) {
 // cause-tagged retry through the real worker loop.
 func TestTracePanicRetry(t *testing.T) {
 	var calls atomic.Int64
-	s, log, metrics := traceService(t, Config{
+	s, records := traceService(t, Config{
 		Run: func(ctx context.Context, cfg sim.Config) (*stats.Result, error) {
 			if calls.Add(1) == 1 {
 				panic("induced panic")
@@ -236,7 +269,7 @@ func TestTracePanicRetry(t *testing.T) {
 	}
 
 	sawRetry := false
-	for _, r := range log.Records() {
+	for _, r := range records() {
 		if r.Kind == "attempt" && r.State == "retry" {
 			sawRetry = true
 			if r.Cause != causePanic || r.Attempt != 1 {
@@ -245,16 +278,17 @@ func TestTracePanicRetry(t *testing.T) {
 		}
 	}
 	if !sawRetry {
-		t.Fatalf("no retry record in span log: %+v", log.Records())
+		t.Fatalf("no retry record in the journal: %+v", records())
 	}
-	if metrics.Retries()[causePanic] != 1 {
-		t.Errorf("metrics retries: %v", metrics.Retries())
+	if s.Metrics().Retries()[causePanic] != 1 {
+		t.Errorf("metrics retries: %v", s.Metrics().Retries())
 	}
 }
 
-// TestJournalReplaySpans: a restarted coordinator emits replayed-point
-// records on the same deterministic trace, and ReplayStatus reports the
-// restore for /healthz.
+// TestJournalReplaySpans: a restarted coordinator rebuilds settled points
+// from the journal without appending to it, the replayed results carry
+// their traceparent on the same deterministic trace, and ReplayStatus
+// reports the restore for /healthz.
 func TestJournalReplaySpans(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "journal.jsonl")
@@ -270,10 +304,9 @@ func TestJournalReplaySpans(t *testing.T) {
 	}
 	awaitDone(t, s1, st.ID)
 	s1.Drain(time.Second)
+	before := len(journalRecords(t, journal))
 
-	cache2 := openCache(t, dir)
-	log := fleettrace.NewLog(nil)
-	s2, err := New(Config{Cache: cache2, JournalPath: journal, LocalWorkers: 1, Run: stubRun, Trace: log})
+	s2, err := New(Config{Cache: openCache(t, dir), JournalPath: journal, LocalWorkers: 1, Run: stubRun})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,26 +316,11 @@ func TestJournalReplaySpans(t *testing.T) {
 	if sweeps != 1 || settled != 3 || requeued != 0 {
 		t.Fatalf("replay status %d/%d/%d, want 1/3/0", sweeps, settled, requeued)
 	}
+	if after := len(journalRecords(t, journal)); after != before {
+		t.Fatalf("replay appended %d record(s); a replayed completion is already in the file", after-before)
+	}
 
 	wantTrace := fleettrace.MintTraceID(st.ID)
-	replayed := 0
-	for _, r := range log.Records() {
-		if r.Kind != "point" || !r.Terminal() {
-			t.Fatalf("unexpected replay record: %+v", r)
-		}
-		if r.Cause != "replay" || r.Trace != wantTrace {
-			t.Fatalf("replay record off-trace or untagged: %+v", r)
-		}
-		if r.Span != fleettrace.MintSpanID(wantTrace, r.Point, 0) {
-			t.Fatalf("replayed point %d not on its root span: %+v", r.Point, r)
-		}
-		replayed++
-	}
-	if replayed != 3 {
-		t.Fatalf("%d replayed records, want 3", replayed)
-	}
-
-	// The replayed results also carry their traceparent.
 	results, err := s2.Results(st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -314,13 +332,187 @@ func TestJournalReplaySpans(t *testing.T) {
 	}
 }
 
+// TestJournalIsSpanLog: one sweep runs a retry and a steal through fakeExec,
+// its coordinator stops with a point unrun, and a second coordinator on the
+// same journal finishes it; then a resubmission settles from the store.
+// Across both processes every point has exactly one terminal line and no
+// attempt after it, the journal holds as many lines as before it was the
+// span log, and the timeline draws one slice per attempt.
+func TestJournalIsSpanLog(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "journal.jsonl")
+	spec := testSpec("span-log", 3)
+
+	s1, err := New(Config{Cache: openCache(t, dir), JournalPath: journal, LocalWorkers: 1, Run: stubRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.queue.close() // this test is the only worker loop
+	st, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := s1.lookup(st.ID)
+	retryThenSteal(t, s1, sw, 0)
+	ok := &fakeExec{id: "w-ok", fn: func(cfg sim.Config) execResult {
+		raw, _ := specv1.EncodeResult(stubResult(cfg))
+		return execResult{status: specv1.StatusDone, raw: raw, worker: "ok-self"}
+	}}
+	if retry, _ := s1.runTask(ok, &task{sw: sw, index: 1}); retry {
+		t.Fatal("point 1 should settle")
+	}
+	s1.Close() // point 2 never ran
+
+	s2, err := New(Config{Cache: openCache(t, dir), JournalPath: journal, LocalWorkers: 1, Run: stubRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if final := awaitDone(t, s2, st.ID); final.Done != 3 {
+		t.Fatalf("resumed sweep: %+v", final)
+	}
+	again, err := s2.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Cached != 3 {
+		t.Fatalf("resubmission: %+v", again)
+	}
+	s2.Close()
+
+	recs := journalRecords(t, journal)
+	lines, terminal := map[pointKey]int{}, map[pointKey]int{}
+	running := 0
+	for _, r := range recs {
+		k := pointKey{r.Sweep, r.Point}
+		switch {
+		case r.Kind == "sweep":
+			continue
+		case r.Kind == "point" && r.Terminal():
+			terminal[k]++
+		case r.Kind == "attempt" && r.State == "running":
+			running++
+			if terminal[k] > 0 {
+				t.Errorf("attempt after point %v settled: %+v", k, r)
+			}
+		}
+		lines[k]++
+	}
+	want := map[pointKey]int{
+		{st.ID, 0}:    5,                                     // running, retry, steal, running, done
+		{st.ID, 1}:    2,                                     // running, done (first process)
+		{st.ID, 2}:    2,                                     // running, done (second process)
+		{again.ID, 0}: 1, {again.ID, 1}: 1, {again.ID, 2}: 1, // cached at submit
+	}
+	for k, n := range want {
+		if lines[k] != n || terminal[k] != 1 {
+			t.Errorf("point %v: %d line(s), %d terminal; want %d and 1", k, lines[k], terminal[k], n)
+		}
+	}
+	if len(lines) != len(want) {
+		t.Errorf("journal names %d points, want %d", len(lines), len(want))
+	}
+
+	var buf bytes.Buffer
+	if err := fleettrace.WritePerfetto(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	perAttempt, total := map[string]int{}, 0
+	for _, ev := range events {
+		if ev["ph"] == "X" {
+			perAttempt[ev["name"].(string)]++
+			total++
+		}
+	}
+	if total != running || len(perAttempt) != running || running != 4 {
+		t.Errorf("timeline slices %v for %d attempt(s); want one per attempt", perAttempt, running)
+	}
+}
+
+// TestWorkersNamedByExecutor: a fleet worker reports a name of its own
+// (-name) that differs from the URL the coordinator dispatches to. Records,
+// metrics and the timeline name it by URL, so one worker is one thread; the
+// point result keeps the name the worker reported.
+func TestWorkersNamedByExecutor(t *testing.T) {
+	var failed atomic.Bool
+	serve := func(name string) *httptest.Server {
+		h := (&Worker{Name: name, Run: stubRun}).Handler()
+		// The first run request anywhere fails with a 5xx: a retry. Nothing
+		// here serves /healthz, so the failed worker stays gated and the
+		// other one steals the point.
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/api/v1/run" && failed.CompareAndSwap(false, true) {
+				http.Error(w, "injected failure", http.StatusInternalServerError)
+				return
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	alpha, beta := serve("alpha"), serve("beta")
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	s, err := New(Config{Cache: openCache(t, t.TempDir()), JournalPath: journal,
+		Fleet: []string{alpha.URL, beta.URL}, HealthEvery: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.Submit(testSpec("names", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := awaitDone(t, s, st.ID); final.Done != 1 || final.Retries != 1 || final.Stolen != 1 {
+		t.Fatalf("final status: %+v", final)
+	}
+	results, err := s.Results(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := results[0].Worker; w != "alpha" && w != "beta" {
+		t.Errorf("result worker %q, want the name the worker reported", w)
+	}
+	var exp strings.Builder
+	if err := s.Metrics().WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	for _, url := range []string{alpha.URL, beta.URL} {
+		if want := fmt.Sprintf("flexsweep_worker_points_total{worker=%q} 1", url); !strings.Contains(exp.String(), want) {
+			t.Errorf("metrics missing %s:\n%s", want, exp.String())
+		}
+	}
+	s.Close()
+
+	var buf bytes.Buffer
+	if err := fleettrace.WritePerfetto(&buf, journalRecords(t, journal)); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	var threads []string
+	for _, ev := range events {
+		if ev["name"] == "thread_name" && ev["pid"] == float64(4) {
+			threads = append(threads, ev["args"].(map[string]any)["name"].(string))
+		}
+	}
+	if len(threads) != 2 || !slices.Contains(threads, alpha.URL) || !slices.Contains(threads, beta.URL) {
+		t.Fatalf("timeline threads %v, want exactly the two worker URLs", threads)
+	}
+}
+
 // TestSubscribeSlowSubscriber pins the SSE fan-out contract: a subscriber
 // that never drains blocks nothing — the sweep completes, the subscriber
 // keeps exactly its 64-event buffer (later events drop), and channel
 // closure is the terminal signal. A late subscriber still gets done.
 func TestSubscribeSlowSubscriber(t *testing.T) {
 	release := make(chan struct{})
-	s, _, _ := traceService(t, Config{
+	s, _ := traceService(t, Config{
 		Run: func(ctx context.Context, cfg sim.Config) (*stats.Result, error) {
 			<-release
 			return stubResult(cfg), nil
@@ -383,9 +575,9 @@ func TestSubscribeSlowSubscriber(t *testing.T) {
 // into the executed sim.Config and echoes it in the response.
 func TestWorkerTraceEcho(t *testing.T) {
 	var gotCtx string
-	wk := &Worker{Name: "w-echo", Run: func(_ context.Context, cfg sim.Config) (*stats.Result, error) {
-		gotCtx = cfg.TraceContext
-		return stubResult(cfg), nil
+	wk := &Worker{Name: "w-echo", Run: func(_ context.Context, c sim.Config) (*stats.Result, error) {
+		gotCtx = c.TraceContext
+		return stubResult(c), nil
 	}}
 	srv, err := obs.Serve("127.0.0.1:0", obs.WithHandler("/api/v1/", wk.Handler()))
 	if err != nil {
