@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"flexsim/cmd/internal/flags"
@@ -43,11 +44,34 @@ func main() {
 	os.Exit(run())
 }
 
+// cli holds the flags only charsweep reads.
+type cli struct {
+	experiment string
+	spec       string
+	resultsOut string
+	csv        bool
+	plot       bool
+	parallel   int
+}
+
+// bindCLI registers charsweep's own flags on fs.
+func bindCLI(fs *flag.FlagSet) *cli {
+	c := &cli{}
+	fs.StringVar(&c.experiment, "experiment", "all", "experiment id ("+strings.Join(experiments.Names(), "|")+"|all)")
+	fs.StringVar(&c.spec, "spec", "", "run this specv1 sweep spec file (- = stdin) instead of -experiment, emitting specv1 PointResult JSONL (the same wire format the sweep service serves)")
+	fs.StringVar(&c.resultsOut, "results-out", "", "write the -spec run's PointResult JSONL to this file (default stdout)")
+	fs.BoolVar(&c.csv, "csv", false, "emit CSV instead of aligned text")
+	fs.BoolVar(&c.plot, "plot", false, "render ASCII plots (first numeric column as x, log-y) after each table")
+	fs.IntVar(&c.parallel, "parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	return c
+}
+
 func run() (code int) {
-	sweep := flags.BindSweep(flag.CommandLine)
+	plan := flags.BindPlan(flag.CommandLine)
 	common := flags.BindCommon(flag.CommandLine)
+	sweep := bindCLI(flag.CommandLine)
 	flag.Parse()
-	if name := specOwned(sweep); name != "" {
+	if name := specOwned(flag.CommandLine, sweep.spec); name != "" {
 		fmt.Fprintf(os.Stderr, "charsweep: -%s cannot be combined with -spec: the spec file owns what each point simulates\n", name)
 		return 2
 	}
@@ -66,17 +90,17 @@ func run() (code int) {
 		}
 	}()
 
-	opts, err := sweep.Options()
+	opts, err := plan.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charsweep:", err)
 		return 1
 	}
 
-	ids := []string{sweep.Experiment}
-	if sweep.Experiment == "all" {
+	ids := []string{sweep.experiment}
+	if sweep.experiment == "all" {
 		ids = experiments.Names()
 	}
-	if sweep.Spec != "" {
+	if sweep.spec != "" {
 		ids = nil // the spec's own name labels /progress
 	}
 
@@ -102,7 +126,7 @@ func run() (code int) {
 		}
 	}()
 	opts.Instrumentation = inst // for approx and verify, which run themselves
-	r := &runPath{ctx: ctx, parallel: sweep.Parallel, cache: cache, inst: inst, progress: obs.NewSweepProgress(ids)}
+	r := &runPath{ctx: ctx, parallel: sweep.parallel, cache: cache, inst: inst, progress: obs.NewSweepProgress(ids)}
 	if common.HTTPAddr != "" {
 		srv, err := obs.Serve(common.HTTPAddr, obs.WithSweep(r.progress))
 		if err != nil {
@@ -114,7 +138,7 @@ func run() (code int) {
 	}
 
 	var interrupted bool
-	if sweep.Spec != "" {
+	if sweep.spec != "" {
 		code, interrupted = r.specFile(sweep)
 	} else {
 		code, interrupted = r.runExperiments(ids, opts, sweep)
@@ -180,7 +204,7 @@ func (r *runPath) count(_ int, p runner.Point) {
 // runExperiments runs each experiment in ids and prints its tables. A study's
 // plan goes through run and then its Tabulate; approx and verify, which
 // are not sweeps, run themselves.
-func (r *runPath) runExperiments(ids []string, opts experiments.Options, sweep *flags.Sweep) (code int, interrupted bool) {
+func (r *runPath) runExperiments(ids []string, opts experiments.Options, sweep *cli) (code int, interrupted bool) {
 	for _, id := range ids {
 		f, err := experiments.ByName(id)
 		if err != nil {
@@ -240,9 +264,9 @@ func (r *runPath) tabulate(study *experiments.Study, opts experiments.Options) (
 
 // printTables writes an experiment's tables to stdout: aligned text, each
 // table followed by its ASCII plot under -plot, or CSV under -csv.
-func printTables(tables []*stats.Table, sweep *flags.Sweep) error {
+func printTables(tables []*stats.Table, sweep *cli) error {
 	for _, t := range tables {
-		if sweep.CSV {
+		if sweep.csv {
 			if err := t.WriteCSV(os.Stdout); err != nil {
 				return err
 			}
@@ -252,7 +276,7 @@ func printTables(tables []*stats.Table, sweep *flags.Sweep) error {
 		if err := t.WriteText(os.Stdout); err != nil {
 			return err
 		}
-		if sweep.Plot {
+		if sweep.plot {
 			if cols := t.NumericColumns(); len(cols) >= 2 {
 				p, err := stats.PlotTable(t, cols[0], cols[1:], true)
 				if err == nil {
@@ -264,22 +288,21 @@ func printTables(tables []*stats.Table, sweep *flags.Sweep) error {
 	return nil
 }
 
-// specOwned names the first flag set on the command line that -spec cannot
-// honour: a spec file fixes every point's physics (seeds, loads, windows,
-// fault schedule), so a flag that would change it — which -experiment mode
-// folds into the configurations it builds — is refused instead of being
-// silently dropped. It returns "" without -spec or when none is set.
-func specOwned(sweep *flags.Sweep) string {
-	if sweep.Spec == "" {
+// specOwned names the first flag set on fs that -spec cannot honour: a
+// spec file fixes every point's physics (seeds, loads, windows, fault
+// schedule), so -experiment or a plan flag — which -experiment mode folds
+// into the configurations it builds — is refused instead of being silently
+// dropped. It returns "" without -spec or when none is set.
+func specOwned(fs *flag.FlagSet, spec string) string {
+	if spec == "" {
 		return ""
 	}
-	owned := map[string]bool{
-		"experiment": true, "quick": true, "seed": true, "loads": true,
-		"fault-link-mttf": true, "fault-repair": true, "fault-seed": true, "fault-schedule": true,
-	}
+	plan := flag.NewFlagSet("plan", flag.ContinueOnError)
+	flags.BindPlan(plan)
 	var name string
-	flag.Visit(func(f *flag.Flag) {
-		if name == "" && owned[f.Name] && f.Value.String() != f.DefValue {
+	fs.Visit(func(f *flag.Flag) {
+		owned := f.Name == "experiment" || plan.Lookup(f.Name) != nil
+		if name == "" && owned && f.Value.String() != f.DefValue {
 			name = f.Name
 		}
 	})
@@ -291,8 +314,8 @@ func specOwned(sweep *flags.Sweep) string {
 // sweep service's shared store, every point already completed there is
 // served from it and the emitted result bytes are byte-identical to the
 // service's results for the same spec.
-func (r *runPath) specFile(sweep *flags.Sweep) (code int, interrupted bool) {
-	spec, err := readSpec(sweep.Spec)
+func (r *runPath) specFile(sweep *cli) (code int, interrupted bool) {
+	spec, err := readSpec(sweep.spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charsweep:", err)
 		return 1, false
@@ -305,8 +328,8 @@ func (r *runPath) specFile(sweep *flags.Sweep) (code int, interrupted bool) {
 		return 1, false
 	}
 	out := io.Writer(os.Stdout)
-	if sweep.ResultsOut != "" {
-		f, err := os.Create(sweep.ResultsOut)
+	if sweep.resultsOut != "" {
+		f, err := os.Create(sweep.resultsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "charsweep:", err)
 			return 1, false

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"flexsim/cmd/internal/flags"
 	"flexsim/internal/api/specv1"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
@@ -28,18 +30,42 @@ func TestMain(m *testing.M) {
 // exit code.
 func charsweep(t *testing.T, dir string, args ...string) ([]byte, int) {
 	t.Helper()
+	out, _, code := charsweepStderr(t, dir, args...)
+	return out, code
+}
+
+// charsweepStderr is charsweep that also returns the command's stderr.
+func charsweepStderr(t *testing.T, dir string, args ...string) (stdout, stderr []byte, code int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), childEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var errBuf bytes.Buffer
+	cmd.Stderr = &errBuf
 	out, err := cmd.Output()
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
 		t.Fatal(err)
 	}
-	t.Logf("charsweep %s: exit %d\n%s", strings.Join(args, " "), cmd.ProcessState.ExitCode(), stderr.Bytes())
-	return out, cmd.ProcessState.ExitCode()
+	t.Logf("charsweep %s: exit %d\n%s", strings.Join(args, " "), cmd.ProcessState.ExitCode(), errBuf.Bytes())
+	return out, errBuf.Bytes(), cmd.ProcessState.ExitCode()
+}
+
+// writeSpec writes a two-point spec of sub-second runs to dir/spec.json.
+func writeSpec(t *testing.T, dir string) {
+	t.Helper()
+	base := sim.Quick()
+	base.K, base.Routing, base.WarmupCycles, base.MeasureCycles = 4, "dor", 100, 400
+	f, err := os.Create(filepath.Join(dir, "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := specv1.EncodeSpec(f, specv1.LoadSpec("two", base, []float64{0.3, 0.9})); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // simulated returns PointResult lines without the two wall-clock detector
@@ -71,22 +97,10 @@ func simulated(t *testing.T, lines []byte) []byte {
 // TestSpecModeInstrumentation: -spec mode attaches the observability flags
 // to every point — it used to drop them and leave a 0-byte metrics file —
 // and, because instrumentation is not hashed, emits the same keys and the
-// same simulated results with them as without. A flag whose meaning the spec
-// owns is refused.
+// same simulated results with them as without.
 func TestSpecModeInstrumentation(t *testing.T) {
 	dir := t.TempDir()
-	base := sim.Quick()
-	base.K, base.Routing, base.WarmupCycles, base.MeasureCycles = 4, "dor", 100, 400
-	f, err := os.Create(filepath.Join(dir, "spec.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := specv1.EncodeSpec(f, specv1.LoadSpec("two", base, []float64{0.3, 0.9})); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeSpec(t, dir)
 
 	plain, code := charsweep(t, dir, "-spec", "spec.json")
 	if code != 0 || bytes.Count(plain, []byte("\n")) != 2 {
@@ -114,17 +128,57 @@ func TestSpecModeInstrumentation(t *testing.T) {
 			}
 		}
 	}
+}
 
-	for _, args := range [][]string{
-		{"-fault-link-mttf", "100"}, {"-fault-repair", "5"}, {"-fault-seed", "3"}, {"-fault-schedule", "f.jsonl"},
-		{"-seed", "9"}, {"-loads", "0.5"}, {"-quick"}, {"-experiment", "fig5"},
-	} {
-		out, code := charsweep(t, dir, append([]string{"-spec", "spec.json"}, args...)...)
-		if code != 2 || len(out) != 0 {
-			t.Errorf("-spec with %v: exit %d, output %q; want a refusal (exit 2)", args, code, out)
+// TestSpecRefusesPlanFlags: a spec file owns what each point simulates, so
+// -spec refuses -experiment and every flag BindPlan registers when given a
+// non-default value, exiting 2 with the flag named. The plan flags are
+// enumerated from the binder, so a flag added to the plan group is covered
+// without editing this test.
+func TestSpecRefusesPlanFlags(t *testing.T) {
+	dir := t.TempDir()
+	writeSpec(t, dir)
+	plan := flag.NewFlagSet("plan", flag.ContinueOnError)
+	flags.BindPlan(plan)
+	args := [][]string{{"-experiment=fig5"}}
+	plan.VisitAll(func(f *flag.Flag) {
+		value := "7"
+		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
+			value = "true"
+		}
+		args = append(args, []string{"-" + f.Name + "=" + value})
+	})
+	if len(args) < 8 {
+		t.Fatalf("BindPlan registered %d flag(s): %v", len(args)-1, args)
+	}
+	for _, a := range args {
+		out, stderr, code := charsweepStderr(t, dir, append([]string{"-spec", "spec.json"}, a...)...)
+		name := strings.SplitN(a[0], "=", 2)[0]
+		if code != 2 || len(out) != 0 || !bytes.Contains(stderr, []byte(name+" cannot be combined with -spec")) {
+			t.Errorf("-spec with %v: exit %d, output %q, stderr %q; want a refusal naming %s (exit 2)", a, code, out, stderr, name)
 		}
 	}
 	if _, code := charsweep(t, dir, "-spec", "spec.json", "-experiment", "all", "-seed", "0"); code != 0 {
 		t.Errorf("-spec with flags at their defaults: exit %d", code)
+	}
+}
+
+// TestBindCLI: the flags only charsweep reads bind where run reads them,
+// beside the shared groups on one FlagSet (a duplicate name would panic).
+func TestBindCLI(t *testing.T) {
+	fs := flag.NewFlagSet("charsweep", flag.ContinueOnError)
+	flags.BindPlan(fs)
+	flags.BindCommon(fs)
+	c := bindCLI(fs)
+	err := fs.Parse([]string{
+		"-experiment", "fig5", "-spec", "s.json", "-results-out", "r.jsonl",
+		"-csv", "-plot", "-parallel", "4",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.experiment != "fig5" || c.spec != "s.json" || c.resultsOut != "r.jsonl" ||
+		!c.csv || !c.plot || c.parallel != 4 {
+		t.Errorf("charsweep flags misbound: %+v", c)
 	}
 }

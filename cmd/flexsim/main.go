@@ -29,13 +29,32 @@ func main() {
 	os.Exit(run())
 }
 
+// outputs holds the flags only flexsim reads: what it writes besides the
+// characterization.
+type outputs struct {
+	traceLast    int
+	traceJSON    string
+	incidentsOut string
+	incidentsDOT bool
+}
+
+// bindOutputs registers flexsim's own flags on fs.
+func bindOutputs(fs *flag.FlagSet) *outputs {
+	o := &outputs{}
+	fs.IntVar(&o.traceLast, "trace-last", 0, "print the last N message lifecycle events after the run")
+	fs.StringVar(&o.traceJSON, "trace-json", "", "stream message lifecycle events to this file as JSONL")
+	fs.StringVar(&o.incidentsOut, "incidents-out", "", "write per-deadlock incident post-mortems to this file as JSONL")
+	fs.BoolVar(&o.incidentsDOT, "incidents-dot", false, "include a Graphviz knot-subgraph snapshot in each incident")
+	return o
+}
+
 func run() (code int) {
 	cfg := sim.Default()
-	extras := flags.BindConfig(flag.CommandLine, &cfg)
+	spec := flags.BindSpec(flag.CommandLine, &cfg)
 	common := flags.BindCommon(flag.CommandLine)
+	out := bindOutputs(flag.CommandLine)
 	flag.Parse()
-	extras.Apply(&cfg)
-	if err := extras.LoadFaultSchedule(&cfg); err != nil {
+	if err := spec.Apply(); err != nil {
 		fmt.Fprintln(os.Stderr, "flexsim:", err)
 		return 1
 	}
@@ -58,12 +77,12 @@ func run() (code int) {
 
 	var tracers trace.Multi
 	var ring *trace.Ring
-	if extras.TraceLast > 0 {
-		ring = &trace.Ring{Cap: extras.TraceLast}
+	if out.traceLast > 0 {
+		ring = &trace.Ring{Cap: out.traceLast}
 		tracers = append(tracers, ring)
 	}
 	var incidents *obs.IncidentLog
-	if extras.IncidentsOut != "" {
+	if out.incidentsOut != "" {
 		if ring == nil {
 			// Give post-mortems event context even without -trace-last.
 			ring = &trace.Ring{Cap: 256}
@@ -71,11 +90,11 @@ func run() (code int) {
 		}
 		incidents = &obs.IncidentLog{LastEvents: ring}
 		cfg.Incidents = incidents
-		cfg.IncidentDOT = extras.IncidentsDOT
+		cfg.IncidentDOT = out.incidentsDOT
 	}
 	var jsonTrace *trace.JSONWriter
-	if extras.TraceJSON != "" {
-		f, err := os.Create(extras.TraceJSON)
+	if out.traceJSON != "" {
+		f, err := os.Create(out.traceJSON)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "flexsim:", err)
 			return 1
@@ -185,14 +204,14 @@ func run() (code int) {
 		fmt.Printf("cycle census:       mean %.1f cycles per check, max %d%s\n",
 			res.MeanCensusCycles(), res.MaxCycles, capped)
 	}
-	if ring != nil && extras.TraceLast > 0 {
+	if ring != nil && out.traceLast > 0 {
 		fmt.Printf("last %d of %d lifecycle events:\n", len(ring.Events()), ring.Total())
 		for _, ev := range ring.Events() {
 			fmt.Println(" ", ev)
 		}
 	}
 	if incidents != nil {
-		f, err := os.Create(extras.IncidentsOut)
+		f, err := os.Create(out.incidentsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "flexsim:", err)
 			return 1
@@ -205,7 +224,7 @@ func run() (code int) {
 			fmt.Fprintln(os.Stderr, "flexsim:", werr)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "flexsim: wrote %d incident(s) to %s\n", incidents.Len(), extras.IncidentsOut)
+		fmt.Fprintf(os.Stderr, "flexsim: wrote %d incident(s) to %s\n", incidents.Len(), out.incidentsOut)
 	}
 	if p.Status != runner.Cached {
 		// A cached result ran nothing, so it wrote no artifact.

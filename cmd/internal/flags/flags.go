@@ -1,10 +1,10 @@
-// Package flags is the single flag-definition table shared by the flexsim
-// and charsweep CLIs. Each flag is declared exactly once — name, usage and
-// the binding into sim.Config, experiments.Options (what a study plans) or
-// Sweep (how charsweep runs it) — so the two commands cannot drift: both
-// gain the resilient-execution flags (-timeout, -cache-dir, -resume) and
-// the observability flags from the same table, and flexsim's configuration
-// surface is one table instead of dozens of hand-rolled flag.* calls.
+// Package flags binds the command-line flags that more than one CLI reads,
+// one call per flag, in three groups: BindCommon (run control, the result
+// cache, observability and profiling, shared by flexsim and charsweep),
+// BindSpec (one run's physics, onto a sim.Config: flexsim) and BindPlan (a
+// study's plan inputs: charsweep -experiment and sweepctl mkspec). The four
+// -fault-* flags are registered by one helper for BindSpec and BindPlan. A
+// flag that one command reads is declared in that command's main.go.
 package flags
 
 import (
@@ -43,221 +43,129 @@ type Values struct {
 	MemProfile     string
 }
 
-// Def is one row of a flag table: the flag's name, its help text, and the
-// binder that registers it against a FlagSet.
-type Def[T any] struct {
-	Name  string
-	Usage string
-	Bind  func(fs *flag.FlagSet, v T, usage string)
-}
-
-// Common is the shared execution/caching/observability/profiling table.
-var Common = []Def[*Values]{
-	{"timeout", "cancel the run or sweep after this duration, keeping partial results (0 = no limit)",
-		func(fs *flag.FlagSet, v *Values, usage string) { fs.DurationVar(&v.Timeout, "timeout", 0, usage) }},
-	{"cache-dir", "persist completed runs under this directory and skip configurations already finished there",
-		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.CacheDir, "cache-dir", "", usage) }},
-	{"resume", "serve cached results from -cache-dir (set -resume=false to recompute everything while still persisting)",
-		func(fs *flag.FlagSet, v *Values, usage string) { fs.BoolVar(&v.Resume, "resume", true, usage) }},
-	{"metrics-out", "write interval metrics for every run to this file (.jsonl/.json = JSONL, else CSV)",
-		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.MetricsOut, "metrics-out", "", usage) }},
-	{"metrics-every", "interval metrics sampling period in cycles",
-		func(fs *flag.FlagSet, v *Values, usage string) {
-			fs.IntVar(&v.MetricsEvery, "metrics-every", obs.DefaultEvery, usage)
-		}},
-	{"spans-out", "write each run as a Chrome trace-event (Perfetto) JSON file of per-message spans and detector passes (charsweep writes one file per run)",
-		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.SpansOut, "spans-out", "", usage) }},
-	{"heatmap-out", "write a per-VC occupancy/block heatmap CSV after each run (charsweep writes one file per run)",
-		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.HeatmapOut, "heatmap-out", "", usage) }},
-	{"forensics-depth", "resource-event ring size for deadlock formation replay (0 = off; incidents gain formation metrics)",
-		func(fs *flag.FlagSet, v *Values, usage string) {
-			fs.IntVar(&v.ForensicsDepth, "forensics-depth", 0, usage)
-		}},
-	{"http", "serve /metrics, /healthz and /progress on this address while running",
-		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.HTTPAddr, "http", "", usage) }},
-	{"cpuprofile", "write a CPU profile to this file",
-		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.CPUProfile, "cpuprofile", "", usage) }},
-	{"memprofile", "write an allocation profile to this file on exit",
-		func(fs *flag.FlagSet, v *Values, usage string) { fs.StringVar(&v.MemProfile, "memprofile", "", usage) }},
-}
-
-// BindCommon registers the shared table on fs and returns the bound values.
+// BindCommon registers the shared execution, caching, observability and
+// profiling flags on fs and returns the bound values.
 func BindCommon(fs *flag.FlagSet) *Values {
 	v := &Values{}
-	for _, d := range Common {
-		d.Bind(fs, v, d.Usage)
-	}
+	fs.DurationVar(&v.Timeout, "timeout", 0, "cancel the run or sweep after this duration, keeping partial results (0 = no limit)")
+	fs.StringVar(&v.CacheDir, "cache-dir", "", "persist completed runs under this directory and skip configurations already finished there")
+	fs.BoolVar(&v.Resume, "resume", true, "serve cached results from -cache-dir (set -resume=false to recompute everything while still persisting)")
+	fs.StringVar(&v.MetricsOut, "metrics-out", "", "write interval metrics for every run to this file (.jsonl/.json = JSONL, else CSV)")
+	fs.IntVar(&v.MetricsEvery, "metrics-every", obs.DefaultEvery, "interval metrics sampling period in cycles")
+	fs.StringVar(&v.SpansOut, "spans-out", "", "write each run as a Chrome trace-event (Perfetto) JSON file of per-message spans and detector passes (charsweep writes one file per run)")
+	fs.StringVar(&v.HeatmapOut, "heatmap-out", "", "write a per-VC occupancy/block heatmap CSV after each run (charsweep writes one file per run)")
+	fs.IntVar(&v.ForensicsDepth, "forensics-depth", 0, "resource-event ring size for deadlock formation replay (0 = off; incidents gain formation metrics)")
+	fs.StringVar(&v.HTTPAddr, "http", "", "serve /metrics, /healthz and /progress on this address while running")
+	fs.StringVar(&v.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&v.MemProfile, "memprofile", "", "write an allocation profile to this file on exit")
 	return v
 }
 
-// Extras holds flexsim flags that invert or sit alongside sim.Config
-// fields; Apply folds them in after parsing.
-type Extras struct {
-	Uni           bool
-	Census        bool
-	NoRecover     bool
-	Check         bool
-	TraceLast     int
-	TraceJSON     string
-	IncidentsOut  string
-	IncidentsDOT  bool
+// Spec is what BindSpec binds besides sim.Config fields: the flags that
+// invert a field (-uni, -no-recover) or name a file (-fault-schedule).
+type Spec struct {
+	cfg           *sim.Config
+	uni           bool
+	noRecover     bool
+	faultSchedule string
+}
+
+// BindSpec registers one run's configuration on fs — topology, router
+// resources, routing/traffic, workload, run control, detection/recovery,
+// validation and faults — each flag defaulting to cfg's current value.
+// Call Apply after parsing.
+func BindSpec(fs *flag.FlagSet, c *sim.Config) *Spec {
+	s := &Spec{cfg: c}
+	fs.IntVar(&c.K, "k", c.K, "radix (nodes per dimension)")
+	fs.IntVar(&c.N, "n", c.N, "dimensions")
+	fs.BoolVar(&s.uni, "uni", !c.Bidirectional, "unidirectional channels (default bidirectional)")
+	fs.BoolVar(&c.Mesh, "mesh", c.Mesh, "mesh (no wraparound links) instead of torus")
+	fs.IntVar(&c.IrregularNodes, "irregular", c.IrregularNodes, "random irregular switch network with this many nodes (0 = torus/mesh)")
+	fs.IntVar(&c.IrregularLinks, "irregular-links", c.IrregularLinks, "extra links beyond the irregular network's spanning tree")
+	fs.IntVar(&c.VCs, "vcs", c.VCs, "virtual channels per physical channel")
+	fs.IntVar(&c.BufferDepth, "buf", c.BufferDepth, "edge buffer depth in flits")
+	fs.IntVar(&c.MsgLen, "msglen", c.MsgLen, "message length in flits")
+	fs.IntVar(&c.MsgLenShort, "msglen-short", c.MsgLenShort, "short message length for hybrid (bimodal) lengths")
+	fs.Float64Var(&c.ShortFrac, "shortfrac", c.ShortFrac, "fraction of messages using -msglen-short (0 = fixed length)")
+	fs.StringVar(&c.Routing, "routing", c.Routing, "routing algorithm (dor|tfar|dateline-dor|duato-far|misroute-far|updown|min-adaptive)")
+	fs.StringVar(&c.Traffic, "traffic", c.Traffic, "traffic pattern (uniform|bitrev|transpose|shuffle|hotspot|tornado|neighbor)")
+	fs.Float64Var(&c.HotspotFrac, "hotfrac", c.HotspotFrac, "hot-spot traffic fraction")
+	fs.Float64Var(&c.Load, "load", c.Load, "normalized offered load (1.0 = capacity)")
+	fs.StringVar(&c.Workload, "workload", c.Workload, "program-driven workload instead of open-loop traffic (stencil|allreduce)")
+	fs.IntVar(&c.WorkloadPhases, "phases", c.WorkloadPhases, "workload phases/rounds (default 10)")
+	fs.IntVar(&c.ComputeDelay, "compute", c.ComputeDelay, "compute cycles between workload phases")
+	fs.Uint64Var(&c.Seed, "seed", c.Seed, "random seed")
+	fs.IntVar(&c.WarmupCycles, "warmup", c.WarmupCycles, "warmup cycles")
+	fs.IntVar(&c.MeasureCycles, "cycles", c.MeasureCycles, "measured cycles")
+	fs.IntVar(&c.DetectEvery, "detect-every", c.DetectEvery, "deadlock detector period in cycles")
+	fs.StringVar(&c.VictimPolicy, "victim", c.VictimPolicy, "recovery victim policy (oldest|most|fewest|random)")
+	fs.BoolVar(&c.CycleCensus, "census", c.CycleCensus, "count resource dependency cycles each detector invocation")
+	fs.BoolVar(&s.noRecover, "no-recover", !c.Recover, "detect but do not break deadlocks")
+	fs.BoolVar(&c.CheckInvariants, "check", c.CheckInvariants, "enable per-cycle invariant checking (slow)")
+	bindFaults(fs, &c.FaultLinkMTTF, &c.FaultRepair, &c.FaultSeed, &s.faultSchedule)
+	return s
+}
+
+// Apply folds -uni, -no-recover and the -fault-schedule file into the
+// configuration BindSpec bound.
+func (s *Spec) Apply() error {
+	s.cfg.Bidirectional = !s.uni
+	s.cfg.Recover = !s.noRecover
+	events, err := readFaultSchedule(s.faultSchedule)
+	s.cfg.FaultEvents = append(s.cfg.FaultEvents, events...)
+	return err
+}
+
+// Plan holds a study's plan inputs: what charsweep -experiment and
+// sweepctl mkspec fold into the configurations a study plans.
+type Plan struct {
+	Quick         bool
+	Seed          uint64
+	Loads         string
+	FaultSeed     uint64
+	FaultLinkMTTF int
+	FaultRepair   int
 	FaultSchedule string
 }
 
-// configTarget is what the configuration table binds to.
-type configTarget struct {
-	C *sim.Config
-	X *Extras
+// BindPlan registers the plan inputs on fs.
+func BindPlan(fs *flag.FlagSet) *Plan {
+	p := &Plan{}
+	fs.BoolVar(&p.Quick, "quick", false, "scaled-down runs (8-ary 2-cube, short windows)")
+	fs.Uint64Var(&p.Seed, "seed", 0, "seed offset (0 = default)")
+	fs.StringVar(&p.Loads, "loads", "", "comma-separated load override, e.g. 0.2,0.6,1.0")
+	bindFaults(fs, &p.FaultLinkMTTF, &p.FaultRepair, &p.FaultSeed, &p.FaultSchedule)
+	return p
 }
 
-// ConfigDefs maps the full single-run configuration surface onto
-// sim.Config: topology, router resources, routing/traffic, workload, run
-// control, detection/recovery, validation and tracing.
-var ConfigDefs = []Def[configTarget]{
-	{"k", "radix (nodes per dimension)",
-		func(fs *flag.FlagSet, t configTarget, usage string) { fs.IntVar(&t.C.K, "k", t.C.K, usage) }},
-	{"n", "dimensions",
-		func(fs *flag.FlagSet, t configTarget, usage string) { fs.IntVar(&t.C.N, "n", t.C.N, usage) }},
-	{"uni", "unidirectional channels (default bidirectional)",
-		func(fs *flag.FlagSet, t configTarget, usage string) { fs.BoolVar(&t.X.Uni, "uni", false, usage) }},
-	{"mesh", "mesh (no wraparound links) instead of torus",
-		func(fs *flag.FlagSet, t configTarget, usage string) { fs.BoolVar(&t.C.Mesh, "mesh", false, usage) }},
-	{"irregular", "random irregular switch network with this many nodes (0 = torus/mesh)",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.IrregularNodes, "irregular", 0, usage)
-		}},
-	{"irregular-links", "extra links beyond the irregular network's spanning tree",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.IrregularLinks, "irregular-links", 0, usage)
-		}},
-	{"vcs", "virtual channels per physical channel",
-		func(fs *flag.FlagSet, t configTarget, usage string) { fs.IntVar(&t.C.VCs, "vcs", t.C.VCs, usage) }},
-	{"buf", "edge buffer depth in flits",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.BufferDepth, "buf", t.C.BufferDepth, usage)
-		}},
-	{"msglen", "message length in flits",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.MsgLen, "msglen", t.C.MsgLen, usage)
-		}},
-	{"msglen-short", "short message length for hybrid (bimodal) lengths",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.MsgLenShort, "msglen-short", t.C.MsgLenShort, usage)
-		}},
-	{"shortfrac", "fraction of messages using -msglen-short (0 = fixed length)",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.Float64Var(&t.C.ShortFrac, "shortfrac", t.C.ShortFrac, usage)
-		}},
-	{"routing", "routing algorithm (dor|tfar|dateline-dor|duato-far|misroute-far|updown|min-adaptive)",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.StringVar(&t.C.Routing, "routing", t.C.Routing, usage)
-		}},
-	{"traffic", "traffic pattern (uniform|bitrev|transpose|shuffle|hotspot|tornado|neighbor)",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.StringVar(&t.C.Traffic, "traffic", t.C.Traffic, usage)
-		}},
-	{"hotfrac", "hot-spot traffic fraction",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.Float64Var(&t.C.HotspotFrac, "hotfrac", t.C.HotspotFrac, usage)
-		}},
-	{"load", "normalized offered load (1.0 = capacity)",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.Float64Var(&t.C.Load, "load", t.C.Load, usage)
-		}},
-	{"workload", "program-driven workload instead of open-loop traffic (stencil|allreduce)",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.StringVar(&t.C.Workload, "workload", "", usage)
-		}},
-	{"phases", "workload phases/rounds (default 10)",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.WorkloadPhases, "phases", 0, usage)
-		}},
-	{"compute", "compute cycles between workload phases",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.ComputeDelay, "compute", 0, usage)
-		}},
-	{"seed", "random seed",
-		func(fs *flag.FlagSet, t configTarget, usage string) { fs.Uint64Var(&t.C.Seed, "seed", t.C.Seed, usage) }},
-	{"warmup", "warmup cycles",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.WarmupCycles, "warmup", t.C.WarmupCycles, usage)
-		}},
-	{"cycles", "measured cycles",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.MeasureCycles, "cycles", t.C.MeasureCycles, usage)
-		}},
-	{"detect-every", "deadlock detector period in cycles",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.DetectEvery, "detect-every", t.C.DetectEvery, usage)
-		}},
-	{"victim", "recovery victim policy (oldest|most|fewest|random)",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.StringVar(&t.C.VictimPolicy, "victim", t.C.VictimPolicy, usage)
-		}},
-	{"census", "count resource dependency cycles each detector invocation",
-		func(fs *flag.FlagSet, t configTarget, usage string) { fs.BoolVar(&t.X.Census, "census", false, usage) }},
-	{"no-recover", "detect but do not break deadlocks",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.BoolVar(&t.X.NoRecover, "no-recover", false, usage)
-		}},
-	{"check", "enable per-cycle invariant checking (slow)",
-		func(fs *flag.FlagSet, t configTarget, usage string) { fs.BoolVar(&t.X.Check, "check", false, usage) }},
-	{"trace-last", "print the last N message lifecycle events after the run",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.X.TraceLast, "trace-last", 0, usage)
-		}},
-	{"trace-json", "stream message lifecycle events to this file as JSONL",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.StringVar(&t.X.TraceJSON, "trace-json", "", usage)
-		}},
-	{"incidents-out", "write per-deadlock incident post-mortems to this file as JSONL",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.StringVar(&t.X.IncidentsOut, "incidents-out", "", usage)
-		}},
-	{"incidents-dot", "include a Graphviz knot-subgraph snapshot in each incident",
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.BoolVar(&t.X.IncidentsDOT, "incidents-dot", false, usage)
-		}},
-	{"fault-link-mttf", faultMTTFUsage,
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.FaultLinkMTTF, "fault-link-mttf", 0, usage)
-		}},
-	{"fault-repair", faultRepairUsage,
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.IntVar(&t.C.FaultRepair, "fault-repair", 0, usage)
-		}},
-	{"fault-seed", faultSeedUsage,
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.Uint64Var(&t.C.FaultSeed, "fault-seed", 0, usage)
-		}},
-	{"fault-schedule", faultScheduleUsage,
-		func(fs *flag.FlagSet, t configTarget, usage string) {
-			fs.StringVar(&t.X.FaultSchedule, "fault-schedule", "", usage)
-		}},
+// bindFaults registers the fault-injection flags, whose defaults are all
+// zero (no faults), for BindSpec and BindPlan.
+func bindFaults(fs *flag.FlagSet, mttf, repair *int, seed *uint64, schedule *string) {
+	fs.IntVar(mttf, "fault-link-mttf", 0, "generate link failures with this mean time-to-failure in cycles (0 = no generated faults)")
+	fs.IntVar(repair, "fault-repair", 0, "repair failed links after this many cycles (0 = failures are permanent)")
+	fs.Uint64Var(seed, "fault-seed", 0, "seed for the generated fault schedule (0 = derive from -seed)")
+	fs.StringVar(schedule, "fault-schedule", "", "inject the fault events in this JSONL schedule file (composable with -fault-link-mttf)")
 }
 
-// Fault-injection flag help, shared verbatim by both CLIs.
-const (
-	faultMTTFUsage     = "generate link failures with this mean time-to-failure in cycles (0 = no generated faults)"
-	faultRepairUsage   = "repair failed links after this many cycles (0 = failures are permanent)"
-	faultSeedUsage     = "seed for the generated fault schedule (0 = derive from -seed)"
-	faultScheduleUsage = "inject the fault events in this JSONL schedule file (composable with -fault-link-mttf)"
-)
-
-// LoadFaultSchedule parses the -fault-schedule file (when set) into the
-// configuration's explicit event list.
-func (x *Extras) LoadFaultSchedule(c *sim.Config) error {
-	events, err := ReadFaultSchedule(x.FaultSchedule)
-	if err != nil {
-		return err
+// Options converts the parsed plan flags into experiment options (loads
+// parsing and the schedule file can fail; Instrumentation is wired by the
+// caller).
+func (p *Plan) Options() (experiments.Options, error) {
+	o := experiments.Options{
+		Quick: p.Quick, Seed: p.Seed,
+		FaultSeed: p.FaultSeed, FaultLinkMTTF: p.FaultLinkMTTF, FaultRepair: p.FaultRepair,
 	}
-	c.FaultEvents = append(c.FaultEvents, events...)
-	return nil
+	var err error
+	if o.Loads, err = specv1.ParseLoads(p.Loads); err != nil {
+		return o, err
+	}
+	o.FaultEvents, err = readFaultSchedule(p.FaultSchedule)
+	return o, err
 }
 
-// ReadFaultSchedule reads a JSONL fault schedule file; an empty path
+// readFaultSchedule reads a JSONL fault schedule file; an empty path
 // returns no events.
-func ReadFaultSchedule(path string) ([]fault.Event, error) {
+func readFaultSchedule(path string) ([]fault.Event, error) {
 	if path == "" {
 		return nil, nil
 	}
@@ -271,107 +179,6 @@ func ReadFaultSchedule(path string) ([]fault.Event, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return events, nil
-}
-
-// BindConfig registers the configuration table on fs against cfg.
-func BindConfig(fs *flag.FlagSet, cfg *sim.Config) *Extras {
-	x := &Extras{}
-	t := configTarget{C: cfg, X: x}
-	for _, d := range ConfigDefs {
-		d.Bind(fs, t, d.Usage)
-	}
-	return x
-}
-
-// Apply folds the inverted/adjacent flags into the configuration.
-func (x *Extras) Apply(c *sim.Config) {
-	c.Bidirectional = !x.Uni
-	c.CycleCensus = x.Census
-	c.Recover = !x.NoRecover
-	c.CheckInvariants = x.Check
-}
-
-// Sweep holds the charsweep-only flags.
-type Sweep struct {
-	Experiment    string
-	Spec          string
-	ResultsOut    string
-	Quick         bool
-	CSV           bool
-	Plot          bool
-	Parallel      int
-	Seed          uint64
-	Loads         string
-	FaultSeed     uint64
-	FaultLinkMTTF int
-	FaultRepair   int
-	FaultSchedule string
-}
-
-// SweepDefs is the experiment-harness table.
-var SweepDefs = []Def[*Sweep]{
-	{"experiment", "experiment id (" + strings.Join(experiments.Names(), "|") + "|all)",
-		func(fs *flag.FlagSet, s *Sweep, usage string) {
-			fs.StringVar(&s.Experiment, "experiment", "all", usage)
-		}},
-	{"spec", "run this specv1 sweep spec file (- = stdin) instead of -experiment, emitting specv1 PointResult JSONL (the same wire format the sweep service serves)",
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.StringVar(&s.Spec, "spec", "", usage) }},
-	{"results-out", "write the -spec run's PointResult JSONL to this file (default stdout)",
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.StringVar(&s.ResultsOut, "results-out", "", usage) }},
-	{"quick", "scaled-down runs (8-ary 2-cube, short windows)",
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.BoolVar(&s.Quick, "quick", false, usage) }},
-	{"csv", "emit CSV instead of aligned text",
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.BoolVar(&s.CSV, "csv", false, usage) }},
-	{"plot", "render ASCII plots (first numeric column as x, log-y) after each table",
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.BoolVar(&s.Plot, "plot", false, usage) }},
-	{"parallel", "max concurrent simulations (0 = GOMAXPROCS)",
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.IntVar(&s.Parallel, "parallel", 0, usage) }},
-	{"seed", "seed offset (0 = default)",
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.Uint64Var(&s.Seed, "seed", 0, usage) }},
-	{"loads", "comma-separated load override, e.g. 0.2,0.6,1.0",
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.StringVar(&s.Loads, "loads", "", usage) }},
-	{"fault-link-mttf", faultMTTFUsage,
-		func(fs *flag.FlagSet, s *Sweep, usage string) {
-			fs.IntVar(&s.FaultLinkMTTF, "fault-link-mttf", 0, usage)
-		}},
-	{"fault-repair", faultRepairUsage,
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.IntVar(&s.FaultRepair, "fault-repair", 0, usage) }},
-	{"fault-seed", faultSeedUsage,
-		func(fs *flag.FlagSet, s *Sweep, usage string) { fs.Uint64Var(&s.FaultSeed, "fault-seed", 0, usage) }},
-	{"fault-schedule", faultScheduleUsage,
-		func(fs *flag.FlagSet, s *Sweep, usage string) {
-			fs.StringVar(&s.FaultSchedule, "fault-schedule", "", usage)
-		}},
-}
-
-// BindSweep registers the experiment-harness table on fs.
-func BindSweep(fs *flag.FlagSet) *Sweep {
-	s := &Sweep{}
-	for _, d := range SweepDefs {
-		d.Bind(fs, s, d.Usage)
-	}
-	return s
-}
-
-// Options converts the parsed sweep flags into experiment options (loads
-// parsing can fail; Instrumentation is wired by the caller, and -parallel
-// stays with the caller's run path).
-func (s *Sweep) Options() (experiments.Options, error) {
-	o := experiments.Options{
-		Quick: s.Quick, Seed: s.Seed,
-		FaultSeed: s.FaultSeed, FaultLinkMTTF: s.FaultLinkMTTF, FaultRepair: s.FaultRepair,
-	}
-	loads, err := specv1.ParseLoads(s.Loads)
-	if err != nil {
-		return o, err
-	}
-	o.Loads = loads
-	events, err := ReadFaultSchedule(s.FaultSchedule)
-	if err != nil {
-		return o, err
-	}
-	o.FaultEvents = events
-	return o, nil
 }
 
 // SignalContext returns a context cancelled by SIGINT/SIGTERM and, when

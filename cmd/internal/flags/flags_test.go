@@ -11,14 +11,14 @@ import (
 	"flexsim/internal/sim"
 )
 
-// TestBindFlexsimSurface registers the full flexsim flag surface on one
-// FlagSet — a duplicate name anywhere in the tables would panic here — and
+// TestBindFlexsimSurface registers the shared flexsim flag groups on one
+// FlagSet — a duplicate name across the binders would panic here — and
 // checks that parsing lands in the right places.
 func TestBindFlexsimSurface(t *testing.T) {
 	fs := flag.NewFlagSet("flexsim", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	cfg := sim.Default()
-	x := BindConfig(fs, &cfg)
+	spec := BindSpec(fs, &cfg)
 	v := BindCommon(fs)
 
 	err := fs.Parse([]string{
@@ -30,7 +30,9 @@ func TestBindFlexsimSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.Apply(&cfg)
+	if err := spec.Apply(); err != nil {
+		t.Fatal(err)
+	}
 
 	if cfg.K != 8 || cfg.VCs != 3 || cfg.Routing != "dor" || cfg.Load != 0.9 {
 		t.Errorf("config flags misbound: %+v", cfg)
@@ -59,26 +61,26 @@ func TestBindFlexsimSurface(t *testing.T) {
 	}
 }
 
-// TestBindCharsweepSurface does the same for the charsweep surface.
+// TestBindCharsweepSurface does the same for the charsweep groups; the
+// flags only charsweep reads are covered in cmd/charsweep.
 func TestBindCharsweepSurface(t *testing.T) {
 	fs := flag.NewFlagSet("charsweep", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	s := BindSweep(fs)
+	s := BindPlan(fs)
 	v := BindCommon(fs)
 
 	err := fs.Parse([]string{
-		"-experiment", "fig5", "-quick", "-loads", "0.2, 0.6,1.0",
-		"-parallel", "4", "-timeout", "1m",
+		"-quick", "-loads", "0.2, 0.6,1.0", "-timeout", "1m",
 		"-spans-out", "traces/run.json", "-heatmap-out", "heat.csv", "-forensics-depth", "1024",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Experiment != "fig5" || !s.Quick || s.Parallel != 4 {
-		t.Errorf("sweep flags misbound: %+v", s)
+	if !s.Quick {
+		t.Errorf("plan flags misbound: %+v", s)
 	}
 	// Flag parity with flexsim: the observability artifacts bind through the
-	// shared table, and the sweep-side paths gain a per-run "*" placeholder.
+	// shared group, and the sweep-side paths gain a per-run "*" placeholder.
 	if v.SpansOut != "traces/run.json" || v.HeatmapOut != "heat.csv" || v.ForensicsDepth != 1024 {
 		t.Errorf("observability flags misbound: %+v", v)
 	}
@@ -115,10 +117,10 @@ func TestBindCharsweepSurface(t *testing.T) {
 func TestNoShardsFlag(t *testing.T) {
 	flex := flag.NewFlagSet("flexsim", flag.ContinueOnError)
 	cfg := sim.Default()
-	BindConfig(flex, &cfg)
+	BindSpec(flex, &cfg)
 	common := BindCommon(flex)
 	sweepFS := flag.NewFlagSet("charsweep", flag.ContinueOnError)
-	s := BindSweep(sweepFS)
+	s := BindPlan(sweepFS)
 	BindCommon(sweepFS)
 	if flex.Lookup("shards") != nil || sweepFS.Lookup("shards") != nil {
 		t.Fatal("-shards is registered")
@@ -160,7 +162,7 @@ func TestNoShardsFlag(t *testing.T) {
 }
 
 func TestSweepOptionsBadLoads(t *testing.T) {
-	s := &Sweep{Loads: "0.2,nope"}
+	s := &Plan{Loads: "0.2,nope"}
 	if _, err := s.Options(); err == nil {
 		t.Fatal("bad -loads accepted")
 	}

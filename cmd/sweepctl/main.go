@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"flexsim/cmd/internal/flags"
 	"flexsim/internal/api/specv1"
 	"flexsim/internal/experiments"
 	"flexsim/internal/sweepsvc"
@@ -286,20 +287,18 @@ func cmdList(args []string) error {
 func cmdMkspec(args []string) error {
 	fs := flag.NewFlagSet("mkspec", flag.ExitOnError)
 	experiment := fs.String("experiment", "fig5", "experiment id ("+strings.Join(experiments.Names(), "|")+")")
-	quick := fs.Bool("quick", false, "scaled-down runs (8-ary 2-cube, short windows)")
-	loads := fs.String("loads", "", "comma-separated load override, e.g. 0.2,0.6,1.0")
-	seed := fs.Uint64("seed", 0, "seed offset (0 = default)")
+	plan := flags.BindPlan(fs)
 	fs.Parse(args)
 
 	study, err := experiments.StudyByName(*experiment)
 	if err != nil {
 		return err
 	}
-	loadVals, err := specv1.ParseLoads(*loads)
+	opts, err := plan.Options()
 	if err != nil {
 		return err
 	}
-	return specv1.EncodeSpec(os.Stdout, study.Plan(experiments.Options{Quick: *quick, Seed: *seed, Loads: loadVals}))
+	return specv1.EncodeSpec(os.Stdout, study.Plan(opts))
 }
 
 func cmdHealth(args []string) error {

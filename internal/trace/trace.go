@@ -1,13 +1,12 @@
 // Package trace provides structured event tracing for the network
 // simulator: message lifecycle transitions (queued, injected, VC allocated,
 // blocked, unblocked, delivered, recovery) as compact events that can be
-// streamed to a writer, counted, or kept in a post-mortem ring buffer.
+// streamed as JSONL, counted, or kept in a post-mortem ring buffer.
 // Tracing is opt-in; a nil tracer costs one branch per event site.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"flexsim/internal/message"
@@ -95,24 +94,6 @@ func (e Event) String() string {
 type Tracer interface {
 	Trace(Event)
 }
-
-// Writer streams formatted events to w, one per line. Errors are sticky and
-// reported by Err (the cycle loop cannot fail on I/O).
-type Writer struct {
-	W   io.Writer
-	err error
-}
-
-// Trace implements Tracer.
-func (t *Writer) Trace(e Event) {
-	if t.err != nil {
-		return
-	}
-	_, t.err = fmt.Fprintln(t.W, e.String())
-}
-
-// Err returns the first write error, if any.
-func (t *Writer) Err() error { return t.err }
 
 // Counter tallies events by kind; safe for concurrent readers after the run.
 type Counter struct {

@@ -40,34 +40,10 @@ func TestEventString(t *testing.T) {
 	}
 }
 
-func TestWriterTracer(t *testing.T) {
-	var b strings.Builder
-	w := &Writer{W: &b}
-	w.Trace(Event{Cycle: 1, Kind: Queued, Msg: 3, VC: message.NoVC, Node: 0})
-	w.Trace(Event{Cycle: 2, Kind: Delivered, Msg: 3, VC: message.NoVC, Node: 5})
-	if w.Err() != nil {
-		t.Fatal(w.Err())
-	}
-	if lines := strings.Count(b.String(), "\n"); lines != 2 {
-		t.Fatalf("wrote %d lines", lines)
-	}
-}
-
+// failWriter is a sink whose every write fails.
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
-
-func TestWriterTracerStickyError(t *testing.T) {
-	w := &Writer{W: failWriter{}}
-	w.Trace(Event{})
-	if w.Err() == nil {
-		t.Fatal("write error swallowed")
-	}
-	w.Trace(Event{}) // must not panic or reset the error
-	if w.Err() == nil {
-		t.Fatal("error not sticky")
-	}
-}
 
 func TestCounter(t *testing.T) {
 	var c Counter
