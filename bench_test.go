@@ -224,29 +224,6 @@ func saturatedRunner(b *testing.B, alg string, vcs int) *sim.Runner {
 
 // --- Ablations from DESIGN.md -----------------------------------------------
 
-// BenchmarkKnotTarjanVsReach quantifies design decision 1: knot detection by
-// Tarjan + condensation vs the naive per-vertex reachability definition, on
-// a CWG captured from a saturated network.
-func BenchmarkKnotTarjanVsReach(b *testing.B) {
-	msgs := saturatedRunner(b, "tfar", 1).Detector.Snapshot()
-	bld := cwg.NewBuilder(0)
-	g := bld.Build(msgs)
-	b.Run(fmt.Sprintf("tarjan/V=%d", g.NumVertices()), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// A graph keeps its components once computed, so the arm that
-			// measures computing them pays for a pooled Build as well.
-			bld.Build(msgs).FindKnots()
-		}
-	})
-	b.Run(fmt.Sprintf("naive/V=%d", g.NumVertices()), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.NaiveKnots()
-		}
-	})
-}
-
 func saturatedCWG(b *testing.B) *cwg.Graph {
 	b.Helper()
 	r := saturatedRunner(b, "tfar", 1)

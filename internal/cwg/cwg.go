@@ -14,8 +14,8 @@
 // necessary and sufficient for deadlock given a connected routing function.
 // A knot is exactly a terminal strongly connected component that contains at
 // least one edge, so detection runs in O(V+E) via Tarjan's SCC algorithm
-// plus a condensation scan — this package also ships the naive
-// per-vertex-reachability definition for cross-validation.
+// plus a condensation scan — the package's tests hold it to the naive
+// per-vertex-reachability definition.
 //
 // Each detected deadlock is characterized as in the paper:
 //

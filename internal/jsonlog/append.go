@@ -9,6 +9,7 @@ package jsonlog
 // by encoding/json's state machine and rewritten byte by byte.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -70,6 +71,10 @@ func AppendRaw(b, raw []byte) ([]byte, error) {
 // string with an escape in it, too — is encoding/json's to judge.
 func verbatim(raw []byte) bool { return value(raw, 0, 0) == len(raw) }
 
+// zeroRun is the bytes "0,0,0,0," read as a little-endian word: four empty
+// histogram buckets, each followed by another element.
+const zeroRun = 0x2c302c302c302c30
+
 // value returns the index after the value at raw[i], or -1.
 func value(raw []byte, i, depth int) int {
 	if i >= len(raw) || depth > 64 {
@@ -92,9 +97,14 @@ func value(raw []byte, i, depth int) int {
 				}
 				i++
 			}
-			// Most of a result is histogram buckets: runs of one-digit elements.
+			// Most of a result is histogram buckets: runs of one-digit
+			// elements, mostly empty ones, which go four to a word.
 			for c == '[' && i+2 < len(raw) && raw[i]-'0' <= 9 && raw[i+1] == ',' {
-				i += 2
+				if i+8 < len(raw) && binary.LittleEndian.Uint64(raw[i:]) == zeroRun {
+					i += 8
+				} else {
+					i += 2
+				}
 			}
 			if i = value(raw, i, depth+1); i < 0 || i == len(raw) || raw[i] != ',' && raw[i] != closer {
 				return -1

@@ -2,6 +2,7 @@ package jsonlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -86,10 +87,49 @@ func TestAppendMatchesJSON(t *testing.T) {
 	}
 }
 
+// zeroRunLists are arrays either side of every edge of value's four-zero
+// skip: each list of 1 to 13 elements that is all zeros or has one other
+// element (7, 10 or -0) — so runs of every length, a run that ends the list
+// and a run cut by a non-zero — and runs that leave the grammar.
+func zeroRunLists() []string {
+	lists := []string{`[0,0,0,0,]`, `[0,0,0,0`, `[0,0,0,0,0`, `[0,0,0,0,0,0,0,0,]`, `[0,0,0,0,,0]`, `[0,0,0,0,00]`,
+		`[0,0,0,0 ,0]`, `[0,0,0,0,x,0]`, `[0,0,0,0x0]`}
+	for n := 1; n <= 13; n++ {
+		elems := strings.Split(strings.Repeat("0,", n-1)+"0", ",")
+		lists = append(lists, "["+strings.Join(elems, ",")+"]")
+		for i := range elems {
+			for _, v := range []string{"7", "10", "-0"} {
+				elems[i] = v
+				lists = append(lists, "["+strings.Join(elems, ",")+"]")
+			}
+			elems[i] = "0"
+		}
+	}
+	return lists
+}
+
+// TestZeroRunBoundaries: AppendRaw copies or refuses each list in
+// zeroRunLists as json.Marshal does, alone and as a histogram member, and
+// VerbatimLen ends an accepted list at its bracket whatever follows it.
+func TestZeroRunBoundaries(t *testing.T) {
+	if w := binary.LittleEndian.Uint64([]byte("0,0,0,0,")); w != zeroRun {
+		t.Fatalf("zeroRun is %#x, the word \"0,0,0,0,\" is %#x", uint64(zeroRun), w)
+	}
+	for _, l := range zeroRunLists() {
+		checkAppend(t, []byte(l), "", 0)
+		checkAppend(t, []byte(`{"counts":`+l+`,"total":1}`), "", 0)
+		if n := VerbatimLen([]byte(l)); n == len(l) {
+			if m := VerbatimLen([]byte(l + ",0,0,0,0,0]")); m != n {
+				t.Fatalf("VerbatimLen(%s) is %d alone, %d followed by more zeros", l, n, m)
+			}
+		}
+	}
+}
+
 // FuzzAppendRaw: any bytes, any string, any float64 bit pattern through
 // checkAppend. Mutating the seeds reaches every branch of verbatim.
 func FuzzAppendRaw(f *testing.F) {
-	for i, raw := range rawCases {
+	for i, raw := range append(rawCases, zeroRunLists()...) {
 		f.Add([]byte(raw), stringCases[i%len(stringCases)], math.Float64bits(floatCases[i%len(floatCases)]))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, s string, bits uint64) {

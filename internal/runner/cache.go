@@ -289,7 +289,8 @@ func (c *Cache) GetRaw(key string) (json.RawMessage, bool) {
 // lookup returns the bytes under key and counts the hit or miss. Bytes
 // still on disk are read and validated here, on their first use, then kept:
 // decoding them into res is the validation when the caller wants the Result
-// anyway, json.Valid otherwise. A short read (the file was truncated under
+// anyway, otherwise jsonlog's verbatim scan (it accepts no invalid JSON), then
+// json.Valid for what it declines. A short read (the file was truncated under
 // us) or bytes that fail is a miss, and the entry is dropped so that the
 // re-run's Put serves from memory.
 func (c *Cache) lookup(key string, res *stats.Result) (json.RawMessage, bool) {
@@ -307,7 +308,7 @@ func (c *Cache) lookup(key string, res *stats.Result) (json.RawMessage, bool) {
 	case res != nil:
 		ok = stats.DecodeResult(raw, res) == nil
 	case unread:
-		ok = json.Valid(raw)
+		ok = jsonlog.VerbatimLen(raw) == len(raw) || json.Valid(raw)
 	}
 	if unread && ok {
 		m.CompareAndSwap(key, sp, raw)

@@ -412,6 +412,36 @@ func BenchmarkWarmMap(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cfgs))/1e3, "µs/point")
 }
 
+// BenchmarkFirstGetRaw is a fresh handle's first GetRaw of each key in a
+// store: the pread of its span and the validation of its bytes. (Every later
+// GetRaw of the key is a map load.) Opening the handle is not timed.
+func BenchmarkFirstGetRaw(b *testing.B) {
+	dir, cfgs := benchStore(b, 256)
+	keys := make([]string, len(cfgs))
+	for i, c := range cfgs {
+		keys[i] = Key(c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cache, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, k := range keys {
+			if _, ok := cache.GetRaw(k); !ok {
+				b.Fatalf("key %s missed", k)
+			}
+		}
+		b.StopTimer()
+		cache.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(keys))/1e3, "µs/point")
+}
+
 // BenchmarkOpenLargeStore is the scaling the index exists for: opening a
 // handle on a big store locates its lines and reads no payload, so both the
 // time and the heap it keeps are per key, not per stored byte. (A decode per

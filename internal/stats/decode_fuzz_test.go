@@ -163,6 +163,10 @@ func FuzzDecodeResult(f *testing.F) {
 	for _, p := range append(fastPathPayloads(f), offPathPayloads(f)...) {
 		f.Add(p)
 	}
+	zero := string(mustMarshal(f, &stats.Result{}))
+	for _, l := range stats.ZeroRunLists() {
+		f.Add([]byte(strings.Replace(zero, `"Latency":{}`, `"Latency":{"counts":`+l+`,"total":1}`, 1)))
+	}
 	populated := *handResult() // shared by value: decoding replaces a histogram's buckets, never writes them
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, into := range []stats.Result{{}, populated} {

@@ -8,6 +8,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -192,6 +193,10 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// zeroRun is the bytes "0,0,0,0," read as a little-endian word: four empty
+// buckets, none of them the last.
+const zeroRun = 0x2c302c302c302c30
+
 // parseCanonical parses the form described at UnmarshalJSON, reporting
 // false for anything outside it.
 func parseCanonical(b []byte) (w histogramJSON, ok bool) {
@@ -206,7 +211,13 @@ func parseCanonical(b []byte) (w histogramJSON, ok bool) {
 			return w, false
 		}
 		w.Counts = make([]int64, bytes.Count(rest[:end], []byte{','})+1)
-		for i := range w.Counts {
+		for i := 0; i < len(w.Counts); i++ {
+			// Most buckets are empty: four of them are one word. The word
+			// ends in a comma, so a fifth element follows (len(w.Counts)
+			// counted the commas), and make has zeroed the four already.
+			for len(rest) >= 8 && binary.LittleEndian.Uint64(rest) == zeroRun {
+				i, rest = i+4, rest[8:]
+			}
 			if w.Counts[i], rest, ok = jsonlog.CutInt(rest); !ok {
 				return w, false
 			}

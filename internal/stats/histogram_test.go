@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"os"
@@ -289,41 +290,98 @@ func FuzzHistogramJSON(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var got Histogram
-		gotErr := got.UnmarshalJSON(data)
-		var w histogramJSON
-		wantErr := json.Unmarshal(data, &w)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%q: one-pass error %v, encoding/json error %v", data, gotErr, wantErr)
+	for _, l := range ZeroRunLists() {
+		f.Add([]byte(`{"counts":` + l + `,"total":1}`))
+	}
+	f.Fuzz(checkHistogramJSON)
+}
+
+// checkHistogramJSON holds UnmarshalJSON to encoding/json on data, and
+// MarshalJSON's output to the one-pass grammar and a byte-identical round
+// trip.
+func checkHistogramJSON(t *testing.T, data []byte) {
+	t.Helper()
+	var got Histogram
+	gotErr := got.UnmarshalJSON(data)
+	var w histogramJSON
+	wantErr := json.Unmarshal(data, &w)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%q: one-pass error %v, encoding/json error %v", data, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		if !reflect.DeepEqual(got, Histogram{}) {
+			t.Fatalf("%q: rejected, yet the histogram was written: %+v", data, got)
 		}
-		if wantErr != nil {
-			if !reflect.DeepEqual(got, Histogram{}) {
-				t.Fatalf("%q: rejected, yet the histogram was written: %+v", data, got)
+		return
+	}
+	want := Histogram{counts: w.Counts, total: w.Total, sum: w.Sum, max: w.Max}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: one-pass %+v, encoding/json %+v", data, got, want)
+	}
+	enc, err := got.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, ok := parseCanonical(enc)
+	if !ok {
+		t.Fatalf("MarshalJSON output %s is outside the one-pass grammar", enc)
+	}
+	if cap(fast.Counts) != len(fast.Counts) {
+		t.Errorf("%s: counts decoded with cap %d for %d buckets", enc, cap(fast.Counts), len(fast.Counts))
+	}
+	var back Histogram
+	if err := back.UnmarshalJSON(enc); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := back.MarshalJSON(); !bytes.Equal(enc, again) {
+		t.Fatalf("%q: re-encode drifted:\n first %s\n again %s", data, enc, again)
+	}
+}
+
+// ZeroRunLists are count lists either side of every edge of parseCanonical's
+// four-zero skip: each list of 1 to 13 buckets that is all empty or has one
+// non-empty bucket (7, 10 or -0) — so runs of every length, a run that ends
+// the list and a run cut by a non-zero — and runs that leave the grammar.
+// Exported for FuzzDecodeResult's seeds.
+func ZeroRunLists() []string {
+	lists := []string{`[0,0,0,0,]`, `[0,0,0,0`, `[0,0,0,0,0`, `[0,0,0,0,0,0,0,0,]`, `[0,0,0,0,,0]`, `[0,0,0,0,00]`,
+		`[0,0,0,0 ,0]`, `[0,0,0,0,x,0]`, `[0,0,0,0x0]`}
+	for n := 1; n <= 13; n++ {
+		elems := strings.Split(strings.Repeat("0,", n-1)+"0", ",")
+		lists = append(lists, "["+strings.Join(elems, ",")+"]")
+		for i := range elems {
+			for _, v := range []string{"7", "10", "-0"} {
+				elems[i] = v
+				lists = append(lists, "["+strings.Join(elems, ",")+"]")
 			}
-			return
+			elems[i] = "0"
 		}
-		want := Histogram{counts: w.Counts, total: w.Total, sum: w.Sum, max: w.Max}
+	}
+	return lists
+}
+
+// TestZeroRunBoundaries: the four-zero skip decodes what encoding/json does,
+// and fails where it does, on every list in ZeroRunLists — as a histogram
+// alone and inside a stored Result.
+func TestZeroRunBoundaries(t *testing.T) {
+	if w := binary.LittleEndian.Uint64([]byte("0,0,0,0,")); w != zeroRun {
+		t.Fatalf("zeroRun is %#x, the word \"0,0,0,0,\" is %#x", uint64(zeroRun), w)
+	}
+	base, err := json.Marshal(&Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range ZeroRunLists() {
+		h := `{"counts":` + l + `,"total":1}`
+		checkHistogramJSON(t, []byte(h))
+		data := []byte(strings.Replace(string(base), `"Latency":{}`, `"Latency":`+h, 1))
+		var got, want Result
+		gotErr, wantErr := DecodeResult(data, &got), json.Unmarshal(data, &want)
+		if (gotErr == nil) != (wantErr == nil) || wantErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: DecodeResult error %v, encoding/json error %v", l, gotErr, wantErr)
+		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: one-pass %+v, encoding/json %+v", data, got, want)
+			t.Fatalf("%s:\n DecodeResult   %+v\n json.Unmarshal %+v", l, got.Latency, want.Latency)
 		}
-		enc, err := got.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, ok := parseCanonical(enc)
-		if !ok {
-			t.Fatalf("MarshalJSON output %s is outside the one-pass grammar", enc)
-		}
-		if cap(fast.Counts) != len(fast.Counts) {
-			t.Errorf("%s: counts decoded with cap %d for %d buckets", enc, cap(fast.Counts), len(fast.Counts))
-		}
-		var back Histogram
-		if err := back.UnmarshalJSON(enc); err != nil {
-			t.Fatal(err)
-		}
-		if again, _ := back.MarshalJSON(); !bytes.Equal(enc, again) {
-			t.Fatalf("%q: re-encode drifted:\n first %s\n again %s", data, enc, again)
-		}
-	})
+	}
 }
