@@ -14,7 +14,6 @@ import (
 
 	"flexsim/internal/cwg"
 	"flexsim/internal/sim"
-	"flexsim/internal/trace"
 )
 
 func main() {
@@ -73,40 +72,19 @@ func main() {
 	}
 
 	if *spansOut != "" {
-		if err := writeSpans(*spansOut); err != nil {
+		// The deterministic saturating quick configuration — the same shape
+		// the figures dissect statically, but live — exported whole as a
+		// Chrome trace-event file: one track per message (queued / active /
+		// blocked / recovery-drain spans) plus the detector-pass track.
+		c := sim.Quick()
+		c.Load = 1.0 // past saturation: deadlocks form, victims drain
+		c.SpansPath = *spansOut
+		res, err := sim.Run(c)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "anatomy:", err)
 			os.Exit(1)
 		}
+		fmt.Printf("=== Live run ===\nwrote Perfetto trace to %s (%d deadlocks over %d cycles; load in ui.perfetto.dev)\n",
+			*spansOut, res.Deadlocks, res.Cycles)
 	}
-}
-
-// writeSpans runs the deterministic saturating quick configuration — the
-// same shape the figures dissect statically, but live — and exports the
-// whole run as a Chrome trace-event file: one track per message (queued /
-// active / blocked / recovery-drain spans) plus the detector-pass track.
-func writeSpans(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	spans := trace.NewPerfetto(f)
-
-	c := sim.Quick()
-	c.Load = 1.0 // past saturation: deadlocks form, victims drain
-	c.Spans = spans
-	res, err := sim.Run(c)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	werr := spans.Close()
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	fmt.Printf("=== Live run ===\nwrote Perfetto trace to %s (%d deadlocks over %d cycles; load in ui.perfetto.dev)\n",
-		path, res.Deadlocks, res.Cycles)
-	return nil
 }

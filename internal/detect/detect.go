@@ -159,16 +159,6 @@ type Event struct {
 	Victim message.ID
 }
 
-// CensusSample records one cycle-census observation.
-type CensusSample struct {
-	Cycle      int64
-	Cycles     int
-	Capped     bool
-	Blocked    int
-	Active     int
-	FlitsInNet int64
-}
-
 // Stats aggregates detection results; reset at the warmup/measure boundary.
 type Stats struct {
 	Invocations int64
@@ -190,15 +180,12 @@ type Stats struct {
 	MaxDeadlockSet int
 	MaxResourceSet int
 	MaxKnotCycles  int
-	KnotCapped     bool
 
 	// Census aggregates (only when CycleCensus).
-	CensusSamples     int64
-	SumCycles         int64
-	MaxCycles         int
-	CensusCapped      bool
-	SumBlockedAtCheck int64
-	SumActiveAtCheck  int64
+	CensusSamples int64
+	SumCycles     int64
+	MaxCycles     int
+	CensusCapped  bool
 
 	// Timeout holds the per-threshold approximation quality counters
 	// (aligned with Config.TimeoutThresholds; empty when disabled).
@@ -230,7 +217,6 @@ type Detector struct {
 
 	Stats  Stats
 	Events []Event
-	Census []CensusSample
 
 	snap     []cwg.Msg
 	ownedBuf []message.VC
@@ -314,7 +300,6 @@ func (d *Detector) ResetStats() {
 	d.Stats = Stats{}
 	d.Stats.growTiming()
 	d.Events = d.Events[:0]
-	d.Census = d.Census[:0]
 }
 
 // Tick runs detection if the network's clock has reached an invocation
@@ -401,16 +386,6 @@ func (d *Detector) DetectNow() cwg.Analysis {
 		if an.TotalCyclesCapped {
 			d.Stats.CensusCapped = true
 		}
-		d.Stats.SumBlockedAtCheck += int64(d.net.BlockedCount())
-		d.Stats.SumActiveAtCheck += int64(d.net.ActiveCount())
-		d.Census = append(d.Census, CensusSample{
-			Cycle:      d.net.Now(),
-			Cycles:     an.TotalCycles,
-			Capped:     an.TotalCyclesCapped,
-			Blocked:    d.net.BlockedCount(),
-			Active:     d.net.ActiveCount(),
-			FlitsInNet: d.net.FlitsInNetwork(),
-		})
 	}
 	// Evaluate timeout approximation against ground truth before recovery
 	// mutates blocked state.
@@ -480,9 +455,6 @@ func (d *Detector) record(dl *cwg.Deadlock) {
 	}
 	if dl.KnotCycles > d.Stats.MaxKnotCycles {
 		d.Stats.MaxKnotCycles = dl.KnotCycles
-	}
-	if dl.CyclesCapped {
-		d.Stats.KnotCapped = true
 	}
 }
 

@@ -204,14 +204,8 @@ func TestCensusSamples(t *testing.T) {
 	if d.Stats.CensusSamples != 2 {
 		t.Fatalf("census samples = %d", d.Stats.CensusSamples)
 	}
-	if len(d.Census) != 2 {
-		t.Fatalf("census log = %d entries", len(d.Census))
-	}
-	if d.Census[0].Cycles < 1 {
-		t.Errorf("census found %d cycles in a deadlocked ring", d.Census[0].Cycles)
-	}
-	if d.Census[0].Blocked != 4 || d.Census[0].Active != 4 {
-		t.Errorf("census sample: %+v", d.Census[0])
+	if d.Stats.SumCycles < 2 {
+		t.Errorf("census found %d cycles over two passes of a deadlocked ring", d.Stats.SumCycles)
 	}
 }
 
@@ -223,7 +217,7 @@ func TestResetStats(t *testing.T) {
 		t.Fatal("setup found no deadlock")
 	}
 	d.ResetStats()
-	if d.Stats.Deadlocks != 0 || len(d.Events) != 0 || len(d.Census) != 0 {
+	if d.Stats.Deadlocks != 0 || len(d.Events) != 0 || d.Stats.CensusSamples != 0 {
 		t.Fatal("ResetStats left residue")
 	}
 }

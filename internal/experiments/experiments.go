@@ -2,14 +2,14 @@
 // evaluation section as tables: Fig. 5 (bidirectionality), Fig. 6
 // (adaptivity), Fig. 7 (virtual channels), Fig. 8 (buffer depth), the node
 // degree study (Sec. 3.5) and the non-uniform traffic study (Sec. 3.6) —
-// plus supplementary studies covering the paper's motivation
-// (timeout-approximation quality vs true detection) and each of its stated
-// future-work items (irregular topologies, hybrid message lengths,
-// misrouting, program-driven simulation), along with performance curves,
-// mesh/turn-model baselines and victim-policy ablations. Absolute numbers
-// depend on the substrate; the shapes — who deadlocks more, by roughly what
-// factor, where the crossovers fall — are the reproduction target (recorded
-// in EXPERIMENTS.md).
+// plus supplementary studies covering the paper's motivation (recovery vs
+// avoidance, timeout-approximation quality vs true detection) and each of
+// its stated future-work items (irregular topologies, hybrid message
+// lengths, misrouting, program-driven simulation), along with performance
+// curves, mesh/turn-model baselines and victim-policy ablations. Absolute
+// numbers depend on the substrate; the shapes — who deadlocks more, by
+// roughly what factor, where the crossovers fall — are the reproduction
+// target (recorded in EXPERIMENTS.md).
 //
 // A simulation study is declared data: its Plan is a specv1 spec, and its
 // Tabulate turns that spec's results into tables. Running the plan is the
@@ -192,6 +192,7 @@ var studies = []*Study{
 	{"irregular", irregularConfigs, irregularTables},
 	{"faulty", faultyConfigs, faultyTables},
 	{"program", programConfigs, programTables},
+	{"avoidance", avoidanceConfigs, avoidanceTables},
 }
 
 // registry maps experiment ids to their generators: every study's Run, and

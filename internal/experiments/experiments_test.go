@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"flexsim/internal/stats"
@@ -204,6 +205,29 @@ func TestIrregularShape(t *testing.T) {
 	for _, row := range tables[0].Rows {
 		if row[0] == "updown" && row[4] != "0" {
 			t.Errorf("up*/down* row reported %s deadlocks; must be deadlock-free", row[4])
+		}
+	}
+}
+
+func TestAvoidanceShape(t *testing.T) {
+	tables := runExperiment(t, "avoidance")
+	loads := microOpts().Loads
+	if len(tables) != len(loads) {
+		t.Fatalf("avoidance produced %d tables, want one per load", len(tables))
+	}
+	for i, tbl := range tables {
+		oneVCDeadlocks := false
+		for _, row := range tbl.Rows {
+			label, deadlocks := row[0], row[1]
+			if strings.HasPrefix(label, "avoidance:") && deadlocks != "0" {
+				t.Errorf("%s: %q reported %s deadlocks; must be deadlock-free", tbl.Title, label, deadlocks)
+			}
+			if strings.Contains(label, " 1 VC ") && deadlocks != "0" {
+				oneVCDeadlocks = true
+			}
+		}
+		if loads[i] == 1.0 && !oneVCDeadlocks {
+			t.Errorf("%s: no 1-VC recovery row deadlocked", tbl.Title)
 		}
 	}
 }

@@ -48,27 +48,8 @@ func (h *Heatmap) Sample(net *network.Network) {
 	}
 }
 
-// Samples returns the number of accumulated observations.
-func (h *Heatmap) Samples() int64 { return h.samples }
-
-// VCs returns the number of tracked VCs (0 before the first sample).
-func (h *Heatmap) VCs() int { return len(h.occupied) }
-
-// Occupancy returns the fraction of samples vc was owned.
-func (h *Heatmap) Occupancy(vc int) float64 { return h.frac(h.occupied, vc) }
-
-// BlockedFrac returns the fraction of samples vc was owned by a blocked
-// message.
-func (h *Heatmap) BlockedFrac(vc int) float64 { return h.frac(h.blocked, vc) }
-
-func (h *Heatmap) frac(counts []int64, vc int) float64 {
-	if h.samples == 0 || vc < 0 || vc >= len(counts) {
-		return 0
-	}
-	return float64(counts[vc]) / float64(h.samples)
-}
-
-// WriteCSV writes the dense heatmap, one row per VC:
+// WriteCSV writes the dense heatmap, one row per VC (none before the first
+// sample); the fractions are of samples:
 //
 //	vc,label,samples,occupied,blocked,occupied_frac,blocked_frac
 func (h *Heatmap) WriteCSV(w io.Writer) error {
@@ -84,8 +65,8 @@ func (h *Heatmap) WriteCSV(w io.Writer) error {
 			fmt.Sprint(h.samples),
 			fmt.Sprint(h.occupied[vc]),
 			fmt.Sprint(h.blocked[vc]),
-			fmt.Sprintf("%.6f", h.Occupancy(vc)),
-			fmt.Sprintf("%.6f", h.BlockedFrac(vc)),
+			fmt.Sprintf("%.6f", float64(h.occupied[vc])/float64(h.samples)),
+			fmt.Sprintf("%.6f", float64(h.blocked[vc])/float64(h.samples)),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -2,6 +2,9 @@ package obs_test
 
 import (
 	"encoding/csv"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,28 +13,66 @@ import (
 	"flexsim/internal/sim"
 )
 
-// TestHeatmapAccumulatesAndExports: attaching a heatmap to a saturating run
+const heatmapHeader = "vc,label,samples,occupied,blocked,occupied_frac,blocked_frac"
+
+// TestHeatmapAccumulatesAndExports: a heatmap requested of a saturating run
 // (with no interval metrics configured — the heatmap alone must force the
-// recorder) accumulates per-VC occupancy and renders a dense, parseable CSV.
+// recorder) accumulates per-VC occupancy and renders a dense, parseable CSV:
+// one row per VC of the run's network, each fraction its count over samples.
 func TestHeatmapAccumulatesAndExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-config run")
 	}
-	hm := &obs.Heatmap{}
 	c := sim.Quick()
 	c.Load = 1.0
-	c.Heatmap = hm // MetricsEvery stays 0: Heatmap alone enables sampling
+	probe, err := sim.NewRunner(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vcs := probe.Net.TotalVCs()
+
+	path := filepath.Join(t.TempDir(), "heat.csv")
+	c.HeatmapPath = path // MetricsEvery stays 0: the heatmap alone enables sampling
 	if _, err := sim.Run(c); err != nil {
 		t.Fatal(err)
 	}
-	if hm.Samples() == 0 || hm.VCs() == 0 {
-		t.Fatalf("no samples accumulated: samples=%d vcs=%d", hm.Samples(), hm.VCs())
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != vcs+1 {
+		t.Fatalf("%d CSV rows for %d VCs", len(rows), vcs)
+	}
+	if header := strings.Join(rows[0], ","); header != heatmapHeader {
+		t.Fatalf("header = %q", header)
+	}
+	samples := rows[1][2]
 	anyOccupied := false
-	for vc := 0; vc < hm.VCs(); vc++ {
-		occ, blk := hm.Occupancy(vc), hm.BlockedFrac(vc)
-		if occ < 0 || occ > 1 || blk < 0 || blk > occ {
-			t.Fatalf("vc %d: occupancy %f blocked %f out of range", vc, occ, blk)
+	for i, row := range rows[1:] {
+		if row[0] != strconv.Itoa(i) {
+			t.Fatalf("row %d keyed %q", i, row[0])
+		}
+		if row[1] == "" {
+			t.Fatalf("row %d has no channel label", i)
+		}
+		if row[2] != samples {
+			t.Fatalf("row %d samples %q, row 0 %q", i, row[2], samples)
+		}
+		n, err0 := strconv.ParseInt(row[2], 10, 64)
+		occ, err1 := strconv.ParseInt(row[3], 10, 64)
+		blk, err2 := strconv.ParseInt(row[4], 10, 64)
+		if err0 != nil || err1 != nil || err2 != nil || n == 0 || occ > n || blk > occ {
+			t.Fatalf("row %d: samples %q occupied %q blocked %q", i, row[2], row[3], row[4])
+		}
+		wantOcc := fmt.Sprintf("%.6f", float64(occ)/float64(n))
+		wantBlk := fmt.Sprintf("%.6f", float64(blk)/float64(n))
+		if row[5] != wantOcc || row[6] != wantBlk {
+			t.Fatalf("row %d fractions %q %q, want %q %q", i, row[5], row[6], wantOcc, wantBlk)
 		}
 		if occ > 0 {
 			anyOccupied = true
@@ -40,53 +81,16 @@ func TestHeatmapAccumulatesAndExports(t *testing.T) {
 	if !anyOccupied {
 		t.Fatal("saturating run left every VC idle")
 	}
-
-	var b strings.Builder
-	if err := hm.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != hm.VCs()+1 {
-		t.Fatalf("%d CSV rows for %d VCs", len(rows), hm.VCs())
-	}
-	header := strings.Join(rows[0], ",")
-	if header != "vc,label,samples,occupied,blocked,occupied_frac,blocked_frac" {
-		t.Fatalf("header = %q", header)
-	}
-	for i, row := range rows[1:] {
-		if row[0] != strconv.Itoa(i) {
-			t.Fatalf("row %d keyed %q", i, row[0])
-		}
-		if row[1] == "" {
-			t.Fatalf("row %d has no channel label", i)
-		}
-		frac, err := strconv.ParseFloat(row[5], 64)
-		if err != nil || frac < 0 || frac > 1 {
-			t.Fatalf("row %d occupied_frac %q: %v", i, row[5], err)
-		}
-	}
-
-	// Out-of-range queries are zero, not panics.
-	if hm.Occupancy(-1) != 0 || hm.Occupancy(hm.VCs()) != 0 {
-		t.Error("out-of-range occupancy not zero")
-	}
 }
 
-// TestHeatmapZeroValue: an unsampled heatmap writes a bare header and
-// reports zero everywhere.
+// TestHeatmapZeroValue: an unsampled heatmap writes a bare header.
 func TestHeatmapZeroValue(t *testing.T) {
 	var hm obs.Heatmap
-	if hm.Samples() != 0 || hm.VCs() != 0 || hm.Occupancy(0) != 0 {
-		t.Fatal("zero value not empty")
-	}
 	var b strings.Builder
 	if err := hm.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.TrimSpace(b.String()); got != "vc,label,samples,occupied,blocked,occupied_frac,blocked_frac" {
+	if got := strings.TrimSpace(b.String()); got != heatmapHeader {
 		t.Fatalf("zero-value CSV = %q", got)
 	}
 }

@@ -161,17 +161,11 @@ type Instrumentation struct {
 	Incidents    *obs.IncidentLog
 	IncidentDOT  bool
 
-	// Spans, if non-nil, streams the run as a Chrome trace-event (Perfetto)
-	// timeline: per-message lifecycle spans derived from the trace stream
-	// plus a detector track of pass spans. sim joins it into the tracer
-	// fan-out and wires the detector's OnPass hook; the caller must Close
-	// it after the run to terminate the JSON array.
-	Spans *trace.PerfettoWriter
-	// SpansPath, when nonempty, has the run open (and close) its own
-	// Perfetto writer on this file — the file-owning form of Spans for
-	// batch callers that cannot share one writer across runs. A "*" in the
-	// path expands to "<label>-s<seed>-l<load>" so sweeps write one file
-	// per run.
+	// SpansPath, when nonempty, has the run stream itself to this file as a
+	// Chrome trace-event (Perfetto) timeline: per-message lifecycle spans
+	// derived from the trace stream plus a detector track of pass spans.
+	// The run opens and closes the file. A "*" in the path expands to
+	// "<label>-s<seed>-l<load>" so sweeps write one file per run.
 	SpansPath string
 	// TraceContext, when nonempty, is the fleet span this run executes
 	// under (W3C traceparent form, minted by the sweep coordinator). It is
@@ -179,12 +173,10 @@ type Instrumentation struct {
 	// the coordinator's fleet timeline by trace and span ID.
 	TraceContext string
 
-	// Heatmap, if non-nil, accumulates per-VC occupancy/block counts on
-	// the metrics cadence (forcing a recorder even when MetricsEvery is 0).
-	Heatmap *obs.Heatmap
-	// HeatmapPath is the file-owning form of Heatmap: the run allocates a
-	// heatmap and writes its CSV there when finished. "*" expands as in
-	// SpansPath.
+	// HeatmapPath, when nonempty, has the run accumulate per-VC
+	// occupancy/block counts on the metrics cadence (forcing a recorder
+	// even when MetricsEvery is 0) and write them there as CSV when
+	// finished. "*" expands as in SpansPath.
 	HeatmapPath string
 
 	// ForensicsDepth > 0 attaches a resource-event ring of that many
@@ -252,7 +244,8 @@ type Runner struct {
 
 	res        stats.Result
 	rec        *obs.Recorder
-	faultEvery int64 // fault-tick cadence (DetectEvery); 0 when no schedule
+	heat       *obs.Heatmap // HeatmapPath's accumulator, sampled with rec
+	faultEvery int64        // fault-tick cadence (DetectEvery); 0 when no schedule
 	// artifacts closes run-owned observability outputs (SpansPath /
 	// HeatmapPath files); CloseArtifacts drains it.
 	artifacts []func() error
@@ -290,51 +283,49 @@ func NewRunner(c Config) (*Runner, error) {
 		return nil, err
 	}
 	var artifacts []func() error
-	if c.SpansPath != "" && c.Spans == nil {
+	tracer := c.Tracer
+	var spans *trace.PerfettoWriter
+	if c.SpansPath != "" {
 		f, err := os.Create(expandRunPath(c.SpansPath, c))
 		if err != nil {
 			return nil, fmt.Errorf("sim: spans: %w", err)
 		}
-		pw := trace.NewPerfetto(f)
-		c.Spans = pw
+		spans = trace.NewPerfetto(f)
 		artifacts = append(artifacts, func() error {
-			werr := pw.Close()
+			werr := spans.Close()
 			if cerr := f.Close(); werr == nil {
 				werr = cerr
 			}
 			return werr
 		})
+		if c.TraceContext != "" {
+			// Stamp the fleet span this run executes under, so the artifact
+			// is joinable to the coordinator's fleet timeline.
+			spans.TraceContext(c.TraceContext)
+		}
+		// Join the Perfetto writer into the fan-out without disturbing the
+		// caller's tracer.
+		if tracer != nil {
+			tracer = trace.Multi{tracer, spans}
+		} else {
+			tracer = spans
+		}
 	}
-	if c.HeatmapPath != "" && c.Heatmap == nil {
-		h := &obs.Heatmap{}
-		c.Heatmap = h
+	var heat *obs.Heatmap
+	if c.HeatmapPath != "" {
+		heat = &obs.Heatmap{}
 		path := expandRunPath(c.HeatmapPath, c)
 		artifacts = append(artifacts, func() error {
 			f, err := os.Create(path)
 			if err != nil {
 				return fmt.Errorf("sim: heatmap: %w", err)
 			}
-			werr := h.WriteCSV(f)
+			werr := heat.WriteCSV(f)
 			if cerr := f.Close(); werr == nil {
 				werr = cerr
 			}
 			return werr
 		})
-	}
-	tracer := c.Tracer
-	if c.Spans != nil && c.TraceContext != "" {
-		// Stamp the fleet span this run executes under, so the artifact is
-		// joinable to the coordinator's fleet timeline.
-		c.Spans.TraceContext(c.TraceContext)
-	}
-	if c.Spans != nil {
-		// Join the Perfetto writer into the fan-out without disturbing the
-		// caller's tracer.
-		if tracer != nil {
-			tracer = trace.Multi{tracer, c.Spans}
-		} else {
-			tracer = c.Spans
-		}
 	}
 	net, err := network.New(network.Params{
 		Topo:              topo,
@@ -386,8 +377,7 @@ func NewRunner(c Config) (*Runner, error) {
 		dcfg.Observer = c.Incidents
 		dcfg.SnapshotDOT = c.IncidentDOT
 	}
-	if c.Spans != nil {
-		spans := c.Spans
+	if spans != nil {
 		dcfg.OnPass = func(p detect.PassInfo) {
 			spans.DetectorPass(p.Cycle, p.BuildNs, p.AnalyzeNs, p.Deadlocks, p.Gated)
 		}
@@ -454,9 +444,10 @@ func NewRunner(c Config) (*Runner, error) {
 			c.Incidents.Formation = r.Forensics
 		}
 	}
-	if c.MetricsEvery > 0 || c.MetricsLive != nil || c.Heatmap != nil {
+	if c.MetricsEvery > 0 || c.MetricsLive != nil || heat != nil {
 		r.rec = obs.NewRecorder(c.MetricsEvery)
 	}
+	r.heat = heat
 	r.artifacts = artifacts
 	net.OnDeliver = r.onDeliver
 	r.res = stats.Result{
@@ -566,8 +557,8 @@ func (r *Runner) sampleMetrics() {
 	if r.Cfg.MetricsLive != nil {
 		r.Cfg.MetricsLive.Store(g)
 	}
-	if r.Cfg.Heatmap != nil {
-		r.Cfg.Heatmap.Sample(r.Net)
+	if r.heat != nil {
+		r.heat.Sample(r.Net)
 	}
 }
 

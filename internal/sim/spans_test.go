@@ -2,36 +2,37 @@ package sim
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"flexsim/internal/trace"
 )
 
-// TestRunWithSpans: an end-to-end deadlocking run with a Perfetto writer
-// attached must produce a valid trace-event array carrying both tracks —
+// TestRunWithSpans: an end-to-end deadlocking run with a Perfetto timeline
+// requested must produce a valid trace-event array carrying both tracks —
 // message lifecycle spans (including recovery drains) and detector passes.
 func TestRunWithSpans(t *testing.T) {
-	var b strings.Builder
-	spans := trace.NewPerfetto(&b)
-
+	path := filepath.Join(t.TempDir(), "spans.json")
 	c := Quick()
 	c.Load = 1.0 // saturate so deadlocks form and victims drain
 	c.CheckInvariants = true
-	c.Spans = spans
+	c.SpansPath = path
 	res, err := Run(c)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := spans.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if res.Deadlocks == 0 {
 		t.Fatal("saturating tiny run detected no deadlocks; no drain spans to check")
 	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var events []map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &events); err != nil {
+	if err := json.Unmarshal(b, &events); err != nil {
 		t.Fatalf("spans output is not a JSON array: %v", err)
 	}
 	counts := map[string]int{}
@@ -56,24 +57,25 @@ func TestRunWithSpans(t *testing.T) {
 	}
 }
 
-// TestRunWithSpansComposesTracer: Spans must stack on top of a configured
-// Tracer, not replace it.
+// TestRunWithSpansComposesTracer: SpansPath must stack on top of a
+// configured Tracer, not replace it.
 func TestRunWithSpansComposesTracer(t *testing.T) {
-	var b strings.Builder
+	path := filepath.Join(t.TempDir(), "spans.json")
 	ring := &trace.Ring{Cap: 32}
 	c := tiny()
 	c.Tracer = ring
-	c.Spans = trace.NewPerfetto(&b)
+	c.SpansPath = path
 	if _, err := Run(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Spans.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if len(ring.Events()) == 0 {
 		t.Error("ring tracer starved while spans attached")
 	}
-	if !strings.Contains(b.String(), `"active"`) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"active"`) {
 		t.Error("span writer got no lifecycle events")
 	}
 }

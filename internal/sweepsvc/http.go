@@ -235,9 +235,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The trace context and spans path are observability-only (excluded
 	// from the cache key): set after Key so they cannot perturb dedupe.
 	point.TraceContext = req.Trace
-	if wk.SpansPath != "" {
-		point.SpansPath = wk.SpansPath
-	}
+	point.SpansPath = wk.SpansPath
 	resp := specv1.RunResponse{SchemaVersion: specv1.Version, Worker: wk.Name, Trace: req.Trace}
 	if wk.Cache != nil {
 		// Another fleet process may have appended this configuration since
@@ -281,6 +279,13 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	default:
 		if ctx.Err() != nil && errors.Is(p.Err, ctx.Err()) {
 			http.Error(w, fmt.Sprintf("run cancelled: %v", p.Err), http.StatusServiceUnavailable)
+			return
+		}
+		// A recovered panic is retried, as an in-process one is: 500 marks
+		// it retryable.
+		var pe *runner.PanicError
+		if errors.As(p.Err, &pe) {
+			http.Error(w, p.Err.Error(), http.StatusInternalServerError)
 			return
 		}
 		resp.Status = specv1.StatusFailed

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,6 +192,58 @@ func TestPanicRetries(t *testing.T) {
 	}
 	if retried != 1 {
 		t.Fatalf("%d points retried, want 1", retried)
+	}
+}
+
+// TestFleetPanicRetries: a panic on a fleet worker is retried as an
+// in-process one is. The same always-panicking point ends failed after
+// MaxRetries+1 attempts wherever it runs, with one retry cause per retry:
+// "panic" in-process, "5xx" from a worker that answers the panic with 500.
+func TestFleetPanicRetries(t *testing.T) {
+	const maxRetries = 2
+	panicky := func(ctx context.Context, cfg sim.Config) (*stats.Result, error) {
+		panic("injected crash")
+	}
+	wk := &Worker{Name: "w1", Run: panicky}
+	mux := http.NewServeMux()
+	mux.Handle("/api/v1/", wk.Handler())
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		cause string
+	}{
+		{"in-process", Config{LocalWorkers: 1, Run: panicky}, causePanic},
+		{"fleet", Config{Fleet: []string{srv.URL}, HealthEvery: time.Millisecond}, cause5xx},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Cache = openCache(t, t.TempDir())
+			cfg.MaxRetries = maxRetries
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			st, err := s.Submit(testSpec("panicky-"+tc.name, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = awaitDone(t, s, st.ID)
+			if st.Failed != 1 || st.Retries != maxRetries || st.RetryCauses[tc.cause] != maxRetries || len(st.RetryCauses) != 1 {
+				t.Fatalf("sweep: %+v, want 1 failed after %d retries, all %s", st, maxRetries, tc.cause)
+			}
+			results, err := s.Results(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr := results[0]; pr.Status != specv1.StatusFailed || pr.Attempts != maxRetries+1 || !strings.Contains(pr.Error, "injected crash") {
+				t.Fatalf("point: status %s, %d attempt(s), error %q; want failed after %d", pr.Status, pr.Attempts, pr.Error, maxRetries+1)
+			}
+		})
 	}
 }
 

@@ -242,6 +242,3 @@ func (p *PerfettoWriter) Err() error { return p.err }
 
 // Ensure PerfettoWriter satisfies Tracer.
 var _ Tracer = (*PerfettoWriter)(nil)
-
-// Ensure SpanLog satisfies Tracer.
-var _ Tracer = (*SpanLog)(nil)

@@ -4,8 +4,7 @@ package trace
 // questions are about intervals — how long a message sat in its source
 // queue, how long it was blocked and where, how long a recovery drain took.
 // A spanTracker folds the event stream into closed [start, end] spans; the
-// SpanLog tracer collects them in memory and the PerfettoWriter streams
-// them as a Chrome trace-event timeline.
+// PerfettoWriter streams them as a Chrome trace-event timeline.
 
 import (
 	"fmt"
@@ -196,27 +195,4 @@ func (t *spanTracker) finish() {
 		t.close(id, t.open[id], t.last, NoOutcome)
 	}
 	t.open = nil
-}
-
-// SpanLog is a Tracer that derives and retains lifecycle spans in memory.
-// Call Finish after the run to close spans for messages still in flight.
-type SpanLog struct {
-	Spans []Span
-	tr    spanTracker
-}
-
-// Trace implements Tracer.
-func (l *SpanLog) Trace(e Event) {
-	if l.tr.emit == nil {
-		l.tr.emit = func(s Span) { l.Spans = append(l.Spans, s) }
-	}
-	l.tr.feed(e)
-}
-
-// Finish closes all open spans at the last traced cycle (outcome
-// NoOutcome). Safe to call on an empty log.
-func (l *SpanLog) Finish() {
-	if l.tr.emit != nil {
-		l.tr.finish()
-	}
 }

@@ -12,6 +12,22 @@ func ev(cycle int64, k Kind, msg message.ID, node int) Event {
 	return Event{Cycle: cycle, Kind: k, Msg: msg, VC: message.NoVC, Node: node}
 }
 
+// spanLog collects the spans a spanTracker derives from the events it is fed.
+type spanLog struct {
+	Spans []Span
+	tr    spanTracker
+}
+
+func (l *spanLog) Trace(e Event) {
+	if l.tr.emit == nil {
+		l.tr.emit = func(s Span) { l.Spans = append(l.Spans, s) }
+	}
+	l.tr.feed(e)
+}
+
+// Finish closes all open spans at the last traced cycle.
+func (l *spanLog) Finish() { l.tr.finish() }
+
 // TestKindStringExhaustive pins a distinct, stable name for every Kind so a
 // newly added kind cannot silently print as "Kind(n)", and requires
 // KindByName to round-trip each one (the JSON trace format depends on it).
@@ -57,7 +73,7 @@ func TestSpanKindStringExhaustive(t *testing.T) {
 // TestSpanDerivationDelivered: the canonical delivered lifecycle produces
 // queued, one blocked episode, and active spans with the right stamps.
 func TestSpanDerivationDelivered(t *testing.T) {
-	var l SpanLog
+	var l spanLog
 	for _, e := range []Event{
 		ev(10, Queued, 7, 3),
 		ev(12, Injected, 7, 3),
@@ -86,7 +102,7 @@ func TestSpanDerivationDelivered(t *testing.T) {
 // TestSpanDerivationRecovery: a deadlock victim closes its blocked and
 // active spans at RecoveryStart and gains a drain span.
 func TestSpanDerivationRecovery(t *testing.T) {
-	var l SpanLog
+	var l spanLog
 	for _, e := range []Event{
 		ev(0, Injected, 1, 0),
 		ev(5, Blocked, 1, 2),
@@ -114,7 +130,7 @@ func TestSpanDerivationRecovery(t *testing.T) {
 // TestSpanDerivationKilledWhileQueued: a message dropped before injection
 // closes only its queued span, with the Killed outcome.
 func TestSpanDerivationKilledWhileQueued(t *testing.T) {
-	var l SpanLog
+	var l spanLog
 	l.Trace(ev(3, Queued, 9, 4))
 	l.Trace(ev(8, Killed, 9, 4))
 	l.Finish()
@@ -130,7 +146,7 @@ func TestSpanDerivationKilledWhileQueued(t *testing.T) {
 // TestSpanFinishClosesOpen: messages still in flight at end of trace close
 // with NoOutcome at the last seen cycle, in message-id order.
 func TestSpanFinishClosesOpen(t *testing.T) {
-	var l SpanLog
+	var l spanLog
 	l.Trace(ev(0, Injected, 5, 0))
 	l.Trace(ev(2, Injected, 3, 0))
 	l.Trace(ev(7, Blocked, 5, 1))
@@ -162,7 +178,7 @@ func TestSpanFinishClosesOpen(t *testing.T) {
 // TestSpanZeroLength: blocking and unblocking within one cycle yields a
 // legal zero-length span.
 func TestSpanZeroLength(t *testing.T) {
-	var l SpanLog
+	var l spanLog
 	l.Trace(ev(4, Injected, 2, 0))
 	l.Trace(ev(6, Blocked, 2, 1))
 	l.Trace(ev(6, Unblocked, 2, 1))
