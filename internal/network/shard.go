@@ -33,7 +33,6 @@ package network
 // kernels, so they cannot drift apart.
 
 import (
-	"fmt"
 	"math/bits"
 	"os"
 	"strconv"
@@ -723,9 +722,6 @@ func (w *worker) allocatePlan(msgs []*message.Message) {
 			continue
 		}
 		if m.Blocked && m.WantsGen == n.faultGen && !n.anyFree(m.Wants) {
-			if n.p.CheckInvariants {
-				w.checkParked(m)
-			}
 			w.d.blocked++
 		} else {
 			w.allocate(m)
@@ -734,9 +730,6 @@ func (w *worker) allocatePlan(msgs []*message.Message) {
 			}
 		}
 		if m.Frozen {
-			if n.p.CheckInvariants {
-				w.checkFrozen(m)
-			}
 			continue
 		}
 		if !w.plan(m) {
@@ -842,24 +835,6 @@ func (w *worker) route(m *message.Message, here int) []routing.Candidate {
 	return w.faultCandidates(m, here, req.PrevCh, w.candBuf)
 }
 
-// checkParked is the CheckInvariants oracle for allocate's parked fast path:
-// it re-routes a skipped header and requires the identical candidate set,
-// every member still owned. A mismatch means the fast path skipped a header
-// the routing relation would have moved or re-aimed.
-func (w *worker) checkParked(m *message.Message) {
-	n := w.n
-	cands := w.route(m, n.Downstream(m.HeadVC()))
-	same := len(cands) == len(m.Wants)
-	for i := 0; same && i < len(cands); i++ {
-		vc := n.NetVC(cands[i].Ch, cands[i].VC)
-		same = vc == m.Wants[i] && n.owner[vc] != nil
-	}
-	if !same {
-		panic(fmt.Sprintf("network: cycle %d: allocate parked %v on wants %v, but routing offers %v",
-			n.now, m, m.Wants, cands))
-	}
-}
-
 // plan registers m's flit-movement requests for this cycle from pre-cycle
 // state: per physical channel for link traversals (a bit in the channel's
 // request word, or the target VC in the channel owner's mailbox when remote)
@@ -915,18 +890,6 @@ func (w *worker) sourceFlitDue(m *message.Message) bool {
 	return m.SrcRemaining > 0 && m.Hops[0].Occ < w.n.inj && m.Released == 0
 }
 
-// checkFrozen is the CheckInvariants oracle for the frozen-worm gate: it
-// re-runs the full walk on a worm the gate skipped — which registers nothing
-// if the gate is right — and requires that it still finds no eligible pair,
-// no reception request and no source flit due, and that the release scan the
-// gate also skips would free nothing.
-func (w *worker) checkFrozen(m *message.Message) {
-	if w.plan(m) || m.Hops[m.Released].Departed == int32(m.Len) {
-		panic(fmt.Sprintf("network: cycle %d: %v is marked frozen but can move (released %d, hops %+v)",
-			w.n.now, m, m.Released, m.Hops))
-	}
-}
-
 // requestVC sets vc's bit in the request word of its channel, one of this
 // shard's: the conditional form of plan's OR, for requests adopted from a
 // mailbox.
@@ -962,9 +925,6 @@ func (w *worker) arbitrateAndEject() {
 			ch := i<<6 + bits.TrailingZeros64(word)
 			reqs := n.chReq[ch]
 			n.chReq[ch] = 0
-			if n.p.CheckInvariants {
-				n.checkRequests(topology.ChannelID(ch), reqs)
-			}
 			v := grantVC(reqs, n.chRR[ch])
 			n.chRR[ch] = int32(v)
 			vc := n.NetVC(topology.ChannelID(ch), v)
@@ -989,40 +949,6 @@ func (w *worker) arbitrateAndEject() {
 			w.eject(n.owner[vc])
 		}
 	}
-}
-
-// checkRequests is the CheckInvariants oracle for the request bits: every
-// VC requesting channel ch must be owned, sit where slotOf says in its
-// owner's hop chain, and have a flit waiting in the hop before it — the
-// requester plan set the bit for, re-derived from owner and slotOf.
-// It reads only what no shard writes during arbitration (ejection touches
-// the head hop and Status, never the hop a transfer leaves).
-func (n *Network) checkRequests(ch topology.ChannelID, reqs uint64) {
-	for ; reqs != 0; reqs &= reqs - 1 {
-		vc := n.NetVC(ch, bits.TrailingZeros64(reqs))
-		m := n.owner[vc]
-		i := int(n.slotOf[vc])
-		if m == nil || i < 1 || i >= len(m.Hops) || m.Hops[i].VC != vc || m.Hops[i-1].Occ == 0 {
-			panic(fmt.Sprintf("network: cycle %d: %s has a transfer request its owner (%v, slot %d) did not make",
-				n.now, n.VCString(vc), m, i))
-		}
-	}
-}
-
-// checkBitmapsIdle reports a channel or reception bitmap word left set
-// between cycles.
-func (w *worker) checkBitmapsIdle() error {
-	for i, word := range w.chBits {
-		if word != 0 {
-			return fmt.Errorf("network: shard %d left channel bitmap word %d = %#x", w.id, i, word)
-		}
-	}
-	for i, word := range w.rxNodes {
-		if word != 0 {
-			return fmt.Errorf("network: shard %d left reception bitmap word %d = %#x", w.id, i, word)
-		}
-	}
-	return nil
 }
 
 // eject consumes one flit of m at its destination.

@@ -66,8 +66,11 @@ type Algorithm interface {
 	// interface method costs no allocation.
 	Candidates(req *Request, buf []Candidate) []Candidate
 	// DeadlockFree reports whether the relation provably avoids deadlock
-	// (used for validation: the detector must never find a knot under a
-	// deadlock-free relation).
+	// on a fault-free network (used for validation: the detector must never
+	// find a knot under a deadlock-free relation). The claim does not
+	// survive a fault set: a header whose candidates are all dead falls
+	// back to Surviving, which offers any live output, so a relation that
+	// returns true may deadlock once a link fails.
 	DeadlockFree() bool
 	// MinVCs returns the smallest VC count the algorithm is defined for.
 	MinVCs() int

@@ -149,9 +149,9 @@ func TestShardEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := equivBase()
 			tc.mut(&cfg)
-			// Every header allocate leaves parked is re-routed by the
-			// oracle and must come out the same; every worm the frozen
-			// gate skips is re-walked and must still be unable to move.
+			// The state contract is checked after every cycle; whether the
+			// engine's skip gates skip only what they may is the lockstep
+			// differential's question (network.FuzzEngineEquivalence).
 			cfg.CheckInvariants = true
 			assertShardEquivalent(t, cfg, tc.shards)
 		})
@@ -527,7 +527,7 @@ func TestInjectionGateFaultMutation(t *testing.T) {
 }
 
 // FuzzShardEquivalence fuzzes (topology, seed, vcs, load, victim policy,
-// fault rate, shard count 1–8) and asserts byte-identical results versus
+// fault rate, shard count 2–8) and asserts byte-identical results versus
 // the 1-shard reference.
 func FuzzShardEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(1), uint8(100), uint8(0), uint8(0), uint8(4))
