@@ -142,9 +142,9 @@ func encodedSpec(tb testing.TB, s *Spec) []byte {
 }
 
 // writerOutputs is one output of every writer of the wire, in the reader's
-// grammar by construction: what TestWireTakesFastPath holds it to.
-// (sweepsvc's appendRunResponse is json.Marshal(RunResponse) byte for byte,
-// by its own test.)
+// grammar by construction: what TestWireTakesFastPath holds it to. (Every
+// writer is jsonlog.Append, json.Marshal byte for byte: FuzzAppend and
+// TestWriterTakesPlan in that package.)
 func writerOutputs(tb testing.TB) []wireDoc {
 	tb.Helper()
 	marshal := func(v any) []byte {

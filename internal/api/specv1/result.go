@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"flexsim/internal/jsonlog"
 	"flexsim/internal/runner"
@@ -113,7 +112,7 @@ func EncodeResult(res *stats.Result) (json.RawMessage, error) {
 	if res == nil {
 		return nil, nil
 	}
-	raw, err := json.Marshal(res)
+	raw, err := stats.EncodeResult(res)
 	if err != nil {
 		return nil, fmt.Errorf("specv1: encode result: %w", err)
 	}
@@ -132,31 +131,6 @@ func DecodeResult(raw json.RawMessage) (*stats.Result, error) {
 	return &res, nil
 }
 
-// appendJSON appends the line json.Marshal(pr) would produce, copying the
-// result payload instead of re-compacting it.
-func (pr *PointResult) appendJSON(b []byte) ([]byte, error) {
-	str := func(name, s string) { // an omitempty string member
-		if s != "" {
-			b = jsonlog.AppendString(append(b, name...), s)
-		}
-	}
-	b = strconv.AppendInt(append(b, `{"schema_version":`...), int64(pr.SchemaVersion), 10)
-	b = strconv.AppendInt(append(b, `,"index":`...), int64(pr.Index), 10)
-	b, err := jsonlog.AppendFloat(append(b, `,"load":`...), pr.Load)
-	b = jsonlog.AppendString(append(b, `,"status":`...), string(pr.Status))
-	str(`,"key":`, pr.Key)
-	str(`,"worker":`, pr.Worker)
-	if pr.Attempts != 0 {
-		b = strconv.AppendInt(append(b, `,"attempts":`...), int64(pr.Attempts), 10)
-	}
-	str(`,"trace":`, pr.Trace)
-	str(`,"error":`, pr.Error)
-	if err == nil && len(pr.Result) > 0 {
-		b, err = jsonlog.AppendRaw(append(b, `,"result":`...), pr.Result)
-	}
-	return append(b, '}'), err
-}
-
 // WriteResults writes point results as JSONL, one PointResult per line —
 // the format of sweepd's results endpoint and charsweep's -results-out.
 func WriteResults(w io.Writer, results []PointResult) error {
@@ -165,7 +139,7 @@ func WriteResults(w io.Writer, results []PointResult) error {
 	var line []byte
 	for i := range results {
 		var err error
-		if line, err = results[i].appendJSON(line[:0]); err == nil {
+		if line, err = jsonlog.Append(line[:0], &results[i]); err == nil {
 			line = append(line, '\n')
 			_, err = bw.Write(line)
 		}

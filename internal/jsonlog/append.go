@@ -1,12 +1,11 @@
 package jsonlog
 
-// Field writers for the records of these logs and of the wire formats that
-// carry the same payloads. Each appends exactly the bytes encoding/json
-// would produce for the value, so a record built from them is byte for byte
-// the json.Marshal of its struct; what they cannot copy straight through
-// they hand to encoding/json. The point is AppendRaw: a result payload that
-// is already compact JSON is checked in one pass and copied, not re-scanned
-// by encoding/json's state machine and rewritten byte by byte.
+// Field writers of the plan-driven writer (encode.go), and the scanners the
+// readers share. Each writer appends exactly the bytes encoding/json would
+// produce for the value; what it cannot copy straight through it hands to
+// encoding/json. The point is AppendRaw: a result payload that is already
+// compact JSON is checked in one pass and copied, not re-scanned by
+// encoding/json's state machine and rewritten byte by byte.
 
 import (
 	"encoding/binary"
@@ -15,10 +14,21 @@ import (
 	"strconv"
 )
 
+// ascii is whether a byte stands for itself inside a string encoding/json
+// writes: printable ASCII but '"', '\\', '<', '>' and '&'. A table, because a
+// byte-by-byte test of the seven is most of what a key or a payload's member
+// names cost.
+var ascii = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
 // AppendString appends s as a JSON string.
 func AppendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if !ascii[s[i]] {
 			enc, _ := json.Marshal(s) // a string always encodes
 			return append(b, enc...)
 		}
@@ -129,10 +139,10 @@ func plainString(raw []byte, i int) int {
 		return -1
 	}
 	for i++; i < len(raw); i++ {
-		switch c := raw[i]; {
-		case c == '"':
-			return i + 1
-		case c < 0x20 || c == '\\' || c == '<' || c == '>' || c == '&' || c == 0xE2:
+		if c := raw[i]; !ascii[c] && (c < 0x80 || c == 0xE2) {
+			if c == '"' {
+				return i + 1
+			}
 			return -1
 		}
 	}

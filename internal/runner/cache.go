@@ -36,6 +36,7 @@ const cacheFile = "results.jsonl"
 type canonicalField struct {
 	key   string // `"Name":`, preceded by "," for all but the first field
 	index int    // position in sim.Spec
+	enc   *jsonlog.Encoder
 }
 
 // canonicalPlan lists the fields of sim.Spec sorted by name — the order
@@ -48,7 +49,7 @@ var canonicalPlan = func() []canonicalField {
 	t := reflect.TypeOf(sim.Spec{})
 	plan := make([]canonicalField, t.NumField())
 	for i := range plan {
-		plan[i] = canonicalField{key: t.Field(i).Name, index: i}
+		plan[i] = canonicalField{key: t.Field(i).Name, index: i, enc: jsonlog.EncoderOf(t.Field(i).Type)}
 	}
 	sort.Slice(plan, func(i, j int) bool { return plan[i].key < plan[j].key })
 	for i := range plan {
@@ -64,46 +65,20 @@ var canonicalPlan = func() []canonicalField {
 // every field of its Spec, keyed by field name, with keys sorted — so the
 // encoding (and hence the cache key) is independent of struct field order
 // but sensitive to every value change. Each value is encoded as
-// encoding/json encodes it.
+// encoding/json encodes it, by jsonlog's writer.
 func CanonicalConfig(c sim.Config) []byte {
 	v := reflect.ValueOf(c.Spec)
 	b := make([]byte, 0, 1024)
 	b = append(b, '{')
 	for _, f := range canonicalPlan {
-		b = append(b, f.key...)
-		b = appendJSON(b, v.Field(f.index))
+		var err error
+		if b, err = f.enc.Append(append(b, f.key...), v.Field(f.index)); err != nil {
+			// Config holds only plain scalars and integer slices; encoding
+			// cannot fail short of a programming error.
+			panic(fmt.Sprintf("runner: canonical config encoding failed: %v", err))
+		}
 	}
 	return append(b, '}')
-}
-
-// appendJSON appends v's encoding/json encoding: scalars and nil slices (all
-// of a Spec without fault events or thresholds) directly, else json.Marshal.
-func appendJSON(b []byte, v reflect.Value) []byte {
-	switch v.Kind() {
-	case reflect.Bool:
-		return strconv.AppendBool(b, v.Bool())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return strconv.AppendInt(b, v.Int(), 10)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return strconv.AppendUint(b, v.Uint(), 10)
-	case reflect.String:
-		return jsonlog.AppendString(b, v.String())
-	case reflect.Float64:
-		if enc, err := jsonlog.AppendFloat(b, v.Float()); err == nil {
-			return enc
-		}
-	case reflect.Slice:
-		if v.IsNil() {
-			return append(b, "null"...)
-		}
-	}
-	enc, err := json.Marshal(v.Interface())
-	if err != nil {
-		// Config holds only plain scalars and integer slices; encoding
-		// cannot fail short of a programming error.
-		panic(fmt.Sprintf("runner: canonical config encoding failed: %v", err))
-	}
-	return append(b, enc...)
 }
 
 // Key returns the content address of a configuration: the hex SHA-256 of
@@ -114,9 +89,9 @@ func Key(c sim.Config) string {
 }
 
 // entry is one persisted line: the config's content address, a small human
-// echo, and the completed Result. PutRaw writes it with appendEntry and
-// Reload reads it back with splitEntry; the struct is what both must agree
-// with encoding/json on, and what a line in any other shape decodes into.
+// echo, and the completed Result. PutRaw writes it with jsonlog.Append, which
+// copies the result bytes, and Reload reads it back with splitEntry; a line
+// in any other shape decodes into it.
 type entry struct {
 	Key    string          `json:"key"`
 	Label  string          `json:"label,omitempty"`
@@ -124,23 +99,7 @@ type entry struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// appendEntry appends the line json.Marshal(entry{key, label, load, raw})
-// would produce, copying raw instead of re-compacting it.
-func appendEntry(b []byte, key, label string, load float64, raw json.RawMessage) (_ []byte, err error) {
-	b = jsonlog.AppendString(append(b, `{"key":`...), key)
-	if label != "" {
-		b = jsonlog.AppendString(append(b, `,"label":`...), label)
-	}
-	if load != 0 {
-		b, err = jsonlog.AppendFloat(append(b, `,"load":`...), load)
-	}
-	if err == nil {
-		b, err = jsonlog.AppendRaw(append(b, `,"result":`...), raw)
-	}
-	return append(b, '}'), err
-}
-
-// splitEntry recognises the line appendEntry writes by reading only its
+// splitEntry recognises the line PutRaw writes by reading only its
 // envelope — {"key":"<plain>"[,"label":"<plain>"][,"load":<number>],"result":{…}}
 // with nothing escaped and no whitespace — and returns the key and the
 // result object's bytes within line, without looking inside them; payload
@@ -162,7 +121,7 @@ func splitEntry(line []byte) (key, payload []byte) {
 		rest = r[n+1:]
 	}
 	if r, ok := bytes.CutPrefix(rest, []byte(`,"load":`)); ok {
-		// Only the number appendEntry writes for the value is taken: that
+		// Only the number PutRaw writes for the value is taken: that
 		// one is in JSON's grammar and in float64's range.
 		n = max(bytes.IndexByte(r, ','), 0)
 		f, err := strconv.ParseFloat(string(r[:n]), 64)
@@ -333,7 +292,7 @@ func (c *Cache) Put(cfg sim.Config, res *stats.Result) {
 // put encodes res once, persists the bytes under key and returns them (nil
 // when encoding failed).
 func (c *Cache) put(key string, res *stats.Result) json.RawMessage {
-	raw, err := json.Marshal(res)
+	raw, err := stats.EncodeResult(res)
 	if err != nil {
 		c.note(fmt.Errorf("runner: cache encode: %w", err))
 		return nil
@@ -347,7 +306,7 @@ func (c *Cache) put(key string, res *stats.Result) json.RawMessage {
 // to persist a worker's response verbatim. An error means the bytes are
 // served from memory but are not in the store; it is also kept for Close.
 func (c *Cache) PutRaw(key, label string, load float64, raw json.RawMessage) error {
-	line, err := appendEntry(make([]byte, 0, len(key)+len(label)+len(raw)+64), key, label, load, raw)
+	line, err := jsonlog.Append(make([]byte, 0, len(key)+len(label)+len(raw)+64), &entry{key, label, load, raw})
 	if err != nil {
 		return c.note(fmt.Errorf("runner: cache encode: %w", err))
 	}

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/sim"
 )
 
@@ -29,14 +30,14 @@ var (
 		`{"x":"\""}`, "{\"x\":\"raw\nnewline\"}", `[1,2]`, `"s"`, `1`, `null`, ``, `{"a":tru}`, `{"x":1}}`, `{"x":1},"result":{"y":2}`}
 )
 
-// checkEntry holds appendEntry to json.Marshal(entry{…}) and splitEntry to
-// json.Unmarshal on the line it wrote.
+// checkEntry holds the line PutRaw writes to json.Marshal(entry{…}) and
+// splitEntry to json.Unmarshal on that line.
 func checkEntry(t *testing.T, key, label string, load float64, raw json.RawMessage) {
 	t.Helper()
 	want, werr := json.Marshal(entry{Key: key, Label: label, Load: load, Result: raw})
-	line, err := appendEntry(nil, key, label, load, raw)
+	line, err := jsonlog.Append(nil, &entry{key, label, load, raw})
 	if (err == nil) != (werr == nil) || err == nil && !bytes.Equal(line, want) {
-		t.Fatalf("appendEntry(%q, %q, %v, %q) = %q, %v; json.Marshal %q, %v", key, label, load, raw, line, err, want, werr)
+		t.Fatalf("line for (%q, %q, %v, %q) = %q, %v; json.Marshal %q, %v", key, label, load, raw, line, err, want, werr)
 	}
 	if err != nil {
 		return

@@ -334,7 +334,7 @@ func TestCanonicalConfigMatchesMapEncoding(t *testing.T) {
 			t.Fatalf("trial %d:\n got  %s\n want %s", trial, got, want)
 		}
 	}
-	// The values appendJSON writes itself, at encoding/json's own thresholds.
+	// The values the plan writes itself, at encoding/json's own thresholds.
 	for _, label := range []string{`a<b`, `say "hi"`, "naïve", "ok"} {
 		for _, load := range []float64{1e-7, 1e21, 0.35} {
 			for _, thresholds := range [][]int64{nil, {}, {16, 64}} {

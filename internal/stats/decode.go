@@ -34,6 +34,12 @@ func resultTable(r *Result) [46]resultField {
 	}
 }
 
+// EncodeResult returns the canonical encoding of r — json.Marshal(r), by
+// the plan-driven writer — that the store persists and the wire carries.
+func EncodeResult(r *Result) ([]byte, error) {
+	return jsonlog.Append(make([]byte, 0, 2048), r) // a 16-router point's is ~1.8 KB
+}
+
 // DecodeResult decodes a stored or wired Result into r as json.Unmarshal
 // would. The bytes json.Marshal(Result) emits,
 //

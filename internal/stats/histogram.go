@@ -167,8 +167,11 @@ type histogramJSON struct {
 // MarshalJSON encodes the histogram canonically: trailing empty buckets are
 // trimmed so that Grow pre-allocation never changes the encoding and a
 // decode/re-encode round trip is byte-identical.
-func (h Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{Counts: trimmed(h.counts), Total: h.total, Sum: h.sum, Max: h.max})
+func (h Histogram) MarshalJSON() ([]byte, error) { return h.AppendJSON(nil) }
+
+// AppendJSON appends MarshalJSON's bytes (jsonlog.Appender).
+func (h Histogram) AppendJSON(b []byte) ([]byte, error) {
+	return jsonlog.Append(b, &histogramJSON{Counts: trimmed(h.counts), Total: h.total, Sum: h.sum, Max: h.max})
 }
 
 // UnmarshalJSON decodes a histogram. The form MarshalJSON emits,

@@ -297,8 +297,8 @@ func FuzzHistogramJSON(f *testing.F) {
 }
 
 // checkHistogramJSON holds UnmarshalJSON to encoding/json on data, and
-// MarshalJSON's output to the one-pass grammar and a byte-identical round
-// trip.
+// MarshalJSON's output to encoding/json's of the trimmed wire form, the
+// one-pass grammar and a byte-identical round trip.
 func checkHistogramJSON(t *testing.T, data []byte) {
 	t.Helper()
 	var got Histogram
@@ -321,6 +321,9 @@ func checkHistogramJSON(t *testing.T, data []byte) {
 	enc, err := got.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if spec, _ := json.Marshal(histogramJSON{trimmed(got.counts), got.total, got.sum, got.max}); !bytes.Equal(enc, spec) {
+		t.Fatalf("%q: MarshalJSON %s, encoding/json %s", data, enc, spec)
 	}
 	fast, ok := parseCanonical(enc)
 	if !ok {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"flexsim/internal/api/specv1"
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/runner"
 	"flexsim/internal/sim"
 )
@@ -112,7 +113,7 @@ func (e *httpExec) run(ctx context.Context, point sim.Config) execResult {
 	if deadline, ok := ctx.Deadline(); ok {
 		req.TimeoutMS = time.Until(deadline).Milliseconds()
 	}
-	body, err := json.Marshal(&req)
+	body, err := jsonlog.Append(make([]byte, 0, 1024), &req)
 	if err != nil {
 		return execResult{status: specv1.StatusFailed, err: err, worker: e.base}
 	}

@@ -18,12 +18,10 @@ package sweepsvc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -62,41 +60,14 @@ func decodeBody[T any](w http.ResponseWriter, r *http.Request, max int64, decode
 	return nil
 }
 
+// writeJSON answers with v's encoding and a newline — json.Encoder's bytes,
+// by jsonlog's writer, which copies a result payload instead of recompacting
+// it. A value that does not encode leaves the body empty, which a coordinator
+// takes for a torn response and retries.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-// appendRunResponse appends the line json.Marshal(resp) would produce,
-// copying the result payload instead of re-compacting it.
-func appendRunResponse(b []byte, resp *specv1.RunResponse) (_ []byte, err error) {
-	str := func(name, s string) { // an omitempty string member
-		if s != "" {
-			b = jsonlog.AppendString(append(b, name...), s)
-		}
-	}
-	b = strconv.AppendInt(append(b, `{"schema_version":`...), int64(resp.SchemaVersion), 10)
-	b = jsonlog.AppendString(append(b, `,"status":`...), string(resp.Status))
-	str(`,"worker":`, resp.Worker)
-	if resp.Persisted {
-		b = append(b, `,"persisted":true`...)
-	}
-	str(`,"trace":`, resp.Trace)
-	str(`,"error":`, resp.Error)
-	if len(resp.Result) > 0 {
-		b, err = jsonlog.AppendRaw(append(b, `,"result":`...), resp.Result)
-	}
-	return append(b, '}'), err
-}
-
-// writeRunResponse is writeJSON(w, 200, resp) byte for byte, through
-// appendRunResponse. As there, a payload that does not encode leaves the
-// body empty, which the coordinator takes for a torn response and retries.
-func writeRunResponse(w http.ResponseWriter, resp *specv1.RunResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if body, err := appendRunResponse(make([]byte, 0, len(resp.Result)+256), resp); err == nil {
+	if body, err := jsonlog.Append(make([]byte, 0, 4096), v); err == nil {
 		w.Write(append(body, '\n'))
 	}
 }
@@ -181,7 +152,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			data, err := json.Marshal(&ev)
+			data, err := jsonlog.Append(nil, &ev)
 			if err != nil {
 				continue
 			}
@@ -245,7 +216,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 				resp.Status = specv1.StatusCached
 				resp.Persisted = true
 				resp.Result = raw
-				writeRunResponse(w, &resp)
+				writeJSON(w, http.StatusOK, &resp)
 				return
 			}
 		}
@@ -293,5 +264,5 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 			resp.Error = p.Err.Error()
 		}
 	}
-	writeRunResponse(w, &resp)
+	writeJSON(w, http.StatusOK, &resp)
 }

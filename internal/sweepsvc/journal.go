@@ -55,7 +55,7 @@ func (s *Service) append(rec fleettrace.Record) {
 	if j == nil {
 		return
 	}
-	line, err := json.Marshal(rec)
+	line, err := jsonlog.Append(make([]byte, 0, 256), &rec)
 	if err == nil {
 		err = j.Append(line)
 	}

@@ -36,7 +36,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -279,7 +278,7 @@ func (s *Service) newSweep(id string, spec *specv1.Spec) (*sweep, error) {
 
 // specHash fingerprints a spec for its sweep id suffix.
 func specHash(spec *specv1.Spec) string {
-	b, err := json.Marshal(spec)
+	b, err := jsonlog.Append(nil, spec)
 	if err != nil {
 		return "invalid"
 	}
