@@ -19,9 +19,6 @@ type MinAdaptive struct{}
 // Name implements Algorithm.
 func (MinAdaptive) Name() string { return "min-adaptive" }
 
-// DeadlockFree implements Algorithm.
-func (MinAdaptive) DeadlockFree() bool { return false }
-
 // MinVCs implements Algorithm.
 func (MinAdaptive) MinVCs() int { return 1 }
 
@@ -45,18 +42,16 @@ func (MinAdaptive) Candidates(req *Request, buf []Candidate) []Candidate {
 // route climbs zero or more "up" channels (toward the spanning-tree root),
 // then descends zero or more "down" channels, never turning down-to-up.
 // Because up channels precede down channels in a fixed total order, the
-// channel dependency graph is acyclic and no knot can form with any VC
-// count. Among legal next hops, every channel on a shortest remaining legal
-// route is offered (partially adaptive). The down-phase commitment is
+// channel dependency graph of a fault-free network is acyclic and no knot
+// can form with any VC count (internal/network's TestRoutingFreedom checks
+// generated graphs). Among legal next hops, every channel on a shortest
+// remaining legal route is offered (partially adaptive). The down-phase commitment is
 // tracked in the message's route state (bit 0 of Request.Crossed, set by the
 // network via topology.Irregular.RouteFlags).
 type UpDown struct{}
 
 // Name implements Algorithm.
 func (UpDown) Name() string { return "updown" }
-
-// DeadlockFree implements Algorithm.
-func (UpDown) DeadlockFree() bool { return true }
 
 // MinVCs implements Algorithm.
 func (UpDown) MinVCs() int { return 1 }

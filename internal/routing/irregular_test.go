@@ -137,7 +137,4 @@ func TestIrregularRegistryEntries(t *testing.T) {
 			t.Errorf("name mismatch for %s", name)
 		}
 	}
-	if !(UpDown{}).DeadlockFree() || (MinAdaptive{}).DeadlockFree() {
-		t.Error("deadlock-freedom flags wrong")
-	}
 }

@@ -3,8 +3,13 @@
 // routing (TFAR) with unrestricted virtual-channel use — under which
 // deadlocks are possible and are the object of characterization — plus two
 // deadlock-avoidance baselines (dateline DOR and Duato-style adaptive
-// routing with escape channels) used as never-deadlock references, and a
-// nonminimal misrouting variant (the paper's future-work item).
+// routing with escape channels) used as never-deadlock references on
+// fault-free networks, and a nonminimal misrouting variant (the paper's
+// future-work item). Whether a relation can deadlock is a verdict for a
+// concrete network, not a property of the algorithm: internal/network's
+// TestRoutingFreedom checks the dependency graph of the relation the engine
+// runs, and TestDegradedFreedom shows the avoidance baselines losing their
+// verdict once a channel fails.
 //
 // A routing relation maps the header's current router, destination and VC
 // state to an ordered list of candidate virtual channels. Order expresses
@@ -65,13 +70,6 @@ type Algorithm interface {
 	// one Request per worker across calls, so the pointer it hands to this
 	// interface method costs no allocation.
 	Candidates(req *Request, buf []Candidate) []Candidate
-	// DeadlockFree reports whether the relation provably avoids deadlock
-	// on a fault-free network (used for validation: the detector must never
-	// find a knot under a deadlock-free relation). The claim does not
-	// survive a fault set: a header whose candidates are all dead falls
-	// back to Surviving, which offers any live output, so a relation that
-	// returns true may deadlock once a link fails.
-	DeadlockFree() bool
 	// MinVCs returns the smallest VC count the algorithm is defined for.
 	MinVCs() int
 }
@@ -119,15 +117,14 @@ func (torusOnly) ValidateTopo(t topology.Network) error {
 // DOR is static (deterministic) dimension-order routing: correct one
 // dimension completely before the next, lowest dimension first, using the
 // minimal direction within each dimension. All VCs of the selected channel
-// are offered in index order (the paper's "unrestricted use" of VCs), so
-// deadlock remains possible with any VC count.
+// are offered in index order (the paper's "unrestricted use" of VCs), so on
+// a torus deadlock remains possible with any VC count. On a mesh its channel
+// dependency graph is acyclic with one VC (internal/network's
+// TestRoutingFreedom).
 type DOR struct{ torusOnly }
 
 // Name implements Algorithm.
 func (DOR) Name() string { return "dor" }
-
-// DeadlockFree implements Algorithm.
-func (DOR) DeadlockFree() bool { return false }
 
 // MinVCs implements Algorithm.
 func (DOR) MinVCs() int { return 1 }
@@ -169,9 +166,6 @@ func (a TFAR) Name() string {
 	return "tfar"
 }
 
-// DeadlockFree implements Algorithm.
-func (TFAR) DeadlockFree() bool { return false }
-
 // MinVCs implements Algorithm.
 func (TFAR) MinVCs() int { return 1 }
 
@@ -190,7 +184,7 @@ func (a TFAR) Candidates(req *Request, buf []Candidate) []Candidate {
 	}
 	cur := req.CurDim
 	if a.PreferTurn {
-		cur = -1 // current dimension gets no preference; pure ascending
+		// The current dimension goes last; the others ascend.
 		for dim := 0; dim < t.N(); dim++ {
 			if dim != req.CurDim {
 				appendDim(dim)
@@ -212,18 +206,18 @@ func (a TFAR) Candidates(req *Request, buf []Candidate) []Candidate {
 	return buf
 }
 
-// DatelineDOR is deadlock-free dimension-order routing on tori using the
+// DatelineDOR is dimension-order routing on tori made deadlock-free by the
 // classic dateline (VC class) scheme: each dimension's ring is split by a
 // dateline at the wraparound link; messages use even-indexed VCs before
-// crossing it and odd-indexed VCs after. The resulting channel dependency
-// graph is acyclic, so no knot can ever form. Requires at least 2 VCs.
+// crossing it and odd-indexed VCs after. On a fault-free torus the resulting
+// channel dependency graph is acyclic, so no knot can form
+// (internal/network's TestRoutingFreedom); after a channel fails, the
+// fallback to Surviving can close a cycle (TestDegradedFreedom). Requires at
+// least 2 VCs.
 type DatelineDOR struct{ torusOnly }
 
 // Name implements Algorithm.
 func (DatelineDOR) Name() string { return "dateline-dor" }
-
-// DeadlockFree implements Algorithm.
-func (DatelineDOR) DeadlockFree() bool { return true }
 
 // MinVCs implements Algorithm.
 func (DatelineDOR) MinVCs() int { return 2 }
@@ -252,17 +246,16 @@ func (DatelineDOR) Candidates(req *Request, buf []Candidate) []Candidate {
 // DuatoFAR is minimal fully adaptive routing made deadlock-free by Duato's
 // protocol: VCs 2..VCs-1 are unrestricted adaptive channels on every
 // productive dimension, while VCs 0 and 1 form a dateline-DOR escape
-// subnetwork that is always offered as a last resort. Every blocked message
-// therefore always has an escape path whose extended channel dependency
-// graph is acyclic, so cycles among adaptive channels are harmless (the
-// paper's "cyclic non-deadlock" scenario, Fig. 4). Requires at least 3 VCs.
+// subnetwork that is always offered as a last resort. On a fault-free torus
+// every blocked message therefore has an escape path whose extended channel
+// dependency graph is acyclic, so cycles among adaptive channels are
+// harmless (the paper's "cyclic non-deadlock" scenario, Fig. 4; Duato's
+// condition is checked by internal/network's TestRoutingFreedom, and fails
+// after a channel fails: TestDegradedFreedom). Requires at least 3 VCs.
 type DuatoFAR struct{ torusOnly }
 
 // Name implements Algorithm.
 func (DuatoFAR) Name() string { return "duato-far" }
-
-// DeadlockFree implements Algorithm.
-func (DuatoFAR) DeadlockFree() bool { return true }
 
 // MinVCs implements Algorithm.
 func (DuatoFAR) MinVCs() int { return 3 }
@@ -321,9 +314,6 @@ type MisroutingFAR struct {
 
 // Name implements Algorithm.
 func (MisroutingFAR) Name() string { return "misroute-far" }
-
-// DeadlockFree implements Algorithm.
-func (MisroutingFAR) DeadlockFree() bool { return false }
 
 // MinVCs implements Algorithm.
 func (MisroutingFAR) MinVCs() int { return 1 }

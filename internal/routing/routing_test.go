@@ -290,19 +290,3 @@ func TestMisroutingZeroBudgetIsTFAR(t *testing.T) {
 		t.Errorf("zero-budget misrouting differs from TFAR: %+v vs %+v", a, b)
 	}
 }
-
-func TestDeadlockFreeFlags(t *testing.T) {
-	free := map[string]bool{
-		"dor": false, "tfar": false, "tfar-turnfirst": false,
-		"dateline-dor": true, "duato-far": true, "misroute-far": false,
-	}
-	for name, want := range free {
-		alg, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alg.DeadlockFree() != want {
-			t.Errorf("%s: DeadlockFree() = %v, want %v", name, alg.DeadlockFree(), want)
-		}
-	}
-}

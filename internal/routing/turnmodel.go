@@ -6,6 +6,8 @@ package routing
 // abstract cycle. They are avoidance baselines on meshes, complementing the
 // dateline/Duato baselines on tori, and they are NOT deadlock-free on
 // wraparound topologies — construction is rejected there via ValidateTopo.
+// internal/network's TestRoutingFreedom checks both sides on fault-free
+// networks: acyclic on meshes, a dependency cycle on a torus.
 
 import (
 	"fmt"
@@ -24,14 +26,12 @@ type TopologyValidator interface {
 // dimension: a message first makes all of its negative-direction hops (fully
 // adaptively among them), and only then its positive-direction hops (again
 // fully adaptively). No turn from a positive to a negative direction ever
-// occurs, so the channel dependency graph is acyclic with one VC.
+// occurs, so on a fault-free mesh the channel dependency graph is acyclic
+// with one VC (internal/network's TestRoutingFreedom).
 type NegativeFirst struct{}
 
 // Name implements Algorithm.
 func (NegativeFirst) Name() string { return "negative-first" }
-
-// DeadlockFree implements Algorithm.
-func (NegativeFirst) DeadlockFree() bool { return true }
 
 // MinVCs implements Algorithm.
 func (NegativeFirst) MinVCs() int { return 1 }
@@ -82,15 +82,13 @@ func (NegativeFirst) Candidates(req *Request, buf []Candidate) []Candidate {
 
 // WestFirst is the west-first turn model for 2-D meshes: a message first
 // makes all of its westward (dim-0 Minus) hops, then routes fully adaptively
-// among the remaining minimal directions (east, north, south). Deadlock-free
-// on a 2-D mesh with one VC.
+// among the remaining minimal directions (east, north, south). Its channel
+// dependency graph on a fault-free 2-D mesh is acyclic with one VC
+// (internal/network's TestRoutingFreedom).
 type WestFirst struct{}
 
 // Name implements Algorithm.
 func (WestFirst) Name() string { return "west-first" }
-
-// DeadlockFree implements Algorithm.
-func (WestFirst) DeadlockFree() bool { return true }
 
 // MinVCs implements Algorithm.
 func (WestFirst) MinVCs() int { return 1 }

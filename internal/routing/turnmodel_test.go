@@ -17,9 +17,6 @@ func TestTurnModelRegistered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !alg.DeadlockFree() {
-			t.Errorf("%s not marked deadlock-free", name)
-		}
 		if _, ok := alg.(TopologyValidator); !ok {
 			t.Errorf("%s does not validate its topology", name)
 		}
