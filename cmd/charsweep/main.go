@@ -327,17 +327,7 @@ func (r *runPath) specFile(sweep *cli) (code int, interrupted bool) {
 		fmt.Fprintln(os.Stderr, "charsweep:", err)
 		return 1, false
 	}
-	out := io.Writer(os.Stdout)
-	if sweep.resultsOut != "" {
-		f, err := os.Create(sweep.resultsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "charsweep:", err)
-			return 1, false
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := specv1.WriteResults(out, results); err != nil {
+	if err := writeResults(sweep.resultsOut, results); err != nil {
 		fmt.Fprintln(os.Stderr, "charsweep:", err)
 		return 1, false
 	}
@@ -361,6 +351,23 @@ func (r *runPath) specFile(sweep *cli) (code int, interrupted bool) {
 		return 1, false
 	}
 	return 0, cancelled > 0
+}
+
+// writeResults writes results as JSONL to the file at path, or to stdout
+// when path is empty; a file that does not close cleanly is an error.
+func writeResults(path string, results []specv1.PointResult) error {
+	if path == "" {
+		return specv1.WriteResults(os.Stdout, results)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = specv1.WriteResults(f, results)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readSpec decodes the spec file at path (- = stdin).

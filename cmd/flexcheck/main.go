@@ -75,17 +75,7 @@ func main() {
 		}
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexcheck:", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rep.WriteJSON(w); err != nil {
+	if err := writeReport(*out, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "flexcheck:", err)
 		os.Exit(2)
 	}
@@ -97,6 +87,23 @@ func main() {
 	if rep.SoundnessDivergences+rep.CompletenessDivergences > 0 {
 		os.Exit(1)
 	}
+}
+
+// writeReport writes the JSON report to the file at path, or to stdout when
+// path is empty; a file that does not close cleanly is an error.
+func writeReport(path string, rep *modelcheck.Report) error {
+	if path == "" {
+		return rep.WriteJSON(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = rep.WriteJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeRepros dumps every divergence counterexample and exemplar into dir.

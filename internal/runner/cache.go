@@ -345,7 +345,8 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Hits and Misses count Get/GetRaw outcomes since Open.
+// Hits and Misses count lookup outcomes since Open: Get's, GetRaw's and
+// those of Map's lookup stage, which runs them on several goroutines.
 func (c *Cache) Hits() int64   { return c.hits.Load() }
 func (c *Cache) Misses() int64 { return c.miss.Load() }
 

@@ -11,7 +11,8 @@
 //     killing the whole sweep.
 //   - Memoization: with a Cache attached, each completed Point is persisted
 //     under the SHA-256 of its canonically encoded configuration, so an
-//     interrupted or repeated sweep skips every already-finished run.
+//     interrupted or repeated sweep skips every already-finished run; its
+//     hits are served on every core before the first run starts.
 //
 // Both CLIs, the experiments' in-process runs and the sweep service's
 // workers all call Map; there is exactly one worker pool in the codebase.
@@ -25,6 +26,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
@@ -93,11 +95,14 @@ func SaturationLoad(points []Point) float64 {
 
 // Options tunes Map.
 type Options struct {
-	// Parallelism bounds concurrent runs (0 = GOMAXPROCS).
+	// Parallelism bounds concurrent runs (0 = GOMAXPROCS). It does not
+	// bound cache lookups, which are not runs: Map serves hits on up to
+	// GOMAXPROCS goroutines whatever it is.
 	Parallelism int
-	// OnDone, if non-nil, is called as each point settles — including
-	// cache hits and cancellations — from worker goroutines, so it must be
-	// concurrency-safe.
+	// OnDone, if non-nil, is called once as each point settles — cache
+	// hits, then runs and cancellations — from whichever goroutine settled
+	// it, the caller's among them, so it must be concurrency-safe. Every
+	// hit's call has returned before the first run starts.
 	OnDone func(i int, p Point)
 	// Cache, if non-nil, serves previously completed configurations
 	// without re-running them and persists new completions.
@@ -119,12 +124,16 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("run panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// Map executes every configuration under ctx, in parallel across up to
-// Parallelism goroutines, and returns one Point per configuration in input
-// order. It always returns len(cfgs) points: cache hits settle first (and
-// synchronously), then workers drain the remainder; once ctx is cancelled,
-// in-flight runs stop within one detector period with partial results and
-// queued runs settle as Cancelled without starting.
+// Map executes every configuration under ctx and returns one Point per
+// configuration in input order, always len(cfgs) of them, settled in two
+// stages. With a Cache attached, the lookup stage hashes and looks up every
+// configuration, over chunks of lookupChunk spread across up to GOMAXPROCS
+// goroutines (on the caller alone when there is one chunk): a hit settles
+// there, decoded, and a miss keeps its key. Only once every hit has settled
+// does the run stage execute the rest, starting them in input order on up to
+// Parallelism goroutines; once ctx is cancelled, in-flight runs stop within
+// one detector period with partial results and unstarted runs settle as
+// Cancelled. The lookup stage does not consult ctx: a hit is not a run.
 func Map(ctx context.Context, cfgs []sim.Config, o Options) []Point {
 	if ctx == nil {
 		ctx = context.Background()
@@ -136,42 +145,70 @@ func Map(ctx context.Context, cfgs []sim.Config, o Options) []Point {
 			o.OnDone(i, p)
 		}
 	}
-	pending := make([]int, 0, len(cfgs))
-	for i := range cfgs {
-		if o.Cache != nil {
-			key := Key(cfgs[i])
-			if raw, res, ok := o.Cache.get(key); ok {
-				settle(i, Point{Index: i, Load: cfgs[i].Load, Result: res, Status: Cached, Key: key, Raw: raw})
-				continue
+	if o.Cache != nil {
+		fanOut(len(cfgs), lookupChunk, runtime.GOMAXPROCS(0), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				key := Key(cfgs[i])
+				if raw, res, ok := o.Cache.get(key); ok {
+					settle(i, Point{Index: i, Load: cfgs[i].Load, Result: res, Status: Cached, Key: key, Raw: raw})
+				} else {
+					pts[i].Key = key // for runOne: the one hash serves the store write too
+				}
 			}
-			pts[i].Key = key // for runOne: the one hash serves the store write too
+		})
+	}
+	var pending []int // the misses, or every configuration when there is no cache
+	for i := range pts {
+		if pts[i].Status != Cached {
+			pending = append(pending, i)
 		}
-		pending = append(pending, i)
 	}
 	par := o.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(pending) {
-		par = len(pending)
+	fanOut(len(pending), 1, par, func(j, _ int) {
+		i := pending[j]
+		settle(i, runOne(ctx, i, pts[i].Key, cfgs[i], o))
+	})
+	return pts
+}
+
+// lookupChunk is how many configurations a goroutine of Map's lookup stage
+// takes at a time. A hit costs a few microseconds, so a chunk pays for a
+// goroutine many times over, and a Map of one chunk — a single point, a
+// small sweep — stays on the caller's goroutine.
+const lookupChunk = 32
+
+// fanOut calls do(lo, hi) for each of the consecutive chunks [lo, hi) of
+// [0, n), all of size chunk but the last, and returns once every call has
+// returned. The chunks are handed out in order off an atomic counter to
+// min(par, chunks) goroutines, the caller's among them; with one, they run
+// in turn on the caller's alone, and nothing is allocated for the fan-out.
+func fanOut(n, chunk, par int, do func(lo, hi int)) {
+	chunks := (n + chunk - 1) / chunk
+	if par = min(par, chunks); par <= 1 {
+		for lo := 0; lo < n; lo += chunk {
+			do(lo, min(lo+chunk, n))
+		}
+		return
 	}
-	work := make(chan int)
+	var next atomic.Int64
+	work := func() {
+		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
+			do(c*chunk, min(c*chunk+chunk, n))
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
+	wg.Add(par - 1)
+	for w := 1; w < par; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				settle(i, runOne(ctx, i, pts[i].Key, cfgs[i], o))
-			}
+			work()
 		}()
 	}
-	for _, i := range pending {
-		work <- i
-	}
-	close(work)
+	work()
 	wg.Wait()
-	return pts
 }
 
 // runOne executes one configuration with panic isolation; completed runs

@@ -1,9 +1,14 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -241,5 +246,109 @@ func TestMapOrderAndOnDone(t *testing.T) {
 		if n != 1 {
 			t.Errorf("OnDone fired %d times for point %d", n, i)
 		}
+	}
+}
+
+// TestMapLookupStage pins the two stages of a Map with a cache: every hit
+// settles (across goroutines, once there is more than one chunk) before the
+// first run starts, a hit carries the store's bytes under its key, runs stay
+// within Parallelism, and every miss — a configuration never stored, and one
+// whose stored line is corrupt — runs and is persisted. One stored
+// configuration is listed twice, in different chunks.
+func TestMapLookupStage(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // fan out even on one CPU
+	all := sweepConfigs(4 * lookupChunk)
+	var stored []sim.Config
+	for i, c := range all {
+		if i%3 != 0 {
+			stored = append(stored, c)
+		}
+	}
+	corrupt := all[0]
+	cfgs := append(all, all[1])
+	wantHits := int64(len(stored) + 1)
+	for _, par := range []int{1, 3} {
+		t.Run(fmt.Sprint("parallelism=", par), func(t *testing.T) {
+			dir := t.TempDir()
+			fill := openStore(t, dir)
+			Map(context.Background(), stored, Options{Cache: fill, Run: fastRun})
+			if err := fill.Close(); err != nil {
+				t.Fatal(err)
+			}
+			disk := storeLines(t, dir)
+			f, err := os.OpenFile(filepath.Join(dir, cacheFile), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = fmt.Fprintf(f, `{"key":%q,"load":0.1,"result":{"a":tru}}`+"\n", Key(corrupt))
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			cache := openStore(t, dir)
+			var hits, running, peak atomic.Int64
+			var mu sync.Mutex
+			fired := map[int]int{}
+			pts := Map(context.Background(), cfgs, Options{
+				Parallelism: par,
+				Cache:       cache,
+				OnDone: func(i int, p Point) {
+					if p.Status == Cached {
+						hits.Add(1)
+					}
+					mu.Lock()
+					fired[i]++
+					mu.Unlock()
+				},
+				Run: func(ctx context.Context, c sim.Config) (*stats.Result, error) {
+					n := running.Add(1)
+					defer running.Add(-1)
+					for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+					}
+					if h := hits.Load(); h != wantHits {
+						t.Errorf("load %.1f started with %d of %d hits settled", c.Load, h, wantHits)
+					}
+					time.Sleep(time.Millisecond) // let the runs overlap
+					return fastRun(ctx, c)
+				},
+			})
+			if p := peak.Load(); p > int64(par) {
+				t.Errorf("%d runs at once, Parallelism %d", p, par)
+			}
+			if len(fired) != len(cfgs) {
+				t.Errorf("OnDone fired for %d of %d points", len(fired), len(cfgs))
+			}
+			for i, n := range fired {
+				if n != 1 {
+					t.Errorf("OnDone fired %d times for point %d", n, i)
+				}
+			}
+			if cache.Hits() != wantHits || cache.Misses() != int64(len(cfgs))-wantHits {
+				t.Errorf("%d hits, %d misses; want %d, %d", cache.Hits(), cache.Misses(), wantHits, int64(len(cfgs))-wantHits)
+			}
+			if err := cache.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened := openStore(t, dir)
+			for i, p := range pts {
+				want, isStored := disk[Key(cfgs[i])]
+				switch {
+				case p.Key != Key(cfgs[i]):
+					t.Errorf("point %d: key %s, want %s", i, p.Key, Key(cfgs[i]))
+				case isStored && (p.Status != Cached || !bytes.Equal(p.Raw, want)):
+					t.Errorf("point %d: %s with %s; want cached with the store's %s", i, p.Status, p.Raw, want)
+				case isStored:
+				case p.Status != Done:
+					t.Errorf("point %d: %s, want done", i, p.Status)
+				default:
+					if raw, ok := reopened.GetRaw(p.Key); !ok || !bytes.Equal(raw, p.Raw) {
+						t.Errorf("point %d: ran, but the store holds %s, not %s", i, raw, p.Raw)
+					}
+				}
+			}
+		})
 	}
 }

@@ -358,6 +358,23 @@ func TestKeyAllocs(t *testing.T) {
 	}
 }
 
+// TestOnePointMapAllocs: flexsim and a fleet worker call Map with one
+// configuration. A warm one-point Map is one chunk, looked up on the
+// caller's goroutine, and must allocate no more than the 11 times it did
+// when lookups were serial.
+func TestOnePointMapAllocs(t *testing.T) {
+	cfgs := parentConfigs()[1:2]
+	c := openStore(t, t.TempDir())
+	Map(context.Background(), cfgs, Options{Cache: c, Run: fastRun})
+	if allocs := testing.AllocsPerRun(100, func() {
+		if p := Map(context.Background(), cfgs, Options{Cache: c})[0]; p.Status != Cached {
+			t.Fatalf("settled %s", p.Status)
+		}
+	}); allocs > 11 {
+		t.Errorf("a warm one-point Map allocated %.0f times, want at most 11", allocs)
+	}
+}
+
 // benchStore fills a store with n fixture-shaped results (real ones, so a
 // decode costs what a bench point's does) and returns their configurations.
 func benchStore(b *testing.B, n int) (string, []sim.Config) {
