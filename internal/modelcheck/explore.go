@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"flexsim/internal/message"
-	"flexsim/internal/routing"
 )
 
 // edge is one transition between canonical states.
@@ -59,7 +58,7 @@ type explorer struct {
 	numEdges  int
 
 	owners  []int8
-	candBuf []routing.Candidate
+	wantBuf []message.VC
 	post    []int32 // DFS post-order (children before parents)
 }
 
@@ -175,20 +174,18 @@ func (e *explorer) successors(s *state) []succ {
 			}
 			continue
 		}
-		// Header allocation: one branch per FREE candidate VC — the
+		// Header allocation: one branch per FREE wanted VC — the
 		// nondeterminism the real engine resolves by candidate order.
-		if headerAtHead(m) {
-			for _, c := range sy.candidates(m, e.candBuf) {
-				vc := sy.net.NetVC(c.Ch, c.VC)
-				if e.owners[vc] >= 0 {
-					continue
-				}
-				ns := clone()
-				nm := &ns.msgs[mi]
-				nm.path = append(nm.path, vc)
-				nm.occ = append(nm.occ, 0)
-				emit(ns, mi, true)
+		_, wants := sy.blockedWants(m, e.owners, e.wantBuf)
+		for _, vc := range wants {
+			if e.owners[vc] >= 0 {
+				continue
 			}
+			ns := clone()
+			nm := &ns.msgs[mi]
+			nm.path = append(nm.path, vc)
+			nm.occ = append(nm.occ, 0)
+			emit(ns, mi, true)
 		}
 	}
 	return out
@@ -200,7 +197,7 @@ func (e *explorer) expand(idx int32) {
 	succs := e.successors(&s)
 	s.owners(e.owners)
 	st := &e.states[idx]
-	st.blocked = e.sy.blockedMask(&s, e.owners, e.candBuf)
+	st.blocked = e.sy.blockedMask(&s, e.owners, e.wantBuf)
 	st.expanded = true
 	st.edges = make([]edge, 0, len(succs))
 	for _, sc := range succs {
@@ -215,7 +212,7 @@ func (e *explorer) expand(idx int32) {
 // reachability (bounded by maxStates expansions), DFS post-order with
 // back-edge detection, then the liveness and blocked-age DPs.
 func (e *explorer) explore(roots []string) error {
-	e.candBuf = make([]routing.Candidate, 0, 8)
+	e.wantBuf = make([]message.VC, 0, 8)
 	for _, key := range roots {
 		idx := e.intern(key)
 		e.states[idx].initial = true

@@ -9,11 +9,16 @@
 // that only shifts timing (round-robin pointers, cycle clock). Transitions
 // are the individual nondeterministic choices the real engine's phases
 // resolve by deterministic ordering: start an injection, stream a source
-// flit, advance one buffered flit, allocate one of the routing relation's
-// free candidate VCs to a header, eject one flit at the destination. The
+// flit, advance one buffered flit, allocate one of the free VCs
+// network.Route offers a header, eject one flit at the destination. The
 // explorer takes every branch, so the reachable set covers every
 // arbitration/priority resolution the real kernels could produce (an
 // interleaving superset of the synchronous engine's single trajectory).
+// Route is the engine's own route, so the candidate sets — the explorer's
+// allocation branches, the blocked masks and the CWG's dashed arcs — are
+// the relation the cycle engine runs, not a restatement of it. A state does
+// not record how many hops its header has taken, so a relation with a
+// misroute budget is refused.
 //
 // Released VCs are dropped and retired messages emptied eagerly, matching
 // the engine's applyAndRelease normalization: the detector only ever
@@ -86,11 +91,10 @@ func (c Config) Name() string {
 }
 
 // system is the built simulator substrate for one configuration: the real
-// topology, routing relation, network and detector the comparator runs.
+// topology, network and detector the comparator runs.
 type system struct {
 	cfg  Config
 	topo topology.Network
-	algo routing.Algorithm
 	net  *network.Network
 	det  *detect.Detector
 }
@@ -124,6 +128,12 @@ func (c Config) build() (*system, error) {
 	if err != nil {
 		return nil, err
 	}
+	if mr, ok := algo.(routing.MisroutingFAR); ok && mr.MaxDeroutes > 0 {
+		// The budget reads the header's nonminimal hops so far, and a
+		// state holds only the VCs a message still owns.
+		return nil, fmt.Errorf("modelcheck: routing %q carries a misroute budget of %d "+
+			"nonminimal hops, which a model state cannot count", c.Routing, mr.MaxDeroutes)
+	}
 	net, err := network.New(network.Params{
 		Topo:        topo,
 		VCs:         c.VCs,
@@ -141,7 +151,7 @@ func (c Config) build() (*system, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &system{cfg: c, topo: topo, algo: algo, net: net, det: det}, nil
+	return &system{cfg: c, topo: topo, net: net, det: det}, nil
 }
 
 // ShortGrid is the PR-CI subset: the smallest rings where true deadlocks

@@ -1,6 +1,9 @@
 package modelcheck
 
 import (
+	"encoding/json"
+	"os"
+	"strings"
 	"testing"
 
 	"flexsim/internal/message"
@@ -195,16 +198,77 @@ func TestTimeoutCrossValidation(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesMisrouteBudget: a state holds only the VCs a message
+// still owns, so it cannot count the nonminimal hops a misroute budget
+// reads; such a relation is refused rather than checked as something else.
+func TestBuildRefusesMisrouteBudget(t *testing.T) {
+	for _, c := range []struct {
+		routing string
+		vcs     int
+		refused bool
+	}{
+		{"misroute-far", 1, true},
+		{"dor", 1, false},
+		{"tfar", 1, false},
+		{"dateline-dor", 2, false},
+	} {
+		cfg := Config{Topology: "ring-bi", K: 4, VCs: c.vcs, Routing: c.routing,
+			Messages: 2, MsgLen: 2, BufferDepth: 1}
+		_, err := cfg.build()
+		if refused := err != nil; refused != c.refused {
+			t.Errorf("%s: build error %v, want refused=%v", c.routing, err, c.refused)
+		} else if refused && !strings.Contains(err.Error(), "misroute budget of 4") {
+			t.Errorf("%s: error %q does not name the budget", c.routing, err)
+		}
+	}
+}
+
+// spaceCounts is what a configuration's explored state space is pinned by.
+type spaceCounts struct {
+	States, Edges, Initial, Complete, Blocked, Stuck, Knot, Latent int
+	Truncated                                                      bool
+}
+
+func countsOf(c *ConfigResult) spaceCounts {
+	return spaceCounts{c.States, c.Edges, c.InitialStates, c.CompleteStates,
+		c.BlockedStates, c.StuckStates, c.KnotStates, c.LatentStates, c.Truncated}
+}
+
+// gridReport is the committed full-grid report, which the short grid is a
+// subset of.
+const gridReport = "../../results/flexcheck_grid.json"
+
 // TestExhaustiveShortGrid is the PR-CI verification sweep over the short
-// grid. Skipped under -short (it takes tens of seconds); the nightly
-// workflow runs the full grid via cmd/flexcheck.
+// grid, with each configuration's explored state space pinned to its entry
+// in the committed full-grid report. Skipped under -short (it takes tens of
+// seconds); the nightly workflow runs the full grid via cmd/flexcheck.
 func TestExhaustiveShortGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive grid sweep skipped in -short mode")
 	}
+	b, err := os.ReadFile(gridReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed Report
+	if err := json.Unmarshal(b, &committed); err != nil {
+		t.Fatalf("%s: %v", gridReport, err)
+	}
+	pinned := make(map[Config]spaceCounts, len(committed.Configs))
+	for _, c := range committed.Configs {
+		pinned[c.Config] = countsOf(c)
+	}
 	rep, err := RunGrid("short", ShortGrid(), Options{}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range rep.Configs {
+		want, ok := pinned[c.Config]
+		if !ok {
+			t.Errorf("%s: no entry in %s", c.Config.Name(), gridReport)
+		} else if got := countsOf(c); got != want {
+			t.Errorf("%s: explored %+v, %s pins %+v", c.Config.Name(), got, gridReport, want)
+		}
 	}
 	if rep.SoundnessDivergences != 0 {
 		t.Errorf("SOUNDNESS BROKEN: %d knot members were provably live", rep.SoundnessDivergences)

@@ -13,8 +13,6 @@ import (
 
 	"flexsim/internal/message"
 	"flexsim/internal/network"
-	"flexsim/internal/routing"
-	"flexsim/internal/topology"
 )
 
 // msgState is one message's abstract state.
@@ -160,51 +158,32 @@ func (sy *system) atDst(m *msgState) bool {
 	return sy.headerNode(m) == int(m.dst)
 }
 
-// candidates returns the routing relation's candidate set for m's header,
-// exactly as the engine's allocate kernel requests it. Valid only when the
-// header is at the head of its buffer and not at its destination.
-func (sy *system) candidates(m *msgState, buf []routing.Candidate) []routing.Candidate {
-	last := len(m.path) - 1
-	prev := topology.None
-	curDim := -1
-	if !sy.net.IsInjection(m.path[last]) {
-		prev = sy.net.VCChannel(m.path[last])
-		curDim = sy.topo.ChannelDim(prev)
-	}
-	req := routing.Request{
-		Topo:    sy.topo,
-		Node:    sy.headerNode(m),
-		Dst:     int(m.dst),
-		VCs:     sy.cfg.VCs,
-		CurDim:  curDim,
-		Crossed: uint32(m.crossed),
-		PrevCh:  prev,
-	}
-	return sy.algo.Candidates(&req, buf[:0])
-}
-
 // blockedWants computes the engine's allocation-phase view of m in state s:
-// blocked (header at head, not at destination, every candidate owned) and
-// the candidate set (the CWG dashed arcs). owners must be s's ownership
-// table.
-func (sy *system) blockedWants(m *msgState, owners []int8, buf []routing.Candidate) (bool, []routing.Candidate) {
+// blocked (header at head, not at destination, every wanted VC owned) and
+// the VCs the engine's route offers the header (the CWG dashed arcs),
+// appended to buf. owners must be s's ownership table. A state holds only
+// the VCs a message still owns, so the hop count route is given is the
+// owned chain's: only the fault and misroute budgets read it, and the model
+// has no faults and refuses a misroute budget (see build).
+func (sy *system) blockedWants(m *msgState, owners []int8, buf []message.VC) (bool, []message.VC) {
 	if !headerAtHead(m) || sy.atDst(m) {
 		return false, nil
 	}
-	cands := sy.candidates(m, buf)
-	if len(cands) == 0 {
+	last := len(m.path) - 1
+	wants := sy.net.Route(buf[:0], int(m.src), int(m.dst), m.path[last], last, uint32(m.crossed))
+	if len(wants) == 0 {
 		return false, nil // unroutable; the engine kills rather than blocks
 	}
-	for _, c := range cands {
-		if owners[sy.net.NetVC(c.Ch, c.VC)] < 0 {
-			return false, cands
+	for _, vc := range wants {
+		if owners[vc] < 0 {
+			return false, wants
 		}
 	}
-	return true, cands
+	return true, wants
 }
 
 // blockedMask returns the bitmask of blocked messages in s.
-func (sy *system) blockedMask(s *state, owners []int8, buf []routing.Candidate) uint8 {
+func (sy *system) blockedMask(s *state, owners []int8, buf []message.VC) uint8 {
 	var mask uint8
 	for mi := range s.msgs {
 		m := &s.msgs[mi]
@@ -266,7 +245,7 @@ func (sy *system) initialStates() []string {
 // active messages first in canonical-index order, then queued ones in
 // source-queue order; retired messages are omitted. Message IDs are the
 // canonical indices, so detector verdicts map straight back to DP bits.
-func (sy *system) materialize(s *state, owners []int8, buf []routing.Candidate) []network.InjectedMessage {
+func (sy *system) materialize(s *state, owners []int8, buf []message.VC) []network.InjectedMessage {
 	out := make([]network.InjectedMessage, 0, len(s.msgs))
 	for mi := range s.msgs {
 		m := &s.msgs[mi]
@@ -283,11 +262,9 @@ func (sy *system) materialize(s *state, owners []int8, buf []routing.Candidate) 
 		for i, o := range m.occ {
 			im.Occ[i] = int32(o)
 		}
-		if b, cands := sy.blockedWants(m, owners, buf); b {
+		if b, wants := sy.blockedWants(m, owners, buf); b {
 			im.Blocked = true
-			for _, c := range cands {
-				im.Wants = append(im.Wants, sy.net.NetVC(c.Ch, c.VC))
-			}
+			im.Wants = append([]message.VC(nil), wants...)
 		}
 		out = append(out, im)
 	}
@@ -313,7 +290,7 @@ func (sy *system) materialize(s *state, owners []int8, buf []routing.Candidate) 
 
 // restore loads s into the real network and returns an error if the
 // abstract state violates any engine invariant (a checker bug).
-func (sy *system) restore(s *state, owners []int8, buf []routing.Candidate) error {
+func (sy *system) restore(s *state, owners []int8, buf []message.VC) error {
 	msgs := sy.materialize(s, owners, buf)
 	if err := sy.net.RestoreState(0, msgs); err != nil {
 		return fmt.Errorf("modelcheck: %s: %w", sy.cfg.Name(), err)

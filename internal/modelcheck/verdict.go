@@ -36,7 +36,7 @@ import (
 	"fmt"
 
 	"flexsim/internal/cwg"
-	"flexsim/internal/routing"
+	"flexsim/internal/message"
 )
 
 // Options tunes a model-checking run.
@@ -150,7 +150,7 @@ type runner struct {
 	ex      *explorer
 	opts    Options
 	owners  []int8
-	candBuf []routing.Candidate
+	wantBuf []message.VC
 
 	// Per-state detector verdicts and DPs (indexed like ex.states):
 	// flagged = messages in some knot's DeadlockSet or Dependent set;
@@ -190,7 +190,7 @@ func newRunner(sy *system, ex *explorer, opts Options) *runner {
 		ex:      ex,
 		opts:    opts,
 		owners:  make([]int8, sy.net.NumVCs()),
-		candBuf: make([]routing.Candidate, 0, 8),
+		wantBuf: make([]message.VC, 0, 8),
 	}
 }
 
@@ -199,7 +199,7 @@ func newRunner(sy *system, ex *explorer, opts Options) *runner {
 func (r *runner) analyze(idx int32) (cwg.Analysis, error) {
 	s := decodeState(r.ex.states[idx].key, r.sy.cfg.Messages)
 	s.owners(r.owners)
-	if err := r.sy.restore(&s, r.owners, r.candBuf); err != nil {
+	if err := r.sy.restore(&s, r.owners, r.wantBuf); err != nil {
 		return cwg.Analysis{}, err
 	}
 	r.sy.det.Invalidate()
@@ -408,7 +408,7 @@ func (r *runner) reproAt(idx int32, kind string) (*Repro, error) {
 	st := &r.ex.states[idx]
 	s := decodeState(st.key, r.sy.cfg.Messages)
 	s.owners(r.owners)
-	msgs := r.sy.materialize(&s, r.owners, r.candBuf)
+	msgs := r.sy.materialize(&s, r.owners, r.wantBuf)
 	rep := &Repro{
 		Kind:     kind,
 		Config:   r.sy.cfg,

@@ -8,35 +8,6 @@ import (
 	"flexsim/internal/topology"
 )
 
-func TestInjBufferDepthOverride(t *testing.T) {
-	// Deadlock a unidirectional ring so every message blocks; their
-	// injection buffers must then fill to the overridden depth, not the
-	// edge-buffer depth.
-	topo := topology.MustNew(4, 1, false)
-	n, err := New(Params{
-		Topo: topo, VCs: 1, BufferDepth: 2, InjBufferDepth: 16,
-		Routing: routing.DOR{}, CheckInvariants: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msgs []*message.Message
-	for s := 0; s < 4; s++ {
-		msgs = append(msgs, n.Inject(s, (s+2)%4, 32))
-	}
-	for i := 0; i < 60; i++ {
-		n.Step()
-	}
-	for _, m := range msgs {
-		if !m.Blocked {
-			t.Fatal("ring did not deadlock")
-		}
-		if m.Hops[0].Occ != 16 {
-			t.Fatalf("blocked message's injection buffer holds %d flits, want 16", m.Hops[0].Occ)
-		}
-	}
-}
-
 func TestSingleFlitMessages(t *testing.T) {
 	// Degenerate worm: header == tail. Must flow and release correctly.
 	topo := topology.MustNew(8, 2, true)

@@ -4,19 +4,19 @@ package network
 // on one concrete network, can deadlock. A verdict is for a concrete
 // (algorithm, topology, VCs, fault set), never a property of the algorithm.
 //
-// The checker asks the engine's own (*worker).route for every candidate set,
-// so the relation it judges is the one the cycle engine runs, fault filter,
-// Surviving fallback and hop budgets included. From every (source,
-// destination) injection it explores every reachable header state, keyed by
-// everything route reads: the held VC (which also fixes the header's node
-// and the previous channel), Dst, CurDim, Crossed, and the hop count where a
-// budget reads it (the fault budget on a faulted network, the hops past
-// minimal under a misroute budget). A state's successor after taking
-// candidate (ch, v) is the header update commit makes when the header
-// crosses ch. Each offered VC becomes a VC→VC arc of the channel dependency
-// graph, and the verdict is "acyclic" or a shortest cycle with the state
-// that produced each arc (Dally & Seitz's condition, checked on the
-// implementation rather than on paper: Verbeek & Schmaltz).
+// The checker asks Network.Route, the engine's own route, for every
+// candidate set, so the relation it judges is the one the cycle engine runs,
+// fault filter, Surviving fallback and hop budgets included. From every
+// (source, destination) injection it explores every reachable header state,
+// keyed by everything route reads: the held VC (which also fixes the
+// header's node, the previous channel and CurDim), Dst, Crossed, and the hop
+// count where a budget reads it (the fault budget on a faulted network, the
+// hops past minimal under a misroute budget). A state's successor after
+// taking candidate VC v is the header update commit makes when the header
+// crosses v's channel. Each offered VC becomes a VC→VC arc of the channel
+// dependency graph, and the verdict is "acyclic" or a shortest cycle with
+// the state that produced each arc (Dally & Seitz's condition, checked on
+// the implementation rather than on paper: Verbeek & Schmaltz).
 //
 // duato-far keeps a cyclic dependency graph on purpose; for it the checker
 // tests Duato's condition instead: every reachable state route does not
@@ -43,7 +43,6 @@ import (
 type hdrState struct {
 	vc      message.VC
 	dst     int32
-	curDim  int32
 	crossed uint32
 	hops    int32 // hops taken, capped past the fault budget; 0 on a healthy network
 	slack   int32 // hops past minimal, capped at the misroute budget; 0 without one
@@ -54,14 +53,13 @@ type depGraph struct {
 	n      *Network
 	states []hdrState
 	index  map[hdrState]int32
-	// src and hopsTaken give one real header for each state: route reads
-	// them only through the budgets the key already holds.
+	// src and hopsTaken complete each state's header: route reads them only
+	// through the budgets the key already holds.
 	src, hopsTaken []int32
 	// State i offers cand[off[i]:off[i+1]] in route's order; next is the
 	// state the header is in after taking it, -1 where it then ejects.
 	off        []int32
 	cand, next []int32
-	msg        message.Message
 }
 
 // exploreHeaders runs route from every injection over every reachable
@@ -72,23 +70,25 @@ func exploreHeaders(n *Network) *depGraph {
 	for src := 0; src < nodes; src++ {
 		for dst := 0; dst < nodes; dst++ {
 			if src != dst {
-				g.add(hdrState{vc: n.InjVC(src), dst: int32(dst), curDim: -1}, src, 0)
+				g.add(hdrState{vc: n.InjVC(src), dst: int32(dst)}, src, 0)
 			}
 		}
 	}
 	g.off = append(g.off, 0)
+	var wants []message.VC
 	for i := int32(0); int(i) < len(g.states); i++ { // states grow as we go
 		s := g.states[i]
-		for _, c := range n.w0.route(g.header(i), n.Downstream(s.vc)) {
-			v := n.NetVC(c.Ch, c.VC)
+		wants = n.Route(wants[:0], int(g.src[i]), int(s.dst), s.vc, int(g.hopsTaken[i]), s.crossed)
+		for _, v := range wants {
 			g.cand = append(g.cand, int32(v))
 			if n.Downstream(v) == int(s.dst) {
 				g.next = append(g.next, -1)
 				continue
 			}
-			// The header update commit makes when the header crosses c.Ch.
+			// The header update commit makes when the header crosses v's
+			// channel; CurDim follows from v.
 			src, hops := int(g.src[i]), int(g.hopsTaken[i])+1
-			ns := hdrState{vc: v, dst: s.dst, curDim: n.chDim[c.Ch], crossed: s.crossed | n.chFlags[c.Ch]}
+			ns := hdrState{vc: v, dst: s.dst, crossed: s.crossed | n.chFlags[n.chOf[v]]}
 			if n.faults != nil {
 				ns.hops = int32(min(hops, n.faults.maxHops+1))
 			}
@@ -115,25 +115,10 @@ func (g *depGraph) add(s hdrState, src, hops int) int32 {
 	return i
 }
 
-// header builds state i's representative message, in scratch reused by the
-// next call: route reads Src, Dst, CurDim, Crossed, the last hop's VC and
-// the hop count.
-func (g *depGraph) header(i int32) *message.Message {
-	s, m := g.states[i], &g.msg
-	m.Src, m.Dst, m.CurDim, m.Crossed = int(g.src[i]), int(s.dst), int(s.curDim), s.crossed
-	h := int(g.hopsTaken[i]) + 1
-	if cap(m.Hops) < h {
-		m.Hops = make([]message.Hop, 2*h)
-	}
-	m.Hops = m.Hops[:h]
-	m.Hops[h-1].VC = s.vc
-	return m
-}
-
 func (g *depGraph) describe(i int32) string {
 	s := g.states[i]
 	return fmt.Sprintf("header in %s for %d (src %d, CurDim %d, Crossed %b, %d hops)",
-		g.n.VCString(s.vc), s.dst, g.src[i], s.curDim, s.crossed, g.hopsTaken[i])
+		g.n.VCString(s.vc), s.dst, g.src[i], g.n.curDim(s.vc), s.crossed, g.hopsTaken[i])
 }
 
 // arcSet is a dependency graph over network VCs, with the state that first

@@ -44,13 +44,10 @@ type Params struct {
 	Topo topology.Network
 	// VCs is the number of virtual channels per physical channel (>= 1).
 	VCs int
-	// BufferDepth is the per-VC edge buffer capacity in flits (>= 1).
-	// A depth equal to the message length yields virtual cut-through
-	// behaviour; smaller depths yield (buffered) wormhole.
+	// BufferDepth is the per-VC buffer capacity in flits (>= 1), injection
+	// VCs included. A depth equal to the message length yields virtual
+	// cut-through behaviour; smaller depths yield (buffered) wormhole.
 	BufferDepth int
-	// InjBufferDepth is the injection VC buffer capacity; 0 means "same
-	// as BufferDepth".
-	InjBufferDepth int
 	// Routing is the routing relation.
 	Routing routing.Algorithm
 	// RecoveryDrainRate is the number of victim flits absorbed per cycle
@@ -96,7 +93,6 @@ type Network struct {
 	topo   topology.Network
 	vcs    int
 	depth  int32
-	inj    int32
 	shards int
 
 	now int64
@@ -174,7 +170,8 @@ type Network struct {
 	pool        *pool
 	shardOfNode []int32
 	shardOfCh   []int32
-	mergeCur    []int // k-way merge cursors, reused
+	mergeCur    []int           // k-way merge cursors, reused
+	hdr         message.Message // Route's header, reused
 
 	// OnDeliver, if set, is called when a message is delivered normally
 	// or absorbed by recovery (Status distinguishes the two).
@@ -311,16 +308,12 @@ func New(p Params) (*Network, error) {
 			return nil, err
 		}
 	}
-	if p.InjBufferDepth == 0 {
-		p.InjBufferDepth = p.BufferDepth
-	}
 	t := p.Topo
 	n := &Network{
 		p:      p,
 		topo:   t,
 		vcs:    p.VCs,
 		depth:  int32(p.BufferDepth),
-		inj:    int32(p.InjBufferDepth),
 		shards: resolveShards(p.Shards, t.Nodes()),
 
 		numNetVCs: t.NumChannels() * p.VCs,
@@ -564,14 +557,6 @@ func derouteCount(t topology.Network, m *message.Message) int {
 	return hops - minimal
 }
 
-// bufDepth returns the capacity of vc's edge buffer.
-func (n *Network) bufDepth(vc message.VC) int32 {
-	if n.IsInjection(vc) {
-		return n.inj
-	}
-	return n.depth
-}
-
 // acquire makes m the owner of vc, appended to its hop chain. A new empty
 // hop is the one thing that can make a frozen worm movable again (see
 // worker.plan), so this is where Frozen is cleared.
@@ -685,9 +670,9 @@ func (n *Network) CheckInvariants() error {
 				return fmt.Errorf("network: slot table for %s says %d, msg %d holds it at hop %d",
 					n.VCString(vc), n.slotOf[vc], m.ID, i)
 			}
-			if m.Hops[i].Occ > n.bufDepth(vc) {
+			if m.Hops[i].Occ > n.depth {
 				return fmt.Errorf("network: buffer overflow on %s: %d > %d",
-					n.VCString(vc), m.Hops[i].Occ, n.bufDepth(vc))
+					n.VCString(vc), m.Hops[i].Occ, n.depth)
 			}
 		}
 	}

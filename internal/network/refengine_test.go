@@ -19,7 +19,6 @@ package network
 // flits; release drained VCs; retire.
 
 import (
-	"cmp"
 	"slices"
 
 	"flexsim/internal/message"
@@ -72,9 +71,9 @@ type refCounters struct {
 }
 
 type refNet struct {
-	topo                   topology.Network
-	algo                   routing.Algorithm
-	vcs, depth, inj, drain int
+	topo              topology.Network
+	algo              routing.Algorithm
+	vcs, depth, drain int
 
 	now     int64
 	nextID  message.ID
@@ -93,8 +92,7 @@ type refNet struct {
 
 func newRefNet(p Params) *refNet {
 	t := p.Topo
-	r := &refNet{topo: t, algo: p.Routing, vcs: p.VCs, depth: p.BufferDepth,
-		inj: cmp.Or(p.InjBufferDepth, p.BufferDepth), drain: p.RecoveryDrainRate,
+	r := &refNet{topo: t, algo: p.Routing, vcs: p.VCs, depth: p.BufferDepth, drain: p.RecoveryDrainRate,
 		owner:  make([]*refMsg, t.NumChannels()*p.VCs+t.Nodes()),
 		chRR:   make([]int, t.NumChannels()),
 		rxRR:   make([]int, t.Nodes()),
@@ -209,7 +207,7 @@ func (r *refNet) step() {
 	}
 
 	for _, m := range r.active {
-		if m.status == refActive && m.srcRemaining > 0 && m.released == 0 && m.path[0].occ < r.inj {
+		if m.status == refActive && m.srcRemaining > 0 && m.released == 0 && m.path[0].occ < r.depth {
 			m.path[0].occ++
 			m.srcRemaining--
 			r.InjectedFlits++

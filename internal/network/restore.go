@@ -6,6 +6,8 @@ package network
 // Detector.Snapshot, cwg.Builder, knot analysis, victim selection — on every
 // state its exhaustive explorer enumerates, so the detector is validated on
 // exactly the code path production runs use, not on a reimplementation.
+// For the same reason Route answers, for a header described by value, what
+// the allocate kernel's route answers for a live one.
 //
 // An injected state must satisfy every structural invariant the engine
 // maintains (exclusive ownership, flit conservation, path contiguity, buffer
@@ -185,8 +187,8 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 					n.VCString(vc), n.VCString(im.Path[i-1]))
 			}
 		}
-		if im.Occ[i] > n.bufDepth(vc) {
-			return fmt.Errorf("occupancy %d exceeds %s's depth %d", im.Occ[i], n.VCString(vc), n.bufDepth(vc))
+		if im.Occ[i] > n.depth {
+			return fmt.Errorf("occupancy %d exceeds %s's depth %d", im.Occ[i], n.VCString(vc), n.depth)
 		}
 		if n.owner[vc] != nil {
 			return fmt.Errorf("VC %s already owned by msg %d", n.VCString(vc), n.owner[vc].ID)
@@ -208,9 +210,7 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 		return fmt.Errorf("%d flits remain at the source but the injection VC is released",
 			im.SrcRemaining)
 	}
-	if !n.IsInjection(im.Path[last]) {
-		m.CurDim = int(n.chDim[n.VCChannel(im.Path[last])])
-	}
+	m.CurDim = n.curDim(im.Path[last])
 	if im.Blocked {
 		if m.Hops[last].Occ == 0 || m.Hops[last].Departed != 0 {
 			return fmt.Errorf("blocked header is not at the head of its buffer")
@@ -235,4 +235,29 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 	}
 	n.active = append(n.active, m)
 	return nil
+}
+
+// Route returns what the allocate kernel's route offers a header bound from
+// src to dst that sits in held after hops hops (the injection VC is hop 0)
+// with route flags crossed: the routing relation's candidates in selection
+// order, through the fault filter and Surviving fallback and under the hop
+// and misroute budgets, appended to buf as VC ids. An empty result means the
+// header is unroutable. The header's CurDim is derived from held, as
+// RestoreState derives it. Route uses the sequential worker's scratch, so it
+// must not run concurrently with Step.
+func (n *Network) Route(buf []message.VC, src, dst int, held message.VC, hops int, crossed uint32) []message.VC {
+	m := &n.hdr
+	m.Src, m.Dst, m.CurDim, m.Crossed = src, dst, n.curDim(held), crossed
+	m.Hops = slices.Grow(m.Hops[:0], hops+1)[:hops+1]
+	m.Hops[hops].VC = held
+	return n.appendVCs(buf, n.w0.route(m, n.Downstream(held)))
+}
+
+// curDim is the CurDim of a header in vc: the dimension of vc's channel, or
+// -1 in an injection VC.
+func (n *Network) curDim(vc message.VC) int {
+	if n.IsInjection(vc) {
+		return -1
+	}
+	return int(n.chDim[n.VCChannel(vc)])
 }

@@ -887,7 +887,7 @@ func (w *worker) plan(m *message.Message) bool {
 // sourceFlitDue reports whether m's source streams a flit into the injection
 // buffer this cycle: one is left, the buffer has room and is still owned.
 func (w *worker) sourceFlitDue(m *message.Message) bool {
-	return m.SrcRemaining > 0 && m.Hops[0].Occ < w.n.inj && m.Released == 0
+	return m.SrcRemaining > 0 && m.Hops[0].Occ < w.n.depth && m.Released == 0
 }
 
 // requestVC sets vc's bit in the request word of its channel, one of this
