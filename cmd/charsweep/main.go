@@ -25,7 +25,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -71,7 +70,8 @@ func run() (code int) {
 	common := flags.BindCommon(flag.CommandLine)
 	sweep := bindCLI(flag.CommandLine)
 	flag.Parse()
-	if name := specOwned(flag.CommandLine, sweep.spec); name != "" {
+	owned := func(fs *flag.FlagSet) { flags.BindPlan(fs); fs.String("experiment", "", "") }
+	if name := flags.Owned(flag.CommandLine, owned); sweep.spec != "" && name != "" {
 		fmt.Fprintf(os.Stderr, "charsweep: -%s cannot be combined with -spec: the spec file owns what each point simulates\n", name)
 		return 2
 	}
@@ -288,34 +288,13 @@ func printTables(tables []*stats.Table, sweep *cli) error {
 	return nil
 }
 
-// specOwned names the first flag set on fs that -spec cannot honour: a
-// spec file fixes every point's physics (seeds, loads, windows, fault
-// schedule), so -experiment or a plan flag — which -experiment mode folds
-// into the configurations it builds — is refused instead of being silently
-// dropped. It returns "" without -spec or when none is set.
-func specOwned(fs *flag.FlagSet, spec string) string {
-	if spec == "" {
-		return ""
-	}
-	plan := flag.NewFlagSet("plan", flag.ContinueOnError)
-	flags.BindPlan(plan)
-	var name string
-	fs.Visit(func(f *flag.Flag) {
-		owned := f.Name == "experiment" || plan.Lookup(f.Name) != nil
-		if name == "" && owned && f.Value.String() != f.DefValue {
-			name = f.Name
-		}
-	})
-	return name
-}
-
 // specFile runs a specv1 spec file (- = stdin) and writes the sweep
 // service's wire format, PointResult JSONL. With -cache-dir pointed at a
 // sweep service's shared store, every point already completed there is
 // served from it and the emitted result bytes are byte-identical to the
 // service's results for the same spec.
 func (r *runPath) specFile(sweep *cli) (code int, interrupted bool) {
-	spec, err := readSpec(sweep.spec)
+	spec, err := flags.ReadSpec(sweep.spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charsweep:", err)
 		return 1, false
@@ -368,18 +347,4 @@ func writeResults(path string, results []specv1.PointResult) error {
 		err = cerr
 	}
 	return err
-}
-
-// readSpec decodes the spec file at path (- = stdin).
-func readSpec(path string) (*specv1.Spec, error) {
-	in := io.Reader(os.Stdin)
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		in = f
-	}
-	return specv1.DecodeSpec(in)
 }

@@ -13,7 +13,6 @@ import (
 	"flexsim/cmd/internal/flags"
 	"flexsim/internal/api/specv1"
 	"flexsim/internal/sim"
-	"flexsim/internal/stats"
 )
 
 // childEnv turns the re-executed test binary into charsweep itself.
@@ -82,8 +81,8 @@ func simulated(t *testing.T, lines []byte) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.DetectBuildTime, res.DetectAnalyzeTime = stats.Histogram{}, stats.Histogram{}
-		if prs[i].Result, err = specv1.EncodeResult(res); err != nil {
+		simulated := res.Simulated()
+		if prs[i].Result, err = specv1.EncodeResult(&simulated); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@
 //	flexcheck -topo ring-uni -k 3 -vcs 1 -routing dor -messages 3
 //
 // The exit status is 0 when the grid verifies, 1 on divergences, 2 on
-// usage or checker errors. Repro files round-trip through cwgviz -repro.
+// usage or checker errors. Repro files round-trip through flexsim -repro.
 package main
 
 import (

@@ -4,7 +4,8 @@
 // BindSpec (one run's physics, onto a sim.Config: flexsim) and BindPlan (a
 // study's plan inputs: charsweep -experiment and sweepctl mkspec). The four
 // -fault-* flags are registered by one helper for BindSpec and BindPlan. A
-// flag that one command reads is declared in that command's main.go.
+// flag that one command reads is declared in that command's main.go. ReadSpec
+// and Owned serve the commands that take a spec file.
 package flags
 
 import (
@@ -163,6 +164,19 @@ func (p *Plan) Options() (experiments.Options, error) {
 	return o, err
 }
 
+// ReadSpec decodes the specv1 spec file at path (- = stdin).
+func ReadSpec(path string) (*specv1.Spec, error) {
+	if path == "-" {
+		return specv1.DecodeSpec(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return specv1.DecodeSpec(f)
+}
+
 // readFaultSchedule reads a JSONL fault schedule file; an empty path
 // returns no events.
 func readFaultSchedule(path string) ([]fault.Event, error) {
@@ -179,6 +193,22 @@ func readFaultSchedule(path string) ([]fault.Event, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return events, nil
+}
+
+// Owned names the first flag set on fs to a value other than its default
+// that bind registers: a spec or repro file fixes what those flags set, so
+// a command given one refuses them instead of silently dropping them. It
+// returns "" when none is set.
+func Owned(fs *flag.FlagSet, bind func(*flag.FlagSet)) string {
+	owned := flag.NewFlagSet("owned", flag.ContinueOnError)
+	bind(owned)
+	var name string
+	fs.Visit(func(f *flag.Flag) {
+		if name == "" && owned.Lookup(f.Name) != nil && f.Value.String() != f.DefValue {
+			name = f.Name
+		}
+	})
+	return name
 }
 
 // SignalContext returns a context cancelled by SIGINT/SIGTERM and, when

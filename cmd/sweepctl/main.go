@@ -140,16 +140,7 @@ func cmdSubmit(args []string) error {
 	asJSON := fs.Bool("json", false, "with -watch: print raw specv1 event JSON, one object per line")
 	fs.Parse(args)
 
-	in := io.Reader(os.Stdin)
-	if *file != "-" {
-		f, err := os.Open(*file)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
-	spec, err := specv1.DecodeSpec(in)
+	spec, err := flags.ReadSpec(*file)
 	if err != nil {
 		return err
 	}

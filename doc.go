@@ -11,7 +11,7 @@
 //   - internal/cwg: channel wait-for graphs and knot-based deadlock theory
 //   - internal/experiments: every figure of the paper as a plan (a specv1
 //     spec) and a tabulator
-//   - cmd/flexsim, cmd/charsweep, cmd/cwgviz: command-line tools
+//   - cmd/flexsim, cmd/charsweep: command-line tools
 //   - examples/: runnable demonstrations
 //
 // See README.md for a guided tour and DESIGN.md for the system inventory.

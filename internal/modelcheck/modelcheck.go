@@ -46,7 +46,7 @@
 //	    message is a divergence.
 //
 // Divergences are minimized (greedy message removal) and emitted as
-// replayable JSON repro files that cwgviz -repro renders. The same
+// replayable JSON repro files that flexsim -repro renders. The same
 // enumeration cross-validates the timeout heuristic (flagged = blocked for
 // at least T consecutive moves on some path) against ground truth.
 package modelcheck

@@ -4,7 +4,7 @@ package modelcheck
 // divergence counterexample or a representative true deadlock — together
 // with the configuration needed to rebuild the exact substrate, so the
 // state can be reloaded with network.RestoreState and re-judged by the real
-// detection pipeline (cwgviz -repro renders it).
+// detection pipeline (flexsim -repro renders it).
 
 import (
 	"encoding/json"
@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"flexsim/internal/cwg"
-	"flexsim/internal/detect"
 	"flexsim/internal/network"
 )
 
@@ -61,7 +60,6 @@ func LoadRepro(path string) (*Repro, error) {
 // Replay is a repro loaded back into a live substrate.
 type Replay struct {
 	Net      *network.Network
-	Detector *detect.Detector
 	Graph    *cwg.Graph
 	Analysis cwg.Analysis
 }
@@ -79,5 +77,5 @@ func (r *Repro) Replay() (*Replay, error) {
 	sy.det.Invalidate()
 	g := cwg.NewBuilder(sy.net.TotalVCs()).Build(sy.det.Snapshot())
 	an := g.Analyze(cwg.Options{CountKnotCycles: true})
-	return &Replay{Net: sy.net, Detector: sy.det, Graph: g, Analysis: an}, nil
+	return &Replay{Net: sy.net, Graph: g, Analysis: an}, nil
 }

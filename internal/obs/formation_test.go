@@ -11,7 +11,7 @@ import (
 
 // deadlockedRunner steps a recovery-disabled saturating run to its first
 // detected deadlock and returns the runner frozen at the detection cycle
-// together with the live CWG analysis (the cwgviz inspection pattern).
+// together with the live CWG analysis (what flexsim -dot inspects).
 func deadlockedRunner(t *testing.T, forensicsDepth int) (*sim.Runner, *cwg.Graph, cwg.Analysis) {
 	t.Helper()
 	cfg := sim.Quick()

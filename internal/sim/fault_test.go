@@ -6,7 +6,6 @@ import (
 
 	"flexsim/internal/fault"
 	"flexsim/internal/obs"
-	"flexsim/internal/stats"
 )
 
 // faulty returns a fast configuration with a generated link-fault schedule.
@@ -45,11 +44,7 @@ func TestFaultyRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The detector's wall-clock profiling histograms measure real
-		// time and are the only legitimately non-deterministic fields.
-		res.DetectBuildTime = stats.Histogram{}
-		res.DetectAnalyzeTime = stats.Histogram{}
-		b, err := json.Marshal(res)
+		b, err := json.Marshal(res.Simulated())
 		if err != nil {
 			t.Fatal(err)
 		}

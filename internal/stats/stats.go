@@ -94,6 +94,15 @@ type Result struct {
 	Unroutable      int64
 }
 
+// Simulated returns r with its two wall-clock histograms (DetectBuildTime,
+// DetectAnalyzeTime) zeroed: what a seeded simulation determines, and so what
+// two runs of one configuration are compared by.
+func (r *Result) Simulated() Result {
+	s := *r
+	s.DetectBuildTime, s.DetectAnalyzeTime = Histogram{}, Histogram{}
+	return s
+}
+
 // NormalizedDeadlocks returns deadlocks per message delivered (the paper's
 // headline metric). Zero when nothing was delivered.
 func (r *Result) NormalizedDeadlocks() float64 {
