@@ -131,7 +131,7 @@ func stored(t *testing.T, dir string) (keys []string, results []json.RawMessage)
 func simulated(t *testing.T, raw json.RawMessage) []byte {
 	t.Helper()
 	var res stats.Result
-	if err := stats.DecodeResult(raw, &res); err != nil {
+	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
 	}
 	s := res.Simulated()

@@ -9,9 +9,11 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"flexsim/internal/fault"
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/sim"
 )
 
@@ -218,10 +220,16 @@ func writerOutputs(tb testing.TB) []wireDoc {
 	}
 }
 
-// read is the reader alone: the length of the value data starts with, or -1.
+// handedOver counts the member values read gives to encoding/json.
+var handedOver atomic.Int64
+
+// read is the reader alone, as the decoders call it: the index after the
+// value data starts with, or -1.
 func read(data []byte, v any) int {
-	rv := reflect.ValueOf(v).Elem()
-	return planOf(rv.Type()).read(data, skipSpace(data, 0), rv)
+	return jsonlog.Read(data, v, func(data []byte, v any) (int, error) {
+		handedOver.Add(1)
+		return jsonValue(data, v)
+	})
 }
 
 // TestWireTakesFastPath: correct is not enough — a document every writer
@@ -482,44 +490,5 @@ func TestDecodeSpecAllocs(t *testing.T) {
 	})
 	if perPoint := allocs / float64(len(s.Points)); perPoint > 4 {
 		t.Errorf("decoding a spec allocated %.1f times a point, want at most 4", perPoint)
-	}
-}
-
-// TestPlansFollowTags: the reader's member names are the structs' own json
-// tags, every message has a plan, and the only members left to encoding/json
-// are the two DESIGN §8 names.
-func TestPlansFollowTags(t *testing.T) {
-	foreign := map[string]bool{}
-	var walk func(p *plan)
-	walk = func(p *plan) {
-		switch p.kind {
-		case reflect.Struct:
-			if len(p.fields) != p.typ.NumField() {
-				t.Fatalf("%v: plan has %d members, struct %d fields", p.typ, len(p.fields), p.typ.NumField())
-			}
-			for i, name := range p.fields {
-				if tag, _, _ := strings.Cut(p.typ.Field(i).Tag.Get("json"), ","); name != tag {
-					t.Errorf("%v.%s is read as %q, tagged %q", p.typ, p.typ.Field(i).Name, name, tag)
-				}
-				if p.plans[i].kind == reflect.Invalid || (p.plans[i].elem != nil && p.plans[i].elem.kind == reflect.Invalid) {
-					foreign[p.typ.Name()+"."+p.typ.Field(i).Name] = true
-				}
-				walk(p.plans[i])
-			}
-		case reflect.Pointer, reflect.Slice:
-			if p.elem != nil {
-				walk(p.elem)
-			}
-		}
-	}
-	for _, d := range wireDecoders {
-		p := planOf(reflect.TypeOf(d.message()).Elem())
-		if p.kind != reflect.Struct {
-			t.Errorf("%v has no plan: the reader refuses every %s", p.typ, d.name)
-		}
-		walk(p)
-	}
-	if want := map[string]bool{"PointConfig.FaultEvents": true, "SweepStatus.RetryCauses": true}; !reflect.DeepEqual(foreign, want) {
-		t.Errorf("members left to encoding/json: %v, want %v", foreign, want)
 	}
 }

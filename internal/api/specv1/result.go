@@ -125,7 +125,7 @@ func DecodeResult(raw json.RawMessage) (*stats.Result, error) {
 		return nil, nil
 	}
 	var res stats.Result
-	if err := stats.DecodeResult(raw, &res); err != nil {
+	if err := jsonlog.Unmarshal(raw, &res); err != nil {
 		return nil, fmt.Errorf("specv1: decode result: %w", err)
 	}
 	return &res, nil
@@ -161,17 +161,17 @@ func ReadResults(r io.Reader) ([]PointResult, error) {
 		return nil, fmt.Errorf("specv1: read results: %w", err)
 	}
 	var out []PointResult
-	for i := skipSpace(data, 0); i < len(data); i = skipSpace(data, i) {
+	for rest := bytes.TrimLeft(data, space); len(rest) > 0; rest = bytes.TrimLeft(rest, space) {
 		out = append(out, PointResult{})
 		pr := &out[len(out)-1]
-		n, err := decodeValue(data[i:], pr)
+		n, err := decodeValue(rest, pr)
 		if err != nil {
 			return nil, fmt.Errorf("specv1: read results: after %d results: %w", len(out)-1, err)
 		}
 		if pr.SchemaVersion != Version {
 			return nil, fmt.Errorf("specv1: result schema_version %d, want %d", pr.SchemaVersion, Version)
 		}
-		i += n
+		rest = rest[n:]
 	}
 	return out, nil
 }

@@ -127,9 +127,9 @@ func BenchmarkEncodeResult(b *testing.B) {
 
 // BenchmarkDecodeResult is what a store hit pays to turn its bytes back
 // into a Result; the three histograms are most of the input. The stored form
-// goes through stats.DecodeResult's one-pass parser; the same result indented
-// is outside its grammar and goes through encoding/json, as every payload
-// did before.
+// goes through jsonlog's one-pass reader; the same result indented is read
+// too, but its histograms are outside their own grammar and go to
+// encoding/json, member by member.
 func BenchmarkDecodeResult(b *testing.B) {
 	canonical, err := EncodeResult(benchResult())
 	if err != nil {

@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/sim"
 )
 
@@ -183,7 +184,7 @@ func decodeStrict[T any](r io.Reader, what string, version func(*T) int) (*T, er
 	data, err := readAll(r)
 	if err == nil {
 		var n int
-		if n, err = decodeValue(data, v); err == nil && skipSpace(data, n) < len(data) {
+		if n, err = decodeValue(data, v); err == nil && len(bytes.TrimLeft(data[n:], space)) > 0 {
 			err = errors.New("trailing data after JSON value")
 		}
 	}
@@ -194,6 +195,27 @@ func decodeStrict[T any](r io.Reader, what string, version func(*T) int) (*T, er
 		return nil, fmt.Errorf("specv1: %s schema_version %d, want %d", what, version(v), Version)
 	}
 	return v, nil
+}
+
+const space = " \t\r\n" // JSON's whitespace
+
+// decodeValue decodes the JSON value data starts with into the zero value v
+// points at and returns the index after it: by jsonlog's reader if it can,
+// else by encoding/json, its specification, from the same bytes, afresh.
+func decodeValue[T any](data []byte, v *T) (int, error) {
+	if n := jsonlog.Read(data, v, jsonValue); n >= 0 {
+		return n, nil
+	}
+	*v = *new(T)
+	return jsonValue(data, v)
+}
+
+// jsonValue is encoding/json, strict, on the value data starts with.
+func jsonValue(data []byte, v any) (int, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	return int(dec.InputOffset()), err
 }
 
 // readAll is io.ReadAll with the buffer sized up front when r says what it

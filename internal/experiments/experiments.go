@@ -27,6 +27,7 @@ import (
 
 	"flexsim/internal/api/specv1"
 	"flexsim/internal/fault"
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/runner"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
@@ -157,7 +158,7 @@ func (s *Study) Tabulate(spec *specv1.Spec, results []specv1.PointResult) ([]*st
 			pts[i].Err = errors.New(pr.Error)
 		default:
 			pts[i].Result = new(stats.Result)
-			pts[i].Err = stats.DecodeResult(pr.Result, pts[i].Result)
+			pts[i].Err = jsonlog.Unmarshal(pr.Result, pts[i].Result)
 		}
 	}
 	if err := runner.FirstError(pts); err != nil {

@@ -153,15 +153,6 @@ func plainString(raw []byte, i int) int {
 // accepts it — a json.RawMessage decoded from it holds those bytes — else -1.
 func VerbatimLen(b []byte) int { return value(b, 0, 0) }
 
-// NumberLen returns the length of the JSON number b starts with, or -1 if
-// it starts with none. What follows the number is the caller's to check.
-func NumberLen(b []byte) int {
-	if len(b) == 0 {
-		return -1
-	}
-	return number(b, 0)
-}
-
 // PlainLen returns the length of the JSON string body at the start of b —
 // up to its closing quote — if every byte of it is ASCII that stands for
 // itself (no escape, no control byte), and -1 otherwise.
@@ -243,9 +234,9 @@ func CutInt(b []byte) (v int64, rest []byte, ok bool) {
 	return int64(u), b[i:], true
 }
 
-// CutUint is CutInt for an unsigned field, (0|[1-9][0-9]*) within uint64 —
+// cutUint is CutInt for an unsigned field, (0|[1-9][0-9]*) within uint64 —
 // all twenty digits of it, which half of all 64-bit seeds have.
-func CutUint(b []byte) (u uint64, rest []byte, ok bool) {
+func cutUint(b []byte) (u uint64, rest []byte, ok bool) {
 	n := 0
 	for n < len(b) && b[n]-'0' <= 9 {
 		n++

@@ -6,7 +6,10 @@ package jsonlog_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"flexsim/internal/api/specv1"
@@ -57,6 +60,77 @@ func TestWriterTakesPlan(t *testing.T) {
 		}
 		if n := jsonlog.HandedOver() - before; n != 0 {
 			t.Errorf("%T: %d values handed to encoding/json, want none", v, n)
+		}
+	}
+}
+
+// TestPlansFollowTags: the reader's member names are the wire structs' own
+// json tags, every wire message has a plan, and the only members left to
+// encoding/json are the two DESIGN §8 names.
+func TestPlansFollowTags(t *testing.T) {
+	foreign := map[string]bool{}
+	read := map[reflect.Type]map[int]bool{}
+	visit := func(st reflect.Type, field int, name string, handed bool) {
+		if read[st] == nil {
+			read[st] = map[int]bool{}
+		}
+		read[st][field] = true
+		f := st.Field(field)
+		if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); name != tag {
+			t.Errorf("%v.%s is read as %q, tagged %q", st, f.Name, name, tag)
+		}
+		if handed {
+			foreign[st.Name()+"."+f.Name] = true
+		}
+	}
+	for _, m := range []any{&specv1.Spec{}, &specv1.RunRequest{}, &specv1.RunResponse{}, &specv1.Event{}, &specv1.PointResult{}, &specv1.SweepStatus{}, &specv1.SweepList{}} {
+		if typ := reflect.TypeOf(m).Elem(); !jsonlog.WalkPlan(typ, visit) {
+			t.Errorf("%v has no plan: the reader refuses every one", typ)
+		}
+	}
+	for st, fields := range read {
+		if len(fields) != st.NumField() {
+			t.Errorf("%v: plan has %d members, struct %d fields", st, len(fields), st.NumField())
+		}
+	}
+	if want := map[string]bool{"PointConfig.FaultEvents": true, "SweepStatus.RetryCauses": true}; !reflect.DeepEqual(foreign, want) {
+		t.Errorf("members left to encoding/json: %v, want %v", foreign, want)
+	}
+}
+
+// TestReaderKeysAndReaders: an untagged field is read under its Go name, as
+// encoding/json keys it, and a Reader (a Histogram) reads itself, so a
+// struct holding both reads with nothing handed to encoding/json — in
+// Append's member order, and in another order through the name lookup.
+func TestReaderKeysAndReaders(t *testing.T) {
+	type holder struct {
+		Label   string
+		Count   int64 `json:"n"`
+		Latency stats.Histogram
+	}
+	in := holder{Label: "dor1", Count: 7}
+	for i := int64(0); i < 40; i++ {
+		in.Latency.Observe(3 * i)
+	}
+	data, err := jsonlog.Append(nil, &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latency := data[bytes.Index(data, []byte(`{"counts"`)) : len(data)-1]
+	reordered := []byte(`{ "Latency" : ` + string(latency) + `, "n":7, "Label":"dor1" }`)
+	for _, doc := range [][]byte{data, reordered} {
+		var got, want holder
+		handed := 0
+		n := jsonlog.Read(doc, &got, func([]byte, any) (int, error) {
+			handed++
+			return 0, errors.New("handed over")
+		})
+		if err := json.Unmarshal(doc, &want); err != nil || n != len(doc) || handed != 0 || !reflect.DeepEqual(got, want) || got.Label != "dor1" {
+			t.Errorf("%s: the reader took %d of %d bytes, handing %d members over:\n read           %+v\n json.Unmarshal %+v, %v", doc, n, len(doc), handed, got, want, err)
+		}
+		var u holder
+		if err := jsonlog.Unmarshal(doc, &u); err != nil || !reflect.DeepEqual(u, want) {
+			t.Errorf("%s: jsonlog.Unmarshal %+v, %v; want %+v", doc, u, err, want)
 		}
 	}
 }

@@ -251,7 +251,7 @@ func (c *Cache) GetRaw(key string) (json.RawMessage, bool) {
 // anyway, otherwise jsonlog's verbatim scan (it accepts no invalid JSON), then
 // json.Valid for what it declines. A short read (the file was truncated under
 // us) or bytes that fail is a miss, and the entry is dropped so that the
-// re-run's Put serves from memory.
+// re-run's Put serves from memory. A non-object (null) is a miss too.
 func (c *Cache) lookup(key string, res *stats.Result) (json.RawMessage, bool) {
 	m := c.entries.Load()
 	v, ok := m.Load(key)
@@ -263,9 +263,10 @@ func (c *Cache) lookup(key string, res *stats.Result) (json.RawMessage, bool) {
 		ok = err == nil
 	}
 	switch {
-	case !ok:
+	case !ok || len(raw) == 0 || raw[0] != '{': // null is valid JSON, and no Result
+		ok = false
 	case res != nil:
-		ok = stats.DecodeResult(raw, res) == nil
+		ok = jsonlog.Unmarshal(raw, res) == nil
 	case unread:
 		ok = jsonlog.VerbatimLen(raw) == len(raw) || json.Valid(raw)
 	}

@@ -236,6 +236,32 @@ func TestCorruptPayloadIsOneMiss(t *testing.T) {
 	wantCounts(t, openStore(t, dir), 0, 0, 0)
 }
 
+// TestNullPayloadIsAMiss: null is valid JSON but no Result. A store line
+// holding it (a worker's done response without a result, persisted as is)
+// is a miss by either door, not a hit full of zeros, and the point re-runs.
+func TestNullPayloadIsAMiss(t *testing.T) {
+	cfg := sweepConfigs(1)[0]
+	dir := t.TempDir()
+	c := openStore(t, dir)
+	if err := c.PutRaw(Key(cfg), "x", cfg.Load, []byte("null")); err != nil {
+		t.Fatal(err)
+	}
+	c = openStore(t, dir)
+	if res, ok := c.Get(cfg); ok {
+		t.Errorf("Get served %+v", res)
+	}
+	if raw, ok := c.GetRaw(Key(cfg)); ok {
+		t.Errorf("GetRaw served %s", raw)
+	}
+	wantCounts(t, c, 0, 2, 1)
+	if p := Map(context.Background(), []sim.Config{cfg}, Options{Cache: c, Run: fastRun})[0]; p.Status != Done {
+		t.Fatalf("null entry settled %s, want a re-run", p.Status)
+	}
+	if res, ok := c.Get(cfg); !ok || res.Cycles == 0 {
+		t.Errorf("after the re-run Get = %+v, %v", res, ok)
+	}
+}
+
 // TestLastLineWins: with two lines under one key the index holds the later
 // one. If that one is corrupt the key recomputes even though the earlier
 // line was good — the documented cost of not reading payloads at Reload

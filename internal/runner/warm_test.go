@@ -119,12 +119,12 @@ func TestUndecodableEntryIsOneMiss(t *testing.T) {
 	}
 }
 
-// TestNonCanonicalEntryStillHits: the store decodes with stats.DecodeResult,
-// whose one-pass parser takes only json.Marshal's own form. A line some other
-// writer produced — members reordered, spaced out, the label escaped — must
-// still be a hit by every door, decode to the same Result, and be served byte
-// for byte as stored; and a payload the parser reads almost to the end before
-// refusing is one miss that shows the caller nothing of what was read.
+// TestNonCanonicalEntryStillHits: the store decodes with jsonlog.Unmarshal,
+// whose one-pass reader refuses escapes. A line some other writer produced —
+// members reordered, spaced out, the label escaped — must still be a hit by
+// every door, decode to the same Result, and be served byte for byte as
+// stored; and a payload the reader reads almost to the end before refusing
+// is one miss that shows the caller nothing of what was read.
 func TestNonCanonicalEntryStillHits(t *testing.T) {
 	cfg := sweepConfigs(1)[0]
 	key := Key(cfg)

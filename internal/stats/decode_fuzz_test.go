@@ -6,6 +6,7 @@ package stats_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"flexsim/internal/api/specv1"
+	"flexsim/internal/jsonlog"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
 )
@@ -45,7 +47,7 @@ func handResult() *stats.Result {
 	return res
 }
 
-// fastPathPayloads are encodings the one-pass parser must take itself: what
+// fastPathPayloads are encodings the one-pass reader must take itself: what
 // earlier versions stored, what real runs produce over the whole seed range,
 // and the corners of json.Marshal's own output.
 func fastPathPayloads(tb testing.TB) [][]byte {
@@ -91,20 +93,27 @@ func fastPathPayloads(tb testing.TB) [][]byte {
 }
 
 // TestDecodeResultTakesFastPath: correct is not enough — an encoding that
-// json.Marshal produces and the parser refuses is served four times slower
-// by the fallback, and nothing else would say so.
+// json.Marshal produces and the reader refuses, or reads with a member
+// handed to encoding/json, is served several times slower, and nothing else
+// would say so. A field added to Result that the reader has no plan for
+// fails here. (TestDecodeResultAllocs, in specv1, fails if one makes
+// jsonlog.Unmarshal skip the reader altogether.)
 func TestDecodeResultTakesFastPath(t *testing.T) {
 	for _, p := range fastPathPayloads(t) {
 		var fast, want, got stats.Result
-		if !stats.ParseResult(p, &fast) {
-			t.Errorf("the fast path refuses %s", p)
+		handed := 0
+		if n := jsonlog.Read(p, &fast, func([]byte, any) (int, error) {
+			handed++
+			return 0, errors.New("handed over")
+		}); n != len(p) || handed != 0 {
+			t.Errorf("the reader takes %d of %d bytes, handing %d members to encoding/json: %s", n, len(p), handed, p)
 			continue
 		}
 		if err := json.Unmarshal(p, &want); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if err := stats.DecodeResult(p, &got); err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(fast, want) {
-			t.Errorf("%s:\n fast path      %+v\n DecodeResult   %+v, %v\n json.Unmarshal %+v", p, fast, got, err, want)
+		if err := jsonlog.Unmarshal(p, &got); err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(fast, want) {
+			t.Errorf("%s:\n reader            %+v\n jsonlog.Unmarshal %+v, %v\n json.Unmarshal    %+v", p, fast, got, err, want)
 		}
 		if again := mustMarshal(t, &got); !bytes.Equal(again, p) { // DeepEqual cannot tell -0 from 0
 			t.Errorf("re-encode drifted:\n stored %s\n again  %s", p, again)
@@ -113,7 +122,7 @@ func TestDecodeResultTakesFastPath(t *testing.T) {
 }
 
 // offPathPayloads are one mutation of a canonical encoding per way of
-// leaving the fast path's grammar; each is encoding/json's to accept or refuse.
+// leaving the reader's grammar; each is encoding/json's to accept or refuse.
 func offPathPayloads(tb testing.TB) [][]byte {
 	res := handResult()
 	res.Label, res.Load, res.Cycles, res.Seed = "dor1", 0.05, 400, 7
@@ -156,9 +165,10 @@ func offPathPayloads(tb testing.TB) [][]byte {
 	return out
 }
 
-// FuzzDecodeResult holds DecodeResult to encoding/json, its specification:
-// on every input, into an empty Result and into a populated one (Unmarshal
-// merges), both report the same error and leave the same value behind.
+// FuzzDecodeResult holds jsonlog.Unmarshal to encoding/json, its
+// specification: on every input, into an empty Result and into a populated
+// one (Unmarshal merges), both report the same error and leave the same value
+// behind.
 func FuzzDecodeResult(f *testing.F) {
 	for _, p := range append(fastPathPayloads(f), offPathPayloads(f)...) {
 		f.Add(p)
@@ -171,13 +181,13 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, into := range []stats.Result{{}, populated} {
 			got, want := into, into
-			gotErr, wantErr := stats.DecodeResult(data, &got), json.Unmarshal(data, &want)
+			gotErr, wantErr := jsonlog.Unmarshal(data, &got), json.Unmarshal(data, &want)
 			if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Fatalf("%q: DecodeResult error %v, encoding/json error %v", data, gotErr, wantErr)
+				t.Fatalf("%q: jsonlog.Unmarshal error %v, encoding/json error %v", data, gotErr, wantErr)
 			}
 			// The encodings too: DeepEqual cannot tell -0 from 0.
 			if !reflect.DeepEqual(got, want) || (wantErr == nil && !bytes.Equal(mustMarshal(t, &got), mustMarshal(t, &want))) {
-				t.Fatalf("%q:\n DecodeResult   %+v\n json.Unmarshal %+v", data, got, want)
+				t.Fatalf("%q:\n jsonlog.Unmarshal %+v\n json.Unmarshal    %+v", data, got, want)
 			}
 		}
 	})

@@ -196,6 +196,18 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// ReadJSON reads the histogram b starts with in the form described at
+// UnmarshalJSON (jsonlog.Reader), without encoding/json.
+func (h *Histogram) ReadJSON(b []byte) int {
+	n := bytes.IndexByte(b, '}') + 1 // a canonical histogram nests nothing
+	w, ok := parseCanonical(b[:n])
+	if !ok {
+		return -1
+	}
+	h.counts, h.total, h.sum, h.max = w.Counts, w.Total, w.Sum, w.Max
+	return n
+}
+
 // zeroRun is the bytes "0,0,0,0," read as a little-endian word: four empty
 // buckets, none of them the last.
 const zeroRun = 0x2c302c302c302c30
@@ -221,7 +233,9 @@ func parseCanonical(b []byte) (w histogramJSON, ok bool) {
 			for len(rest) >= 8 && binary.LittleEndian.Uint64(rest) == zeroRun {
 				i, rest = i+4, rest[8:]
 			}
-			if w.Counts[i], rest, ok = jsonlog.CutInt(rest); !ok {
+			if len(rest) > 1 && rest[0]-'0' <= 9 && (rest[1] == ',' || rest[1] == ']') { // one digit: most of the rest
+				w.Counts[i], rest = int64(rest[0]-'0'), rest[1:]
+			} else if w.Counts[i], rest, ok = jsonlog.CutInt(rest); !ok {
 				return w, false
 			}
 			stop := byte(',')

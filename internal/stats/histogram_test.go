@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"flexsim/internal/jsonlog"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -365,7 +367,7 @@ func ZeroRunLists() []string {
 
 // TestZeroRunBoundaries: the four-zero skip decodes what encoding/json does,
 // and fails where it does, on every list in ZeroRunLists — as a histogram
-// alone and inside a stored Result.
+// alone and inside a stored Result read by jsonlog.Unmarshal.
 func TestZeroRunBoundaries(t *testing.T) {
 	if w := binary.LittleEndian.Uint64([]byte("0,0,0,0,")); w != zeroRun {
 		t.Fatalf("zeroRun is %#x, the word \"0,0,0,0,\" is %#x", uint64(zeroRun), w)
@@ -379,12 +381,12 @@ func TestZeroRunBoundaries(t *testing.T) {
 		checkHistogramJSON(t, []byte(h))
 		data := []byte(strings.Replace(string(base), `"Latency":{}`, `"Latency":`+h, 1))
 		var got, want Result
-		gotErr, wantErr := DecodeResult(data, &got), json.Unmarshal(data, &want)
+		gotErr, wantErr := jsonlog.Unmarshal(data, &got), json.Unmarshal(data, &want)
 		if (gotErr == nil) != (wantErr == nil) || wantErr != nil && gotErr.Error() != wantErr.Error() {
-			t.Fatalf("%s: DecodeResult error %v, encoding/json error %v", l, gotErr, wantErr)
+			t.Fatalf("%s: jsonlog.Unmarshal error %v, encoding/json error %v", l, gotErr, wantErr)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s:\n DecodeResult   %+v\n json.Unmarshal %+v", l, got.Latency, want.Latency)
+			t.Fatalf("%s:\n jsonlog.Unmarshal %+v\n json.Unmarshal    %+v", l, got.Latency, want.Latency)
 		}
 	}
 }

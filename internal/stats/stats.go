@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"flexsim/internal/jsonlog"
 )
 
 // Result is the measurement record of one simulation run (the measurement
@@ -92,6 +94,12 @@ type Result struct {
 	FaultsActiveEnd int
 	Killed          int64
 	Unroutable      int64
+}
+
+// EncodeResult returns the canonical encoding of r — json.Marshal(r), by
+// the plan-driven writer — that the store persists and the wire carries.
+func EncodeResult(r *Result) ([]byte, error) {
+	return jsonlog.Append(make([]byte, 0, 2048), r) // a 16-router point's is ~1.8 KB
 }
 
 // Simulated returns r with its two wall-clock histograms (DetectBuildTime,

@@ -36,8 +36,8 @@ type execResult struct {
 	retryable bool
 	// cause classifies a retryable failure for telemetry: "worker-death"
 	// (connection refused/reset, torn response), "5xx", "panic", "protocol"
-	// (an unrecognized wire status). The coordinator adds "timeout" itself
-	// when the per-point deadline fires.
+	// (an unrecognized wire status, or a result that is not an object). The
+	// coordinator adds "timeout" itself when the per-point deadline fires.
 	cause string
 }
 
@@ -158,6 +158,9 @@ func (e *httpExec) run(ctx context.Context, point sim.Config) execResult {
 	case specv1.StatusFailed:
 		return execResult{status: specv1.StatusFailed, err: errors.New(wr.Error), worker: worker}
 	case specv1.StatusDone, specv1.StatusCached:
+		if len(wr.Result) == 0 || wr.Result[0] != '{' { // null, say: settle would store it as a result
+			return execResult{status: specv1.StatusFailed, err: fmt.Errorf("worker %s: %s without a result object", e.base, wr.Status), worker: worker, retryable: true, cause: causeProtocol}
+		}
 		return execResult{status: wr.Status, raw: wr.Result, worker: worker, persisted: wr.Persisted}
 	default:
 		return execResult{status: specv1.StatusFailed, err: fmt.Errorf("worker %s: unexpected status %q", e.base, wr.Status), worker: worker, retryable: true, cause: causeProtocol}

@@ -9,6 +9,8 @@ package sweepsvc
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -261,6 +263,28 @@ func TestFleetByteIdentity(t *testing.T) {
 		}
 		if string(raw) != string(fleetResults[i].Result) {
 			t.Fatalf("point %d: local store bytes differ from fleet result bytes", i)
+		}
+	}
+}
+
+// TestFleetResultNotAnObject: a worker that answers done or cached with no
+// result, or with null, has not delivered a result; taken as one, settle
+// would store null and every later lookup would serve zeros. It is a
+// retryable protocol failure.
+func TestFleetResultNotAnObject(t *testing.T) {
+	for _, body := range []string{
+		`{"schema_version":1,"status":"done","result":null}`,
+		`{"schema_version":1,"status":"cached","persisted":true,"result":null}`,
+		`{"schema_version":1,"status":"done"}`,
+		`{"schema_version":1,"status":"done","result":[1]}`,
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Write([]byte(body))
+		}))
+		r := newHTTPExec(srv.URL, 0).run(context.Background(), sim.Quick())
+		srv.Close()
+		if r.status != specv1.StatusFailed || !r.retryable || r.cause != causeProtocol || r.raw != nil {
+			t.Errorf("%s: status %q, retryable %v, cause %q, result %s; want a retryable %q failure", body, r.status, r.retryable, r.cause, r.raw, causeProtocol)
 		}
 	}
 }
