@@ -13,8 +13,8 @@ import (
 	"flexsim/internal/stats"
 )
 
-// Status classifies how a sweep point settled, mirroring runner.Status on
-// the wire.
+// Status classifies how a sweep point settled: runner.Status on the wire,
+// the same four strings, so Status(p.Status) converts a runner.Point's.
 type Status string
 
 // Point statuses.
@@ -74,21 +74,12 @@ func PointResults(configs []sim.Config, points []runner.Point) ([]PointResult, e
 			SchemaVersion: Version,
 			Index:         i,
 			Load:          p.Load,
+			Status:        Status(p.Status),
 			Key:           p.Key,
 			Result:        p.Raw,
 		}
 		if pr.Key == "" {
 			pr.Key = runner.Key(configs[i])
-		}
-		switch p.Status {
-		case runner.Cached:
-			pr.Status = StatusCached
-		case runner.Failed:
-			pr.Status = StatusFailed
-		case runner.Cancelled:
-			pr.Status = StatusCancelled
-		default:
-			pr.Status = StatusDone
 		}
 		if p.Err != nil {
 			pr.Error = p.Err.Error()

@@ -9,8 +9,22 @@ import (
 	"strings"
 	"testing"
 
+	"flexsim/internal/runner"
 	"flexsim/internal/stats"
 )
+
+// TestStatusIsRunnerStatus: the wire's four point statuses are runner's
+// strings, so that Status(p.Status) is the whole conversion.
+func TestStatusIsRunnerStatus(t *testing.T) {
+	for r, s := range map[runner.Status]Status{
+		runner.Done: StatusDone, runner.Cached: StatusCached,
+		runner.Failed: StatusFailed, runner.Cancelled: StatusCancelled,
+	} {
+		if Status(r) != s {
+			t.Errorf("runner.%s converts to %q, want %q", r, Status(r), s)
+		}
+	}
+}
 
 // failAfter accepts n bytes, then fails every write.
 type failAfter struct{ n int }

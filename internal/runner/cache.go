@@ -290,15 +290,18 @@ func (c *Cache) Put(cfg sim.Config, res *stats.Result) {
 	c.put(Key(cfg), res)
 }
 
-// put encodes res once, persists the bytes under key and returns them (nil
-// when encoding failed).
+// put encodes res once, persists the bytes under key and returns them, or
+// nil when encoding or the append failed (kept for Close): the store holds
+// whatever it returns.
 func (c *Cache) put(key string, res *stats.Result) json.RawMessage {
 	raw, err := stats.EncodeResult(res)
 	if err != nil {
 		c.note(fmt.Errorf("runner: cache encode: %w", err))
 		return nil
 	}
-	c.PutRaw(key, res.Label, res.Load, raw) // a failure is kept for Close
+	if c.PutRaw(key, res.Label, res.Load, raw) != nil {
+		return nil
+	}
 	return raw
 }
 

@@ -14,13 +14,15 @@
 //     interrupted or repeated sweep skips every already-finished run; its
 //     hits are served on every core before the first run starts.
 //
-// Both CLIs, the experiments' in-process runs and the sweep service's
-// workers all call Map; there is exactly one worker pool in the codebase.
+// Map is the one point life cycle in the codebase: look up, run, classify,
+// store. The CLIs and the experiments call it for whole sweeps, and the sweep
+// service for one point at a time, in fleet and in-process workers alike.
 package runner
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -212,7 +214,8 @@ func fanOut(n, chunk, par int, do func(lo, hi int)) {
 }
 
 // runOne executes one configuration with panic isolation; completed runs
-// are persisted to the cache under key.
+// are persisted to the cache under key, and carry the bytes as Raw only
+// once the store holds them.
 func runOne(ctx context.Context, i int, key string, cfg sim.Config, o Options) (p Point) {
 	p = Point{Index: i, Load: cfg.Load, Key: key}
 	if err := ctx.Err(); err != nil {
@@ -232,6 +235,9 @@ func runOne(ctx context.Context, i int, key string, cfg sim.Config, o Options) (
 	}
 	res, err := run(ctx, cfg)
 	switch {
+	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+		// An executor that reports its context's end as an error was cancelled.
+		p.Status, p.Err = Cancelled, err
 	case err != nil:
 		p.Status, p.Err = Failed, err
 	case res.Interrupted:

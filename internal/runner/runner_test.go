@@ -193,6 +193,32 @@ func TestMapPreCancelled(t *testing.T) {
 	}
 }
 
+// TestRunErrorAfterCancel: a run that answers its context's end with that
+// error, wrapped or not, was cancelled, not failed; any other error after
+// the cancel is still a failure.
+func TestRunErrorAfterCancel(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		ret    func(ctx context.Context) error
+		status Status
+	}{
+		{func(ctx context.Context) error { return ctx.Err() }, Cancelled},
+		{func(ctx context.Context) error { return fmt.Errorf("run: %w", ctx.Err()) }, Cancelled},
+		{func(context.Context) error { return boom }, Failed},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		p := Map(ctx, sweepConfigs(1), Options{
+			Run: func(ctx context.Context, c sim.Config) (*stats.Result, error) {
+				cancel()
+				return nil, tc.ret(ctx)
+			},
+		})[0]
+		if p.Status != tc.status || p.Err == nil || p.Result != nil {
+			t.Errorf("%v: %+v, want %s", tc.ret(ctx), p, tc.status)
+		}
+	}
+}
+
 // TestSaturationLoad: a real DOR sweep saturates at its deep load and not at
 // its light one; with no saturated point the answer is +Inf.
 func TestSaturationLoad(t *testing.T) {

@@ -91,6 +91,16 @@ func TestMapCarriesKeyAndStoreBytes(t *testing.T) {
 			t.Errorf("cacheless point %d carries key %q raw %s", i, p.Key, p.Raw)
 		}
 	}
+
+	// Nor when the store did not take the append (its log closed under
+	// it, as a full disk would fail the write): the run is done, but the
+	// store does not hold its bytes.
+	cache.log.Close()
+	fresh := cfgs[0]
+	fresh.Seed++
+	if p := Map(context.Background(), []sim.Config{fresh}, Options{Cache: cache, Run: fastRun})[0]; p.Status != Done || p.Result == nil || p.Raw != nil {
+		t.Errorf("point whose append failed: status %s, result %v, raw %s; want done with a result and no raw", p.Status, p.Result, p.Raw)
+	}
 }
 
 // TestUndecodableEntryIsOneMiss: stored bytes that no longer decode must

@@ -267,11 +267,15 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFleetResultNotAnObject: a worker that answers done or cached with no
-// result, or with null, has not delivered a result; taken as one, settle
+// TestFleetResultNotAnObject: an executor that answers done or cached with
+// no result, or with null, has not delivered a result; taken as one, settle
 // would store null and every later lookup would serve zeros. It is a
-// retryable protocol failure.
+// retryable protocol failure, whichever executor answered: nothing is
+// settled or stored.
 func TestFleetResultNotAnObject(t *testing.T) {
+	s, _ := traceService(t, Config{})
+	s.queue.close() // this test is the only worker loop
+	var execs []executor
 	for _, body := range []string{
 		`{"schema_version":1,"status":"done","result":null}`,
 		`{"schema_version":1,"status":"cached","persisted":true,"result":null}`,
@@ -281,10 +285,21 @@ func TestFleetResultNotAnObject(t *testing.T) {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			w.Write([]byte(body))
 		}))
-		r := newHTTPExec(srv.URL, 0).run(context.Background(), sim.Quick())
-		srv.Close()
-		if r.status != specv1.StatusFailed || !r.retryable || r.cause != causeProtocol || r.raw != nil {
-			t.Errorf("%s: status %q, retryable %v, cause %q, result %s; want a retryable %q failure", body, r.status, r.retryable, r.cause, r.raw, causeProtocol)
+		t.Cleanup(srv.Close)
+		execs = append(execs, newHTTPExec(srv.URL, 0))
+	}
+	execs = append(execs, &fakeExec{id: "in-process", fn: func(sim.Config) (*specv1.RunResponse, error) {
+		return &specv1.RunResponse{Status: specv1.StatusDone, Result: []byte("null")}, nil
+	}})
+	for _, ex := range execs {
+		sw, err := s.newSweep("s1-null", testSpec("null", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		retry, cause := s.runTask(ex, &task{sw: sw, index: 0})
+		_, stored := s.cfg.Cache.GetRaw(sw.keys[0])
+		if !retry || cause != causeProtocol || sw.isSettled(0) || stored {
+			t.Errorf("%s: retry %v, cause %q, settled %v, stored %v; want a retryable %q failure", ex.name(), retry, cause, sw.isSettled(0), stored, causeProtocol)
 		}
 	}
 }
@@ -311,8 +326,8 @@ func TestFleetWorkerStoreWriteFails(t *testing.T) {
 	base := "http://" + wsrv.Addr()
 	probe := sim.Quick()
 	probe.Label = "probe"
-	if r := newHTTPExec(base, 0).run(context.Background(), probe); r.status != specv1.StatusDone || r.persisted {
-		t.Fatalf("worker with a dead store answered status %q, persisted %v", r.status, r.persisted)
+	if r, err := newHTTPExec(base, 0).run(context.Background(), probe); err != nil || r.Status != specv1.StatusDone || r.Persisted {
+		t.Fatalf("worker with a dead store answered %+v, %v; want done, not persisted", r, err)
 	}
 
 	s, err := New(Config{Cache: openCache(t, storeDir), Fleet: []string{base}})

@@ -168,7 +168,8 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 // specv1 run protocol. With a Cache attached (the shared store directory),
 // the worker serves already-persisted configurations without running them
 // and persists its completions before responding, so the coordinator adopts
-// the bytes instead of re-appending.
+// the bytes instead of re-appending. A Worker with no Cache is also the
+// coordinator's in-process executor.
 type Worker struct {
 	// Name identifies this worker in results (its listen address, usually).
 	Name string
@@ -196,73 +197,72 @@ func (wk *Worker) Handler() http.Handler {
 	return mux
 }
 
+func (wk *Worker) name() string          { return wk.Name }
+func (wk *Worker) await(context.Context) {}
+
+// run answers one point through the runner's life cycle. A point the store
+// holds — served from it, or run and appended — answers Persisted; a done
+// point the store did not take carries its bytes for the coordinator to put,
+// and a failed one its error. An isolated panic is a failed attempt with
+// cause panic, and a cancelled point returns its context's error.
+func (wk *Worker) run(ctx context.Context, cfg sim.Config) (*specv1.RunResponse, error) {
+	if wk.Cache != nil {
+		// Another fleet process may have appended this configuration since
+		// our last look; the incremental Reload is cheap, and if it fails
+		// the index already held still serves.
+		_ = wk.Cache.Reload()
+	}
+	p := runner.Map(ctx, []sim.Config{cfg}, runner.Options{Parallelism: 1, Cache: wk.Cache, Run: wk.Run})[0]
+	if p.Status != runner.Cached {
+		wk.executions.Add(1)
+	}
+	var pe *runner.PanicError
+	switch {
+	case p.Status == runner.Cancelled:
+		return nil, p.Err
+	case errors.As(p.Err, &pe):
+		return nil, &attemptError{causePanic, p.Err}
+	}
+	resp := &specv1.RunResponse{SchemaVersion: specv1.Version, Status: specv1.Status(p.Status), Worker: wk.Name, Persisted: p.Raw != nil, Result: p.Raw}
+	if p.Err != nil {
+		resp.Error = p.Err.Error()
+	} else if p.Raw == nil {
+		var err error
+		if resp.Result, err = specv1.EncodeResult(p.Result); err != nil {
+			resp.Status, resp.Error = specv1.StatusFailed, err.Error()
+		}
+	}
+	return resp, nil
+}
+
 func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	req := decodeBody(w, r, maxRunRequestBytes, specv1.DecodeRunRequest)
 	if req == nil {
 		return
 	}
 	point := req.Config.ToSim()
-	key := runner.Key(point)
-	// The trace context and spans path are observability-only (excluded
-	// from the cache key): set after Key so they cannot perturb dedupe.
+	// Observability only: the cache key hashes the Spec, which holds
+	// neither, so tracing cannot perturb dedupe.
 	point.TraceContext = req.Trace
 	point.SpansPath = wk.SpansPath
-	resp := specv1.RunResponse{SchemaVersion: specv1.Version, Worker: wk.Name, Trace: req.Trace}
-	if wk.Cache != nil {
-		// Another fleet process may have appended this configuration since
-		// our last look; the incremental Reload is cheap.
-		if err := wk.Cache.Reload(); err == nil {
-			if raw, ok := wk.Cache.GetRaw(key); ok {
-				resp.Status = specv1.StatusCached
-				resp.Persisted = true
-				resp.Result = raw
-				writeJSON(w, http.StatusOK, &resp)
-				return
-			}
-		}
-	}
 	ctx := r.Context()
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	wk.executions.Add(1)
-	p := runner.Map(ctx, []sim.Config{point}, runner.Options{Parallelism: 1, Run: wk.Run})[0]
-	switch p.Status {
-	case runner.Done:
-		raw, err := specv1.EncodeResult(p.Result)
-		if err != nil {
-			resp.Status = specv1.StatusFailed
-			resp.Error = err.Error()
-			break
-		}
-		if wk.Cache != nil {
-			// Not persisted: the coordinator writes the bytes itself.
-			resp.Persisted = wk.Cache.PutRaw(key, point.Label, point.Load, raw) == nil
-		}
-		resp.Status = specv1.StatusDone
-		resp.Result = raw
-	case runner.Cancelled:
-		// Timed out or the coordinator went away: 503 marks it retryable.
-		http.Error(w, fmt.Sprintf("run cancelled: %v", p.Err), http.StatusServiceUnavailable)
-		return
-	default:
-		if ctx.Err() != nil && errors.Is(p.Err, ctx.Err()) {
-			http.Error(w, fmt.Sprintf("run cancelled: %v", p.Err), http.StatusServiceUnavailable)
-			return
-		}
+	resp, err := wk.run(ctx, point)
+	var ae *attemptError
+	switch {
+	case errors.As(err, &ae):
 		// A recovered panic is retried, as an in-process one is: 500 marks
 		// it retryable.
-		var pe *runner.PanicError
-		if errors.As(p.Err, &pe) {
-			http.Error(w, p.Err.Error(), http.StatusInternalServerError)
-			return
-		}
-		resp.Status = specv1.StatusFailed
-		if p.Err != nil {
-			resp.Error = p.Err.Error()
-		}
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	case err != nil:
+		// Timed out or the coordinator went away: 503 marks it retryable.
+		http.Error(w, fmt.Sprintf("run cancelled: %v", err), http.StatusServiceUnavailable)
+	default:
+		resp.Trace = req.Trace
+		writeJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, &resp)
 }

@@ -247,6 +247,52 @@ func TestFleetPanicRetries(t *testing.T) {
 	}
 }
 
+// TestPointTimeoutRetries: a point that outlives Config.PointTimeout is
+// retried with cause "timeout" wherever it runs, and ends failed after
+// MaxRetries+1 attempts. A fleet worker's own deadline must not fire before
+// the coordinator's, or its 503 would be counted as a "5xx" retry.
+func TestPointTimeoutRetries(t *testing.T) {
+	const maxRetries = 3
+	blocks := func(ctx context.Context, cfg sim.Config) (*stats.Result, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	wk := &Worker{Name: "w1", Run: blocks}
+	mux := http.NewServeMux()
+	mux.Handle("/api/v1/", wk.Handler())
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"in-process", Config{LocalWorkers: 1, Run: blocks}},
+		{"fleet", Config{Fleet: []string{srv.URL}, HealthEvery: time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Cache = openCache(t, t.TempDir())
+			cfg.MaxRetries = maxRetries
+			cfg.PointTimeout = 30 * time.Millisecond
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			st, err := s.Submit(testSpec("slow-"+tc.name, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = awaitDone(t, s, st.ID)
+			if st.Failed != 1 || st.Retries != maxRetries || st.RetryCauses[causeTimeout] != maxRetries || len(st.RetryCauses) != 1 {
+				t.Fatalf("sweep: %+v, want 1 failed after %d retries, all %s", st, maxRetries, causeTimeout)
+			}
+		})
+	}
+}
+
 // TestPermanentFailure: a config error fails its point once, with no
 // retries, and the rest of the sweep completes.
 func TestPermanentFailure(t *testing.T) {

@@ -25,14 +25,17 @@
 //     points are dropped (the journal resumes them), and in-flight points
 //     get a grace period to finish before being cancelled.
 //
-// Execution happens either on in-process workers (the default — each wraps
-// the same resilient runner the CLIs use, so a panicking simulation fails
-// only its point) or on fleet workers: separate processes serving the
-// specv1 run protocol over HTTP (see Worker), all appending to one shared
-// store directory.
+// A point has one life cycle wherever it runs: the runner's, which the CLIs
+// use too, so a panicking simulation fails only its point. The coordinator's
+// executors are in-process Workers (the default) or fleet workers, separate
+// processes serving the specv1 run protocol over HTTP (see Worker), all
+// appending to one shared store directory. Both answer a specv1.RunResponse,
+// and runTask checks and settles every answer the same way; this package
+// keeps only the policy: the queue, retries, health gating and the journal.
 package sweepsvc
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -191,7 +194,8 @@ func New(cfg Config) (*Service, error) {
 		local = runtime.GOMAXPROCS(0)
 	}
 	for i := 0; i < local; i++ {
-		execs = append(execs, &localExec{id: fmt.Sprintf("local-%d", i+1), runFn: cfg.Run})
+		// No store: settle is the one writer of an in-process result.
+		execs = append(execs, &Worker{Name: fmt.Sprintf("local-%d", i+1), Run: cfg.Run})
 	}
 	for _, ex := range execs {
 		s.wg.Add(1)
@@ -475,43 +479,42 @@ func (s *Service) runTask(ex executor, t *task) (retry bool, cause string) {
 	}
 	point := sw.configs[i]
 	point.TraceContext = fleettrace.AttemptContext(sw.traceID, i, t.attempts).Traceparent()
-	r := ex.run(ctx, point)
+	resp, err := ex.run(ctx, point)
+	switch { // the one check of an answer, whichever executor gave it
+	case err != nil, resp.Status == specv1.StatusFailed:
+	case resp.Status != specv1.StatusDone && resp.Status != specv1.StatusCached:
+		err = &attemptError{causeProtocol, fmt.Errorf("worker %s: unexpected status %q", worker, resp.Status)}
+	case len(resp.Result) == 0 || resp.Result[0] != '{': // null, say: settle would store it as a result
+		err = &attemptError{causeProtocol, fmt.Errorf("worker %s: %s without a result object", worker, resp.Status)}
+	}
+	deadline, bounded := ctx.Deadline()
+	timedOut := bounded && !time.Now().Before(deadline) // ctx.Err() may lag its timer
 	cancel()
 	sw.markRunning(-1)
 
-	if r.status == specv1.StatusCancelled || r.retryable {
+	if err != nil {
 		if s.ctx.Err() != nil {
 			return false, "" // shutting down; leave unsettled for the journal
 		}
-	}
-	if r.status == specv1.StatusCancelled {
-		// The per-point deadline fired with the service healthy: retryable.
-		r.retryable = true
-		r.cause = causeTimeout
-		if r.err == nil {
-			r.err = fmt.Errorf("point timed out after %v", s.cfg.PointTimeout)
+		// Whatever the executor made of it, an attempt that ran out its
+		// time is a timeout, and so is an executor's own context error.
+		cause := causeTimeout
+		var ae *attemptError
+		if !timedOut && errors.As(err, &ae) {
+			cause = ae.cause
 		}
-	}
-	switch {
-	case r.retryable:
 		if t.attempts <= s.maxRetries {
 			s.record(sw, fleettrace.Record{Kind: "attempt", State: "retry", Point: i, Attempt: t.attempts,
-				Worker: worker, Cause: r.cause, Error: r.err.Error()})
-			return true, r.cause
+				Worker: worker, Cause: cause, Error: err.Error()})
+			return true, cause
 		}
-		s.settle(sw, i, worker, &specv1.PointResult{
-			Status: specv1.StatusFailed, Worker: r.worker, Attempts: t.attempts,
-			Error: fmt.Sprintf("%v (after %d attempt(s))", r.err, t.attempts),
-		}, false)
-	case r.status == specv1.StatusFailed:
-		msg := "run failed"
-		if r.err != nil {
-			msg = r.err.Error()
-		}
-		s.settle(sw, i, worker, &specv1.PointResult{Status: specv1.StatusFailed, Worker: r.worker, Attempts: t.attempts, Error: msg}, false)
-	default:
-		s.settle(sw, i, worker, &specv1.PointResult{Status: r.status, Worker: r.worker, Attempts: t.attempts, Result: r.raw}, r.persisted)
+		resp = &specv1.RunResponse{Status: specv1.StatusFailed, Error: fmt.Sprintf("%v (after %d attempt(s))", err, t.attempts)}
 	}
+	pr := &specv1.PointResult{Status: resp.Status, Worker: cmp.Or(resp.Worker, worker), Attempts: t.attempts, Result: resp.Result}
+	if resp.Status == specv1.StatusFailed {
+		pr.Result, pr.Error = nil, cmp.Or(resp.Error, "run failed")
+	}
+	s.settle(sw, i, worker, pr, resp.Persisted)
 	return false, ""
 }
 

@@ -31,12 +31,12 @@ import (
 // fakeExec is a scriptable executor for driving runTask directly.
 type fakeExec struct {
 	id string
-	fn func(cfg sim.Config) execResult
+	fn func(cfg sim.Config) (*specv1.RunResponse, error)
 }
 
 func (f *fakeExec) name() string          { return f.id }
 func (f *fakeExec) await(context.Context) {}
-func (f *fakeExec) run(_ context.Context, cfg sim.Config) execResult {
+func (f *fakeExec) run(_ context.Context, cfg sim.Config) (*specv1.RunResponse, error) {
 	return f.fn(cfg)
 }
 
@@ -136,21 +136,20 @@ func TestTraceHappyPath(t *testing.T) {
 func retryThenSteal(t *testing.T, s *Service, sw *sweep, i int) string {
 	t.Helper()
 	tk := &task{sw: sw, index: i}
-	dead := &fakeExec{id: "w-dead", fn: func(sim.Config) execResult {
-		return execResult{status: specv1.StatusFailed, err: errors.New("conn refused"),
-			worker: "dead-self", retryable: true, cause: causeWorkerDeath}
+	dead := &fakeExec{id: "w-dead", fn: func(sim.Config) (*specv1.RunResponse, error) {
+		return nil, &attemptError{causeWorkerDeath, errors.New("conn refused")}
 	}}
 	if retry, cause := s.runTask(dead, tk); !retry || cause != causeWorkerDeath {
 		t.Fatalf("first attempt: retry=%v cause=%q, want true/worker-death", retry, cause)
 	}
 	var gotCtx string
-	ok := &fakeExec{id: "w-ok", fn: func(c sim.Config) execResult {
+	ok := &fakeExec{id: "w-ok", fn: func(c sim.Config) (*specv1.RunResponse, error) {
 		gotCtx = c.TraceContext
 		raw, err := specv1.EncodeResult(stubResult(c))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return execResult{status: specv1.StatusDone, raw: raw, worker: "ok-self"}
+		return &specv1.RunResponse{Status: specv1.StatusDone, Result: raw, Worker: "ok-self"}, nil
 	}}
 	if retry, _ := s.runTask(ok, tk); retry {
 		t.Fatal("second attempt should settle")
@@ -354,9 +353,9 @@ func TestJournalIsSpanLog(t *testing.T) {
 	}
 	sw := s1.lookup(st.ID)
 	retryThenSteal(t, s1, sw, 0)
-	ok := &fakeExec{id: "w-ok", fn: func(cfg sim.Config) execResult {
+	ok := &fakeExec{id: "w-ok", fn: func(cfg sim.Config) (*specv1.RunResponse, error) {
 		raw, _ := specv1.EncodeResult(stubResult(cfg))
-		return execResult{status: specv1.StatusDone, raw: raw, worker: "ok-self"}
+		return &specv1.RunResponse{Status: specv1.StatusDone, Result: raw, Worker: "ok-self"}, nil
 	}}
 	if retry, _ := s1.runTask(ok, &task{sw: sw, index: 1}); retry {
 		t.Fatal("point 1 should settle")
