@@ -183,22 +183,9 @@ func (r *runPath) run(spec *specv1.Spec) ([]specv1.PointResult, error) {
 	for i := range configs {
 		configs[i].Instrumentation = r.inst
 	}
-	pts := runner.Map(r.ctx, configs, runner.Options{Parallelism: r.parallel, Cache: r.cache, OnDone: r.count})
+	count := func(_ int, p runner.Point) { r.progress.Settled(string(p.Status)) }
+	pts := runner.Map(r.ctx, configs, runner.Options{Parallelism: r.parallel, Cache: r.cache, OnDone: count})
 	return specv1.PointResults(configs, pts)
-}
-
-// count feeds one settled point to /progress.
-func (r *runPath) count(_ int, p runner.Point) {
-	switch p.Status {
-	case runner.Cached:
-		r.progress.RunCached()
-	case runner.Failed:
-		r.progress.RunFailed()
-	case runner.Cancelled:
-		r.progress.RunCancelled()
-	default:
-		r.progress.RunDone()
-	}
 }
 
 // runExperiments runs each experiment in ids and prints its tables. A study's

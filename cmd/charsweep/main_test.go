@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -124,6 +125,31 @@ func TestSpecModeInstrumentation(t *testing.T) {
 		for _, name := range files {
 			if st, err := os.Stat(name); err != nil || st.Size() == 0 {
 				t.Errorf("%s: %v, %v", name, st, err)
+			}
+		}
+	}
+}
+
+// TestApproxArtifacts: approx steps its own runners, and each of its three
+// runs must end its artifacts under a name of its own — it used to close
+// none (no heatmap CSV, truncated Perfetto files) and give both DOR runs
+// one name.
+func TestApproxArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	if _, code := charsweep(t, dir, "-experiment", "approx", "-quick", "-heatmap-out", "h.csv", "-spans-out", "s.json"); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	for _, pattern := range []string{"h-*.csv", "s-*.json"} {
+		files, _ := filepath.Glob(filepath.Join(dir, pattern))
+		if len(files) != 3 {
+			t.Errorf("%s: %d file(s), want one per run: %v", pattern, len(files), files)
+		}
+		for _, name := range files {
+			b, err := os.ReadFile(name)
+			if err != nil || len(b) == 0 {
+				t.Errorf("%s: %d byte(s), %v", name, len(b), err)
+			} else if strings.HasSuffix(name, ".json") && !json.Valid(b) {
+				t.Errorf("%s is not valid JSON", name)
 			}
 		}
 	}

@@ -116,7 +116,6 @@ func run() (code int) {
 		}
 	}
 
-	progress := obs.NewSweepProgress(nil)
 	svc, err := sweepsvc.New(sweepsvc.Config{
 		Cache:        cache,
 		JournalPath:  journalPath,
@@ -125,7 +124,6 @@ func run() (code int) {
 		MaxRetries:   *maxRetries,
 		PointTimeout: *pointTO,
 		HealthEvery:  *healthEvery,
-		Progress:     progress,
 		Logf:         logf,
 	})
 	if err != nil {
@@ -142,7 +140,7 @@ func run() (code int) {
 		fmt.Fprintf(w, "journal: %s\nreplay: %d sweep(s), %d settled, %d requeued\n", jp, sweeps, settled, requeued)
 	}
 	srv, err := obs.Serve(*httpAddr,
-		obs.WithSweep(progress), obs.WithFleet(svc.Metrics()), obs.WithHealth(health),
+		obs.WithSweep(svc.Progress()), obs.WithFleet(svc.Metrics()), obs.WithHealth(health),
 		obs.WithHandler("/api/v1/", svc.APIHandler()))
 	if err != nil {
 		svc.Close()

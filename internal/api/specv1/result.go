@@ -13,9 +13,9 @@ import (
 	"flexsim/internal/stats"
 )
 
-// Status classifies how a sweep point settled: runner.Status on the wire,
-// the same four strings, so Status(p.Status) converts a runner.Point's.
-type Status string
+// Status classifies how a sweep point settled: it is runner.Status, so a
+// runner.Point's status goes on the wire as it is.
+type Status = runner.Status
 
 // Point statuses.
 const (
@@ -44,8 +44,10 @@ type PointResult struct {
 	Status        Status  `json:"status"`
 	// Key is the point's content address in the shared store.
 	Key string `json:"key,omitempty"`
-	// Worker names the fleet worker that executed the point ("" for
-	// cache-served and locally executed points).
+	// Worker names the worker that executed the point, as the worker names
+	// itself: a fleet worker's name, local-N for an in-process one ("" for
+	// a point the coordinator served from the store, and in a CLI's
+	// results).
 	Worker string `json:"worker,omitempty"`
 	// Attempts counts executions scheduled for this point (> 1 after a
 	// retry on worker death).
@@ -74,7 +76,7 @@ func PointResults(configs []sim.Config, points []runner.Point) ([]PointResult, e
 			SchemaVersion: Version,
 			Index:         i,
 			Load:          p.Load,
-			Status:        Status(p.Status),
+			Status:        p.Status,
 			Key:           p.Key,
 			Result:        p.Raw,
 		}

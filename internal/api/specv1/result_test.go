@@ -13,15 +13,16 @@ import (
 	"flexsim/internal/stats"
 )
 
-// TestStatusIsRunnerStatus: the wire's four point statuses are runner's
-// strings, so that Status(p.Status) is the whole conversion.
+// TestStatusIsRunnerStatus: the wire's point status is runner.Status (the
+// comparison compiles only while Status is an alias of it), and its four
+// settled statuses are runner's values.
 func TestStatusIsRunnerStatus(t *testing.T) {
 	for r, s := range map[runner.Status]Status{
 		runner.Done: StatusDone, runner.Cached: StatusCached,
 		runner.Failed: StatusFailed, runner.Cancelled: StatusCancelled,
 	} {
-		if Status(r) != s {
-			t.Errorf("runner.%s converts to %q, want %q", r, Status(r), s)
+		if r != s {
+			t.Errorf("runner.%s is %q on the wire", r, s)
 		}
 	}
 }

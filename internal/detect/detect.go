@@ -269,8 +269,7 @@ func (cfg Config) Validate() error {
 }
 
 // New builds a detector for net, rejecting invalid configurations (see
-// Config.Validate). Recover must be set explicitly (NewDefault applies the
-// full set of paper defaults).
+// Config.Validate). Recover must be set explicitly.
 func New(net *network.Network, cfg Config) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -278,17 +277,6 @@ func New(net *network.Network, cfg Config) (*Detector, error) {
 	d := &Detector{cfg: cfg, net: net, r: rng.New(cfg.Seed ^ 0xdeadbeefcafe)}
 	d.Stats.growTiming()
 	return d, nil
-}
-
-// NewDefault builds a detector with the paper's defaults: invoke every 50
-// cycles, recover by absorbing the longest-blocked deadlock-set message,
-// count knot cycle densities.
-func NewDefault(net *network.Network) *Detector {
-	d, err := New(net, Config{Every: 50, Policy: OldestBlocked, Recover: true, CountKnotCycles: true})
-	if err != nil {
-		panic(err) // the default configuration is statically valid
-	}
-	return d
 }
 
 // Config returns the detector configuration.

@@ -239,15 +239,6 @@ func TestRecoveringMessageNotReblocked(t *testing.T) {
 	}
 }
 
-func TestDefaultDetector(t *testing.T) {
-	n := ringNet(t)
-	d := NewDefault(n)
-	cfg := d.Config()
-	if cfg.Every != 50 || !cfg.Recover || !cfg.CountKnotCycles || cfg.Policy != OldestBlocked {
-		t.Errorf("NewDefault config = %+v", cfg)
-	}
-}
-
 func TestSnapshotSkipsResourceless(t *testing.T) {
 	topo := topology.MustNew(4, 1, false)
 	n, err := network.New(network.Params{Topo: topo, VCs: 1, BufferDepth: 2, Routing: routing.DOR{}})

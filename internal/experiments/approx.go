@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
@@ -30,26 +31,27 @@ func TimeoutApprox(o Options) ([]*stats.Table, error) {
 		"config", "threshold", "flagged", "true_deadlocked", "dependent",
 		"false_positive", "precision", "recall")
 	for _, spec := range []struct {
-		alg string
-		uni bool
-	}{{"dor", true}, {"dor", false}, {"tfar", false}} {
+		label, alg string
+		uni        bool
+	}{{"dor1 uni", "dor", true}, {"dor1", "dor", false}, {"tfar1", "tfar", false}} {
 		c := o.base()
 		c.Routing = spec.alg
 		c.Bidirectional = !spec.uni
 		c.VCs = 1
 		c.Load = load
 		c.TimeoutThresholds = thresholds
-		label := c.Routing + "1"
-		if spec.uni {
-			label += " uni"
-		}
+		// The run's label names its artifact files, one per run.
+		c.Label = strings.ReplaceAll(spec.label, " ", "-")
 		r, err := sim.NewRunner(c)
 		if err != nil {
 			return nil, err
 		}
 		r.Run()
+		if err := r.CloseArtifacts(); err != nil {
+			return nil, err
+		}
 		for _, tc := range r.Detector.Stats.Timeout {
-			t.AddRow(label, tc.Threshold, tc.Flagged, tc.TrueDeadlocked,
+			t.AddRow(spec.label, tc.Threshold, tc.Flagged, tc.TrueDeadlocked,
 				tc.Dependent, tc.FalsePositive, tc.Precision(), tc.Recall())
 		}
 	}

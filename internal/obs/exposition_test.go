@@ -18,18 +18,15 @@ func goldenSweep() *obs.SweepProgress {
 	p.Start("fig5")
 	p.Finish("fig5", time.Second)
 	p.Start("fig6")
-	for i := 0; i < 5; i++ {
-		p.RunDone()
+	for _, st := range []string{"done", "done", "done", "done", "done", "cached", "cached", "failed", "cancelled"} {
+		p.Settled(st)
 	}
-	p.RunCached()
-	p.RunCached()
-	p.RunFailed()
-	p.RunCancelled()
 	return p
 }
 
 func goldenFleet() *obs.FleetMetrics {
-	m := obs.NewFleetMetrics(func() int { return 4 })
+	p := obs.NewSweepProgress(nil)
+	m := obs.NewFleetMetrics(func() int { return 4 }, p)
 	m.RunStart("w2")
 	m.RunEnd("w2")
 	m.RunStart("w1")
@@ -42,7 +39,8 @@ func goldenFleet() *obs.FleetMetrics {
 	m.Retry("worker-death")
 	m.Steal()
 	for i, ms := range []int{1, 2, 3, 5, 8, 13, 29} {
-		m.PointSettled([]string{"done", "cached", "done", "failed"}[i%4], time.Duration(ms)*time.Millisecond)
+		p.Settled([]string{"done", "cached", "done", "failed"}[i%4])
+		m.PointSettled(time.Duration(ms) * time.Millisecond)
 	}
 	return m
 }

@@ -2,10 +2,11 @@ package obs
 
 // Fleet scheduler telemetry: the sweep coordinator's live view of its work
 // queue and worker pool — queue depth, in-flight points, steals, retries by
-// cause, per-worker throughput and busy fraction, store hit ratio, and a
-// settled-point latency histogram — exposed as flexsweep_* gauges on the
-// shared /metrics endpoint. All mutators are called from coordinator worker
-// loops; the reader (expose) formats into memory under the same lock.
+// cause, per-worker throughput and busy fraction, and a settled-point latency
+// histogram — exposed as flexsweep_* gauges on the shared /metrics endpoint,
+// with the settled points by status and the store hit ratio read from the
+// coordinator's SweepProgress. All mutators are called from coordinator
+// worker loops; the reader (expose) formats into memory under the same lock.
 
 import (
 	"io"
@@ -30,11 +31,9 @@ type fleetWorker struct {
 // not ready; use NewFleetMetrics.
 type FleetMetrics struct {
 	queueDepth func() int
+	progress   *SweepProgress
 	inFlight   atomic.Int64
 	steals     atomic.Int64
-	done       atomic.Int64
-	cached     atomic.Int64
-	failed     atomic.Int64
 
 	mu      sync.Mutex
 	start   time.Time
@@ -45,10 +44,11 @@ type FleetMetrics struct {
 
 // NewFleetMetrics returns scheduler telemetry anchored at now (busy
 // fractions and points/sec are measured against this epoch) that reads the
-// work queue's length from queueDepth.
-func NewFleetMetrics(queueDepth func() int) *FleetMetrics {
+// work queue's length from queueDepth and the settled points from progress.
+func NewFleetMetrics(queueDepth func() int, progress *SweepProgress) *FleetMetrics {
 	return &FleetMetrics{
 		queueDepth: queueDepth,
+		progress:   progress,
 		start:      time.Now(),
 		retries:    make(map[string]int64),
 		workers:    make(map[string]*fleetWorker),
@@ -118,32 +118,19 @@ func (m *FleetMetrics) Steal() { m.steals.Add(1) }
 // Steals returns the steal counter.
 func (m *FleetMetrics) Steals() int64 { return m.steals.Load() }
 
-// PointSettled counts one point reaching a terminal state, with its
-// queue-to-settle latency.
-func (m *FleetMetrics) PointSettled(status string, latency time.Duration) {
-	switch status {
-	case "cached":
-		m.cached.Add(1)
-	case "failed", "cancelled":
-		m.failed.Add(1)
-	default:
-		m.done.Add(1)
-	}
+// PointSettled records one point's queue-to-settle latency; the point itself
+// is counted by the progress' Settled.
+func (m *FleetMetrics) PointSettled(latency time.Duration) {
 	m.mu.Lock()
 	m.latency.Observe(latency.Milliseconds())
 	m.mu.Unlock()
 }
 
-// Settled returns the terminal-state counters (done, cached, failed).
-func (m *FleetMetrics) Settled() (done, cached, failed int64) {
-	return m.done.Load(), m.cached.Load(), m.failed.Load()
-}
-
 // HitRatio returns the store hit ratio: cached / settled (0 when nothing
 // has settled).
 func (m *FleetMetrics) HitRatio() float64 {
-	done, cached, failed := m.Settled()
-	total := done + cached + failed
+	done, cached, failed, cancelled := m.progress.Runs()
+	total := done + cached + failed + cancelled
 	if total == 0 {
 		return 0
 	}
@@ -154,12 +141,12 @@ func (m *FleetMetrics) HitRatio() float64 {
 func (m *FleetMetrics) WritePrometheus(w io.Writer) error { return writeExposition(w, m) }
 
 func (m *FleetMetrics) expose(e *exposition) {
-	done, cached, failed := m.Settled()
+	done, cached, failed, cancelled := m.progress.Runs()
 	scalar(e, "flexsweep_queue_depth", "gauge", "Points waiting in the coordinator work queue.", m.QueueDepth())
 	scalar(e, "flexsweep_inflight", "gauge", "Point attempts currently executing on workers.", m.InFlight())
 	scalar(e, "flexsweep_steals_total", "counter", "Points picked up by a different worker than their previous attempt.", m.Steals())
 	vec(e, "flexsweep_points_total", "counter", "Points settled, by terminal status.", "status",
-		map[string]int64{"cached": cached, "done": done, "failed": failed})
+		map[string]int64{"cached": cached, "done": done, "failed": failed + cancelled})
 	scalar(e, "flexsweep_store_hit_ratio", "gauge", "Fraction of settled points served from the shared store.", m.HitRatio())
 
 	m.mu.Lock()

@@ -9,7 +9,8 @@ import (
 )
 
 func TestFleetMetricsCounters(t *testing.T) {
-	m := NewFleetMetrics(func() int { return 2 })
+	p := NewSweepProgress(nil)
+	m := NewFleetMetrics(func() int { return 2 }, p)
 	m.RunStart("w1")
 	m.RunEnd("w1")
 	m.RunStart("w2")
@@ -18,10 +19,13 @@ func TestFleetMetricsCounters(t *testing.T) {
 	m.Retry("worker-death")
 	m.Retry("5xx")
 	m.Steal()
-	m.PointSettled("done", 20*time.Millisecond)
-	m.PointSettled("cached", 0)
-	m.PointSettled("failed", 50*time.Millisecond)
-	m.PointSettled("cancelled", 0)
+	for _, st := range []string{"done", "cached", "failed", "cancelled"} {
+		p.Settled(st)
+	}
+	m.PointSettled(20 * time.Millisecond)
+	m.PointSettled(0)
+	m.PointSettled(50 * time.Millisecond)
+	m.PointSettled(0)
 
 	if got := m.QueueDepth(); got != 2 {
 		t.Errorf("queue depth %d, want 2", got)
@@ -36,9 +40,14 @@ func TestFleetMetricsCounters(t *testing.T) {
 	if r["worker-death"] != 2 || r["5xx"] != 1 {
 		t.Errorf("retries %v", r)
 	}
-	done, cached, failed := m.Settled()
-	if done != 1 || cached != 1 || failed != 2 {
-		t.Errorf("settled %d/%d/%d, want 1/1/2 (cancelled counts as failed)", done, cached, failed)
+	var sb strings.Builder
+	if err := m.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`status="cached"} 1`, `status="done"} 1`, `status="failed"} 2`} {
+		if !strings.Contains(sb.String(), "flexsweep_points_total{"+want+"\n") {
+			t.Errorf("settled: exposition lacks %s (cancelled counts as failed):\n%s", want, sb.String())
+		}
 	}
 	if got := m.HitRatio(); got != 0.25 {
 		t.Errorf("hit ratio %v, want 0.25", got)
@@ -46,11 +55,13 @@ func TestFleetMetricsCounters(t *testing.T) {
 }
 
 func TestFleetMetricsPrometheus(t *testing.T) {
-	m := NewFleetMetrics(func() int { return 1 })
+	p := NewSweepProgress(nil)
+	m := NewFleetMetrics(func() int { return 1 }, p)
 	m.RunStart("w1")
 	m.RunEnd("w1")
 	m.Retry("worker-death")
-	m.PointSettled("done", 7*time.Millisecond)
+	p.Settled("done")
+	m.PointSettled(7 * time.Millisecond)
 
 	var sb strings.Builder
 	if err := m.WritePrometheus(&sb); err != nil {
@@ -96,7 +107,7 @@ func TestFleetMetricsPrometheus(t *testing.T) {
 }
 
 func TestMuxWithFleetAndHealth(t *testing.T) {
-	m := NewFleetMetrics(func() int { return 0 })
+	m := NewFleetMetrics(func() int { return 0 }, NewSweepProgress(nil))
 	m.Retry("worker-death")
 	srv, err := Serve("127.0.0.1:0",
 		WithFleet(m),

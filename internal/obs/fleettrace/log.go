@@ -18,7 +18,8 @@ package fleettrace
 //	                                 it was taken from
 //	point   done | cached | failed   terminal: closes the point's root span
 //	                                 and, when it names a worker, the attempt
-//	                                 span that worker had open
+//	                                 span that worker had open; reported
+//	                                 keeps the name the worker gave itself
 //
 // Trace and span IDs are not stored: they are minted from the sweep id, point
 // and attempt.
@@ -45,8 +46,11 @@ type Record struct {
 	// Attempt counts executions of the point in this process (1 = first).
 	Attempt int    `json:"attempt,omitempty"`
 	Worker  string `json:"worker,omitempty"`
-	Cause   string `json:"cause,omitempty"`
-	Error   string `json:"error,omitempty"`
+	// Reported is the name a terminal record's worker reported for itself,
+	// when it is not Worker (a fleet worker's name; Worker is its base URL).
+	Reported string `json:"reported,omitempty"`
+	Cause    string `json:"cause,omitempty"`
+	Error    string `json:"error,omitempty"`
 	// Name and Spec are a sweep record's submission.
 	Name string       `json:"name,omitempty"`
 	Spec *specv1.Spec `json:"spec,omitempty"`

@@ -18,7 +18,10 @@
 //
 //   - Live introspection: Live holds the latest sample, and Server exposes
 //     it as Prometheus text at /metrics (plus /healthz and a JSON
-//     sweep-progress view for long charsweep runs).
+//     sweep-progress view). A SweepProgress is the one tally of a sweep
+//     process, a charsweep invocation or a sweep coordinator: /progress,
+//     the flexsim_sweep_runs_* families and a coordinator's
+//     flexsweep_points_total all read it.
 //
 // Every hook into the cycle loop is a nil-guarded single branch, so the
 // allocation-free detection hot path keeps 0 allocs/op when observability

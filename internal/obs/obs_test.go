@@ -87,26 +87,37 @@ func TestResultsSampleHeader(t *testing.T) {
 }
 
 func TestJSONLSink(t *testing.T) {
-	var b strings.Builder
-	s := NewJSONLSink(&b)
-	r := NewRecorder(100)
-	r.Record(sample(100))
-	r.Record(sample(200))
-	s.Run(RunMeta{Label: "run", Seed: 1, Load: 0.9}, r)
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	var row map[string]interface{}
-	if err := json.Unmarshal([]byte(lines[0]), &row); err != nil {
-		t.Fatalf("invalid JSONL: %v", err)
-	}
-	for _, key := range metricsColumns {
-		if _, ok := row[key]; !ok {
-			t.Errorf("JSONL row missing %q: %s", key, lines[0])
+	// "a\x7fb": Go's %q writes DEL as \x7f, which is not JSON.
+	for _, label := range []string{"run", "a\x7fb"} {
+		var b strings.Builder
+		s := NewJSONLSink(&b)
+		r := NewRecorder(100)
+		r.Record(sample(100))
+		r.Record(sample(200))
+		s.Run(RunMeta{Label: label, Seed: 1, Load: 0.9}, r)
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+		if len(lines) != 2 {
+			t.Fatalf("%q: got %d lines", label, len(lines))
+		}
+		for _, line := range lines {
+			if !json.Valid([]byte(line)) {
+				t.Errorf("%q: invalid JSONL: %s", label, line)
+			}
+		}
+		var row map[string]interface{}
+		if err := json.Unmarshal([]byte(lines[0]), &row); err != nil {
+			t.Fatalf("invalid JSONL: %v", err)
+		}
+		if row["label"] != label {
+			t.Errorf("label %q came back as %q", label, row["label"])
+		}
+		for _, key := range metricsColumns {
+			if _, ok := row[key]; !ok {
+				t.Errorf("JSONL row missing %q: %s", key, lines[0])
+			}
 		}
 	}
 }
@@ -264,8 +275,8 @@ func TestLiveStoreSnapshot(t *testing.T) {
 func TestSweepProgress(t *testing.T) {
 	p := NewSweepProgress([]string{"fig5", "fig6"})
 	p.Start("fig5")
-	p.RunDone()
-	p.RunDone()
+	p.Settled("done")
+	p.Settled("done")
 	p.Finish("fig5", 1500*time.Millisecond)
 	p.Start("fig6")
 	var b strings.Builder
@@ -361,13 +372,9 @@ func TestServerBadAddr(t *testing.T) {
 func TestSweepProgressOutcomeCounters(t *testing.T) {
 	p := NewSweepProgress([]string{"fig5", "fig6"})
 	p.Start("fig5")
-	p.RunDone()
-	p.RunCached()
-	p.RunCached()
-	p.RunFailed()
-	p.RunCancelled()
-	p.RunCancelled()
-	p.RunCancelled()
+	for _, st := range []string{"done", "cached", "cached", "failed", "cancelled", "cancelled", "cancelled"} {
+		p.Settled(st)
+	}
 	p.Cancel("fig6")
 
 	var b strings.Builder

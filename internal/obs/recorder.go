@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"flexsim/internal/jsonlog"
 )
 
 // Recorder accumulates one run's interval samples, append-only, so a
@@ -134,7 +136,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{rowWriter{w: w}} }
 
 // Run implements RunSink.
 func (s *JSONLSink) Run(meta RunMeta, rec *Recorder) {
-	run := fmt.Sprintf(`{"label":%q,"seed":%d,"load":%g`, meta.Label, meta.Seed, meta.Load)
+	run := fmt.Sprintf(`{"label":%s,"seed":%d,"load":%g`, jsonlog.AppendString(nil, meta.Label), meta.Seed, meta.Load)
 	var b []byte
 	for i := range rec.samples {
 		b = append(b, run...)

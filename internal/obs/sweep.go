@@ -27,11 +27,13 @@ type ExperimentStatus struct {
 	Seconds float64         `json:"seconds,omitempty"`
 }
 
-// SweepProgress tracks a charsweep invocation — which experiments are
-// pending/running/done and how many simulation runs have completed, been
-// served from the result cache, failed, or been cancelled — for the
-// /progress endpoint. The per-run counters are called from simulation
-// worker goroutines; the rest from the sweep's main goroutine.
+// SweepProgress is the one tally of a sweep process — a charsweep
+// invocation or a sweep coordinator: which experiments (sweeps, at a
+// coordinator) are pending/running/done, and how many simulation runs
+// settled done, cached, failed or cancelled. It backs /progress, and its run
+// counters back both the flexsim_sweep_runs_* and the flexsweep_points_total
+// families. Settled is called from worker goroutines; the rest from the
+// sweep's main goroutine.
 type SweepProgress struct {
 	runsDone      atomic.Int64
 	runsCached    atomic.Int64
@@ -53,18 +55,26 @@ func NewSweepProgress(ids []string) *SweepProgress {
 	return p
 }
 
-// RunDone counts one completed simulation run (concurrency-safe).
-func (p *SweepProgress) RunDone() { p.runsDone.Add(1) }
+// Settled counts one simulation run by the status it settled with (a
+// runner.Status: "cached", "failed", "cancelled", else done). It is the only
+// place a point's status becomes a count; concurrency-safe.
+func (p *SweepProgress) Settled(status string) {
+	switch status {
+	case "cached":
+		p.runsCached.Add(1)
+	case "failed":
+		p.runsFailed.Add(1)
+	case "cancelled":
+		p.runsCancelled.Add(1)
+	default:
+		p.runsDone.Add(1)
+	}
+}
 
-// RunCached counts one run served from the result cache.
-func (p *SweepProgress) RunCached() { p.runsCached.Add(1) }
-
-// RunFailed counts one failed run (error or isolated panic).
-func (p *SweepProgress) RunFailed() { p.runsFailed.Add(1) }
-
-// RunCancelled counts one cancelled run (interrupted in-flight or never
-// started).
-func (p *SweepProgress) RunCancelled() { p.runsCancelled.Add(1) }
+// Runs returns the run counters.
+func (p *SweepProgress) Runs() (done, cached, failed, cancelled int64) {
+	return p.runsDone.Load(), p.runsCached.Load(), p.runsFailed.Load(), p.runsCancelled.Load()
+}
 
 // Start marks an experiment as running.
 func (p *SweepProgress) Start(id string) { p.setState(id, Running, 0) }

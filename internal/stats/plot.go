@@ -118,7 +118,7 @@ func (p *Plot) Render() string {
 	}
 	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", margin), strings.Repeat("-", w))
 	fmt.Fprintf(&b, "%s  %s%s%s\n", strings.Repeat(" ", margin),
-		trimFloat(minX), strings.Repeat(" ", maxInt(1, w-len(trimFloat(minX))-len(trimFloat(maxX)))), trimFloat(maxX))
+		trimFloat(minX), strings.Repeat(" ", max(1, w-len(trimFloat(minX))-len(trimFloat(maxX)))), trimFloat(maxX))
 	// Legend and axis names.
 	var legend []string
 	for si, s := range p.series {
@@ -146,13 +146,6 @@ func pad(s string, w int) string {
 		return s
 	}
 	return strings.Repeat(" ", w-len(s)) + s
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PlotTable builds a plot from a table: xCol supplies x values and each

@@ -223,7 +223,7 @@ func (wk *Worker) run(ctx context.Context, cfg sim.Config) (*specv1.RunResponse,
 	case errors.As(p.Err, &pe):
 		return nil, &attemptError{causePanic, p.Err}
 	}
-	resp := &specv1.RunResponse{SchemaVersion: specv1.Version, Status: specv1.Status(p.Status), Worker: wk.Name, Persisted: p.Raw != nil, Result: p.Raw}
+	resp := &specv1.RunResponse{SchemaVersion: specv1.Version, Status: p.Status, Worker: wk.Name, Persisted: p.Raw != nil, Result: p.Raw}
 	if p.Err != nil {
 		resp.Error = p.Err.Error()
 	} else if p.Raw == nil {

@@ -9,6 +9,7 @@ package sweepsvc
 // live here; the store owns them.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -40,7 +41,7 @@ func (s *Service) record(sw *sweep, rec fleettrace.Record) {
 		if rec.Worker != "" {
 			m.RunEnd(rec.Worker)
 		}
-		m.PointSettled(rec.State, now.Sub(sw.started))
+		m.PointSettled(now.Sub(sw.started))
 	}
 }
 
@@ -98,12 +99,9 @@ func (s *Service) replayRecord(_ int64, line []byte) {
 		if sw == nil || rec.Point < 0 || rec.Point >= len(sw.results) || sw.results[rec.Point] != nil {
 			return
 		}
-		pr := &specv1.PointResult{
-			SchemaVersion: specv1.Version, Index: rec.Point, Load: sw.configs[rec.Point].Load,
-			Status: specv1.Status(rec.State), Key: sw.keys[rec.Point], Worker: rec.Worker,
-			Attempts: rec.Attempt, Error: rec.Error,
-			Trace: fleettrace.PointContext(sw.traceID, rec.Point).Traceparent(),
-		}
+		pr := &specv1.PointResult{Status: specv1.Status(rec.State), Worker: cmp.Or(rec.Reported, rec.Worker),
+			Attempts: rec.Attempt, Error: rec.Error}
+		sw.stamp(pr, rec.Point)
 		if pr.Status == specv1.StatusDone || pr.Status == specv1.StatusCached {
 			raw, ok := s.cfg.Cache.GetRaw(pr.Key)
 			if !ok {
@@ -135,15 +133,11 @@ func (s *Service) replayJournal(j *jsonlog.Log) error {
 			}
 		}
 		s.requeuedPoints += resumed
-		if p := s.cfg.Progress; p != nil {
-			if resumed > 0 {
-				p.Start(id)
-			} else {
-				p.Finish(id, 0)
-			}
-		}
 		if resumed > 0 {
+			s.progress.Start(id)
 			s.logf("sweep %s: resumed from journal (%d settled, %d to run)", id, sw.settled, resumed)
+		} else {
+			s.progress.Finish(id, 0)
 		}
 	}
 	return nil

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"flexsim/internal/api/specv1"
+	"flexsim/internal/obs"
 	"flexsim/internal/runner"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
@@ -447,6 +448,120 @@ func TestRestartAfterTornJournal(t *testing.T) {
 	}
 	if st2.Settled() != total || execs.Load() != 0 {
 		t.Fatalf("replayed sweep: %+v after %d re-execution(s); want %d settled, none re-run", st2, execs.Load(), total)
+	}
+}
+
+// getResults returns the body of a sweep's /results on s's API.
+func getResults(t *testing.T, s *Service, id string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.APIHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/sweeps/"+id+"/results", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/results = %d: %s", rec.Code, rec.Body)
+	}
+	return rec.Body.String()
+}
+
+// TestRestartKeepsReportedWorker: a fleet worker names itself (w1) apart
+// from the URL the coordinator dispatches to. A restarted coordinator must
+// serve the same /results for the sweep, byte for byte: the replay used to
+// take the journal's executor URL as the point's worker.
+func TestRestartKeepsReportedWorker(t *testing.T) {
+	dir := t.TempDir()
+	journalPath := filepath.Join(dir, "journal.jsonl")
+	cacheDir := filepath.Join(dir, "store")
+	wk := &Worker{Name: "w1", Run: func(ctx context.Context, cfg sim.Config) (*stats.Result, error) {
+		if cfg.Load > 0.15 && cfg.Load < 0.25 {
+			return nil, errors.New("synthetic config error")
+		}
+		return stubRun(ctx, cfg)
+	}}
+	srv := httptest.NewServer(wk.Handler())
+	defer srv.Close()
+
+	s1, err := New(Config{Cache: openCache(t, cacheDir), JournalPath: journalPath, Fleet: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit(testSpec("reported", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := awaitDone(t, s1, st.ID); final.Done != 2 || final.Failed != 1 {
+		t.Fatalf("first coordinator: %+v", final)
+	}
+	live := getResults(t, s1, st.ID)
+	if !strings.Contains(live, `"worker":"w1"`) {
+		t.Fatalf("live results do not name w1:\n%s", live)
+	}
+	s1.Close()
+
+	s2, err := New(Config{Cache: openCache(t, cacheDir), JournalPath: journalPath, LocalWorkers: 1, Run: stubRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if replayed := getResults(t, s2, st.ID); replayed != live {
+		t.Errorf("/results changed across the restart:\n live     %s\n replayed %s", live, replayed)
+	}
+	for _, r := range journalRecords(t, journalPath) {
+		if r.Kind == "point" && (r.Worker != srv.URL || r.Reported != "w1") {
+			t.Errorf("terminal record names worker %q, reported %q; want %q, w1", r.Worker, r.Reported, srv.URL)
+		}
+	}
+}
+
+// TestOneTally: a sweep settling points done, cached and failed is counted
+// once, and /metrics' two families and the sweep's status agree on every
+// status.
+func TestOneTally(t *testing.T) {
+	cache := openCache(t, t.TempDir())
+	spec := testSpec("tally", 6)
+	configs, err := spec.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range configs[:2] { // two points the store already holds
+		raw, err := specv1.EncodeResult(stubResult(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cache.PutRaw(runner.Key(c), c.Label, c.Load, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Config{Cache: cache, LocalWorkers: 2,
+		Run: func(ctx context.Context, cfg sim.Config) (*stats.Result, error) {
+			if cfg.Load > 0.25 && cfg.Load < 0.35 {
+				return nil, errors.New("synthetic config error")
+			}
+			return stubRun(ctx, cfg)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = awaitDone(t, s, st.ID)
+
+	rec := httptest.NewRecorder()
+	obs.NewMux(obs.WithSweep(s.Progress()), obs.WithFleet(s.Metrics())).
+		ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	metrics := rec.Body.String()
+	for status, want := range map[string]int{"done": 3, "cached": 2, "failed": 1} {
+		got := map[string]int{"done": st.Done, "cached": st.Cached, "failed": st.Failed}[status]
+		runs := fmt.Sprintf("flexsim_sweep_runs_%s_total %d\n", status, want)
+		points := fmt.Sprintf("flexsweep_points_total{status=%q} %d\n", status, want)
+		if got != want || !strings.Contains(metrics, runs) || !strings.Contains(metrics, points) {
+			t.Errorf("%s: status says %d; /metrics has %q: %t, %q: %t", status, got,
+				runs, strings.Contains(metrics, runs), points, strings.Contains(metrics, points))
+		}
+	}
+	if t.Failed() {
+		t.Logf("status %+v\n%s", st, metrics)
 	}
 }
 

@@ -92,9 +92,6 @@ type Config struct {
 	HealthEvery time.Duration
 	// Run overrides the simulation executor for in-process workers (tests).
 	Run RunFunc
-	// Progress, if non-nil, receives per-run counters and per-sweep states
-	// for the shared /progress endpoint.
-	Progress *obs.SweepProgress
 	// Logf, if non-nil, receives operational log lines.
 	Logf func(format string, args ...interface{})
 }
@@ -105,6 +102,7 @@ type Config struct {
 type Service struct {
 	cfg        Config
 	maxRetries int
+	progress   *obs.SweepProgress
 	metrics    *obs.FleetMetrics
 
 	ctx    context.Context
@@ -162,7 +160,8 @@ func New(cfg Config) (*Service, error) {
 		return nil, errors.New("sweepsvc: Config.Cache (the shared result store) is required")
 	}
 	s := &Service{cfg: cfg, maxRetries: cfg.MaxRetries, sweeps: make(map[string]*sweep), queue: newWorkQueue()}
-	s.metrics = obs.NewFleetMetrics(s.queue.len)
+	s.progress = obs.NewSweepProgress(nil)
+	s.metrics = obs.NewFleetMetrics(s.queue.len, s.progress)
 	if s.maxRetries == 0 {
 		s.maxRetries = 2
 	} else if s.maxRetries < 0 {
@@ -210,6 +209,11 @@ func (s *Service) logf(format string, args ...interface{}) {
 	}
 }
 
+// Progress returns the coordinator's tally — each sweep an experiment, each
+// settled point a run — for the shared mux's /progress and flexsim_sweep_*
+// families: obs.Serve(addr, obs.WithSweep(svc.Progress()), ...).
+func (s *Service) Progress() *obs.SweepProgress { return s.progress }
+
 // Metrics returns the scheduler telemetry, for the shared mux:
 // obs.Serve(addr, obs.WithFleet(svc.Metrics()), ...).
 func (s *Service) Metrics() *obs.FleetMetrics { return s.metrics }
@@ -239,9 +243,7 @@ func (s *Service) Submit(spec *specv1.Spec) (*specv1.SweepStatus, error) {
 	// Journaled before any point is queued, so no completion record can
 	// precede its sweep record.
 	s.record(sw, fleettrace.Record{Kind: "sweep", Name: spec.Name, Spec: spec})
-	if s.cfg.Progress != nil {
-		s.cfg.Progress.Start(id)
-	}
+	s.progress.Start(id)
 	s.logf("sweep %s: %d point(s) submitted", id, len(sw.configs))
 
 	for i := range sw.configs {
@@ -519,18 +521,14 @@ func (s *Service) runTask(ex executor, t *task) (retry bool, cause string) {
 }
 
 // settle finalizes one point: persists (or adopts) its result bytes in the
-// shared store, records the terminal transition, feeds the progress
-// counters, and notifies subscribers — emitting the terminal done event when
+// shared store, records the terminal transition, counts it in the progress
+// tally, and notifies subscribers — emitting the terminal done event when
 // the sweep's last point settles. worker names the executor whose attempt
 // this ends ("" for a point served from the store); adopted marks result
 // bytes already present in the store (a cache hit, or a fleet worker that
 // persisted before responding).
 func (s *Service) settle(sw *sweep, index int, worker string, pr *specv1.PointResult, adopted bool) {
-	pr.SchemaVersion = specv1.Version
-	pr.Index = index
-	pr.Load = sw.configs[index].Load
-	pr.Key = sw.keys[index]
-	pr.Trace = fleettrace.PointContext(sw.traceID, index).Traceparent()
+	sw.stamp(pr, index)
 	if len(pr.Result) > 0 && (pr.Status == specv1.StatusDone || pr.Status == specv1.StatusCached) {
 		if adopted {
 			s.cfg.Cache.AdoptRaw(pr.Key, pr.Result)
@@ -538,21 +536,24 @@ func (s *Service) settle(sw *sweep, index int, worker string, pr *specv1.PointRe
 			s.logf("%v", err)
 		}
 	}
-	s.record(sw, fleettrace.Record{Kind: "point", State: string(pr.Status), Point: index,
-		Attempt: pr.Attempts, Worker: worker, Error: pr.Error})
-	if p := s.cfg.Progress; p != nil {
-		switch pr.Status {
-		case specv1.StatusCached:
-			p.RunCached()
-		case specv1.StatusFailed:
-			p.RunFailed()
-		case specv1.StatusCancelled:
-			p.RunCancelled()
-		default:
-			p.RunDone()
-		}
+	rec := fleettrace.Record{Kind: "point", State: string(pr.Status), Point: index,
+		Attempt: pr.Attempts, Worker: worker, Error: pr.Error}
+	if pr.Worker != worker {
+		rec.Reported = pr.Worker
 	}
+	s.record(sw, rec)
+	s.progress.Settled(string(pr.Status))
 	sw.finish(pr)
+}
+
+// stamp sets the wire fields a settled point takes from its sweep, for a live
+// settle and the journal replay alike.
+func (sw *sweep) stamp(pr *specv1.PointResult, index int) {
+	pr.SchemaVersion = specv1.Version
+	pr.Index = index
+	pr.Load = sw.configs[index].Load
+	pr.Key = sw.keys[index]
+	pr.Trace = fleettrace.PointContext(sw.traceID, index).Traceparent()
 }
 
 // finish records a settled point and notifies subscribers.
@@ -580,9 +581,7 @@ func (sw *sweep) finish(pr *specv1.PointResult) {
 	if done {
 		sw.svc.logf("sweep %s: done (%d done, %d cached, %d failed, %d retries)",
 			sw.id, st.Done, st.Cached, st.Failed, st.Retries)
-		if p := sw.svc.cfg.Progress; p != nil {
-			p.Finish(sw.id, time.Since(sw.started))
-		}
+		sw.svc.progress.Finish(sw.id, time.Since(sw.started))
 	}
 }
 

@@ -120,7 +120,7 @@ func TestTraceHappyPath(t *testing.T) {
 		}
 	}
 
-	done, _, _ := s.Metrics().Settled()
+	done, _, _, _ := s.Progress().Runs()
 	if done != 3 {
 		t.Errorf("metrics: %d done, want 3", done)
 	}

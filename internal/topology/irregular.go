@@ -93,20 +93,6 @@ func MustNewIrregular(n, extraLinks int, seed uint64) *Irregular {
 	return g
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // orient assigns BFS levels from node 0 and marks each channel's direction:
 // a channel is "up" when it moves to a lower level, or to a lower node id
 // within the same level. The up-channel relation is acyclic by construction.
