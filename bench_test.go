@@ -36,7 +36,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tables, err := f(benchOpts())
+		tables, err := f(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func benchFig5Panel(b *testing.B, setSizes bool) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tables, err := fig5(benchOpts())
+		tables, err := fig5(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func BenchmarkDetectNowGated(b *testing.B) {
 		r.Detector.DetectNow()
 	}
 	b.StopTimer()
-	if r.Detector.Stats.Gated == 0 {
+	if r.Detector.Stats.GatedInvocations == 0 {
 		b.Fatal("gate never engaged; fast path not exercised")
 	}
 }

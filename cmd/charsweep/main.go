@@ -211,7 +211,7 @@ func (r *runPath) runExperiments(ids []string, opts experiments.Options, sweep *
 		if study, serr := experiments.StudyByName(id); serr == nil {
 			tables, err = r.tabulate(study, opts)
 		} else {
-			tables, err = f(opts)
+			tables, err = f(r.ctx, opts)
 		}
 		if err != nil {
 			if r.ctx.Err() != nil {

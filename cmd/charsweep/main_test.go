@@ -155,6 +155,21 @@ func TestApproxArtifacts(t *testing.T) {
 	}
 }
 
+// TestTimeoutReachesNonSweeps: approx steps its own runners and verify
+// runs the model checker, so neither goes through the runner; -timeout (and
+// SIGINT, which cancels the same context) must still stop them. Both used to
+// run to completion and print their tables.
+func TestTimeoutReachesNonSweeps(t *testing.T) {
+	for _, id := range []string{"approx", "verify"} {
+		t.Run(id, func(t *testing.T) {
+			out, stderr, _ := charsweepStderr(t, t.TempDir(), "-experiment", id, "-quick", "-timeout", "1ms")
+			if len(out) != 0 || !bytes.Contains(stderr, []byte("charsweep: "+id+" interrupted")) {
+				t.Errorf("stdout %q, stderr %q; want no table and %q", out, stderr, id+" interrupted")
+			}
+		})
+	}
+}
+
 // TestSpecRefusesPlanFlags: a spec file owns what each point simulates, so
 // -spec refuses -experiment and every flag BindPlan registers when given a
 // non-default value, exiting 2 with the flag named. The plan flags are

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -62,7 +63,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	rep, err := modelcheck.RunGrid(*grid, configs, modelcheck.Options{MaxStates: *maxStates}, progress)
+	rep, err := modelcheck.RunGrid(context.Background(), *grid, configs, modelcheck.Options{MaxStates: *maxStates}, progress)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexcheck:", err)
 		os.Exit(2)

@@ -2,8 +2,8 @@
 // periodically snapshots the network's resource state into a channel
 // wait-for graph, identifies knots (true deadlocks), characterizes them,
 // selects a victim from each deadlock set and triggers Disha-style
-// flit-by-flit absorption, and keeps the aggregate deadlock and cycle-census
-// statistics the paper reports.
+// flit-by-flit absorption, and counts the deadlock and cycle-census
+// aggregates the paper reports into the run's stats.Result.
 package detect
 
 import (
@@ -159,55 +159,9 @@ type Event struct {
 	Victim message.ID
 }
 
-// Stats aggregates detection results; reset at the warmup/measure boundary.
-type Stats struct {
-	Invocations int64
-	// Gated counts invocations that skipped the CWG rebuild entirely
-	// because the network's resource epoch had not moved since a previous
-	// deadlock-free pass (change-gating; such passes still count as
-	// Invocations).
-	Gated       int64
-	Deadlocks   int64
-	SingleCycle int64
-	MultiCycle  int64
-
-	SumDeadlockSet int64
-	SumResourceSet int64
-	SumKnotVCs     int64
-	SumKnotCycles  int64
-	SumDependent   int64
-
-	MaxDeadlockSet int
-	MaxResourceSet int
-	MaxKnotCycles  int
-
-	// Census aggregates (only when CycleCensus).
-	CensusSamples int64
-	SumCycles     int64
-	MaxCycles     int
-	CensusCapped  bool
-
-	// Timeout holds the per-threshold approximation quality counters
-	// (aligned with Config.TimeoutThresholds; empty when disabled).
-	Timeout []TimeoutCounts
-
-	// BuildTime and AnalyzeTime are wall-clock timing histograms (in
-	// nanoseconds) over full passes: snapshot+CWG construction versus
-	// knot analysis. Gated passes build nothing and are not sampled.
-	// Bucket storage is pre-grown so observing stays allocation-free.
-	BuildTime   stats.Histogram
-	AnalyzeTime stats.Histogram
-}
-
 // timingGrowTo pre-sizes the timing histograms: passes up to 1s land in
 // pre-allocated buckets, keeping the detection hot path at 0 allocs/op.
 const timingGrowTo = int64(time.Second)
-
-// growTiming pre-allocates the timing histograms' bucket storage.
-func (s *Stats) growTiming() {
-	s.BuildTime.Grow(timingGrowTo)
-	s.AnalyzeTime.Grow(timingGrowTo)
-}
 
 // Detector performs true deadlock detection on a network.
 type Detector struct {
@@ -215,8 +169,16 @@ type Detector struct {
 	net *network.Network
 	r   *rng.Source
 
-	Stats  Stats
-	Events []Event
+	// Stats is the run's record. The detector counts only its own block
+	// into it (Deadlocks … MaxKnotCycles, the census, Invocations,
+	// GatedInvocations, DetectBuildTime, DetectAnalyzeTime); a runner
+	// counts the rest into the same record, which ResetStats clears in
+	// place.
+	Stats *stats.Result
+	// Timeout holds the per-threshold approximation quality counters
+	// (aligned with Config.TimeoutThresholds; empty when disabled).
+	Timeout []TimeoutCounts
+	Events  []Event
 
 	snap     []cwg.Msg
 	ownedBuf []message.VC
@@ -274,19 +236,22 @@ func New(net *network.Network, cfg Config) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Detector{cfg: cfg, net: net, r: rng.New(cfg.Seed ^ 0xdeadbeefcafe)}
-	d.Stats.growTiming()
+	d := &Detector{cfg: cfg, net: net, r: rng.New(cfg.Seed ^ 0xdeadbeefcafe), Stats: new(stats.Result)}
+	d.ResetStats()
 	return d, nil
 }
 
 // Config returns the detector configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// ResetStats clears aggregates and logs (used at the warmup/measurement
-// boundary).
+// ResetStats clears the whole Stats record in place, the timeout counters
+// and the event log (the warmup/measurement boundary), and pre-grows the
+// timing histograms again so observing a pass stays allocation-free.
 func (d *Detector) ResetStats() {
-	d.Stats = Stats{}
-	d.Stats.growTiming()
+	*d.Stats = stats.Result{}
+	d.Stats.DetectBuildTime.Grow(timingGrowTo)
+	d.Stats.DetectAnalyzeTime.Grow(timingGrowTo)
+	d.Timeout = nil
 	d.Events = d.Events[:0]
 }
 
@@ -335,13 +300,13 @@ func (d *Detector) gateable() bool {
 //
 // When the network's resource epoch is unchanged since the last pass and
 // that pass found no deadlock, the CWG is provably identical, so the pass
-// is skipped and the previous (deadlock-free) analysis returned; Stats.Gated
-// counts such invocations.
+// is skipped and the previous (deadlock-free) analysis returned;
+// Stats.GatedInvocations counts such invocations.
 func (d *Detector) DetectNow() cwg.Analysis {
 	epoch := d.net.ResourceEpoch()
 	if d.gateValid && d.lastClean && epoch == d.lastEpoch && d.gateable() {
 		d.Stats.Invocations++
-		d.Stats.Gated++
+		d.Stats.GatedInvocations++
 		if d.cfg.OnPass != nil {
 			d.cfg.OnPass(PassInfo{Cycle: d.net.Now(), Gated: true})
 		}
@@ -362,8 +327,8 @@ func (d *Detector) DetectNow() cwg.Analysis {
 		MaxWork:          d.cfg.MaxWork,
 	})
 	buildNs, analyzeNs := int64(t1.Sub(t0)), int64(time.Since(t1))
-	d.Stats.BuildTime.Observe(buildNs)
-	d.Stats.AnalyzeTime.Observe(analyzeNs)
+	d.Stats.DetectBuildTime.Observe(buildNs)
+	d.Stats.DetectAnalyzeTime.Observe(analyzeNs)
 	d.Stats.Invocations++
 	if d.cfg.CycleCensus {
 		d.Stats.CensusSamples++

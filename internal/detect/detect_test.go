@@ -320,19 +320,19 @@ func TestPassTimingRecorded(t *testing.T) {
 	n := ringNet(t)
 	d := mustNew(t, n, Config{Every: 50, Recover: false})
 	d.DetectNow()
-	if d.Stats.BuildTime.Count() != 1 || d.Stats.AnalyzeTime.Count() != 1 {
+	if d.Stats.DetectBuildTime.Count() != 1 || d.Stats.DetectAnalyzeTime.Count() != 1 {
 		t.Fatalf("timing counts = %d/%d, want 1/1",
-			d.Stats.BuildTime.Count(), d.Stats.AnalyzeTime.Count())
+			d.Stats.DetectBuildTime.Count(), d.Stats.DetectAnalyzeTime.Count())
 	}
 	// Gated pass: nothing is rebuilt, so nothing is timed. The ring is
 	// deadlocked so the gate never engages here; use ResetStats+gate test
 	// indirectly: just assert reset clears and re-grows.
 	d.ResetStats()
-	if d.Stats.BuildTime.Count() != 0 {
+	if d.Stats.DetectBuildTime.Count() != 0 {
 		t.Error("ResetStats did not clear timing")
 	}
 	d.DetectNow()
-	if d.Stats.BuildTime.Count() != 1 {
+	if d.Stats.DetectBuildTime.Count() != 1 {
 		t.Error("timing not recorded after reset")
 	}
 }
@@ -387,8 +387,8 @@ func TestOnPassGated(t *testing.T) {
 	if g := passes[1]; g.BuildNs != 0 || g.AnalyzeNs != 0 || g.Deadlocks != 0 {
 		t.Errorf("gated pass carries work: %+v", g)
 	}
-	if d.Stats.Gated != 1 {
-		t.Errorf("Stats.Gated = %d", d.Stats.Gated)
+	if d.Stats.GatedInvocations != 1 {
+		t.Errorf("Stats.GatedInvocations = %d", d.Stats.GatedInvocations)
 	}
 }
 

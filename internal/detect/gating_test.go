@@ -39,14 +39,14 @@ func TestGatedPassSkipsRebuild(t *testing.T) {
 	if len(an.Deadlocks) != 0 {
 		t.Fatalf("quiet network reported deadlocks: %+v", an.Deadlocks)
 	}
-	if d.Stats.Gated != 0 {
+	if d.Stats.GatedInvocations != 0 {
 		t.Fatalf("first pass gated: %+v", d.Stats)
 	}
 
 	// Nothing changed: the next pass must be gated and report the same
 	// (empty) analysis.
 	an2 := d.DetectNow()
-	if d.Stats.Invocations != 2 || d.Stats.Gated != 1 {
+	if d.Stats.Invocations != 2 || d.Stats.GatedInvocations != 1 {
 		t.Fatalf("expected 1 gated of 2 invocations, got %+v", d.Stats)
 	}
 	if len(an2.Deadlocks) != 0 || an2.BlockedMessages != an.BlockedMessages {
@@ -58,7 +58,7 @@ func TestGatedPassSkipsRebuild(t *testing.T) {
 		n.Step()
 	}
 	d.DetectNow()
-	if d.Stats.Gated != 2 {
+	if d.Stats.GatedInvocations != 2 {
 		t.Fatalf("idle steps broke the gate: %+v", d.Stats)
 	}
 
@@ -66,7 +66,7 @@ func TestGatedPassSkipsRebuild(t *testing.T) {
 	n.Inject(2, 0, 4)
 	n.Step()
 	d.DetectNow()
-	if d.Stats.Gated != 2 {
+	if d.Stats.GatedInvocations != 2 {
 		t.Fatalf("pass after injection was gated: %+v", d.Stats)
 	}
 	if d.Stats.Invocations != 4 {
@@ -80,7 +80,7 @@ func TestGateInvalidateForcesFullPass(t *testing.T) {
 	d.DetectNow()
 	d.Invalidate()
 	d.DetectNow()
-	if d.Stats.Gated != 0 {
+	if d.Stats.GatedInvocations != 0 {
 		t.Fatalf("invalidated pass was gated: %+v", d.Stats)
 	}
 }
@@ -94,7 +94,7 @@ func TestGatingDisabledUnderCensusAndTimeouts(t *testing.T) {
 		d := mustNew(t, n, cfg)
 		d.DetectNow()
 		d.DetectNow()
-		if d.Stats.Gated != 0 {
+		if d.Stats.GatedInvocations != 0 {
 			t.Errorf("%s: gating active despite per-pass sampling: %+v", name, d.Stats)
 		}
 	}
@@ -115,7 +115,7 @@ func TestGateNeverSkipsStandingDeadlock(t *testing.T) {
 	if len(second.Deadlocks) != 1 {
 		t.Fatalf("standing deadlock skipped on second pass: %+v", second)
 	}
-	if d.Stats.Gated != 0 {
+	if d.Stats.GatedInvocations != 0 {
 		t.Fatalf("deadlocked pass was gated: %+v", d.Stats)
 	}
 	if n.ResourceEpoch() != before {

@@ -62,15 +62,15 @@ func (c TimeoutCounts) Recall() float64 {
 }
 
 // compareTimeouts evaluates every configured threshold against the ground
-// truth of one analysis pass and folds the counts into the detector stats.
+// truth of one analysis pass and folds the counts into d.Timeout.
 func (d *Detector) compareTimeouts(an *cwg.Analysis) {
 	if len(d.cfg.TimeoutThresholds) == 0 {
 		return
 	}
-	if len(d.Stats.Timeout) != len(d.cfg.TimeoutThresholds) {
-		d.Stats.Timeout = make([]TimeoutCounts, len(d.cfg.TimeoutThresholds))
+	if len(d.Timeout) != len(d.cfg.TimeoutThresholds) {
+		d.Timeout = make([]TimeoutCounts, len(d.cfg.TimeoutThresholds))
 		for i, th := range d.cfg.TimeoutThresholds {
-			d.Stats.Timeout[i].Threshold = th
+			d.Timeout[i].Threshold = th
 		}
 	}
 	inSet := make(map[message.ID]bool)
@@ -90,7 +90,7 @@ func (d *Detector) compareTimeouts(an *cwg.Analysis) {
 		}
 		blockedFor := now - m.BlockedSince
 		for i, th := range d.cfg.TimeoutThresholds {
-			c := &d.Stats.Timeout[i]
+			c := &d.Timeout[i]
 			if blockedFor >= th {
 				c.Flagged++
 				switch {

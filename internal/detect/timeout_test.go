@@ -53,10 +53,10 @@ func TestTimeoutAgainstPlantedDeadlock(t *testing.T) {
 		TimeoutThresholds: []int64{10, 1000},
 	})
 	d.DetectNow()
-	if len(d.Stats.Timeout) != 2 {
-		t.Fatalf("timeout rows: %d", len(d.Stats.Timeout))
+	if len(d.Timeout) != 2 {
+		t.Fatalf("timeout rows: %d", len(d.Timeout))
 	}
-	short := d.Stats.Timeout[0]
+	short := d.Timeout[0]
 	if short.TrueDeadlocked != 4 {
 		t.Errorf("short threshold true-deadlocked = %d, want 4", short.TrueDeadlocked)
 	}
@@ -73,7 +73,7 @@ func TestTimeoutAgainstPlantedDeadlock(t *testing.T) {
 		t.Errorf("short precision = %v", short.Precision())
 	}
 	// The long threshold has not elapsed: everything missed.
-	long := d.Stats.Timeout[1]
+	long := d.Timeout[1]
 	if long.Flagged != 0 {
 		t.Errorf("long threshold flagged %d before elapsing", long.Flagged)
 	}
@@ -89,7 +89,7 @@ func TestTimeoutDisabledByDefault(t *testing.T) {
 	n := ringNet(t)
 	d := mustNew(t, n, Config{Every: 50})
 	d.DetectNow()
-	if len(d.Stats.Timeout) != 0 {
+	if len(d.Timeout) != 0 {
 		t.Error("timeout stats populated without thresholds")
 	}
 }
@@ -98,13 +98,13 @@ func TestTimeoutAggregatesAcrossPasses(t *testing.T) {
 	n := ringNet(t)
 	d := mustNew(t, n, Config{Every: 50, TimeoutThresholds: []int64{1}})
 	d.DetectNow()
-	first := d.Stats.Timeout[0].Flagged
+	first := d.Timeout[0].Flagged
 	d.DetectNow()
-	if d.Stats.Timeout[0].Flagged != 2*first {
-		t.Errorf("flagged not accumulating: %d then %d", first, d.Stats.Timeout[0].Flagged)
+	if d.Timeout[0].Flagged != 2*first {
+		t.Errorf("flagged not accumulating: %d then %d", first, d.Timeout[0].Flagged)
 	}
 	d.ResetStats()
-	if len(d.Stats.Timeout) != 0 {
+	if len(d.Timeout) != 0 {
 		t.Error("ResetStats left timeout rows")
 	}
 }

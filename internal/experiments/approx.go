@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -22,9 +23,10 @@ import (
 // long timeouts cannot reach high precision because congestion blocking
 // dominates — while long timeouts also delay recovery (recall drops).
 //
-// It is a Func, not a Study: the scores live in the detector's statistics,
-// which no stats.Result carries, so its runs cannot be served from a store.
-func TimeoutApprox(o Options) ([]*stats.Table, error) {
+// It is a Func, not a Study: the scores live in the detector's timeout
+// counters (Detector.Timeout), which no stats.Result carries, so its runs
+// cannot be served from a store.
+func TimeoutApprox(ctx context.Context, o Options) ([]*stats.Table, error) {
 	thresholds := []int64{25, 50, 100, 200, 400, 800}
 	load := 1.0
 	t := stats.NewTable(fmt.Sprintf("Supplementary: timeout approximation vs true detection (load %.2f)", load),
@@ -46,11 +48,14 @@ func TimeoutApprox(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Run()
+		res := r.RunContext(ctx)
 		if err := r.CloseArtifacts(); err != nil {
 			return nil, err
 		}
-		for _, tc := range r.Detector.Stats.Timeout {
+		if res.Interrupted {
+			return nil, ctx.Err()
+		}
+		for _, tc := range r.Detector.Timeout {
 			t.AddRow(spec.label, tc.Threshold, tc.Flagged, tc.TrueDeadlocked,
 				tc.Dependent, tc.FalsePositive, tc.Precision(), tc.Recall())
 		}

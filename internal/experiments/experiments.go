@@ -111,8 +111,9 @@ const (
 	censusWorkCap  = 2000000
 )
 
-// Func runs one experiment and returns its tables.
-type Func func(Options) ([]*stats.Table, error)
+// Func runs one experiment under ctx and returns its tables; a cancelled
+// ctx stops it with the context's error.
+type Func func(context.Context, Options) ([]*stats.Table, error)
 
 // Study is one simulation study: the configurations it runs, and the tables
 // it reads from their results.
@@ -168,10 +169,11 @@ func (s *Study) Tabulate(spec *specv1.Spec, results []specv1.PointResult) ([]*st
 }
 
 // Run is the study as a Func: it runs every point of the plan in this
-// process, in parallel and without a result store, and tabulates them.
-func (s *Study) Run(o Options) ([]*stats.Table, error) {
+// process under ctx, in parallel and without a result store, and tabulates
+// them.
+func (s *Study) Run(ctx context.Context, o Options) ([]*stats.Table, error) {
 	cfgs := s.configs(o) // the plan's points, with o's instrumentation attached
-	results, err := specv1.PointResults(cfgs, runner.Map(context.Background(), cfgs, runner.Options{}))
+	results, err := specv1.PointResults(cfgs, runner.Map(ctx, cfgs, runner.Options{}))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func runExperiment(t *testing.T, id string) []*stats.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := f(microOpts())
+	tables, err := f(context.Background(), microOpts())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

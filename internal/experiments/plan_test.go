@@ -162,7 +162,7 @@ func wireTables(id string) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return f(microOpts())
+		return f(context.Background(), microOpts())
 	}
 	spec := s.Plan(microOpts())
 	cfgs, err := spec.Configs()

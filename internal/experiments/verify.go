@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"flexsim/internal/modelcheck"
@@ -17,14 +18,14 @@ import (
 // zero completeness divergences over the whole grid. The timeout table
 // aggregates the cross-validation of the paper's timeout heuristic against
 // ground truth over the same states.
-func Verify(o Options) ([]*stats.Table, error) {
+func Verify(ctx context.Context, o Options) ([]*stats.Table, error) {
 	grid := modelcheck.FullGrid()
 	opts := modelcheck.Options{}
 	if o.Quick {
 		grid = modelcheck.ShortGrid()
 		opts.MaxStates = 50000
 	}
-	rep, err := modelcheck.RunGrid(gridName(o.Quick), grid, opts, nil)
+	rep, err := modelcheck.RunGrid(ctx, gridName(o.Quick), grid, opts, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func newExplorer(sy *system, maxStates int) *explorer {
 		sy:        sy,
 		maxStates: maxStates,
 		index:     make(map[string]int32),
-		owners:    make([]int8, sy.net.NumVCs()),
+		owners:    make([]int8, sy.net.TotalVCs()),
 	}
 }
 

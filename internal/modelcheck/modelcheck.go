@@ -144,8 +144,8 @@ func (c Config) build() (*system, error) {
 	if err != nil {
 		return nil, err
 	}
-	if net.NumVCs() > 255 {
-		return nil, fmt.Errorf("modelcheck: VC id space %d exceeds the byte-encoded bound 255", net.NumVCs())
+	if net.TotalVCs() > 255 {
+		return nil, fmt.Errorf("modelcheck: VC id space %d exceeds the byte-encoded bound 255", net.TotalVCs())
 	}
 	det, err := detect.New(net, detect.Config{Every: 1, Recover: false, CountKnotCycles: true})
 	if err != nil {

@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -83,7 +84,7 @@ func TestRestoreEveryState(t *testing.T) {
 	if ex.truncated {
 		t.Fatal("tiny configuration should not truncate")
 	}
-	owners := make([]int8, sy.net.NumVCs())
+	owners := make([]int8, sy.net.TotalVCs())
 	for idx := range ex.states {
 		s := decodeState(ex.states[idx].key, cfg.Messages)
 		s.owners(owners)
@@ -258,7 +259,7 @@ func TestExhaustiveShortGrid(t *testing.T) {
 	for _, c := range committed.Configs {
 		pinned[c.Config] = countsOf(c)
 	}
-	rep, err := RunGrid("short", ShortGrid(), Options{}, t.Logf)
+	rep, err := RunGrid(context.Background(), "short", ShortGrid(), Options{}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

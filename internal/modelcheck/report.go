@@ -5,6 +5,7 @@ package modelcheck
 // timeout cross-validation tables and wall time.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,11 +32,15 @@ type Progress func(format string, args ...interface{})
 
 // RunGrid checks every configuration and aggregates the report. A
 // configuration whose check errors aborts the run: the checker's own
-// machinery must never fail on a valid configuration.
-func RunGrid(gridName string, grid []Config, opts Options, progress Progress) (*Report, error) {
+// machinery must never fail on a valid configuration. A cancelled ctx stops
+// the run between configurations with the context's error.
+func RunGrid(ctx context.Context, gridName string, grid []Config, opts Options, progress Progress) (*Report, error) {
 	rep := &Report{Grid: gridName}
 	t0 := time.Now()
 	for _, cfg := range grid {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		c0 := time.Now()
 		res, err := Run(cfg, opts)
 		if err != nil {

@@ -189,7 +189,7 @@ func newRunner(sy *system, ex *explorer, opts Options) *runner {
 		sy:      sy,
 		ex:      ex,
 		opts:    opts,
-		owners:  make([]int8, sy.net.NumVCs()),
+		owners:  make([]int8, sy.net.TotalVCs()),
 		wantBuf: make([]message.VC, 0, 8),
 	}
 }

@@ -401,12 +401,8 @@ func (n *Network) VCIndex(vc message.VC) int {
 // destination for network VCs, the node itself for injection VCs.
 func (n *Network) Downstream(vc message.VC) int { return int(n.downstream[vc]) }
 
-// NumVCs returns the size of the VC id space (network VCs + injection VCs).
-func (n *Network) NumVCs() int { return n.numVCs }
-
-// TotalVCs returns the size of the VC id space — the dense vertex universe
-// a CWG builder should be sized for. Alias of NumVCs, named for the
-// detection pipeline.
+// TotalVCs returns the size of the VC id space (network VCs + injection
+// VCs): the dense vertex universe a CWG builder should be sized for.
 func (n *Network) TotalVCs() int { return n.numVCs }
 
 // ResourceEpoch returns a counter that changes whenever the network's

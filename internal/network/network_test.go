@@ -80,8 +80,8 @@ func TestVCIDSpace(t *testing.T) {
 			t.Fatalf("injection VC %d misclassified", vc)
 		}
 	}
-	if len(seen) != n.NumVCs() {
-		t.Fatalf("enumerated %d VCs, NumVCs() = %d", len(seen), n.NumVCs())
+	if len(seen) != n.TotalVCs() {
+		t.Fatalf("enumerated %d VCs, TotalVCs() = %d", len(seen), n.TotalVCs())
 	}
 }
 
@@ -314,7 +314,7 @@ func TestRecoveryResolvesDeadlock(t *testing.T) {
 			n.ActiveCount(), n.FlitsInNetwork())
 	}
 	// All VCs free again.
-	for vc := 0; vc < n.NumVCs(); vc++ {
+	for vc := 0; vc < n.TotalVCs(); vc++ {
 		if n.Owner(message.VC(vc)) != nil {
 			t.Fatalf("VC %d still owned after drain", vc)
 		}

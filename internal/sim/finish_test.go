@@ -45,8 +45,8 @@ func TestFinishDetachesResult(t *testing.T) {
 		own      *stats.Histogram
 	}{
 		{"Latency", &res.Latency, &r.res.Latency},
-		{"DetectBuildTime", &res.DetectBuildTime, &r.Detector.Stats.BuildTime},
-		{"DetectAnalyzeTime", &res.DetectAnalyzeTime, &r.Detector.Stats.AnalyzeTime},
+		{"DetectBuildTime", &res.DetectBuildTime, &r.Detector.Stats.DetectBuildTime},
+		{"DetectAnalyzeTime", &res.DetectAnalyzeTime, &r.Detector.Stats.DetectAnalyzeTime},
 	} {
 		counts := reflect.ValueOf(h.detached).Elem().FieldByName("counts")
 		n := counts.Len()

@@ -124,7 +124,7 @@ type Spec struct {
 	KeepEvents        bool
 	// TimeoutThresholds enables timeout-approximation scoring against
 	// true detection (see detect.TimeoutCounts); results are read from
-	// Runner.Detector.Stats.Timeout.
+	// Runner.Detector.Timeout.
 	TimeoutThresholds []int64
 
 	// Validation.
@@ -242,7 +242,10 @@ type Runner struct {
 	// (nil unless Cfg.ForensicsDepth > 0).
 	Forensics *obs.FormationAnalyzer
 
-	res        stats.Result
+	// res is the run's record: Detector.Stats, shared so StartMeasurement
+	// clears it once for both.
+	res        *stats.Result
+	meanMsgLen float64 // the length distribution's mean, echoed by Finish
 	rec        *obs.Recorder
 	heat       *obs.Heatmap // HeatmapPath's accumulator, sampled with rec
 	faultEvery int64        // fault-tick cadence (DetectEvery); 0 when no schedule
@@ -387,11 +390,13 @@ func NewRunner(c Config) (*Runner, error) {
 		return nil, err
 	}
 	r := &Runner{
-		Cfg:      c,
-		Topo:     topo,
-		Net:      net,
-		Detector: det,
-		Proc:     traffic.NewProcess(topo, pat, c.Load, dist, rng.New(c.Seed)),
+		Cfg:        c,
+		Topo:       topo,
+		Net:        net,
+		Detector:   det,
+		Proc:       traffic.NewProcess(topo, pat, c.Load, dist, rng.New(c.Seed)),
+		res:        det.Stats,
+		meanMsgLen: dist.Mean(),
 	}
 	if c.Workload != "" {
 		phases := c.WorkloadPhases
@@ -450,13 +455,6 @@ func NewRunner(c Config) (*Runner, error) {
 	r.heat = heat
 	r.artifacts = artifacts
 	net.OnDeliver = r.onDeliver
-	r.res = stats.Result{
-		Label:      c.label(),
-		Load:       c.Load,
-		Nodes:      topo.Nodes(),
-		MeanMsgLen: dist.Mean(),
-		Seed:       c.Seed,
-	}
 	return r, nil
 }
 
@@ -547,9 +545,9 @@ func (r *Runner) sampleMetrics() {
 		Delivered:    r.Net.DeliveredCount,
 		Recovered:    r.Net.RecoveredCount,
 		Generated:    r.Net.TotalInjected(),
-		Deadlocks:    r.Detector.Stats.Deadlocks,
-		Invocations:  r.Detector.Stats.Invocations,
-		Gated:        r.Detector.Stats.Gated,
+		Deadlocks:    r.res.Deadlocks,
+		Invocations:  r.res.Invocations,
+		Gated:        r.res.GatedInvocations,
 		FaultsActive: r.Net.FaultsActive(),
 		MsgsKilled:   r.Net.KilledCount,
 	}
@@ -623,7 +621,8 @@ func (r *Runner) RunContext(ctx context.Context) *stats.Result {
 	return r.Finish()
 }
 
-// StartMeasurement resets counters at the warmup boundary.
+// StartMeasurement resets counters at the warmup boundary: one reset of the
+// record the runner and the detector share.
 func (r *Runner) StartMeasurement() {
 	r.Detector.ResetStats()
 	r.res.QueuedStart = r.Net.QueuedCount()
@@ -635,18 +634,21 @@ func (r *Runner) StartMeasurement() {
 // without Finish need to Close explicitly.
 func (r *Runner) Close() { r.Net.Close() }
 
-// Finish folds detector aggregates into the result and returns it, and
-// stops the network's worker pool (stepping past Finish falls back to the
-// sequential engine). The Result is detached: a copy that shares no memory
-// with the Runner, its histograms sized to their samples, so a sweep
-// holding thousands of Results holds ~2 KB each rather than each one's
-// network, detector and wait-for-graph arenas.
+// Finish completes the run's record and returns it, and stops the network's
+// worker pool (stepping past Finish falls back to the sequential engine).
+// The Result is detached: a copy that shares no memory with the Runner, its
+// histograms sized to their samples, so a sweep holding thousands of
+// Results holds ~2 KB each rather than each one's network, detector and
+// wait-for-graph arenas.
 func (r *Runner) Finish() *stats.Result {
 	r.Net.Close()
 	res := new(stats.Result)
-	*res = r.res
-	res.Latency = stats.Histogram{}
-	res.Latency.Merge(&r.res.Latency)
+	*res = *r.res
+	res.Latency = detached(&r.res.Latency)
+	res.DetectBuildTime = detached(&r.res.DetectBuildTime)
+	res.DetectAnalyzeTime = detached(&r.res.DetectAnalyzeTime)
+	res.Label, res.Load, res.Nodes = r.Cfg.label(), r.Cfg.Load, r.Topo.Nodes()
+	res.MeanMsgLen, res.Seed = r.meanMsgLen, r.Cfg.Seed
 	res.Cycles = int64(r.Cfg.MeasureCycles)
 	if r.samples > 0 {
 		res.MeanActive = float64(r.sumAct) / float64(r.samples)
@@ -654,26 +656,6 @@ func (r *Runner) Finish() *stats.Result {
 		res.MeanQueued = float64(r.sumQue) / float64(r.samples)
 		res.MeanFlits = float64(r.sumFlt) / float64(r.samples)
 	}
-	s := &r.Detector.Stats
-	res.Deadlocks = s.Deadlocks
-	res.SingleCycle = s.SingleCycle
-	res.MultiCycle = s.MultiCycle
-	res.SumDeadlockSet = s.SumDeadlockSet
-	res.SumResourceSet = s.SumResourceSet
-	res.SumKnotVCs = s.SumKnotVCs
-	res.SumKnotCycles = s.SumKnotCycles
-	res.SumDependent = s.SumDependent
-	res.MaxDeadlockSet = s.MaxDeadlockSet
-	res.MaxResourceSet = s.MaxResourceSet
-	res.MaxKnotCycles = s.MaxKnotCycles
-	res.CensusSamples = s.CensusSamples
-	res.SumCycles = s.SumCycles
-	res.MaxCycles = s.MaxCycles
-	res.CensusCapped = s.CensusCapped
-	res.Invocations = s.Invocations
-	res.GatedInvocations = s.Gated
-	res.DetectBuildTime.Merge(&s.BuildTime)
-	res.DetectAnalyzeTime.Merge(&s.AnalyzeTime)
 	// A run is saturated when the offered load exceeds what the network
 	// sustains: source queues grow across the measurement window. The
 	// threshold (5% of offered messages, at least 8) tolerates pipeline
@@ -695,6 +677,14 @@ func (r *Runner) Finish() *stats.Result {
 		r.Cfg.MetricsSink.Run(obs.RunMeta{Label: res.Label, Seed: r.Cfg.Seed, Load: res.Load}, r.rec)
 	}
 	return res
+}
+
+// detached returns a copy of h that shares no bucket storage with it,
+// trimmed to its last non-empty bucket.
+func detached(h *stats.Histogram) stats.Histogram {
+	var d stats.Histogram
+	d.Merge(h)
+	return d
 }
 
 // CloseArtifacts closes the run-owned observability outputs (the SpansPath

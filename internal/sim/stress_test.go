@@ -175,7 +175,7 @@ func TestTimeoutThresholdsThroughSim(t *testing.T) {
 	if res.Deadlocks == 0 {
 		t.Fatal("no deadlocks in uni-torus saturation run")
 	}
-	rows := r.Detector.Stats.Timeout
+	rows := r.Detector.Timeout
 	if len(rows) != 2 {
 		t.Fatalf("timeout rows = %d", len(rows))
 	}
