@@ -14,7 +14,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -151,16 +153,16 @@ func execute() (err error) {
 		cfg.Incidents = incidents
 		cfg.IncidentDOT = out.incidentsDOT
 	}
-	var jsonTrace *trace.JSONWriter
 	if out.traceJSON != "" {
 		f, ferr := os.Create(out.traceJSON)
 		if ferr != nil {
 			return ferr
 		}
-		defer f.Close()
-		jsonTrace = &trace.JSONWriter{W: f}
+		bw := bufio.NewWriter(f)
+		jsonTrace := &trace.JSONWriter{W: bw}
 		tracers = append(tracers, jsonTrace)
-		defer func() { err = errors.Join(err, jsonTrace.Err()) }()
+		// The writer's error is the buffer's sticky one, if any: report it once.
+		defer func() { err = errors.Join(err, cmp.Or(jsonTrace.Err(), bw.Flush()), f.Close()) }()
 	}
 	if len(tracers) == 1 {
 		cfg.Tracer = tracers[0]
@@ -322,7 +324,7 @@ func firstKnot(cfg sim.Config, path string, atCycle int64) (err error) {
 		return err
 	}
 	defer func() { err = errors.Join(err, r.CloseArtifacts()) }()
-	defer r.Finish() // before CloseArtifacts, as in a run: flushes metrics, stops the engine
+	defer r.Finish() // before CloseArtifacts, as in a run: flushes the metrics
 	limit := int64(cfg.WarmupCycles + cfg.MeasureCycles)
 	for r.Detector.Stats.Deadlocks == 0 {
 		if r.Net.Now() >= limit {

@@ -21,6 +21,7 @@ import (
 	"flexsim/internal/runner"
 	"flexsim/internal/sim"
 	"flexsim/internal/stats"
+	"flexsim/internal/trace"
 )
 
 // childEnv turns the re-executed test binary into flexsim itself.
@@ -371,5 +372,65 @@ func TestReproReportsTheKnot(t *testing.T) {
 	}
 	if got := labels(filledVertex, string(dot)); len(got) != 3 {
 		t.Errorf("knot vertices %v, want 3", got)
+	}
+}
+
+// traceArgs is a sub-second run with deadlocks and recoveries, so every
+// kind of lifecycle event is traced.
+var traceArgs = []string{"-k", "8", "-uni", "-routing", "dor", "-load", "0.9", "-warmup", "100", "-cycles", "400", "-seed", "3"}
+
+// TestTraceJSONHoldsEveryEvent: -trace-json writes one JSON event per line,
+// as many lines as a trace.Counter counts on the same run in process.
+func TestTraceJSONHoldsEveryEvent(t *testing.T) {
+	dir := t.TempDir()
+	if _, _, code := flexsim(t, dir, append(traceArgs, "-trace-json", "t.jsonl")...); code != 0 {
+		t.Fatalf("exit %d, want 0", code)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "t.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	for i, l := range lines {
+		var e trace.Event
+		if err := json.Unmarshal([]byte(l), &e); err != nil {
+			t.Fatalf("line %d: %v: %q", i+1, err, l)
+		}
+	}
+
+	cfg := sim.Default()
+	fs := flag.NewFlagSet("flexsim", flag.ContinueOnError)
+	spec := flags.BindSpec(fs, &cfg)
+	if err := fs.Parse(traceArgs); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Apply(); err != nil {
+		t.Fatal(err)
+	}
+	var c trace.Counter
+	cfg.Tracer = &c
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events int64
+	for _, n := range c.Counts {
+		events += n
+	}
+	if res.Deadlocks == 0 || int64(len(lines)) != events {
+		t.Errorf("%d line(s) in the file, %d event(s) counted, %d deadlock(s); want equal counts and a deadlock",
+			len(lines), events, res.Deadlocks)
+	}
+}
+
+// TestTraceJSONWriteFailureExits1: a trace file that cannot be written fails
+// the run, whether the write fails while it steps or at the final flush.
+func TestTraceJSONWriteFailureExits1(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail the writes")
+	}
+	_, stderr, code := flexsim(t, t.TempDir(), append(traceArgs, "-trace-json", "/dev/full")...)
+	if code != 1 || !bytes.Contains(stderr, []byte("no space left on device")) {
+		t.Errorf("exit %d, stderr %q; want 1 and the write error", code, stderr)
 	}
 }

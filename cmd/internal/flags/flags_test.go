@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"io"
-	"runtime"
 	"testing"
 	"time"
 
@@ -110,54 +109,18 @@ func TestBindCharsweepSurface(t *testing.T) {
 	}
 }
 
-// TestNoShardsFlag: the shard count is execution strategy and no CLI flag
-// selects it. A configuration bound from no flags leaves Shards zero, which
-// is the sequential engine whatever GOMAXPROCS is; an integer FLEXSIM_SHARDS
-// is the one override, and "auto" is as unparsable as any other word.
+// TestNoShardsFlag: one engine steps every cycle, so no CLI flag chooses
+// how; parallelism is the sweep's, across points.
 func TestNoShardsFlag(t *testing.T) {
 	flex := flag.NewFlagSet("flexsim", flag.ContinueOnError)
 	cfg := sim.Default()
 	BindSpec(flex, &cfg)
-	common := BindCommon(flex)
+	BindCommon(flex)
 	sweepFS := flag.NewFlagSet("charsweep", flag.ContinueOnError)
-	s := BindPlan(sweepFS)
+	BindPlan(sweepFS)
 	BindCommon(sweepFS)
 	if flex.Lookup("shards") != nil || sweepFS.Lookup("shards") != nil {
 		t.Fatal("-shards is registered")
-	}
-	if err := flex.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sweepFS.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	in, _, err := common.Instrumentation(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := s.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Shards != 0 || in.Shards != 0 || opts.Instrumentation.Shards != 0 {
-		t.Fatalf("Shards bound from no flags: config %d, instrumentation %d, options %d",
-			cfg.Shards, in.Shards, opts.Instrumentation.Shards)
-	}
-	cfg.K, cfg.WarmupCycles, cfg.MeasureCycles = 4, 0, 1
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	for _, c := range []struct {
-		env  string
-		want int
-	}{{"", 1}, {"4", 4}, {"auto", 1}, {"2.5", 1}} {
-		t.Setenv("FLEXSIM_SHARDS", c.env)
-		r, err := sim.NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.Net.Shards(); got != c.want {
-			t.Errorf("FLEXSIM_SHARDS=%q: %d shard(s), want %d", c.env, got, c.want)
-		}
-		r.Close()
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // PointConfig is the wire form of one simulation point: sim.Spec — the
 // fields that participate in the content-addressed cache key — with explicit
-// snake_case JSON names. sim.Instrumentation (sinks, tracers, shard counts,
+// snake_case JSON names. sim.Instrumentation (sinks, tracers, profiling,
 // artifact paths) deliberately has no wire form: an execution service
 // chooses those per process, not per request, so two clients submitting the
 // same physics always hit the same cache entry.

@@ -98,7 +98,6 @@ func TestConfigRoundTripEquality(t *testing.T) {
 func TestPlumbingDoesNotTravel(t *testing.T) {
 	plain := sim.Quick()
 	wired := plain
-	wired.Shards = 8
 	wired.MetricsEvery = 100
 	wired.ProfileEngine = true
 	wired.SpansPath = "spans-*.json"

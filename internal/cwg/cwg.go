@@ -496,24 +496,52 @@ func (g *Graph) classify(knot []int32, opts Options) Deadlock {
 // for numeric ids). Solid arcs are ownership chains; dashed arcs are waits.
 // Knot vertices are shaded.
 func (g *Graph) DOT(label func(message.VC) string) string {
-	if label == nil {
-		label = func(vc message.VC) string { return fmt.Sprintf("c%d", vc) }
-	}
 	inKnot := make(map[int32]bool)
 	for _, knot := range g.FindKnots() {
 		for _, v := range knot {
 			inKnot[v] = true
 		}
 	}
+	return g.dot("digraph cwg {\n  rankdir=LR;\n  node [shape=circle, fontsize=10];\n",
+		g.verts, nil, inKnot, label)
+}
+
+// KnotDOT renders only the subgraph induced by one deadlock's knot — the
+// terminal strongly connected VCs and the ownership/wait arcs among them —
+// in Graphviz format. label renders a VC id (pass nil for numeric ids). The
+// deadlock must come from an Analyze of this graph.
+func (g *Graph) KnotDOT(d *Deadlock, label func(message.VC) string) string {
+	in := make(map[message.VC]bool, len(d.KnotVCs))
+	for _, vc := range d.KnotVCs {
+		in[vc] = true
+	}
+	return g.dot("digraph knot {\n  rankdir=LR;\n  node [shape=circle, fontsize=10, style=filled, fillcolor=lightcoral];\n",
+		d.KnotVCs, in, nil, label)
+}
+
+// dot is DOT's and KnotDOT's one renderer: header, then the vertices of
+// verts in that order (those of the graph; shaded where shade says), then
+// every ownership and wait arc whose two ends keep holds (every arc when
+// keep is nil), then the closing brace.
+func (g *Graph) dot(header string, verts []message.VC, keep map[message.VC]bool, shade map[int32]bool,
+	label func(message.VC) string) string {
+	if label == nil {
+		label = func(vc message.VC) string { return fmt.Sprintf("c%d", vc) }
+	}
+	kept := func(vc message.VC) bool { return keep == nil || keep[vc] }
 	vx := func(vc message.VC) int32 {
 		i, _ := g.vertexOf(vc)
 		return i
 	}
 	var b strings.Builder
-	b.WriteString("digraph cwg {\n  rankdir=LR;\n  node [shape=circle, fontsize=10];\n")
-	for i, vc := range g.verts {
+	b.WriteString(header)
+	for _, vc := range verts {
+		i, ok := g.vertexOf(vc)
+		if !ok {
+			continue
+		}
 		attr := ""
-		if inKnot[int32(i)] {
+		if shade[i] {
 			attr = ", style=filled, fillcolor=lightcoral"
 		}
 		ownerLbl := "free"
@@ -525,62 +553,15 @@ func (g *Graph) DOT(label func(message.VC) string) string {
 	for mi := range g.msgs {
 		m := &g.msgs[mi]
 		for j := 0; j+1 < len(m.Owned); j++ {
-			fmt.Fprintf(&b, "  v%d -> v%d [label=\"m%d\"];\n",
-				vx(m.Owned[j]), vx(m.Owned[j+1]), m.ID)
-		}
-		if m.Blocked && len(m.Owned) > 0 {
-			head := vx(m.Owned[len(m.Owned)-1])
-			for _, w := range m.Wants {
-				fmt.Fprintf(&b, "  v%d -> v%d [style=dashed, label=\"m%d\"];\n",
-					head, vx(w), m.ID)
-			}
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// KnotDOT renders only the subgraph induced by one deadlock's knot — the
-// terminal strongly connected VCs and the ownership/wait arcs among them —
-// in Graphviz format. label renders a VC id (pass nil for numeric ids). The
-// deadlock must come from an Analyze of this graph.
-func (g *Graph) KnotDOT(d *Deadlock, label func(message.VC) string) string {
-	if label == nil {
-		label = func(vc message.VC) string { return fmt.Sprintf("c%d", vc) }
-	}
-	in := make(map[message.VC]bool, len(d.KnotVCs))
-	for _, vc := range d.KnotVCs {
-		in[vc] = true
-	}
-	var b strings.Builder
-	b.WriteString("digraph knot {\n  rankdir=LR;\n  node [shape=circle, fontsize=10, style=filled, fillcolor=lightcoral];\n")
-	for _, vc := range d.KnotVCs {
-		i, ok := g.vertexOf(vc)
-		if !ok {
-			continue
-		}
-		ownerLbl := "free"
-		if o := g.owner[i]; o >= 0 {
-			ownerLbl = fmt.Sprintf("m%d", g.msgs[o].ID)
-		}
-		fmt.Fprintf(&b, "  v%d [label=\"%s\\n%s\"];\n", i, label(vc), ownerLbl)
-	}
-	vx := func(vc message.VC) int32 {
-		i, _ := g.vertexOf(vc)
-		return i
-	}
-	for mi := range g.msgs {
-		m := &g.msgs[mi]
-		for j := 0; j+1 < len(m.Owned); j++ {
-			if in[m.Owned[j]] && in[m.Owned[j+1]] {
+			if kept(m.Owned[j]) && kept(m.Owned[j+1]) {
 				fmt.Fprintf(&b, "  v%d -> v%d [label=\"m%d\"];\n",
 					vx(m.Owned[j]), vx(m.Owned[j+1]), m.ID)
 			}
 		}
-		if m.Blocked && len(m.Owned) > 0 && in[m.Owned[len(m.Owned)-1]] {
+		if m.Blocked && len(m.Owned) > 0 && kept(m.Owned[len(m.Owned)-1]) {
 			head := vx(m.Owned[len(m.Owned)-1])
 			for _, w := range m.Wants {
-				if in[w] {
+				if kept(w) {
 					fmt.Fprintf(&b, "  v%d -> v%d [style=dashed, label=\"m%d\"];\n",
 						head, vx(w), m.ID)
 				}

@@ -137,14 +137,6 @@ type Message struct {
 	BlockedSince int64
 	Wants        []VC
 	WantsGen     uint32
-
-	// Ord and Shard are cycle-scoped scheduling state maintained by the
-	// network's parallel step engine: Ord is the message's position in
-	// the global active order at the start of the cycle (the canonical
-	// merge key for cross-shard effect ordering), Shard the worker that
-	// owns it this cycle. Both are meaningless outside a Step.
-	Ord   int32
-	Shard int32
 }
 
 // Make returns a Queued message value ready for injection; the network's

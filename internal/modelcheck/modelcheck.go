@@ -139,7 +139,6 @@ func (c Config) build() (*system, error) {
 		VCs:         c.VCs,
 		BufferDepth: c.BufferDepth,
 		Routing:     algo,
-		Shards:      1, // explicit: 0 would let FLEXSIM_SHARDS pick the harness's engine
 	})
 	if err != nil {
 		return nil, err

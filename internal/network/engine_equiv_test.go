@@ -333,7 +333,6 @@ func runEquiv(t *testing.T, in equivInput) {
 	if err != nil {
 		t.Fatalf("%v: %v", in, err)
 	}
-	defer ls.n.Close()
 	if c.repro != nil {
 		if err := ls.n.RestoreState(0, c.repro); err != nil {
 			t.Fatal(err)
@@ -484,10 +483,10 @@ func TestReferenceCatchesCorruption(t *testing.T) {
 			ls.n.rxReq[m.Dst] = rxRequest{key: 1, vc: 0}
 		}},
 		{"rxNodes: a node scanned with no reception request", func(t *testing.T, ls *lockstep, m *message.Message) {
-			ls.n.w0.rxNodes[0] = 1 << 9
+			ls.n.rxNodes[0] = 1 << 9
 		}},
 		{"chBits: a channel scanned with no transfer request", func(t *testing.T, ls *lockstep, m *message.Message) {
-			ls.n.w0.chBits[0] = 1 << 3
+			ls.n.chBits[0] = 1 << 3
 		}},
 		{"stray request bit on a free channel", func(t *testing.T, ls *lockstep, m *message.Message) {
 			n := ls.n
@@ -496,7 +495,7 @@ func TestReferenceCatchesCorruption(t *testing.T) {
 				ch++
 			}
 			n.chReq[ch] = 1
-			n.w0.chBits[ch>>6] |= 1 << (ch & 63)
+			n.chBits[ch>>6] |= 1 << (ch & 63)
 		}},
 		{"qNodes set on an empty queue", func(t *testing.T, ls *lockstep, m *message.Message) {
 			n := ls.n
@@ -516,7 +515,7 @@ func TestReferenceCatchesCorruption(t *testing.T) {
 			flipQueueBit(n, node)
 		}},
 		// Dropped: setting the bit of a waiting queue whose injection VC is
-		// owned cannot change behaviour on the sequential engine — the scan
+		// owned cannot change behaviour — the scan
 		// visits the node, finds the VC owned and moves on, as the release
 		// that frees it would have made it do anyway.
 		{"hand-set Frozen on a moving worm", func(t *testing.T, ls *lockstep, m *message.Message) {
@@ -529,7 +528,7 @@ func TestReferenceCatchesCorruption(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			topo := topology.MustNew(4, 2, true)
-			ls, err := newLockstep(Params{Topo: topo, VCs: 2, BufferDepth: 2, Routing: routing.TFAR{}, Shards: 1})
+			ls, err := newLockstep(Params{Topo: topo, VCs: 2, BufferDepth: 2, Routing: routing.TFAR{}})
 			if err != nil {
 				t.Fatal(err)
 			}

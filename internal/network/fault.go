@@ -36,9 +36,7 @@ type faultState struct {
 
 	// alive is the liveness predicate handed to the routing helpers,
 	// built once so the allocation phase stays closure-allocation free.
-	// It only reads fault flags, which mutate between cycles, so the
-	// parallel allocate kernels may share it; enumeration scratch lives
-	// per worker instead (see worker.fbBuf/chBuf).
+	// Enumeration scratch lives on the Network (fbBuf, chBuf).
 	alive routing.Alive
 }
 
@@ -204,23 +202,16 @@ func (n *Network) SetNodeUp(node int) {
 // VCs are marked fully departed so the next release phase frees them, and
 // the message retires with Status Killed — accounted separately from
 // delivery. The resource epoch bumps so the detector's change gate
-// invalidates. Called between cycles (fault injector, detector); the
-// allocate kernel uses the worker-level kill directly.
+// invalidates. Called between cycles (fault injector, detector) and by the
+// allocate kernel for an unroutable header; it mutates only the message, and
+// the release phase frees its VCs.
 func (n *Network) Kill(m *message.Message) {
-	n.w0.kill(m)
-	n.w0.flushCounters()
-}
-
-// kill is the shard-safe body of Kill: it mutates only the message (the
-// release phase frees its VCs), so a worker may kill an unroutable message
-// it owns without cross-shard coordination.
-func (w *worker) kill(m *message.Message) {
 	if m.Status != message.Active && m.Status != message.Recovering {
 		return
 	}
 	for i := m.Released; i < len(m.Hops); i++ {
 		h := &m.Hops[i]
-		w.d.killedFlits += int64(h.Occ)
+		n.KilledFlits += int64(h.Occ)
 		m.Consumed += int(h.Occ)
 		h.Occ = 0
 		h.Departed = int32(m.Len)
@@ -228,35 +219,35 @@ func (w *worker) kill(m *message.Message) {
 	m.Consumed += m.SrcRemaining
 	m.SrcRemaining = 0
 	if m.Blocked {
-		w.emitRes(ResUnblock, m.ID, message.NoVC, m.Wants)
+		n.logRes(ResUnblock, m.ID, message.NoVC, m.Wants)
 	}
 	m.Blocked = false
 	m.Wants = nil
 	m.Status = message.Killed
-	m.DeliverTime = w.n.now
-	w.d.killedCount++
-	w.d.epoch++
-	w.emitTrace(trace.Killed, m.ID, message.NoVC, -1)
+	m.DeliverTime = n.now
+	n.KilledCount++
+	n.resEpoch++
+	n.trace(trace.Killed, m.ID, message.NoVC, -1)
 }
 
 // killUnroutable drops a message that has no live route to its destination
 // (disconnected source/destination pair, or misrouting exhausted).
-func (w *worker) killUnroutable(m *message.Message, node int) {
-	w.d.unroutableCount++
-	w.emitTrace(trace.Killed, m.ID, message.NoVC, node)
-	w.kill(m)
+func (n *Network) killUnroutable(m *message.Message, node int) {
+	n.UnroutableCount++
+	n.trace(trace.Killed, m.ID, message.NoVC, node)
+	n.Kill(m)
 }
 
 // dropQueuedDead retires a still-queued message whose destination node is
-// down; it holds no resources, so it bypasses kill and settles directly.
-func (w *worker) dropQueuedDead(m *message.Message, node int) {
+// down; it holds no resources, so it bypasses Kill and settles directly.
+func (n *Network) dropQueuedDead(m *message.Message, node int) {
 	m.Status = message.Killed
-	m.DeliverTime = w.n.now
+	m.DeliverTime = n.now
 	m.Consumed = m.Len
 	m.SrcRemaining = 0
-	w.d.killedCount++
-	w.emitTrace(trace.Killed, m.ID, message.NoVC, node)
-	w.emitDeliver(m)
+	n.KilledCount++
+	n.trace(trace.Killed, m.ID, message.NoVC, node)
+	n.deliver(m)
 }
 
 // faultCandidates applies the fault state to a routed candidate set: dead
@@ -266,9 +257,8 @@ func (w *worker) dropQueuedDead(m *message.Message, node int) {
 // empty result means the destination is unreachable on the surviving graph
 // or the message exhausted its misroute budget, and the caller should kill
 // it as unroutable.
-func (w *worker) faultCandidates(m *message.Message, here int, prev topology.ChannelID,
+func (n *Network) faultCandidates(m *message.Message, here int, prev topology.ChannelID,
 	cands []routing.Candidate) []routing.Candidate {
-	n := w.n
 	f := n.faults
 	cands = routing.FilterAlive(cands, f.alive)
 	if len(cands) > 0 {
@@ -279,11 +269,11 @@ func (w *worker) faultCandidates(m *message.Message, here int, prev topology.Cha
 	if len(m.Hops)-1 > f.maxHops {
 		return nil
 	}
-	w.fbBuf, w.chBuf = routing.Surviving(n.topo, here, prev, n.vcs, f.alive, w.fbBuf[:0], w.chBuf)
-	if len(w.fbBuf) == 0 && prev != topology.None {
+	n.fbBuf, n.chBuf = routing.Surviving(n.topo, here, prev, n.vcs, f.alive, n.fbBuf[:0], n.chBuf)
+	if len(n.fbBuf) == 0 && prev != topology.None {
 		// A dead-end whose only live exit is backwards: turning around
 		// beats dying (the hop budget bounds any ping-pong).
-		w.fbBuf, w.chBuf = routing.Surviving(n.topo, here, topology.None, n.vcs, f.alive, w.fbBuf[:0], w.chBuf)
+		n.fbBuf, n.chBuf = routing.Surviving(n.topo, here, topology.None, n.vcs, f.alive, n.fbBuf[:0], n.chBuf)
 	}
-	return w.fbBuf
+	return n.fbBuf
 }

@@ -17,13 +17,8 @@
 // The update is two-phase per cycle (plan from pre-cycle state, then
 // commit), which keeps the simulation deterministic, prevents a flit from
 // traversing two links in one cycle, and enforces link bandwidth exactly.
-//
-// The cycle update is expressed as shard-local kernels over a partition of
-// the routers (see shard.go): with Shards == 1 a single direct-mode worker
-// applies every effect inline (the classic sequential engine); with
-// Shards > 1 a persistent worker pool steps the shards concurrently and all
-// externally visible effects are buffered and merged in a canonical order,
-// so results are bit-identical for any shard count.
+// One goroutine steps every cycle (see engine.go); parallelism belongs to
+// the sweep, which runs independent points side by side.
 package network
 
 import (
@@ -53,12 +48,6 @@ type Params struct {
 	// RecoveryDrainRate is the number of victim flits absorbed per cycle
 	// during deadlock recovery; 0 means instantaneous absorption.
 	RecoveryDrainRate int
-	// Shards is the number of parallel workers stepping the network.
-	// 1 runs the sequential engine; 0 takes an integer FLEXSIM_SHARDS
-	// environment variable and falls back to 1. The value is clamped to
-	// [1, nodes]. Shard count never changes simulation results — only
-	// wall-clock time.
-	Shards int
 	// CheckInvariants makes Step validate the state contract after every
 	// cycle and panic on a violation (tests only; costly): flit conservation,
 	// exclusive ownership, the owner and slot tables and buffer bounds (see
@@ -85,15 +74,13 @@ type rxRequest struct {
 var rxNone = rxRequest{key: math.MaxInt32, vc: message.NoVC}
 
 // Network is the simulated network state. A simulation run owns one Network
-// and steps it from a single goroutine; with Shards > 1 the Step call itself
-// fans work out to an internal worker pool, but the external contract is
-// unchanged (no concurrent calls into Network).
+// and steps it from a single goroutine; nothing in it is safe for concurrent
+// use.
 type Network struct {
-	p      Params
-	topo   topology.Network
-	vcs    int
-	depth  int32
-	shards int
+	p     Params
+	topo  topology.Network
+	vcs   int
+	depth int32
 
 	now int64
 
@@ -159,19 +146,21 @@ type Network struct {
 	chReq []uint64
 	rxReq []rxRequest
 
-	slab msgSlab
+	// Where the cycle has work, one bit per channel or node (see engine.go).
+	chBits  []uint64
+	rxNodes []uint64
+	qNodes  []uint64
 
-	// w0 is the always-direct worker used by the sequential engine and by
-	// between-cycle mutators (Kill, Absorb, fault setters). workers/pool
-	// are non-nil only when shards > 1; shardOfNode/shardOfCh map a node
-	// or a channel's source node to its owning shard.
-	w0          *worker
-	workers     []*worker
-	pool        *pool
-	shardOfNode []int32
-	shardOfCh   []int32
-	mergeCur    []int           // k-way merge cursors, reused
-	hdr         message.Message // Route's header, reused
+	// Routing scratch. req is reused for every Candidates call: a per-call
+	// Request would escape through the interface call, one heap object per
+	// routed header.
+	req     routing.Request
+	candBuf []routing.Candidate
+	fbBuf   []routing.Candidate
+	chBuf   []topology.ChannelID
+	hdr     message.Message // Route's header, reused
+
+	slab msgSlab
 
 	// OnDeliver, if set, is called when a message is delivered normally
 	// or absorbed by recovery (Status distinguishes the two).
@@ -310,11 +299,10 @@ func New(p Params) (*Network, error) {
 	}
 	t := p.Topo
 	n := &Network{
-		p:      p,
-		topo:   t,
-		vcs:    p.VCs,
-		depth:  int32(p.BufferDepth),
-		shards: resolveShards(p.Shards, t.Nodes()),
+		p:     p,
+		topo:  t,
+		vcs:   p.VCs,
+		depth: int32(p.BufferDepth),
 
 		numNetVCs: t.NumChannels() * p.VCs,
 		chRR:      make([]int32, t.NumChannels()),
@@ -322,6 +310,10 @@ func New(p Params) (*Network, error) {
 		queues:    make([]msgQueue, t.Nodes()),
 		chReq:     make([]uint64, t.NumChannels()),
 		rxReq:     make([]rxRequest, t.Nodes()),
+		chBits:    make([]uint64, (t.NumChannels()+63)/64),
+		rxNodes:   make([]uint64, (t.Nodes()+63)/64),
+		qNodes:    make([]uint64, (t.Nodes()+63)/64),
+		req:       routing.Request{Topo: t, VCs: p.VCs},
 		slab:      newMsgSlab(t, p.VCs),
 	}
 	n.numVCs = n.numNetVCs + t.Nodes()
@@ -358,12 +350,8 @@ func New(p Params) (*Network, error) {
 	for i := range n.chRR {
 		n.chRR[i] = -1
 	}
-	n.initWorkers()
 	return n, nil
 }
-
-// Shards returns the resolved worker count (>= 1).
-func (n *Network) Shards() int { return n.shards }
 
 // --- VC id space -----------------------------------------------------------
 
@@ -492,16 +480,22 @@ func (n *Network) Topology() topology.Network { return n.topo }
 
 // Step advances the simulation by one cycle: recovery drain, injection
 // starts, header VC allocation, link arbitration, flit transfers, ejection
-// and VC release. With shards > 1 the phases run on the worker pool with
-// deterministic cross-shard effect merging (see shard.go); results are
-// identical either way.
+// and VC release, in four phase groups (see engine.go). With engine
+// telemetry attached each group is timed.
 func (n *Network) Step() {
 	n.now++
-	if n.pool == nil {
-		n.stepSequential(n.eng)
-	} else {
-		n.stepParallel(n.eng)
-	}
+	es := n.eng
+	t := es.start()
+	n.drainRecovering()
+	n.startInjections()
+	t = es.lap(0, t)
+	n.allocatePlan()
+	t = es.lap(1, t)
+	n.arbitrateAndEject()
+	t = es.lap(2, t)
+	n.applyAndRelease()
+	n.compactActive()
+	es.lap(3, t)
 	if n.p.CheckInvariants {
 		if err := n.CheckInvariants(); err != nil {
 			panic(err)
@@ -555,7 +549,7 @@ func derouteCount(t topology.Network, m *message.Message) int {
 
 // acquire makes m the owner of vc, appended to its hop chain. A new empty
 // hop is the one thing that can make a frozen worm movable again (see
-// worker.plan), so this is where Frozen is cleared.
+// plan), so this is where Frozen is cleared.
 func (n *Network) acquire(m *message.Message, vc message.VC) {
 	n.owner[vc] = m
 	n.slotOf[vc] = int32(len(m.Hops))
@@ -618,19 +612,17 @@ func (n *Network) Absorb(m *message.Message) {
 	if m.Status != message.Active {
 		return
 	}
-	w := n.w0
 	m.Status = message.Recovering
 	if m.Blocked {
-		w.emitRes(ResUnblock, m.ID, message.NoVC, m.Wants)
+		n.logRes(ResUnblock, m.ID, message.NoVC, m.Wants)
 	}
 	m.Blocked = false
 	m.Wants = m.Wants[:0]
-	w.d.epoch++
-	w.emitTrace(trace.RecoveryStart, m.ID, message.NoVC, -1)
+	n.resEpoch++
+	n.trace(trace.RecoveryStart, m.ID, message.NoVC, -1)
 	if n.p.RecoveryDrainRate == 0 {
-		w.absorbFlits(m, m.Len-m.Consumed)
+		n.absorbFlits(m, m.Len-m.Consumed)
 	}
-	w.flushCounters()
 }
 
 // --- Validation ---------------------------------------------------------------

@@ -493,7 +493,7 @@ func TestVCStringForms(t *testing.T) {
 // allocate — no per-header routing.Request, no Wants regrowth, nothing.
 func TestAllocateSteadyStateAllocs(t *testing.T) {
 	topo := topology.MustNew(8, 2, true)
-	n, err := New(Params{Topo: topo, VCs: 1, BufferDepth: 2, Routing: routing.TFAR{}, Shards: 1})
+	n, err := New(Params{Topo: topo, VCs: 1, BufferDepth: 2, Routing: routing.TFAR{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func TestInjectCarvesFromSlab(t *testing.T) {
 // per message.
 func TestInjectSteadyStateAllocs(t *testing.T) {
 	topo := topology.MustNew(16, 2, true)
-	n, err := New(Params{Topo: topo, VCs: 2, BufferDepth: 2, Routing: routing.TFAR{}, Shards: 1})
+	n, err := New(Params{Topo: topo, VCs: 2, BufferDepth: 2, Routing: routing.TFAR{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,5 +612,33 @@ func TestInjectSteadyStateAllocs(t *testing.T) {
 	if per > 0.05 {
 		t.Errorf("%.3f allocations per delivered message (%d over %d messages), want <= 0.05",
 			per, after.Mallocs-before.Mallocs, msgs)
+	}
+}
+
+// TestActiveMessagesSorted pins the stable-iteration satellite: the slice
+// is ID-ascending whatever the internal active order, and the view tracks
+// membership changes.
+func TestActiveMessagesSorted(t *testing.T) {
+	n := smallNet(t)
+	// Inject from high node ids down so creation order differs from any
+	// node-ordered internal layout.
+	n.Inject(9, 2, 4)
+	n.Inject(4, 8, 4)
+	n.Inject(12, 1, 4)
+	n.Step()
+	ms := n.ActiveMessages()
+	if len(ms) != 3 {
+		t.Fatalf("got %d active messages, want 3", len(ms))
+	}
+	for i := 1; i < len(ms); i++ {
+		if ms[i-1].ID >= ms[i].ID {
+			t.Fatalf("ActiveMessages not ID-sorted: %d before %d", ms[i-1].ID, ms[i].ID)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		n.Step()
+	}
+	if got := len(n.ActiveMessages()); got != 0 {
+		t.Errorf("ActiveMessages after drain = %d messages, want 0", got)
 	}
 }

@@ -5,7 +5,7 @@ package network
 // public routing.Algorithm; a cycle's requests are gathered into sorted
 // slices and granted by a linear round-robin scan; a message is a plain
 // struct owning a []refHop path. There are no bitmaps, slabs, epochs,
-// parked headers, frozen worms, slot or channel lookup tables or workers, and
+// parked headers, frozen worms or slot or channel lookup tables, and
 // nothing is shared with the engine but the topology, routing, rng and
 // traffic packages and the message.VC numbering (network VCs ch×VCs+v, then
 // one injection VC per node). engine_equiv_test.go steps it in lockstep with

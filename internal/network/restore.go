@@ -221,7 +221,7 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 		if len(im.Wants) == 0 {
 			return fmt.Errorf("blocked message has an empty candidate set")
 		}
-		m.Wants = n.appendVCs(m.Wants, n.w0.route(m, n.Downstream(im.Path[last])))
+		m.Wants = n.appendVCs(m.Wants, n.route(m, n.Downstream(im.Path[last])))
 		if !slices.Equal(m.Wants, im.Wants) {
 			return &WantsMismatchError{ID: im.ID, Got: im.Wants, Want: m.Wants}
 		}
@@ -243,14 +243,14 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 // order, through the fault filter and Surviving fallback and under the hop
 // and misroute budgets, appended to buf as VC ids. An empty result means the
 // header is unroutable. The header's CurDim is derived from held, as
-// RestoreState derives it. Route uses the sequential worker's scratch, so it
+// RestoreState derives it. Route uses the engine's routing scratch, so it
 // must not run concurrently with Step.
 func (n *Network) Route(buf []message.VC, src, dst int, held message.VC, hops int, crossed uint32) []message.VC {
 	m := &n.hdr
 	m.Src, m.Dst, m.CurDim, m.Crossed = src, dst, n.curDim(held), crossed
 	m.Hops = slices.Grow(m.Hops[:0], hops+1)[:hops+1]
 	m.Hops[hops].VC = held
-	return n.appendVCs(buf, n.w0.route(m, n.Downstream(held)))
+	return n.appendVCs(buf, n.route(m, n.Downstream(held)))
 }
 
 // curDim is the CurDim of a header in vc: the dimension of vc's channel, or

@@ -1,13 +1,22 @@
 package network
 
-import "testing"
+import (
+	"testing"
+
+	"flexsim/internal/routing"
+	"flexsim/internal/topology"
+)
+
+// smallNet is a 4-ary 2-cube with two VCs and 2-flit buffers under DOR.
+func smallNet(t *testing.T) *Network {
+	return mustNet(t, topology.MustNew(4, 2, true), 2, 2, routing.DOR{})
+}
 
 // driveTelemetry injects a deterministic all-to-far pattern and steps the
 // network, returning the attached stats.
-func driveTelemetry(t *testing.T, shards, cycles int) *EngineStats {
+func driveTelemetry(t *testing.T, cycles int) *EngineStats {
 	t.Helper()
-	n := newShardedNet(t, shards)
-	t.Cleanup(n.Close)
+	n := smallNet(t)
 	es := &EngineStats{}
 	n.SetEngineStats(es)
 	nodes := n.Topology().Nodes()
@@ -22,60 +31,21 @@ func driveTelemetry(t *testing.T, shards, cycles int) *EngineStats {
 	return es
 }
 
-// checkPhaseTime: every launch accumulated kernel time and barrier wall.
-func checkPhaseTime(t *testing.T, es *EngineStats) {
-	t.Helper()
-	for ph := 0; ph < EnginePhases; ph++ {
-		var busy int64
-		for s := range es.PhaseNs {
-			busy += es.PhaseNs[s][ph]
-		}
-		if busy <= 0 || es.WallNs[ph] <= 0 {
-			t.Errorf("phase %d accumulated busy %d, wall %d; want both > 0", ph, busy, es.WallNs[ph])
-		}
-	}
-}
-
-func TestEngineStatsParallel(t *testing.T) {
-	const shards = 4
-	es := driveTelemetry(t, shards, 200)
-	if es.Shards != shards || len(es.PhaseNs) != shards {
-		t.Fatalf("Shards = %d, PhaseNs rows = %d, want %d", es.Shards, len(es.PhaseNs), shards)
-	}
-	checkPhaseTime(t, es)
-	if es.TotalIdleNs() <= 0 {
-		t.Error("expected workers parked at the barrier on a 4-shard run")
-	}
-	// Uniform all-to-far traffic on 4 shards must cross shard boundaries.
-	if es.CrossShardTransfers() == 0 {
-		t.Error("expected cross-shard mailbox traffic")
-	}
-}
-
+// TestEngineStatsSequential: every phase group accumulates time, and the
+// kept-for-bench readings are those of one engine with no barrier.
 func TestEngineStatsSequential(t *testing.T) {
-	es := driveTelemetry(t, 1, 100)
-	if es.Shards != 1 {
-		t.Fatalf("Shards = %d, want 1", es.Shards)
+	es := driveTelemetry(t, 100)
+	for ph, ns := range es.PhaseNs[0] {
+		if ns <= 0 {
+			t.Errorf("phase %d accumulated %d ns; want > 0", ph, ns)
+		}
 	}
-	checkPhaseTime(t, es)
-	if es.TotalIdleNs() != 0 {
-		t.Error("direct mode has no barriers: idle must be zero")
+	if es.TotalWallNs() <= 0 {
+		t.Errorf("TotalWallNs = %d, want > 0", es.TotalWallNs())
 	}
-	if es.CrossShardTransfers() != 0 {
-		t.Error("direct mode has no mailboxes: cross-shard traffic must be zero")
-	}
-}
-
-// TestEngineStatsCountsDeterministic pins the determinism contract: the
-// cross-shard count is exact and identical across identical runs — only the
-// nanosecond fields vary.
-func TestEngineStatsCountsDeterministic(t *testing.T) {
-	a, b := driveTelemetry(t, 4, 150), driveTelemetry(t, 4, 150)
-	if a.CrossShardTransfers() != b.CrossShardTransfers() {
-		t.Errorf("cross-shard count diverged: %d vs %d", a.CrossShardTransfers(), b.CrossShardTransfers())
-	}
-	if a.CrossShardTransfers() == 0 {
-		t.Error("test is vacuous: no cross-shard traffic")
+	if es.Shards != 1 || es.TotalIdleNs() != 0 || es.CrossShardTransfers() != 0 {
+		t.Errorf("Shards %d, idle %d, cross-shard %d; want 1, 0, 0",
+			es.Shards, es.TotalIdleNs(), es.CrossShardTransfers())
 	}
 }
 
@@ -84,8 +54,7 @@ func TestEngineStatsCountsDeterministic(t *testing.T) {
 // as the baseline.
 func TestEngineStatsResultInvariance(t *testing.T) {
 	run := func(attach bool) (int64, int64) {
-		n := newShardedNet(t, 3)
-		defer n.Close()
+		n := smallNet(t)
 		if attach {
 			n.SetEngineStats(&EngineStats{})
 		}

@@ -42,8 +42,8 @@ type canonicalField struct {
 // canonicalPlan lists the fields of sim.Spec sorted by name — the order
 // encoding/json gives map keys, so the encoding is that of a map[name]value
 // without building and sorting one per call. What is semantic is decided by
-// the type: sim.Instrumentation (observability and the shard count, which
-// never change a Result) is not walked, so toggling it or re-running on a
+// the type: sim.Instrumentation (how a run is executed and observed, which
+// never changes a Result) is not walked, so toggling it or re-running on a
 // different core count does not invalidate finished runs.
 var canonicalPlan = func() []canonicalField {
 	t := reflect.TypeOf(sim.Spec{})

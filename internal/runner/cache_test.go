@@ -108,73 +108,6 @@ func TestKeyIgnoresObservability(t *testing.T) {
 	}
 }
 
-// TestKeyIgnoresShards: the shard count is execution strategy, not physics —
-// the parallel engine guarantees bit-identical results for any value
-// (FuzzShardEquivalence), so Shards must not leak into the content address.
-// The golden key equality doubles as proof that adding the field did not
-// invalidate caches written before it existed.
-func TestKeyIgnoresShards(t *testing.T) {
-	base := sim.Default()
-	for _, s := range []int{0, 1, 2, 8} {
-		c := base
-		c.Shards = s
-		if got := Key(c); got != goldenKey {
-			t.Errorf("Shards=%d changed the key: got %s, want golden %s", s, got, goldenKey)
-		}
-	}
-}
-
-// TestResumeAcrossShards: a sweep finished at one shard count must be served
-// entirely from cache when re-run at another (-resume under a different
-// FLEXSIM_SHARDS).
-func TestResumeAcrossShards(t *testing.T) {
-	dir := t.TempDir()
-	cfgs := sweepConfigs(3)
-	for i := range cfgs {
-		cfgs[i].Shards = 1
-	}
-
-	cache, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := Map(context.Background(), cfgs, Options{Cache: cache, Run: fastRun})
-	if err := cache.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cache, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cache.Close()
-	for i := range cfgs {
-		cfgs[i].Shards = 4
-	}
-	var reran int
-	second := Map(context.Background(), cfgs, Options{
-		Parallelism: 1,
-		Cache:       cache,
-		Run: func(ctx context.Context, c sim.Config) (*stats.Result, error) {
-			reran++
-			return fastRun(ctx, c)
-		},
-	})
-	if reran != 0 {
-		t.Errorf("re-ran %d run(s) after changing Shards, want 0 (all cached)", reran)
-	}
-	for i, p := range second {
-		if p.Status != Cached {
-			t.Errorf("point %d: status %s, want cached", i, p.Status)
-		}
-		a, _ := json.Marshal(first[i].Result)
-		b, _ := json.Marshal(p.Result)
-		if !bytes.Equal(a, b) {
-			t.Errorf("point %d: result drifted across shard counts", i)
-		}
-	}
-}
-
 // fastRun is a deterministic stand-in executor: it fabricates a Result from
 // the config without simulating, so cache tests stay instant.
 func fastRun(_ context.Context, c sim.Config) (*stats.Result, error) {

@@ -8,15 +8,14 @@ import (
 	"testing"
 )
 
-// profCfg is a small 4-shard configuration that drives enough traffic for
-// every engine phase to do work.
+// profCfg is a small configuration that drives enough traffic for every
+// engine phase to do work.
 func profCfg() Config {
 	c := Default()
 	c.K = 4
 	c.Load = 0.8
 	c.WarmupCycles = 50
 	c.MeasureCycles = 400
-	c.Shards = 4
 	return c
 }
 
@@ -64,12 +63,10 @@ func TestRunOwnedArtifacts(t *testing.T) {
 }
 
 // TestRunProfileEngineSequential: ProfileEngine attaches the engine's
-// telemetry — phase time accrues on a 1-shard run — and does not change the
-// Result.
+// telemetry — phase time accrues — and does not change the Result.
 func TestRunProfileEngineSequential(t *testing.T) {
 	run := func(profile bool) (*Runner, int64, int64, int64) {
 		c := profCfg()
-		c.Shards = 1
 		c.ProfileEngine = profile
 		r, err := NewRunner(c)
 		if err != nil {
@@ -80,8 +77,8 @@ func TestRunProfileEngineSequential(t *testing.T) {
 	}
 	r, d1, k1, l1 := run(true)
 	es := r.Net.EngineStatsAttached()
-	if es == nil || es.Shards != 1 || es.TotalWallNs() <= 0 {
-		t.Fatalf("profiled run attached %+v, want 1-shard stats with phase time", es)
+	if es == nil || es.TotalWallNs() <= 0 {
+		t.Fatalf("profiled run attached %+v, want stats with phase time", es)
 	}
 	plain, d0, k0, l0 := run(false)
 	if plain.Net.EngineStatsAttached() != nil {

@@ -6,11 +6,7 @@
 //
 // The cycle loop is driven from a single goroutine and fully deterministic
 // per seed. Parallelism belongs one level up: runner.Map runs independent
-// points on separate goroutines. Instrumentation.Shards > 1 (or,
-// when it is zero, an integer FLEXSIM_SHARDS) steps the inside of each
-// network cycle on a worker pool instead, without changing any result bit;
-// that engine has not beaten one shard on any measured machine
-// (BENCH_shards.json), so nothing selects it by default.
+// points on separate goroutines.
 package sim
 
 import (
@@ -136,13 +132,10 @@ type Spec struct {
 
 // Instrumentation is how a run is executed and observed. No field changes a
 // stats.Result bit, so none is hashed into the cache key or has a wire form:
-// toggling any of them, or re-running at another shard count, is served by
-// the same cache entry. All hooks are optional and nil-guarded; the zero
-// value runs the bare cycle loop on the sequential engine.
+// toggling any of them is served by the same cache entry. All hooks are
+// optional and nil-guarded; the zero value runs the bare cycle loop.
 type Instrumentation struct {
-	// Shards is the number of worker-pool shards stepping the network in
-	// parallel: 0 = an integer FLEXSIM_SHARDS if set, else 1 (sequential).
-	Shards int
+	Shards int // inert; kept only for bench/; ROADMAP 1(a) deletes it
 
 	// Tracer, if non-nil, receives message lifecycle events from the
 	// network (see the trace package).
@@ -187,8 +180,8 @@ type Instrumentation struct {
 
 	// ProfileEngine attaches the cycle engine's telemetry
 	// (network.EngineStats, read back through Net.EngineStatsAttached):
-	// per-shard per-phase kernel timings, barrier idle time and the
-	// cross-shard mailbox count. Unprofiled runs pay nil checks only.
+	// the wall time of each of Step's four phase groups. Unprofiled runs
+	// pay nil checks only.
 	ProfileEngine bool
 }
 
@@ -336,7 +329,6 @@ func NewRunner(c Config) (*Runner, error) {
 		BufferDepth:       c.BufferDepth,
 		Routing:           alg,
 		RecoveryDrainRate: c.RecoveryDrainRate,
-		Shards:            c.Shards,
 		CheckInvariants:   c.CheckInvariants,
 		Tracer:            tracer,
 	})
@@ -629,19 +621,16 @@ func (r *Runner) StartMeasurement() {
 	r.measuring = true
 }
 
-// Close releases the network's worker pool (a no-op for sequential runs).
-// Finish calls it; only callers that step a Runner manually and abandon it
-// without Finish need to Close explicitly.
-func (r *Runner) Close() { r.Net.Close() }
+// Close does nothing. Kept only for bench/; ROADMAP 1(a) deletes it.
+func (r *Runner) Close() {}
 
-// Finish completes the run's record and returns it, and stops the network's
-// worker pool (stepping past Finish falls back to the sequential engine).
-// The Result is detached: a copy that shares no memory with the Runner, its
-// histograms sized to their samples, so a sweep holding thousands of
-// Results holds ~2 KB each rather than each one's network, detector and
-// wait-for-graph arenas.
+// Finish completes the run's record and returns it; the Runner holds nothing
+// that needs releasing, so a Runner abandoned without Finish is simply
+// collected. The Result is detached: a copy that shares no memory with the
+// Runner, its histograms sized to their samples, so a sweep holding
+// thousands of Results holds ~2 KB each rather than each one's network,
+// detector and wait-for-graph arenas.
 func (r *Runner) Finish() *stats.Result {
-	r.Net.Close()
 	res := new(stats.Result)
 	*res = *r.res
 	res.Latency = detached(&r.res.Latency)
