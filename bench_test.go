@@ -48,12 +48,10 @@ func benchExperiment(b *testing.B, id string) {
 
 // --- One benchmark per paper table/figure -----------------------------------
 
-// BenchmarkFig5a / Fig5b: bidirectionality study (normalized deadlocks and
-// deadlock set sizes vs load, DOR, 1 VC, uni vs bi torus).
-func BenchmarkFig5a(b *testing.B) { benchFig5Panel(b, false) }
-func BenchmarkFig5b(b *testing.B) { benchFig5Panel(b, true) }
-
-func benchFig5Panel(b *testing.B, setSizes bool) {
+// BenchmarkFig5: bidirectionality study — normalized deadlocks (5a) and
+// deadlock set sizes (5b) vs load, DOR, 1 VC, uni vs bi torus; one sweep
+// fills both panels.
+func BenchmarkFig5(b *testing.B) {
 	fig5, err := experiments.ByName("fig5")
 	if err != nil {
 		b.Fatal(err)
@@ -64,27 +62,21 @@ func benchFig5Panel(b *testing.B, setSizes bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		idx := 0
-		if setSizes {
-			idx = 1
-		}
-		if len(tables[idx].Rows) == 0 {
+		if len(tables) < 2 || len(tables[0].Rows) == 0 || len(tables[1].Rows) == 0 {
 			b.Fatal("empty panel")
 		}
 	}
 }
 
-// BenchmarkFig6a / Fig6b: adaptivity study (deadlocks+cycles, set sizes).
-func BenchmarkFig6a(b *testing.B) { benchExperiment(b, "fig6") }
-func BenchmarkFig6b(b *testing.B) { benchExperiment(b, "fig6") }
+// BenchmarkFig6: adaptivity study (6a deadlocks and cycles, 6b set sizes).
+func BenchmarkFig6(b *testing.B) { benchExperiment(b, "fig6") }
 
-// BenchmarkFig7a / Fig7b: virtual channel study (1-4 VCs; cycle census).
-func BenchmarkFig7a(b *testing.B) { benchExperiment(b, "fig7") }
-func BenchmarkFig7b(b *testing.B) { benchExperiment(b, "fig7") }
+// BenchmarkFig7: virtual channel study (7a 1-4 VCs, 7b cycle census).
+func BenchmarkFig7(b *testing.B) { benchExperiment(b, "fig7") }
 
-// BenchmarkFig8a / Fig8b: buffer depth study (wormhole through VCT).
-func BenchmarkFig8a(b *testing.B) { benchExperiment(b, "fig8") }
-func BenchmarkFig8b(b *testing.B) { benchExperiment(b, "fig8") }
+// BenchmarkFig8: buffer depth study, wormhole through VCT (8a vs load, 8b vs
+// messages in the network).
+func BenchmarkFig8(b *testing.B) { benchExperiment(b, "fig8") }
 
 // BenchmarkNodeDegree: Sec. 3.5 (2-D vs higher-degree torus).
 func BenchmarkNodeDegree(b *testing.B) { benchExperiment(b, "degree") }

@@ -65,14 +65,33 @@ func bindCLI(fs *flag.FlagSet) *cli {
 	return c
 }
 
+// conflict says why a flag set on fs cannot be honoured in the mode the
+// flags select, or returns "". A spec file owns what each point simulates and
+// is answered with PointResult JSONL; -experiment answers with tables.
+func (c *cli) conflict(fs *flag.FlagSet) string {
+	if c.spec == "" {
+		if c.resultsOut != "" {
+			return "-results-out needs -spec: -experiment prints tables, not PointResult JSONL"
+		}
+		return ""
+	}
+	plan := func(fs *flag.FlagSet) { flags.BindPlan(fs); fs.String("experiment", "", "") }
+	if name := flags.Owned(fs, plan); name != "" {
+		return "-" + name + " cannot be combined with -spec: the spec file owns what each point simulates"
+	}
+	if name := flags.Owned(fs, flags.Names("csv", "plot")); name != "" {
+		return "-" + name + " cannot be combined with -spec: a spec run writes PointResult JSONL, not tables"
+	}
+	return ""
+}
+
 func run() (code int) {
 	plan := flags.BindPlan(flag.CommandLine)
 	common := flags.BindCommon(flag.CommandLine)
 	sweep := bindCLI(flag.CommandLine)
 	flag.Parse()
-	owned := func(fs *flag.FlagSet) { flags.BindPlan(fs); fs.String("experiment", "", "") }
-	if name := flags.Owned(flag.CommandLine, owned); sweep.spec != "" && name != "" {
-		fmt.Fprintf(os.Stderr, "charsweep: -%s cannot be combined with -spec: the spec file owns what each point simulates\n", name)
+	if why := sweep.conflict(flag.CommandLine); why != "" {
+		fmt.Fprintln(os.Stderr, "charsweep:", why)
 		return 2
 	}
 

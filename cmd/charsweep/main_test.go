@@ -203,6 +203,30 @@ func TestSpecRefusesPlanFlags(t *testing.T) {
 	}
 }
 
+// TestModeRefusesDroppedFlags: a flag the selected mode would drop is a usage
+// error naming the flag, exit 2, before anything runs: -experiment writes no
+// PointResult JSONL for -results-out, and -spec no table for -csv or -plot.
+func TestModeRefusesDroppedFlags(t *testing.T) {
+	dir := t.TempDir()
+	writeSpec(t, dir)
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"-results-out", []string{"-experiment", "fig5", "-quick", "-loads", "0.2", "-results-out", "x.jsonl"}},
+		{"-csv", []string{"-spec", "spec.json", "-csv"}},
+		{"-plot", []string{"-spec", "spec.json", "-plot"}},
+	} {
+		out, stderr, code := charsweepStderr(t, dir, c.args...)
+		if code != 2 || len(out) != 0 || !bytes.Contains(stderr, []byte("charsweep: "+c.name+" ")) {
+			t.Errorf("%v: exit %d, %d byte(s) of output, stderr %q; want a refusal naming %s (exit 2)", c.args, code, len(out), stderr, c.name)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "x.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("x.jsonl exists after a refused run (err %v)", err)
+	}
+}
+
 // TestBindCLI: the flags only charsweep reads bind where run reads them,
 // beside the shared groups on one FlagSet (a duplicate name would panic).
 func TestBindCLI(t *testing.T) {

@@ -10,10 +10,11 @@
 //
 //	flexcheck -grid short -out results/flexcheck_short.json
 //	flexcheck -grid full -repro-dir results/repros
-//	flexcheck -topo ring-uni -k 3 -vcs 1 -routing dor -messages 3
+//	flexcheck -grid custom -topo ring-uni -k 3 -vcs 1 -routing dor -messages 3
 //
 // The exit status is 0 when the grid verifies, 1 on divergences, 2 on
-// usage or checker errors. Repro files round-trip through flexsim -repro.
+// usage or checker errors; a configuration flag (-topo, -k, ...) without
+// -grid custom is a usage error. Repro files round-trip through flexsim -repro.
 package main
 
 import (
@@ -23,23 +24,29 @@ import (
 	"os"
 	"path/filepath"
 
+	"flexsim/cmd/internal/flags"
 	"flexsim/internal/modelcheck"
 )
 
 func main() {
-	grid := flag.String("grid", "short", "configuration grid: short, full, or custom (use -topo/-k/...)")
-	topo := flag.String("topo", "ring-uni", "custom grid: topology (ring-uni, ring-bi, line)")
-	k := flag.Int("k", 3, "custom grid: node count")
-	vcs := flag.Int("vcs", 1, "custom grid: virtual channels per physical channel")
-	routingName := flag.String("routing", "dor", "custom grid: routing relation")
-	messages := flag.Int("messages", 3, "custom grid: message count")
-	msgLen := flag.Int("msg-len", 2, "custom grid: flits per message")
-	bufDepth := flag.Int("buf", 1, "custom grid: edge buffer depth (flits)")
-	maxStates := flag.Int("max-states", 0, "per-configuration state cap (0 = default 150000)")
-	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
-	reproDir := flag.String("repro-dir", "", "write divergence/exemplar repro files into this directory")
-	quiet := flag.Bool("q", false, "suppress per-configuration progress lines")
-	flag.Parse()
+	os.Exit(run())
+}
+
+func run() int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	grid := fs.String("grid", "short", "configuration grid: short, full, or custom (use -topo/-k/...)")
+	topo := fs.String("topo", "ring-uni", "custom grid: topology (ring-uni, ring-bi, line)")
+	k := fs.Int("k", 3, "custom grid: node count")
+	vcs := fs.Int("vcs", 1, "custom grid: virtual channels per physical channel")
+	routingName := fs.String("routing", "dor", "custom grid: routing relation")
+	messages := fs.Int("messages", 3, "custom grid: message count")
+	msgLen := fs.Int("msg-len", 2, "custom grid: flits per message")
+	bufDepth := fs.Int("buf", 1, "custom grid: edge buffer depth (flits)")
+	maxStates := fs.Int("max-states", 0, "per-configuration state cap (0 = default 150000)")
+	out := fs.String("out", "", "write the JSON report to this file (default stdout)")
+	reproDir := fs.String("repro-dir", "", "write divergence/exemplar repro files into this directory")
+	quiet := fs.Bool("q", false, "suppress per-configuration progress lines")
+	fs.Parse(os.Args[1:])
 
 	var configs []modelcheck.Config
 	switch *grid {
@@ -54,7 +61,12 @@ func main() {
 		}}
 	default:
 		fmt.Fprintf(os.Stderr, "flexcheck: unknown grid %q (short|full|custom)\n", *grid)
-		os.Exit(2)
+		return 2
+	}
+	custom := flags.Names("topo", "k", "vcs", "routing", "messages", "msg-len", "buf")
+	if name := flags.Owned(fs, custom); name != "" && *grid != "custom" {
+		fmt.Fprintf(os.Stderr, "flexcheck: -%s describes the -grid custom configuration; -grid %s does not read it\n", name, *grid)
+		return 2
 	}
 
 	var progress modelcheck.Progress
@@ -66,19 +78,19 @@ func main() {
 	rep, err := modelcheck.RunGrid(context.Background(), *grid, configs, modelcheck.Options{MaxStates: *maxStates}, progress)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexcheck:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	if *reproDir != "" {
 		if err := writeRepros(*reproDir, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "flexcheck:", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	if err := writeReport(*out, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "flexcheck:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	fmt.Fprintf(os.Stderr,
@@ -86,8 +98,9 @@ func main() {
 		len(rep.Configs), rep.TotalStates, rep.TotalEdges, float64(rep.WallMS)/1000,
 		rep.SoundnessDivergences, rep.CompletenessDivergences)
 	if rep.SoundnessDivergences+rep.CompletenessDivergences > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // writeReport writes the JSON report to the file at path, or to stdout when

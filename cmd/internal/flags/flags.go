@@ -196,9 +196,9 @@ func readFaultSchedule(path string) ([]fault.Event, error) {
 }
 
 // Owned names the first flag set on fs to a value other than its default
-// that bind registers: a spec or repro file fixes what those flags set, so
-// a command given one refuses them instead of silently dropping them. It
-// returns "" when none is set.
+// that bind registers: a flag the selected mode does not read (a spec or
+// repro file fixes what the physics and plan flags set), which the command
+// refuses instead of silently dropping. It returns "" when none is set.
 func Owned(fs *flag.FlagSet, bind func(*flag.FlagSet)) string {
 	owned := flag.NewFlagSet("owned", flag.ContinueOnError)
 	bind(owned)
@@ -209,6 +209,16 @@ func Owned(fs *flag.FlagSet, bind func(*flag.FlagSet)) string {
 		}
 	})
 	return name
+}
+
+// Names binds one flag of each name, so Owned can ask about flags a command
+// declares itself.
+func Names(names ...string) func(*flag.FlagSet) {
+	return func(fs *flag.FlagSet) {
+		for _, n := range names {
+			fs.String(n, "", "")
+		}
+	}
 }
 
 // SignalContext returns a context cancelled by SIGINT/SIGTERM and, when

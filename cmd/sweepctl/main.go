@@ -18,6 +18,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,10 +83,18 @@ func run(args []string) int {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweepctl:", err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
 		return 1
 	}
 	return 0
 }
+
+// usageError is a combination of flags a command cannot honour, exit status 2.
+type usageError string
+
+func (u usageError) Error() string { return string(u) }
 
 // bindClient registers the shared -server flag.
 func bindClient(fs *flag.FlagSet) *string {
@@ -139,6 +148,9 @@ func cmdSubmit(args []string) error {
 	watch := fs.Bool("watch", false, "follow the sweep's event stream until it settles")
 	asJSON := fs.Bool("json", false, "with -watch: print raw specv1 event JSON, one object per line")
 	fs.Parse(args)
+	if *asJSON && !*watch {
+		return usageError("submit: -json needs -watch: without it no event is printed")
+	}
 
 	spec, err := flags.ReadSpec(*file)
 	if err != nil {

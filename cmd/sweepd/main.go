@@ -42,23 +42,39 @@ func main() {
 	os.Exit(run())
 }
 
+// The flags only one mode reads: setting one off its default in the other
+// mode is a usage error, exit 2.
+var (
+	coordinatorOnly = []string{"workers", "fleet", "journal", "max-retries", "point-timeout", "health-every", "drain-grace", "fleet-perfetto"}
+	workerOnly      = []string{"name", "spans-out"}
+)
+
 func run() (code int) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		httpAddr    = flag.String("http", "127.0.0.1:8600", "serve the sweep API (plus /metrics, /healthz, /progress) on this address")
-		store       = flag.String("store", "sweep.store", "shared content-addressed result store directory")
-		worker      = flag.Bool("worker", false, "run as a fleet worker (serve /api/v1/run) instead of a coordinator")
-		name        = flag.String("name", "", "worker name reported in results (default: the listen address)")
-		journal     = flag.String("journal", "", "coordinator journal for idempotent restart (default: <store>/journal.jsonl; \"none\" disables)")
-		workers     = flag.Int("workers", 0, "in-process workers (0 = GOMAXPROCS when -fleet is empty, else none)")
-		fleet       = flag.String("fleet", "", "comma-separated fleet worker base URLs, e.g. http://host:8601")
-		maxRetries  = flag.Int("max-retries", 0, "re-executions per point after worker death/timeouts (0 = default of 2, negative = none)")
-		pointTO     = flag.Duration("point-timeout", 0, "per-point execution timeout (0 = unbounded)")
-		healthEvery = flag.Duration("health-every", 0, "poll period when gating an unhealthy fleet worker on /healthz (0 = 250ms)")
-		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "grace for in-flight points when draining on SIGINT/SIGTERM")
-		fleetPerf   = flag.String("fleet-perfetto", "", "coordinator: at drain, render the journal here as the fleet Perfetto timeline (one thread per worker, one slice per attempt)")
-		spansOut    = flag.String("spans-out", "", "worker: per-run Perfetto timeline path (\"*\" expands to <label>-s<seed>-l<load>)")
+		httpAddr    = fs.String("http", "127.0.0.1:8600", "serve the sweep API (plus /metrics, /healthz, /progress) on this address")
+		store       = fs.String("store", "sweep.store", "shared content-addressed result store directory")
+		worker      = fs.Bool("worker", false, "run as a fleet worker (serve /api/v1/run) instead of a coordinator")
+		name        = fs.String("name", "", "worker name reported in results (default: the listen address)")
+		journal     = fs.String("journal", "", "coordinator journal for idempotent restart (default: <store>/journal.jsonl; \"none\" disables)")
+		workers     = fs.Int("workers", 0, "in-process workers (0 = GOMAXPROCS when -fleet is empty, else none)")
+		fleet       = fs.String("fleet", "", "comma-separated fleet worker base URLs, e.g. http://host:8601")
+		maxRetries  = fs.Int("max-retries", 0, "re-executions per point after worker death/timeouts (0 = default of 2, negative = none)")
+		pointTO     = fs.Duration("point-timeout", 0, "per-point execution timeout (0 = unbounded)")
+		healthEvery = fs.Duration("health-every", 0, "poll period when gating an unhealthy fleet worker on /healthz (0 = 250ms)")
+		drainGrace  = fs.Duration("drain-grace", 30*time.Second, "grace for in-flight points when draining on SIGINT/SIGTERM")
+		fleetPerf   = fs.String("fleet-perfetto", "", "coordinator: at drain, render the journal here as the fleet Perfetto timeline (one thread per worker, one slice per attempt)")
+		spansOut    = fs.String("spans-out", "", "worker: per-run Perfetto timeline path (\"*\" expands to <label>-s<seed>-l<load>)")
 	)
-	flag.Parse()
+	fs.Parse(os.Args[1:])
+	reader, dropped := "the coordinator", workerOnly
+	if *worker {
+		reader, dropped = "a -worker", coordinatorOnly
+	}
+	if bad := flags.Owned(fs, flags.Names(dropped...)); bad != "" {
+		fmt.Fprintf(os.Stderr, "sweepd: -%s is not read by %s\n", bad, reader)
+		return 2
+	}
 	if *fleetPerf != "" && *journal == "none" {
 		fmt.Fprintln(os.Stderr, "sweepd: -fleet-perfetto reads the timeline from the journal; it cannot be used with -journal none")
 		return 2
