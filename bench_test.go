@@ -281,11 +281,13 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkDetectNow measures a full detection pass (snapshot + pooled build
-// + Tarjan + classification) with the change gate defeated, so every
-// iteration rebuilds and re-analyzes. Steady-state allocations should be
-// zero once the detector's arenas have warmed up.
+// + Tarjan + classification) with the change gate and the knot-freedom proof
+// defeated (Invalidate), so every iteration rebuilds and re-analyzes.
+// Steady-state allocations should be zero once the detector's arenas have
+// warmed up.
 func BenchmarkDetectNow(b *testing.B) {
 	r := saturatedRunner(b, "dateline-dor", 2)
+	r.Detector.Invalidate()
 	r.Detector.DetectNow() // warm the arenas
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -309,6 +311,53 @@ func BenchmarkDetectNowGated(b *testing.B) {
 	b.StopTimer()
 	if r.Detector.Stats.GatedInvocations == 0 {
 		b.Fatal("gate never engaged; fast path not exercised")
+	}
+}
+
+// BenchmarkDetectNowProved measures a pass the knot-freedom proof answers:
+// a deadlock-free routing at saturation, stepped one cycle (untimed) before
+// each pass so the change gate never engages and every pass sees a new
+// state. This must report 0 allocs/op.
+func BenchmarkDetectNowProved(b *testing.B) {
+	r := saturatedRunner(b, "dateline-dor", 2)
+	d, err := detect.New(r.Net, detect.Config{Every: 50})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.DetectNow() // warm the proof's storage
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r.StepCycle()
+		b.StartTimer()
+		d.DetectNow()
+	}
+	b.StopTimer()
+	if s := d.Stats; s.GatedInvocations != 0 || s.DetectBuildTime.Sum() != 0 {
+		b.Fatalf("%d of %d passes gated, %d ns spent building: not every pass was proved",
+			s.GatedInvocations, s.Invocations, s.DetectBuildTime.Sum())
+	}
+}
+
+// BenchmarkDetectNowTimeouts measures a pass with the timeout comparison
+// on, which no pass may skip: the knot-freedom proof, then every blocked
+// message against three thresholds. This must report 0 allocs/op.
+func BenchmarkDetectNowTimeouts(b *testing.B) {
+	r := saturatedRunner(b, "dateline-dor", 2)
+	d, err := detect.New(r.Net, detect.Config{Every: 50, TimeoutThresholds: []int64{50, 200, 1000}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.DetectNow() // warm the proof's storage and the timeout counters
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.DetectNow()
+	}
+	b.StopTimer()
+	if d.Timeout[0].Flagged == 0 {
+		b.Fatal("no blocked message reached the lowest threshold")
 	}
 }
 

@@ -91,7 +91,8 @@ func run(args []string) int {
 	return 0
 }
 
-// usageError is a combination of flags a command cannot honour, exit status 2.
+// usageError is a command line a command cannot honour (a missing argument,
+// or a combination of flags), exit status 2.
 type usageError string
 
 func (u usageError) Error() string { return string(u) }
@@ -183,7 +184,7 @@ func cmdStatus(args []string) error {
 	server := bindClient(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: sweepctl status [-server URL] <sweep-id>")
+		return usageError("usage: sweepctl status [-server URL] <sweep-id>")
 	}
 	st, err := client(*server).Status(context.Background(), fs.Arg(0))
 	if err != nil {
@@ -198,7 +199,7 @@ func cmdResults(args []string) error {
 	server := bindClient(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: sweepctl results [-server URL] <sweep-id>")
+		return usageError("usage: sweepctl results [-server URL] <sweep-id>")
 	}
 	results, err := client(*server).Results(context.Background(), fs.Arg(0))
 	if err != nil {
@@ -213,7 +214,7 @@ func cmdWatch(args []string) error {
 	asJSON := fs.Bool("json", false, "print raw specv1 event JSON, one object per line")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: sweepctl watch [-server URL] [-json] <sweep-id>")
+		return usageError("usage: sweepctl watch [-server URL] [-json] <sweep-id>")
 	}
 	c := client(*server)
 	ctx := context.Background()

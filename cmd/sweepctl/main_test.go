@@ -133,3 +133,13 @@ func TestHealth(t *testing.T) {
 		t.Errorf("closed server: exit %d, want 1", code)
 	}
 }
+
+// TestSweepIDRequired: status, results and watch name one sweep, so each is
+// a usage error without an id.
+func TestSweepIDRequired(t *testing.T) {
+	for _, cmd := range []string{"status", "results", "watch"} {
+		if _, stderr, code := sweepctl(t, t.TempDir(), cmd); code != 2 || !strings.Contains(stderr, "<sweep-id>") {
+			t.Errorf("%s without an id: exit %d, stderr %q; want exit 2 and the usage line", cmd, code, stderr)
+		}
+	}
+}

@@ -198,6 +198,19 @@ type Detector struct {
 	lastClean    bool
 	lastEpoch    uint64
 	lastAnalysis cwg.Analysis
+
+	// Knot-freedom proof state (proof.go): escaped stamps, per head VC, the
+	// messages proved to escape in pass proofEpoch; pending holds the blocked
+	// messages not yet proved. graphNext sends the next pass to the graph
+	// path without trying the proof (Invalidate).
+	escaped    []uint64
+	proofEpoch uint64
+	pending    []*message.Message
+	graphNext  bool
+
+	// Per-pass deadlock-set and dependent membership for compareTimeouts,
+	// cleared and refilled each pass.
+	inSet, dependent map[message.ID]bool
 }
 
 // Validate checks the configuration for values that would make the detector
@@ -245,12 +258,16 @@ func New(net *network.Network, cfg Config) (*Detector, error) {
 func (d *Detector) Config() Config { return d.cfg }
 
 // ResetStats clears the whole Stats record in place, the timeout counters
-// and the event log (the warmup/measurement boundary), and pre-grows the
-// timing histograms again so observing a pass stays allocation-free.
+// and the event log (the warmup/measurement boundary). The timing
+// histograms keep their bucket storage, zeroed, pre-grown once so observing
+// a pass stays allocation-free.
 func (d *Detector) ResetStats() {
-	*d.Stats = stats.Result{}
-	d.Stats.DetectBuildTime.Grow(timingGrowTo)
-	d.Stats.DetectAnalyzeTime.Grow(timingGrowTo)
+	build, analyze := d.Stats.DetectBuildTime, d.Stats.DetectAnalyzeTime
+	build.Reset()
+	analyze.Reset()
+	build.Grow(timingGrowTo)
+	analyze.Grow(timingGrowTo)
+	*d.Stats = stats.Result{DetectBuildTime: build, DetectAnalyzeTime: analyze}
 	d.Timeout = nil
 	d.Events = d.Events[:0]
 }
@@ -282,10 +299,11 @@ func (d *Detector) Snapshot() []cwg.Msg {
 	return d.snap
 }
 
-// Invalidate drops the change-gating state so the next DetectNow performs a
-// full pass regardless of the network's resource epoch (benchmarks,
-// ablations).
-func (d *Detector) Invalidate() { d.gateValid = false }
+// Invalidate makes the next DetectNow perform a full pass: it is not gated
+// whatever the network's resource epoch, and it snapshots, builds and
+// analyzes the CWG without first trying the knot-freedom proof (benchmarks
+// of the graph path, ablations, the model checker).
+func (d *Detector) Invalidate() { d.gateValid, d.graphNext = false, true }
 
 // gateable reports whether change-gating preserves this configuration's
 // semantics: the cycle census samples per-pass occupancy and the timeout
@@ -302,6 +320,12 @@ func (d *Detector) gateable() bool {
 // that pass found no deadlock, the CWG is provably identical, so the pass
 // is skipped and the previous (deadlock-free) analysis returned;
 // Stats.GatedInvocations counts such invocations.
+//
+// Otherwise, unless the cycle census is on (it counts the graph's cycles),
+// the pass first tries to prove the graph knot-free without building it
+// (proof.go). A proved pass returns the analysis the graph path would, an
+// Analysis holding only BlockedMessages, and counts as a clean full pass:
+// it builds nothing (BuildNs 0) and its AnalyzeNs is the proof's time.
 func (d *Detector) DetectNow() cwg.Analysis {
 	epoch := d.net.ResourceEpoch()
 	if d.gateValid && d.lastClean && epoch == d.lastEpoch && d.gateable() {
@@ -312,21 +336,7 @@ func (d *Detector) DetectNow() cwg.Analysis {
 		}
 		return d.lastAnalysis
 	}
-	if d.builder == nil {
-		d.builder = cwg.NewBuilder(d.net.TotalVCs())
-	}
-	d.passSeq++
-	d.ownedBuf = d.ownedBuf[:0]
-	t0 := time.Now()
-	g := d.builder.Build(d.Snapshot())
-	t1 := time.Now()
-	an := g.Analyze(cwg.Options{
-		CountKnotCycles:  d.cfg.CountKnotCycles,
-		CountTotalCycles: d.cfg.CycleCensus,
-		MaxCycles:        d.cfg.MaxCycles,
-		MaxWork:          d.cfg.MaxWork,
-	})
-	buildNs, analyzeNs := int64(t1.Sub(t0)), int64(time.Since(t1))
+	an, g, buildNs, analyzeNs := d.analyze()
 	d.Stats.DetectBuildTime.Observe(buildNs)
 	d.Stats.DetectAnalyzeTime.Observe(analyzeNs)
 	d.Stats.Invocations++
@@ -385,6 +395,35 @@ func (d *Detector) DetectNow() cwg.Analysis {
 			AnalyzeNs: analyzeNs, Deadlocks: len(an.Deadlocks)})
 	}
 	return an
+}
+
+// analyze answers one pass: by the knot-freedom proof when it may be tried
+// and holds (g is then nil), else by building and analyzing the CWG. A
+// failed proof's time counts into the graph path's analyzeNs.
+func (d *Detector) analyze() (an cwg.Analysis, g *cwg.Graph, buildNs, analyzeNs int64) {
+	tryProof := !d.graphNext && !d.cfg.CycleCensus
+	d.graphNext = false
+	t0 := time.Now()
+	if tryProof {
+		if blocked, ok := d.proveKnotFree(); ok {
+			return cwg.Analysis{BlockedMessages: blocked}, nil, 0, int64(time.Since(t0))
+		}
+	}
+	if d.builder == nil {
+		d.builder = cwg.NewBuilder(d.net.TotalVCs())
+	}
+	d.passSeq++
+	d.ownedBuf = d.ownedBuf[:0]
+	tb := time.Now()
+	g = d.builder.Build(d.Snapshot())
+	t1 := time.Now()
+	an = g.Analyze(cwg.Options{
+		CountKnotCycles:  d.cfg.CountKnotCycles,
+		CountTotalCycles: d.cfg.CycleCensus,
+		MaxCycles:        d.cfg.MaxCycles,
+		MaxWork:          d.cfg.MaxWork,
+	})
+	return an, g, int64(t1.Sub(tb)), int64(tb.Sub(t0)) + int64(time.Since(t1))
 }
 
 // record folds one deadlock into the aggregates.

@@ -73,8 +73,12 @@ func (d *Detector) compareTimeouts(an *cwg.Analysis) {
 			d.Timeout[i].Threshold = th
 		}
 	}
-	inSet := make(map[message.ID]bool)
-	dependent := make(map[message.ID]bool)
+	if d.inSet == nil {
+		d.inSet, d.dependent = make(map[message.ID]bool), make(map[message.ID]bool)
+	}
+	inSet, dependent := d.inSet, d.dependent
+	clear(inSet)
+	clear(dependent)
 	for i := range an.Deadlocks {
 		for _, id := range an.Deadlocks[i].DeadlockSet {
 			inSet[id] = true
@@ -84,7 +88,7 @@ func (d *Detector) compareTimeouts(an *cwg.Analysis) {
 		}
 	}
 	now := d.net.Now()
-	for _, m := range d.net.ActiveMessages() {
+	for _, m := range d.net.ActiveUnsorted() { // sums: order does not matter
 		if !m.Blocked || m.Status != message.Active {
 			continue
 		}

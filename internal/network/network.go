@@ -447,6 +447,13 @@ func (n *Network) ActiveMessages() []*message.Message {
 	return n.activeByID
 }
 
+// ActiveUnsorted returns the messages ActiveMessages does, in the network's
+// internal order: it skips ActiveMessages' re-sort after a change of
+// membership, for observers whose answer does not depend on the order. The
+// slice is owned by the network; callers must not retain it across Step
+// calls.
+func (n *Network) ActiveUnsorted() []*message.Message { return n.active }
+
 // msgIDOrder sorts messages by ID (injection order — IDs are issued
 // monotonically and never reused).
 func msgIDOrder(a, b *message.Message) int { return cmp.Compare(a.ID, b.ID) }

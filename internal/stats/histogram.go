@@ -80,6 +80,12 @@ func (h *Histogram) Grow(max int64) {
 	}
 }
 
+// Reset empties the histogram, keeping its bucket storage.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.total, h.sum, h.max = 0, 0, 0
+}
+
 // Count returns the number of samples.
 func (h *Histogram) Count() int64 { return h.total }
 

@@ -390,3 +390,21 @@ func TestZeroRunBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// TestResetKeepsStorage: Reset empties a histogram to what a zero one
+// encodes as, and keeps its buckets for the next samples.
+func TestResetKeepsStorage(t *testing.T) {
+	var h Histogram
+	h.Grow(1 << 20)
+	h.Observe(5)
+	h.Observe(1 << 19)
+	h.Reset()
+	got, _ := json.Marshal(h)
+	want, _ := json.Marshal(Histogram{})
+	if string(got) != string(want) || h.Count() != 0 || h.Max() != 0 || h.Sum() != 0 {
+		t.Errorf("after Reset: %s (count %d, max %d, sum %d), want %s", got, h.Count(), h.Max(), h.Sum(), want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { h.Observe(1 << 20) }); allocs != 0 {
+		t.Errorf("Observe after Reset allocates %.0f times", allocs)
+	}
+}
