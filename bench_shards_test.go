@@ -4,18 +4,21 @@
 // best case for change-gated allocation. (The name is kept from when a
 // parallel engine ran the same network at 2, 4 and 8 shards; DESIGN §10.)
 //
-//	go test -run='^$' -bench='SimCycle(Shards1|Subsat|Bignet)' -benchmem .
+//	go test -run='^$' -bench='SimCycle(Shards1|Subsat|Bignet|OneVC)' -benchmem .
 //
 // BenchmarkSimCycleSubsat is the live-network counterpoint: the same network
 // below saturation with detection and recovery on, where ~10% of headers
 // are blocked and the rest are granted and move; BenchmarkSimCycleBignet
-// does the same on the 32-ary 2-cube.
+// does the same on the 32-ary 2-cube. Both have two VCs per channel, so their
+// flits move through request bits and arbitration; BenchmarkSimCycleOneVC is
+// the paper's one-VC network below saturation, whose flits move in the plan
+// walk.
 //
 // FLEXSIM_BENCH_SHARDS_OUT=BENCH_shards.json go test -run TestEmitShardBench .
-// re-measures the three with testing.Benchmark and writes the
+// re-measures the four with testing.Benchmark and writes the
 // machine-readable trajectory file (ns/cycle, allocs/op);
 // FLEXSIM_BENCH_COMPARE=1 go test -run TestBenchCompare . holds Shards1
-// against it.
+// against it and OneVC to 0 allocs/op.
 package flexsim_test
 
 import (
@@ -55,7 +58,7 @@ func BenchmarkSimCycleShards1(b *testing.B) {
 // network (99.6% of active messages blocked), with two it is well below.
 const subsatNetwork = "16-ary 2-cube, tfar, 2 VCs, load 0.3, detect every 50, recovery on"
 
-func BenchmarkSimCycleSubsat(b *testing.B) { benchSimCycleLive(b, 16, 0.3) }
+func BenchmarkSimCycleSubsat(b *testing.B) { benchSimCycleLive(b, 16, "tfar", 2, 0.3) }
 
 // bignetNetwork describes BenchmarkSimCycleBignet's configuration: the
 // bench's `bignet-run` point. Flits move on 1024 routers, so the cost of
@@ -63,14 +66,23 @@ func BenchmarkSimCycleSubsat(b *testing.B) { benchSimCycleLive(b, 16, 0.3) }
 // Shards1 point cannot see.
 const bignetNetwork = "32-ary 2-cube, tfar, 2 VCs, load 0.4, detect every 50, recovery on"
 
-func BenchmarkSimCycleBignet(b *testing.B) { benchSimCycleLive(b, 32, 0.4) }
+func BenchmarkSimCycleBignet(b *testing.B) { benchSimCycleLive(b, 32, "tfar", 2, 0.4) }
 
-// benchSimCycleLive steps a k-ary 2-cube under TFAR with two VCs, detection
-// and recovery on, after 2000 cycles to reach steady occupancy.
-func benchSimCycleLive(b *testing.B, k int, load float64) {
+// oneVCNetwork describes BenchmarkSimCycleOneVC's configuration: the paper's
+// one-VC DOR below saturation, where a channel's one VC has one requester
+// and the plan walk commits every transfer it finds.
+const oneVCNetwork = "16-ary 2-cube, dor, 1 VC, load 0.1, detect every 50, recovery on"
+
+func BenchmarkSimCycleOneVC(b *testing.B) { benchSimCycleLive(b, 16, "dor", 1, 0.1) }
+
+// benchSimCycleLive steps a k-ary 2-cube under the given routing and VC
+// count, detection and recovery on, after 2000 cycles to reach steady
+// occupancy.
+func benchSimCycleLive(b *testing.B, k int, routing string, vcs int, load float64) {
 	cfg := sim.Default()
 	cfg.K = k
-	cfg.VCs = 2
+	cfg.Routing = routing
+	cfg.VCs = vcs
 	cfg.Load = load
 	cfg.WarmupCycles = 0
 	cfg.MetricsEvery = 0
@@ -107,15 +119,17 @@ type shardBenchFile struct {
 	NumCPU     int               `json:"num_cpu"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Points     []shardBenchPoint `json:"points"`
-	// Subsat and Bignet are BenchmarkSimCycleSubsat's and
-	// BenchmarkSimCycleBignet's rows.
+	// Subsat, Bignet and OneVC are BenchmarkSimCycleSubsat's,
+	// BenchmarkSimCycleBignet's and BenchmarkSimCycleOneVC's rows.
 	SubsatNetwork string          `json:"subsat_network"`
 	Subsat        shardBenchPoint `json:"subsat"`
 	BignetNetwork string          `json:"bignet_network"`
 	Bignet        shardBenchPoint `json:"bignet"`
+	OneVCNetwork  string          `json:"one_vc_network"`
+	OneVC         shardBenchPoint `json:"one_vc"`
 }
 
-// TestEmitShardBench re-measures the wedged point and the two live points
+// TestEmitShardBench re-measures the wedged point and the three live points
 // and writes the machine-readable perf trajectory to
 // $FLEXSIM_BENCH_SHARDS_OUT; without the variable it is a no-op, so
 // `go test ./...` never pays the measurement.
@@ -145,6 +159,7 @@ func TestEmitShardBench(t *testing.T) {
 	file.Points = []shardBenchPoint{point(BenchmarkSimCycleShards1)}
 	file.SubsatNetwork, file.Subsat = subsatNetwork, point(BenchmarkSimCycleSubsat)
 	file.BignetNetwork, file.Bignet = bignetNetwork, point(BenchmarkSimCycleBignet)
+	file.OneVCNetwork, file.OneVC = oneVCNetwork, point(BenchmarkSimCycleOneVC)
 	b, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -157,9 +172,9 @@ func TestEmitShardBench(t *testing.T) {
 
 // TestBenchCompare is the CI bench-compare gate: with FLEXSIM_BENCH_COMPARE=1
 // it re-measures the obs-off 1-shard cycle and compares it against the
-// baseline file ($FLEXSIM_BENCH_BASELINE, default BENCH_shards.json).
-// Allocations are deterministic, so any allocs/op growth fails on every
-// machine; the >5% ns/cycle gate applies only when the baseline came from
+// baseline file ($FLEXSIM_BENCH_BASELINE, default BENCH_shards.json), and
+// holds the one-VC live cycle to 0 allocs/op. Allocations are deterministic,
+// so any allocs/op growth fails on every machine; the >5% ns/cycle gate applies only when the baseline came from
 // the same machine class (equal GOARCH and CPU count) — wall-clock numbers
 // from a different machine are not comparable and are only logged.
 func TestBenchCompare(t *testing.T) {
@@ -196,6 +211,9 @@ func TestBenchCompare(t *testing.T) {
 	if res.AllocsPerOp() > ref.AllocsPerOp {
 		t.Errorf("allocs/op grew: %d > baseline %d — the disabled hot path is no longer allocation-identical",
 			res.AllocsPerOp(), ref.AllocsPerOp)
+	}
+	if one := testing.Benchmark(BenchmarkSimCycleOneVC); one.AllocsPerOp() != 0 {
+		t.Errorf("SimCycleOneVC: %d allocs/op, want 0", one.AllocsPerOp())
 	}
 	sameMachine := base.GOARCH == runtime.GOARCH && base.NumCPU == runtime.NumCPU()
 	if !sameMachine {

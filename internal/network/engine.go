@@ -16,6 +16,11 @@ package network
 // only moves per-hop flit counts — so the ascending bit scans fix the order
 // of the externally visible events (trace, ResourceLog, OnDeliver) and
 // nothing else.
+//
+// A one-VC network needs no transfer arbitration: a channel's one VC has one
+// requester, its owner, so planCommit commits each transfer inside the
+// worm's own walk and sets no request bit. There chBits stays zero, and
+// arbitrateAndEject grants only reception ports.
 
 import (
 	"math/bits"
@@ -172,9 +177,10 @@ func (n *Network) dequeue(q *msgQueue, node int) {
 
 // allocatePlan is the per-worm half of a cycle before arbitration, one pass
 // over the active list: VC allocation for the header, then the worm's
-// flit-movement requests. Per-message interleaving is safe because plan reads
-// only the worm's own hops and writes only request state, while allocate
-// reads only the owner table and the fault set — so the events come out in
+// flit-movement requests (on a one-VC network, its flit moves). Per-message
+// interleaving is safe because plan and planCommit read and write only the
+// worm's own hops and request state, while allocate reads only the owner
+// table, the fault set and the worm's own head — so the events come out in
 // the order two separate passes would emit them.
 //
 // A header that is already blocked is parked: Wants is its candidate set,
@@ -200,9 +206,13 @@ func (n *Network) allocatePlan() {
 		if m.Frozen {
 			continue
 		}
-		if !n.plan(m) {
-			m.Frozen = true
+		var moves bool
+		if n.vcs == 1 {
+			moves = n.planCommit(m)
+		} else {
+			moves = n.plan(m)
 		}
+		m.Frozen = !moves
 	}
 }
 
@@ -337,6 +347,55 @@ func (n *Network) plan(m *message.Message) bool {
 		n.rxNodes[m.Dst>>6] |= 1 << (m.Dst & 63)
 		return true
 	}
+	return live != 0 || n.sourceFlitDue(m)
+}
+
+// planCommit is plan on a one-VC network, where it also commits. A physical
+// channel with one VC has at most one requester in a cycle: the VC's owner,
+// and no other worm can acquire the VC while it holds it. So every transfer
+// plan would request is granted, and planCommit moves the flit at once
+// instead of setting a request bit for arbitrateAndEject to grant. The one
+// state a grant leaves, chRR[ch] = 0 (the granted VC index), is stored all
+// the same. A commit emits no event, so the events come out in the order
+// plan's would.
+//
+// Eligibility stays on pre-cycle state. The walk goes from head to tail, so a
+// pair's upstream hop is still untouched, but its downstream hop may already
+// have passed a flit on to the hop ahead: that hop's pre-cycle occupancy is
+// carried over from the pair ahead. Only the head pair can move a header
+// (every other hop has passed it on), and a one-VC network's VC id is its
+// channel id, so chRR, chDim and chFlags are indexed by the VC directly.
+func (n *Network) planCommit(m *message.Message) bool {
+	depth := n.depth
+	hops := m.Hops[m.Released:]
+	head := &hops[len(hops)-1]
+	headOcc := head.Occ
+	var live int32
+	occ := headOcc // the pair's downstream hop, before this cycle's moves
+	for i := len(hops) - 1; i > 0; i-- {
+		from, to := &hops[i-1], &hops[i]
+		prev := from.Occ
+		// prev > 0 && occ < depth
+		e := int32(uint32(-prev)>>31) & int32(uint32(occ-depth)>>31)
+		live |= e
+		from.Occ -= e
+		from.Departed += e
+		to.Occ += e
+		n.chRR[to.VC] &= e - 1
+		occ = prev
+	}
+	if headOcc == 0 && head.Occ > 0 && head.Departed == 0 {
+		// The header just entered head's channel: stamp what commit does.
+		m.CurDim = int(n.chDim[head.VC])
+		m.Crossed |= n.chFlags[head.VC]
+	}
+	if headOcc > 0 && int(n.downstream[head.VC]) == m.Dst {
+		n.requestRx(m.Dst, head.VC)
+		n.rxNodes[m.Dst>>6] |= 1 << (m.Dst & 63)
+		return true
+	}
+	// With nothing committed, the injection hop still holds its pre-cycle
+	// count.
 	return live != 0 || n.sourceFlitDue(m)
 }
 

@@ -455,6 +455,51 @@ func FuzzEngineEquivalence(f *testing.F) {
 	})
 }
 
+// TestEquivalenceFromBubbledWorms starts the lockstep from worms with an
+// empty buffer between two full ones, a state the cycle never produces (a hop
+// empties only while the hop behind it refills it, except at depth 1, where
+// empty buffers never touch) but RestoreState accepts. From it, a plan walk
+// that read an occupancy the walk itself had already changed would move a
+// flit over two links in one cycle. One VC, so planCommit walks the worms;
+// two, so plan does.
+func TestEquivalenceFromBubbledWorms(t *testing.T) {
+	for _, vcs := range []int{1, 2} {
+		topo := topology.MustNew(6, 1, false)
+		p := Params{Topo: topo, VCs: vcs, BufferDepth: 2, Routing: routing.DOR{}, CheckInvariants: true}
+		ls, err := newLockstep(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := func(node int) message.VC { return ls.n.InjVC(node) }
+		vc := func(ch int) message.VC { return ls.n.NetVC(topology.ChannelID(ch), 0) }
+		state := []InjectedMessage{
+			// Ejecting at node 3: source, empty hop, head.
+			{ID: 0, Src: 0, Dst: 3, Len: 8, Path: []message.VC{inj(0), vc(0), vc(1), vc(2)},
+				Occ: []int32{1, 0, 2, 1}, SrcRemaining: 4},
+			// Header in flight at node 5, bound for node 1.
+			{ID: 1, Src: 3, Dst: 1, Len: 6, Path: []message.VC{inj(3), vc(3), vc(4)},
+				Occ: []int32{2, 0, 1}, SrcRemaining: 3},
+		}
+		if err := ls.n.RestoreState(0, state); err != nil {
+			t.Fatal(err)
+		}
+		for _, im := range state {
+			restoreRef(ls.ref, im)
+		}
+		if err := ls.ref.diff(ls.n, nil); err != nil {
+			t.Fatalf("%d VCs: restored state: %v", vcs, err)
+		}
+		for i := 0; i < 30; i++ {
+			if err := ls.step(); err != nil {
+				t.Fatalf("%d VCs: %v", vcs, err)
+			}
+		}
+		if ls.n.DeliveredCount != 2 {
+			t.Fatalf("%d VCs: %d of 2 worms delivered", vcs, ls.n.DeliveredCount)
+		}
+	}
+}
+
 // TestReferenceCatchesCorruption corrupts, between cycles, each table and
 // bitmap the engine's skip gates keep, and requires the lockstep comparison
 // to report a divergence, or the engine to panic, within victimEvery cycles.

@@ -132,12 +132,16 @@ type Network struct {
 	blocked int // active messages blocked as of the last allocation phase
 	retired int // messages retired since the last compactActive
 
-	// activeByID is the lazily rebuilt ID-sorted view of active, returned
+	// activeByID is the lazily updated ID-sorted view of active, returned
 	// by ActiveMessages so observers iterate in a stable order regardless
 	// of internal scheduling; activeDirty marks it stale (membership
-	// changed).
+	// changed). It holds active[:activeSeen] as of its last update: the
+	// messages appended to active since then are active[activeSeen:]
+	// (compactActive keeps the index), and joined is their sorting scratch.
 	activeByID  []*message.Message
 	activeDirty bool
+	activeSeen  int
+	joined      []*message.Message
 
 	// Per-cycle transfer requests, all zero/rxNone between cycles. chReq
 	// holds one word per physical channel: bit v set means VC v's owner has
@@ -438,13 +442,48 @@ func (n *Network) Now() int64 { return n.now }
 // output, incident post-mortems) iterate in a stable order independent of
 // internal scheduling layout. The slice is owned by the network; callers
 // must not retain it across Step calls.
+//
+// The view is updated, not rebuilt: retired messages are dropped from it in
+// place and the messages injected since the last call, sorted among
+// themselves, are merged in. IDs are issued at queueing, not injection, so
+// those can sort anywhere in the view. The first call and the first after
+// RestoreState find an empty view and sort everything.
 func (n *Network) ActiveMessages() []*message.Message {
-	if n.activeDirty || n.activeByID == nil {
-		n.activeByID = append(n.activeByID[:0], n.active...)
-		slices.SortFunc(n.activeByID, msgIDOrder)
-		n.activeDirty = false
+	if !n.activeDirty && n.activeByID != nil {
+		return n.activeByID
 	}
-	return n.activeByID
+	n.activeDirty = false
+	kept := n.activeByID[:0]
+	for _, m := range n.activeByID {
+		if !retired(m) {
+			kept = append(kept, m)
+		}
+	}
+	clear(n.activeByID[len(kept):])
+	joined := n.joined[:0]
+	for _, m := range n.active[n.activeSeen:] {
+		if !retired(m) {
+			joined = append(joined, m)
+		}
+	}
+	n.activeSeen = len(n.active)
+	slices.SortFunc(joined, msgIDOrder)
+	// Merge from the back, so the view's own entries move at most once.
+	i, j := len(kept)-1, len(joined)-1
+	view := slices.Grow(kept, len(joined))[:len(kept)+len(joined)]
+	for k := len(view) - 1; j >= 0; k-- {
+		if i >= 0 && kept[i].ID > joined[j].ID {
+			view[k] = kept[i]
+			i--
+		} else {
+			view[k] = joined[j]
+			j--
+		}
+	}
+	clear(joined)
+	n.joined = joined
+	n.activeByID = view
+	return view
 }
 
 // ActiveUnsorted returns the messages ActiveMessages does, in the network's
@@ -525,9 +564,12 @@ func (n *Network) compactActive() {
 	}
 	n.retired = 0
 	out := n.active[:0]
-	for _, m := range n.active {
+	seen := n.activeSeen
+	for i, m := range n.active {
 		if !retired(m) {
 			out = append(out, m)
+		} else if i < seen {
+			n.activeSeen--
 		}
 	}
 	// Zero the tail so retired messages become collectable.

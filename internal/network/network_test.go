@@ -2,6 +2,7 @@ package network
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"flexsim/internal/cwg"
@@ -488,30 +489,40 @@ func TestVCStringForms(t *testing.T) {
 	}
 }
 
-// TestAllocateSteadyStateAllocs: once a TFAR network has wedged and
-// injection has stopped, every header is parked and a cycle must not
-// allocate — no per-header routing.Request, no Wants regrowth, nothing.
+// TestAllocateSteadyStateAllocs: once a one-VC network (TFAR, and the
+// paper's DOR, whose worms planCommit walks) has wedged and injection has
+// stopped, every header is parked and a cycle must not allocate — no
+// per-header routing.Request, no Wants regrowth, nothing.
 func TestAllocateSteadyStateAllocs(t *testing.T) {
-	topo := topology.MustNew(8, 2, true)
-	n, err := New(Params{Topo: topo, VCs: 1, BufferDepth: 2, Routing: routing.TFAR{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(11)
-	for i := 0; i < 1500; i++ {
-		for s := 0; s < topo.Nodes(); s++ {
-			if d := r.Intn(topo.Nodes()); d != s && r.Bernoulli(0.05) {
-				n.Inject(s, d, 32)
+	for _, alg := range []routing.Algorithm{routing.TFAR{}, routing.DOR{}} {
+		t.Run(alg.Name(), func(t *testing.T) {
+			topo := topology.MustNew(8, 2, true)
+			n, err := New(Params{Topo: topo, VCs: 1, BufferDepth: 2, Routing: alg})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		n.Step()
-	}
-	stepN(n, 1000) // injection stopped: whatever can still drain, drains
-	if n.BlockedCount() == 0 || n.BlockedCount() != n.ActiveCount() {
-		t.Fatalf("network not wedged: %d of %d active messages blocked", n.BlockedCount(), n.ActiveCount())
-	}
-	if allocs := testing.AllocsPerRun(200, n.Step); allocs != 0 {
-		t.Errorf("Step on a wedged network allocates %v objects per cycle, want 0", allocs)
+			r := rng.New(11)
+			for i := 0; i < 1500; i++ {
+				for s := 0; s < topo.Nodes(); s++ {
+					if d := r.Intn(topo.Nodes()); d != s && r.Bernoulli(0.05) {
+						n.Inject(s, d, 32)
+					}
+				}
+				n.Step()
+			}
+			// Injection stopped: whatever can still drain, drains (a
+			// backlogged queue may feed a live path for a while).
+			stepN(n, 1000)
+			for i := 0; i < 20000 && n.BlockedCount() != n.ActiveCount(); i++ {
+				n.Step()
+			}
+			if n.BlockedCount() == 0 || n.BlockedCount() != n.ActiveCount() {
+				t.Fatalf("network not wedged: %d of %d active messages blocked", n.BlockedCount(), n.ActiveCount())
+			}
+			if allocs := testing.AllocsPerRun(200, n.Step); allocs != 0 {
+				t.Errorf("Step on a wedged network allocates %v objects per cycle, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -573,45 +584,59 @@ func TestInjectCarvesFromSlab(t *testing.T) {
 	}
 }
 
-// TestInjectSteadyStateAllocs runs the 16-ary 2-cube at load 0.3 (TFAR, two
-// VCs: about a tenth of headers blocked, the rest moving) and requires the
-// whole inject-route-deliver life of a message to cost at most 0.05 heap
-// allocations amortised: slab chunks, queue and active-list growth, nothing
-// per message.
+// TestInjectSteadyStateAllocs runs the 16-ary 2-cube below saturation —
+// TFAR with two VCs at load 0.3 (about a tenth of headers blocked, the rest
+// moving; plan's request bits) and DOR with one VC at load 0.1 (planCommit's
+// walk) — and requires the whole inject-route-deliver life of a message to
+// cost at most 0.05 heap allocations amortised: slab chunks, queue and
+// active-list growth, nothing per message.
 func TestInjectSteadyStateAllocs(t *testing.T) {
-	topo := topology.MustNew(16, 2, true)
-	n, err := New(Params{Topo: topo, VCs: 2, BufferDepth: 2, Routing: routing.TFAR{}})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		alg  routing.Algorithm
+		vcs  int
+		load float64
+	}{
+		{"tfar-2vc", routing.TFAR{}, 2, 0.3},
+		{"dor-1vc", routing.DOR{}, 1, 0.1},
 	}
-	const msgLen = 32
-	p := 0.3 * topo.CapacityPerNode() / msgLen
-	r := rng.New(3)
-	run := func(cycles int) {
-		for i := 0; i < cycles; i++ {
-			for s := 0; s < topo.Nodes(); s++ {
-				if d := r.Intn(topo.Nodes()); d != s && r.Bernoulli(p) {
-					n.Inject(s, d, msgLen)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			topo := topology.MustNew(16, 2, true)
+			n, err := New(Params{Topo: topo, VCs: c.vcs, BufferDepth: 2, Routing: c.alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const msgLen = 32
+			p := c.load * topo.CapacityPerNode() / msgLen
+			r := rng.New(3)
+			run := func(cycles int) {
+				for i := 0; i < cycles; i++ {
+					for s := 0; s < topo.Nodes(); s++ {
+						if d := r.Intn(topo.Nodes()); d != s && r.Bernoulli(p) {
+							n.Inject(s, d, msgLen)
+						}
+					}
+					n.Step()
 				}
 			}
-			n.Step()
-		}
-	}
-	run(2000) // reach steady occupancy and grow the reusable buffers
-	var before, after runtime.MemStats
-	delivered := n.DeliveredCount
-	runtime.ReadMemStats(&before)
-	run(4000)
-	runtime.ReadMemStats(&after)
-	msgs := n.DeliveredCount - delivered
-	if msgs < 1000 {
-		t.Fatalf("only %d messages delivered in the measured window", msgs)
-	}
-	per := float64(after.Mallocs-before.Mallocs) / float64(msgs)
-	t.Logf("%.4f allocations per delivered message (%d over %d messages)", per, after.Mallocs-before.Mallocs, msgs)
-	if per > 0.05 {
-		t.Errorf("%.3f allocations per delivered message (%d over %d messages), want <= 0.05",
-			per, after.Mallocs-before.Mallocs, msgs)
+			run(2000) // reach steady occupancy and grow the reusable buffers
+			var before, after runtime.MemStats
+			delivered := n.DeliveredCount
+			runtime.ReadMemStats(&before)
+			run(4000)
+			runtime.ReadMemStats(&after)
+			msgs := n.DeliveredCount - delivered
+			if msgs < 1000 {
+				t.Fatalf("only %d messages delivered in the measured window", msgs)
+			}
+			per := float64(after.Mallocs-before.Mallocs) / float64(msgs)
+			t.Logf("%.4f allocations per delivered message (%d over %d messages)", per, after.Mallocs-before.Mallocs, msgs)
+			if per > 0.05 {
+				t.Errorf("%.3f allocations per delivered message (%d over %d messages), want <= 0.05",
+					per, after.Mallocs-before.Mallocs, msgs)
+			}
+		})
 	}
 }
 
@@ -641,4 +666,52 @@ func TestActiveMessagesSorted(t *testing.T) {
 	if got := len(n.ActiveMessages()); got != 0 {
 		t.Errorf("ActiveMessages after drain = %d messages, want 0", got)
 	}
+}
+
+// TestActiveMessagesMergeMatchesSort holds the merged view to a fresh sort
+// of the active list over random injections, deliveries, Kill and Absorb
+// calls. The view is read at random intervals (CheckInvariants, which reads
+// it every cycle, is off), so one merge meets several cycles' injections
+// and retirements; one VC and short buffers make the ring deadlock, so
+// recoveries and kills retire messages from the middle of the view.
+func TestActiveMessagesMergeMatchesSort(t *testing.T) {
+	topo := topology.MustNew(4, 2, true)
+	n, err := New(Params{Topo: topo, VCs: 1, BufferDepth: 2, Routing: routing.DOR{}, RecoveryDrainRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(5)
+	merges := 0
+	for cycle := 0; cycle < 4000; cycle++ {
+		for s := 0; s < topo.Nodes(); s++ {
+			if d := r.Intn(topo.Nodes()); d != s && r.Bernoulli(0.04) {
+				n.Inject(s, d, 1+r.Intn(8))
+			}
+		}
+		if act := n.ActiveUnsorted(); len(act) > 0 {
+			switch r.Intn(16) {
+			case 0:
+				n.Kill(act[r.Intn(len(act))])
+			case 1, 2:
+				n.Absorb(act[r.Intn(len(act))])
+			}
+		}
+		n.Step()
+		if r.Intn(5) != 0 {
+			continue
+		}
+		want := slices.Clone(n.ActiveUnsorted())
+		slices.SortFunc(want, msgIDOrder)
+		if got := n.ActiveMessages(); !slices.Equal(got, want) {
+			t.Fatalf("cycle %d: ActiveMessages holds %d messages, a sort of the active list %d, or their order differs",
+				n.Now(), len(got), len(want))
+		}
+		merges++
+	}
+	if n.DeliveredCount == 0 || n.RecoveredCount == 0 || n.KilledCount == 0 {
+		t.Fatalf("delivered/recovered/killed %d/%d/%d: the sequence must retire messages all three ways",
+			n.DeliveredCount, n.RecoveredCount, n.KilledCount)
+	}
+	t.Logf("%d merges checked; %d delivered, %d recovered, %d killed", merges, n.DeliveredCount,
+		n.RecoveredCount, n.KilledCount)
 }

@@ -117,8 +117,10 @@ func (n *Network) clearDynamic(now int64) {
 		n.active[i] = nil
 	}
 	n.active = n.active[:0]
+	clear(n.activeByID)
 	n.activeByID = n.activeByID[:0]
 	n.activeDirty = true
+	n.activeSeen = 0
 	n.queued = 0
 	n.blocked = 0
 	n.now = now
