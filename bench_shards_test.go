@@ -4,27 +4,30 @@
 // best case for change-gated allocation. (The name is kept from when a
 // parallel engine ran the same network at 2, 4 and 8 shards; DESIGN §10.)
 //
-//	go test -run='^$' -bench='SimCycle(Shards1|Subsat|Bignet|OneVC)' -benchmem .
+//	go test -run='^$' -bench='SimCycle(Shards1|Subsat|Bignet|OneVC|Contended)' -benchmem .
 //
 // BenchmarkSimCycleSubsat is the live-network counterpoint: the same network
 // below saturation with detection and recovery on, where ~10% of headers
 // are blocked and the rest are granted and move; BenchmarkSimCycleBignet
-// does the same on the 32-ary 2-cube. Both have two VCs per channel, so their
-// flits move through request bits and arbitration; BenchmarkSimCycleOneVC is
-// the paper's one-VC network below saturation, whose flits move in the plan
-// walk.
+// does the same on the 32-ary 2-cube. Both have two VCs per channel, so a
+// channel can have two requesters; BenchmarkSimCycleContended is DOR with two
+// VCs at load 1.0, where they often do and a later requester undoes the
+// first one's move. BenchmarkSimCycleOneVC is the paper's one-VC network
+// below saturation, where a channel has one requester.
 //
 // FLEXSIM_BENCH_SHARDS_OUT=BENCH_shards.json go test -run TestEmitShardBench .
-// re-measures the four with testing.Benchmark and writes the
+// re-measures the five with testing.Benchmark and writes the
 // machine-readable trajectory file (ns/cycle, allocs/op);
 // FLEXSIM_BENCH_COMPARE=1 go test -run TestBenchCompare . holds Shards1
-// against it and OneVC to 0 allocs/op.
+// against it and OneVC and Contended to 0 allocs/op.
 package flexsim_test
 
 import (
+	"cmp"
 	"encoding/json"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"flexsim/internal/sim"
@@ -75,6 +78,13 @@ const oneVCNetwork = "16-ary 2-cube, dor, 1 VC, load 0.1, detect every 50, recov
 
 func BenchmarkSimCycleOneVC(b *testing.B) { benchSimCycleLive(b, 16, "dor", 1, 0.1) }
 
+// contendedNetwork describes BenchmarkSimCycleContended's configuration:
+// two VCs past saturation, where two worms often ask for one physical
+// channel in a cycle and the later-walked one wins about half the time.
+const contendedNetwork = "16-ary 2-cube, dor, 2 VCs, load 1.0, detect every 50, recovery on"
+
+func BenchmarkSimCycleContended(b *testing.B) { benchSimCycleLive(b, 16, "dor", 2, 1.0) }
+
 // benchSimCycleLive steps a k-ary 2-cube under the given routing and VC
 // count, detection and recovery on, after 2000 cycles to reach steady
 // occupancy.
@@ -119,17 +129,20 @@ type shardBenchFile struct {
 	NumCPU     int               `json:"num_cpu"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Points     []shardBenchPoint `json:"points"`
-	// Subsat, Bignet and OneVC are BenchmarkSimCycleSubsat's,
-	// BenchmarkSimCycleBignet's and BenchmarkSimCycleOneVC's rows.
-	SubsatNetwork string          `json:"subsat_network"`
-	Subsat        shardBenchPoint `json:"subsat"`
-	BignetNetwork string          `json:"bignet_network"`
-	Bignet        shardBenchPoint `json:"bignet"`
-	OneVCNetwork  string          `json:"one_vc_network"`
-	OneVC         shardBenchPoint `json:"one_vc"`
+	// Subsat, Bignet, OneVC and Contended are BenchmarkSimCycleSubsat's,
+	// BenchmarkSimCycleBignet's, BenchmarkSimCycleOneVC's and
+	// BenchmarkSimCycleContended's rows.
+	SubsatNetwork    string          `json:"subsat_network"`
+	Subsat           shardBenchPoint `json:"subsat"`
+	BignetNetwork    string          `json:"bignet_network"`
+	Bignet           shardBenchPoint `json:"bignet"`
+	OneVCNetwork     string          `json:"one_vc_network"`
+	OneVC            shardBenchPoint `json:"one_vc"`
+	ContendedNetwork string          `json:"contended_network"`
+	Contended        shardBenchPoint `json:"contended"`
 }
 
-// TestEmitShardBench re-measures the wedged point and the three live points
+// TestEmitShardBench re-measures the wedged point and the four live points
 // and writes the machine-readable perf trajectory to
 // $FLEXSIM_BENCH_SHARDS_OUT; without the variable it is a no-op, so
 // `go test ./...` never pays the measurement.
@@ -160,6 +173,7 @@ func TestEmitShardBench(t *testing.T) {
 	file.SubsatNetwork, file.Subsat = subsatNetwork, point(BenchmarkSimCycleSubsat)
 	file.BignetNetwork, file.Bignet = bignetNetwork, point(BenchmarkSimCycleBignet)
 	file.OneVCNetwork, file.OneVC = oneVCNetwork, point(BenchmarkSimCycleOneVC)
+	file.ContendedNetwork, file.Contended = contendedNetwork, point(BenchmarkSimCycleContended)
 	b, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +187,13 @@ func TestEmitShardBench(t *testing.T) {
 // TestBenchCompare is the CI bench-compare gate: with FLEXSIM_BENCH_COMPARE=1
 // it re-measures the obs-off 1-shard cycle and compares it against the
 // baseline file ($FLEXSIM_BENCH_BASELINE, default BENCH_shards.json), and
-// holds the one-VC live cycle to 0 allocs/op. Allocations are deterministic,
-// so any allocs/op growth fails on every machine; the >5% ns/cycle gate applies only when the baseline came from
-// the same machine class (equal GOARCH and CPU count) — wall-clock numbers
-// from a different machine are not comparable and are only logged.
+// holds the one-VC and the contended live cycles to 0 allocs/op. Allocations
+// are deterministic, so any allocs/op growth fails on every machine. The
+// ns/cycle figure is the median of benchCompareRuns measurements, since one
+// run on a shared host spreads by more than the gate; the >5% gate applies
+// only when the baseline came from the same machine class (equal GOARCH and
+// CPU count) — wall-clock numbers from a different machine are not
+// comparable and are only logged.
 func TestBenchCompare(t *testing.T) {
 	if os.Getenv("FLEXSIM_BENCH_COMPARE") == "" {
 		t.Skip("set FLEXSIM_BENCH_COMPARE=1 to run the bench-compare gate")
@@ -203,17 +220,28 @@ func TestBenchCompare(t *testing.T) {
 		t.Fatalf("baseline %s has no 1-shard point", path)
 	}
 
-	res := testing.Benchmark(BenchmarkSimCycleShards1)
+	runs := make([]testing.BenchmarkResult, benchCompareRuns)
+	for i := range runs {
+		runs[i] = testing.Benchmark(BenchmarkSimCycleShards1)
+	}
+	slices.SortFunc(runs, func(a, b testing.BenchmarkResult) int { return cmp.Compare(a.NsPerOp(), b.NsPerOp()) })
+	res := runs[len(runs)/2]
 	ns := float64(res.NsPerOp())
-	t.Logf("obs-off SimCycleShards1: %.0f ns/cycle, %d allocs/op (baseline %.0f ns, %d allocs from %s/%d-cpu)",
-		ns, res.AllocsPerOp(), ref.NsPerCycle, ref.AllocsPerOp, base.GOARCH, base.NumCPU)
+	t.Logf("obs-off SimCycleShards1: median %.0f ns/cycle of %d runs [%d … %d], %d allocs/op (baseline %.0f ns, %d allocs from %s/%d-cpu)",
+		ns, len(runs), runs[0].NsPerOp(), runs[len(runs)-1].NsPerOp(), res.AllocsPerOp(), ref.NsPerCycle, ref.AllocsPerOp,
+		base.GOARCH, base.NumCPU)
 
 	if res.AllocsPerOp() > ref.AllocsPerOp {
 		t.Errorf("allocs/op grew: %d > baseline %d — the disabled hot path is no longer allocation-identical",
 			res.AllocsPerOp(), ref.AllocsPerOp)
 	}
-	if one := testing.Benchmark(BenchmarkSimCycleOneVC); one.AllocsPerOp() != 0 {
-		t.Errorf("SimCycleOneVC: %d allocs/op, want 0", one.AllocsPerOp())
+	for _, live := range []struct {
+		name  string
+		bench func(*testing.B)
+	}{{"SimCycleOneVC", BenchmarkSimCycleOneVC}, {"SimCycleContended", BenchmarkSimCycleContended}} {
+		if r := testing.Benchmark(live.bench); r.AllocsPerOp() != 0 {
+			t.Errorf("%s: %d allocs/op, want 0", live.name, r.AllocsPerOp())
+		}
 	}
 	sameMachine := base.GOARCH == runtime.GOARCH && base.NumCPU == runtime.NumCPU()
 	if !sameMachine {
@@ -222,6 +250,9 @@ func TestBenchCompare(t *testing.T) {
 		return
 	}
 	if ns > 1.05*ref.NsPerCycle {
-		t.Errorf("obs-off SimCycleShards1 regressed >5%%: %.0f ns/cycle vs baseline %.0f", ns, ref.NsPerCycle)
+		t.Errorf("obs-off SimCycleShards1 regressed >5%%: median %.0f ns/cycle vs baseline %.0f", ns, ref.NsPerCycle)
 	}
 }
+
+// benchCompareRuns is how many times TestBenchCompare measures Shards1.
+const benchCompareRuns = 5

@@ -13,7 +13,7 @@ import (
 	"flexsim/internal/trace"
 )
 
-// arbitrateOracle is the request-list channel arbiter the request bits
+// arbitrateOracle is the request-list channel arbiter the running winner
 // replaced, and the reference engine's: the requester whose target VC index
 // has the smallest round-robin key after the pointer.
 func arbitrateOracle(vcs int, ptr int32, reqs []int) int {
@@ -51,34 +51,61 @@ func arbitrateRxOracle(numVCs int, ptr int32, heads []message.VC) message.VC {
 	return best
 }
 
-// TestGrantVCMatchesOracle checks the bit-scan winner against the min-key
-// loop for every VC count up to 8, every pointer and every non-empty request
-// mask, and at the full word width.
-func TestGrantVCMatchesOracle(t *testing.T) {
-	check := func(vcs int, ptr int32, mask uint64) {
-		var reqs []int
-		for v := 0; v < vcs; v++ {
-			if mask>>v&1 != 0 {
-				reqs = append(reqs, v)
+// TestRoundRobinKeyMatchesOracle checks the channel's running winner —
+// the first requester holds the channel, a later one takes it when its
+// rrKey is smaller — against the min-key loop, for every VC count up to 8,
+// every pointer, every non-empty request set and several request orders
+// (ascending, descending and shuffled), and at the full width.
+func TestRoundRobinKeyMatchesOracle(t *testing.T) {
+	r := rng.New(5)
+	check := func(vcs int, ptr int32, reqs []int) {
+		n := &Network{vcs: vcs}
+		win := reqs[0]
+		for _, v := range reqs[1:] {
+			if n.rrKey(int32(v), ptr) < n.rrKey(int32(win), ptr) {
+				win = v
 			}
 		}
-		if got, want := grantVC(mask, ptr), arbitrateOracle(vcs, ptr, reqs); got != want {
-			t.Fatalf("VCs %d, pointer %d, requests %#b: granted VC %d, oracle %d", vcs, ptr, mask, got, want)
+		if want := arbitrateOracle(vcs, ptr, reqs); win != want {
+			t.Fatalf("VCs %d, pointer %d, requests in order %v: running winner %d, oracle %d", vcs, ptr, reqs, win, want)
+		}
+	}
+	orders := func(vcs int, ptr int32, reqs []int) {
+		check(vcs, ptr, reqs)
+		slices.Reverse(reqs)
+		check(vcs, ptr, reqs)
+		for i := 0; i < 3; i++ {
+			for j := len(reqs) - 1; j > 0; j-- {
+				k := r.Intn(j + 1)
+				reqs[j], reqs[k] = reqs[k], reqs[j]
+			}
+			check(vcs, ptr, reqs)
 		}
 	}
 	for vcs := 1; vcs <= 8; vcs++ {
 		for ptr := int32(-1); ptr < int32(vcs); ptr++ {
-			for mask := uint64(1); mask < 1<<vcs; mask++ {
-				check(vcs, ptr, mask)
+			for mask := 1; mask < 1<<vcs; mask++ {
+				var reqs []int
+				for v := 0; v < vcs; v++ {
+					if mask>>v&1 != 0 {
+						reqs = append(reqs, v)
+					}
+				}
+				orders(vcs, ptr, reqs)
 			}
 		}
 	}
-	r := rng.New(5)
 	for ptr := int32(-1); ptr < maxVCs; ptr++ {
-		check(maxVCs, ptr, 1<<63)
-		check(maxVCs, ptr, 1)
-		for i := 0; i < 50; i++ {
-			check(maxVCs, ptr, r.Uint64()|1<<uint(r.Intn(maxVCs)))
+		for i := 0; i < 20; i++ {
+			var reqs []int
+			for v := 0; v < maxVCs; v++ {
+				if r.Intn(4) == 0 || v == int(ptr+1) && i == 0 {
+					reqs = append(reqs, v)
+				}
+			}
+			if len(reqs) > 0 {
+				orders(maxVCs, ptr, reqs)
+			}
 		}
 	}
 }
@@ -147,9 +174,8 @@ func TestEjectionsInNodeOrder(t *testing.T) {
 	}
 }
 
-// TestNewRejectsTooManyVCs pins the word-width rule: a channel's requests
-// are one bit per VC in a uint64, so New refuses more than 64 VCs rather
-// than keeping a second arbitration path for wide channels.
+// TestNewRejectsTooManyVCs pins the stated width limit: New refuses more
+// than 64 VCs per channel and accepts 64.
 func TestNewRejectsTooManyVCs(t *testing.T) {
 	topo := topology.MustNew(4, 2, true)
 	p := Params{Topo: topo, VCs: maxVCs, BufferDepth: 2, Routing: routing.TFAR{}}
@@ -157,7 +183,7 @@ func TestNewRejectsTooManyVCs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("VCs = %d rejected: %v", maxVCs, err)
 	}
-	// The widest channel still arbitrates: the top VC's bit is the word's.
+	// The widest channel still arbitrates.
 	n.Inject(0, 5, 4)
 	stepN(n, 40)
 	if n.DeliveredCount != 1 {
@@ -172,8 +198,9 @@ func TestNewRejectsTooManyVCs(t *testing.T) {
 // flipQueueBit inverts node's bit in the queue bitmap.
 func flipQueueBit(n *Network, node int) { n.qNodes[node>>6] ^= 1 << (node & 63) }
 
-// TestCheckInvariantsCoversRequestTables corrupts the slot table the request
-// bits added and requires CheckInvariants to name it. The request words and
+// TestCheckInvariantsCoversRequestTables corrupts the slot table, through
+// which a contested channel finds the move it undoes, and requires
+// CheckInvariants to name it. The channel records, the reception requests and
 // the work-skipping bitmaps are the reference engine's to check
 // (TestReferenceCatchesCorruption).
 func TestCheckInvariantsCoversRequestTables(t *testing.T) {

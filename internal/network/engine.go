@@ -1,33 +1,30 @@
 package network
 
 // The cycle engine: Step runs four phase groups in order — recovery drain and
-// injection starts, VC allocation and transfer planning, arbitration and
-// ejection, transfer commits and VC release — each a kernel over the
-// network's tables. Three bitmaps say where a cycle has work, so a phase
-// scans set bits instead of every channel or node: chBits marks a channel
-// with a pending transfer request, rxNodes a node with a pending reception
-// request, qNodes a source queue to visit (see scanQueue). chBits and rxNodes
-// are zero between cycles; qNodes persists with the queues.
+// injection starts, VC allocation and flit transfers, reception arbitration
+// and ejection, source streaming and VC release — each a kernel over the
+// network's tables. Two bitmaps say where a cycle has work, so a phase scans
+// set bits instead of every node: rxNodes marks a node with a pending
+// reception request, qNodes a source queue to visit (see scanQueue). rxNodes
+// is zero between cycles; qNodes persists with the queues.
 //
-// A transfer request is one bit per VC in its channel's word, and a grant is
-// the bare id of the VC it fills: owner and slotOf recover the message and
-// the hop. Winners are order-independent — each channel's requesters target
-// distinct VCs, each node's deliverers hold distinct head VCs, and a commit
-// only moves per-hop flit counts — so the ascending bit scans fix the order
-// of the externally visible events (trace, ResourceLog, OnDeliver) and
-// nothing else.
-//
-// A one-VC network needs no transfer arbitration: a channel's one VC has one
-// requester, its owner, so planCommit commits each transfer inside the
-// worm's own walk and sets no request bit. There chBits stays zero, and
-// arbitrateAndEject grants only reception ports.
+// A transfer commits inside its worm's walk: planGrant on a multi-VC network,
+// planCommit on a one-VC one, where a channel's one VC has one requester and
+// needs no arbitration. On a multi-VC network a physical channel keeps this
+// cycle's running winner (chWin, chRR), as a reception port keeps its best
+// request (rxReq): a later requester whose round-robin key is smaller undoes
+// the holder's move and makes its own. A new requester can make only itself
+// the winner, never an earlier loser, so the final grants are the ones an
+// arbiter over all of a cycle's requests would make, in any walk order.
+// Commits emit no event and ejections follow in ascending node order, so the
+// order of the externally visible events (trace, ResourceLog, OnDeliver) is
+// fixed by the state.
 
 import (
 	"math/bits"
 
 	"flexsim/internal/message"
 	"flexsim/internal/routing"
-	"flexsim/internal/topology"
 	"flexsim/internal/trace"
 )
 
@@ -175,11 +172,11 @@ func (n *Network) dequeue(q *msgQueue, node int) {
 	}
 }
 
-// allocatePlan is the per-worm half of a cycle before arbitration, one pass
-// over the active list: VC allocation for the header, then the worm's
-// flit-movement requests (on a one-VC network, its flit moves). Per-message
-// interleaving is safe because plan and planCommit read and write only the
-// worm's own hops and request state, while allocate reads only the owner
+// allocatePlan is the per-worm half of a cycle before reception, one pass
+// over the active list: VC allocation for the header, then the worm's flit
+// moves. Per-message interleaving is safe because planGrant and planCommit
+// decide on the worm's own pre-cycle hops and change another worm's only to
+// undo a move that worm made this cycle, while allocate reads only the owner
 // table, the fault set and the worm's own head — so the events come out in
 // the order two separate passes would emit them.
 //
@@ -187,7 +184,7 @@ func (n *Network) dequeue(q *msgQueue, node int) {
 // exact until the fault set changes, so it is re-routed only once a wanted
 // VC is free or the fault generation has moved. Re-routing a parked header
 // any earlier would rebuild the same Wants and emit nothing. A frozen worm
-// (see plan) skips the walk the same way, but not the parked check: the
+// (see planGrant) skips the walk the same way, but not the parked check: the
 // blocked count and wake-on-free need it.
 func (n *Network) allocatePlan() {
 	n.blocked = 0
@@ -210,7 +207,7 @@ func (n *Network) allocatePlan() {
 		if n.vcs == 1 {
 			moves = n.planCommit(m)
 		} else {
-			moves = n.plan(m)
+			moves = n.planGrant(m)
 		}
 		m.Frozen = !moves
 	}
@@ -309,55 +306,124 @@ func (n *Network) route(m *message.Message, here int) []routing.Candidate {
 	return n.faultCandidates(m, here, req.PrevCh, n.candBuf)
 }
 
-// plan registers m's flit-movement requests for this cycle from pre-cycle
-// state: per physical channel for link traversals (a bit in the channel's
-// request word) and per node for ejection at the destination. It reports
-// whether m can move at all — a request made, or a source flit due in
-// applyAndRelease.
+// planGrant moves m's flits for this cycle on a multi-VC network and
+// requests m's reception port, deciding each from pre-cycle state. It reports
+// whether m can move at all — an eligible transfer, granted or not, a
+// reception request, or a source flit due in applyAndRelease.
 //
 // A worm for which it reports false is frozen. Every transfer is between two
-// hops of the same worm, a worm with no request gets no commit and no
-// ejection, so none of its Occ or Departed counts change and nothing is
+// hops of the same worm, a worm with no eligible transfer gets no commit and
+// no ejection, so none of its Occ or Departed counts change and nothing is
 // released: the next walk would find the same. Only a new hop changes that,
 // and acquire clears the flag. Absorb and the fault kills change Status
-// instead, which every skip tests first.
+// instead, which every skip tests first. A requester that loses its channel
+// stays unfrozen: it asks again next cycle.
 //
-// The pair loop computes eligibility from sign bits and ORs it in whether it
-// is 0 or 1: an `if` here is data-dependent and mispredicts on every live
-// worm, and that — not the frozen worms — was the walk's cost.
-func (n *Network) plan(m *message.Message) bool {
-	depth, vcs := n.depth, int32(n.vcs)
+// The walk goes from head to tail, carrying each pair's downstream pre-cycle
+// occupancy from the pair ahead, as planCommit's does. The first eligible
+// requester of channel ch in a cycle moves its flit at once, stamps chWin[ch]
+// with the cycle and the pre-cycle chRR[ch] and stores its VC index in
+// chRR[ch]; a later one goes to contend. Unlike planCommit's, the walk
+// branches on eligibility: a masked, branch-free pair touches its channel's
+// record whether it moves or not, and those misses cost more than the
+// mispredictions. Only the head pair can move a header, so CurDim/Crossed are
+// stamped after the walk, once the state they replace is saved in the head
+// channel's record for an undo.
+func (n *Network) planGrant(m *message.Message) bool {
+	depth, vcs, now := n.depth, int32(n.vcs), n.now
 	hops := m.Hops[m.Released:]
-	var live uint64
-	occ := hops[0].Occ
-	// Only hop 0 is an injection VC, so next is a network VC.
-	for _, next := range hops[1:] {
-		// occ > 0 && next.Occ < depth
-		e := uint64(uint32(-occ)>>31) & uint64(uint32(next.Occ-depth)>>31)
-		occ = next.Occ
-		live |= e
-		ch := n.chOf[next.VC]
-		n.chReq[ch] |= e << (uint32(int32(next.VC)-ch*vcs) & 63)
-		n.chBits[ch>>6] |= e << (uint32(ch) & 63)
+	head := &hops[len(hops)-1]
+	headOcc := head.Occ
+	live := false
+	occ := headOcc // the pair's downstream hop, before this cycle's moves
+	for i := len(hops) - 1; i > 0; i-- {
+		from, to := &hops[i-1], &hops[i]
+		prev := from.Occ
+		eligible := prev > 0 && occ < depth
+		occ = prev
+		if !eligible {
+			continue
+		}
+		live = true
+		// Only hop 0 is an injection VC, so to is a network VC.
+		ch := n.chOf[to.VC]
+		w := &n.chWin[ch]
+		if w.cycle == now {
+			n.contend(m, from, to, ch)
+			continue
+		}
+		from.Occ--
+		from.Departed++
+		to.Occ++
+		w.cycle = now
+		w.ptr = n.chRR[ch]
+		n.chRR[ch] = int32(to.VC) - ch*vcs
 	}
-	if head := hops[len(hops)-1]; head.Occ > 0 && int(n.downstream[head.VC]) == m.Dst {
+	if headOcc == 0 && head.Occ > 0 && head.Departed == 0 {
+		// The header just entered head's channel.
+		ch := n.chOf[head.VC]
+		w := &n.chWin[ch]
+		w.curDim, w.crossed = int32(m.CurDim), m.Crossed
+		m.CurDim = int(n.chDim[ch])
+		m.Crossed |= n.chFlags[ch]
+	}
+	if headOcc > 0 && int(n.downstream[head.VC]) == m.Dst {
 		// Flits at the head buffer of a message whose header has
 		// reached the destination: request the reception channel.
 		n.requestRx(m.Dst, head.VC)
 		n.rxNodes[m.Dst>>6] |= 1 << (m.Dst & 63)
 		return true
 	}
-	return live != 0 || n.sourceFlitDue(m)
+	// With nothing eligible, nothing of m's moved.
+	return live || n.sourceFlitDue(m)
 }
 
-// planCommit is plan on a one-VC network, where it also commits. A physical
-// channel with one VC has at most one requester in a cycle: the VC's owner,
-// and no other worm can acquire the VC while it holds it. So every transfer
-// plan would request is granted, and planCommit moves the flit at once
-// instead of setting a request bit for arbitrateAndEject to grant. The one
-// state a grant leaves, chRR[ch] = 0 (the granted VC index), is stored all
-// the same. A commit emits no event, so the events come out in the order
-// plan's would.
+// contend settles a later request for channel ch in this cycle: m's flit
+// from from into to, against the holder, chRR[ch]. A key is a VC index's
+// cyclic distance past the pre-cycle pointer chWin[ch].ptr, in [1, VCs], and
+// keys are unique, since a VC has one owner; the smaller wins. Winning undoes
+// the holder's move, found through owner and slotOf, and makes m's. An undone
+// move that carried a header gets the header's saved CurDim/Crossed back
+// unless its worm is m, which stamps only after its walk.
+func (n *Network) contend(m *message.Message, from, to *message.Hop, ch int32) {
+	w := &n.chWin[ch]
+	v := int32(to.VC) - ch*int32(n.vcs)
+	held := n.chRR[ch]
+	if n.rrKey(v, w.ptr) > n.rrKey(held, w.ptr) {
+		return
+	}
+	hvc := to.VC + message.VC(held-v)
+	hm := n.owner[hvc]
+	i := n.slotOf[hvc]
+	hfrom, hto := &hm.Hops[i-1], &hm.Hops[i]
+	hfrom.Occ++
+	hfrom.Departed--
+	hto.Occ--
+	if hto.Occ == 0 && hto.Departed == 0 && hm != m {
+		hm.CurDim, hm.Crossed = int(w.curDim), w.crossed
+	}
+	from.Occ--
+	from.Departed++
+	to.Occ++
+	n.chRR[ch] = v
+}
+
+// rrKey is VC index v's round-robin key past the pointer ptr (the last
+// granted index, -1 initially): its cyclic distance, in [1, VCs].
+func (n *Network) rrKey(v, ptr int32) int32 {
+	k := v - ptr
+	if k <= 0 {
+		k += int32(n.vcs)
+	}
+	return k
+}
+
+// planCommit is planGrant on a one-VC network. A physical channel with one
+// VC has at most one requester in a cycle: the VC's owner, and no other worm
+// can acquire the VC while it holds it. So every eligible transfer is
+// granted, and planCommit moves the flit with no record to keep and nothing
+// to undo. The one state a grant leaves, chRR[ch] = 0 (the granted VC index),
+// is stored all the same. A commit emits no event.
 //
 // Eligibility stays on pre-cycle state. The walk goes from head to tail, so a
 // pair's upstream hop is still untouched, but its downstream hop may already
@@ -385,7 +451,7 @@ func (n *Network) planCommit(m *message.Message) bool {
 		occ = prev
 	}
 	if headOcc == 0 && head.Occ > 0 && head.Departed == 0 {
-		// The header just entered head's channel: stamp what commit does.
+		// The header just entered head's channel.
 		m.CurDim = int(n.chDim[head.VC])
 		m.Crossed |= n.chFlags[head.VC]
 	}
@@ -405,25 +471,10 @@ func (n *Network) sourceFlitDue(m *message.Message) bool {
 	return m.SrcRemaining > 0 && m.Hops[0].Occ < n.depth && m.Released == 0
 }
 
-// arbitrateAndEject grants and commits one transfer per requested physical
-// channel, then one ejection per requested reception port.
+// arbitrateAndEject grants one ejection per requested reception port: the
+// head VC that follows the node's round-robin pointer, in ascending node
+// order.
 func (n *Network) arbitrateAndEject() {
-	// Grant per physical channel: round-robin over VC index. Winners are
-	// order-independent (one requester per VC), so the scan's ascending
-	// channel order is as good as any.
-	for i, word := range n.chBits {
-		n.chBits[i] = 0
-		for ; word != 0; word &= word - 1 {
-			ch := i<<6 + bits.TrailingZeros64(word)
-			reqs := n.chReq[ch]
-			n.chReq[ch] = 0
-			v := grantVC(reqs, n.chRR[ch])
-			n.chRR[ch] = int32(v)
-			n.commit(n.NetVC(topology.ChannelID(ch), v))
-		}
-	}
-	// Grant reception: the head VC that follows the node's round-robin
-	// pointer, in ascending node order.
 	for i, word := range n.rxNodes {
 		n.rxNodes[i] = 0
 		for ; word != 0; word &= word - 1 {
@@ -460,7 +511,7 @@ func (n *Network) eject(m *message.Message) {
 // applyAndRelease streams each active message's source flit into its
 // injection buffer, frees the VCs whose buffers the tail has fully drained
 // and retires the message when complete, in one pass. A frozen worm has
-// nothing to stream or release (see plan).
+// nothing to stream or release (see planGrant).
 func (n *Network) applyAndRelease() {
 	for _, m := range n.active {
 		if m.Status == message.Active {

@@ -455,47 +455,165 @@ func FuzzEngineEquivalence(f *testing.F) {
 	})
 }
 
+// restoreBoth installs state in the engine at cycle now and in a fresh
+// reference that starts from the engine's round-robin pointers and counters
+// (RestoreState keeps both), and requires the two to agree.
+func restoreBoth(t *testing.T, ls *lockstep, now int64, state []InjectedMessage) {
+	t.Helper()
+	n := ls.n
+	if err := n.RestoreState(now, state); err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefNet(n.p)
+	ref.now = now
+	for ch, rr := range n.chRR {
+		ref.chRR[ch] = int(rr)
+	}
+	for node, rr := range n.rxRR {
+		ref.rxRR[node] = int(rr)
+	}
+	ref.refCounters = refCounters{n.DeliveredCount, n.RecoveredCount, n.KilledCount, n.UnroutableCount,
+		n.InjectedFlits, n.DeliveredFlits, n.AbsorbedFlits, n.KilledFlits}
+	for _, im := range state {
+		restoreRef(ref, im)
+	}
+	ls.ref = ref
+	if err := ref.diff(n, nil); err != nil {
+		t.Fatalf("restored state: %v", err)
+	}
+}
+
+// stepAll steps ls until every message is delivered, failing at the first
+// divergence or after limit cycles.
+func stepAll(t *testing.T, ls *lockstep, msgs int64, limit int) {
+	t.Helper()
+	for i := 0; i < limit && ls.n.DeliveredCount < msgs; i++ {
+		if err := ls.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ls.n.DeliveredCount != msgs {
+		t.Fatalf("%d of %d worms delivered in %d cycles", ls.n.DeliveredCount, msgs, limit)
+	}
+}
+
 // TestEquivalenceFromBubbledWorms starts the lockstep from worms with an
 // empty buffer between two full ones, a state the cycle never produces (a hop
 // empties only while the hop behind it refills it, except at depth 1, where
 // empty buffers never touch) but RestoreState accepts. From it, a plan walk
 // that read an occupancy the walk itself had already changed would move a
 // flit over two links in one cycle. One VC, so planCommit walks the worms;
-// two, so plan does.
+// two, so planGrant does.
 func TestEquivalenceFromBubbledWorms(t *testing.T) {
 	for _, vcs := range []int{1, 2} {
-		topo := topology.MustNew(6, 1, false)
-		p := Params{Topo: topo, VCs: vcs, BufferDepth: 2, Routing: routing.DOR{}, CheckInvariants: true}
-		ls, err := newLockstep(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj := func(node int) message.VC { return ls.n.InjVC(node) }
-		vc := func(ch int) message.VC { return ls.n.NetVC(topology.ChannelID(ch), 0) }
-		state := []InjectedMessage{
-			// Ejecting at node 3: source, empty hop, head.
-			{ID: 0, Src: 0, Dst: 3, Len: 8, Path: []message.VC{inj(0), vc(0), vc(1), vc(2)},
-				Occ: []int32{1, 0, 2, 1}, SrcRemaining: 4},
-			// Header in flight at node 5, bound for node 1.
-			{ID: 1, Src: 3, Dst: 1, Len: 6, Path: []message.VC{inj(3), vc(3), vc(4)},
-				Occ: []int32{2, 0, 1}, SrcRemaining: 3},
-		}
-		if err := ls.n.RestoreState(0, state); err != nil {
-			t.Fatal(err)
-		}
-		for _, im := range state {
-			restoreRef(ls.ref, im)
-		}
-		if err := ls.ref.diff(ls.n, nil); err != nil {
-			t.Fatalf("%d VCs: restored state: %v", vcs, err)
-		}
-		for i := 0; i < 30; i++ {
-			if err := ls.step(); err != nil {
-				t.Fatalf("%d VCs: %v", vcs, err)
+		t.Run(fmt.Sprintf("%d VCs", vcs), func(t *testing.T) {
+			topo := topology.MustNew(6, 1, false)
+			ls, err := newLockstep(Params{Topo: topo, VCs: vcs, BufferDepth: 2, Routing: routing.DOR{}, CheckInvariants: true})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if ls.n.DeliveredCount != 2 {
-			t.Fatalf("%d VCs: %d of 2 worms delivered", vcs, ls.n.DeliveredCount)
+			inj := func(node int) message.VC { return ls.n.InjVC(node) }
+			vc := func(ch int) message.VC { return ls.n.NetVC(topology.ChannelID(ch), 0) }
+			restoreBoth(t, ls, 0, []InjectedMessage{
+				// Ejecting at node 3: source, empty hop, head.
+				{ID: 0, Src: 0, Dst: 3, Len: 8, Path: []message.VC{inj(0), vc(0), vc(1), vc(2)},
+					Occ: []int32{1, 0, 2, 1}, SrcRemaining: 4},
+				// Header in flight at node 5, bound for node 1.
+				{ID: 1, Src: 3, Dst: 1, Len: 6, Path: []message.VC{inj(3), vc(3), vc(4)},
+					Occ: []int32{2, 0, 1}, SrcRemaining: 3},
+			})
+			stepAll(t, ls, 2, 30)
+		})
+	}
+}
+
+// TestContendedChannel restores worms that all ask for one physical channel
+// in the first cycle, each into a VC of its own, with the channel's
+// round-robin pointer set so that each way its running winner can go
+// happens: the first-walked worm keeps the channel, a later one takes it and
+// undoes the holder's move, and the undone move carried the holder's header
+// (the channel crosses the dateline, so the header's Crossed bit shows an
+// undo that does not restore it). The worms are walked in restore order. The
+// grant after the first cycle is checked, then the lockstep runs until every
+// worm is delivered.
+func TestContendedChannel(t *testing.T) {
+	cases := []struct {
+		name   string
+		vcs    []int // each worm's VC index on the channel, in walk order
+		header bool  // the first worm's move carries its header
+		ptr    int32 // the channel's round-robin pointer before the cycle
+		win    int32 // the VC index granted
+	}{
+		{"first-walked worm wins", []int{0, 1}, false, 1, 0},
+		{"later-walked worm wins and undoes the first", []int{0, 1}, false, 0, 1},
+		{"undone move carried a header", []int{0, 1}, true, 0, 1},
+		{"three VCs: first-walked worm wins", []int{2, 1, 0}, true, 1, 2},
+		{"three VCs: the second undoes a header, the third loses", []int{2, 1, 0}, true, 0, 1},
+		{"three VCs: the second undoes a header, the third undoes the second", []int{2, 1, 0}, true, -1, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			topo := topology.MustNew(6, 1, false)
+			ls, err := newLockstep(Params{Topo: topo, VCs: len(c.vcs), BufferDepth: 2, Routing: routing.DOR{}, CheckInvariants: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := ls.n
+			x, prev := chanBetween(t, topo, 5, 0), chanBetween(t, topo, 4, 5)
+			if !topo.CrossesDateline(x) {
+				t.Fatalf("channel 5->0 does not cross the dateline; the header case needs one that does")
+			}
+			var state []InjectedMessage
+			for i, v := range c.vcs {
+				path := []message.VC{n.NetVC(prev, v), n.NetVC(x, v)}
+				im := InjectedMessage{ID: message.ID(i), Src: 3, Dst: 2, Len: 2, Path: path, Occ: []int32{1, 1}}
+				if i == 0 {
+					// Injected at node 4, its source still streaming.
+					im = InjectedMessage{ID: 0, Src: 4, Dst: 2, Len: 8, Path: append([]message.VC{n.InjVC(4)}, path...),
+						Occ: []int32{0, 1, 1}, SrcRemaining: 6}
+					if c.header {
+						// The header waits in prev, x allocated and empty.
+						im.Occ, im.SrcRemaining = []int32{1, 2, 0}, 5
+					}
+				}
+				state = append(state, im)
+			}
+			restoreBoth(t, ls, 0, state)
+			n.chRR[x], ls.ref.chRR[x] = c.ptr, int(c.ptr)
+			if err := ls.step(); err != nil {
+				t.Fatal(err)
+			}
+			if n.chRR[x] != c.win {
+				t.Fatalf("VC %d granted, want %d", n.chRR[x], c.win)
+			}
+			stepAll(t, ls, int64(len(c.vcs)), 40)
+		})
+	}
+}
+
+// TestRestoreRewindsChannelRecords runs a two-VC lockstep from queued
+// single-flit messages to cycle 40, restores the same messages at cycle 0
+// again, and steps the engine beside a fresh reference. The replay asks for
+// the same channels at the same cycles as the first run, and a single flit
+// asks for each channel on its path once, so a channel record the rewind left
+// stamped would read as the current cycle's winner at the replay's first
+// request for it.
+func TestRestoreRewindsChannelRecords(t *testing.T) {
+	topo := topology.MustNew(4, 2, true)
+	ls, err := newLockstep(Params{Topo: topo, VCs: 2, BufferDepth: 2, Routing: routing.TFAR{}, CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state []InjectedMessage
+	for i := 0; i < 12; i++ {
+		state = append(state, InjectedMessage{ID: message.ID(i), Src: i, Dst: (i*5 + 3) % 16, Len: 1, SrcRemaining: 1})
+	}
+	for run := 0; run < 2; run++ {
+		restoreBoth(t, ls, 0, state)
+		for i := 0; i < 40; i++ {
+			if err := ls.step(); err != nil {
+				t.Fatalf("run %d: %v", run, err)
+			}
 		}
 	}
 }
@@ -510,18 +628,13 @@ func TestReferenceCatchesCorruption(t *testing.T) {
 		name    string
 		corrupt func(*testing.T, *lockstep, *message.Message)
 	}{
-		{"chReq: a stale bit that beats the worm's request", func(t *testing.T, ls *lockstep, m *message.Message) {
-			// The worm crossed ch on VC 0 last cycle, so the round-robin
-			// pointer sits there and VC 1's stale bit wins the next grant.
+		{"chWin: a record stamped this cycle whose key beats the worm's", func(t *testing.T, ls *lockstep, m *message.Message) {
+			// A phantom winner of a channel the worm asks for next cycle,
+			// keyed ahead of it: the worm's flit stays where it is.
 			n := ls.n
-			i := slices.IndexFunc(m.Hops[m.Released:], func(h message.Hop) bool {
-				return !n.IsInjection(h.VC) && n.VCIndex(h.VC) == 0 && n.chRR[n.VCChannel(h.VC)] == 0 &&
-					n.Owner(h.VC+1) == nil
-			})
-			if i < 0 {
-				t.Fatalf("%v crossed no channel on VC 0 last cycle; the case needs one", m)
-			}
-			n.chReq[n.VCChannel(m.Hops[m.Released+i].VC)] = 2
+			ch, v := nextTransfer(t, n, m, false)
+			n.chWin[ch] = chWinner{cycle: n.Now() + 1, ptr: v}
+			n.chRR[ch] = v ^ 1
 		}},
 		{"rxReq: a request that beats the worm's ejection", func(t *testing.T, ls *lockstep, m *message.Message) {
 			// The worm is ejecting at its destination; no real key is below 1.
@@ -530,17 +643,14 @@ func TestReferenceCatchesCorruption(t *testing.T) {
 		{"rxNodes: a node scanned with no reception request", func(t *testing.T, ls *lockstep, m *message.Message) {
 			ls.n.rxNodes[0] = 1 << 9
 		}},
-		{"chBits: a channel scanned with no transfer request", func(t *testing.T, ls *lockstep, m *message.Message) {
-			ls.n.chBits[0] = 1 << 3
-		}},
-		{"stray request bit on a free channel", func(t *testing.T, ls *lockstep, m *message.Message) {
+		{"chWin: a record naming a free VC", func(t *testing.T, ls *lockstep, m *message.Message) {
+			// A winner this cycle on the free sibling of a VC the worm moves
+			// into next cycle, keyed behind the worm: the worm undoes a move
+			// that nobody made.
 			n := ls.n
-			ch := 0
-			for n.Owner(n.NetVC(topology.ChannelID(ch), 0)) != nil || n.Owner(n.NetVC(topology.ChannelID(ch), 1)) != nil {
-				ch++
-			}
-			n.chReq[ch] = 1
-			n.chBits[ch>>6] |= 1 << (ch & 63)
+			ch, v := nextTransfer(t, n, m, true)
+			n.chWin[ch] = chWinner{cycle: n.Now() + 1, ptr: v - 1}
+			n.chRR[ch] = v ^ 1
 		}},
 		{"qNodes set on an empty queue", func(t *testing.T, ls *lockstep, m *message.Message) {
 			n := ls.n
@@ -599,6 +709,22 @@ func TestReferenceCatchesCorruption(t *testing.T) {
 	}
 }
 
+// nextTransfer returns the channel and VC index of a transfer m asks for in
+// the next cycle, on a two-VC network: the head-most pair of its hops whose
+// upstream buffer holds a flit and whose downstream one has room (and, with
+// freeSibling, whose VC's sibling is free).
+func nextTransfer(t *testing.T, n *Network, m *message.Message, freeSibling bool) (int32, int32) {
+	t.Helper()
+	for i := len(m.Hops) - 1; i > m.Released; i-- {
+		vc := m.Hops[i].VC
+		if m.Hops[i-1].Occ > 0 && m.Hops[i].Occ < n.depth && (!freeSibling || n.Owner(vc^1) == nil) {
+			return int32(n.VCChannel(vc)), int32(n.VCIndex(vc))
+		}
+	}
+	t.Fatalf("%v asks for no transfer next cycle; the case needs one", m)
+	return 0, 0
+}
+
 // --- Lockstep comparison ----------------------------------------------------
 
 var refStatusOf = map[message.Status]refStatus{message.Queued: refQueued, message.Active: refActive,
@@ -606,8 +732,13 @@ var refStatusOf = map[message.Status]refStatus{message.Queued: refQueued, messag
 	message.Killed: refKilled}
 
 // diffMsg names the first field in which the engine's message and the
-// reference's disagree, or returns "".
+// reference's disagree, or returns "". It formats the fields only once
+// sameMsg has found a difference: formatting every message every cycle was
+// most of a lockstep run's time.
 func diffMsg(m *message.Message, rm *refMsg) string {
+	if sameMsg(m, rm) {
+		return ""
+	}
 	hops := make([]refHop, len(m.Hops))
 	for i, h := range m.Hops {
 		hops[i] = refHop{vc: h.VC, occ: int(h.Occ), departed: int(h.Departed)}
@@ -629,6 +760,18 @@ func diffMsg(m *message.Message, rm *refMsg) string {
 		}
 	}
 	return ""
+}
+
+// sameMsg reports whether every field diffMsg names agrees.
+func sameMsg(m *message.Message, rm *refMsg) bool {
+	sameHop := func(h message.Hop, r refHop) bool {
+		return h.VC == r.vc && int(h.Occ) == r.occ && int(h.Departed) == r.departed
+	}
+	return m.ID == rm.id && refStatusOf[m.Status] == rm.status && m.CreateTime == rm.created &&
+		m.InjectTime == rm.injected && m.DeliverTime == rm.done && slices.EqualFunc(m.Hops, rm.path, sameHop) &&
+		m.Released == rm.released && m.SrcRemaining == rm.srcRemaining && m.Consumed == rm.consumed &&
+		m.CurDim == rm.curDim && m.Crossed == rm.crossed && m.Blocked == rm.blocked &&
+		m.BlockedSince == rm.blockedSince && slices.Equal(m.Wants, rm.wants)
 }
 
 // diff compares the engine's whole state with the reference's after a step:

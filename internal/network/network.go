@@ -14,9 +14,11 @@
 // premises of the channel-wait-for-graph deadlock theory; everything else
 // (pipelining detail, arbitration fairness) only shifts constants.
 //
-// The update is two-phase per cycle (plan from pre-cycle state, then
-// commit), which keeps the simulation deterministic, prevents a flit from
-// traversing two links in one cycle, and enforces link bandwidth exactly.
+// Every flit move of a cycle is decided on pre-cycle state (a worm's walk
+// reads its own hops as they stood before the cycle, and a channel's
+// round-robin winner is measured from its pre-cycle pointer), which keeps the
+// simulation deterministic, prevents a flit from traversing two links in one
+// cycle, and enforces link bandwidth exactly.
 // One goroutine steps every cycle (see engine.go); parallelism belongs to
 // the sweep, which runs independent points side by side.
 package network
@@ -25,7 +27,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"flexsim/internal/message"
@@ -57,9 +58,22 @@ type Params struct {
 	Tracer trace.Tracer
 }
 
-// maxVCs is the widest physical channel New accepts: a channel's transfer
-// requests are one bit per VC in a single word.
+// maxVCs is the widest physical channel New accepts, a stated limit far
+// above the paper's one to four.
 const maxVCs = 64
+
+// chWinner is a physical channel's transfer grant so far in the current
+// cycle (see planGrant). It is this cycle's while cycle equals the network's
+// clock: chRR then holds the winning VC index, and ptr the pointer chRR held
+// before the cycle, from which every requester's round-robin key is measured.
+// curDim and crossed are the winner's header state before its move, for an
+// undo, when the move carried its header.
+type chWinner struct {
+	cycle   int64
+	ptr     int32
+	curDim  int32
+	crossed uint32
+}
 
 // rxRequest is a node's best reception request so far this cycle: the head
 // VC whose round-robin key is smallest.
@@ -96,8 +110,8 @@ type Network struct {
 	owner     []*message.Message // by VC id; nil = free
 	// slotOf is, for an owned VC, its index in the owner's Hops (written
 	// where owner is, by acquire); meaningless for a free VC. With owner it
-	// turns a VC id into the flit movement that fills it, which is what lets
-	// requests and grants travel as bare VC ids.
+	// turns a VC id into the flit movement that fills it, which is how a
+	// contended channel finds the move it undoes (see planGrant).
 	slotOf []int32
 
 	// Geometry and routing specialisation resolved once in New, so the
@@ -122,8 +136,9 @@ type Network struct {
 	// fault mutation or once a wanted VC is free.
 	faultGen uint32
 
-	chRR []int32 // per physical channel: last granted VC index
-	rxRR []int32 // per node: last granted head-VC id (reception arbitration)
+	chRR  []int32    // per physical channel: last granted VC index
+	chWin []chWinner // per physical channel: this cycle's winner so far
+	rxRR  []int32    // per node: last granted head-VC id (reception arbitration)
 
 	queues  []msgQueue // per node source queue
 	active  []*message.Message
@@ -143,15 +158,11 @@ type Network struct {
 	activeSeen  int
 	joined      []*message.Message
 
-	// Per-cycle transfer requests, all zero/rxNone between cycles. chReq
-	// holds one word per physical channel: bit v set means VC v's owner has
-	// a flit to move into it (one requester per VC, because a VC has one
-	// owner). rxReq holds per node the reception request that wins so far.
-	chReq []uint64
+	// Per-cycle reception requests, all rxNone between cycles: per node the
+	// request that wins so far.
 	rxReq []rxRequest
 
-	// Where the cycle has work, one bit per channel or node (see engine.go).
-	chBits  []uint64
+	// Where the cycle has work, one bit per node (see engine.go).
 	rxNodes []uint64
 	qNodes  []uint64
 
@@ -312,13 +323,14 @@ func New(p Params) (*Network, error) {
 		chRR:      make([]int32, t.NumChannels()),
 		rxRR:      make([]int32, t.Nodes()),
 		queues:    make([]msgQueue, t.Nodes()),
-		chReq:     make([]uint64, t.NumChannels()),
 		rxReq:     make([]rxRequest, t.Nodes()),
-		chBits:    make([]uint64, (t.NumChannels()+63)/64),
 		rxNodes:   make([]uint64, (t.Nodes()+63)/64),
 		qNodes:    make([]uint64, (t.Nodes()+63)/64),
 		req:       routing.Request{Topo: t, VCs: p.VCs},
 		slab:      newMsgSlab(t, p.VCs),
+	}
+	if p.VCs > 1 { // planCommit, the one-VC walk, keeps no record
+		n.chWin = make([]chWinner, t.NumChannels())
 	}
 	n.numVCs = n.numNetVCs + t.Nodes()
 	n.owner = make([]*message.Message, n.numVCs)
@@ -598,22 +610,12 @@ func derouteCount(t topology.Network, m *message.Message) int {
 
 // acquire makes m the owner of vc, appended to its hop chain. A new empty
 // hop is the one thing that can make a frozen worm movable again (see
-// plan), so this is where Frozen is cleared.
+// planGrant), so this is where Frozen is cleared.
 func (n *Network) acquire(m *message.Message, vc message.VC) {
 	n.owner[vc] = m
 	n.slotOf[vc] = int32(len(m.Hops))
 	m.Acquire(vc)
 	m.Frozen = false
-}
-
-// grantVC returns the index of the first requested VC after the round-robin
-// pointer ptr (the last granted index, -1 initially), wrapping around: the
-// requester with the smallest key (v - ptr - 1) mod VCs. reqs is non-zero.
-func grantVC(reqs uint64, ptr int32) int {
-	if above := reqs >> uint(ptr+1); above != 0 {
-		return int(ptr) + 1 + bits.TrailingZeros64(above)
-	}
-	return bits.TrailingZeros64(reqs)
 }
 
 // requestRx asks for node's reception port on behalf of head VC vc, keeping
@@ -628,25 +630,6 @@ func (n *Network) requestRx(node int, vc message.VC) {
 	}
 	if key < n.rxReq[node].key {
 		n.rxReq[node] = rxRequest{key: key, vc: vc}
-	}
-}
-
-// commit moves one flit of vc's owner into vc from the hop before it.
-func (n *Network) commit(vc message.VC) {
-	m := n.owner[vc]
-	i := n.slotOf[vc]
-	from, to := &m.Hops[i-1], &m.Hops[i]
-	headerMove := to.Departed == 0 && to.Occ == 0
-	from.Occ--
-	from.Departed++
-	to.Occ++
-	if headerMove {
-		// The header just traversed vc's channel: update the dimension and
-		// route-state bits the routing relation consumes (dateline crossings
-		// on tori, the down-phase commitment on irregular networks).
-		ch := n.chOf[vc]
-		m.CurDim = int(n.chDim[ch])
-		m.Crossed |= n.chFlags[ch]
 	}
 }
 

@@ -104,8 +104,13 @@ func (n *Network) RestoreState(now int64, msgs []InjectedMessage) error {
 }
 
 // clearDynamic empties all per-run mutable state, keeping parameters and
-// monotonic counters.
+// monotonic counters. The channel records are stamped with the new clock, a
+// cycle no step runs at: a record left from a later cycle than now would read
+// as the current cycle's winner once the clock came back to it.
 func (n *Network) clearDynamic(now int64) {
+	for i := range n.chWin {
+		n.chWin[i] = chWinner{cycle: now}
+	}
 	for i := range n.owner {
 		n.owner[i] = nil
 	}
