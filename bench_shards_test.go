@@ -4,7 +4,7 @@
 // best case for change-gated allocation. (The name is kept from when a
 // parallel engine ran the same network at 2, 4 and 8 shards; DESIGN §10.)
 //
-//	go test -run='^$' -bench='SimCycle(Shards1|Subsat|Bignet|OneVC|Contended)' -benchmem .
+//	go test -run='^$' -bench='SimCycle(Shards1|Subsat|Bignet|OneVC|Contended|Census)' -benchmem .
 //
 // BenchmarkSimCycleSubsat is the live-network counterpoint: the same network
 // below saturation with detection and recovery on, where ~10% of headers
@@ -14,12 +14,15 @@
 // VCs at load 1.0, where they often do and a later requester undoes the
 // first one's move. BenchmarkSimCycleOneVC is the paper's one-VC network
 // below saturation, where a channel has one requester.
+// BenchmarkSimCycleCensus is TFAR with two VCs at load 1.0 under the cycle
+// census, which counts each pass's graph on its own goroutine.
 //
 // FLEXSIM_BENCH_SHARDS_OUT=BENCH_shards.json go test -run TestEmitShardBench .
-// re-measures the five with testing.Benchmark and writes the
+// re-measures the six with testing.Benchmark and writes the
 // machine-readable trajectory file (ns/cycle, allocs/op);
 // FLEXSIM_BENCH_COMPARE=1 go test -run TestBenchCompare . holds Shards1
-// against it and OneVC and Contended to 0 allocs/op.
+// against it, and OneVC, Contended, Census, BenchmarkDetectNow and
+// BenchmarkDetectionWithCensus to 0 allocs/op.
 package flexsim_test
 
 import (
@@ -85,10 +88,27 @@ const contendedNetwork = "16-ary 2-cube, dor, 2 VCs, load 1.0, detect every 50, 
 
 func BenchmarkSimCycleContended(b *testing.B) { benchSimCycleLive(b, 16, "dor", 2, 1.0) }
 
+// censusNetwork describes BenchmarkSimCycleCensus's configuration: the
+// paper's regime, a saturated network under the fig6/fig7 cycle census, in
+// which most passes are answered by the knot-freedom proof while the census
+// counts their graphs beside the cycle.
+const censusNetwork = "16-ary 2-cube, tfar, 2 VCs, load 1.0, detect every 50, recovery on, census capped at 100000 cycles / 2000000 work"
+
+func BenchmarkSimCycleCensus(b *testing.B) {
+	cfg := liveConfig(16, "tfar", 2, 1.0)
+	cfg.CycleCensus, cfg.MaxCycles, cfg.MaxWork = true, 100000, 2000000
+	benchSimCycle(b, cfg)
+}
+
 // benchSimCycleLive steps a k-ary 2-cube under the given routing and VC
-// count, detection and recovery on, after 2000 cycles to reach steady
-// occupancy.
+// count, detection and recovery on.
 func benchSimCycleLive(b *testing.B, k int, routing string, vcs int, load float64) {
+	benchSimCycle(b, liveConfig(k, routing, vcs, load))
+}
+
+// liveConfig is the paper's point on a k-ary 2-cube with the given routing,
+// VC count and load, without warm-up or metrics.
+func liveConfig(k int, routing string, vcs int, load float64) sim.Config {
 	cfg := sim.Default()
 	cfg.K = k
 	cfg.Routing = routing
@@ -96,6 +116,12 @@ func benchSimCycleLive(b *testing.B, k int, routing string, vcs int, load float6
 	cfg.Load = load
 	cfg.WarmupCycles = 0
 	cfg.MetricsEvery = 0
+	return cfg
+}
+
+// benchSimCycle steps cfg's runner, after 2000 cycles to reach steady
+// occupancy.
+func benchSimCycle(b *testing.B, cfg sim.Config) {
 	r, err := sim.NewRunner(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -108,6 +134,8 @@ func benchSimCycleLive(b *testing.B, k int, routing string, vcs int, load float6
 	for i := 0; i < b.N; i++ {
 		r.StepCycle()
 	}
+	b.StopTimer()
+	r.Detector.Wait()
 }
 
 // shardBenchPoint is one row of BENCH_shards.json; Shards is always 1.
@@ -129,9 +157,10 @@ type shardBenchFile struct {
 	NumCPU     int               `json:"num_cpu"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Points     []shardBenchPoint `json:"points"`
-	// Subsat, Bignet, OneVC and Contended are BenchmarkSimCycleSubsat's,
-	// BenchmarkSimCycleBignet's, BenchmarkSimCycleOneVC's and
-	// BenchmarkSimCycleContended's rows.
+	// Subsat, Bignet, OneVC, Contended and Census are
+	// BenchmarkSimCycleSubsat's, BenchmarkSimCycleBignet's,
+	// BenchmarkSimCycleOneVC's, BenchmarkSimCycleContended's and
+	// BenchmarkSimCycleCensus's rows.
 	SubsatNetwork    string          `json:"subsat_network"`
 	Subsat           shardBenchPoint `json:"subsat"`
 	BignetNetwork    string          `json:"bignet_network"`
@@ -140,9 +169,11 @@ type shardBenchFile struct {
 	OneVC            shardBenchPoint `json:"one_vc"`
 	ContendedNetwork string          `json:"contended_network"`
 	Contended        shardBenchPoint `json:"contended"`
+	CensusNetwork    string          `json:"census_network"`
+	Census           shardBenchPoint `json:"census"`
 }
 
-// TestEmitShardBench re-measures the wedged point and the four live points
+// TestEmitShardBench re-measures the wedged point and the five live points
 // and writes the machine-readable perf trajectory to
 // $FLEXSIM_BENCH_SHARDS_OUT; without the variable it is a no-op, so
 // `go test ./...` never pays the measurement.
@@ -174,6 +205,7 @@ func TestEmitShardBench(t *testing.T) {
 	file.BignetNetwork, file.Bignet = bignetNetwork, point(BenchmarkSimCycleBignet)
 	file.OneVCNetwork, file.OneVC = oneVCNetwork, point(BenchmarkSimCycleOneVC)
 	file.ContendedNetwork, file.Contended = contendedNetwork, point(BenchmarkSimCycleContended)
+	file.CensusNetwork, file.Census = censusNetwork, point(BenchmarkSimCycleCensus)
 	b, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +219,8 @@ func TestEmitShardBench(t *testing.T) {
 // TestBenchCompare is the CI bench-compare gate: with FLEXSIM_BENCH_COMPARE=1
 // it re-measures the obs-off 1-shard cycle and compares it against the
 // baseline file ($FLEXSIM_BENCH_BASELINE, default BENCH_shards.json), and
-// holds the one-VC and the contended live cycles to 0 allocs/op. Allocations
+// holds the one-VC, the contended and the census live cycles and the graph
+// path's detection passes, with and without the census, to 0 allocs/op. Allocations
 // are deterministic, so any allocs/op growth fails on every machine. The
 // ns/cycle figure is the median of benchCompareRuns measurements, since one
 // run on a shared host spreads by more than the gate; the >5% gate applies
@@ -238,7 +271,13 @@ func TestBenchCompare(t *testing.T) {
 	for _, live := range []struct {
 		name  string
 		bench func(*testing.B)
-	}{{"SimCycleOneVC", BenchmarkSimCycleOneVC}, {"SimCycleContended", BenchmarkSimCycleContended}} {
+	}{
+		{"SimCycleOneVC", BenchmarkSimCycleOneVC},
+		{"SimCycleContended", BenchmarkSimCycleContended},
+		{"SimCycleCensus", BenchmarkSimCycleCensus},
+		{"DetectNow", BenchmarkDetectNow},
+		{"DetectionWithCensus", BenchmarkDetectionWithCensus},
+	} {
 		if r := testing.Benchmark(live.bench); r.AllocsPerOp() != 0 {
 			t.Errorf("%s: %d allocs/op, want 0", live.name, r.AllocsPerOp())
 		}

@@ -429,10 +429,17 @@ func (g *Graph) Analyze(opts Options) Analysis {
 		an.Deadlocks = append(an.Deadlocks, g.classify(knot, opts))
 	}
 	if opts.CountTotalCycles {
-		c := newCounter(opts, g.scratch())
-		an.TotalCycles, an.TotalCyclesCapped = c.countAll(g)
+		an.TotalCycles, an.TotalCyclesCapped = g.CountCycles(opts)
 	}
 	return an
+}
+
+// CountCycles counts the graph's elementary cycles, the paper's resource
+// dependency cycle census, under opts' MaxCycles and MaxWork caps; capped
+// reports that a cap stopped the count. It is Analyze's TotalCycles without
+// the knot analysis.
+func (g *Graph) CountCycles(opts Options) (n int, capped bool) {
+	return newCounter(opts, g.scratch()).countAll(g)
 }
 
 // classify builds the paper's characterization of one knot. The knot slice

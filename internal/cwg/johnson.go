@@ -124,11 +124,11 @@ func (c *counter) countSCC(g *Graph, mem []int32) {
 		sc.jBlocked[i] = false
 		sc.jBlockMap[i] = sc.jBlockMap[i][:0]
 	}
-	j := &johnson{adj: sc.jAdj[:n], c: c,
+	j := &johnson{adj: sc.jAdj[:n], c: *c,
 		blocked:  sc.jBlocked,
 		blockMap: sc.jBlockMap,
 	}
-	for s := 0; s < n && !c.capped; s++ {
+	for s := 0; s < n && !j.c.capped; s++ {
 		j.s = int32(s)
 		for i := s; i < n; i++ {
 			j.blocked[i] = false
@@ -138,11 +138,15 @@ func (c *counter) countSCC(g *Graph, mem []int32) {
 	}
 	// Persist block-map capacity grown during enumeration.
 	sc.jBlockMap = j.blockMap
+	*c = j.c
 }
 
+// johnson is one enumeration's state. It holds the counter by value, copied
+// back when the enumeration ends: a pointer kept here would make the counter
+// escape to the heap, since circuit recurses.
 type johnson struct {
 	adj      [][]int32
-	c        *counter
+	c        counter
 	s        int32
 	blocked  []bool
 	blockMap [][]int32

@@ -199,6 +199,10 @@ type Detector struct {
 	lastEpoch    uint64
 	lastAnalysis cwg.Analysis
 
+	// census counts the cycle census beside the cycle (census.go); nil
+	// until the first census pass.
+	census *census
+
 	// Knot-freedom proof state (proof.go): escaped stamps, per head VC, the
 	// messages proved to escape in pass proofEpoch; pending holds the blocked
 	// messages not yet proved. graphNext sends the next pass to the graph
@@ -258,10 +262,12 @@ func New(net *network.Network, cfg Config) (*Detector, error) {
 func (d *Detector) Config() Config { return d.cfg }
 
 // ResetStats clears the whole Stats record in place, the timeout counters
-// and the event log (the warmup/measurement boundary). The timing
+// and the event log (the warmup/measurement boundary), and drops the cycle
+// census in flight with the rest of the warm-up's passes. The timing
 // histograms keep their bucket storage, zeroed, pre-grown once so observing
 // a pass stays allocation-free.
 func (d *Detector) ResetStats() {
+	d.joinCensus(false)
 	build, analyze := d.Stats.DetectBuildTime, d.Stats.DetectAnalyzeTime
 	build.Reset()
 	analyze.Reset()
@@ -321,11 +327,15 @@ func (d *Detector) gateable() bool {
 // is skipped and the previous (deadlock-free) analysis returned;
 // Stats.GatedInvocations counts such invocations.
 //
-// Otherwise, unless the cycle census is on (it counts the graph's cycles),
-// the pass first tries to prove the graph knot-free without building it
-// (proof.go). A proved pass returns the analysis the graph path would, an
-// Analysis holding only BlockedMessages, and counts as a clean full pass:
-// it builds nothing (BuildNs 0) and its AnalyzeNs is the proof's time.
+// Otherwise the pass first tries to prove the graph knot-free without
+// building it (proof.go). A proved pass returns the analysis the graph path
+// would, an Analysis holding only BlockedMessages, and counts as a clean full
+// pass: it builds nothing and its AnalyzeNs is the proof's time.
+//
+// With the cycle census on, the pass first starts its census on a copy of
+// the snapshot (census.go) and counts the copy's time into its BuildNs; the
+// returned Analysis carries no TotalCycles, and the census fields of Stats
+// lag the latest passes until Wait.
 func (d *Detector) DetectNow() cwg.Analysis {
 	epoch := d.net.ResourceEpoch()
 	if d.gateValid && d.lastClean && epoch == d.lastEpoch && d.gateable() {
@@ -336,20 +346,17 @@ func (d *Detector) DetectNow() cwg.Analysis {
 		}
 		return d.lastAnalysis
 	}
+	var censusNs int64
+	if d.cfg.CycleCensus {
+		t0 := time.Now()
+		d.startCensus()
+		censusNs = int64(time.Since(t0))
+	}
 	an, g, buildNs, analyzeNs := d.analyze()
+	buildNs += censusNs
 	d.Stats.DetectBuildTime.Observe(buildNs)
 	d.Stats.DetectAnalyzeTime.Observe(analyzeNs)
 	d.Stats.Invocations++
-	if d.cfg.CycleCensus {
-		d.Stats.CensusSamples++
-		d.Stats.SumCycles += int64(an.TotalCycles)
-		if an.TotalCycles > d.Stats.MaxCycles {
-			d.Stats.MaxCycles = an.TotalCycles
-		}
-		if an.TotalCyclesCapped {
-			d.Stats.CensusCapped = true
-		}
-	}
 	// Evaluate timeout approximation against ground truth before recovery
 	// mutates blocked state.
 	d.compareTimeouts(&an)
@@ -397,11 +404,12 @@ func (d *Detector) DetectNow() cwg.Analysis {
 	return an
 }
 
-// analyze answers one pass: by the knot-freedom proof when it may be tried
-// and holds (g is then nil), else by building and analyzing the CWG. A
-// failed proof's time counts into the graph path's analyzeNs.
+// analyze answers one pass: by the knot-freedom proof when it holds (g is
+// then nil) and Invalidate did not ask for the graph, else by building and
+// analyzing the CWG. A failed proof's time counts into the graph path's
+// analyzeNs.
 func (d *Detector) analyze() (an cwg.Analysis, g *cwg.Graph, buildNs, analyzeNs int64) {
-	tryProof := !d.graphNext && !d.cfg.CycleCensus
+	tryProof := !d.graphNext
 	d.graphNext = false
 	t0 := time.Now()
 	if tryProof {
@@ -418,10 +426,9 @@ func (d *Detector) analyze() (an cwg.Analysis, g *cwg.Graph, buildNs, analyzeNs 
 	g = d.builder.Build(d.Snapshot())
 	t1 := time.Now()
 	an = g.Analyze(cwg.Options{
-		CountKnotCycles:  d.cfg.CountKnotCycles,
-		CountTotalCycles: d.cfg.CycleCensus,
-		MaxCycles:        d.cfg.MaxCycles,
-		MaxWork:          d.cfg.MaxWork,
+		CountKnotCycles: d.cfg.CountKnotCycles,
+		MaxCycles:       d.cfg.MaxCycles,
+		MaxWork:         d.cfg.MaxWork,
 	})
 	return an, g, int64(t1.Sub(tb)), int64(tb.Sub(t0)) + int64(time.Since(t1))
 }

@@ -201,6 +201,7 @@ func TestCensusSamples(t *testing.T) {
 	d := mustNew(t, n, Config{Every: 50, Recover: false, CycleCensus: true})
 	d.DetectNow()
 	d.DetectNow()
+	d.Wait()
 	if d.Stats.CensusSamples != 2 {
 		t.Fatalf("census samples = %d", d.Stats.CensusSamples)
 	}

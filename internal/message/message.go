@@ -89,6 +89,8 @@ type Message struct {
 	Len int // flits, including header and tail
 
 	Status Status
+	// WaitRouter is declared here to fill Status's padding (see Blocked).
+	WaitRouter int32
 
 	// Timing, in simulation cycles.
 	CreateTime  int64 // generation (entered the source queue)
@@ -125,6 +127,9 @@ type Message struct {
 	// arcs of the channel wait-for graph). WantsGen is the network's fault
 	// generation Wants was routed under: the set stays exact, without
 	// re-routing, until that generation moves or the header does.
+	// WaitRouter is the router the blocked header sits at, and WaitFreed
+	// that router's count of freed VCs when Wants was last found all owned:
+	// the network scans Wants again only once the count has moved.
 	Blocked bool
 	// Frozen marks an Active worm the network's last plan walk found unable
 	// to move a flit: no hop pair could transfer, no flit was due at the
@@ -137,6 +142,7 @@ type Message struct {
 	BlockedSince int64
 	Wants        []VC
 	WantsGen     uint32
+	WaitFreed    uint32
 }
 
 // Make returns a Queued message value ready for injection; the network's

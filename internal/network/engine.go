@@ -192,7 +192,7 @@ func (n *Network) allocatePlan() {
 		if m.Status != message.Active {
 			continue
 		}
-		if m.Blocked && m.WantsGen == n.faultGen && !n.anyFree(m.Wants) {
+		if m.Blocked && m.WantsGen == n.faultGen && n.parked(m) {
 			n.blocked++
 		} else {
 			n.allocate(m)
@@ -260,6 +260,7 @@ func (n *Network) allocate(m *message.Message) {
 	}
 	m.Wants = n.appendVCs(m.Wants[:0], cands)
 	m.WantsGen = n.faultGen
+	m.WaitRouter, m.WaitFreed = int32(here), n.freed[here]
 	if newly {
 		n.logRes(ResBlock, m.ID, message.NoVC, m.Wants)
 	}
@@ -272,6 +273,23 @@ func (n *Network) appendVCs(dst []message.VC, cands []routing.Candidate) []messa
 		dst = append(dst, n.NetVC(c.Ch, c.VC))
 	}
 	return dst
+}
+
+// parked reports whether every VC blocked header m wants is still owned.
+// Each want is an output VC of m.WaitRouter, and only applyAndRelease frees a
+// VC, counting it in its router's freed: while that count is the one m last
+// saw, nothing m wants has been freed, and Wants is not scanned. A scan that
+// finds every want owned again brings m up to the count.
+func (n *Network) parked(m *message.Message) bool {
+	f := n.freed[m.WaitRouter]
+	if f == m.WaitFreed {
+		return true
+	}
+	if n.anyFree(m.Wants) {
+		return false
+	}
+	m.WaitFreed = f
+	return true
 }
 
 // anyFree reports whether any of vcs is unowned.
@@ -532,6 +550,7 @@ func (n *Network) applyAndRelease() {
 			vc := m.Hops[m.Released].VC
 			n.logRes(ResRelease, m.ID, vc, nil)
 			n.owner[vc] = nil
+			n.freed[n.vcSrc[vc]]++
 			if n.IsInjection(vc) && n.queues[m.Src].len() > 0 {
 				// The queue stopped being scanned when the VC was taken
 				// (see scanQueue).

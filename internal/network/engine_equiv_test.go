@@ -618,6 +618,35 @@ func TestRestoreRewindsChannelRecords(t *testing.T) {
 	}
 }
 
+// TestRestoredParkedHeaderIsRechecked restores a blocked worm whose wanted
+// VCs are all free, a state the cycle never leaves behind but RestoreState
+// accepts, and steps the lockstep. A parked header is re-checked only once
+// its router has freed a VC since it last looked, and nothing is freed before
+// the first cycle, so the restore must make that first check happen: the
+// reference re-routes the header at once.
+func TestRestoredParkedHeaderIsRechecked(t *testing.T) {
+	topo := topology.MustNew(4, 1, false)
+	ls, err := newLockstep(Params{Topo: topo, VCs: 2, BufferDepth: 2, Routing: routing.DOR{}, CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ls.n
+	ch01, ch12 := chanBetween(t, topo, 0, 1), chanBetween(t, topo, 1, 2)
+	restoreBoth(t, ls, 0, []InjectedMessage{{
+		ID: 0, Src: 0, Dst: 2, Len: 8,
+		Path: []message.VC{n.InjVC(0), n.NetVC(ch01, 0)}, Occ: []int32{1, 2}, SrcRemaining: 5,
+		Blocked: true, Wants: []message.VC{n.NetVC(ch12, 0), n.NetVC(ch12, 1)},
+	}})
+	if err := ls.step(); err != nil {
+		t.Fatal(err)
+	}
+	if m := n.ActiveMessages()[0]; m.Blocked || m.HeadVC() != n.NetVC(ch12, 0) {
+		t.Fatalf("after the first cycle blocked=%v head %s; want the header in %s",
+			m.Blocked, n.VCString(m.HeadVC()), n.VCString(n.NetVC(ch12, 0)))
+	}
+	stepAll(t, ls, 1, 40)
+}
+
 // TestReferenceCatchesCorruption corrupts, between cycles, each table and
 // bitmap the engine's skip gates keep, and requires the lockstep comparison
 // to report a divergence, or the engine to panic, within victimEvery cycles.

@@ -128,6 +128,14 @@ type Network struct {
 	chFlags     []uint32
 	maxDeroutes int
 
+	// vcSrc is, by VC id, the router the VC leaves: its channel's source,
+	// or the node of an injection VC. freed counts, per router, the VCs
+	// applyAndRelease has freed there. A blocked header wants only output
+	// VCs of the router it sits at, so while that router's count stands
+	// still nothing it wants has been freed (see parked).
+	vcSrc []int32
+	freed []uint32
+
 	// faultGen counts fault-set mutations (every effective SetLink*,
 	// SetVC*, SetNode* call). A blocked message's candidate set depends
 	// only on its header state, which is frozen while it is blocked, and
@@ -337,23 +345,27 @@ func New(p Params) (*Network, error) {
 	n.slotOf = make([]int32, n.numVCs)
 	n.downstream = make([]int32, n.numVCs)
 	n.chOf = make([]int32, n.numVCs)
+	n.vcSrc = make([]int32, n.numVCs)
+	n.freed = make([]uint32, t.Nodes())
 	n.chDim = make([]int32, t.NumChannels())
 	n.chFlags = make([]uint32, t.NumChannels())
 	for c := 0; c < t.NumChannels(); c++ {
 		ch := topology.ChannelID(c)
-		dst := int32(-1)
+		dst, src := int32(-1), int32(0)
 		if t.ChannelExists(ch) {
-			dst = int32(t.ChannelDst(ch))
+			dst, src = int32(t.ChannelDst(ch)), int32(t.ChannelSrc(ch))
 			n.chDim[c] = int32(t.ChannelDim(ch))
 			n.chFlags[c] = t.RouteFlags(ch)
 		}
 		for v := 0; v < p.VCs; v++ {
 			n.downstream[c*p.VCs+v] = dst
 			n.chOf[c*p.VCs+v] = int32(c)
+			n.vcSrc[c*p.VCs+v] = src
 		}
 	}
 	for node := 0; node < t.Nodes(); node++ {
 		n.downstream[n.numNetVCs+node] = int32(node)
+		n.vcSrc[n.numNetVCs+node] = int32(node)
 		n.chOf[n.numNetVCs+node] = int32(topology.None)
 	}
 	if mr, ok := p.Routing.(routing.MisroutingFAR); ok {

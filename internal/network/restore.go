@@ -235,6 +235,10 @@ func (n *Network) installMessage(im *InjectedMessage) error {
 		m.Blocked = true
 		m.BlockedSince = im.BlockedSince
 		m.WantsGen = n.faultGen
+		// A count the router does not hold: the first cycle scans Wants,
+		// which the restore may have left with a free VC in it.
+		m.WaitRouter = int32(n.Downstream(im.Path[last]))
+		m.WaitFreed = n.freed[m.WaitRouter] - 1
 		n.blocked++
 	}
 	if err := m.CheckInvariants(); err != nil {

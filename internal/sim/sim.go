@@ -624,13 +624,15 @@ func (r *Runner) StartMeasurement() {
 // Close does nothing. Kept only for bench/; ROADMAP 1(a) deletes it.
 func (r *Runner) Close() {}
 
-// Finish completes the run's record and returns it; the Runner holds nothing
-// that needs releasing, so a Runner abandoned without Finish is simply
-// collected. The Result is detached: a copy that shares no memory with the
-// Runner, its histograms sized to their samples, so a sweep holding
+// Finish completes the run's record and returns it, first folding in the
+// detector's cycle census still in flight (Detector.Wait). The Runner holds
+// nothing that needs releasing, so a Runner abandoned without Finish is
+// simply collected. The Result is detached: a copy that shares no memory
+// with the Runner, its histograms sized to their samples, so a sweep holding
 // thousands of Results holds ~2 KB each rather than each one's network,
 // detector and wait-for-graph arenas.
 func (r *Runner) Finish() *stats.Result {
+	r.Detector.Wait()
 	res := new(stats.Result)
 	*res = *r.res
 	res.Latency = detached(&r.res.Latency)
