@@ -230,7 +230,7 @@ func BenchmarkJohnsonCaps(b *testing.B) {
 		b.Run(fmt.Sprintf("maxCycles=%d", maxCycles), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.Analyze(cwg.Options{CountTotalCycles: true, MaxCycles: maxCycles, MaxWork: 1 << 22})
+				g.CountCycles(cwg.Options{MaxCycles: maxCycles, MaxWork: 1 << 22})
 			}
 		})
 	}
@@ -505,7 +505,8 @@ func BenchmarkPaperScenarios(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				g := cwg.Build(msgs)
-				g.Analyze(cwg.Options{CountKnotCycles: true, CountTotalCycles: true})
+				g.Analyze(cwg.Options{CountKnotCycles: true})
+				g.CountCycles(cwg.Options{})
 			}
 		})
 	}

@@ -84,7 +84,6 @@ func NewBuilder(totalVCs int) *Builder {
 func (b *Builder) Build(msgs []Msg) *Graph {
 	g := &b.g
 	g.msgs = msgs
-	g.sccValid = false
 	g.verts = g.verts[:0]
 	g.owner = g.owner[:0]
 	b.deg = b.deg[:0]

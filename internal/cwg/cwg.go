@@ -71,14 +71,6 @@ type Graph struct {
 	edges int // arc count
 
 	sc *scratch // analysis scratch, lazily allocated, reused across calls
-
-	// sccValid says sc.comp and ncomp hold this build's strongly connected
-	// components: knot search and the cycle census both start from them, and
-	// one Analyze runs both. Builder.Build clears it. tarjanRuns counts the
-	// computations, for the test that holds a pass to one.
-	sccValid   bool
-	ncomp      int
-	tarjanRuns int
 }
 
 // Build constructs the CWG for a snapshot of messages in storage of its
@@ -162,15 +154,11 @@ type Deadlock struct {
 	Dependent []message.ID
 }
 
-// Options tunes Analyze.
+// Options tunes Analyze and CountCycles.
 type Options struct {
 	// CountKnotCycles enables per-knot elementary cycle enumeration
 	// (knot cycle density).
 	CountKnotCycles bool
-	// CountTotalCycles enables whole-graph elementary cycle enumeration
-	// (the paper's resource-dependency-cycle census, used when no
-	// deadlock exists).
-	CountTotalCycles bool
 	// MaxCycles caps each enumeration (0 means DefaultMaxCycles). The
 	// paper observes hundreds of thousands of cycles at saturation;
 	// enumeration beyond the cap reports Capped instead of spinning.
@@ -190,10 +178,6 @@ const (
 type Analysis struct {
 	// Deadlocks lists the detected knots (empty means no deadlock).
 	Deadlocks []Deadlock
-	// TotalCycles is the number of elementary cycles in the whole graph
-	// (only populated with Options.CountTotalCycles).
-	TotalCycles       int
-	TotalCyclesCapped bool
 	// BlockedMessages is the number of blocked messages in the snapshot.
 	BlockedMessages int
 }
@@ -316,18 +300,14 @@ func (g *Graph) FindKnots() [][]int32 {
 	return members
 }
 
-// tarjan returns the component id per vertex and the number of strongly
-// connected components, computing them (iteratively) on the first call after
-// a Build, and with them the condensation's two facts per component:
-// sc.terminal (no edge leaves it) and sc.hasEdge (an edge stays inside it).
-// All three are scratch storage, valid until the next Build.
+// tarjan computes (iteratively) the component id per vertex and the number
+// of strongly connected components, and with them the condensation's two
+// facts per component: sc.terminal (no edge leaves it) and sc.hasEdge (an
+// edge stays inside it). All three are scratch storage, valid until the next
+// analysis of the graph.
 func (g *Graph) tarjan() (comp []int32, ncomp int) {
 	n := len(g.verts)
 	sc := g.scratch()
-	if g.sccValid {
-		return sc.comp, g.ncomp
-	}
-	g.tarjanRuns++
 	sc.comp = growI32(sc.comp, n)
 	sc.low = growI32(sc.low, n)
 	sc.disc = growI32(sc.disc, n)
@@ -411,12 +391,10 @@ func (g *Graph) tarjan() (comp []int32, ncomp int) {
 			}
 		}
 	}
-	g.sccValid, g.ncomp = true, ncomp
 	return comp, ncomp
 }
 
-// Analyze finds all knots, classifies each deadlock and optionally counts
-// resource dependency cycles.
+// Analyze finds all knots and classifies each deadlock.
 func (g *Graph) Analyze(opts Options) Analysis {
 	var an Analysis
 	for i := range g.msgs {
@@ -428,16 +406,13 @@ func (g *Graph) Analyze(opts Options) Analysis {
 	for _, knot := range knots {
 		an.Deadlocks = append(an.Deadlocks, g.classify(knot, opts))
 	}
-	if opts.CountTotalCycles {
-		an.TotalCycles, an.TotalCyclesCapped = g.CountCycles(opts)
-	}
 	return an
 }
 
 // CountCycles counts the graph's elementary cycles, the paper's resource
 // dependency cycle census, under opts' MaxCycles and MaxWork caps; capped
-// reports that a cap stopped the count. It is Analyze's TotalCycles without
-// the knot analysis.
+// reports that a cap stopped the count. It is the census's one entry;
+// opts.CountKnotCycles does not apply.
 func (g *Graph) CountCycles(opts Options) (n int, capped bool) {
 	return newCounter(opts, g.scratch()).countAll(g)
 }

@@ -34,8 +34,8 @@ func TestEmptyGraph(t *testing.T) {
 	if g.NumVertices() != 0 || g.NumEdges() != 0 {
 		t.Fatal("empty build produced vertices")
 	}
-	an := g.Analyze(Options{CountTotalCycles: true, CountKnotCycles: true})
-	if len(an.Deadlocks) != 0 || an.TotalCycles != 0 {
+	an := g.Analyze(Options{CountKnotCycles: true})
+	if n, _ := g.CountCycles(Options{}); len(an.Deadlocks) != 0 || n != 0 {
 		t.Fatal("empty graph reported deadlocks or cycles")
 	}
 }
@@ -83,7 +83,7 @@ func TestFreeWantedVCIsSink(t *testing.T) {
 
 func TestPaperFig1(t *testing.T) {
 	g := Build(PaperFig1())
-	an := g.Analyze(Options{CountKnotCycles: true, CountTotalCycles: true})
+	an := g.Analyze(Options{CountKnotCycles: true})
 	if len(an.Deadlocks) != 1 {
 		t.Fatalf("Fig 1: %d deadlocks, want 1", len(an.Deadlocks))
 	}
@@ -100,8 +100,8 @@ func TestPaperFig1(t *testing.T) {
 	if len(d.Dependent) != 0 {
 		t.Errorf("Fig 1 dependents = %v, want none", d.Dependent)
 	}
-	if an.TotalCycles != 1 {
-		t.Errorf("Fig 1 total cycles = %d, want 1", an.TotalCycles)
+	if n, _ := g.CountCycles(Options{}); n != 1 {
+		t.Errorf("Fig 1 total cycles = %d, want 1", n)
 	}
 	if an.BlockedMessages != 3 {
 		t.Errorf("Fig 1 blocked = %d, want 3", an.BlockedMessages)
@@ -153,11 +153,11 @@ func TestPaperFig3(t *testing.T) {
 
 func TestPaperFig4(t *testing.T) {
 	g := Build(PaperFig4())
-	an := g.Analyze(Options{CountTotalCycles: true})
+	an := g.Analyze(Options{})
 	if len(an.Deadlocks) != 0 {
 		t.Fatalf("Fig 4: deadlock reported in cyclic non-deadlock: %+v", an.Deadlocks)
 	}
-	if an.TotalCycles == 0 {
+	if n, _ := g.CountCycles(Options{}); n == 0 {
 		t.Error("Fig 4: no cycles found; the scenario must remain cyclic")
 	}
 }
@@ -188,21 +188,21 @@ func TestCheckedRingKnot(t *testing.T) {
 
 func TestCheckedLatentCycle(t *testing.T) {
 	g := Build(CheckedLatentCycle())
-	an := g.Analyze(Options{CountTotalCycles: true})
+	an := g.Analyze(Options{})
 	if len(an.Deadlocks) != 0 {
 		t.Fatalf("latent state reported as deadlock: %+v (the knot has not formed yet)", an.Deadlocks)
 	}
 	if an.BlockedMessages != 2 {
 		t.Errorf("blocked = %d, want 2", an.BlockedMessages)
 	}
-	if an.TotalCycles != 0 {
-		t.Errorf("total cycles = %d; the latent wait chain must be acyclic", an.TotalCycles)
+	if n, _ := g.CountCycles(Options{}); n != 0 {
+		t.Errorf("total cycles = %d; the latent wait chain must be acyclic", n)
 	}
 }
 
 func TestCheckedTransientBlock(t *testing.T) {
 	g := Build(CheckedTransientBlock())
-	an := g.Analyze(Options{CountTotalCycles: true})
+	an := g.Analyze(Options{})
 	if len(an.Deadlocks) != 0 {
 		t.Fatalf("transient block reported as deadlock: %+v", an.Deadlocks)
 	}
@@ -473,38 +473,28 @@ func TestKnotIsTerminalSCCProperty(t *testing.T) {
 	}
 }
 
-// TestAnalyzeComputesComponentsOnce pins the SCC cache: a pass that finds
-// knots and runs the census computes the components once, a second Build
-// into the same builder discards them, and FindKnots alone still works.
-func TestAnalyzeComputesComponentsOnce(t *testing.T) {
-	opts := Options{CountTotalCycles: true, CountKnotCycles: true}
+// TestBuilderReuseAnswersItsSnapshot pins builder reuse: a second Build
+// into the same builder answers for its own snapshot, not the first's, and
+// FindKnots alone still works.
+func TestBuilderReuseAnswersItsSnapshot(t *testing.T) {
+	opts := Options{CountKnotCycles: true}
 	a, b := PaperFig3(), CheckedRingKnot()
 	bld := NewBuilder(0)
 
 	g := bld.Build(a)
 	anA := g.Analyze(opts)
-	if g.tarjanRuns != 1 {
-		t.Fatalf("one Analyze with both censuses ran Tarjan %d times, want 1", g.tarjanRuns)
-	}
 	if want := Build(a).Analyze(opts); !reflect.DeepEqual(anA, want) {
 		t.Fatalf("analysis of A through the builder %+v, fresh %+v", anA, want)
-	}
-	g.FindKnots()
-	if g.tarjanRuns != 1 {
-		t.Fatalf("FindKnots after Analyze on the same build recomputed the components (%d runs)", g.tarjanRuns)
 	}
 
 	// B into the same builder: A's components must not answer for it.
 	g = bld.Build(b)
 	knots := g.FindKnots()
-	if g.tarjanRuns != 2 {
-		t.Fatalf("FindKnots after a second Build: %d Tarjan runs in all, want 2", g.tarjanRuns)
-	}
 	if want := Build(b).FindKnots(); !sameKnotSets(knots, want) || len(knots) == 0 {
 		t.Fatalf("knots of B after analysing A in the same builder %v, fresh build %v", knots, want)
 	}
-	if anB, want := g.Analyze(opts), Build(b).Analyze(opts); !reflect.DeepEqual(anB, want) || g.tarjanRuns != 2 {
-		t.Fatalf("analysis of B %+v (after %d runs), fresh %+v", anB, g.tarjanRuns, want)
+	if anB, want := g.Analyze(opts), Build(b).Analyze(opts); !reflect.DeepEqual(anB, want) {
+		t.Fatalf("analysis of B %+v, fresh %+v", anB, want)
 	}
 
 	// FindKnots alone, on a graph nothing has analysed.

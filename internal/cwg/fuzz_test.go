@@ -162,9 +162,10 @@ func FuzzBuildEquivalence(f *testing.F) {
 			data = data[:64]
 		}
 		msgs := snapshotFromBytes(data)
-		opts := Options{CountKnotCycles: true, CountTotalCycles: true}
+		opts := Options{CountKnotCycles: true}
 		legacy := referenceBuild(msgs)
 		want := legacy.Analyze(opts)
+		wantN, wantCapped := legacy.CountCycles(opts)
 
 		b := NewBuilder(24)
 		dense := b.Build(msgs)
@@ -181,6 +182,9 @@ func FuzzBuildEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("analysis differs:\nlegacy %+v\ndense  %+v", want, got)
 		}
+		if n, capped := dense.CountCycles(opts); n != wantN || capped != wantCapped {
+			t.Fatalf("cycle count differs: legacy %d (capped %v), dense %d (capped %v)", wantN, wantCapped, n, capped)
+		}
 
 		// Naive knot definition on the dense graph.
 		if fast, slow := dense.FindKnots(), dense.NaiveKnots(); !sameKnotSets(fast, slow) {
@@ -191,7 +195,11 @@ func FuzzBuildEquivalence(f *testing.F) {
 		// then rebuild the original and demand the identical analysis.
 		alt := snapshotFromBytes(append([]byte{0xff, 0x13, 0x11, 0x0f, 0x07, 0x01}, data...))
 		b.Build(alt).Analyze(opts)
-		got2 := b.Build(msgs).Analyze(opts)
+		g2 := b.Build(msgs)
+		got2 := g2.Analyze(opts)
+		if n, capped := g2.CountCycles(opts); n != wantN || capped != wantCapped {
+			t.Fatalf("cycle count changed after arena reuse: %d (capped %v), first %d (capped %v)", n, capped, wantN, wantCapped)
+		}
 		if !reflect.DeepEqual(got2, want) {
 			t.Fatalf("analysis changed after arena reuse:\nfirst  %+v\nsecond %+v", want, got2)
 		}

@@ -7,11 +7,11 @@ package detect
 // that count costs more than the rest of the pass. Nothing in the cycle reads
 // it, so a census pass copies its snapshot and a goroutine counts the copy,
 // with the census's own Builder, under the same caps, while the simulation
-// goes on. The copy is deep: Owned comes from the hop chain, and Wants is the
-// network's live candidate set, rewritten as headers route. It is taken in
-// ActiveMessages order before the pass analyzes or recovers anything, as
-// Snapshot would be, so the graph, and a capped count, is the one the pass
-// would have counted itself. The pass then goes on as a census-free one:
+// goes on. The copy is written by AppendSnapshot, as Snapshot is, so it is
+// deep (Wants is the network's live candidate set, rewritten as headers
+// route) and in ActiveMessages order; it is taken before the pass analyzes
+// or recovers anything, so the graph, and a capped count, is the one the
+// pass would have counted itself. The pass then goes on as a census-free one:
 // the knot-freedom proof first, the graph only when the proof fails.
 //
 // One census counts at a time (the Builder is held for it), and up to
@@ -87,23 +87,7 @@ func (d *Detector) startCensus() {
 	s := &c.copies[c.next]
 	c.next = (c.next + 1) % censusCopies
 	d.join(s, true)
-	s.msgs, s.vcs = s.msgs[:0], s.vcs[:0]
-	for _, m := range d.net.ActiveMessages() {
-		if m.OwnedCount() == 0 {
-			continue
-		}
-		start := len(s.vcs)
-		s.vcs = m.OwnedVCs(s.vcs)
-		owned := s.vcs[start:]
-		blocked := m.Blocked && m.Status == message.Active
-		var wants []message.VC
-		if blocked { // the graph reads Wants only for a blocked message
-			start = len(s.vcs)
-			s.vcs = append(s.vcs, m.Wants...)
-			wants = s.vcs[start:]
-		}
-		s.msgs = append(s.msgs, cwg.Msg{ID: m.ID, Owned: owned, Blocked: blocked, Wants: wants})
-	}
+	s.msgs, s.vcs = AppendSnapshot(s.msgs[:0], s.vcs[:0], d.net.ActiveMessages())
 	s.busy = true
 	go s.run()
 }

@@ -63,7 +63,7 @@ func checkCensus(t *testing.T, routing string, vcs int, load float64, maxCycles,
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := cwg.Options{CountTotalCycles: true, MaxCycles: maxCycles, MaxWork: maxWork}
+	opts := cwg.Options{MaxCycles: maxCycles, MaxWork: maxWork}
 	var want struct {
 		samples, sum int64
 		max          int
@@ -74,11 +74,11 @@ func checkCensus(t *testing.T, routing string, vcs int, load float64, maxCycles,
 		r.StepCycle()
 		if r.Net.Now()%every == 0 {
 			g := cwg.Build(det.Snapshot())
-			an := g.Analyze(opts)
+			cycles, capped := g.CountCycles(opts)
 			want.samples++
-			want.sum += int64(an.TotalCycles)
-			want.max = max(want.max, an.TotalCycles)
-			if an.TotalCyclesCapped {
+			want.sum += int64(cycles)
+			want.max = max(want.max, cycles)
+			if capped {
 				want.capped = true
 				want.cappedPasses++
 			} else if n, _ := g.CountCycles(cwg.Options{}); allCapped && n > 0 {

@@ -7,7 +7,9 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,42 +38,33 @@ const (
 	RandomVictim
 )
 
-// PolicyNames lists the accepted ParsePolicy names, in parse order.
+// PolicyNames lists the accepted ParsePolicy names, indexed by VictimPolicy.
 var PolicyNames = []string{"oldest", "most", "fewest", "random"}
 
 // ParsePolicy maps a name to a VictimPolicy. Matching is case-insensitive
 // and tolerates surrounding whitespace; the empty string selects the
 // default (OldestBlocked). Unknown names error, listing the valid policies.
 func ParsePolicy(name string) (VictimPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "oldest":
+	key := strings.ToLower(strings.TrimSpace(name))
+	if key == "" {
 		return OldestBlocked, nil
-	case "most":
-		return MostResources, nil
-	case "fewest":
-		return FewestResources, nil
-	case "random":
-		return RandomVictim, nil
-	default:
-		return 0, fmt.Errorf("detect: unknown victim policy %q (valid: %s)",
-			name, strings.Join(PolicyNames, "|"))
 	}
+	if i := slices.Index(PolicyNames, key); i >= 0 {
+		return VictimPolicy(i), nil
+	}
+	return 0, fmt.Errorf("detect: unknown victim policy %q (valid: %s)",
+		name, strings.Join(PolicyNames, "|"))
 }
+
+// valid reports whether p names a policy.
+func (p VictimPolicy) valid() bool { return p >= 0 && int(p) < len(PolicyNames) }
 
 // String returns the policy name.
 func (p VictimPolicy) String() string {
-	switch p {
-	case OldestBlocked:
-		return "oldest"
-	case MostResources:
-		return "most"
-	case FewestResources:
-		return "fewest"
-	case RandomVictim:
-		return "random"
-	default:
-		return fmt.Sprintf("VictimPolicy(%d)", int8(p))
+	if p.valid() {
+		return PolicyNames[p]
 	}
+	return fmt.Sprintf("VictimPolicy(%d)", int8(p))
 }
 
 // Config tunes the detector.
@@ -180,16 +173,14 @@ type Detector struct {
 	Timeout []TimeoutCounts
 	Events  []Event
 
-	snap     []cwg.Msg
-	ownedBuf []message.VC
+	// snap and snapVCs hold the latest Snapshot (snapshot.go).
+	snap    []cwg.Msg
+	snapVCs []message.VC
 
 	// builder reuses CWG storage across passes (dense VC indexing).
 	builder *cwg.Builder
-	// byID indexes active messages at most once per detection pass
-	// (passSeq/byIDSeq track staleness).
-	byID    map[message.ID]*message.Message
-	passSeq int64
-	byIDSeq int64
+	// victims is selectVictim's candidate scratch.
+	victims []*message.Message
 
 	// Change-gating state: a pass may be skipped when the network's
 	// resource epoch is unchanged since the last pass and that pass was
@@ -227,9 +218,7 @@ func (cfg Config) Validate() error {
 	if cfg.Every <= 0 {
 		return fmt.Errorf("detect: Every must be a positive cycle period, got %d (the paper uses 50)", cfg.Every)
 	}
-	switch cfg.Policy {
-	case OldestBlocked, MostResources, FewestResources, RandomVictim:
-	default:
+	if !cfg.Policy.valid() {
 		return fmt.Errorf("detect: unknown victim policy %d (valid: %s)",
 			cfg.Policy, strings.Join(PolicyNames, "|"))
 	}
@@ -258,9 +247,6 @@ func New(net *network.Network, cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// Config returns the detector configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // ResetStats clears the whole Stats record in place, the timeout counters
 // and the event log (the warmup/measurement boundary), and drops the cycle
 // census in flight with the rest of the warm-up's passes. The timing
@@ -284,25 +270,6 @@ func (d *Detector) Tick() {
 	if d.net.Now()%int64(d.cfg.Every) == 0 {
 		d.DetectNow()
 	}
-}
-
-// Snapshot builds the CWG message snapshot for the network's current state.
-func (d *Detector) Snapshot() []cwg.Msg {
-	d.snap = d.snap[:0]
-	for _, m := range d.net.ActiveMessages() {
-		if m.OwnedCount() == 0 {
-			continue
-		}
-		start := len(d.ownedBuf)
-		d.ownedBuf = m.OwnedVCs(d.ownedBuf)
-		d.snap = append(d.snap, cwg.Msg{
-			ID:      m.ID,
-			Owned:   d.ownedBuf[start:],
-			Blocked: m.Blocked && m.Status == message.Active,
-			Wants:   m.Wants,
-		})
-	}
-	return d.snap
 }
 
 // Invalidate makes the next DetectNow perform a full pass: it is not gated
@@ -334,8 +301,7 @@ func (d *Detector) gateable() bool {
 //
 // With the cycle census on, the pass first starts its census on a copy of
 // the snapshot (census.go) and counts the copy's time into its BuildNs; the
-// returned Analysis carries no TotalCycles, and the census fields of Stats
-// lag the latest passes until Wait.
+// census fields of Stats lag the latest passes until Wait.
 func (d *Detector) DetectNow() cwg.Analysis {
 	epoch := d.net.ResourceEpoch()
 	if d.gateValid && d.lastClean && epoch == d.lastEpoch && d.gateable() {
@@ -420,8 +386,6 @@ func (d *Detector) analyze() (an cwg.Analysis, g *cwg.Graph, buildNs, analyzeNs 
 	if d.builder == nil {
 		d.builder = cwg.NewBuilder(d.net.TotalVCs())
 	}
-	d.passSeq++
-	d.ownedBuf = d.ownedBuf[:0]
 	tb := time.Now()
 	g = d.builder.Build(d.Snapshot())
 	t1 := time.Now()
@@ -457,64 +421,46 @@ func (d *Detector) record(dl *cwg.Deadlock) {
 	}
 }
 
-// indexActive (re)builds the active-message index once per recovery pass;
-// selectVictim then resolves deadlock-set ids without rescanning the
-// network per deadlock.
-func (d *Detector) indexActive() {
-	if d.byID == nil {
-		d.byID = make(map[message.ID]*message.Message, d.net.ActiveCount())
-	} else {
-		clear(d.byID)
-	}
-	for _, m := range d.net.ActiveMessages() {
-		d.byID[m.ID] = m
-	}
-	d.byIDSeq = d.passSeq
-}
-
-// selectVictim applies the victim policy over the deadlock set, resolving
-// ids through the per-pass active-message index (built on demand, at most
-// once per pass).
+// selectVictim applies the victim policy over the deadlock set's active
+// members. It resolves their ids by binary search over the ID-sorted
+// ActiveMessages view, which the pass's Snapshot refreshed and Absorb does
+// not change.
 func (d *Detector) selectVictim(dl *cwg.Deadlock) *message.Message {
-	if d.byID == nil || d.byIDSeq != d.passSeq {
-		d.indexActive()
-	}
-	var candidates []*message.Message
+	active := d.net.ActiveMessages()
+	cands := d.victims[:0]
 	for _, id := range dl.DeadlockSet {
-		if m := d.byID[id]; m != nil && m.Status == message.Active {
-			candidates = append(candidates, m)
+		i, ok := slices.BinarySearchFunc(active, id, func(m *message.Message, id message.ID) int {
+			return cmp.Compare(m.ID, id)
+		})
+		if ok && active[i].Status == message.Active {
+			cands = append(cands, active[i])
 		}
 	}
-	if len(candidates) == 0 {
+	d.victims = cands
+	if len(cands) == 0 {
 		return nil
 	}
-	switch d.cfg.Policy {
+	if d.cfg.Policy == RandomVictim {
+		return cands[d.r.Intn(len(cands))]
+	}
+	best := cands[0]
+	for _, m := range cands[1:] {
+		if d.cfg.Policy.prefers(m, best) {
+			best = m
+		}
+	}
+	return best
+}
+
+// prefers reports whether policy p (not RandomVictim) picks m over best.
+func (p VictimPolicy) prefers(m, best *message.Message) bool {
+	switch p {
 	case MostResources:
-		best := candidates[0]
-		for _, m := range candidates[1:] {
-			if m.OwnedCount() > best.OwnedCount() {
-				best = m
-			}
-		}
-		return best
+		return m.OwnedCount() > best.OwnedCount()
 	case FewestResources:
-		best := candidates[0]
-		for _, m := range candidates[1:] {
-			if m.OwnedCount() < best.OwnedCount() {
-				best = m
-			}
-		}
-		return best
-	case RandomVictim:
-		return candidates[d.r.Intn(len(candidates))]
+		return m.OwnedCount() < best.OwnedCount()
 	default: // OldestBlocked
-		best := candidates[0]
-		for _, m := range candidates[1:] {
-			if m.BlockedSince < best.BlockedSince ||
-				(m.BlockedSince == best.BlockedSince && m.ID < best.ID) {
-				best = m
-			}
-		}
-		return best
+		return m.BlockedSince < best.BlockedSince ||
+			(m.BlockedSince == best.BlockedSince && m.ID < best.ID)
 	}
 }

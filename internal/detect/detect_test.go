@@ -177,6 +177,26 @@ func TestVictimPolicies(t *testing.T) {
 	}
 }
 
+// TestSelectVictimAllocatesNothing: once its candidate scratch is warm,
+// choosing a victim allocates nothing under any policy.
+func TestSelectVictimAllocatesNothing(t *testing.T) {
+	d := mustNew(t, ringNet(t), Config{Every: 50})
+	an := d.DetectNow()
+	if len(an.Deadlocks) == 0 {
+		t.Fatal("planted ring deadlock not detected")
+	}
+	dl := &an.Deadlocks[0]
+	for _, p := range []VictimPolicy{OldestBlocked, MostResources, FewestResources, RandomVictim} {
+		d.cfg.Policy = p
+		if d.selectVictim(dl) == nil {
+			t.Fatalf("%v chose nothing", p)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { d.selectVictim(dl) }); allocs != 0 {
+			t.Errorf("%v: selectVictim allocates %.0f times per call once warm", p, allocs)
+		}
+	}
+}
+
 func TestTickPeriod(t *testing.T) {
 	n := ringNet(t) // Now() == 20 after setup
 	d := mustNew(t, n, Config{Every: 7, Recover: false})

@@ -194,15 +194,16 @@ func newRunner(sy *system, ex *explorer, opts Options) *runner {
 	}
 }
 
-// analyze loads state idx into the real network and runs one detection
-// pass.
+// analyze loads state idx into the real network and runs the simulator's
+// detection pass on it: the knot-freedom proof, then the graph when the
+// proof fails. RestoreState bumps the resource epoch, so the change gate
+// never answers for a restored state.
 func (r *runner) analyze(idx int32) (cwg.Analysis, error) {
 	s := decodeState(r.ex.states[idx].key, r.sy.cfg.Messages)
 	s.owners(r.owners)
 	if err := r.sy.restore(&s, r.owners, r.wantBuf); err != nil {
 		return cwg.Analysis{}, err
 	}
-	r.sy.det.Invalidate()
 	return r.sy.det.DetectNow(), nil
 }
 
@@ -419,7 +420,6 @@ func (r *runner) reproAt(idx int32, kind string) (*Repro, error) {
 	if err := r.sy.net.RestoreState(0, msgs); err != nil {
 		return nil, err
 	}
-	r.sy.det.Invalidate()
 	g := cwg.NewBuilder(r.sy.net.TotalVCs()).Build(r.sy.det.Snapshot())
 	an := g.Analyze(cwg.Options{CountKnotCycles: true})
 	if len(an.Deadlocks) > 0 {

@@ -12,9 +12,11 @@ package obs
 // the window between formation and detection.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"flexsim/internal/cwg"
+	"flexsim/internal/detect"
 	"flexsim/internal/message"
 	"flexsim/internal/network"
 )
@@ -56,13 +58,6 @@ type FormationPoint struct {
 	Members int   `json:"members"`
 }
 
-// replayMsg is one message's reconstructed resource state during a rewind.
-type replayMsg struct {
-	owned   []message.VC
-	blocked bool
-	wants   []message.VC
-}
-
 // FormationAnalyzer reconstructs CWGs at earlier cycles by rewinding the
 // network's resource log from the live state, and derives per-deadlock
 // formation metrics. It is owned by one run and not safe for concurrent
@@ -85,35 +80,29 @@ func NewFormationAnalyzer(net *network.Network, log *network.ResourceLog) *Forma
 // (see network.ResourceLog.MinReplayCycle).
 func (a *FormationAnalyzer) MinReplayCycle() int64 { return a.log.MinReplayCycle() }
 
-// rewind reconstructs per-message resource state at the end of cycle t by
-// applying the inverse of every logged event after t, newest first, to the
-// live state. Blocked flags and candidate sets restore from the wants
+// rewind reconstructs the CWG snapshot at the end of cycle t by applying the
+// inverse of every logged event after t, newest first, to the live state's
+// snapshot. Blocked flags and candidate sets restore from the wants
 // recorded on block/unblock events; ownership restores by popping acquires
 // and re-prepending releases (releases are front-first, so prepending in
 // reverse event order rebuilds the acquisition-ordered path, resurrecting
-// messages that retired inside the window).
-func (a *FormationAnalyzer) rewind(t int64) map[message.ID]*replayMsg {
-	st := make(map[message.ID]*replayMsg)
-	for _, m := range a.net.ActiveMessages() {
-		if m.OwnedCount() == 0 {
-			continue
-		}
-		r := &replayMsg{
-			owned:   m.OwnedVCs(nil),
-			blocked: m.Blocked && m.Status == message.Active,
-		}
-		if r.blocked {
-			r.wants = append([]message.VC(nil), m.Wants...)
-		}
-		st[m.ID] = r
+// messages that retired inside the window). The snapshot holds the messages
+// owning a VC at t, sorted by id.
+func (a *FormationAnalyzer) rewind(t int64) []cwg.Msg {
+	msgs, _ := detect.AppendSnapshot(nil, nil, a.net.ActiveMessages())
+	at := make(map[message.ID]int, len(msgs))
+	for i := range msgs {
+		at[msgs[i].ID] = i
 	}
-	get := func(id message.ID) *replayMsg {
-		r := st[id]
-		if r == nil {
-			r = &replayMsg{}
-			st[id] = r
+	get := func(id message.ID) *cwg.Msg {
+		i, ok := at[id]
+		if !ok { // retired inside the window
+			var r cwg.Msg
+			r.ID = id
+			i, msgs = len(msgs), append(msgs, r)
+			at[id] = i
 		}
-		return r
+		return &msgs[i]
 	}
 	a.evBuf = a.log.Events(a.evBuf[:0])
 	for i := len(a.evBuf) - 1; i >= 0; i-- {
@@ -124,36 +113,24 @@ func (a *FormationAnalyzer) rewind(t int64) map[message.ID]*replayMsg {
 		switch e.Kind {
 		case network.ResAcquire:
 			r := get(e.Msg)
-			if n := len(r.owned); n > 0 && r.owned[n-1] == e.VC {
-				r.owned = r.owned[:n-1]
+			if n := len(r.Owned); n > 0 && r.Owned[n-1] == e.VC {
+				r.Owned = r.Owned[:n-1]
 			}
 		case network.ResRelease:
 			r := get(e.Msg)
-			r.owned = append(r.owned, 0)
-			copy(r.owned[1:], r.owned)
-			r.owned[0] = e.VC
+			r.Owned = append(r.Owned, 0)
+			copy(r.Owned[1:], r.Owned)
+			r.Owned[0] = e.VC
 		case network.ResBlock:
 			r := get(e.Msg)
-			r.blocked, r.wants = false, nil
+			r.Blocked, r.Wants = false, nil
 		case network.ResUnblock:
 			r := get(e.Msg)
-			r.blocked, r.wants = true, e.Wants
+			r.Blocked, r.Wants = true, e.Wants
 		}
 	}
-	return st
-}
-
-// snapshotMsgs converts reconstructed state into a CWG snapshot, messages
-// holding no resources excluded, sorted by id for deterministic output.
-func snapshotMsgs(st map[message.ID]*replayMsg) []cwg.Msg {
-	msgs := make([]cwg.Msg, 0, len(st))
-	for id, r := range st {
-		if len(r.owned) == 0 {
-			continue
-		}
-		msgs = append(msgs, cwg.Msg{ID: id, Owned: r.owned, Blocked: r.blocked, Wants: r.wants})
-	}
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID < msgs[j].ID })
+	msgs = slices.DeleteFunc(msgs, func(m cwg.Msg) bool { return len(m.Owned) == 0 })
+	slices.SortFunc(msgs, func(x, y cwg.Msg) int { return cmp.Compare(x.ID, y.ID) })
 	return msgs
 }
 
@@ -164,13 +141,13 @@ func (a *FormationAnalyzer) CWGAt(t int64) (*cwg.Graph, bool) {
 	if a == nil || t > a.net.Now() || t < a.log.MinReplayCycle() {
 		return nil, false
 	}
-	return cwg.Build(snapshotMsgs(a.rewind(t))), true
+	return cwg.Build(a.rewind(t)), true
 }
 
 // knotAt reports whether the CWG at cycle t contains a knot overlapping
 // the given VC set.
 func (a *FormationAnalyzer) knotAt(t int64, knotVCs map[message.VC]bool) bool {
-	g := cwg.Build(snapshotMsgs(a.rewind(t)))
+	g := cwg.Build(a.rewind(t))
 	verts := g.VCs()
 	for _, knot := range g.FindKnots() {
 		for _, v := range knot {
@@ -274,12 +251,11 @@ func (a *FormationAnalyzer) trajectory(from, to int64, members map[message.ID]bo
 		if n > 1 {
 			t = from + (to-from)*i/(n-1)
 		}
-		st := a.rewind(t)
 		p := FormationPoint{Cycle: t}
-		for id, r := range st {
-			if r.blocked && len(r.owned) > 0 {
+		for _, m := range a.rewind(t) {
+			if m.Blocked {
 				p.Blocked++
-				if members[id] {
+				if members[m.ID] {
 					p.Members++
 				}
 			}
