@@ -149,6 +149,7 @@ func (b *Builder) Build(msgs []Msg) *Graph {
 		}
 	}
 	g.edges = total
+	g.work = Work{}
 	return g
 }
 

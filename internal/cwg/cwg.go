@@ -27,11 +27,15 @@
 //     wait on a VC owned by a deadlock-set message — they cannot proceed
 //     until recovery, but removing them would not resolve the deadlock.
 //
-// There is one construction path: a Builder indexes vertices through a
-// dense array keyed by the network's global VC numbering and reuses all
-// backing storage across snapshots, so the periodic-detection hot path runs
-// without heap allocations. Build is a throwaway Builder for one snapshot
-// (hand-built scenarios, tests, one-shot tools).
+// A detector builds the much smaller message graph instead (MsgGraph,
+// msggraph.go): a vertex per message, weighted arcs between them. Every CWG
+// cycle is a message circuit plus one entry VC per arc, so it gives the same
+// knots, characterization and cycle counts, through the same Tarjan and
+// Johnson code. The VC graph itself is built by a Builder, which indexes
+// vertices through a dense array keyed by the network's global VC numbering
+// and reuses its storage across snapshots; Build is a throwaway Builder for
+// one snapshot (DOT rendering, hand-built scenarios, tests: the VC graph is
+// the message graph's oracle).
 //
 // The package is pure graph theory: it depends only on the message package
 // for VC/ID types and can be exercised with hand-built scenarios (the
@@ -61,16 +65,49 @@ type Msg struct {
 // Graph is a built channel wait-for graph. Construct with Build (fresh
 // allocation) or Builder.Build (pooled storage).
 type Graph struct {
+	waitFor
 	msgs []Msg
 
 	verts []message.VC // dense index -> VC id
 	tbl   *vcTable     // VC id -> dense index, the Builder's
-	adj   [][]int32    // out-edges
 	owner []int32      // dense vertex -> index into msgs, -1 if free
 
 	edges int // arc count
+}
 
-	sc *scratch // analysis scratch, lazily allocated, reused across calls
+// waitFor is what tarjan and the Johnson counter read of a wait-for graph:
+// each vertex's out-arcs, their weights and whether the vertex has an exit.
+// The VC graph (Graph) has unit weights and no exits, its sinks being
+// vertices of their own; the message graph (MsgGraph) has both.
+type waitFor struct {
+	adj  [][]int32 // out-arcs
+	wt   [][]int32 // arc weights, parallel to adj; nil: every arc weighs 1
+	exit []bool    // per vertex, an arc to a sink; nil: none
+
+	sc   *scratch // analysis scratch, lazily allocated, reused across calls
+	work Work     // analysis work since the graph was built
+}
+
+// Work counts a graph's analysis work since it was built: deterministic
+// sums, the same per input whatever the host.
+type Work struct {
+	// TarjanVisits counts the vertices Tarjan's SCC pass entered plus the
+	// arcs it followed.
+	TarjanVisits int64
+	// JohnsonEdges counts the arcs Johnson's enumeration traversed (what
+	// MaxWork caps).
+	JohnsonEdges int64
+}
+
+// Work returns the analysis work done on the graph since it was built.
+func (g *waitFor) Work() Work { return g.work }
+
+// weight returns the weight of v's k-th out-arc.
+func (g *waitFor) weight(v int32, k int) int {
+	if g.wt == nil {
+		return 1
+	}
+	return int(g.wt[v][k])
 }
 
 // Build constructs the CWG for a snapshot of messages in storage of its
@@ -82,7 +119,7 @@ func Build(msgs []Msg) *Graph { return NewBuilder(0).Build(msgs) }
 func (g *Graph) vertexOf(vc message.VC) (int32, bool) { return g.tbl.lookup(vc) }
 
 // scratch returns the graph's analysis scratch, allocating it on first use.
-func (g *Graph) scratch() *scratch {
+func (g *waitFor) scratch() *scratch {
 	if g.sc == nil {
 		g.sc = &scratch{}
 	}
@@ -205,11 +242,16 @@ type scratch struct {
 	vMark []int64 // per vertex: in deadlock-set-owned resource set
 	mMark []int64 // per message: in deadlock set
 
+	// MsgGraph.Analyze: per message its knot or -1, per knot its dependent
+	// count and the last message counted
+	inKnot, nDep, lastDep []int32
+
 	// Johnson enumeration
 	jEpoch    int64
 	jStamp    []int64
 	jLocal    []int32
 	jAdj      [][]int32
+	jWt       [][]int32
 	jBlocked  []bool
 	jBlockMap [][]int32
 }
@@ -273,7 +315,11 @@ func (sc *scratch) marks(nVerts, nMsgs int) (vMark, mMark []int64, epoch int64) 
 // contains at least one edge (size > 1, or a self-loop). Each returned set
 // is freshly allocated and sorted ascending; internal working storage is
 // reused across calls.
-func (g *Graph) FindKnots() [][]int32 {
+func (g *Graph) FindKnots() [][]int32 { return g.knots() }
+
+// knots returns the terminal components that hold an arc, in completion
+// order, as vertex sets sorted ascending.
+func (g *waitFor) knots() [][]int32 {
 	comp, ncomp := g.tarjan()
 	sc := g.scratch()
 	terminal, hasEdge := sc.terminal, sc.hasEdge
@@ -291,7 +337,23 @@ func (g *Graph) FindKnots() [][]int32 {
 	if nk == 0 {
 		return nil
 	}
+	// Carve the sets out of one allocation, sized by a counting pass.
+	sc.compOff = growI32(sc.compOff, nk+1)
+	off := sc.compOff
+	clear(off)
+	for u := range comp {
+		if s := compSlot[comp[u]]; s >= 0 {
+			off[s+1]++
+		}
+	}
+	for s := 0; s < nk; s++ {
+		off[s+1] += off[s]
+	}
+	flat := make([]int32, off[nk])
 	members := make([][]int32, nk)
+	for s := range members {
+		members[s] = flat[off[s]:off[s]:off[s+1]]
+	}
 	for u := range comp {
 		if s := compSlot[comp[u]]; s >= 0 {
 			members[s] = append(members[s], int32(u))
@@ -302,11 +364,12 @@ func (g *Graph) FindKnots() [][]int32 {
 
 // tarjan computes (iteratively) the component id per vertex and the number
 // of strongly connected components, and with them the condensation's two
-// facts per component: sc.terminal (no edge leaves it) and sc.hasEdge (an
-// edge stays inside it). All three are scratch storage, valid until the next
+// facts per component: sc.terminal (no edge leaves it and no member has an
+// exit) and sc.hasEdge (an edge stays inside it). Component ids are in
+// completion order, so an arc between two components leads to the lower id. All three are scratch storage, valid until the next
 // analysis of the graph.
-func (g *Graph) tarjan() (comp []int32, ncomp int) {
-	n := len(g.verts)
+func (g *waitFor) tarjan() (comp []int32, ncomp int) {
+	n := len(g.adj)
 	sc := g.scratch()
 	sc.comp = growI32(sc.comp, n)
 	sc.low = growI32(sc.low, n)
@@ -322,6 +385,7 @@ func (g *Graph) tarjan() (comp []int32, ncomp int) {
 	stack := sc.stack[:0]
 	frames := sc.frames[:0]
 	var timer int32
+	visits := int64(0)
 	for s := 0; s < n; s++ {
 		if disc[s] != -1 {
 			continue
@@ -338,6 +402,7 @@ func (g *Graph) tarjan() (comp []int32, ncomp int) {
 			if int(f.ei) < len(g.adj[v]) {
 				w := g.adj[v][f.ei]
 				f.ei++
+				visits++
 				if disc[w] == -1 {
 					disc[w] = timer
 					low[w] = timer
@@ -374,6 +439,7 @@ func (g *Graph) tarjan() (comp []int32, ncomp int) {
 	}
 	sc.stack = stack[:0]
 	sc.frames = frames[:0]
+	g.work.TarjanVisits += visits + int64(n)
 	sc.terminal = growBool(sc.terminal, ncomp)
 	sc.hasEdge = growBool(sc.hasEdge, ncomp)
 	terminal, hasEdge := sc.terminal, sc.hasEdge
@@ -383,6 +449,9 @@ func (g *Graph) tarjan() (comp []int32, ncomp int) {
 	}
 	for u := range g.adj {
 		cu := comp[u]
+		if g.exit != nil && g.exit[u] {
+			terminal[cu] = false
+		}
 		for _, v := range g.adj[u] {
 			if cu != comp[v] {
 				terminal[cu] = false
@@ -414,7 +483,7 @@ func (g *Graph) Analyze(opts Options) Analysis {
 // reports that a cap stopped the count. It is the census's one entry;
 // opts.CountKnotCycles does not apply.
 func (g *Graph) CountCycles(opts Options) (n int, capped bool) {
-	return newCounter(opts, g.scratch()).countAll(g)
+	return newCounter(opts, g.scratch()).countAll(&g.waitFor)
 }
 
 // classify builds the paper's characterization of one knot. The knot slice
@@ -458,7 +527,13 @@ func (g *Graph) classify(knot []int32, opts Options) Deadlock {
 		}
 	}
 	slices.Sort(d.Dependent)
+	d.countCycles(&g.waitFor, knot, opts)
+	return d
+}
 
+// countCycles sets d's knot cycle density and kind from the knot's vertices
+// in g, sorted ascending.
+func (d *Deadlock) countCycles(g *waitFor, knot []int32, opts Options) {
 	if opts.CountKnotCycles {
 		c := newCounter(opts, g.scratch())
 		d.KnotCycles, d.CyclesCapped = c.countInduced(g, knot)
@@ -471,7 +546,6 @@ func (g *Graph) classify(knot []int32, opts Options) Deadlock {
 	} else {
 		d.Kind = MultiCycle
 	}
-	return d
 }
 
 // DOT renders the graph in Graphviz format. label renders a VC id (pass nil

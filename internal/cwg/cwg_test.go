@@ -319,7 +319,7 @@ func TestJohnsonMatchesNaive(t *testing.T) {
 		g := digraph(n, edges)
 		want := g.NaiveCycleCount()
 		c := newCounter(Options{}, g.scratch())
-		got, capped := c.countAll(g)
+		got, capped := c.countAll(&g.waitFor)
 		if capped {
 			t.Fatalf("trial %d: capped on a tiny graph", trial)
 		}
@@ -341,12 +341,26 @@ func TestJohnsonCycleCap(t *testing.T) {
 	}
 	g := digraph(9, edges)
 	c := newCounter(Options{MaxCycles: 50}, g.scratch())
-	got, capped := c.countAll(g)
+	got, capped := c.countAll(&g.waitFor)
 	if !capped {
 		t.Fatal("cap not reported")
 	}
 	if got != 50 {
 		t.Fatalf("capped count = %d, want 50", got)
+	}
+
+	// One message circuit of weight 3 × 3 is nine VC cycles: the message
+	// graph's clamped product caps exactly where the VC graph's count does.
+	msgs := []Msg{
+		{ID: 1, Owned: []message.VC{0, 1, 2}, Blocked: true, Wants: []message.VC{3, 4, 5}},
+		{ID: 2, Owned: []message.VC{3, 4, 5}, Blocked: true, Wants: []message.VC{0, 1, 2}},
+	}
+	for _, max := range []int{8, 9, 10} {
+		opts := Options{MaxCycles: max}
+		wantN, wantCapped := Build(msgs).CountCycles(opts)
+		if n, capped := NewMsgGraph(0).Build(msgs).CountCycles(opts); n != wantN || capped != wantCapped {
+			t.Errorf("MaxCycles %d: message graph %d (capped %v), VC graph %d (capped %v)", max, n, capped, wantN, wantCapped)
+		}
 	}
 }
 
@@ -361,7 +375,7 @@ func TestJohnsonWorkCap(t *testing.T) {
 	}
 	g := digraph(12, edges)
 	c := newCounter(Options{MaxWork: 1000}, g.scratch())
-	_, capped := c.countAll(g)
+	_, capped := c.countAll(&g.waitFor)
 	if !capped {
 		t.Fatal("work cap not reported")
 	}

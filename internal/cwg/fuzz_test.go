@@ -34,7 +34,7 @@ func FuzzKnotsAndCycles(f *testing.F) {
 			t.Fatalf("knots disagree on %v: fast=%v naive=%v", edges, fast, slow)
 		}
 		c := newCounter(Options{}, g.scratch())
-		got, capped := c.countAll(g)
+		got, capped := c.countAll(&g.waitFor)
 		if capped {
 			t.Fatalf("capped on a %d-edge graph", len(edges))
 		}
@@ -146,17 +146,30 @@ func referenceBuild(msgs []Msg) *Graph {
 	return g
 }
 
-// FuzzBuildEquivalence cross-validates the three detection paths on random
+// FuzzBuildEquivalence cross-validates the detection paths on random
 // snapshots: the pooled/dense Builder must produce analyses identical to
-// the map-indexed reference construction, and the Tarjan-based knot finder
-// must agree with the naive per-vertex-reachability knot definition. It
-// also rebuilds through the same Builder with interleaved foreign snapshots
-// to prove the reused arenas carry no state between builds.
+// the map-indexed reference construction, the message graph the same
+// Analysis (knot order included) and cycle count as the VC graph, and the
+// Tarjan-based knot finder must agree with the naive
+// per-vertex-reachability knot definition. The message graph's doomed set
+// must be the messages whose head reaches no sink of the VC graph. It also
+// rebuilds through the same Builder and message graph with interleaved
+// foreign snapshots to prove the reused arenas carry no state between
+// builds.
 func FuzzBuildEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0x00, 0x01, 0x05, 0x01, 0x00}) // 2-message swap knot
 	f.Add([]byte{0x0d, 0x02, 0x03, 0x04})             // blocked chain with wants
 	f.Add([]byte{0x01, 0x07, 0x08, 0x05, 0x09, 0x07}) // solid chains + wait
+	// Two messages of two VCs, each wanting the other's first VC twice and
+	// its second once: two arcs of weight 3, nine cycles.
+	f.Add([]byte{0x1d, 0x00, 0x01, 0x02, 0x03, 0x02, 0x1d, 0x02, 0x03, 0x00, 0x01, 0x00})
+	// A message wanting its own first VC (a self-loop knot) beside a pair
+	// whose wait cycle escapes to a free VC.
+	f.Add([]byte{0x0d, 0x04, 0x05, 0x04, 0x14, 0x06, 0x07, 0x09, 0x0c, 0x07, 0x06})
+	// Three messages, each wanting the next one's middle and last VCs: the
+	// knot starts part way along every chain.
+	f.Add([]byte{0x16, 0x00, 0x01, 0x02, 0x04, 0x05, 0x16, 0x03, 0x04, 0x05, 0x07, 0x08, 0x16, 0x06, 0x07, 0x08, 0x01, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			data = data[:64]
@@ -203,5 +216,53 @@ func FuzzBuildEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(got2, want) {
 			t.Fatalf("analysis changed after arena reuse:\nfirst  %+v\nsecond %+v", want, got2)
 		}
+
+		// The message graph: the same Analysis and census, also after a
+		// foreign snapshot through its storage, and the doomed set.
+		mg := NewMsgGraph(24)
+		for round := 0; round < 2; round++ {
+			mg.Build(msgs)
+			if got := mg.Analyze(opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: message-graph analysis differs:\nVC  %+v\nmsg %+v", round, want, got)
+			}
+			if n, capped := mg.CountCycles(opts); n != wantN || capped != wantCapped {
+				t.Fatalf("round %d: message-graph census %d (capped %v), the VC graph's %d (capped %v)", round, n, capped, wantN, wantCapped)
+			}
+			mg.Build(alt).Analyze(opts)
+		}
+		mg.Build(msgs)
+		if got, want := mg.Doomed(nil), reachNoSink(dense); !reflect.DeepEqual(got, want) {
+			t.Fatalf("doomed %v, the messages whose head reaches no VC-graph sink %v", got, want)
+		}
 	})
+}
+
+// reachNoSink returns, in snapshot order, the messages holding a VC whose
+// head reaches no sink (a vertex without out-arcs) of the VC graph g.
+func reachNoSink(g *Graph) []message.ID {
+	var ids []message.ID
+	for _, m := range g.msgs {
+		if len(m.Owned) == 0 {
+			continue
+		}
+		head, _ := g.vertexOf(m.Owned[len(m.Owned)-1])
+		seen := map[int32]bool{head: true}
+		stack := []int32{head}
+		sink := false
+		for len(stack) > 0 && !sink {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			sink = len(g.adj[v]) == 0
+			for _, w := range g.adj[v] {
+				if !seen[w] {
+					seen[w] = true
+					stack = append(stack, w)
+				}
+			}
+		}
+		if !sink {
+			ids = append(ids, m.ID)
+		}
+	}
+	return ids
 }

@@ -12,6 +12,12 @@ package cwg
 // enumerator first condenses the graph and then runs Johnson per nontrivial
 // SCC, which keeps the common no-deadlock case at O(V+E).
 //
+// Arcs carry weights: a circuit counts the product of its arcs' weights,
+// clamped at MaxCycles. On the VC graph every weight is 1, so a circuit
+// counts once; on the message graph an arc m -> m' weighs the number of m's
+// wanted VCs that m' owns, and each choice of entry VCs along a message
+// circuit is one elementary cycle of the VC graph (msggraph.go).
+//
 // All working storage — the global-to-local vertex index (epoch-stamped
 // dense array), the per-SCC adjacency lists, and Johnson's blocked set and
 // block map — lives in the graph's shared scratch and is reused across
@@ -39,7 +45,7 @@ func newCounter(opts Options, sc *scratch) *counter {
 }
 
 // countAll counts elementary cycles in the whole graph.
-func (c *counter) countAll(g *Graph) (int, bool) {
+func (c *counter) countAll(g *waitFor) (int, bool) {
 	comp, ncomp := g.tarjan()
 	sc := c.sc
 	// Only components with an internal edge can contain cycles; bucket
@@ -47,7 +53,7 @@ func (c *counter) countAll(g *Graph) (int, bool) {
 	sc.compCnt = growI32(sc.compCnt, ncomp)
 	hasEdge, cnt := sc.hasEdge, sc.compCnt
 	clear(cnt)
-	n := len(g.verts)
+	n := len(g.adj)
 	sc.compOff = growI32(sc.compOff, ncomp+1)
 	sc.compMem = growI32(sc.compMem, n)
 	off, mem := sc.compOff, sc.compMem
@@ -79,24 +85,26 @@ func (c *counter) countAll(g *Graph) (int, bool) {
 			break
 		}
 	}
+	g.work.JohnsonEdges += int64(c.work)
 	return c.cycles, c.capped
 }
 
 // countInduced counts elementary cycles in the subgraph induced by the given
 // vertex set, which must be sorted ascending (used for knot cycle density;
 // a knot is a single SCC and FindKnots emits members in vertex order).
-func (c *counter) countInduced(g *Graph, mem []int32) (int, bool) {
+func (c *counter) countInduced(g *waitFor, mem []int32) (int, bool) {
 	c.countSCC(g, mem)
+	g.work.JohnsonEdges += int64(c.work)
 	return c.cycles, c.capped
 }
 
 // countSCC runs Johnson's circuit enumeration on the subgraph induced by
 // mem (which must all belong to one graph; cycles leaving mem are ignored).
-func (c *counter) countSCC(g *Graph, mem []int32) {
+func (c *counter) countSCC(g *waitFor, mem []int32) {
 	n := len(mem)
 	sc := c.sc
-	sc.jStamp = growI64(sc.jStamp, len(g.verts))
-	sc.jLocal = growI32(sc.jLocal, len(g.verts))
+	sc.jStamp = growI64(sc.jStamp, len(g.adj))
+	sc.jLocal = growI32(sc.jLocal, len(g.adj))
 	if sc.jEpoch == 0 {
 		// First use of a (possibly recycled) stamp array: force-clear.
 		for i := range sc.jStamp {
@@ -109,14 +117,16 @@ func (c *counter) countSCC(g *Graph, mem []int32) {
 		sc.jStamp[v] = sc.jEpoch
 	}
 	sc.jAdj = growLists(sc.jAdj, n)
+	sc.jWt = growLists(sc.jWt, n)
 	for i, v := range mem {
-		lst := sc.jAdj[i][:0]
-		for _, w := range g.adj[v] {
+		lst, wl := sc.jAdj[i][:0], sc.jWt[i][:0]
+		for k, w := range g.adj[v] {
 			if sc.jStamp[w] == sc.jEpoch {
 				lst = append(lst, sc.jLocal[w])
+				wl = append(wl, int32(g.weight(v, k)))
 			}
 		}
-		sc.jAdj[i] = lst
+		sc.jAdj[i], sc.jWt[i] = lst, wl
 	}
 	sc.jBlocked = growBool(sc.jBlocked, n)
 	sc.jBlockMap = growLists(sc.jBlockMap, n)
@@ -124,7 +134,7 @@ func (c *counter) countSCC(g *Graph, mem []int32) {
 		sc.jBlocked[i] = false
 		sc.jBlockMap[i] = sc.jBlockMap[i][:0]
 	}
-	j := &johnson{adj: sc.jAdj[:n], c: *c,
+	j := &johnson{adj: sc.jAdj[:n], wt: sc.jWt[:n], c: *c,
 		blocked:  sc.jBlocked,
 		blockMap: sc.jBlockMap,
 	}
@@ -134,7 +144,7 @@ func (c *counter) countSCC(g *Graph, mem []int32) {
 			j.blocked[i] = false
 			j.blockMap[i] = j.blockMap[i][:0]
 		}
-		j.circuit(int32(s))
+		j.circuit(int32(s), 1)
 	}
 	// Persist block-map capacity grown during enumeration.
 	sc.jBlockMap = j.blockMap
@@ -146,6 +156,7 @@ func (c *counter) countSCC(g *Graph, mem []int32) {
 // escape to the heap, since circuit recurses.
 type johnson struct {
 	adj      [][]int32
+	wt       [][]int32 // adj's weights
 	c        counter
 	s        int32
 	blocked  []bool
@@ -153,11 +164,12 @@ type johnson struct {
 }
 
 // circuit explores elementary paths from v back to j.s using only vertices
-// with local index >= j.s, counting each closed circuit once.
-func (j *johnson) circuit(v int32) bool {
+// with local index >= j.s, counting each closed circuit once, times the
+// product of its weights; prod is the product along the path to v.
+func (j *johnson) circuit(v int32, prod int) bool {
 	found := false
 	j.blocked[v] = true
-	for _, w := range j.adj[v] {
+	for k, w := range j.adj[v] {
 		if w < j.s {
 			continue
 		}
@@ -166,15 +178,24 @@ func (j *johnson) circuit(v int32) bool {
 			j.c.capped = true
 			return found
 		}
+		p := prod
+		if wt := int(j.wt[v][k]); wt != 1 {
+			// Clamped: a product at the cap caps the count anyway.
+			p = j.c.maxCycles
+			if prod <= j.c.maxCycles/wt {
+				p = prod * wt
+			}
+		}
 		if w == j.s {
-			j.c.cycles++
+			j.c.cycles += p
 			if j.c.cycles >= j.c.maxCycles {
+				j.c.cycles = j.c.maxCycles
 				j.c.capped = true
 				return found
 			}
 			found = true
 		} else if !j.blocked[w] {
-			if j.circuit(w) {
+			if j.circuit(w, p) {
 				found = true
 			}
 			if j.c.capped {

@@ -3,18 +3,20 @@ package detect
 // The cycle census beside the cycle.
 //
 // A census pass counts every elementary cycle of the channel wait-for graph
-// (the paper's "number of resource dependency cycles"), and near saturation
-// that count costs more than the rest of the pass. Nothing in the cycle reads
-// it, so a census pass copies its snapshot and a goroutine counts the copy,
-// with the census's own Builder, under the same caps, while the simulation
-// goes on. The copy is written by AppendSnapshot, as Snapshot is, so it is
-// deep (Wants is the network's live candidate set, rewritten as headers
-// route) and in ActiveMessages order; it is taken before the pass analyzes
-// or recovers anything, so the graph, and a capped count, is the one the
-// pass would have counted itself. The pass then goes on as a census-free one:
-// the knot-freedom proof first, the graph only when the proof fails.
+// (the paper's "number of resource dependency cycles"), as weighted circuits
+// of its message graph, and near saturation that count costs more than the
+// rest of the pass. Nothing in the cycle reads it, so a census pass copies
+// its snapshot and a goroutine counts the copy, in the census's own message
+// graph, under the same caps, while the simulation goes on. The copy is
+// written by AppendSnapshot, as Snapshot is, so it is deep (Wants is the
+// network's live candidate set, rewritten as headers route) and in
+// ActiveMessages order; it is taken before the pass analyzes or recovers
+// anything, so the graph, and a capped count, is the one the pass would
+// have counted itself. The pass then goes on as a census-free one:
+// the knot-freedom proof first, the graph only when the proof fails, built
+// from the same copy (the count and the pass only read it).
 //
-// One census counts at a time (the Builder is held for it), and up to
+// One census counts at a time (the graph is held for it), and up to
 // censusCopies copies are in flight, so a count that outlasts several
 // detector periods, as capped ones deep in saturation do, stalls no pass
 // until the copies run out. The copies are used in turn: a census pass joins
@@ -35,10 +37,10 @@ import (
 // censusCopies bounds the snapshot copies in flight.
 const censusCopies = 8
 
-// census is the detector's counting Builder and its snapshot copies.
+// census is the detector's counting graph and its snapshot copies.
 type census struct {
-	mu     sync.Mutex // held for a count: one Builder, one count at a time
-	b      *cwg.Builder
+	mu     sync.Mutex // held for a count: one graph, one count at a time
+	g      *cwg.MsgGraph
 	opts   cwg.Options
 	copies [censusCopies]censusCopy
 	next   int // the copy the next census pass takes
@@ -53,6 +55,7 @@ type censusCopy struct {
 
 	cycles int
 	capped bool
+	work   Work
 
 	busy bool
 	done chan struct{} // one token per finished count; buffered, so count never blocks
@@ -63,18 +66,21 @@ type censusCopy struct {
 // goroutine.
 func (s *censusCopy) count() {
 	s.c.mu.Lock()
-	s.cycles, s.capped = s.c.b.Build(s.msgs).CountCycles(s.c.opts)
+	g := s.c.g.Build(s.msgs)
+	s.cycles, s.capped = g.CountCycles(s.c.opts)
+	s.work = graphWork(g, true)
 	s.c.mu.Unlock()
 	s.done <- struct{}{}
 }
 
 // startCensus copies the network's current snapshot into the next copy,
-// joining that copy's earlier count first, and starts counting it.
-func (d *Detector) startCensus() {
+// joining that copy's earlier count first, starts counting it and returns
+// it. The pass's graph path reads the same copy: both only read it.
+func (d *Detector) startCensus() []cwg.Msg {
 	c := d.census
 	if c == nil {
 		c = &census{
-			b:    cwg.NewBuilder(d.net.TotalVCs()),
+			g:    cwg.NewMsgGraph(d.net.TotalVCs()),
 			opts: cwg.Options{MaxCycles: d.cfg.MaxCycles, MaxWork: d.cfg.MaxWork},
 		}
 		for i := range c.copies {
@@ -90,6 +96,7 @@ func (d *Detector) startCensus() {
 	s.msgs, s.vcs = AppendSnapshot(s.msgs[:0], s.vcs[:0], d.net.ActiveMessages())
 	s.busy = true
 	go s.run()
+	return s.msgs
 }
 
 // join waits for s's count, if one is in flight, and folds it into Stats
@@ -111,6 +118,7 @@ func (d *Detector) join(s *censusCopy, keep bool) {
 	if s.capped {
 		d.Stats.CensusCapped = true
 	}
+	d.Work.add(s.work)
 }
 
 // joinCensus joins every census in flight, folding their counts into Stats

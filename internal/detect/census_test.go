@@ -10,10 +10,12 @@ import (
 )
 
 // TestCensusIsExact holds the census counted beside the cycle to one counted
-// inline: at saturating DOR and TFAR points with one and two VCs, each due
-// pass's graph is rebuilt from a Snapshot just before the detector's Tick and
-// its cycles counted with Analyze, and the run's four census fields must be
-// the recounts' sums, maximum and cap flag. It runs under the fig6/fig7 caps,
+// inline: at saturating DOR and TFAR points with one and two VCs, and a
+// misrouting point, each due
+// pass's message graph is rebuilt from a Snapshot just before the detector's
+// Tick and its cycles counted, and the run's four census fields must be the
+// recounts' sums, maximum and cap flag. Every recount that no cap stopped
+// must equal the VC graph's count of the same snapshot, the census's oracle. It runs under the fig6/fig7 caps,
 // under caps so small that every pass with a cycle hits them, and under a
 // work cap that stops some counts part way, where the count depends on the
 // order the snapshot lists messages in (a copy in any other order than
@@ -32,7 +34,11 @@ func TestCensusIsExact(t *testing.T) {
 		routing string
 		vcs     int
 		load    float64
-	}{{"dor", 1, 1.0}, {"tfar", 1, 1.0}, {"dor", 2, 1.0}, {"tfar", 2, 1.0}}
+	}{{"dor", 1, 1.0}, {"tfar", 1, 1.0}, {"dor", 2, 1.0}, {"tfar", 2, 1.0},
+		// A misrouted worm can pass a router twice, so a message can want
+		// two VCs that one other message owns: a message-graph arc of
+		// weight 2, which minimal routing never makes.
+		{"misroute-far", 1, 0.3}}
 	for _, c := range caps {
 		for _, p := range points {
 			name := fmt.Sprintf("%s/%s%d", c.name, p.routing, p.vcs)
@@ -73,8 +79,14 @@ func checkCensus(t *testing.T, routing string, vcs int, load float64, maxCycles,
 	for i := 0; i < 1000; i++ {
 		r.StepCycle()
 		if r.Net.Now()%every == 0 {
-			g := cwg.Build(det.Snapshot())
+			snap := det.Snapshot()
+			g := cwg.NewMsgGraph(0).Build(snap)
 			cycles, capped := g.CountCycles(opts)
+			if !capped {
+				if n, vcCapped := cwg.Build(snap).CountCycles(cwg.Options{}); n != cycles || vcCapped {
+					t.Fatalf("cycle %d: the message graph counts %d cycles, the VC graph %d (capped %v)", r.Net.Now(), cycles, n, vcCapped)
+				}
+			}
 			want.samples++
 			want.sum += int64(cycles)
 			want.max = max(want.max, cycles)

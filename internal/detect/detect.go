@@ -1,9 +1,9 @@
 // Package detect wires the CWG knot theory to the running network: it
-// periodically snapshots the network's resource state into a channel
-// wait-for graph, identifies knots (true deadlocks), characterizes them,
-// selects a victim from each deadlock set and triggers Disha-style
-// flit-by-flit absorption, and counts the deadlock and cycle-census
-// aggregates the paper reports into the run's stats.Result.
+// periodically snapshots the network's resource state into the message graph
+// of the channel wait-for graph, identifies knots (true deadlocks),
+// characterizes them, selects a victim from each deadlock set and triggers
+// Disha-style flit-by-flit absorption, and counts the deadlock and
+// cycle-census aggregates the paper reports into the run's stats.Result.
 package detect
 
 import (
@@ -152,6 +152,42 @@ type Event struct {
 	Victim message.ID
 }
 
+// Work counts a detector's graph work: sums over deterministic passes, so
+// they are identical per seed whatever the host or the binary's layout.
+type Work struct {
+	// Vertices and Arcs count the message graphs built, by graph passes
+	// and census counts (a weighted arc counts once).
+	Vertices, Arcs int64
+	// TarjanVisits counts the vertices entered and arcs followed by the
+	// SCC passes of knot finding and the census.
+	TarjanVisits int64
+	// CensusEdges and KnotEdges count Johnson's arc visits: counting the
+	// census, and counting knot cycle density.
+	CensusEdges, KnotEdges int64
+}
+
+// graphWork returns the work of building and analyzing g; its Johnson
+// visits are the census's when census is set, else the knots'.
+func graphWork(g *cwg.MsgGraph, census bool) Work {
+	gw := g.Work()
+	w := Work{Vertices: int64(g.NumVertices()), Arcs: int64(g.NumArcs()), TarjanVisits: gw.TarjanVisits}
+	if census {
+		w.CensusEdges = gw.JohnsonEdges
+	} else {
+		w.KnotEdges = gw.JohnsonEdges
+	}
+	return w
+}
+
+// add folds o into w.
+func (w *Work) add(o Work) {
+	w.Vertices += o.Vertices
+	w.Arcs += o.Arcs
+	w.TarjanVisits += o.TarjanVisits
+	w.CensusEdges += o.CensusEdges
+	w.KnotEdges += o.KnotEdges
+}
+
 // timingGrowTo pre-sizes the timing histograms: passes up to 1s land in
 // pre-allocated buckets, keeping the detection hot path at 0 allocs/op.
 const timingGrowTo = int64(time.Second)
@@ -172,13 +208,19 @@ type Detector struct {
 	// (aligned with Config.TimeoutThresholds; empty when disabled).
 	Timeout []TimeoutCounts
 	Events  []Event
+	// Work counts the graph work of the graph passes and census counts
+	// since ResetStats (the census's lags until Wait, as its Stats do).
+	Work Work
 
 	// snap and snapVCs hold the latest Snapshot (snapshot.go).
 	snap    []cwg.Msg
 	snapVCs []message.VC
 
-	// builder reuses CWG storage across passes (dense VC indexing).
-	builder *cwg.Builder
+	// graph is the pass's message wait-for graph, its storage reused across
+	// passes; graphPass, when set, answers graph passes instead (the
+	// VC-graph oracle of the package's tests).
+	graph     *cwg.MsgGraph
+	graphPass func([]cwg.Msg, cwg.Options) cwg.Analysis
 	// victims is selectVictim's candidate scratch.
 	victims []*message.Message
 
@@ -196,8 +238,9 @@ type Detector struct {
 
 	// Knot-freedom proof state (proof.go): escaped stamps, per head VC, the
 	// messages proved to escape in pass proofEpoch; pending holds the blocked
-	// messages not yet proved. graphNext sends the next pass to the graph
-	// path without trying the proof (Invalidate).
+	// messages not yet proved, and after a pass those it left unproved (the
+	// doomed ones). graphNext sends the next pass to the graph path without
+	// trying the proof (Invalidate).
 	escaped    []uint64
 	proofEpoch uint64
 	pending    []*message.Message
@@ -260,6 +303,7 @@ func (d *Detector) ResetStats() {
 	build.Grow(timingGrowTo)
 	analyze.Grow(timingGrowTo)
 	*d.Stats = stats.Result{DetectBuildTime: build, DetectAnalyzeTime: analyze}
+	d.Work = Work{}
 	d.Timeout = nil
 	d.Events = d.Events[:0]
 }
@@ -285,9 +329,9 @@ func (d *Detector) gateable() bool {
 	return !d.cfg.CycleCensus && len(d.cfg.TimeoutThresholds) == 0
 }
 
-// DetectNow performs one detection pass: build the CWG, find and classify
-// knots, record statistics, and (if enabled) absorb one victim per knot.
-// It returns the analysis.
+// DetectNow performs one detection pass: build the message wait-for graph,
+// find and classify knots, record statistics, and (if enabled) absorb one
+// victim per knot. It returns the analysis.
 //
 // When the network's resource epoch is unchanged since the last pass and
 // that pass found no deadlock, the CWG is provably identical, so the pass
@@ -313,12 +357,13 @@ func (d *Detector) DetectNow() cwg.Analysis {
 		return d.lastAnalysis
 	}
 	var censusNs int64
+	var snap []cwg.Msg
 	if d.cfg.CycleCensus {
 		t0 := time.Now()
-		d.startCensus()
+		snap = d.startCensus()
 		censusNs = int64(time.Since(t0))
 	}
-	an, g, buildNs, analyzeNs := d.analyze()
+	an, snap, buildNs, analyzeNs := d.analyze(snap)
 	buildNs += censusNs
 	d.Stats.DetectBuildTime.Observe(buildNs)
 	d.Stats.DetectAnalyzeTime.Observe(analyzeNs)
@@ -326,6 +371,7 @@ func (d *Detector) DetectNow() cwg.Analysis {
 	// Evaluate timeout approximation against ground truth before recovery
 	// mutates blocked state.
 	d.compareTimeouts(&an)
+	var dot *cwg.Graph
 	for i := range an.Deadlocks {
 		dl := &an.Deadlocks[i]
 		d.record(dl)
@@ -346,7 +392,10 @@ func (d *Detector) DetectNow() cwg.Analysis {
 				Policy:   d.cfg.Policy,
 			}
 			if d.cfg.SnapshotDOT {
-				obs.KnotDOT = g.KnotDOT(dl, d.net.VCString)
+				if dot == nil {
+					dot = cwg.Build(snap) // SnapshotDOT only: DOT draws the VC graph
+				}
+				obs.KnotDOT = dot.KnotDOT(dl, d.net.VCString)
 			}
 			d.cfg.Observer.ObserveDeadlock(obs)
 		}
@@ -370,11 +419,12 @@ func (d *Detector) DetectNow() cwg.Analysis {
 	return an
 }
 
-// analyze answers one pass: by the knot-freedom proof when it holds (g is
-// then nil) and Invalidate did not ask for the graph, else by building and
-// analyzing the CWG. A failed proof's time counts into the graph path's
-// analyzeNs.
-func (d *Detector) analyze() (an cwg.Analysis, g *cwg.Graph, buildNs, analyzeNs int64) {
+// analyze answers one pass: by the knot-freedom proof when it holds and
+// Invalidate did not ask for the graph, else by building and analyzing the
+// message graph of snap, the census copy a census pass took, or else of a
+// Snapshot, which it returns. A failed proof's time counts into the graph
+// path's analyzeNs.
+func (d *Detector) analyze(snap []cwg.Msg) (an cwg.Analysis, graphSnap []cwg.Msg, buildNs, analyzeNs int64) {
 	tryProof := !d.graphNext
 	d.graphNext = false
 	t0 := time.Now()
@@ -383,18 +433,26 @@ func (d *Detector) analyze() (an cwg.Analysis, g *cwg.Graph, buildNs, analyzeNs 
 			return cwg.Analysis{BlockedMessages: blocked}, nil, 0, int64(time.Since(t0))
 		}
 	}
-	if d.builder == nil {
-		d.builder = cwg.NewBuilder(d.net.TotalVCs())
-	}
-	tb := time.Now()
-	g = d.builder.Build(d.Snapshot())
-	t1 := time.Now()
-	an = g.Analyze(cwg.Options{
+	opts := cwg.Options{
 		CountKnotCycles: d.cfg.CountKnotCycles,
 		MaxCycles:       d.cfg.MaxCycles,
 		MaxWork:         d.cfg.MaxWork,
-	})
-	return an, g, int64(t1.Sub(tb)), int64(tb.Sub(t0)) + int64(time.Since(t1))
+	}
+	tb := time.Now()
+	if snap == nil {
+		snap = d.Snapshot()
+	}
+	if d.graphPass != nil {
+		return d.graphPass(snap, opts), snap, 0, int64(tb.Sub(t0)) + int64(time.Since(tb))
+	}
+	if d.graph == nil {
+		d.graph = cwg.NewMsgGraph(d.net.TotalVCs())
+	}
+	g := d.graph.Build(snap)
+	t1 := time.Now()
+	an = g.Analyze(opts)
+	d.Work.add(graphWork(g, false))
+	return an, snap, int64(t1.Sub(tb)), int64(tb.Sub(t0)) + int64(time.Since(t1))
 }
 
 // record folds one deadlock into the aggregates.

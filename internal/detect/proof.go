@@ -60,7 +60,7 @@ func (d *Detector) proveKnotFree() (blocked int, ok bool) {
 		}
 		pending = left
 	}
-	d.pending = pending[:0]
+	d.pending = pending // the unproved, kept for the package's tests
 	return blocked, len(pending) == 0
 }
 

@@ -3,6 +3,7 @@ package detect_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flexsim/internal/cwg"
@@ -40,7 +41,8 @@ var faultSchedules = map[string][]fault.Event{
 // TestProofIsExact holds the knot-freedom proof to the graph path in both
 // directions: on every checked state of a grid of runs, the proof holds iff
 // the state's CWG has no knot, and it counts the blocked messages the
-// graph's analysis does. The grid is DOR and TFAR at 1 and 2 VCs on
+// graph's analysis does. Where it fails, the messages it leaves unproved are
+// the message graph's doomed set. The grid is DOR and TFAR at 1 and 2 VCs on
 // unidirectional and bidirectional tori, loads 0.1 to 1.0, recovery on and
 // off, and on the bidirectional torus each fault schedule above.
 func TestProofIsExact(t *testing.T) {
@@ -64,7 +66,7 @@ func TestProofIsExact(t *testing.T) {
 							cfg.Routing, cfg.VCs, cfg.Load, cfg.Recover = routing, vcs, load, recover
 							cfg.FaultEvents = faultSchedules[sched]
 							name := fmt.Sprintf("%s%d bi=%v faults=%q load=%.1f recover=%v", routing, vcs, bi, sched, load, recover)
-							p, k := checkProof(t, name, cfg)
+							p, k := checkProof(t, name, cfg, 1000)
 							passes += p
 							knotted += k
 						}
@@ -79,10 +81,12 @@ func TestProofIsExact(t *testing.T) {
 	}
 }
 
-// checkProof steps one run for 1000 cycles and, every 10 cycles, compares
-// the proof with the knots of the CWG built from the same state. A second
-// detector asks, so the run's own detection is untouched.
-func checkProof(t *testing.T, name string, cfg sim.Config) (passes, knotted int) {
+// checkProof steps one run for the given cycles and, every 10 cycles,
+// compares the proof with the knots of the CWG built from the same state,
+// and on a failed proof its unproved messages with the message graph's
+// doomed set. A second detector asks, so the run's own detection is
+// untouched.
+func checkProof(t *testing.T, name string, cfg sim.Config, cycles int) (passes, knotted int) {
 	t.Helper()
 	r, err := sim.NewRunner(cfg)
 	if err != nil {
@@ -92,13 +96,20 @@ func checkProof(t *testing.T, name string, cfg sim.Config) (passes, knotted int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 1000; i++ {
+	for i := 1; i <= cycles; i++ {
 		r.StepCycle()
 		if i%10 != 0 {
 			continue
 		}
 		blocked, proved := d.ProveKnotFree()
+		unproved := d.Unproved()
 		snap := d.Snapshot()
+		if !proved {
+			doomed := cwg.NewMsgGraph(0).Build(snap).Doomed(nil)
+			if !slices.Equal(doomed, unproved) {
+				t.Fatalf("%s, cycle %d: the proof leaves %v unproved, the message graph dooms %v", name, r.Net.Now(), unproved, doomed)
+			}
+		}
 		knots := len(cwg.Build(snap).FindKnots())
 		passes++
 		if knots > 0 {
