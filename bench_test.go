@@ -250,39 +250,10 @@ func BenchmarkCWGBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild compares the two ways to reach the one construction path
-// on the same saturated snapshot: cwg.Build, a throwaway Builder per
-// snapshot ("legacy": the sub-benchmark's name predates that), against a
-// pooled Builder whose arenas are reused across iterations. The pooled path
-// is the one Detector uses in steady state.
-func BenchmarkBuild(b *testing.B) {
-	r := saturatedRunner(b, "tfar", 1)
-	snap := r.Detector.Snapshot()
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g := cwg.Build(snap)
-			if g.NumVertices() == 0 {
-				b.Fatal("empty graph")
-			}
-		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		bld := cwg.NewBuilder(r.Net.TotalVCs())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g := bld.Build(snap)
-			if g.NumVertices() == 0 {
-				b.Fatal("empty graph")
-			}
-		}
-	})
-}
-
-// BenchmarkDetectNow measures a full detection pass (snapshot + pooled build
-// + Tarjan + classification) with the change gate and the knot-freedom proof
-// defeated (Invalidate), so every iteration rebuilds and re-analyzes.
+// BenchmarkDetectNow measures a full detection pass (snapshot +
+// message-graph build + Tarjan + classification) with the change gate and
+// the knot-freedom proof defeated (Invalidate), so every iteration rebuilds
+// and re-analyzes.
 // Steady-state allocations should be zero once the detector's arenas have
 // warmed up.
 func BenchmarkDetectNow(b *testing.B) {

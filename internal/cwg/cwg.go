@@ -31,11 +31,9 @@
 // msggraph.go): a vertex per message, weighted arcs between them. Every CWG
 // cycle is a message circuit plus one entry VC per arc, so it gives the same
 // knots, characterization and cycle counts, through the same Tarjan and
-// Johnson code. The VC graph itself is built by a Builder, which indexes
-// vertices through a dense array keyed by the network's global VC numbering
-// and reuses its storage across snapshots; Build is a throwaway Builder for
-// one snapshot (DOT rendering, hand-built scenarios, tests: the VC graph is
-// the message graph's oracle).
+// Johnson code. The message graph is the one graph a detector pass or a
+// census count builds. The VC graph (Build, one plain pass per snapshot) is
+// what DOT draws and what the tests hold the message graph to.
 //
 // The package is pure graph theory: it depends only on the message package
 // for VC/ID types and can be exercised with hand-built scenarios (the
@@ -62,15 +60,14 @@ type Msg struct {
 	Wants   []message.VC
 }
 
-// Graph is a built channel wait-for graph. Construct with Build (fresh
-// allocation) or Builder.Build (pooled storage).
+// Graph is a built channel wait-for graph over VCs. Construct with Build.
 type Graph struct {
 	waitFor
 	msgs []Msg
 
-	verts []message.VC // dense index -> VC id
-	tbl   *vcTable     // VC id -> dense index, the Builder's
-	owner []int32      // dense vertex -> index into msgs, -1 if free
+	verts []message.VC         // dense index -> VC id
+	index map[message.VC]int32 // VC id -> dense index
+	owner []int32              // dense vertex -> index into msgs, -1 if free
 
 	edges int // arc count
 }
@@ -110,13 +107,55 @@ func (g *waitFor) weight(v int32, k int) int {
 	return int(g.wt[v][k])
 }
 
-// Build constructs the CWG for a snapshot of messages in storage of its
-// own. Messages with no owned VCs are ignored (they hold no resources and
-// cannot participate). VC ids must be non-negative.
-func Build(msgs []Msg) *Graph { return NewBuilder(0).Build(msgs) }
+// Build constructs the CWG for a snapshot of messages in one pass: vertices
+// numbered in first-encounter order, arcs appended in message order.
+// Messages with no owned VCs are ignored (they hold no resources and cannot
+// participate).
+func Build(msgs []Msg) *Graph {
+	g := &Graph{msgs: msgs, index: make(map[message.VC]int32)}
+	vertex := func(vc message.VC) int32 {
+		if v, ok := g.index[vc]; ok {
+			return v
+		}
+		v := int32(len(g.verts))
+		g.index[vc] = v
+		g.verts = append(g.verts, vc)
+		g.adj = append(g.adj, nil)
+		g.owner = append(g.owner, -1)
+		return v
+	}
+	arc := func(from, to int32) {
+		g.adj[from] = append(g.adj[from], to)
+		g.edges++
+	}
+	for mi := range msgs {
+		m := &msgs[mi]
+		if len(m.Owned) == 0 {
+			continue
+		}
+		prev := vertex(m.Owned[0])
+		g.owner[prev] = int32(mi)
+		for _, vc := range m.Owned[1:] {
+			v := vertex(vc)
+			g.owner[v] = int32(mi)
+			arc(prev, v)
+			prev = v
+		}
+		if m.Blocked {
+			for _, vc := range m.Wants {
+				arc(prev, vertex(vc))
+			}
+		}
+	}
+	return g
+}
 
-// vertexOf returns the dense vertex index of vc.
-func (g *Graph) vertexOf(vc message.VC) (int32, bool) { return g.tbl.lookup(vc) }
+// The Builder shim (Builder, NewBuilder, Builder.Build) is kept only for
+// bench/; ROADMAP 1(a) deletes it.
+type Builder struct{}
+
+func NewBuilder(int) *Builder            { return &Builder{} }
+func (*Builder) Build(msgs []Msg) *Graph { return Build(msgs) }
 
 // scratch returns the graph's analysis scratch, allocating it on first use.
 func (g *waitFor) scratch() *scratch {
@@ -138,7 +177,7 @@ func (g *Graph) VCs() []message.VC { return g.verts }
 // OwnerOf returns the id of the message owning vc and true, or false if vc
 // is free or absent from the graph.
 func (g *Graph) OwnerOf(vc message.VC) (message.ID, bool) {
-	i, ok := g.vertexOf(vc)
+	i, ok := g.index[vc]
 	if !ok || g.owner[i] < 0 {
 		return 0, false
 	}
@@ -366,8 +405,9 @@ func (g *waitFor) knots() [][]int32 {
 // of strongly connected components, and with them the condensation's two
 // facts per component: sc.terminal (no edge leaves it and no member has an
 // exit) and sc.hasEdge (an edge stays inside it). Component ids are in
-// completion order, so an arc between two components leads to the lower id. All three are scratch storage, valid until the next
-// analysis of the graph.
+// completion order, so an arc between two components leads to the lower
+// id. All three are scratch storage, valid until the next analysis of the
+// graph.
 func (g *waitFor) tarjan() (comp []int32, ncomp int) {
 	n := len(g.adj)
 	sc := g.scratch()
@@ -510,7 +550,7 @@ func (g *Graph) classify(knot []int32, opts Options) Deadlock {
 	// by a set member. Every owned VC is a graph vertex, so set-owned
 	// membership reduces to a per-vertex mark.
 	for _, vc := range d.ResourceSet {
-		if v, ok := g.vertexOf(vc); ok {
+		if v, ok := g.index[vc]; ok {
 			vMark[v] = epoch
 		}
 	}
@@ -520,7 +560,7 @@ func (g *Graph) classify(knot []int32, opts Options) Deadlock {
 			continue
 		}
 		for _, w := range m.Wants {
-			if v, ok := g.vertexOf(w); ok && vMark[v] == epoch {
+			if v, ok := g.index[w]; ok && vMark[v] == epoch {
 				d.Dependent = append(d.Dependent, m.ID)
 				break
 			}
@@ -585,14 +625,10 @@ func (g *Graph) dot(header string, verts []message.VC, keep map[message.VC]bool,
 		label = func(vc message.VC) string { return fmt.Sprintf("c%d", vc) }
 	}
 	kept := func(vc message.VC) bool { return keep == nil || keep[vc] }
-	vx := func(vc message.VC) int32 {
-		i, _ := g.vertexOf(vc)
-		return i
-	}
 	var b strings.Builder
 	b.WriteString(header)
 	for _, vc := range verts {
-		i, ok := g.vertexOf(vc)
+		i, ok := g.index[vc]
 		if !ok {
 			continue
 		}
@@ -611,15 +647,15 @@ func (g *Graph) dot(header string, verts []message.VC, keep map[message.VC]bool,
 		for j := 0; j+1 < len(m.Owned); j++ {
 			if kept(m.Owned[j]) && kept(m.Owned[j+1]) {
 				fmt.Fprintf(&b, "  v%d -> v%d [label=\"m%d\"];\n",
-					vx(m.Owned[j]), vx(m.Owned[j+1]), m.ID)
+					g.index[m.Owned[j]], g.index[m.Owned[j+1]], m.ID)
 			}
 		}
 		if m.Blocked && len(m.Owned) > 0 && kept(m.Owned[len(m.Owned)-1]) {
-			head := vx(m.Owned[len(m.Owned)-1])
+			head := g.index[m.Owned[len(m.Owned)-1]]
 			for _, w := range m.Wants {
 				if kept(w) {
 					fmt.Fprintf(&b, "  v%d -> v%d [style=dashed, label=\"m%d\"];\n",
-						head, vx(w), m.ID)
+						head, g.index[w], m.ID)
 				}
 			}
 		}

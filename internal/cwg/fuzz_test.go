@@ -100,62 +100,14 @@ func snapshotFromBytes(data []byte) []Msg {
 	return msgs
 }
 
-// referenceBuild is the construction Build used before it became a
-// throwaway Builder: vertices numbered through a map in first-encounter
-// order, adjacency appended edge by edge. It shares no construction code
-// with Builder.Build; only the finished VC -> vertex map is copied into a
-// vcTable, which is what a Graph looks vertices up in.
-func referenceBuild(msgs []Msg) *Graph {
-	g := &Graph{msgs: msgs, tbl: &vcTable{epoch: 1}}
-	index := make(map[message.VC]int32)
-	vertex := func(vc message.VC) int32 {
-		if i, ok := index[vc]; ok {
-			return i
-		}
-		i := int32(len(g.verts))
-		index[vc] = i
-		g.tbl.assign(vc, i)
-		g.verts = append(g.verts, vc)
-		g.adj = append(g.adj, nil)
-		g.owner = append(g.owner, -1)
-		return i
-	}
-	edge := func(from, to int32) {
-		g.adj[from] = append(g.adj[from], to)
-		g.edges++
-	}
-	for mi := range msgs {
-		m := &msgs[mi]
-		if len(m.Owned) == 0 {
-			continue
-		}
-		prev := vertex(m.Owned[0])
-		g.owner[prev] = int32(mi)
-		for _, vc := range m.Owned[1:] {
-			v := vertex(vc)
-			g.owner[v] = int32(mi)
-			edge(prev, v)
-			prev = v
-		}
-		if m.Blocked {
-			for _, vc := range m.Wants {
-				edge(prev, vertex(vc))
-			}
-		}
-	}
-	return g
-}
-
 // FuzzBuildEquivalence cross-validates the detection paths on random
-// snapshots: the pooled/dense Builder must produce analyses identical to
-// the map-indexed reference construction, the message graph the same
-// Analysis (knot order included) and cycle count as the VC graph, and the
-// Tarjan-based knot finder must agree with the naive
+// snapshots: the message graph must give the VC graph's Analysis (knot
+// order included) and cycle count, the VC graph one arc per chain link and
+// per want, and the Tarjan-based knot finder must agree with the naive
 // per-vertex-reachability knot definition. The message graph's doomed set
 // must be the messages whose head reaches no sink of the VC graph. It also
-// rebuilds through the same Builder and message graph with interleaved
-// foreign snapshots to prove the reused arenas carry no state between
-// builds.
+// rebuilds through the same message graph with interleaved foreign
+// snapshots to prove the reused storage carries no state between builds.
 func FuzzBuildEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0x00, 0x01, 0x05, 0x01, 0x00}) // 2-message swap knot
@@ -176,46 +128,26 @@ func FuzzBuildEquivalence(f *testing.F) {
 		}
 		msgs := snapshotFromBytes(data)
 		opts := Options{CountKnotCycles: true}
-		legacy := referenceBuild(msgs)
-		want := legacy.Analyze(opts)
-		wantN, wantCapped := legacy.CountCycles(opts)
-
-		b := NewBuilder(24)
-		dense := b.Build(msgs)
-		if legacy.NumVertices() != dense.NumVertices() || legacy.NumEdges() != dense.NumEdges() {
-			t.Fatalf("graph shape differs: legacy V=%d E=%d dense V=%d E=%d",
-				legacy.NumVertices(), legacy.NumEdges(), dense.NumVertices(), dense.NumEdges())
-		}
-		for i, vc := range legacy.VCs() {
-			if dense.VCs()[i] != vc {
-				t.Fatalf("vertex numbering differs at %d: legacy %d dense %d", i, vc, dense.VCs()[i])
+		g := Build(msgs)
+		want := g.Analyze(opts)
+		wantN, wantCapped := g.CountCycles(opts)
+		arcs := 0
+		for _, m := range msgs {
+			arcs += len(m.Owned) - 1
+			if m.Blocked {
+				arcs += len(m.Wants)
 			}
 		}
-		got := dense.Analyze(opts)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("analysis differs:\nlegacy %+v\ndense  %+v", want, got)
-		}
-		if n, capped := dense.CountCycles(opts); n != wantN || capped != wantCapped {
-			t.Fatalf("cycle count differs: legacy %d (capped %v), dense %d (capped %v)", wantN, wantCapped, n, capped)
+		if g.NumEdges() != arcs {
+			t.Fatalf("VC graph has %d arcs, the snapshot %d", g.NumEdges(), arcs)
 		}
 
-		// Naive knot definition on the dense graph.
-		if fast, slow := dense.FindKnots(), dense.NaiveKnots(); !sameKnotSets(fast, slow) {
+		// Naive knot definition on the VC graph.
+		if fast, slow := g.FindKnots(), g.NaiveKnots(); !sameKnotSets(fast, slow) {
 			t.Fatalf("knots disagree: tarjan=%v naive=%v", fast, slow)
 		}
 
-		// Arena-reuse: run a different snapshot through the same builder,
-		// then rebuild the original and demand the identical analysis.
 		alt := snapshotFromBytes(append([]byte{0xff, 0x13, 0x11, 0x0f, 0x07, 0x01}, data...))
-		b.Build(alt).Analyze(opts)
-		g2 := b.Build(msgs)
-		got2 := g2.Analyze(opts)
-		if n, capped := g2.CountCycles(opts); n != wantN || capped != wantCapped {
-			t.Fatalf("cycle count changed after arena reuse: %d (capped %v), first %d (capped %v)", n, capped, wantN, wantCapped)
-		}
-		if !reflect.DeepEqual(got2, want) {
-			t.Fatalf("analysis changed after arena reuse:\nfirst  %+v\nsecond %+v", want, got2)
-		}
 
 		// The message graph: the same Analysis and census, also after a
 		// foreign snapshot through its storage, and the doomed set.
@@ -231,7 +163,7 @@ func FuzzBuildEquivalence(f *testing.F) {
 			mg.Build(alt).Analyze(opts)
 		}
 		mg.Build(msgs)
-		if got, want := mg.Doomed(nil), reachNoSink(dense); !reflect.DeepEqual(got, want) {
+		if got, want := mg.Doomed(nil), reachNoSink(g); !reflect.DeepEqual(got, want) {
 			t.Fatalf("doomed %v, the messages whose head reaches no VC-graph sink %v", got, want)
 		}
 	})
@@ -245,7 +177,7 @@ func reachNoSink(g *Graph) []message.ID {
 		if len(m.Owned) == 0 {
 			continue
 		}
-		head, _ := g.vertexOf(m.Owned[len(m.Owned)-1])
+		head := g.index[m.Owned[len(m.Owned)-1]]
 		seen := map[int32]bool{head: true}
 		stack := []int32{head}
 		sink := false

@@ -22,14 +22,13 @@ func BenchmarkKnotTarjanVsReach(b *testing.B) {
 		r.StepCycle()
 	}
 	msgs := r.Detector.Snapshot()
-	bld := cwg.NewBuilder(0)
-	g := bld.Build(msgs)
+	g := cwg.Build(msgs)
 	b.Run(fmt.Sprintf("tarjan/V=%d", g.NumVertices()), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// A graph keeps its components once computed, so the arm that
-			// measures computing them pays for a pooled Build as well.
-			bld.Build(msgs).FindKnots()
+			// measures computing them pays for a Build as well.
+			cwg.Build(msgs).FindKnots()
 		}
 	})
 	b.Run(fmt.Sprintf("naive/V=%d", g.NumVertices()), func(b *testing.B) {

@@ -45,6 +45,40 @@ type MsgGraph struct {
 	first         []int32 // Analyze: per member, the earliest position a member wants
 }
 
+// vcTable maps VC ids to vertex indices (an owned VC to its owner's vertex)
+// via an epoch-stamped array: bumping the epoch invalidates every entry in
+// O(1), so no per-build clear of the (fixed-size) VC universe is needed.
+type vcTable struct {
+	slot  []int32
+	stamp []uint64
+	epoch uint64
+}
+
+// lookup returns vc's vertex index in the current build, if assigned.
+func (t *vcTable) lookup(vc message.VC) (int32, bool) {
+	i := int(vc)
+	if i < 0 || i >= len(t.slot) || t.stamp[i] != t.epoch {
+		return -1, false
+	}
+	return t.slot[i], true
+}
+
+// assign records vc -> v for the current build, growing the table if the
+// snapshot mentions a VC beyond the declared universe.
+func (t *vcTable) assign(vc message.VC, v int32) {
+	i := int(vc)
+	if i >= len(t.slot) {
+		grown := make([]int32, i+1+len(t.slot))
+		copy(grown, t.slot)
+		t.slot = grown
+		stamps := make([]uint64, len(grown))
+		copy(stamps, t.stamp)
+		t.stamp = stamps
+	}
+	t.slot[i] = v
+	t.stamp[i] = t.epoch
+}
+
 // NewMsgGraph returns an empty message graph for snapshots over a VC id
 // space of totalVCs ids (0..totalVCs-1); ids beyond it cost a table growth
 // on first sight.

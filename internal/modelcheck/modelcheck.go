@@ -33,8 +33,9 @@
 //	or ejects a flit.
 //
 // The verdict comparator then runs the REAL detection pipeline — a
-// network.RestoreState'd Network, detect.Detector, cwg.Builder, knot
-// analysis — on every enumerated state and checks:
+// network.RestoreState'd Network, detect.Detector's pass: the knot-freedom
+// proof, then cwg.MsgGraph's knot analysis — on every enumerated state and
+// checks:
 //
 //	soundness:    every deadlock-set member of every reported knot is stuck;
 //	completeness: every stuck message is EVENTUALLY reported (as a

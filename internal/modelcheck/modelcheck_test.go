@@ -3,10 +3,12 @@ package modelcheck
 import (
 	"context"
 	"encoding/json"
+	"math/bits"
 	"os"
 	"strings"
 	"testing"
 
+	"flexsim/internal/cwg"
 	"flexsim/internal/message"
 )
 
@@ -289,4 +291,56 @@ func TestExhaustiveShortGrid(t *testing.T) {
 	if !anyStuck {
 		t.Error("no configuration in the short grid reached a true deadlock; the positive direction is untested")
 	}
+}
+
+// TestDoomedIsStuck holds the message graph's doomed set, the local deadlock
+// of Stramaglia, Keiren and Zantema, to ground truth on the short grid: in
+// every expanded state with a blocked message, no message Doomed names may
+// be live by the liveness DP (a set live bit is definite even under
+// truncation). The converse does not hold and is not asserted: a stuck
+// message whose deadlock has not formed yet still reaches an exit of the
+// message graph, so the test only logs how many stuck messages are not yet
+// doomed.
+func TestDoomedIsStuck(t *testing.T) {
+	var states, doomed, stuck, notDoomed int
+	for _, cfg := range ShortGrid() {
+		sy, err := cfg.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := newExplorer(sy, DefaultOptions().MaxStates)
+		if err := ex.explore(sy.initialStates()); err != nil {
+			t.Fatal(err)
+		}
+		owners := make([]int8, sy.net.TotalVCs())
+		mg := cwg.NewMsgGraph(sy.net.TotalVCs())
+		var ids []message.ID
+		for idx := range ex.states {
+			st := &ex.states[idx]
+			if !st.expanded || st.blocked == 0 {
+				continue
+			}
+			s := decodeState(st.key, cfg.Messages)
+			s.owners(owners)
+			if err := sy.restore(&s, owners, nil); err != nil {
+				t.Fatal(err)
+			}
+			ids = mg.Build(sy.det.Snapshot()).Doomed(ids[:0])
+			var mask uint8
+			for _, id := range ids {
+				mask |= 1 << uint(id)
+			}
+			if live := mask & st.live; live != 0 {
+				t.Fatalf("%s, state %d: Doomed says %v, the liveness DP proves live mask %#x",
+					cfg.Name(), idx, ids, live)
+			}
+			stuckMask := st.blocked &^ st.live
+			states++
+			doomed += len(ids)
+			stuck += bits.OnesCount8(stuckMask)
+			notDoomed += bits.OnesCount8(stuckMask &^ mask)
+		}
+	}
+	t.Logf("%d states with a blocked message: %d (state, message) pairs doomed, none live; %d of %d stuck pairs not yet doomed",
+		states, doomed, notDoomed, stuck)
 }

@@ -74,7 +74,7 @@ func (r *Repro) Replay() (*Replay, error) {
 	if err := sy.net.RestoreState(0, r.Messages); err != nil {
 		return nil, fmt.Errorf("modelcheck: repro state rejected by engine: %w", err)
 	}
-	g := cwg.NewBuilder(sy.net.TotalVCs()).Build(sy.det.Snapshot())
+	g := cwg.Build(sy.det.Snapshot())
 	an := g.Analyze(cwg.Options{CountKnotCycles: true})
 	return &Replay{Net: sy.net, Graph: g, Analysis: an}, nil
 }

@@ -1,9 +1,9 @@
 package modelcheck
 
 // The verdict comparator: run the REAL detection pipeline (RestoreState'd
-// network -> detect.Detector -> cwg.Builder -> knot analysis) on every
-// enumerated state and compare its verdict against the explorer's
-// ground-truth liveness DP.
+// network -> detect.Detector -> knot-freedom proof -> cwg.MsgGraph knot
+// analysis) on every enumerated state and compare its verdict against the
+// explorer's ground-truth liveness DP.
 //
 //	soundness divergence:    a reported knot's deadlock set contains a
 //	                         message the DP proves live. Valid even under
@@ -420,7 +420,7 @@ func (r *runner) reproAt(idx int32, kind string) (*Repro, error) {
 	if err := r.sy.net.RestoreState(0, msgs); err != nil {
 		return nil, err
 	}
-	g := cwg.NewBuilder(r.sy.net.TotalVCs()).Build(r.sy.det.Snapshot())
+	g := cwg.Build(r.sy.det.Snapshot())
 	an := g.Analyze(cwg.Options{CountKnotCycles: true})
 	if len(an.Deadlocks) > 0 {
 		rep.KnotDOT = g.KnotDOT(&an.Deadlocks[0], nil)

@@ -3,9 +3,10 @@ package network
 // Injected-state construction: RestoreState loads an explicitly described
 // resource state into a network, bypassing the cycle engine. The model
 // checker (internal/modelcheck) uses it to run the real detection pipeline —
-// Detector.Snapshot, cwg.Builder, knot analysis, victim selection — on every
-// state its exhaustive explorer enumerates, so the detector is validated on
-// exactly the code path production runs use, not on a reimplementation.
+// Detector.Snapshot, the knot-freedom proof, then cwg.MsgGraph's knot
+// analysis, victim selection — on every state its exhaustive explorer
+// enumerates, so the detector is validated on exactly the code path
+// production runs use, not on a reimplementation.
 // For the same reason Route answers, for a header described by value, what
 // the allocate kernel's route answers for a live one.
 //
