@@ -21,6 +21,7 @@ import (
 	"flexsim/internal/routing"
 	"flexsim/internal/runner"
 	"flexsim/internal/sim"
+	"flexsim/internal/stats"
 	"flexsim/internal/topology"
 )
 
@@ -29,14 +30,25 @@ func benchOpts() experiments.Options {
 	return experiments.Options{Quick: true, Loads: []float64{0.4, 1.0}, Seed: 7}
 }
 
-func benchExperiment(b *testing.B, id string) {
-	f, err := experiments.ByName(id)
+// benchExperiment runs study id's plan under benchOpts once per iteration,
+// without a store, as charsweep does, and returns the last tables.
+func benchExperiment(b *testing.B, id string) []*stats.Table {
+	s, err := experiments.StudyByName(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := s.Plan(benchOpts())
+	cfgs, err := spec.Configs()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var tables []*stats.Table
 	for i := 0; i < b.N; i++ {
-		tables, err := f(context.Background(), benchOpts())
+		results, err := specv1.PointResults(cfgs, runner.Map(context.Background(), cfgs, runner.Options{}))
+		if err == nil {
+			tables, err = s.Tabulate(spec, results)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,6 +56,7 @@ func benchExperiment(b *testing.B, id string) {
 			b.Fatal("no tables")
 		}
 	}
+	return tables
 }
 
 // --- One benchmark per paper table/figure -----------------------------------
@@ -52,19 +65,9 @@ func benchExperiment(b *testing.B, id string) {
 // deadlock set sizes (5b) vs load, DOR, 1 VC, uni vs bi torus; one sweep
 // fills both panels.
 func BenchmarkFig5(b *testing.B) {
-	fig5, err := experiments.ByName("fig5")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables, err := fig5(context.Background(), benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) < 2 || len(tables[0].Rows) == 0 || len(tables[1].Rows) == 0 {
-			b.Fatal("empty panel")
-		}
+	tables := benchExperiment(b, "fig5")
+	if len(tables) < 2 || len(tables[0].Rows) == 0 || len(tables[1].Rows) == 0 {
+		b.Fatal("empty panel")
 	}
 }
 

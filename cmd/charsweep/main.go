@@ -212,7 +212,11 @@ func (r *runPath) run(spec *specv1.Spec) ([]specv1.PointResult, error) {
 // are not sweeps, run themselves.
 func (r *runPath) runExperiments(ids []string, opts experiments.Options, sweep *cli) (code int, interrupted bool) {
 	for _, id := range ids {
-		f, err := experiments.ByName(id)
+		study, err := experiments.StudyByName(id)
+		var f experiments.Func
+		if err != nil {
+			f, err = experiments.ByName(id)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "charsweep:", err)
 			return 1, interrupted
@@ -227,7 +231,7 @@ func (r *runPath) runExperiments(ids []string, opts experiments.Options, sweep *
 		start := time.Now()
 		r.progress.Start(id)
 		var tables []*stats.Table
-		if study, serr := experiments.StudyByName(id); serr == nil {
+		if study != nil {
 			tables, err = r.tabulate(study, opts)
 		} else {
 			tables, err = f(r.ctx, opts)

@@ -333,8 +333,9 @@ func firstKnot(cfg sim.Config, path string, atCycle int64) (err error) {
 		r.StepCycle()
 	}
 	now := r.Net.Now()
-	g := cwg.Build(r.Detector.Snapshot())
-	an := g.Analyze(cwg.Options{CountKnotCycles: true})
+	snap := r.Detector.Snapshot()
+	an := cwg.NewMsgGraph(r.Net.TotalVCs()).Build(snap).Analyze(cwg.Options{CountKnotCycles: true})
+	g := cwg.Build(snap) // drawn: the DOT and its size
 	fmt.Fprintf(os.Stderr, "deadlock detected at cycle %d (%d knot(s), %d blocked messages, %d vertices, %d arcs)\n",
 		now, len(an.Deadlocks), an.BlockedMessages, g.NumVertices(), g.NumEdges())
 	describe(an.Deadlocks, r.Forensics, now)

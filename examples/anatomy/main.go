@@ -48,11 +48,13 @@ func main() {
 		},
 	}
 
+	mg := cwg.NewMsgGraph(0)
 	for _, s := range scenarios {
 		fmt.Printf("=== %s ===\n%s\n", s.name, s.blur)
-		g := cwg.Build(s.msgs)
-		an := g.Analyze(cwg.Options{CountKnotCycles: true})
-		cycles, _ := g.CountCycles(cwg.Options{})
+		mg.Build(s.msgs)
+		an := mg.Analyze(cwg.Options{CountKnotCycles: true})
+		cycles, _ := mg.CountCycles(cwg.Options{})
+		g := cwg.Build(s.msgs) // drawn: its size, and with -dot its DOT
 		fmt.Printf("graph: %d VCs, %d arcs; %d blocked messages; %d resource dependency cycles\n",
 			g.NumVertices(), g.NumEdges(), an.BlockedMessages, cycles)
 		if len(an.Deadlocks) == 0 {

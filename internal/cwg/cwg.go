@@ -31,9 +31,9 @@
 // msggraph.go): a vertex per message, weighted arcs between them. Every CWG
 // cycle is a message circuit plus one entry VC per arc, so it gives the same
 // knots, characterization and cycle counts, through the same Tarjan and
-// Johnson code. The message graph is the one graph a detector pass or a
-// census count builds. The VC graph (Build, one plain pass per snapshot) is
-// what DOT draws and what the tests hold the message graph to.
+// Johnson code. It answers every knot question asked outside this package.
+// The VC graph (Build, one plain pass per snapshot) only draws (DOT, KnotDOT);
+// its Analyze, FindKnots and CountCycles are the tests' oracle.
 //
 // The package is pure graph theory: it depends only on the message package
 // for VC/ID types and can be exercised with hand-built scenarios (the
@@ -353,7 +353,7 @@ func (sc *scratch) marks(nVerts, nMsgs int) (vMark, mMark []int64, epoch int64) 
 // Tarjan SCC + condensation: a knot is an SCC with no edges leaving it that
 // contains at least one edge (size > 1, or a self-loop). Each returned set
 // is freshly allocated and sorted ascending; internal working storage is
-// reused across calls.
+// reused across calls. It serves DOT's shading and the tests' oracle.
 func (g *Graph) FindKnots() [][]int32 { return g.knots() }
 
 // knots returns the terminal components that hold an arc, in completion
@@ -503,7 +503,8 @@ func (g *waitFor) tarjan() (comp []int32, ncomp int) {
 	return comp, ncomp
 }
 
-// Analyze finds all knots and classifies each deadlock.
+// Analyze finds all knots and classifies each deadlock: the tests' oracle
+// for MsgGraph.Analyze.
 func (g *Graph) Analyze(opts Options) Analysis {
 	var an Analysis
 	for i := range g.msgs {
@@ -520,8 +521,8 @@ func (g *Graph) Analyze(opts Options) Analysis {
 
 // CountCycles counts the graph's elementary cycles, the paper's resource
 // dependency cycle census, under opts' MaxCycles and MaxWork caps; capped
-// reports that a cap stopped the count. It is the census's one entry;
-// opts.CountKnotCycles does not apply.
+// reports that a cap stopped the count: the tests' oracle for the census's
+// entry, MsgGraph.CountCycles. opts.CountKnotCycles does not apply.
 func (g *Graph) CountCycles(opts Options) (n int, capped bool) {
 	return newCounter(opts, g.scratch()).countAll(&g.waitFor)
 }

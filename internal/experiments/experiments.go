@@ -45,7 +45,7 @@ type Options struct {
 	Seed uint64
 	// Loads overrides the default load sweep.
 	Loads []float64
-	// Instrumentation is attached to every run a Func makes (see
+	// Instrumentation is attached to every run approx makes (see
 	// sim.Instrumentation). Its sinks are shared by concurrent runs and must
 	// be concurrency-safe (the obs file sinks are); its
 	// SpansPath/HeatmapPath should contain a "*" so each run writes its own
@@ -168,18 +168,6 @@ func (s *Study) Tabulate(spec *specv1.Spec, results []specv1.PointResult) ([]*st
 	return s.tables(cfgs, pts), nil
 }
 
-// Run is the study as a Func: it runs every point of the plan in this
-// process under ctx, in parallel and without a result store, and tabulates
-// them.
-func (s *Study) Run(ctx context.Context, o Options) ([]*stats.Table, error) {
-	cfgs := s.configs(o) // the plan's points, with o's instrumentation attached
-	results, err := specv1.PointResults(cfgs, runner.Map(ctx, cfgs, runner.Options{}))
-	if err != nil {
-		return nil, err
-	}
-	return s.Tabulate(s.Plan(o), results)
-}
-
 // studies are the simulation studies, in no particular order.
 var studies = []*Study{
 	{"fig5", fig5Configs, fig5Tables},
@@ -198,44 +186,44 @@ var studies = []*Study{
 	{"avoidance", avoidanceConfigs, avoidanceTables},
 }
 
-// registry maps experiment ids to their generators: every study's Run, and
-// the two experiments that are not sweeps.
-var registry = func() map[string]Func {
-	r := map[string]Func{"approx": TimeoutApprox, "verify": Verify}
-	for _, s := range studies {
-		r[s.name] = s.Run
-	}
-	return r
-}()
+// nonSweeps are the two experiments that are not simulation studies: approx
+// reads detector state no result carries, and verify model-checks.
+var nonSweeps = map[string]Func{"approx": TimeoutApprox, "verify": Verify}
 
-// ByName returns the experiment registered under id.
+// ByName returns the Func of approx or verify, the experiments that are not
+// sweeps; a study runs as its Plan, then Tabulate (StudyByName).
 func ByName(id string) (Func, error) {
-	f, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, Names())
+	if f, ok := nonSweeps[id]; ok {
+		return f, nil
 	}
-	return f, nil
+	_, err := StudyByName(id)
+	if err == nil {
+		err = fmt.Errorf("experiments: %s is a sweep: run its plan and tabulate it", id)
+	}
+	return nil, err
 }
 
-// StudyByName returns the simulation study registered under id. approx
-// (which reads detector state no result carries) and verify (model
-// checking) are experiments but not sweeps: they have no plan.
+// StudyByName returns the simulation study registered under id. approx and
+// verify are experiments but not sweeps: they have no plan.
 func StudyByName(id string) (*Study, error) {
 	for _, s := range studies {
 		if s.name == id {
 			return s, nil
 		}
 	}
-	if _, err := ByName(id); err != nil {
-		return nil, err
+	if _, ok := nonSweeps[id]; ok {
+		return nil, fmt.Errorf("experiments: %s is not a sweep: it has no plan to run elsewhere", id)
 	}
-	return nil, fmt.Errorf("experiments: %s is not a sweep: it has no plan to run elsewhere", id)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, Names())
 }
 
-// Names returns the registered experiment ids, sorted.
+// Names returns every experiment id, sorted.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := make([]string, 0, len(studies)+len(nonSweeps))
+	for _, s := range studies {
+		names = append(names, s.name)
+	}
+	for n := range nonSweeps {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,11 +15,7 @@ func microOpts() Options {
 
 func runExperiment(t *testing.T, id string) []*stats.Table {
 	t.Helper()
-	f, err := ByName(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := f(context.Background(), microOpts())
+	tables, err := wireTables(id)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -44,14 +39,21 @@ func runExperiment(t *testing.T, id string) []*stats.Table {
 	return tables
 }
 
+// TestNamesAndByName: every experiment id names a study or, for approx and
+// verify alone, a Func; ByName refuses a study and an unknown id.
 func TestNamesAndByName(t *testing.T) {
 	names := Names()
-	if len(names) != len(registry) {
+	if len(names) != len(studies)+len(nonSweeps) {
 		t.Fatalf("Names() = %v", names)
 	}
 	for _, n := range names {
-		if _, err := ByName(n); err != nil {
-			t.Errorf("ByName(%q): %v", n, err)
+		_, serr := StudyByName(n)
+		_, ferr := ByName(n)
+		if (serr == nil) == (ferr == nil) {
+			t.Errorf("%s: StudyByName err %v, ByName err %v; want exactly one to resolve", n, serr, ferr)
+		}
+		if _, ok := nonSweeps[n]; ok != (ferr == nil) {
+			t.Errorf("ByName(%q) err %v", n, ferr)
 		}
 	}
 	if _, err := ByName("nope"); err == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/bits"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -343,4 +344,41 @@ func TestDoomedIsStuck(t *testing.T) {
 	}
 	t.Logf("%d states with a blocked message: %d (state, message) pairs doomed, none live; %d of %d stuck pairs not yet doomed",
 		states, doomed, notDoomed, stuck)
+}
+
+// TestCommittedReprosReplay re-judges every committed counterexample
+// (results/repros) with the detector's own pass, as flexsim -repro does:
+// each replays to at least one knot, no deadlock-set member is live by the
+// file's ground truth, and the file's knot_dot is the first knot drawn
+// again from the replayed analysis.
+func TestCommittedReprosReplay(t *testing.T) {
+	files, err := filepath.Glob("../../results/repros/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed repros (%v)", err)
+	}
+	for _, f := range files {
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			rep, err := LoadRepro(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := rep.Replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rp.Analysis.Deadlocks) == 0 {
+				t.Fatal("replay reports no knot")
+			}
+			for _, d := range rp.Analysis.Deadlocks {
+				for _, id := range d.DeadlockSet {
+					if rep.Live&(1<<uint(id)) != 0 {
+						t.Errorf("deadlock set %v holds message %d, live by ground truth %#x", d.DeadlockSet, id, rep.Live)
+					}
+				}
+			}
+			if got := rp.Graph.KnotDOT(&rp.Analysis.Deadlocks[0], nil); got != rep.KnotDOT {
+				t.Errorf("knot_dot differs from the replayed knot:\n got:\n%s\nwant:\n%s", got, rep.KnotDOT)
+			}
+		})
+	}
 }

@@ -59,8 +59,12 @@ func LoadRepro(path string) (*Repro, error) {
 
 // Replay is a repro loaded back into a live substrate.
 type Replay struct {
-	Net      *network.Network
-	Graph    *cwg.Graph
+	Net *network.Network
+	// Graph is the restored state's VC graph, for drawing (DOT, KnotDOT).
+	Graph *cwg.Graph
+	// Analysis is the detector's pass over the restored state: the
+	// knot-freedom proof, then the message graph, as the model checker
+	// judged it.
 	Analysis cwg.Analysis
 }
 
@@ -74,7 +78,6 @@ func (r *Repro) Replay() (*Replay, error) {
 	if err := sy.net.RestoreState(0, r.Messages); err != nil {
 		return nil, fmt.Errorf("modelcheck: repro state rejected by engine: %w", err)
 	}
-	g := cwg.Build(sy.det.Snapshot())
-	an := g.Analyze(cwg.Options{CountKnotCycles: true})
-	return &Replay{Net: sy.net, Graph: g, Analysis: an}, nil
+	an := sy.det.DetectNow()
+	return &Replay{Net: sy.net, Graph: cwg.Build(sy.det.Snapshot()), Analysis: an}, nil
 }

@@ -404,26 +404,24 @@ func (r *runner) tallyTimeout(res *ConfigResult, st *stateInfo, stuck uint8) {
 }
 
 // reproAt captures state idx as a Repro, rendering the first knot's DOT
-// when the detector reports one.
+// when its replay, the detector's pass, reports one.
 func (r *runner) reproAt(idx int32, kind string) (*Repro, error) {
 	st := &r.ex.states[idx]
 	s := decodeState(st.key, r.sy.cfg.Messages)
 	s.owners(r.owners)
-	msgs := r.sy.materialize(&s, r.owners, r.wantBuf)
 	rep := &Repro{
 		Kind:     kind,
 		Config:   r.sy.cfg,
-		Messages: msgs,
+		Messages: r.sy.materialize(&s, r.owners, r.wantBuf),
 		Stuck:    st.blocked &^ st.live,
 		Live:     st.live,
 	}
-	if err := r.sy.net.RestoreState(0, msgs); err != nil {
+	rp, err := rep.Replay()
+	if err != nil {
 		return nil, err
 	}
-	g := cwg.Build(r.sy.det.Snapshot())
-	an := g.Analyze(cwg.Options{CountKnotCycles: true})
-	if len(an.Deadlocks) > 0 {
-		rep.KnotDOT = g.KnotDOT(&an.Deadlocks[0], nil)
+	if len(rp.Analysis.Deadlocks) > 0 {
+		rep.KnotDOT = rp.Graph.KnotDOT(&rp.Analysis.Deadlocks[0], nil)
 	}
 	return rep, nil
 }

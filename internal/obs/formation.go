@@ -68,6 +68,7 @@ type FormationAnalyzer struct {
 	log *network.ResourceLog
 
 	evBuf []network.ResourceEvent
+	graph *cwg.MsgGraph // knotAt's, rebuilt per probe
 }
 
 // NewFormationAnalyzer builds an analyzer over a network and the resource
@@ -145,13 +146,14 @@ func (a *FormationAnalyzer) CWGAt(t int64) (*cwg.Graph, bool) {
 }
 
 // knotAt reports whether the CWG at cycle t contains a knot overlapping
-// the given VC set.
+// the given VC set, as the message graph of the rewound snapshot finds it.
 func (a *FormationAnalyzer) knotAt(t int64, knotVCs map[message.VC]bool) bool {
-	g := cwg.Build(a.rewind(t))
-	verts := g.VCs()
-	for _, knot := range g.FindKnots() {
-		for _, v := range knot {
-			if knotVCs[verts[v]] {
+	if a.graph == nil {
+		a.graph = cwg.NewMsgGraph(a.net.TotalVCs())
+	}
+	for _, d := range a.graph.Build(a.rewind(t)).Analyze(cwg.Options{}).Deadlocks {
+		for _, vc := range d.KnotVCs {
+			if knotVCs[vc] {
 				return true
 			}
 		}
